@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
-from .polyloc import Polynomial, is_schur, is_simple_von_neumann, poly_roots
+from .polyloc import Polynomial, greedy_clusters, is_schur, is_simple_von_neumann
 from .schemes import (
     AmpMatrix,
     DimensionlessParams,
@@ -43,13 +43,8 @@ from .schemes import (
     char_poly_closed,
     courant_q,
     dimensionless_params,
-    tm_factor_2d,
 )
 
-# Root modulus beyond 1 + CIRCLE_TOL counts as outside the unit circle.
-CIRCLE_TOL = 1e-9
-# Roots closer than this are one cluster (defective pairs split ~1e-8).
-CLUSTER_TOL = 1e-7
 # Matrix eigenvalue modulus beyond 1 + OUT_EIG_TOL counts as outside;
 # defective unit eigenvalues scatter ~1e-8, safely below this.
 OUT_EIG_TOL = 1e-7
@@ -125,31 +120,11 @@ class TableRow:
     note: str = ""
 
 
-def _cluster(values: np.ndarray, tol: float) -> list[tuple[complex, int, float]]:
-    """Greedy clustering of complex values; returns (center, size, radius)."""
-    remaining = list(values)
-    out: list[tuple[complex, int, float]] = []
-    while remaining:
-        seed = remaining.pop(0)
-        members = [seed]
-        rest = []
-        for v in remaining:
-            if abs(v - seed) <= tol:
-                members.append(v)
-            else:
-                rest.append(v)
-        remaining = rest
-        center = sum(members) / len(members)
-        radius = max(abs(m - center) for m in members)
-        out.append((center, len(members), radius))
-    return out
-
-
-def gn_bounded(G: AmpMatrix | np.ndarray, tol: float = EIG_CLUSTER_TOL) -> BoundednessReport:
+def gn_bounded(G: AmpMatrix | np.ndarray) -> BoundednessReport:
     """Decide boundedness of the matrix powers from the unit-circle
     eigenvalue multiplicities.
 
-    Requires every eigenvalue modulus at most 1 + tol.  Geometric
+    Requires every eigenvalue modulus at most 1 + EIG_CLUSTER_TOL.  Geometric
     multiplicities come from a singular-value rank test on G - lambda I,
     with the zero threshold widened by the cluster spread so that two
     genuinely distinct eigenvalues grouped into one cluster are not
@@ -160,18 +135,18 @@ def gn_bounded(G: AmpMatrix | np.ndarray, tol: float = EIG_CLUSTER_TOL) -> Bound
         eigs = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigenvalue solve failed: {exc}") from exc
-    if np.max(np.abs(eigs)) > 1.0 + tol:
+    if np.max(np.abs(eigs)) > 1.0 + EIG_CLUSTER_TOL:
         raise InvalidInputError(
-            "gn_bounded requires all eigenvalue moduli at most 1 + tol")
-    unit = eigs[np.abs(np.abs(eigs) - 1.0) <= tol]
+            "gn_bounded requires all eigenvalue moduli at most 1 + EIG_CLUSTER_TOL")
+    unit = eigs[np.abs(np.abs(eigs) - 1.0) <= EIG_CLUSTER_TOL]
     reports: list[UnitEigenvalue] = []
     bounded = True
-    for center, alg, _radius in _cluster(unit, tol):
+    for center, alg in greedy_clusters(unit, EIG_CLUSTER_TOL):
         if alg == 1:
             reports.append(UnitEigenvalue(center, 1, 1))
             continue
-        spread = float(np.max(np.abs(unit[np.abs(unit - center) <= tol] - center),
-                              initial=0.0))
+        near = unit[np.abs(unit - center) <= EIG_CLUSTER_TOL]
+        spread = float(np.max(np.abs(near - center), initial=0.0))
         sv = np.linalg.svd(m - center * np.eye(m.shape[0]), compute_uv=False)
         cut = max(RANK_REL_TOL * sv[0], 10.0 * spread)
         geom = int(np.sum(sv <= cut))
@@ -181,21 +156,13 @@ def gn_bounded(G: AmpMatrix | np.ndarray, tol: float = EIG_CLUSTER_TOL) -> Bound
     return BoundednessReport(tuple(reports), bounded)
 
 
-def _degenerate_qs(scheme: Scheme, params: DimensionlessParams) -> tuple[float, ...]:
-    """Courant values where two root couples of the scheme collide on the
-    unit circle (harmonic media with eps_s = eps_inf).  The snap is applied
-    unconditionally; away from the degenerate regime the matrix route gives
-    the same verdict as the polynomial route."""
-    w = params.omega
-    if w is None:
-        return ()
-    if scheme is Scheme.LORENTZ_JOSEPH:
-        return (2.0 * w / (1.0 + w),)
-    if scheme is Scheme.LORENTZ_KASHIWA:
-        return (2.0 * w / (1.0 + 0.5 * w),)
-    if scheme is Scheme.LORENTZ_YOUNG:
-        return (2.0 * w,)
-    return ()
+def _degenerate_q(scheme: Scheme, params: DimensionlessParams) -> float | None:
+    """Courant value where two root couples of the scheme collide on the
+    unit circle (harmonic media with eps_s = eps_inf), if it has one.  The
+    snap is applied unconditionally; away from the degenerate regime the
+    matrix route gives the same verdict as the polynomial route."""
+    q_of_omega = scheme.spec.degenerate_q
+    return q_of_omega(params.omega) if q_of_omega and params.omega else None
 
 
 def _special_root_near(poly: Polynomial) -> bool:
@@ -209,11 +176,8 @@ def classify_at_q(scheme: Scheme, params: DimensionlessParams, q: float) -> Stab
     """Stability verdict of a scheme at an exact Courant quantity q."""
     if q < 0 or not math.isfinite(q):
         raise InvalidInputError("q must be nonnegative and finite")
-    q_eff = q
-    for q_res in _degenerate_qs(scheme, params):
-        if abs(q - q_res) <= RESONANCE_SNAP_TOL:
-            q_eff = q_res
-            break
+    q_res = _degenerate_q(scheme, params)
+    q_eff = q_res if q_res is not None and abs(q - q_res) <= RESONANCE_SNAP_TOL else q
     poly = char_poly_closed(scheme, params, q_eff)
     svn = is_simple_von_neumann(poly)
     if svn.ok:
@@ -270,13 +234,14 @@ def classify_point_2d(scheme: Scheme, params: DimensionlessParams, wn: Wavenumbe
     """Stability verdict at one 2D wavenumber pair.
 
     The 2D polynomial is (Z - 1) [psi] phi(q_x + q_y).  The explicit (Z - 1)
-    factor is benign; the phi part is classified like a 1D point at the
-    combined q; the TM factor psi contributes roots on or inside the circle,
-    unstable only when its unit-circle roots coincide with unit-circle roots
-    of phi, which happens for the Joseph-style Lorentz scheme at the
-    degenerate q (the polarization factor and the field polynomial then
-    share a defective eigenvalue; for the other schemes the coincidence
-    pairs decoupled blocks and is harmless).
+    factor is benign, and the phi part is classified like a 1D point at the
+    combined q.  The TM factor psi has its roots on or inside the circle and
+    decides no verdict.  For the Joseph-style Lorentz scheme in a harmonic
+    medium its unit-circle roots could meet those of phi only at the
+    degenerate q_res, and there only when eps_s = eps_inf: the resultant of
+    psi and phi(q_res) is 16 w^4 (eps_s'-1)^2 (1 + w eps_s')^2 / (1 + w)^2.
+    At that point phi alone is already unstable.  For the other schemes a
+    coincidence pairs decoupled blocks and is harmless.
     """
     if not wn.is_2d:
         raise InvalidInputError("classify_point_2d requires a 2D wavenumber")
@@ -288,21 +253,6 @@ def classify_point_2d(scheme: Scheme, params: DimensionlessParams, wn: Wavenumbe
         return StabilityVerdict(False, base.argument,
                                 f"1D factor at q={q2:.12g}: {base.detail}",
                                 worst_xi=wn.xi_x)
-    if polarization == "tm" and scheme is Scheme.LORENTZ_JOSEPH:
-        q_res = 2.0 * params.omega / (1.0 + params.omega)
-        psi = tm_factor_2d(scheme, params)
-        psi_roots = poly_roots(psi)
-        psi_on_circle = np.abs(np.abs(psi_roots) - 1.0) <= CIRCLE_TOL
-        if np.any(psi_on_circle) and abs(q2 - q_res) <= RESONANCE_SNAP_TOL:
-            phi_roots = poly_roots(char_poly_closed(scheme, params, q_res))
-            dmin = min(abs(pr - fr) for pr in psi_roots[psi_on_circle]
-                       for fr in phi_roots)
-            if dmin <= CLUSTER_TOL:
-                return StabilityVerdict(
-                    False, Argument.EIGENVECTORS,
-                    "TM polarization factor shares a unit-circle root with the "
-                    f"field polynomial at the degenerate q={q_res:.12g}",
-                    worst_xi=wn.xi_x)
     return StabilityVerdict(True, base.argument,
                             f"(Z-1) factor benign; {base.detail}",
                             worst_xi=wn.xi_x)
@@ -315,15 +265,16 @@ def _xi_for_q(q_target: float, lam: float) -> float | None:
     return 2.0 * math.asin(math.sqrt(q_target) / (2.0 * lam))
 
 
-def _scan_qs(scheme: Scheme, params: DimensionlessParams, q_max: float,
-             n_xi: int) -> list[float]:
+def _scan_qs(scheme: Scheme, params: DimensionlessParams, q_max: float) -> list[float]:
     """Courant values scanned by the worst-case verdict: a uniform
     wavenumber grid plus every exact special value in range."""
     lam_eff = math.sqrt(q_max / 4.0)
     qs = [4.0 * lam_eff ** 2 * math.sin(x / 2.0) ** 2
-          for x in np.linspace(0.0, math.pi, n_xi)]
+          for x in np.linspace(0.0, math.pi, N_XI_DEFAULT)]
     specials = [0.0, q_max, 2.0, 4.0]
-    specials.extend(_degenerate_qs(scheme, params))
+    q_res = _degenerate_q(scheme, params)
+    if q_res is not None:
+        specials.append(q_res)
     for s in specials:
         # Relative whisker so that a q_max a few ulps below a special value
         # still probes the special value itself.
@@ -334,8 +285,7 @@ def _scan_qs(scheme: Scheme, params: DimensionlessParams, q_max: float,
 
 def worst_case_verdict(scheme: Scheme, medium: MediumModel, k: float, h: float,
                        dim: int = 1, polarization: str | None = None,
-                       h_y: float | None = None,
-                       n_xi: int = N_XI_DEFAULT) -> StabilityVerdict:
+                       h_y: float | None = None) -> StabilityVerdict:
     """Scan all wavenumbers at fixed physical steps; stable iff every
     sampled point is stable.
 
@@ -356,33 +306,22 @@ def worst_case_verdict(scheme: Scheme, medium: MediumModel, k: float, h: float,
         lam_y = lam * h / (h_y if h_y is not None else h)
         q_max = 4.0 * lam * lam + 4.0 * lam_y * lam_y
     last = None
-    for q in sorted(set(_scan_qs(scheme, params, q_max, n_xi))):
+    for q in sorted(set(_scan_qs(scheme, params, q_max))):
         verdict = classify_at_q(scheme, params, q)
-        if dim == 2 and verdict.stable and polarization == "tm" \
-                and scheme is Scheme.LORENTZ_JOSEPH:
-            qx = min(q, 4.0 * lam * lam)
-            xi_x = _xi_for_q(qx, lam)
-            lam_y = lam * h / (h_y if h_y is not None else h)
-            xi_y = _xi_for_q(q - qx, lam_y) if q - qx > 0 else 0.0
-            if xi_x is not None and xi_y is not None:
-                wn = Wavenumber(xi_x, xi_y, h_x=h, h_y=h_y if h_y else h)
-                verdict = classify_point_2d(scheme, params, wn, polarization)
         if not verdict.stable:
             xi = _xi_for_q(min(q, 4.0 * lam * lam), lam)
             return StabilityVerdict(False, verdict.argument,
                                     f"unstable at q={q:.12g}: {verdict.detail}",
                                     worst_xi=xi)
         last = verdict
-    detail = f"stable at all {n_xi} sampled wavenumbers plus special values"
+    detail = f"stable at all {N_XI_DEFAULT} sampled wavenumbers plus special values"
     return StabilityVerdict(True, last.argument if last else Argument.G_FORM,
                             detail, worst_xi=math.pi)
 
 
 def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
                          dim: int = 1, polarization: str | None = None,
-                         h_y: float | None = None,
-                         rel_resolution: float = BOUNDARY_REL_RESOLUTION,
-                         n_xi: int = N_XI_DEFAULT) -> BoundaryResult:
+                         h_y: float | None = None) -> BoundaryResult:
     """Largest stable time step, found by bisection on the worst-case
     verdict between 0 and 2h/c_inf.
 
@@ -395,8 +334,7 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
 
     def stable_at(k: float) -> bool:
         return worst_case_verdict(scheme, medium, k, h, dim=dim,
-                                  polarization=polarization, h_y=h_y,
-                                  n_xi=n_xi).stable
+                                  polarization=polarization, h_y=h_y).stable
 
     k_hi = 2.0 * h / medium.c_inf
     if stable_at(k_hi):
@@ -412,7 +350,7 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
                               "unstable at the bottom of the bracket "
                               "(resonant regime; no upper boundary in k)")
     lo, hi = k_lo, k_hi
-    while hi - lo > rel_resolution * hi:
+    while hi - lo > BOUNDARY_REL_RESOLUTION * hi:
         mid = 0.5 * (lo + hi)
         if stable_at(mid):
             lo = mid
@@ -448,131 +386,12 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
     return BoundaryResult(lo, attained, non_monotone, lowest_unstable, detail)
 
 
-# ---------------------------------------------------------------------------
-# Reference stability regimes for the five schemes.
-#
-# Each regime lists representative dimensionless points (delta, eps_s_prime,
-# omega, q).  Expected verdicts follow the known analysis of these schemes;
-# one harmonic regime whose traditional verdict contradicts the boundedness
-# of the actual matrix powers is encoded with the verdict the matrices
-# enforce and carries an explanatory note.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Regime:
-    label: str
-    expected_stable: bool
-    reference_argument: str
-    points: tuple[tuple[float, float, float | None, float], ...]
-    note: str = ""
-
-
-def _lj_res(w: float) -> float:
-    return 2.0 * w / (1.0 + w)
-
-
-_ARGUMENT_TABLES: dict[Scheme, tuple[_Regime, ...]] = {
-    Scheme.DEBYE_JOSEPH: (
-        _Regime("0<q<4, eps_s>eps_inf", True, "schur",
-                ((0.3, 2.0, None, 2.0), (0.1, 45.0, None, 1.0))),
-        _Regime("0<q<4, eps_s=eps_inf", True, "von-neumann",
-                ((0.3, 1.0, None, 2.0),)),
-        _Regime("q=0", True, "g-form",
-                ((0.3, 2.0, None, 0.0), (0.3, 1.0, None, 0.0))),
-        _Regime("q=4, eps_s>eps_inf", True, "von-neumann",
-                ((0.3, 2.0, None, 4.0),)),
-        _Regime("q=4, eps_s=eps_inf", False, "eigenvectors",
-                ((0.3, 1.0, None, 4.0),)),
-    ),
-    Scheme.DEBYE_YOUNG: (
-        _Regime("0<q<=4, eps_s>eps_inf, 0<delta<1", True, "schur",
-                ((0.5, 2.0, None, 2.0), (0.5, 2.0, None, 4.0))),
-        _Regime("0<q<4, eps_s=eps_inf, delta>0", True, "von-neumann",
-                ((0.5, 1.0, None, 2.0), (1.5, 1.0, None, 2.0))),
-        _Regime("q=0, delta>0", True, "g-form",
-                ((0.5, 2.0, None, 0.0), (1.5, 2.0, None, 0.0))),
-        _Regime("0<q<=4, eps_s>eps_inf, delta=1", True, "sub-polynomial",
-                ((1.0, 2.0, None, 2.0), (1.0, 2.0, None, 4.0))),
-        _Regime("q=4, eps_s=eps_inf, delta>0", False, "eigenvectors",
-                ((0.5, 1.0, None, 4.0),)),
-    ),
-    Scheme.LORENTZ_JOSEPH: (
-        _Regime("anharmonic: 0<q<2, eps_s>eps_inf", True, "schur",
-                ((0.3, 2.0, 0.8, 1.0),)),
-        _Regime("anharmonic: 0<q<=2, eps_s=eps_inf", True, "von-neumann",
-                ((0.3, 1.0, 0.8, 1.0), (0.3, 1.0, 0.8, 2.0))),
-        _Regime("anharmonic: q=0", True, "g-form",
-                ((0.3, 2.0, 0.8, 0.0),)),
-        _Regime("anharmonic: q=2", True, "sub-polynomial",
-                ((0.3, 2.0, 0.8, 2.0),)),
-        _Regime("harmonic: 0<q<2, eps_s>eps_inf", True, "von-neumann",
-                ((0.0, 2.0, 0.8, 1.0),)),
-        _Regime("harmonic: 0<q<=2, eps_s=eps_inf (degenerate q reached)",
-                False, "sub-polynomial",
-                ((0.0, 1.0, 0.8, _lj_res(0.8)),)),
-        _Regime("harmonic: q=0", True, "g-form",
-                ((0.0, 2.0, 0.8, 0.0), (0.0, 1.0, 0.8, 0.0))),
-        _Regime("harmonic: q=2", True, "sub-polynomial",
-                ((0.0, 2.0, 0.8, 2.0), (0.0, 1.0, 0.8, 2.0))),
-    ),
-    Scheme.LORENTZ_KASHIWA: (
-        _Regime("anharmonic: 0<q<4, eps_s>eps_inf", True, "schur",
-                ((0.3, 2.0, 0.8, 2.0),)),
-        _Regime("anharmonic: 0<q<4, eps_s=eps_inf", True, "von-neumann",
-                ((0.3, 1.0, 0.8, 2.0),)),
-        _Regime("anharmonic: q=0", True, "g-form",
-                ((0.3, 2.0, 0.8, 0.0),)),
-        _Regime("anharmonic: q=4", False, "eigenvectors",
-                ((0.3, 2.0, 0.8, 4.0), (0.3, 1.0, 0.8, 4.0))),
-        _Regime("harmonic: 0<q<4 (away from the degenerate q)", True, "von-neumann",
-                ((0.0, 2.0, 0.8, 2.0), (0.0, 1.0, 0.8, 2.0))),
-        _Regime("harmonic: q=0", True, "g-form",
-                ((0.0, 2.0, 0.8, 0.0),)),
-        _Regime("harmonic: q=4", False, "eigenvectors",
-                ((0.0, 2.0, 0.8, 4.0), (0.0, 1.0, 0.8, 4.0))),
-    ),
-    Scheme.LORENTZ_YOUNG: (
-        _Regime("anharmonic: 0<q<2, eps_s>eps_inf, omega<=lim", True, "schur",
-                ((0.3, 2.0, 0.5, 1.0), (0.3, 2.0, 2.0 / 3.0, 1.0))),
-        _Regime("anharmonic: q=2, eps_s>eps_inf, omega<lim", True, "schur",
-                ((0.3, 2.0, 0.5, 2.0),)),
-        _Regime("anharmonic: 0<q<=2, eps_s=eps_inf, omega<2", True, "von-neumann",
-                ((0.3, 1.0, 1.0, 1.0), (0.3, 1.0, 1.9, 2.0))),
-        _Regime("anharmonic: 0<q<=2, eps_s=eps_inf, omega=2", True, "sub-polynomial",
-                ((0.3, 1.0, 2.0, 1.0), (0.3, 1.0, 2.0, 2.0))),
-        _Regime("anharmonic: q=2, eps_s>eps_inf, omega=lim", True, "von-neumann",
-                ((0.3, 2.0, 2.0 / 3.0, 2.0),)),
-        _Regime("anharmonic: q=0, omega<=lim", True, "g-form",
-                ((0.3, 2.0, 0.5, 0.0), (0.3, 1.0, 2.0, 0.0))),
-        _Regime("harmonic: 0<q<2, eps_s>eps_inf, omega<=lim", True, "von-neumann",
-                ((0.0, 2.0, 0.5, 1.0),)),
-        _Regime("harmonic: q=2, eps_s>eps_inf, omega<lim", True, "von-neumann",
-                ((0.0, 2.0, 0.5, 2.0),)),
-        _Regime("harmonic: 0<q<=2, eps_s=eps_inf, omega<2 (degenerate q reached)",
-                False, "eigenvectors",
-                ((0.0, 1.0, 0.5, 1.0),)),
-        _Regime("harmonic: 0<q<=2, eps_s=eps_inf, omega=2", False, "eigenvectors",
-                ((0.0, 1.0, 2.0, 1.0), (0.0, 1.0, 2.0, 2.0)),
-                note="traditionally quoted stable, but the eigenvalue -1 of the "
-                     "update matrix is defective here (exact integer rank test) "
-                     "and the powers grow linearly; encoded with the boundedness "
-                     "verdict"),
-        _Regime("harmonic: q=2, eps_s>eps_inf, omega=lim", False, "eigenvectors",
-                ((0.0, 2.0, 2.0 / 3.0, 2.0),)),
-        _Regime("harmonic: q=0, omega<=lim (stable subcases)", True, "g-form",
-                ((0.0, 2.0, 0.5, 0.0), (0.0, 1.0, 1.0, 0.0))),
-        _Regime("harmonic: q=0, eps_s=eps_inf, omega=2", False, "eigenvectors",
-                ((0.0, 1.0, 2.0, 0.0),)),
-    ),
-}
-
-
 def reproduce_argument_table(scheme: Scheme) -> list[TableRow]:
     """Evaluate every reference regime of a scheme at its representative
     points; a row is ok when every computed verdict matches the expected
     one."""
     rows: list[TableRow] = []
-    for regime in _ARGUMENT_TABLES[scheme]:
+    for regime in scheme.spec.regimes:
         for (delta, es, omega, q) in regime.points:
             lam = max(1.0, math.sqrt(q / 4.0) + 0.25)
             params = DimensionlessParams(lam=lam, delta=delta, eps_s_prime=es,
@@ -594,4 +413,4 @@ def reproduce_argument_table(scheme: Scheme) -> list[TableRow]:
 
 
 def argument_table_regime_count(scheme: Scheme) -> int:
-    return len(_ARGUMENT_TABLES[scheme])
+    return len(scheme.spec.regimes)

@@ -161,10 +161,6 @@ class LocationResult:
     def __bool__(self) -> bool:
         return self.ok
 
-    @property
-    def boundary_hit(self) -> bool:
-        return any(t.relation == "=" for t in self.levels)
-
 
 def _require_nonzero(p: Polynomial) -> None:
     if p.is_zero:
@@ -313,21 +309,23 @@ def root_profile(p: Polynomial, circle_tolerance: float = 1e-9) -> RootProfile:
             inside += 1
         else:
             outside += 1
-    clusters: list[tuple[complex, int]] = []
-    remaining = list(circle)
+    return RootProfile(inside, outside, tuple(greedy_clusters(circle, ROOT_CLUSTER_TOL)),
+                       circle_tolerance)
+
+
+def greedy_clusters(values: Sequence[complex], tol: float) -> list[tuple[complex, int]]:
+    """Group values into (mean, size) clusters: each cluster takes the first
+    value not yet grouped and every later one within tol of it."""
+    remaining = list(values)
+    out: list[tuple[complex, int]] = []
     while remaining:
-        seed = remaining.pop(0)
+        seed, *rest = remaining
         members = [seed]
-        rest = []
-        for r in remaining:
-            if abs(r - seed) <= ROOT_CLUSTER_TOL:
-                members.append(r)
-            else:
-                rest.append(r)
-        remaining = rest
-        center = sum(members) / len(members)
-        clusters.append((center, len(members)))
-    return RootProfile(inside, outside, tuple(clusters), circle_tolerance)
+        remaining = []
+        for v in rest:
+            (members if abs(v - seed) <= tol else remaining).append(v)
+        out.append((sum(members) / len(members), len(members)))
+    return out
 
 
 def poly_roots(p: Polynomial) -> np.ndarray:

@@ -8,13 +8,10 @@ closed form.  Two-dimensional TE/TM polynomials factor as (Z - 1) times the
 one-dimensional polynomial (times an extra polarization factor for TM), so
 no 2D matrices are ever built.
 
-State orderings (components normalized as c_inf*B, E, D/(eps0 eps_inf), ...):
-
-    debye-joseph    (b, E, d)
-    debye-young     (b, E, p)            p held at half time steps
-    lorentz-joseph  (b, E, E_prev, d)
-    lorentz-kashiwa (b, E, p, j)         j = k*J/(eps0 eps_inf)
-    lorentz-young   (b, E, p, j)         j held at half time steps
+Everything that differs between the schemes lives in one `SchemeSpec`
+record per scheme, collected in `SPECS`; the functions below only look the
+record up.  State components are normalized as c_inf*B, E, D/(eps0 eps_inf),
+P/(eps0 eps_inf) and k*J/(eps0 eps_inf).
 """
 
 from __future__ import annotations
@@ -22,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -43,12 +41,12 @@ class Scheme(enum.Enum):
     LORENTZ_YOUNG = "lorentz-young"
 
     @property
-    def kind(self) -> str:
-        return "debye" if self.value.startswith("debye") else "lorentz"
+    def spec(self) -> "SchemeSpec":
+        return SPECS[self]
 
     @property
-    def state_labels(self) -> tuple[str, ...]:
-        return _STATE_LABELS[self]
+    def kind(self) -> str:
+        return SPECS[self].kind
 
     @classmethod
     def from_name(cls, name: str) -> "Scheme":
@@ -57,15 +55,6 @@ class Scheme(enum.Enum):
                 return s
         raise InvalidInputError(f"unknown scheme {name!r}; expected one of "
                                 + ", ".join(s.value for s in cls))
-
-
-_STATE_LABELS = {
-    Scheme.DEBYE_JOSEPH: ("b", "E", "d"),
-    Scheme.DEBYE_YOUNG: ("b", "E", "p"),
-    Scheme.LORENTZ_JOSEPH: ("b", "E", "E_prev", "d"),
-    Scheme.LORENTZ_KASHIWA: ("b", "E", "p", "j"),
-    Scheme.LORENTZ_YOUNG: ("b", "E", "p", "j"),
-}
 
 
 @dataclass(frozen=True)
@@ -112,10 +101,6 @@ class MediumModel:
     def c_inf(self) -> float:
         """Infinite-frequency light speed 1/sqrt(eps0 eps_inf mu0)."""
         return 1.0 / math.sqrt(EPS0 * self.eps_inf * MU0)
-
-    @property
-    def is_harmonic(self) -> bool:
-        return self.kind == "lorentz" and self.nu == 0.0
 
 
 @dataclass(frozen=True)
@@ -199,6 +184,59 @@ class AmpMatrix:
         return self.entries.shape[0]
 
 
+@dataclass(frozen=True)
+class Regime:
+    """A reference stability regime of a scheme, with representative
+    dimensionless points (delta, eps_s_prime, omega, q).  Expected verdicts
+    follow the known analysis of the scheme; one harmonic regime whose
+    traditional verdict contradicts the boundedness of the actual matrix
+    powers is encoded with the verdict the matrices enforce and carries an
+    explanatory note."""
+
+    label: str
+    expected_stable: bool
+    reference_argument: str
+    points: tuple[tuple[float, float, float | None, float], ...]
+    note: str = ""
+
+
+@dataclass(frozen=True)
+class SchemeSpec:
+    """Everything scheme-specific, one record per scheme.
+
+    kind, state_labels  "debye" or "lorentz"; state components in matrix order
+    q_limit             Courant limit on q of the 1D scheme
+    entries             (params, u, v, q) -> complex update matrix.  The
+        curl couplings are abstracted: u multiplies E in the induction row,
+        v multiplies b in the field rows, and u*v = -q.  Any factorization
+        of -q gives a diagonally similar matrix, so the analyzer can probe
+        q values no wavenumber of the grid attains.
+    char_poly           params -> (a, b): the characteristic polynomial has
+        ascending coefficients a_j + q*b_j
+    tm_factor           params -> coefficients of the extra 2D TM factor
+    degenerate_q        omega -> Courant value where two root couples collide
+        on the unit circle (harmonic media, eps_s = eps_inf), or None
+    material            (params, E, aux, S, S_old) -> (E_new, aux_new): the
+        simulator's update of one field component E and its auxiliary arrays
+        aux, from the curl source S of the fresh magnetic field and S_old of
+        the previous one (read only if needs_prev_source).  A hand-written
+        grid stencil, never derived from the matrix, so that the simulator
+        stays an independent referee.
+    regimes             reference stability regimes of the scheme
+    """
+
+    kind: str
+    state_labels: tuple[str, ...]
+    q_limit: float
+    entries: Callable[..., np.ndarray]
+    char_poly: Callable[..., tuple[tuple[float, ...], tuple[float, ...]]]
+    tm_factor: Callable[..., tuple[float, ...]]
+    degenerate_q: Callable[[float], float] | None
+    material: Callable[..., tuple]
+    needs_prev_source: bool
+    regimes: tuple[Regime, ...]
+
+
 def dimensionless_params(medium: MediumModel, k: float, h: float) -> DimensionlessParams:
     """Map physical medium and steps (k seconds, h meters) to the
     dimensionless parameter set."""
@@ -233,65 +271,6 @@ def _check_scheme_params(scheme: Scheme, params: DimensionlessParams) -> None:
         raise InvalidInputError("Debye schemes require delta > 0")
 
 
-def _entries_uv(scheme: Scheme, params: DimensionlessParams, u: complex,
-                v: complex, q: float) -> np.ndarray:
-    """Matrix entries with the curl couplings abstracted: u multiplies E in
-    the induction row, v multiplies b in the field rows, and u*v = -q.  Any
-    factorization of -q gives a diagonally similar matrix, which is what the
-    analyzer exploits to probe unreachable q values."""
-    d = params.delta
-    es = params.eps_s_prime
-    if scheme is Scheme.DEBYE_JOSEPH:
-        A = 1.0 + d * es
-        return np.array([
-            [1.0, -u, 0.0],
-            [-(1.0 + d) * v / A, ((1.0 - d * es) - (1.0 + d) * q) / A, 2.0 * d / A],
-            [-v, -q, 1.0],
-        ], dtype=complex)
-    if scheme is Scheme.DEBYE_YOUNG:
-        a = params.alpha
-        A = 1.0 + d * a
-        B = 1.0 + d
-        return np.array([
-            [1.0, -u, 0.0],
-            [-v / A, (1.0 + d - d * a + 3.0 * d * d * a - B * q) / (B * A),
-             (1.0 - d) / B * 2.0 * d / A],
-            [0.0, 2.0 * d * a / B, (1.0 - d) / B],
-        ], dtype=complex)
-    w = params.omega
-    if scheme is Scheme.LORENTZ_JOSEPH:
-        A = 1.0 + d + w * es
-        C = 1.0 - d + w * es
-        # The E_prev coupling is -C/A, the sign the second-order field
-        # recurrence and the characteristic polynomial both require.
-        return np.array([
-            [1.0, -u, 0.0, 0.0],
-            [-2.0 * d * v / A, (2.0 - q * (1.0 + d + w)) / A, -C / A, 2.0 * w / A],
-            [0.0, 1.0, 0.0, 0.0],
-            [-v, -q, 0.0, 1.0],
-        ], dtype=complex)
-    if scheme is Scheme.LORENTZ_KASHIWA:
-        a = params.alpha
-        D = params.kashiwa_denominator
-        gwa = 0.5 * w * a
-        return np.array([
-            [1.0, -u, 0.0, 0.0],
-            [-v * (D - gwa) / D, (D - q * D - (2.0 - q) * gwa) / D, w / D, -1.0 / D],
-            [-v * gwa / D, (2.0 - q) * gwa / D, (D - w) / D, 1.0 / D],
-            [-v * w * a / D, (2.0 - q) * w * a / D, -2.0 * w / D, (2.0 - D) / D],
-        ], dtype=complex)
-    if scheme is Scheme.LORENTZ_YOUNG:
-        a = params.alpha
-        B = 1.0 + d
-        return np.array([
-            [1.0, -u, 0.0, 0.0],
-            [-v, ((1.0 - q) * B - 2.0 * w * a) / B, 2.0 * w / B, -(1.0 - d) / B],
-            [0.0, 2.0 * w * a / B, (B - 2.0 * w) / B, (1.0 - d) / B],
-            [0.0, 2.0 * w * a / B, -2.0 * w / B, (1.0 - d) / B],
-        ], dtype=complex)
-    raise InvalidInputError(f"unknown scheme {scheme!r}")
-
-
 def amplification_matrix(scheme: Scheme, params: DimensionlessParams,
                          wn: Wavenumber) -> AmpMatrix:
     """One-dimensional amplification matrix at discrete wavenumber xi_x."""
@@ -303,8 +282,8 @@ def amplification_matrix(scheme: Scheme, params: DimensionlessParams,
     phase = complex(math.cos(xi), math.sin(xi))
     u = lam * (phase - 1.0)
     v = lam * (1.0 - 1.0 / phase) if xi != 0.0 else 0.0j
-    q = courant_q(params, wn)
-    return AmpMatrix(_entries_uv(scheme, params, u, v, q), scheme.state_labels)
+    spec = scheme.spec
+    return AmpMatrix(spec.entries(params, u, v, courant_q(params, wn)), spec.state_labels)
 
 
 def amplification_matrix_at_q(scheme: Scheme, params: DimensionlessParams,
@@ -317,7 +296,8 @@ def amplification_matrix_at_q(scheme: Scheme, params: DimensionlessParams,
     if q < 0:
         raise InvalidInputError("q must be nonnegative")
     s = math.sqrt(q)
-    return AmpMatrix(_entries_uv(scheme, params, s, -s, q), scheme.state_labels)
+    spec = scheme.spec
+    return AmpMatrix(spec.entries(params, s, -s, q), spec.state_labels)
 
 
 def char_poly_closed(scheme: Scheme, params: DimensionlessParams, q: float) -> Polynomial:
@@ -326,49 +306,8 @@ def char_poly_closed(scheme: Scheme, params: DimensionlessParams, q: float) -> P
     _check_scheme_params(scheme, params)
     if q < 0:
         raise InvalidInputError("q must be nonnegative")
-    d = params.delta
-    es = params.eps_s_prime
-    if scheme is Scheme.DEBYE_JOSEPH:
-        return Polynomial((
-            -(1.0 - d * es),
-            3.0 - d * es - (1.0 - d) * q,
-            -(3.0 + d * es - (1.0 + d) * q),
-            1.0 + d * es,
-        ))
-    if scheme is Scheme.DEBYE_YOUNG:
-        a = params.alpha
-        return Polynomial((
-            -(1.0 - d * a) * (1.0 - d),
-            3.0 - d - d * a + 3.0 * d * d * a - (1.0 - d) * q,
-            -(3.0 + d + d * a + 3.0 * d * d * a - (1.0 + d) * q),
-            (1.0 + d * a) * (1.0 + d),
-        ))
-    w = params.omega
-    if scheme is Scheme.LORENTZ_JOSEPH:
-        return Polynomial((
-            1.0 - d + w * es,
-            -(4.0 - 2.0 * d + 2.0 * w * es - (1.0 - d + w) * q),
-            6.0 + 2.0 * w * es - 2.0 * q,
-            -(4.0 + 2.0 * d + 2.0 * w * es - (1.0 + d + w) * q),
-            1.0 + d + w * es,
-        ))
-    if scheme is Scheme.LORENTZ_KASHIWA:
-        return Polynomial((
-            1.0 - d + 0.5 * w * es,
-            -(4.0 - 2.0 * d - (1.0 - d + 0.5 * w) * q),
-            6.0 - w * es + (w - 2.0) * q,
-            -(4.0 + 2.0 * d - (1.0 + d + 0.5 * w) * q),
-            1.0 + d + 0.5 * w * es,
-        ))
-    if scheme is Scheme.LORENTZ_YOUNG:
-        return Polynomial((
-            1.0 - d,
-            -(4.0 - 2.0 * d - 2.0 * w * es - (1.0 - d) * q),
-            2.0 * (3.0 - 2.0 * w * es + (w - 1.0) * q),
-            -(4.0 + 2.0 * d - 2.0 * w * es - (1.0 + d) * q),
-            1.0 + d,
-        ))
-    raise InvalidInputError(f"unknown scheme {scheme!r}")
+    a, b = scheme.spec.char_poly(params)
+    return Polynomial(tuple(x + q * y for x, y in zip(a, b)))
 
 
 def char_poly_from_matrix(G: AmpMatrix | np.ndarray) -> Polynomial:
@@ -385,22 +324,7 @@ def tm_factor_2d(scheme: Scheme, params: DimensionlessParams) -> Polynomial:
     """The extra polynomial factor of the 2D transverse-magnetic system
     (degree 1 for Debye schemes, degree 2 for Lorentz schemes)."""
     _check_scheme_params(scheme, params)
-    d = params.delta
-    es = params.eps_s_prime
-    if scheme is Scheme.DEBYE_JOSEPH:
-        return Polynomial((-(1.0 - d * es), 1.0 + d * es))
-    if scheme is Scheme.DEBYE_YOUNG:
-        a = params.alpha
-        return Polynomial((-(1.0 - a) * (1.0 - d * a), (1.0 + a) * (1.0 + d * a)))
-    w = params.omega
-    if scheme is Scheme.LORENTZ_JOSEPH:
-        return Polynomial((1.0 - d + w * es, -2.0, 1.0 + d + w * es))
-    if scheme is Scheme.LORENTZ_KASHIWA:
-        return Polynomial((1.0 - d + 0.5 * w * es, -(2.0 - w * es),
-                           1.0 + d + 0.5 * w * es))
-    if scheme is Scheme.LORENTZ_YOUNG:
-        return Polynomial((1.0 - d, -2.0 * (1.0 - w * es), 1.0 + d))
-    raise InvalidInputError(f"unknown scheme {scheme!r}")
+    return Polynomial(scheme.spec.tm_factor(params))
 
 
 def char_poly_2d(scheme: Scheme, params: DimensionlessParams, wn: Wavenumber,
@@ -417,3 +341,323 @@ def char_poly_2d(scheme: Scheme, params: DimensionlessParams, wn: Wavenumber,
     if polarization == "tm":
         poly = poly * tm_factor_2d(scheme, params)
     return poly
+
+
+# ---------------------------------------------------------------------------
+# The five scheme records.
+# ---------------------------------------------------------------------------
+
+# debye-joseph: state (b, E, d).
+
+def _dj_entries(p, u, v, q):
+    d, es = p.delta, p.eps_s_prime
+    A = 1.0 + d * es
+    return np.array([
+        [1.0, -u, 0.0],
+        [-(1.0 + d) * v / A, ((1.0 - d * es) - (1.0 + d) * q) / A, 2.0 * d / A],
+        [-v, -q, 1.0],
+    ], dtype=complex)
+
+
+def _dj_char_poly(p):
+    d, es = p.delta, p.eps_s_prime
+    return ((-(1.0 - d * es), 3.0 - d * es, -(3.0 + d * es), 1.0 + d * es),
+            (0.0, -(1.0 - d), 1.0 + d, 0.0))
+
+
+def _dj_tm_factor(p):
+    d, es = p.delta, p.eps_s_prime
+    return (-(1.0 - d * es), 1.0 + d * es)
+
+
+def _dj_material(p, E, aux, S, S_old):
+    d, es = p.delta, p.eps_s_prime
+    flux = aux["d"] + S
+    E_new = ((1.0 - d * es) * E + (1.0 + d) * flux - (1.0 - d) * aux["d"]) \
+        / (1.0 + d * es)
+    return E_new, {"d": flux}
+
+
+_DJ_REGIMES = (
+    Regime("0<q<4, eps_s>eps_inf", True, "schur",
+           ((0.3, 2.0, None, 2.0), (0.1, 45.0, None, 1.0))),
+    Regime("0<q<4, eps_s=eps_inf", True, "von-neumann",
+           ((0.3, 1.0, None, 2.0),)),
+    Regime("q=0", True, "g-form",
+           ((0.3, 2.0, None, 0.0), (0.3, 1.0, None, 0.0))),
+    Regime("q=4, eps_s>eps_inf", True, "von-neumann",
+           ((0.3, 2.0, None, 4.0),)),
+    Regime("q=4, eps_s=eps_inf", False, "eigenvectors",
+           ((0.3, 1.0, None, 4.0),)),
+)
+
+
+# debye-young: state (b, E, p), p held at half time steps.
+
+def _dy_entries(p, u, v, q):
+    d, a = p.delta, p.alpha
+    A = 1.0 + d * a
+    B = 1.0 + d
+    return np.array([
+        [1.0, -u, 0.0],
+        [-v / A, (1.0 + d - d * a + 3.0 * d * d * a - B * q) / (B * A),
+         (1.0 - d) / B * 2.0 * d / A],
+        [0.0, 2.0 * d * a / B, (1.0 - d) / B],
+    ], dtype=complex)
+
+
+def _dy_char_poly(p):
+    d, a = p.delta, p.alpha
+    return ((-(1.0 - d * a) * (1.0 - d),
+             3.0 - d - d * a + 3.0 * d * d * a,
+             -(3.0 + d + d * a + 3.0 * d * d * a),
+             (1.0 + d * a) * (1.0 + d)),
+            (0.0, -(1.0 - d), 1.0 + d, 0.0))
+
+
+def _dy_tm_factor(p):
+    d, a = p.delta, p.alpha
+    return (-(1.0 - a) * (1.0 - d * a), (1.0 + a) * (1.0 + d * a))
+
+
+def _dy_material(p, E, aux, S, S_old):
+    d, a = p.delta, p.alpha
+    pol = ((1.0 - d) * aux["p"] + 2.0 * d * a * E) / (1.0 + d)
+    E_new = ((1.0 - d * a) * E + S + 2.0 * d * pol) / (1.0 + d * a)
+    return E_new, {"p": pol}
+
+
+_DY_REGIMES = (
+    Regime("0<q<=4, eps_s>eps_inf, 0<delta<1", True, "schur",
+           ((0.5, 2.0, None, 2.0), (0.5, 2.0, None, 4.0))),
+    Regime("0<q<4, eps_s=eps_inf, delta>0", True, "von-neumann",
+           ((0.5, 1.0, None, 2.0), (1.5, 1.0, None, 2.0))),
+    Regime("q=0, delta>0", True, "g-form",
+           ((0.5, 2.0, None, 0.0), (1.5, 2.0, None, 0.0))),
+    Regime("0<q<=4, eps_s>eps_inf, delta=1", True, "sub-polynomial",
+           ((1.0, 2.0, None, 2.0), (1.0, 2.0, None, 4.0))),
+    Regime("q=4, eps_s=eps_inf, delta>0", False, "eigenvectors",
+           ((0.5, 1.0, None, 4.0),)),
+)
+
+
+# lorentz-joseph: state (b, E, E_prev, d).
+
+def _lj_entries(p, u, v, q):
+    d, es, w = p.delta, p.eps_s_prime, p.omega
+    A = 1.0 + d + w * es
+    C = 1.0 - d + w * es
+    # The E_prev coupling is -C/A, the sign the second-order field
+    # recurrence and the characteristic polynomial both require.
+    return np.array([
+        [1.0, -u, 0.0, 0.0],
+        [-2.0 * d * v / A, (2.0 - q * (1.0 + d + w)) / A, -C / A, 2.0 * w / A],
+        [0.0, 1.0, 0.0, 0.0],
+        [-v, -q, 0.0, 1.0],
+    ], dtype=complex)
+
+
+def _lj_char_poly(p):
+    d, es, w = p.delta, p.eps_s_prime, p.omega
+    return ((1.0 - d + w * es,
+             -(4.0 - 2.0 * d + 2.0 * w * es),
+             6.0 + 2.0 * w * es,
+             -(4.0 + 2.0 * d + 2.0 * w * es),
+             1.0 + d + w * es),
+            (0.0, 1.0 - d + w, -2.0, 1.0 + d + w, 0.0))
+
+
+def _lj_tm_factor(p):
+    d, es, w = p.delta, p.eps_s_prime, p.omega
+    return (1.0 - d + w * es, -2.0, 1.0 + d + w * es)
+
+
+def _lj_degenerate_q(w):
+    return 2.0 * w / (1.0 + w)
+
+
+def _lj_material(p, E, aux, S, S_old):
+    d, es, w = p.delta, p.eps_s_prime, p.omega
+    A = 1.0 + d + w * es
+    C = 1.0 - d + w * es
+    flux = aux["d"] + S
+    flux_prev = aux["d"] - S_old
+    E_new = (2.0 * E - C * aux["E_prev"] + (1.0 + d + w) * flux
+             - 2.0 * aux["d"] + (1.0 - d + w) * flux_prev) / A
+    return E_new, {"E_prev": E, "d": flux}
+
+
+_LJ_REGIMES = (
+    Regime("anharmonic: 0<q<2, eps_s>eps_inf", True, "schur",
+           ((0.3, 2.0, 0.8, 1.0),)),
+    Regime("anharmonic: 0<q<=2, eps_s=eps_inf", True, "von-neumann",
+           ((0.3, 1.0, 0.8, 1.0), (0.3, 1.0, 0.8, 2.0))),
+    Regime("anharmonic: q=0", True, "g-form",
+           ((0.3, 2.0, 0.8, 0.0),)),
+    Regime("anharmonic: q=2", True, "sub-polynomial",
+           ((0.3, 2.0, 0.8, 2.0),)),
+    Regime("harmonic: 0<q<2, eps_s>eps_inf", True, "von-neumann",
+           ((0.0, 2.0, 0.8, 1.0),)),
+    Regime("harmonic: 0<q<=2, eps_s=eps_inf (degenerate q reached)",
+           False, "sub-polynomial",
+           ((0.0, 1.0, 0.8, _lj_degenerate_q(0.8)),)),
+    Regime("harmonic: q=0", True, "g-form",
+           ((0.0, 2.0, 0.8, 0.0), (0.0, 1.0, 0.8, 0.0))),
+    Regime("harmonic: q=2", True, "sub-polynomial",
+           ((0.0, 2.0, 0.8, 2.0), (0.0, 1.0, 0.8, 2.0))),
+)
+
+
+# lorentz-kashiwa: state (b, E, p, j).
+
+def _lk_entries(p, u, v, q):
+    w = p.omega
+    a = p.alpha
+    D = p.kashiwa_denominator
+    gwa = 0.5 * w * a
+    return np.array([
+        [1.0, -u, 0.0, 0.0],
+        [-v * (D - gwa) / D, (D - q * D - (2.0 - q) * gwa) / D, w / D, -1.0 / D],
+        [-v * gwa / D, (2.0 - q) * gwa / D, (D - w) / D, 1.0 / D],
+        [-v * w * a / D, (2.0 - q) * w * a / D, -2.0 * w / D, (2.0 - D) / D],
+    ], dtype=complex)
+
+
+def _lk_char_poly(p):
+    d, es, w = p.delta, p.eps_s_prime, p.omega
+    return ((1.0 - d + 0.5 * w * es,
+             -(4.0 - 2.0 * d),
+             6.0 - w * es,
+             -(4.0 + 2.0 * d),
+             1.0 + d + 0.5 * w * es),
+            (0.0, 1.0 - d + 0.5 * w, w - 2.0, 1.0 + d + 0.5 * w, 0.0))
+
+
+def _lk_tm_factor(p):
+    d, es, w = p.delta, p.eps_s_prime, p.omega
+    return (1.0 - d + 0.5 * w * es, -(2.0 - w * es), 1.0 + d + 0.5 * w * es)
+
+
+def _lk_material(p, E, aux, S, S_old):
+    w = p.omega
+    a = p.alpha
+    den = p.kashiwa_denominator
+    cur = ((2.0 - den) * aux["j"] + 2.0 * w * a * E + w * a * S
+           - 2.0 * w * aux["p"]) / den
+    pol = aux["p"] + 0.5 * (cur + aux["j"])
+    E_new = E + S - (pol - aux["p"])
+    return E_new, {"p": pol, "j": cur}
+
+
+_LK_REGIMES = (
+    Regime("anharmonic: 0<q<4, eps_s>eps_inf", True, "schur",
+           ((0.3, 2.0, 0.8, 2.0),)),
+    Regime("anharmonic: 0<q<4, eps_s=eps_inf", True, "von-neumann",
+           ((0.3, 1.0, 0.8, 2.0),)),
+    Regime("anharmonic: q=0", True, "g-form",
+           ((0.3, 2.0, 0.8, 0.0),)),
+    Regime("anharmonic: q=4", False, "eigenvectors",
+           ((0.3, 2.0, 0.8, 4.0), (0.3, 1.0, 0.8, 4.0))),
+    Regime("harmonic: 0<q<4 (away from the degenerate q)", True, "von-neumann",
+           ((0.0, 2.0, 0.8, 2.0), (0.0, 1.0, 0.8, 2.0))),
+    Regime("harmonic: q=0", True, "g-form",
+           ((0.0, 2.0, 0.8, 0.0),)),
+    Regime("harmonic: q=4", False, "eigenvectors",
+           ((0.0, 2.0, 0.8, 4.0), (0.0, 1.0, 0.8, 4.0))),
+)
+
+
+# lorentz-young: state (b, E, p, j), j held at half time steps.
+
+def _ly_entries(p, u, v, q):
+    d, w, a = p.delta, p.omega, p.alpha
+    B = 1.0 + d
+    return np.array([
+        [1.0, -u, 0.0, 0.0],
+        [-v, ((1.0 - q) * B - 2.0 * w * a) / B, 2.0 * w / B, -(1.0 - d) / B],
+        [0.0, 2.0 * w * a / B, (B - 2.0 * w) / B, (1.0 - d) / B],
+        [0.0, 2.0 * w * a / B, -2.0 * w / B, (1.0 - d) / B],
+    ], dtype=complex)
+
+
+def _ly_char_poly(p):
+    d, es, w = p.delta, p.eps_s_prime, p.omega
+    return ((1.0 - d,
+             -(4.0 - 2.0 * d - 2.0 * w * es),
+             2.0 * (3.0 - 2.0 * w * es),
+             -(4.0 + 2.0 * d - 2.0 * w * es),
+             1.0 + d),
+            (0.0, 1.0 - d, 2.0 * (w - 1.0), 1.0 + d, 0.0))
+
+
+def _ly_tm_factor(p):
+    d, es, w = p.delta, p.eps_s_prime, p.omega
+    return (1.0 - d, -2.0 * (1.0 - w * es), 1.0 + d)
+
+
+def _ly_material(p, E, aux, S, S_old):
+    d, w, a = p.delta, p.omega, p.alpha
+    cur = ((1.0 - d) * aux["j"] + 2.0 * w * a * E - 2.0 * w * aux["p"]) / (1.0 + d)
+    pol = aux["p"] + cur
+    E_new = E + S - cur
+    return E_new, {"p": pol, "j": cur}
+
+
+_LY_REGIMES = (
+    Regime("anharmonic: 0<q<2, eps_s>eps_inf, omega<=lim", True, "schur",
+           ((0.3, 2.0, 0.5, 1.0), (0.3, 2.0, 2.0 / 3.0, 1.0))),
+    Regime("anharmonic: q=2, eps_s>eps_inf, omega<lim", True, "schur",
+           ((0.3, 2.0, 0.5, 2.0),)),
+    Regime("anharmonic: 0<q<=2, eps_s=eps_inf, omega<2", True, "von-neumann",
+           ((0.3, 1.0, 1.0, 1.0), (0.3, 1.0, 1.9, 2.0))),
+    Regime("anharmonic: 0<q<=2, eps_s=eps_inf, omega=2", True, "sub-polynomial",
+           ((0.3, 1.0, 2.0, 1.0), (0.3, 1.0, 2.0, 2.0))),
+    Regime("anharmonic: q=2, eps_s>eps_inf, omega=lim", True, "von-neumann",
+           ((0.3, 2.0, 2.0 / 3.0, 2.0),)),
+    Regime("anharmonic: q=0, omega<=lim", True, "g-form",
+           ((0.3, 2.0, 0.5, 0.0), (0.3, 1.0, 2.0, 0.0))),
+    Regime("harmonic: 0<q<2, eps_s>eps_inf, omega<=lim", True, "von-neumann",
+           ((0.0, 2.0, 0.5, 1.0),)),
+    Regime("harmonic: q=2, eps_s>eps_inf, omega<lim", True, "von-neumann",
+           ((0.0, 2.0, 0.5, 2.0),)),
+    Regime("harmonic: 0<q<=2, eps_s=eps_inf, omega<2 (degenerate q reached)",
+           False, "eigenvectors",
+           ((0.0, 1.0, 0.5, 1.0),)),
+    Regime("harmonic: 0<q<=2, eps_s=eps_inf, omega=2", False, "eigenvectors",
+           ((0.0, 1.0, 2.0, 1.0), (0.0, 1.0, 2.0, 2.0)),
+           note="traditionally quoted stable, but the eigenvalue -1 of the "
+                "update matrix is defective here (exact integer rank test) "
+                "and the powers grow linearly; encoded with the boundedness "
+                "verdict"),
+    Regime("harmonic: q=2, eps_s>eps_inf, omega=lim", False, "eigenvectors",
+           ((0.0, 2.0, 2.0 / 3.0, 2.0),)),
+    Regime("harmonic: q=0, omega<=lim (stable subcases)", True, "g-form",
+           ((0.0, 2.0, 0.5, 0.0), (0.0, 1.0, 1.0, 0.0))),
+    Regime("harmonic: q=0, eps_s=eps_inf, omega=2", False, "eigenvectors",
+           ((0.0, 1.0, 2.0, 0.0),)),
+)
+
+
+SPECS: dict[Scheme, SchemeSpec] = {
+    Scheme.DEBYE_JOSEPH: SchemeSpec(
+        "debye", ("b", "E", "d"), q_limit=4.0, entries=_dj_entries,
+        char_poly=_dj_char_poly, tm_factor=_dj_tm_factor, degenerate_q=None,
+        material=_dj_material, needs_prev_source=False, regimes=_DJ_REGIMES),
+    Scheme.DEBYE_YOUNG: SchemeSpec(
+        "debye", ("b", "E", "p"), q_limit=4.0, entries=_dy_entries,
+        char_poly=_dy_char_poly, tm_factor=_dy_tm_factor, degenerate_q=None,
+        material=_dy_material, needs_prev_source=False, regimes=_DY_REGIMES),
+    Scheme.LORENTZ_JOSEPH: SchemeSpec(
+        "lorentz", ("b", "E", "E_prev", "d"), q_limit=2.0, entries=_lj_entries,
+        char_poly=_lj_char_poly, tm_factor=_lj_tm_factor, degenerate_q=_lj_degenerate_q,
+        material=_lj_material, needs_prev_source=True, regimes=_LJ_REGIMES),
+    Scheme.LORENTZ_KASHIWA: SchemeSpec(
+        "lorentz", ("b", "E", "p", "j"), q_limit=4.0, entries=_lk_entries,
+        char_poly=_lk_char_poly, tm_factor=_lk_tm_factor,
+        degenerate_q=lambda w: 2.0 * w / (1.0 + 0.5 * w),
+        material=_lk_material, needs_prev_source=False, regimes=_LK_REGIMES),
+    Scheme.LORENTZ_YOUNG: SchemeSpec(
+        "lorentz", ("b", "E", "p", "j"), q_limit=2.0, entries=_ly_entries,
+        char_poly=_ly_char_poly, tm_factor=_ly_tm_factor, degenerate_q=lambda w: 2.0 * w,
+        material=_ly_material, needs_prev_source=False, regimes=_LY_REGIMES),
+}

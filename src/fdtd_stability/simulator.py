@@ -63,7 +63,7 @@ class GrowthReport:
 
 
 def _aux_labels(scheme: Scheme) -> tuple[str, ...]:
-    return tuple(l for l in scheme.state_labels if l not in ("b", "E"))
+    return tuple(l for l in scheme.spec.state_labels if l not in ("b", "E"))
 
 
 def _check_harmonic(xi: float, n: int) -> None:
@@ -126,53 +126,6 @@ def _dback(a: np.ndarray, axis: int = 0) -> np.ndarray:
     return a - np.roll(a, 1, axis=axis)
 
 
-def _material_core(scheme: Scheme, p: DimensionlessParams, E, aux, S, S_old):
-    """One constitutive update for a single field component.
-
-    E is the component's field array, aux its auxiliary arrays, S the
-    normalized curl source entering its induction update (computed from the
-    fresh magnetic field), S_old the same expression on the previous
-    magnetic field (only the Joseph-style Lorentz scheme needs it, to
-    reconstruct the previous flux density).
-    """
-    d = p.delta
-    es = p.eps_s_prime
-    if scheme is Scheme.DEBYE_JOSEPH:
-        flux = aux["d"] + S
-        E_new = ((1.0 - d * es) * E + (1.0 + d) * flux - (1.0 - d) * aux["d"]) \
-            / (1.0 + d * es)
-        return E_new, {"d": flux}
-    if scheme is Scheme.DEBYE_YOUNG:
-        a = p.alpha
-        pol = ((1.0 - d) * aux["p"] + 2.0 * d * a * E) / (1.0 + d)
-        E_new = ((1.0 - d * a) * E + S + 2.0 * d * pol) / (1.0 + d * a)
-        return E_new, {"p": pol}
-    w = p.omega
-    if scheme is Scheme.LORENTZ_JOSEPH:
-        A = 1.0 + d + w * es
-        C = 1.0 - d + w * es
-        flux = aux["d"] + S
-        flux_prev = aux["d"] - S_old
-        E_new = (2.0 * E - C * aux["E_prev"] + (1.0 + d + w) * flux
-                 - 2.0 * aux["d"] + (1.0 - d + w) * flux_prev) / A
-        return E_new, {"E_prev": E, "d": flux}
-    if scheme is Scheme.LORENTZ_KASHIWA:
-        a = p.alpha
-        den = p.kashiwa_denominator
-        cur = ((2.0 - den) * aux["j"] + 2.0 * w * a * E + w * a * S
-               - 2.0 * w * aux["p"]) / den
-        pol = aux["p"] + 0.5 * (cur + aux["j"])
-        E_new = E + S - (pol - aux["p"])
-        return E_new, {"p": pol, "j": cur}
-    if scheme is Scheme.LORENTZ_YOUNG:
-        a = p.alpha
-        cur = ((1.0 - d) * aux["j"] + 2.0 * w * a * E - 2.0 * w * aux["p"]) / (1.0 + d)
-        pol = aux["p"] + cur
-        E_new = E + S - cur
-        return E_new, {"p": pol, "j": cur}
-    raise InvalidInputError(f"unknown scheme {scheme!r}")
-
-
 def step(scheme: Scheme, state: FieldState, params: DimensionlessParams) -> FieldState:
     """One full leapfrog cycle: magnetic half-step, then field/material
     updates, periodic in every direction."""
@@ -180,14 +133,15 @@ def step(scheme: Scheme, state: FieldState, params: DimensionlessParams) -> Fiel
         raise InvalidInputError("state was initialized for a different scheme")
     lam = params.lam
     arr = state.arrays
+    spec = scheme.spec
     aux_labels = _aux_labels(scheme)
     if state.dim == 1:
         b_old = arr["b"]
         b = b_old - lam * _dfwd(arr["E"])
         S = -lam * _dback(b)
-        S_old = -lam * _dback(b_old) if scheme is Scheme.LORENTZ_JOSEPH else None
-        E_new, aux_new = _material_core(scheme, params, arr["E"],
-                                        {l: arr[l] for l in aux_labels}, S, S_old)
+        S_old = -lam * _dback(b_old) if spec.needs_prev_source else None
+        E_new, aux_new = spec.material(params, arr["E"],
+                                       {l: arr[l] for l in aux_labels}, S, S_old)
         out = {"b": b, "E": E_new, **aux_new}
         return replace(state, arrays=out, n=state.n + 1)
     lam_x = lam
@@ -197,9 +151,9 @@ def step(scheme: Scheme, state: FieldState, params: DimensionlessParams) -> Fiel
         by = arr["b_y"] + lam_x * _dfwd(arr["E"], 0)
         S = lam_x * _dback(by, 0) - lam_y * _dback(bx, 1)
         S_old = (lam_x * _dback(arr["b_y"], 0) - lam_y * _dback(arr["b_x"], 1)) \
-            if scheme is Scheme.LORENTZ_JOSEPH else None
-        E_new, aux_new = _material_core(scheme, params, arr["E"],
-                                        {l: arr[l] for l in aux_labels}, S, S_old)
+            if spec.needs_prev_source else None
+        E_new, aux_new = spec.material(params, arr["E"],
+                                       {l: arr[l] for l in aux_labels}, S, S_old)
         out = {"b_x": bx, "b_y": by, "E": E_new, **aux_new}
         return replace(state, arrays=out, n=state.n + 1)
     # TM: one magnetic component, two field components with their own
@@ -210,11 +164,9 @@ def step(scheme: Scheme, state: FieldState, params: DimensionlessParams) -> Fiel
     for comp, sign, axis in (("x", +1.0, 1), ("y", -1.0, 0)):
         lam_c = lam_y if comp == "x" else lam_x
         S = sign * lam_c * _dback(bz, axis)
-        S_old = sign * lam_c * _dback(bz_old, axis) \
-            if scheme is Scheme.LORENTZ_JOSEPH else None
+        S_old = sign * lam_c * _dback(bz_old, axis) if spec.needs_prev_source else None
         aux = {l: arr[f"{l}_{comp}"] for l in aux_labels}
-        E_new, aux_new = _material_core(scheme, params, arr[f"E_{comp}"], aux,
-                                        S, S_old)
+        E_new, aux_new = spec.material(params, arr[f"E_{comp}"], aux, S, S_old)
         out[f"E_{comp}"] = E_new
         out.update({f"{l}_{comp}": v for l, v in aux_new.items()})
     return replace(state, arrays=out, n=state.n + 1)
@@ -227,7 +179,7 @@ def fourier_mode(state: FieldState, m: int) -> np.ndarray:
         raise InvalidInputError("fourier_mode is defined for 1D states")
     n = state.grid_shape[0]
     return np.array([np.fft.fft(state.arrays[l])[m] / n
-                     for l in state.scheme.state_labels])
+                     for l in state.scheme.spec.state_labels])
 
 
 def _tail_factor(norms: np.ndarray) -> float:

@@ -200,6 +200,24 @@ def test_2d_tm_debye_young_stable_point():
     assert np.max(np.abs(roots)) <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("es", [1.0, 1.0 + 1e-9, 2.25])
+def test_2d_tm_joseph_lorentz_follows_1d_factor(es):
+    """At the degenerate q of a harmonic medium the TM factor leaves the
+    verdict of the 1D factor unchanged; at eps_s = eps_inf it is unstable."""
+    scheme = Scheme.LORENTZ_JOSEPH
+    xi = 2 * math.pi * 9 / 64
+    for w in np.linspace(0.05, 3.0, 12).tolist():
+        q_res = scheme.spec.degenerate_q(w)
+        lam = math.sqrt(q_res / (8 * math.sin(xi / 2) ** 2))
+        p = DimensionlessParams(lam=lam, delta=0.0, eps_s_prime=es, omega=w)
+        wn = Wavenumber(xi, xi)
+        assert courant_q(p, wn) == pytest.approx(q_res, abs=1e-12)
+        v2 = classify_point_2d(scheme, p, wn, "tm")
+        v1 = classify_at_q(scheme, p, q_res)
+        assert (v2.stable, v2.argument) == (v1.stable, v1.argument), w
+        assert v2.stable == (es != 1.0), w
+
+
 # --- worst case and boundaries ------------------------------------------------
 
 def test_worst_case_water(water):
@@ -215,6 +233,23 @@ def test_worst_case_lorentz_joseph_above_limit(optical_lorentz):
     h = 1e-8
     k = 1.05 * h / (math.sqrt(2.0) * optical_lorentz.c_inf)
     assert not worst_case_verdict(Scheme.LORENTZ_JOSEPH, optical_lorentz, k, h).stable
+
+
+@pytest.mark.parametrize("polarization", ["te", "tm"])
+@pytest.mark.parametrize("scheme,medium,h,h_y", [
+    (Scheme.DEBYE_JOSEPH, "water", 1e-5, None),
+    (Scheme.DEBYE_JOSEPH, "water", 1e-5, 2e-5),
+    (Scheme.LORENTZ_JOSEPH, "optical_lorentz", 1e-8, None),
+    (Scheme.LORENTZ_KASHIWA, "optical_lorentz", 1e-8, 2e-8),
+])
+def test_worst_case_2d_courant_limit(scheme, medium, h, h_y, polarization, request):
+    medium = request.getfixturevalue(medium)
+    # In 2D, q reaches 4 lam^2 (1 + (h/h_y)^2).
+    ratio = h / (h_y or h)
+    k_lim = math.sqrt(scheme.spec.q_limit / (4.0 * (1.0 + ratio ** 2))) * h / medium.c_inf
+    kw = dict(dim=2, polarization=polarization, h_y=h_y)
+    assert worst_case_verdict(scheme, medium, 0.99 * k_lim, h, **kw).stable
+    assert not worst_case_verdict(scheme, medium, 1.01 * k_lim, h, **kw).stable
 
 
 def test_boundary_debye_joseph(water):

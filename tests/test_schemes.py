@@ -341,3 +341,16 @@ def test_q_range_attained_at_pi():
               for x in np.linspace(0, math.pi, 101)]
         assert max(qs) == pytest.approx(4 * lam * lam, rel=1e-12)
         assert min(qs) == 0.0
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_scheme_record_consistency(scheme):
+    spec = scheme.spec
+    p = random_params(np.random.default_rng(3), spec.kind)
+    n = len(spec.state_labels)
+    assert amplification_matrix_at_q(scheme, p, 1.0).dim == n
+    assert char_poly_closed(scheme, p, 1.0).degree == n
+    a, b = spec.char_poly(p)
+    assert len(a) == len(b) == n + 1
+    assert tm_factor_2d(scheme, p).degree == (1 if spec.kind == "debye" else 2)
+    assert (spec.degenerate_q is not None) == (spec.kind == "lorentz")
