@@ -18,9 +18,13 @@ conjugate root couples collide on the circle) floating-point roots are
 unreliable, so the classification snaps onto the exact degenerate value and
 takes the matrix route directly.
 
-Worst-case verdicts scan the wavenumber range plus every exact special
-value; stability boundaries in the time step are found by bisection on the
-worst-case predicate.
+Worst-case verdicts over all wavenumbers are exact, not sampled: the
+characteristic polynomial is affine in the Courant quantity q, so its roots
+can meet the unit circle only at the boundary-locus crossings of
+`polyloc.circle_crossings`.  Classifying those breakpoints (plus 0, q_max,
+2, 4 and the degenerate q) and one point inside each interval between them
+decides every q in [0, q_max].  Stability boundaries in the time step are
+found by bisection on the worst-case predicate.
 """
 
 from __future__ import annotations
@@ -32,7 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
-from .polyloc import Polynomial, greedy_clusters, is_schur, is_simple_von_neumann
+from .polyloc import (
+    Polynomial,
+    circle_crossings,
+    greedy_clusters,
+    is_schur,
+    is_simple_von_neumann,
+)
 from .schemes import (
     AmpMatrix,
     DimensionlessParams,
@@ -56,7 +66,6 @@ RANK_REL_TOL = 1e-8
 # |q - q_degenerate| below this snaps classification onto the exact value.
 RESONANCE_SNAP_TOL = 1e-9
 
-N_XI_DEFAULT = 257
 BOUNDARY_REL_RESOLUTION = 1e-4
 
 
@@ -265,32 +274,16 @@ def _xi_for_q(q_target: float, lam: float) -> float | None:
     return 2.0 * math.asin(math.sqrt(q_target) / (2.0 * lam))
 
 
-def _scan_qs(scheme: Scheme, params: DimensionlessParams, q_max: float) -> list[float]:
-    """Courant values scanned by the worst-case verdict: a uniform
-    wavenumber grid plus every exact special value in range."""
-    lam_eff = math.sqrt(q_max / 4.0)
-    qs = [4.0 * lam_eff ** 2 * math.sin(x / 2.0) ** 2
-          for x in np.linspace(0.0, math.pi, N_XI_DEFAULT)]
-    specials = [0.0, q_max, 2.0, 4.0]
-    q_res = _degenerate_q(scheme, params)
-    if q_res is not None:
-        specials.append(q_res)
-    for s in specials:
-        # Relative whisker so that a q_max a few ulps below a special value
-        # still probes the special value itself.
-        if 0.0 <= s <= q_max * (1.0 + 1e-9):
-            qs.append(s)
-    return qs
-
-
 def worst_case_verdict(scheme: Scheme, medium: MediumModel, k: float, h: float,
                        dim: int = 1, polarization: str | None = None,
                        h_y: float | None = None) -> StabilityVerdict:
-    """Scan all wavenumbers at fixed physical steps; stable iff every
-    sampled point is stable.
+    """Verdict over all wavenumbers at fixed physical steps.
 
     The verdict depends on the wavenumber only through the Courant quantity
-    q, so the 2D scan runs over the attainable q range directly.
+    q in [0, q_max], and it is constant between consecutive breakpoints:
+    the boundary-locus crossings plus 0, q_max, 2, 4 and the degenerate q.
+    Each breakpoint is probed (deciding closed against open conditions and
+    catching defective eigenvalues), then one midpoint per interval.
     """
     if medium.kind != scheme.kind:
         raise InvalidInputError(f"{scheme.value} cannot run in a {medium.kind} medium")
@@ -305,18 +298,24 @@ def worst_case_verdict(scheme: Scheme, medium: MediumModel, k: float, h: float,
             raise InvalidInputError("2D verdicts need polarization 'te' or 'tm'")
         lam_y = lam * h / (h_y if h_y is not None else h)
         q_max = 4.0 * lam * lam + 4.0 * lam_y * lam_y
-    last = None
-    for q in sorted(set(_scan_qs(scheme, params, q_max))):
+    specials = [0.0, q_max, 2.0, 4.0, _degenerate_q(scheme, params)]
+    # Relative whisker so that a q_max a few ulps below a special value
+    # still probes the special value itself.
+    breaks = sorted({s for s in specials + circle_crossings(*scheme.spec.char_poly(params))
+                     if s is not None and 0.0 <= s <= q_max * (1.0 + 1e-9)})
+    probes = [breaks[0]]
+    for lo, hi in zip(breaks, breaks[1:]):
+        probes += [0.5 * (lo + hi), hi]
+    for q in probes:
         verdict = classify_at_q(scheme, params, q)
         if not verdict.stable:
             xi = _xi_for_q(min(q, 4.0 * lam * lam), lam)
             return StabilityVerdict(False, verdict.argument,
                                     f"unstable at q={q:.12g}: {verdict.detail}",
                                     worst_xi=xi)
-        last = verdict
-    detail = f"stable at all {N_XI_DEFAULT} sampled wavenumbers plus special values"
-    return StabilityVerdict(True, last.argument if last else Argument.G_FORM,
-                            detail, worst_xi=math.pi)
+    detail = (f"stable at {len(breaks)} breakpoints in [0, q_max] and inside "
+              f"the {len(breaks) - 1} intervals between them")
+    return StabilityVerdict(True, verdict.argument, detail, worst_xi=math.pi)
 
 
 def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
