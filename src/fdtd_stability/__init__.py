@@ -16,7 +16,6 @@ from .polyloc import (
     root_profile,
 )
 from .schemes import (
-    AmpMatrix,
     DimensionlessParams,
     MediumModel,
     Scheme,
@@ -53,7 +52,6 @@ from .simulator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmpMatrix",
     "Argument",
     "BoundednessReport",
     "DimensionlessParams",

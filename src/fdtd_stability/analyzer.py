@@ -44,7 +44,6 @@ from .polyloc import (
     is_simple_von_neumann,
 )
 from .schemes import (
-    AmpMatrix,
     DimensionlessParams,
     MediumModel,
     Scheme,
@@ -53,6 +52,7 @@ from .schemes import (
     char_poly_closed,
     courant_q,
     dimensionless_params,
+    xi_for_q,
 )
 
 # Matrix eigenvalue modulus beyond 1 + OUT_EIG_TOL counts as outside;
@@ -129,7 +129,7 @@ class TableRow:
     note: str = ""
 
 
-def gn_bounded(G: AmpMatrix | np.ndarray) -> BoundednessReport:
+def gn_bounded(G: np.ndarray) -> BoundednessReport:
     """Decide boundedness of the matrix powers from the unit-circle
     eigenvalue multiplicities.
 
@@ -139,7 +139,7 @@ def gn_bounded(G: AmpMatrix | np.ndarray) -> BoundednessReport:
     genuinely distinct eigenvalues grouped into one cluster are not
     mistaken for a defective pair.
     """
-    m = G.entries if isinstance(G, AmpMatrix) else np.asarray(G, dtype=complex)
+    m = np.asarray(G, dtype=complex)
     try:
         eigs = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
@@ -207,7 +207,7 @@ def classify_at_q(scheme: Scheme, params: DimensionlessParams, q: float) -> Stab
     # eigenvalues scatter (~1e-8), safely below OUT_EIG_TOL.
     G = amplification_matrix_at_q(scheme, params, q_eff)
     try:
-        eigs = np.linalg.eigvals(G.entries)
+        eigs = np.linalg.eigvals(G)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigenvalue solve failed: {exc}") from exc
     worst = float(np.max(np.abs(eigs)))
@@ -267,13 +267,6 @@ def classify_point_2d(scheme: Scheme, params: DimensionlessParams, wn: Wavenumbe
                             worst_xi=wn.xi_x)
 
 
-def _xi_for_q(q_target: float, lam: float) -> float | None:
-    """Wavenumber attaining q_target for CFL number lam, or None."""
-    if q_target < 0 or q_target > 4.0 * lam * lam:
-        return None
-    return 2.0 * math.asin(math.sqrt(q_target) / (2.0 * lam))
-
-
 def worst_case_verdict(scheme: Scheme, medium: MediumModel, k: float, h: float,
                        dim: int = 1, polarization: str | None = None,
                        h_y: float | None = None) -> StabilityVerdict:
@@ -309,7 +302,7 @@ def worst_case_verdict(scheme: Scheme, medium: MediumModel, k: float, h: float,
     for q in probes:
         verdict = classify_at_q(scheme, params, q)
         if not verdict.stable:
-            xi = _xi_for_q(min(q, 4.0 * lam * lam), lam)
+            xi = xi_for_q(min(q, 4.0 * lam * lam), lam)
             return StabilityVerdict(False, verdict.argument,
                                     f"unstable at q={q:.12g}: {verdict.detail}",
                                     worst_xi=xi)
@@ -409,7 +402,3 @@ def reproduce_argument_table(scheme: Scheme) -> list[TableRow]:
                 note=regime.note,
             ))
     return rows
-
-
-def argument_table_regime_count(scheme: Scheme) -> int:
-    return len(scheme.spec.regimes)

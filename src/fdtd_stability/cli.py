@@ -1,7 +1,8 @@
 """Batch front-end: analyze points, scan ranges, run simulations, verify
 analyzer against simulator, and reproduce the reference stability tables.
 
-Configuration is a flat ``key = value`` text file ('#' starts a comment);
+Configuration is a flat ``key = value`` text file ('#' starts a comment)
+whose keys are the `RunConfig` fields, each also a flag (``--eps-inf``);
 command-line flags override file keys.  All reports are CSV with
 full-precision scientific notation so every value round-trips exactly.
 
@@ -15,7 +16,8 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from .schemes import (
     char_poly_closed,
     courant_q,
     dimensionless_params,
+    xi_for_q,
 )
 from .simulator import empirical_verdict, run_growth
 
@@ -55,41 +58,64 @@ VERIFY_HEADER = ("scheme", "medium", "dim", "polarization", "k", "h", "xi_x",
 VERIFY_MARGIN_BAND = 1e-3
 
 
+def _option(default=None, help=None, choices=None, minimum=None):
+    return field(default=default, metadata={"help": help, "choices": choices,
+                                            "minimum": minimum})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description; every command reads a subset of fields."""
+    """Run description; every command reads a subset of fields.
+
+    Each field other than ``command`` is both a config-file key and a flag
+    (``--`` plus the name with '-' for '_'); its metadata holds the help
+    text and the allowed values that `check_config` enforces."""
 
     command: str
-    scheme: str | None = None
+    scheme: str | None = _option(choices=tuple(s.value for s in Scheme))
     eps_inf: float | None = None
     eps_s: float | None = None
-    t_r: float | None = None
-    omega1: float | None = None
-    nu: float | None = None
-    k: float | None = None
-    h: float | None = None
-    h_y: float | None = None
-    dim: int = 1
-    polarization: str | None = None
-    xi: float | None = None
+    t_r: float | None = _option(help="Debye relaxation time in seconds")
+    omega1: float | None = _option(help="Lorentz resonance in rad/s")
+    nu: float | None = _option(help="Lorentz damping in rad/s")
+    k: float | None = _option(help="time step in seconds")
+    h: float | None = _option(help="space step in meters")
+    h_y: float | None = _option(help="y space step in meters (2D; default h)")
+    dim: int = _option(1, choices=(1, 2))
+    polarization: str | None = _option(choices=("te", "tm"))
+    xi: float = _option(math.pi, help="wavenumber in radians per cell")
     xi_y: float | None = None
     steps: int = 1000
     grid: int = 64
-    output: str | None = None
+    output: str | None = _option(help="CSV output path")
     empirical: bool = False
-    vary: str | None = None
+    vary: str | None = _option(choices=("k", "xi", "q"))
     start: float | None = None
     stop: float | None = None
-    count: int = 33
-    samples: int = 0
+    count: int = _option(33, help="scan points", minimum=1)
+    samples: int = _option(0, help="verify points, 0 for all", minimum=0)
 
 
-_FLOAT_KEYS = {"eps_inf", "eps_s", "t_r", "omega1", "nu", "k", "h", "h_y",
-               "xi", "xi_y", "start", "stop"}
-_INT_KEYS = {"dim", "steps", "grid", "count", "samples"}
-_BOOL_KEYS = {"empirical"}
-_STR_KEYS = {"command", "scheme", "polarization", "output", "vary"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS
+# Key -> value type, with the "| None" stripped.
+_KEY_TYPES = {name: next(t for t in (*get_args(tp), tp) if t is not type(None))
+              for name, tp in get_type_hints(RunConfig).items()}
+# The fields that are also flags; the command is the subcommand instead.
+_OPTIONS = tuple(f for f in fields(RunConfig) if f.name != "command")
+
+
+def check_config(cfg: RunConfig) -> RunConfig:
+    """Reject values outside a field's declared choices or minimum."""
+    for f in _OPTIONS:
+        v = getattr(cfg, f.name)
+        if v is None:
+            continue
+        choices, minimum = f.metadata.get("choices"), f.metadata.get("minimum")
+        if choices is not None and v not in choices:
+            raise InvalidInputError(f"{f.name} must be one of "
+                                    f"{', '.join(map(str, choices))}, got {v!r}")
+        if minimum is not None and v < minimum:
+            raise InvalidInputError(f"{f.name} must be at least {minimum}, got {v!r}")
+    return cfg
 
 
 def parse_config(text: str) -> RunConfig:
@@ -104,21 +130,18 @@ def parse_config(text: str) -> RunConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise InvalidInputError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise InvalidInputError(f"line {lineno}: duplicate key {key!r}")
+        kind = _KEY_TYPES[key]
         try:
-            if key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _BOOL_KEYS:
+            if kind is bool:
                 if val not in ("true", "false"):
                     raise ValueError(val)
                 values[key] = val == "true"
             else:
-                values[key] = val
+                values[key] = kind(val)
         except ValueError as exc:
             raise InvalidInputError(
                 f"line {lineno}: bad value for {key!r}: {val!r}") from exc
@@ -169,30 +192,23 @@ def emit_csv(rows, path: str, header) -> str:
     return path
 
 
-def _medium_from_config(cfg: RunConfig) -> MediumModel:
-    if cfg.scheme is None:
-        raise InvalidInputError("missing field: scheme")
+def _scheme_and_medium(cfg: RunConfig) -> tuple[Scheme, MediumModel]:
+    _require(cfg, "scheme", "eps_inf", "eps_s")
     scheme = Scheme.from_name(cfg.scheme)
-    for name in ("eps_inf", "eps_s"):
-        if getattr(cfg, name) is None:
-            raise InvalidInputError(f"missing field: {name}")
     if scheme.kind == "debye":
         if cfg.t_r is None:
             raise InvalidInputError("missing field: t_r (Debye schemes)")
-        return MediumModel.debye(cfg.eps_inf, cfg.eps_s, cfg.t_r)
+        return scheme, MediumModel.debye(cfg.eps_inf, cfg.eps_s, cfg.t_r)
     if cfg.omega1 is None:
         raise InvalidInputError("missing field: omega1 (Lorentz schemes)")
-    return MediumModel.lorentz(cfg.eps_inf, cfg.eps_s, cfg.omega1, cfg.nu or 0.0)
-
-
-def _medium_scale(medium: MediumModel) -> float:
-    return medium.t_r if medium.kind == "debye" else medium.omega1
+    return scheme, MediumModel.lorentz(cfg.eps_inf, cfg.eps_s, cfg.omega1, cfg.nu or 0.0)
 
 
 def _verdict_row(scheme: Scheme, medium: MediumModel, k: float, h: float,
                  xi: float | None, q: float, stable: bool, argument: str,
                  root_mod: float):
-    return (scheme.value, medium.eps_inf, medium.eps_s, _medium_scale(medium),
+    scale = medium.t_r if medium.kind == "debye" else medium.omega1
+    return (scheme.value, medium.eps_inf, medium.eps_s, scale,
             medium.nu or 0.0, k, h, xi, q, stable, argument, root_mod)
 
 
@@ -202,87 +218,78 @@ def _require(cfg: RunConfig, *names: str) -> None:
             raise InvalidInputError(f"missing field: {name}")
 
 
-def _cmd_analyze(cfg: RunConfig) -> int:
+def _point_from_config(cfg: RunConfig) -> tuple[Scheme, MediumModel, Wavenumber]:
+    """Scheme, medium and wavenumber of analyze/simulate; 2D points default
+    xi_y to xi and h_y to h."""
     _require(cfg, "k", "h")
-    medium = _medium_from_config(cfg)
-    scheme = Scheme.from_name(cfg.scheme)
-    params = dimensionless_params(medium, cfg.k, cfg.h)
-    xi = cfg.xi if cfg.xi is not None else math.pi
+    scheme, medium = _scheme_and_medium(cfg)
     if cfg.dim == 1:
-        wn = Wavenumber(xi)
+        return scheme, medium, Wavenumber(cfg.xi)
+    _require(cfg, "polarization")
+    wn = Wavenumber(cfg.xi, cfg.xi_y if cfg.xi_y is not None else cfg.xi,
+                    h_x=cfg.h, h_y=cfg.h_y or cfg.h)
+    return scheme, medium, wn
+
+
+def _run_growth(cfg: RunConfig, scheme: Scheme, medium: MediumModel, wn: Wavenumber):
+    """The growth probe of analyze --empirical and simulate, on the grid
+    harmonic nearest to wn."""
+    def snap(xi):
+        return 2.0 * math.pi * round(xi * cfg.grid / (2.0 * math.pi)) / cfg.grid
+    harmonic = replace(wn, xi_x=snap(wn.xi_x), xi_y=snap(wn.xi_y) if wn.is_2d else None)
+    return run_growth(scheme, medium, cfg.k, cfg.h, harmonic, max(cfg.steps, 100),
+                      polarization=cfg.polarization,
+                      grid=(cfg.grid, cfg.grid) if wn.is_2d else cfg.grid)
+
+
+def _cmd_analyze(cfg: RunConfig) -> int:
+    scheme, medium, wn = _point_from_config(cfg)
+    params = dimensionless_params(medium, cfg.k, cfg.h)
+    q = courant_q(params, wn)
+    if cfg.dim == 1:
         verdict = classify_point(scheme, params, wn)
-        q = courant_q(params, wn)
         poly = char_poly_closed(scheme, params, q)
     else:
-        if cfg.polarization not in ("te", "tm"):
-            raise InvalidInputError("2D analysis needs polarization te or tm")
-        wn = Wavenumber(xi, cfg.xi_y if cfg.xi_y is not None else xi,
-                        h_x=cfg.h, h_y=cfg.h_y if cfg.h_y else cfg.h)
         verdict = classify_point_2d(scheme, params, wn, cfg.polarization)
-        q = courant_q(params, wn)
         poly = char_poly_2d(scheme, params, wn, cfg.polarization)
     root_mod = max_root_modulus(poly)
     print(f"{scheme.value}: {'stable' if verdict.stable else 'unstable'} "
-          f"[{verdict.argument.value}] at xi={xi:.6g}, q={q:.6g} "
+          f"[{verdict.argument.value}] at xi={wn.xi_x:.6g}, q={q:.6g} "
           f"(max root modulus {root_mod:.12g})")
     print(f"  {verdict.detail}")
     if cfg.empirical:
-        rep = run_growth(scheme, medium, cfg.k, cfg.h, _harmonic_wn(wn, cfg.grid),
-                         max(cfg.steps, 100), polarization=cfg.polarization,
-                         grid=cfg.grid if cfg.dim == 1 else (cfg.grid, cfg.grid),
-                         h_y=cfg.h_y)
-        emp = empirical_verdict(rep)
+        emp = empirical_verdict(_run_growth(cfg, scheme, medium, wn))
         print(f"  empirical: {'stable' if emp.stable else 'unstable'} - {emp.detail}")
     if cfg.output:
-        row = _verdict_row(scheme, medium, cfg.k, cfg.h, xi, q, verdict.stable,
+        row = _verdict_row(scheme, medium, cfg.k, cfg.h, wn.xi_x, q, verdict.stable,
                            verdict.argument.value, root_mod)
         path = emit_csv([row], cfg.output, VERDICT_HEADER)
         print(f"  wrote {path}")
     return 0
 
 
-def _harmonic_wn(wn: Wavenumber, n: int) -> Wavenumber:
-    """Snap a wavenumber onto the nearest exact grid harmonic."""
-    def snap(xi):
-        return 2.0 * math.pi * round(xi * n / (2.0 * math.pi)) / n
-    if wn.is_2d:
-        return Wavenumber(snap(wn.xi_x), snap(wn.xi_y), h_x=wn.h_x, h_y=wn.h_y)
-    return Wavenumber(snap(wn.xi_x))
-
-
 def _cmd_scan(cfg: RunConfig) -> int:
     _require(cfg, "vary", "start", "stop")
-    medium = _medium_from_config(cfg)
-    scheme = Scheme.from_name(cfg.scheme)
-    if cfg.vary not in ("k", "xi", "q"):
-        raise InvalidInputError("vary must be one of k, xi, q")
-    grid = np.linspace(cfg.start, cfg.stop, cfg.count)
+    scheme, medium = _scheme_and_medium(cfg)
+    _require(cfg, "h")
+    if cfg.vary != "k":
+        _require(cfg, "k")
     rows = []
-    for value in grid:
-        if cfg.vary == "k":
-            k = float(value)
-            _require(cfg, "h")
-            xi = cfg.xi if cfg.xi is not None else math.pi
-        elif cfg.vary == "xi":
-            _require(cfg, "k", "h")
-            k, xi = cfg.k, float(value)
-        else:
-            _require(cfg, "k", "h")
-            k, xi = cfg.k, None
+    for value in np.linspace(cfg.start, cfg.stop, cfg.count):
+        value = float(value)
+        k = value if cfg.vary == "k" else cfg.k
         params = dimensionless_params(medium, k, cfg.h)
         if cfg.vary == "q":
-            q = float(value)
+            q = value
             verdict = classify_at_q(scheme, params, q)
-            lam = params.lam
-            arg = math.sqrt(q) / (2.0 * lam) if q >= 0 else None
-            xi_out = 2.0 * math.asin(arg) if arg is not None and arg <= 1 else None
+            xi = xi_for_q(q, params.lam)
         else:
+            xi = value if cfg.vary == "xi" else cfg.xi
             wn = Wavenumber(xi)
             verdict = classify_point(scheme, params, wn)
             q = courant_q(params, wn)
-            xi_out = xi
         poly = char_poly_closed(scheme, params, q)
-        rows.append(_verdict_row(scheme, medium, k, cfg.h, xi_out, q,
+        rows.append(_verdict_row(scheme, medium, k, cfg.h, xi, q,
                                  verdict.stable, verdict.argument.value,
                                  max_root_modulus(poly)))
     n_stable = sum(1 for r in rows if r[9])
@@ -295,22 +302,8 @@ def _cmd_scan(cfg: RunConfig) -> int:
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:
-    _require(cfg, "k", "h")
-    medium = _medium_from_config(cfg)
-    scheme = Scheme.from_name(cfg.scheme)
-    xi = cfg.xi if cfg.xi is not None else math.pi
-    if cfg.dim == 1:
-        wn = _harmonic_wn(Wavenumber(xi), cfg.grid)
-        grid = cfg.grid
-    else:
-        if cfg.polarization not in ("te", "tm"):
-            raise InvalidInputError("2D simulation needs polarization te or tm")
-        wn = _harmonic_wn(Wavenumber(xi, cfg.xi_y if cfg.xi_y is not None else xi,
-                                     h_x=cfg.h, h_y=cfg.h_y if cfg.h_y else cfg.h),
-                          cfg.grid)
-        grid = (cfg.grid, cfg.grid)
-    rep = run_growth(scheme, medium, cfg.k, cfg.h, wn, max(cfg.steps, 100),
-                     polarization=cfg.polarization, grid=grid, h_y=cfg.h_y)
+    scheme, medium, wn = _point_from_config(cfg)
+    rep = _run_growth(cfg, scheme, medium, wn)
     emp = empirical_verdict(rep)
     print(f"{scheme.value}: {rep.verdict} after {rep.steps} steps "
           f"(per-step factor {rep.per_step_factor:.8f}, "
@@ -512,32 +505,24 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         ("tables", "reproduce the reference stability tables")):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", help="flat key = value configuration file")
-        p.add_argument("--scheme", help="one of " + ", ".join(s.value for s in Scheme))
-        p.add_argument("--eps-inf", type=float, dest="eps_inf")
-        p.add_argument("--eps-s", type=float, dest="eps_s")
-        p.add_argument("--t-r", type=float, dest="t_r")
-        p.add_argument("--omega1", type=float)
-        p.add_argument("--nu", type=float)
-        p.add_argument("--k", type=float, help="time step in seconds")
-        p.add_argument("--h", type=float, help="space step in meters")
-        p.add_argument("--h-y", type=float, dest="h_y")
-        p.add_argument("--dim", type=int, choices=(1, 2))
-        p.add_argument("--polarization", choices=("te", "tm"))
-        p.add_argument("--xi", type=float, help="wavenumber in radians per cell")
-        p.add_argument("--xi-y", type=float, dest="xi_y")
-        p.add_argument("--steps", type=int)
-        p.add_argument("--grid", type=int)
-        p.add_argument("--output", help="CSV output path")
-        p.add_argument("--empirical", action="store_true", default=None)
-        p.add_argument("--vary", choices=("k", "xi", "q"))
-        p.add_argument("--start", type=float)
-        p.add_argument("--stop", type=float)
-        p.add_argument("--count", type=int)
-        p.add_argument("--samples", type=int)
+        for f in _OPTIONS:
+            text = f.metadata.get("help")
+            if f.metadata.get("choices"):
+                text = "one of " + ", ".join(map(str, f.metadata["choices"]))
+            flag = "--" + f.name.replace("_", "-")
+            if _KEY_TYPES[f.name] is bool:
+                # default None, so that an absent flag keeps the file's value
+                p.add_argument(flag, dest=f.name, action="store_true",
+                               default=None, help=text)
+            else:
+                p.add_argument(flag, dest=f.name, type=_KEY_TYPES[f.name],
+                               help=text)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """Merge the config file (if any) with the flags, which win, and check
+    the result."""
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -547,14 +532,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg = replace(cfg, command=args.command)
     else:
         cfg = RunConfig(command=args.command)
-    overrides = {}
-    for f in fields(RunConfig):
-        if f.name == "command":
-            continue
-        v = getattr(args, f.name, None)
-        if v is not None:
-            overrides[f.name] = v
-    return replace(cfg, **overrides)
+    overrides = {f.name: getattr(args, f.name) for f in _OPTIONS
+                 if getattr(args, f.name) is not None}
+    return check_config(replace(cfg, **overrides))
 
 
 _COMMANDS = {

@@ -133,14 +133,6 @@ class DimensionlessParams:
         return self.eps_s_prime - 1.0
 
     @property
-    def kashiwa_denominator(self) -> float:
-        """Denominator 1 + delta + omega*eps_s_prime/2 of the implicit
-        polarization solve; always above 1."""
-        if self.omega is None:
-            raise InvalidInputError("kashiwa_denominator requires Lorentz parameters")
-        return 1.0 + self.delta + 0.5 * self.omega * self.eps_s_prime
-
-    @property
     def kind(self) -> str:
         return "debye" if self.omega is None else "lorentz"
 
@@ -170,18 +162,6 @@ class Wavenumber:
     @property
     def is_2d(self) -> bool:
         return self.xi_y is not None
-
-
-@dataclass(frozen=True)
-class AmpMatrix:
-    """Per-wavenumber update matrix with its state-component names."""
-
-    entries: np.ndarray
-    variable_labels: tuple[str, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -263,6 +243,15 @@ def courant_q(params: DimensionlessParams, wn: Wavenumber) -> float:
     return q
 
 
+def xi_for_q(q: float, lam: float) -> float | None:
+    """Inverse of the 1D courant_q: the wavenumber in [0, pi] attaining q
+    for CFL number lam, or None when no wavenumber does."""
+    if q < 0:
+        return None
+    arg = math.sqrt(q) / (2.0 * lam)
+    return 2.0 * math.asin(arg) if arg <= 1 else None
+
+
 def _check_scheme_params(scheme: Scheme, params: DimensionlessParams) -> None:
     if scheme.kind != params.kind:
         raise InvalidInputError(
@@ -272,7 +261,7 @@ def _check_scheme_params(scheme: Scheme, params: DimensionlessParams) -> None:
 
 
 def amplification_matrix(scheme: Scheme, params: DimensionlessParams,
-                         wn: Wavenumber) -> AmpMatrix:
+                         wn: Wavenumber) -> np.ndarray:
     """One-dimensional amplification matrix at discrete wavenumber xi_x."""
     _check_scheme_params(scheme, params)
     if wn.is_2d:
@@ -282,12 +271,11 @@ def amplification_matrix(scheme: Scheme, params: DimensionlessParams,
     phase = complex(math.cos(xi), math.sin(xi))
     u = lam * (phase - 1.0)
     v = lam * (1.0 - 1.0 / phase) if xi != 0.0 else 0.0j
-    spec = scheme.spec
-    return AmpMatrix(spec.entries(params, u, v, courant_q(params, wn)), spec.state_labels)
+    return scheme.spec.entries(params, u, v, courant_q(params, wn))
 
 
 def amplification_matrix_at_q(scheme: Scheme, params: DimensionlessParams,
-                              q: float) -> AmpMatrix:
+                              q: float) -> np.ndarray:
     """Matrix diagonally similar to the physical one at Courant quantity q,
     built from the coupling split u = sqrt(q), v = -sqrt(q) (the physical
     couplings satisfy u*v = -q).  Valid for any q >= 0, even values no
@@ -296,8 +284,7 @@ def amplification_matrix_at_q(scheme: Scheme, params: DimensionlessParams,
     if q < 0:
         raise InvalidInputError("q must be nonnegative")
     s = math.sqrt(q)
-    spec = scheme.spec
-    return AmpMatrix(spec.entries(params, s, -s, q), spec.state_labels)
+    return scheme.spec.entries(params, s, -s, q)
 
 
 def char_poly_closed(scheme: Scheme, params: DimensionlessParams, q: float) -> Polynomial:
@@ -310,10 +297,10 @@ def char_poly_closed(scheme: Scheme, params: DimensionlessParams, q: float) -> P
     return Polynomial(tuple(x + q * y for x, y in zip(a, b)))
 
 
-def char_poly_from_matrix(G: AmpMatrix | np.ndarray) -> Polynomial:
+def char_poly_from_matrix(G: np.ndarray) -> Polynomial:
     """Monic characteristic polynomial det(Z I - G), computed from the
     eigenvalues; the independent cross-check for char_poly_closed."""
-    m = G.entries if isinstance(G, AmpMatrix) else np.asarray(G, dtype=complex)
+    m = np.asarray(G, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError("characteristic polynomial requires a square matrix")
     coeffs_desc = np.poly(m)
@@ -510,10 +497,16 @@ _LJ_REGIMES = (
 
 # lorentz-kashiwa: state (b, E, p, j).
 
+def _lk_denominator(p):
+    """Denominator 1 + delta + omega*eps_s_prime/2 of the implicit
+    polarization solve; always above 1."""
+    return 1.0 + p.delta + 0.5 * p.omega * p.eps_s_prime
+
+
 def _lk_entries(p, u, v, q):
     w = p.omega
     a = p.alpha
-    D = p.kashiwa_denominator
+    D = _lk_denominator(p)
     gwa = 0.5 * w * a
     return np.array([
         [1.0, -u, 0.0, 0.0],
@@ -541,7 +534,7 @@ def _lk_tm_factor(p):
 def _lk_material(p, E, aux, S, S_old):
     w = p.omega
     a = p.alpha
-    den = p.kashiwa_denominator
+    den = _lk_denominator(p)
     cur = ((2.0 - den) * aux["j"] + 2.0 * w * a * E + w * a * S
            - 2.0 * w * aux["p"]) / den
     pol = aux["p"] + 0.5 * (cur + aux["j"])

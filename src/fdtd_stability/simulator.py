@@ -36,11 +36,9 @@ class FieldState:
     """Field arrays of one scheme at one time level."""
 
     scheme: Scheme
-    dim: int
-    polarization: str | None
+    polarization: str | None  # None in 1D
     arrays: dict[str, np.ndarray]
     h_ratio: float = 1.0  # h_x / h_y
-    n: int = 0
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -91,7 +89,7 @@ def init_plane_wave(scheme: Scheme, grid: int | tuple[int, int], wn: Wavenumber,
         arrays = {"b": wave(0.5), "E": wave(0.0)}
         for label in aux:
             arrays[label] = wave(0.0)
-        return FieldState(scheme, 1, None, arrays)
+        return FieldState(scheme, None, arrays)
     if polarization not in ("te", "tm"):
         raise InvalidInputError("2D runs need polarization 'te' or 'tm'")
     nx, ny = (grid, grid) if isinstance(grid, int) else grid
@@ -110,12 +108,12 @@ def init_plane_wave(scheme: Scheme, grid: int | tuple[int, int], wn: Wavenumber,
         arrays = {"b_x": wave(0.0, 0.5), "b_y": wave(0.5, 0.0), "E": wave(0.0, 0.0)}
         for label in aux:
             arrays[label] = wave(0.0, 0.0)
-        return FieldState(scheme, 2, "te", arrays, h_ratio=h_ratio)
+        return FieldState(scheme, "te", arrays, h_ratio=h_ratio)
     arrays = {"b_z": wave(0.5, 0.5), "E_x": wave(0.5, 0.0), "E_y": wave(0.0, 0.5)}
     for label in aux:
         arrays[label + "_x"] = wave(0.5, 0.0)
         arrays[label + "_y"] = wave(0.0, 0.5)
-    return FieldState(scheme, 2, "tm", arrays, h_ratio=h_ratio)
+    return FieldState(scheme, "tm", arrays, h_ratio=h_ratio)
 
 
 def _dfwd(a: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -135,7 +133,7 @@ def step(scheme: Scheme, state: FieldState, params: DimensionlessParams) -> Fiel
     arr = state.arrays
     spec = scheme.spec
     aux_labels = _aux_labels(scheme)
-    if state.dim == 1:
+    if state.polarization is None:
         b_old = arr["b"]
         b = b_old - lam * _dfwd(arr["E"])
         S = -lam * _dback(b)
@@ -143,7 +141,7 @@ def step(scheme: Scheme, state: FieldState, params: DimensionlessParams) -> Fiel
         E_new, aux_new = spec.material(params, arr["E"],
                                        {l: arr[l] for l in aux_labels}, S, S_old)
         out = {"b": b, "E": E_new, **aux_new}
-        return replace(state, arrays=out, n=state.n + 1)
+        return replace(state, arrays=out)
     lam_x = lam
     lam_y = lam * state.h_ratio
     if state.polarization == "te":
@@ -155,7 +153,7 @@ def step(scheme: Scheme, state: FieldState, params: DimensionlessParams) -> Fiel
         E_new, aux_new = spec.material(params, arr["E"],
                                        {l: arr[l] for l in aux_labels}, S, S_old)
         out = {"b_x": bx, "b_y": by, "E": E_new, **aux_new}
-        return replace(state, arrays=out, n=state.n + 1)
+        return replace(state, arrays=out)
     # TM: one magnetic component, two field components with their own
     # auxiliary variables.
     bz_old = arr["b_z"]
@@ -169,13 +167,13 @@ def step(scheme: Scheme, state: FieldState, params: DimensionlessParams) -> Fiel
         E_new, aux_new = spec.material(params, arr[f"E_{comp}"], aux, S, S_old)
         out[f"E_{comp}"] = E_new
         out.update({f"{l}_{comp}": v for l, v in aux_new.items()})
-    return replace(state, arrays=out, n=state.n + 1)
+    return replace(state, arrays=out)
 
 
 def fourier_mode(state: FieldState, m: int) -> np.ndarray:
     """Complex amplitude of grid mode m for each state component, ordered
     like the scheme's update-matrix state vector (1D only)."""
-    if state.dim != 1:
+    if state.polarization is not None:
         raise InvalidInputError("fourier_mode is defined for 1D states")
     n = state.grid_shape[0]
     return np.array([np.fft.fft(state.arrays[l])[m] / n
@@ -213,8 +211,8 @@ def linear_fit_residual(norms: np.ndarray) -> float:
 
 def run_growth(scheme: Scheme, medium: MediumModel, k: float, h: float,
                wn: Wavenumber, steps: int, polarization: str | None = None,
-               grid: int | tuple[int, int] = 64, amplitude: float = 1.0,
-               h_y: float | None = None) -> GrowthReport:
+               grid: int | tuple[int, int] = 64,
+               amplitude: float = 1.0) -> GrowthReport:
     """Evolve a plane wave and record the sup-norm per step.
 
     Overflow (non-finite values) stops the run early and is reported as

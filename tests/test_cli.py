@@ -2,6 +2,11 @@
 
 import math
 import os
+import re
+import shlex
+from dataclasses import fields
+from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -9,6 +14,8 @@ import pytest
 from fdtd_stability import cli
 from fdtd_stability.cli import (
     RunConfig,
+    _config_from_args,
+    build_arg_parser,
     build_verify_plan,
     emit_csv,
     main,
@@ -228,3 +235,101 @@ def test_numerical_failure_maps_to_exit_3(monkeypatch, capsys):
                "--h", "1e-6"])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _field_type(f):
+    tp = get_type_hints(RunConfig)[f.name]
+    return next(t for t in (bool, float, int, str) if tp is t or t in get_args(tp))
+
+
+def _sample_value(f):
+    """A valid non-default value for a RunConfig field, as on the command line."""
+    choices = f.metadata.get("choices")
+    if choices:
+        return str(choices[-1])
+    return {float: "2.5e-3", int: "7", str: "out.csv"}[_field_type(f)]
+
+
+@pytest.mark.parametrize("f", [f for f in fields(RunConfig) if f.name != "command"],
+                         ids=lambda f: f.name)
+def test_config_key_and_flag_parse_alike(f, tmp_path):
+    parser = build_arg_parser()
+    cfg_path = tmp_path / "run.cfg"
+    if _field_type(f) is bool:
+        cfg_path.write_text(f"command = analyze\n{f.name} = true\n")
+        flag_args = [_flag(f.name)]
+    else:
+        value = _sample_value(f)
+        cfg_path.write_text(f"command = analyze\n{f.name} = {value}\n")
+        flag_args = [_flag(f.name), value]
+    from_file = _config_from_args(parser.parse_args(["analyze", "--config", str(cfg_path)]))
+    from_flag = _config_from_args(parser.parse_args(["analyze"] + flag_args))
+    assert from_file == from_flag
+    v = getattr(from_flag, f.name)
+    assert v != getattr(RunConfig(command="analyze"), f.name)
+    assert type(getattr(from_file, f.name)) is type(v)
+
+
+def test_absent_bool_flag_keeps_file_value(tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("command = analyze\nempirical = true\n")
+    args = build_arg_parser().parse_args(["analyze", "--config", str(cfg_path)])
+    assert _config_from_args(args).empirical is True
+
+
+# A complete point for every command, so that only the bad value can fail.
+_POINT = {"scheme": "debye-joseph", "eps_inf": "1.8", "eps_s": "81.0",
+          "t_r": "9.4e-12", "k": "1e-15", "h": "1e-6", "dim": "2",
+          "polarization": "te", "vary": "q", "start": "0", "stop": "4",
+          "count": "5", "steps": "100", "grid": "8"}
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("analyze", "dim", "3"),
+    ("analyze", "polarization", "xy"),
+    ("scan", "vary", "z"),
+    ("scan", "count", "0"),
+    ("scan", "count", "-1"),
+    ("verify", "samples", "-5"),
+])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_bad_value_exits_2_from_either_source(command, key, value, source,
+                                              tmp_path, capsys):
+    values = {**_POINT, key: value}
+    if source == "flag":
+        argv = [command] + [a for k, v in values.items() for a in (_flag(k), v)]
+    else:
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"command = {command}\n"
+                            + "".join(f"{k} = {v}\n" for k, v in values.items()))
+        argv = [command, "--config", str(cfg_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+
+
+def _readme_cli_section():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return re.search(r"^## Command-line interface$(.*?)^## ", text,
+                     re.M | re.S).group(1)
+
+
+def test_readme_command_lines_parse():
+    blocks = re.findall(r"^```\n(.*?)^```", _readme_cli_section(), re.M | re.S)
+    lines = [l for b in blocks for l in b.replace("\\\n", " ").splitlines()
+             if l.startswith("fdtd-stability ")]
+    commands = set()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        cfg = _config_from_args(build_arg_parser().parse_args(argv))
+        commands.add(cfg.command)
+    assert commands == {"analyze", "scan", "simulate", "verify", "tables"}
+    config_blocks = [b for b in blocks if b.startswith("command = ")]
+    assert config_blocks
+    for block in config_blocks:
+        parse_config(block)

@@ -111,7 +111,7 @@ def test_courant_q_anisotropic_steps():
 def test_debye_joseph_matrix_uniform_mode():
     d, es = 0.4, 3.0
     p = DimensionlessParams(lam=0.8, delta=d, eps_s_prime=es)
-    G = amplification_matrix(Scheme.DEBYE_JOSEPH, p, Wavenumber(0.0)).entries
+    G = amplification_matrix(Scheme.DEBYE_JOSEPH, p, Wavenumber(0.0))
     np.testing.assert_allclose(G[0], [1.0, 0.0, 0.0], atol=0.0)
     np.testing.assert_allclose(G[2], [0.0, 0.0, 1.0], atol=0.0)
     np.testing.assert_allclose(
@@ -120,7 +120,7 @@ def test_debye_joseph_matrix_uniform_mode():
 
 def test_lorentz_young_matrix_uniform_mode():
     p = DimensionlessParams(lam=0.8, delta=0.2, eps_s_prime=2.0, omega=0.7)
-    G = amplification_matrix(Scheme.LORENTZ_YOUNG, p, Wavenumber(0.0)).entries
+    G = amplification_matrix(Scheme.LORENTZ_YOUNG, p, Wavenumber(0.0))
     # magnetic component decouples at xi = 0
     np.testing.assert_allclose(G[0], [1, 0, 0, 0], atol=0.0)
     assert np.all(G[1:, 0] == 0.0)
@@ -132,7 +132,7 @@ def test_debye_young_matrix_entries_rederived():
     d, es, lam, xi = 0.1, 2.0, 0.5, math.pi / 2
     a = es - 1.0
     p = DimensionlessParams(lam=lam, delta=d, eps_s_prime=es)
-    G = amplification_matrix(Scheme.DEBYE_YOUNG, p, Wavenumber(xi)).entries
+    G = amplification_matrix(Scheme.DEBYE_YOUNG, p, Wavenumber(xi))
     z = complex(math.cos(xi), math.sin(xi))
     u = lam * (z - 1)
     v = lam * (1 - 1 / z)
@@ -154,7 +154,7 @@ def test_lorentz_joseph_matrix_hardcoded_entries():
     the sign consistent with the characteristic polynomial)."""
     d, es, w, lam, xi = 0.3, 2.0, 0.8, 0.9, 1.1
     p = DimensionlessParams(lam=lam, delta=d, eps_s_prime=es, omega=w)
-    G = amplification_matrix(Scheme.LORENTZ_JOSEPH, p, Wavenumber(xi)).entries
+    G = amplification_matrix(Scheme.LORENTZ_JOSEPH, p, Wavenumber(xi))
     z = complex(math.cos(xi), math.sin(xi))
     v = lam * (1 - 1 / z)
     q = courant_q(p, Wavenumber(xi))
@@ -171,7 +171,7 @@ def test_lorentz_kashiwa_matrix_hardcoded_entries():
     d, es, w, lam, xi = 0.2, 1.5, 0.6, 0.7, 2.0
     a = es - 1.0
     p = DimensionlessParams(lam=lam, delta=d, eps_s_prime=es, omega=w)
-    G = amplification_matrix(Scheme.LORENTZ_KASHIWA, p, Wavenumber(xi)).entries
+    G = amplification_matrix(Scheme.LORENTZ_KASHIWA, p, Wavenumber(xi))
     z = complex(math.cos(xi), math.sin(xi))
     v = lam * (1 - 1 / z)
     q = courant_q(p, Wavenumber(xi))
@@ -348,7 +348,7 @@ def test_scheme_record_consistency(scheme):
     spec = scheme.spec
     p = random_params(np.random.default_rng(3), spec.kind)
     n = len(spec.state_labels)
-    assert amplification_matrix_at_q(scheme, p, 1.0).dim == n
+    assert amplification_matrix_at_q(scheme, p, 1.0).shape[0] == n
     assert char_poly_closed(scheme, p, 1.0).degree == n
     a, b = spec.char_poly(p)
     assert len(a) == len(b) == n + 1
