@@ -1,10 +1,11 @@
 """Golden outputs: the ``tables`` report, ``scan --vary q`` CSVs, 2D
-``analyze`` CSV rows and the verify plan, compared byte for byte with the
-files under ``tests/golden/``.
+``analyze`` CSV rows, the verify plan and the SHA-256 of simulator norm
+histories, compared byte for byte with the files under ``tests/golden/``.
 
-The files pin the verdicts and numbers of the whole analytic route, so a
-refactor that is meant to change no output must leave them untouched.
-Re-record them only when outputs are meant to change:
+The files pin the verdicts and numbers of the whole analytic route and the
+bits of the empirical one, so a refactor that is meant to change no output
+must leave them untouched.  Re-record them only when outputs are meant to
+change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -12,6 +13,7 @@ Re-record them only when outputs are meant to change:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import math
 import os
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from fdtd_stability import Scheme, cli
+from fdtd_stability import MediumModel, Scheme, Wavenumber, cli, run_growth
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -101,12 +103,54 @@ def verify_plan_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+_GROWTH_MEDIA = {
+    "debye": (MediumModel.debye(1.8, 81.0, 9.4e-12), 1e-5),
+    "lorentz": (MediumModel.lorentz(1.0, 2.25, 4e16, 0.56e16), 1e-8),
+}
+
+
+def norm_history_text() -> str:
+    """SHA-256 of the ``run_growth`` norm history of every scheme in 1D, TE
+    and TM, at a stable and an unstable time step: 300 steps on a 16-cell
+    grid, or a 16 x 12 grid with h_y = 2 h_x.  The stable step puts every
+    grid mode at half the scheme's q limit, the unstable one the excited
+    mode at 1.3 times it.  The verdict column is the short run's own: the
+    stable Debye-Young TM run still relaxes at step 300 and reads growing
+    (it is bounded over 3000 steps)."""
+    lines = []
+    for scheme in Scheme:
+        medium, h = _GROWTH_MEDIA[scheme.kind]
+        q_limit = scheme.spec.q_limit
+        for pol in (None, "te", "tm"):
+            if pol is None:
+                wn, grid = Wavenumber(2.0 * math.pi * 5 / 16), 16
+                s_max = 4.0
+            else:
+                wn = Wavenumber(2.0 * math.pi * 5 / 16, 2.0 * math.pi * 4 / 12,
+                                h_x=h, h_y=2.0 * h)
+                grid = (16, 12)
+                s_max = 4.0 * (1.0 + (wn.h_x / wn.h_y) ** 2)
+            s_mode = 4.0 * math.sin(wn.xi_x / 2) ** 2
+            if pol is not None:
+                s_mode += 4.0 * (wn.h_x / wn.h_y) ** 2 * math.sin(wn.xi_y / 2) ** 2
+            for label, lam in (("stable", math.sqrt(0.5 * q_limit / s_max)),
+                               ("unstable", math.sqrt(1.3 * q_limit / s_mode))):
+                k = lam * h / medium.c_inf
+                rep = run_growth(scheme, medium, k, h, wn, 300, polarization=pol,
+                                 grid=grid)
+                digest = hashlib.sha256(rep.norms.tobytes()).hexdigest()
+                lines.append("|".join((scheme.value, pol or "1d", label, rep.verdict,
+                                       str(rep.steps), digest)))
+    return "\n".join(lines) + "\n"
+
+
 def _artifacts():
     yield "tables.txt", tables_text
     for stem, scheme, flags in SCAN_CASES:
         yield f"scan_q_{stem}.csv", lambda s=scheme, f=flags: scan_text(s, f)
     yield "analyze_2d.csv", analyze_2d_text
     yield "verify_plan.txt", verify_plan_text
+    yield "norm_histories.txt", norm_history_text
 
 
 def _golden(name: str) -> str:
@@ -134,6 +178,10 @@ def test_analyze_2d_golden():
 
 def test_verify_plan_golden():
     assert verify_plan_text() == _golden("verify_plan.txt")
+
+
+def test_norm_histories_golden():
+    assert norm_history_text() == _golden("norm_histories.txt")
 
 
 if __name__ == "__main__":
