@@ -21,10 +21,11 @@ takes the matrix route directly.
 Worst-case verdicts over all wavenumbers are exact, not sampled: the
 characteristic polynomial is affine in the Courant quantity q, so its roots
 can meet the unit circle only at the boundary-locus crossings of
-`polyloc.circle_crossings`.  Classifying those breakpoints (plus 0, q_max,
-2, 4 and the degenerate q) and one point inside each interval between them
-decides every q in [0, q_max].  Stability boundaries in the time step are
-found by bisection on the worst-case predicate.
+`polyloc.circle_crossings`.  Classifying those breakpoints (plus the range
+ends, 2, 4 and the degenerate q) and one point between each two decides a
+whole q range: [0, q_max] for a verdict, and for a stability boundary in
+the time step (found by bisection) the last bracket's range, to tell
+whether the boundary is attained.
 """
 
 from __future__ import annotations
@@ -106,7 +107,10 @@ class BoundednessReport:
 
 @dataclass(frozen=True)
 class BoundaryResult:
-    """Outcome of the largest-stable-time-step search."""
+    """Outcome of the largest-stable-time-step search.  attained: k* itself
+    is stable (True, a closed condition) or not (False, an open one), None
+    when the exact checks cannot tell.  non_monotone and lowest_unstable_k:
+    the bottom of the bracket is already unstable (resonant media)."""
 
     k_star: float | None
     attained: bool | None
@@ -267,47 +271,57 @@ def classify_point_2d(scheme: Scheme, params: DimensionlessParams, wn: Wavenumbe
                             worst_xi=wn.xi_x)
 
 
+def _q_max(params: DimensionlessParams, h: float, dim: int,
+           polarization: str | None, h_y: float | None) -> float:
+    """Largest Courant quantity of the grid: 4 lam^2, plus 4 lam_y^2 in 2D."""
+    q_max = 4.0 * params.lam * params.lam
+    if dim == 2:
+        if polarization not in ("te", "tm"):
+            raise InvalidInputError("2D verdicts need polarization 'te' or 'tm'")
+        lam_y = params.lam * h / (h_y if h_y is not None else h)
+        q_max += 4.0 * lam_y * lam_y
+    return q_max
+
+
+def _walk(scheme: Scheme, params: DimensionlessParams, q_lo: float, q_hi: float):
+    """Classify the breakpoints of [q_lo, q_hi] (the boundary-locus crossings,
+    q_lo, q_hi, 2, 4 and the degenerate q) and one midpoint per interval, in
+    ascending order, up to the first unstable probe.  Returns the breakpoint
+    count and (q, is-breakpoint, verdict) of that probe, else of the top one."""
+    specials = [q_lo, q_hi, 2.0, 4.0, _degenerate_q(scheme, params)]
+    # Relative whisker: a q_hi a few ulps below a special value still probes it.
+    breaks = sorted({s for s in specials + circle_crossings(*scheme.spec.char_poly(params))
+                     if s is not None and q_lo <= s <= q_hi * (1.0 + 1e-9)})
+    probes = [(breaks[0], True)]
+    for a, b in zip(breaks, breaks[1:]):
+        probes += [(0.5 * (a + b), False), (b, True)]
+    for q, at_break in probes:
+        verdict = classify_at_q(scheme, params, q)
+        if not verdict.stable:
+            break
+    return len(breaks), q, at_break, verdict
+
+
 def worst_case_verdict(scheme: Scheme, medium: MediumModel, k: float, h: float,
                        dim: int = 1, polarization: str | None = None,
                        h_y: float | None = None) -> StabilityVerdict:
-    """Verdict over all wavenumbers at fixed physical steps.
-
-    The verdict depends on the wavenumber only through the Courant quantity
-    q in [0, q_max], and it is constant between consecutive breakpoints:
-    the boundary-locus crossings plus 0, q_max, 2, 4 and the degenerate q.
-    Each breakpoint is probed (deciding closed against open conditions and
-    catching defective eigenvalues), then one midpoint per interval.
-    """
+    """Verdict over all wavenumbers at fixed physical steps, exact from the
+    breakpoint walk of q over [0, q_max].  Breakpoints decide closed against
+    open conditions and catch defective eigenvalues."""
     if medium.kind != scheme.kind:
         raise InvalidInputError(f"{scheme.value} cannot run in a {medium.kind} medium")
     if dim not in (1, 2):
         raise InvalidInputError("dim must be 1 or 2")
     params = dimensionless_params(medium, k, h)
-    lam = params.lam
-    if dim == 1:
-        q_max = 4.0 * lam * lam
-    else:
-        if polarization not in ("te", "tm"):
-            raise InvalidInputError("2D verdicts need polarization 'te' or 'tm'")
-        lam_y = lam * h / (h_y if h_y is not None else h)
-        q_max = 4.0 * lam * lam + 4.0 * lam_y * lam_y
-    specials = [0.0, q_max, 2.0, 4.0, _degenerate_q(scheme, params)]
-    # Relative whisker so that a q_max a few ulps below a special value
-    # still probes the special value itself.
-    breaks = sorted({s for s in specials + circle_crossings(*scheme.spec.char_poly(params))
-                     if s is not None and 0.0 <= s <= q_max * (1.0 + 1e-9)})
-    probes = [breaks[0]]
-    for lo, hi in zip(breaks, breaks[1:]):
-        probes += [0.5 * (lo + hi), hi]
-    for q in probes:
-        verdict = classify_at_q(scheme, params, q)
-        if not verdict.stable:
-            xi = xi_for_q(min(q, 4.0 * lam * lam), lam)
-            return StabilityVerdict(False, verdict.argument,
-                                    f"unstable at q={q:.12g}: {verdict.detail}",
-                                    worst_xi=xi)
-    detail = (f"stable at {len(breaks)} breakpoints in [0, q_max] and inside "
-              f"the {len(breaks) - 1} intervals between them")
+    n_breaks, q, _, verdict = _walk(scheme, params, 0.0,
+                                    _q_max(params, h, dim, polarization, h_y))
+    if not verdict.stable:
+        xi = xi_for_q(min(q, 4.0 * params.lam * params.lam), params.lam)
+        return StabilityVerdict(False, verdict.argument,
+                                f"unstable at q={q:.12g}: {verdict.detail}",
+                                worst_xi=xi)
+    detail = (f"stable at {n_breaks} breakpoints in [0, q_max] and inside "
+              f"the {n_breaks - 1} intervals between them")
     return StabilityVerdict(True, verdict.argument, detail, worst_xi=math.pi)
 
 
@@ -317,9 +331,11 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
     """Largest stable time step, found by bisection on the worst-case
     verdict between 0 and 2h/c_inf.
 
-    When instabilities are found below the bisection result (the stable set
-    in k is not an interval, as happens for resonant harmonic media), the
-    result reports the lowest unstable k probed instead of a boundary.
+    With the parameters at the final bracket's lo, q is walked on from
+    q_max(lo) to q_max(hi): an unstable breakpoint means an open Courant
+    condition, an unstable midpoint a closed one.  If the walk stays stable,
+    the verdict at the scheme's parameter limit `SchemeSpec.k_limit`
+    decides attainability when that limit lies in (lo, hi].
     """
     if h <= 0:
         raise InvalidInputError("h must be positive")
@@ -328,54 +344,32 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
         return worst_case_verdict(scheme, medium, k, h, dim=dim,
                                   polarization=polarization, h_y=h_y).stable
 
-    k_hi = 2.0 * h / medium.c_inf
-    if stable_at(k_hi):
+    hi = 2.0 * h / medium.c_inf
+    if stable_at(hi):
         raise NumericalFailureError(
             "no instability found up to 2h/c_inf; cannot bracket a boundary")
-    k_lo = 1e-6 * k_hi
-    if not stable_at(k_lo):
-        lowest = k_lo
-        for probe in (k_lo / 10.0, k_lo / 100.0):
-            if not stable_at(probe):
-                lowest = probe
+    lo = 1e-6 * hi
+    if not stable_at(lo):
+        lowest = min([lo] + [p for p in (lo / 10.0, lo / 100.0) if not stable_at(p)])
         return BoundaryResult(None, None, True, lowest,
                               "unstable at the bottom of the bracket "
                               "(resonant regime; no upper boundary in k)")
-    lo, hi = k_lo, k_hi
     while hi - lo > BOUNDARY_REL_RESOLUTION * hi:
         mid = 0.5 * (lo + hi)
         if stable_at(mid):
             lo = mid
         else:
             hi = mid
-    # Coarse monotonicity probe below the boundary.
-    non_monotone = False
-    lowest_unstable = None
-    for frac in np.geomspace(1e-4, 0.98, 16):
-        probe = frac * lo
-        if not stable_at(probe):
-            non_monotone = True
-            lowest_unstable = probe if lowest_unstable is None else min(
-                lowest_unstable, probe)
-    # Attainability: probe the exact condition values the boundary sits on
-    # (q_max hitting 4 or 2, delta hitting 1, omega hitting its limit).  A
-    # closed condition is stable at the snap point, an open one is not.
-    params_lo = dimensionless_params(medium, lo, h)
-    snaps: list[float] = []
-    q_max_lo = 4.0 * params_lo.lam ** 2
-    for q_target in (4.0, 2.0):
-        if abs(q_max_lo - q_target) < 0.05 * q_target:
-            snaps.append(lo * math.sqrt(q_target / q_max_lo))
-    if medium.kind == "debye" and abs(params_lo.delta - 1.0) < 0.05:
-        snaps.append(2.0 * medium.t_r)
-    if medium.kind == "lorentz":
-        w_lim = 2.0 / (2.0 * params_lo.eps_s_prime - 1.0)
-        if abs(params_lo.omega - w_lim) < 0.05 * w_lim:
-            snaps.append(math.sqrt(2.0 * w_lim) / medium.omega1)
-    attained = all(stable_at(s) for s in snaps) if snaps else None
-    detail = (f"bisection converged to [{lo:.9e}, {hi:.9e}]"
-              + ("; stable set below is not an interval" if non_monotone else ""))
-    return BoundaryResult(lo, attained, non_monotone, lowest_unstable, detail)
+    p_lo, p_hi = dimensionless_params(medium, lo, h), dimensionless_params(medium, hi, h)
+    _, _, at_break, verdict = _walk(scheme, p_lo, _q_max(p_lo, h, dim, polarization, h_y),
+                                    _q_max(p_hi, h, dim, polarization, h_y))
+    if verdict.stable:
+        k_lim = scheme.spec.k_limit(medium) if scheme.spec.k_limit else None
+        attained = stable_at(k_lim) if k_lim is not None and lo < k_lim <= hi else None
+    else:
+        attained = not at_break
+    return BoundaryResult(lo, attained, False, None,
+                          f"bisection converged to [{lo:.9e}, {hi:.9e}]")
 
 
 def reproduce_argument_table(scheme: Scheme) -> list[TableRow]:

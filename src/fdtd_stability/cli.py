@@ -85,7 +85,7 @@ class RunConfig:
     polarization: str | None = _option(choices=("te", "tm"))
     xi: float = _option(math.pi, help="wavenumber in radians per cell")
     xi_y: float | None = None
-    steps: int = 1000
+    steps: int = _option(1000, help="time steps of a growth run", minimum=100)
     grid: int = 64
     output: str | None = _option(help="CSV output path")
     empirical: bool = False
@@ -237,7 +237,7 @@ def _run_growth(cfg: RunConfig, scheme: Scheme, medium: MediumModel, wn: Wavenum
     def snap(xi):
         return 2.0 * math.pi * round(xi * cfg.grid / (2.0 * math.pi)) / cfg.grid
     harmonic = replace(wn, xi_x=snap(wn.xi_x), xi_y=snap(wn.xi_y) if wn.is_2d else None)
-    return run_growth(scheme, medium, cfg.k, cfg.h, harmonic, max(cfg.steps, 100),
+    return run_growth(scheme, medium, cfg.k, cfg.h, harmonic, cfg.steps,
                       polarization=cfg.polarization,
                       grid=(cfg.grid, cfg.grid) if wn.is_2d else cfg.grid)
 

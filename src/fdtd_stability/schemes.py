@@ -203,6 +203,9 @@ class SchemeSpec:
         grid stencil, never derived from the matrix, so that the simulator
         stays an independent referee.
     regimes             reference stability regimes of the scheme
+    k_limit             medium -> time step where the scheme's own parameter
+        condition meets its limit (Debye-Young delta = 1, Lorentz-Young omega
+        = 2/(2 eps' - 1)), or None when only the Courant condition bounds k
     """
 
     kind: str
@@ -215,6 +218,7 @@ class SchemeSpec:
     material: Callable[..., tuple]
     needs_prev_source: bool
     regimes: tuple[Regime, ...]
+    k_limit: Callable[[MediumModel], float] | None = None
 
 
 def dimensionless_params(medium: MediumModel, k: float, h: float) -> DimensionlessParams:
@@ -639,7 +643,8 @@ SPECS: dict[Scheme, SchemeSpec] = {
     Scheme.DEBYE_YOUNG: SchemeSpec(
         "debye", ("b", "E", "p"), q_limit=4.0, entries=_dy_entries,
         char_poly=_dy_char_poly, tm_factor=_dy_tm_factor, degenerate_q=None,
-        material=_dy_material, needs_prev_source=False, regimes=_DY_REGIMES),
+        material=_dy_material, needs_prev_source=False, regimes=_DY_REGIMES,
+        k_limit=lambda m: 2.0 * m.t_r),
     Scheme.LORENTZ_JOSEPH: SchemeSpec(
         "lorentz", ("b", "E", "E_prev", "d"), q_limit=2.0, entries=_lj_entries,
         char_poly=_lj_char_poly, tm_factor=_lj_tm_factor, degenerate_q=_lj_degenerate_q,
@@ -652,5 +657,6 @@ SPECS: dict[Scheme, SchemeSpec] = {
     Scheme.LORENTZ_YOUNG: SchemeSpec(
         "lorentz", ("b", "E", "p", "j"), q_limit=2.0, entries=_ly_entries,
         char_poly=_ly_char_poly, tm_factor=_ly_tm_factor, degenerate_q=lambda w: 2.0 * w,
-        material=_ly_material, needs_prev_source=False, regimes=_LY_REGIMES),
+        material=_ly_material, needs_prev_source=False, regimes=_LY_REGIMES,
+        k_limit=lambda m: 2.0 / (m.omega1 * math.sqrt(2.0 * m.eps_s / m.eps_inf - 1.0))),
 }

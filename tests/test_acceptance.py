@@ -35,6 +35,7 @@ from fdtd_stability import (
     step,
     tm_factor_2d,
 )
+from fdtd_stability import analyzer
 from fdtd_stability.cli import build_verify_plan, run_verify
 from fdtd_stability.schemes import amplification_matrix_at_q
 from fdtd_stability.simulator import linear_fit_residual
@@ -135,29 +136,45 @@ def test_criterion_3_table_reproduction():
             f"{total} representative points, {mismatches} mismatches, {elapsed:.1f}s")
 
 
+_SQRT2 = math.sqrt(2.0)
+_K_OMEGA_A = 2.0 / (MATERIAL_A.omega1 * math.sqrt(2 * 2.25 - 1))
+_K_OMEGA_B = 2.0 / (MATERIAL_B.omega1 * math.sqrt(2 * 2.0 - 1))
+# (label, scheme, medium, h, expected k*)
+CRITERION_4_CASES = [
+    ("debye-joseph water: k* = h/c_inf",
+     Scheme.DEBYE_JOSEPH, WATER, 1e-5, 1e-5 / WATER.c_inf),
+    ("debye-young water: k* = h/c_inf (q part of the min)",
+     Scheme.DEBYE_YOUNG, WATER, 1e-5, 1e-5 / WATER.c_inf),
+    ("debye-young foam: k* = 2 t_r (relaxation part of the min)",
+     Scheme.DEBYE_YOUNG, FOAM, 4.0, 2 * FOAM.t_r),
+    ("lorentz-joseph: k* = h/(sqrt2 c_inf)",
+     Scheme.LORENTZ_JOSEPH, MATERIAL_A, 1e-8,
+     1e-8 / (_SQRT2 * MATERIAL_A.c_inf)),
+    ("lorentz-kashiwa: k* = h/c_inf",
+     Scheme.LORENTZ_KASHIWA, MATERIAL_A, 1e-8, 1e-8 / MATERIAL_A.c_inf),
+    ("lorentz-young: k* = 2/(omega1 sqrt(2 eps' - 1)) at the arm crossover",
+     Scheme.LORENTZ_YOUNG, MATERIAL_A, _SQRT2 * MATERIAL_A.c_inf * _K_OMEGA_A,
+     _K_OMEGA_A),
+]
+# (label, scheme, medium, h, expected k*, relative tolerance)
+CRITERION_5_CASES = [
+    ("water crossover (h = 4.2 mm): 1.88e-11 s",
+     Scheme.DEBYE_YOUNG, WATER, 4.2e-3, 1.88e-11, 0.02),
+    ("foam relaxation limit: 1.3e-9 s",
+     Scheme.DEBYE_YOUNG, FOAM, 4.0, 1.3e-9, 0.02),
+    ("optical Lorentz medium: 2.7e-17 s",
+     Scheme.LORENTZ_YOUNG, MATERIAL_A, 1.13e-8, 2.7e-17, 0.03),
+    ("radio Lorentz medium: 3.6e-12 s",
+     Scheme.LORENTZ_YOUNG, MATERIAL_B, _SQRT2 * MATERIAL_B.c_inf * _K_OMEGA_B,
+     3.6e-12, 0.03),
+]
+
+
 def test_criterion_4_condition_table_boundaries():
     """Bisection boundaries within 1% of the analytic conditions."""
     t0 = time.monotonic()
-    sqrt2 = math.sqrt(2.0)
-    k_omega_a = 2.0 / (MATERIAL_A.omega1 * math.sqrt(2 * 2.25 - 1))
-    cases = [
-        ("debye-joseph water: k* = h/c_inf",
-         Scheme.DEBYE_JOSEPH, WATER, 1e-5, 1e-5 / WATER.c_inf),
-        ("debye-young water: k* = h/c_inf (q part of the min)",
-         Scheme.DEBYE_YOUNG, WATER, 1e-5, 1e-5 / WATER.c_inf),
-        ("debye-young foam: k* = 2 t_r (relaxation part of the min)",
-         Scheme.DEBYE_YOUNG, FOAM, 4.0, 2 * FOAM.t_r),
-        ("lorentz-joseph: k* = h/(sqrt2 c_inf)",
-         Scheme.LORENTZ_JOSEPH, MATERIAL_A, 1e-8,
-         1e-8 / (sqrt2 * MATERIAL_A.c_inf)),
-        ("lorentz-kashiwa: k* = h/c_inf",
-         Scheme.LORENTZ_KASHIWA, MATERIAL_A, 1e-8, 1e-8 / MATERIAL_A.c_inf),
-        ("lorentz-young: k* = 2/(omega1 sqrt(2 eps' - 1)) at the arm crossover",
-         Scheme.LORENTZ_YOUNG, MATERIAL_A, sqrt2 * MATERIAL_A.c_inf * k_omega_a,
-         k_omega_a),
-    ]
     ok = True
-    for label, scheme, medium, h, expected in cases:
+    for label, scheme, medium, h, expected in CRITERION_4_CASES:
         res = stability_boundary_k(scheme, medium, h)
         rel = abs(res.k_star - expected) / expected
         line_ok = rel < 0.01
@@ -172,21 +189,8 @@ def test_criterion_4_condition_table_boundaries():
 def test_criterion_5_reference_numeric_crossovers():
     """Known time-step limits for the four example media."""
     t0 = time.monotonic()
-    sqrt2 = math.sqrt(2.0)
-    k_omega_b = 2.0 / (MATERIAL_B.omega1 * math.sqrt(2 * 2.0 - 1))
-    cases = [
-        ("water crossover (h = 4.2 mm): 1.88e-11 s",
-         Scheme.DEBYE_YOUNG, WATER, 4.2e-3, 1.88e-11, 0.02),
-        ("foam relaxation limit: 1.3e-9 s",
-         Scheme.DEBYE_YOUNG, FOAM, 4.0, 1.3e-9, 0.02),
-        ("optical Lorentz medium: 2.7e-17 s",
-         Scheme.LORENTZ_YOUNG, MATERIAL_A, 1.13e-8, 2.7e-17, 0.03),
-        ("radio Lorentz medium: 3.6e-12 s",
-         Scheme.LORENTZ_YOUNG, MATERIAL_B, sqrt2 * MATERIAL_B.c_inf * k_omega_b,
-         3.6e-12, 0.03),
-    ]
     ok = True
-    for label, scheme, medium, h, expected, tol in cases:
+    for label, scheme, medium, h, expected, tol in CRITERION_5_CASES:
         res = stability_boundary_k(scheme, medium, h)
         rel = abs(res.k_star - expected) / expected
         line_ok = rel < tol
@@ -197,6 +201,27 @@ def test_criterion_5_reference_numeric_crossovers():
     elapsed = time.monotonic() - t0
     _report("criterion 5 (reference numeric crossovers)",
             ok and elapsed < 10.0, f"{elapsed:.1f}s")
+
+
+def test_criterion_4_5_verdict_budget(monkeypatch):
+    """A criterion-4/5 search costs two worst-case verdicts at the bracket
+    ends, one per bisection step down to 1e-4 relative width (15 to 18
+    here), and at most one at a parameter limit; no other probes."""
+    inner = analyzer.worst_case_verdict
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(analyzer, "worst_case_verdict", counted)
+    counts = []
+    for _, scheme, medium, h, *_ in CRITERION_4_CASES + CRITERION_5_CASES:
+        calls.clear()
+        stability_boundary_k(scheme, medium, h)
+        counts.append(len(calls))
+    _report("criterion 4/5 verdict budget (at most 22 worst-case verdicts per search)",
+            max(counts) <= 22, f"verdicts per search {counts}")
 
 
 @pytest.mark.parametrize("scheme,q_res_of", [

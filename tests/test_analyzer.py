@@ -252,16 +252,21 @@ def test_worst_case_2d_courant_limit(scheme, medium, h, h_y, polarization, reque
     assert not worst_case_verdict(scheme, medium, 1.01 * k_lim, h, **kw).stable
 
 
-def test_worst_case_no_false_instability_at_tiny_steps(water):
+@pytest.mark.parametrize("h,kw,courant", [
+    (1e-5, dict(dim=2, polarization="te"), 1.0 / math.sqrt(2.0)),
+    (6.954068841685703e-06, {}, 1.0),
+], ids=["te", "1d"])
+def test_worst_case_no_false_instability_at_tiny_steps(water, h, kw, courant):
     """The Debye-Joseph scheme with eps_s > eps_inf is Schur-stable for
     0 < q < 4, so no time step below the Courant limit is unstable.  A
     sampled wavenumber scan probes q = 1.36e-11 at k = 3.16e-18, where
-    classify_at_q misreads a near-tie (see the xfail below) and the 2D
-    search then reports a non-interval stable set."""
-    res = stability_boundary_k(Scheme.DEBYE_JOSEPH, water, 1e-5, dim=2, polarization="te")
+    classify_at_q misreads a near-tie (see the xfail below); at
+    h = 6.954e-6 the worst-case verdict at k = 3.11e-18 hits the same
+    misread.  Neither probe may turn the search non-monotone."""
+    res = stability_boundary_k(Scheme.DEBYE_JOSEPH, water, h, **kw)
     assert res.non_monotone is False
     assert res.lowest_unstable_k is None
-    assert res.k_star == pytest.approx(1e-5 / (math.sqrt(2.0) * water.c_inf), rel=1e-2)
+    assert res.k_star == pytest.approx(courant * h / water.c_inf, rel=1e-2)
     assert worst_case_verdict(Scheme.DEBYE_JOSEPH, water, 3.1644077724020904e-18, 1e-5).stable
 
 
@@ -345,6 +350,24 @@ def test_boundary_kashiwa_open_condition(optical_lorentz):
     res = stability_boundary_k(Scheme.LORENTZ_KASHIWA, optical_lorentz, 1e-8)
     assert res.k_star == pytest.approx(1e-8 / optical_lorentz.c_inf, rel=1e-2)
     assert res.attained is False
+
+
+@pytest.mark.parametrize("geometry", ["1d", "te", "tm"])
+@pytest.mark.parametrize("scheme,medium,h,attained", [
+    (Scheme.DEBYE_JOSEPH, "water", 1e-5, True),               # closed q = 4
+    (Scheme.LORENTZ_KASHIWA, "optical_lorentz", 1e-8, False),  # open q = 4
+    (Scheme.LORENTZ_JOSEPH, "optical_lorentz", 1e-8, True),    # closed q = 2
+    (Scheme.DEBYE_YOUNG, "water", 1e-5, True),                 # closed crossing
+])
+def test_boundary_attainability_referee(scheme, medium, h, attained, geometry, request):
+    """Whether k* itself is stable follows from the regime the boundary
+    sits on, closed or open, and not from the geometry: 1D, TE with
+    h_y = h and TM with h_y = 2h give the same answer."""
+    kw = {"1d": {}, "te": dict(dim=2, polarization="te", h_y=h),
+          "tm": dict(dim=2, polarization="tm", h_y=2.0 * h)}[geometry]
+    res = stability_boundary_k(scheme, request.getfixturevalue(medium), h, **kw)
+    assert res.attained is attained
+    assert not res.non_monotone
 
 
 def test_boundary_resonant_harmonic_medium_has_no_interval(resonant_lorentz):

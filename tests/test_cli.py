@@ -248,9 +248,11 @@ def _field_type(f):
 
 def _sample_value(f):
     """A valid non-default value for a RunConfig field, as on the command line."""
-    choices = f.metadata.get("choices")
+    choices, minimum = f.metadata.get("choices"), f.metadata.get("minimum")
     if choices:
         return str(choices[-1])
+    if minimum is not None:
+        return str(max(minimum, 7))
     return {float: "2.5e-3", int: "7", str: "out.csv"}[_field_type(f)]
 
 
@@ -295,6 +297,7 @@ _POINT = {"scheme": "debye-joseph", "eps_inf": "1.8", "eps_s": "81.0",
     ("scan", "count", "0"),
     ("scan", "count", "-1"),
     ("verify", "samples", "-5"),
+    ("simulate", "steps", "50"),
 ])
 @pytest.mark.parametrize("source", ["flag", "file"])
 def test_bad_value_exits_2_from_either_source(command, key, value, source,

@@ -1,6 +1,7 @@
 """Golden outputs: the ``tables`` report, ``scan --vary q`` CSVs, 2D
-``analyze`` CSV rows, the verify plan and the SHA-256 of simulator norm
-histories, compared byte for byte with the files under ``tests/golden/``.
+``analyze`` CSV rows, the verify plan, the SHA-256 of simulator norm
+histories and boundary-search results, compared byte for byte with the
+files under ``tests/golden/``.
 
 The files pin the verdicts and numbers of the whole analytic route and the
 bits of the empirical one, so a refactor that is meant to change no output
@@ -23,7 +24,14 @@ from pathlib import Path
 
 import pytest
 
-from fdtd_stability import MediumModel, Scheme, Wavenumber, cli, run_growth
+from fdtd_stability import (
+    MediumModel,
+    Scheme,
+    Wavenumber,
+    cli,
+    run_growth,
+    stability_boundary_k,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -144,6 +152,48 @@ def norm_history_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+_BOUNDARY_MEDIA = {
+    "water": MediumModel.debye(1.8, 81.0, 9.4e-12),
+    "foam": MediumModel.debye(1.01, 1.16, 6.497e-10),
+    "optical": MediumModel.lorentz(1.0, 2.25, 4e16, 0.56e16),
+    "radio": MediumModel.lorentz(1.5, 3.0, 2 * math.pi * 5e10, 1e10),
+}
+
+
+def _young_omega_h(m: MediumModel) -> float:
+    """Space step at which the Lorentz-Young Courant limit q = 2 and its
+    omega limit give the same time step."""
+    k_omega = 2.0 / (m.omega1 * math.sqrt(2.0 * m.eps_s / m.eps_inf - 1.0))
+    return math.sqrt(2.0) * m.c_inf * k_omega
+
+
+def boundaries_text() -> str:
+    """repr(k*), attained and non_monotone of ``stability_boundary_k`` for
+    the nine criterion-4/5 cases (1D), and for the four Courant-limited
+    cases of the attainability referee in TE with h_y = h and in TM with
+    h_y = 2h."""
+    criterion = [
+        ("debye-joseph", "water", 1e-5), ("debye-young", "water", 1e-5),
+        ("debye-young", "foam", 4.0), ("lorentz-joseph", "optical", 1e-8),
+        ("lorentz-kashiwa", "optical", 1e-8),
+        ("lorentz-young", "optical", _young_omega_h(_BOUNDARY_MEDIA["optical"])),
+        ("debye-young", "water", 4.2e-3), ("lorentz-young", "optical", 1.13e-8),
+        ("lorentz-young", "radio", _young_omega_h(_BOUNDARY_MEDIA["radio"]))]
+    referee = [("debye-joseph", "water", 1e-5), ("lorentz-kashiwa", "optical", 1e-8),
+               ("lorentz-joseph", "optical", 1e-8), ("debye-young", "water", 1e-5)]
+    cases = ([c + ("1d",) for c in criterion]
+             + [c + (geometry,) for c in referee for geometry in ("te", "tm")])
+    lines = []
+    for scheme, medium, h, geometry in cases:
+        kw = {} if geometry == "1d" else dict(
+            dim=2, polarization=geometry, h_y=h if geometry == "te" else 2.0 * h)
+        res = stability_boundary_k(Scheme.from_name(scheme), _BOUNDARY_MEDIA[medium],
+                                   h, **kw)
+        lines.append("|".join((scheme, medium, geometry, repr(h), repr(res.k_star),
+                               str(res.attained), str(res.non_monotone))))
+    return "\n".join(lines) + "\n"
+
+
 def _artifacts():
     yield "tables.txt", tables_text
     for stem, scheme, flags in SCAN_CASES:
@@ -151,6 +201,7 @@ def _artifacts():
     yield "analyze_2d.csv", analyze_2d_text
     yield "verify_plan.txt", verify_plan_text
     yield "norm_histories.txt", norm_history_text
+    yield "boundaries.txt", boundaries_text
 
 
 def _golden(name: str) -> str:
@@ -182,6 +233,10 @@ def test_verify_plan_golden():
 
 def test_norm_histories_golden():
     assert norm_history_text() == _golden("norm_histories.txt")
+
+
+def test_boundaries_golden():
+    assert boundaries_text() == _golden("boundaries.txt")
 
 
 if __name__ == "__main__":
