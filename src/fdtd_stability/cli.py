@@ -2,9 +2,10 @@
 analyzer against simulator, and reproduce the reference stability tables.
 
 Configuration is a flat ``key = value`` text file ('#' starts a comment)
-whose keys are the `RunConfig` fields, each also a flag (``--eps-inf``);
-command-line flags override file keys.  All reports are CSV with
-full-precision scientific notation so every value round-trips exactly.
+whose keys are the `RunConfig` fields; each is also a flag (``--eps-inf``)
+of the commands that read it, and command-line flags override file keys.
+A flag that the command does not read is an error.  All reports are CSV
+with full-precision scientific notation so every value round-trips exactly.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input,
 3 numerical failure.
@@ -58,42 +59,49 @@ VERIFY_HEADER = ("scheme", "medium", "dim", "polarization", "k", "h", "xi_x",
 VERIFY_MARGIN_BAND = 1e-3
 
 
-def _option(default=None, help=None, choices=None, minimum=None):
-    return field(default=default, metadata={"help": help, "choices": choices,
-                                            "minimum": minimum})
+def _option(commands, default=None, help=None, choices=None, minimum=None):
+    return field(default=default, metadata={"commands": commands, "help": help,
+                                            "choices": choices, "minimum": minimum})
+
+
+# The commands that read a field; analyze reads steps and grid for --empirical.
+_POINT = ("analyze", "scan", "simulate")
+_GROWTH = ("analyze", "simulate")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Run description; every command reads a subset of fields.
 
-    Each field other than ``command`` is both a config-file key and a flag
-    (``--`` plus the name with '-' for '_'); its metadata holds the help
-    text and the allowed values that `check_config` enforces."""
+    Each field other than ``command`` is a config-file key, accepted by every
+    command, and a flag (``--`` plus the name with '-' for '_') of the
+    commands that read it; its metadata holds those commands, the help text
+    and the allowed values that `check_config` enforces."""
 
     command: str
-    scheme: str | None = _option(choices=tuple(s.value for s in Scheme))
-    eps_inf: float | None = None
-    eps_s: float | None = None
-    t_r: float | None = _option(help="Debye relaxation time in seconds")
-    omega1: float | None = _option(help="Lorentz resonance in rad/s")
-    nu: float | None = _option(help="Lorentz damping in rad/s")
-    k: float | None = _option(help="time step in seconds")
-    h: float | None = _option(help="space step in meters")
-    h_y: float | None = _option(help="y space step in meters (2D; default h)")
-    dim: int = _option(1, choices=(1, 2))
-    polarization: str | None = _option(choices=("te", "tm"))
-    xi: float = _option(math.pi, help="wavenumber in radians per cell")
-    xi_y: float | None = None
-    steps: int = _option(1000, help="time steps of a growth run", minimum=100)
-    grid: int = 64
-    output: str | None = _option(help="CSV output path")
-    empirical: bool = False
-    vary: str | None = _option(choices=("k", "xi", "q"))
-    start: float | None = None
-    stop: float | None = None
-    count: int = _option(33, help="scan points", minimum=1)
-    samples: int = _option(0, help="verify points, 0 for all", minimum=0)
+    scheme: str | None = _option((*_POINT, "tables"),
+                                 choices=tuple(s.value for s in Scheme))
+    eps_inf: float | None = _option(_POINT)
+    eps_s: float | None = _option(_POINT)
+    t_r: float | None = _option(_POINT, help="Debye relaxation time in seconds")
+    omega1: float | None = _option(_POINT, help="Lorentz resonance in rad/s")
+    nu: float | None = _option(_POINT, help="Lorentz damping in rad/s")
+    k: float | None = _option(_POINT, help="time step in seconds")
+    h: float | None = _option(_POINT, help="space step in meters")
+    h_y: float | None = _option(_GROWTH, help="y space step in meters (2D; default h)")
+    dim: int = _option(_GROWTH, 1, choices=(1, 2))
+    polarization: str | None = _option(_GROWTH, choices=("te", "tm"))
+    xi: float = _option(_POINT, math.pi, help="wavenumber in radians per cell")
+    xi_y: float | None = _option(_GROWTH)
+    steps: int = _option(_GROWTH, 1000, help="time steps of a growth run", minimum=100)
+    grid: int = _option(_GROWTH, 64)
+    output: str | None = _option((*_POINT, "verify"), help="CSV output path")
+    empirical: bool = _option(("analyze",), False)
+    vary: str | None = _option(("scan",), choices=("k", "xi", "q"))
+    start: float | None = _option(("scan",))
+    stop: float | None = _option(("scan",))
+    count: int = _option(("scan",), 33, help="scan points", minimum=1)
+    samples: int = _option(("verify",), 0, help="verify points, 0 for all", minimum=0)
 
 
 # Key -> value type, with the "| None" stripped.
@@ -385,15 +393,8 @@ def build_verify_plan(grid: int = 24, steps: int = 700) -> list[_VerifyPoint]:
                 ndir = 1 if dim == 1 else 2
                 for frac, regime in ((0.35, "stable"), (0.70, "stable"),
                                      (1.0 - 2.0e-4, "near-boundary"),
-                                     (1.25, "unstable"), (1.60, "unstable")):
-                    if scheme is Scheme.LORENTZ_YOUNG and frac > 1.0:
-                        # The Young scheme's damped boundary is soft; drive
-                        # it clearly past the limit instead.
-                        frac = 1.0 + 0.9 * (frac - 1.0) + 0.8
-                    elif scheme is Scheme.LORENTZ_JOSEPH and frac > 1.0:
-                        # Weakly damped media leave only a ~1e-4 per-step
-                        # growth just past q = 2; use stronger violations.
-                        frac += 0.35
+                                     *((f, "unstable")
+                                       for f in scheme.spec.verify_unstable)):
                     q_tot = frac * q_lim
                     lam_dir = math.sqrt(q_tot / (4.0 * ndir))
                     k = lam_dir * h_ref / medium.c_inf
@@ -503,9 +504,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         ("simulate", "run the time-stepping growth probe"),
                         ("verify", "cross-check analyzer against simulator"),
                         ("tables", "reproduce the reference stability tables")):
-        p = sub.add_parser(name, help=help_)
+        # No abbreviations: --h of a command that does not read h would
+        # otherwise be taken for --help.
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)
         p.add_argument("--config", help="flat key = value configuration file")
         for f in _OPTIONS:
+            if name not in f.metadata["commands"]:
+                continue
             text = f.metadata.get("help")
             if f.metadata.get("choices"):
                 text = "one of " + ", ".join(map(str, f.metadata["choices"]))
@@ -532,8 +537,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg = replace(cfg, command=args.command)
     else:
         cfg = RunConfig(command=args.command)
-    overrides = {f.name: getattr(args, f.name) for f in _OPTIONS
-                 if getattr(args, f.name) is not None}
+    flags = vars(args)
+    overrides = {f.name: flags[f.name] for f in _OPTIONS
+                 if flags.get(f.name) is not None}
     return check_config(replace(cfg, **overrides))
 
 
@@ -548,11 +554,13 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args, unread = parser.parse_known_args(argv)
     if not args.command:
         parser.print_help()
         return 2
     try:
+        if unread:
+            raise InvalidInputError(f"{args.command} does not take {' '.join(unread)}")
         cfg = _config_from_args(args)
         return _COMMANDS[args.command](cfg)
     except InvalidInputError as exc:

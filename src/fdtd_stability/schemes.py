@@ -196,16 +196,23 @@ class SchemeSpec:
     tm_factor           params -> coefficients of the extra 2D TM factor
     degenerate_q        omega -> Courant value where two root couples collide
         on the unit circle (harmonic media, eps_s = eps_inf), or None
-    material            (params, E, aux, S, S_old) -> (E_new, aux_new): the
-        simulator's update of one field component E and its auxiliary arrays
-        aux, from the curl source S of the fresh magnetic field and S_old of
-        the previous one (read only if needs_prev_source).  A hand-written
-        grid stencil, never derived from the matrix, so that the simulator
-        stays an independent referee.
+    material            params -> update(E, aux, S, S_old, E_out, aux_out):
+        the simulator's update of one field component E and its auxiliary
+        arrays aux (a sequence in state_labels order), from the curl source
+        S of the fresh magnetic field and S_old of the previous one (read
+        only if needs_prev_source).  The factory binds the scalar
+        coefficients once per run; update writes E_out and the sequence
+        aux_out in place (slot views of the next of the two stacked state
+        buffers that a growth run alternates; every argument is one grid
+        component) and may overwrite the scratch arrays S and S_old.  A
+        hand-written grid stencil, never derived from the matrix, so that
+        the simulator stays an independent referee.
     regimes             reference stability regimes of the scheme
     k_limit             medium -> time step where the scheme's own parameter
         condition meets its limit (Debye-Young delta = 1, Lorentz-Young omega
         = 2/(2 eps' - 1)), or None when only the Courant condition bounds k
+    verify_unstable     fractions of q_limit at which the verify plan probes
+        the unstable side
     """
 
     kind: str
@@ -215,10 +222,11 @@ class SchemeSpec:
     char_poly: Callable[..., tuple[tuple[float, ...], tuple[float, ...]]]
     tm_factor: Callable[..., tuple[float, ...]]
     degenerate_q: Callable[[float], float] | None
-    material: Callable[..., tuple]
+    material: Callable[[DimensionlessParams], Callable[..., None]]
     needs_prev_source: bool
     regimes: tuple[Regime, ...]
     k_limit: Callable[[MediumModel], float] | None = None
+    verify_unstable: tuple[float, ...] = (1.25, 1.60)
 
 
 def dimensionless_params(medium: MediumModel, k: float, h: float) -> DimensionlessParams:
@@ -361,12 +369,19 @@ def _dj_tm_factor(p):
     return (-(1.0 - d * es), 1.0 + d * es)
 
 
-def _dj_material(p, E, aux, S, S_old):
+def _dj_material(p):
     d, es = p.delta, p.eps_s_prime
-    flux = aux["d"] + S
-    E_new = ((1.0 - d * es) * E + (1.0 + d) * flux - (1.0 - d) * aux["d"]) \
-        / (1.0 + d * es)
-    return E_new, {"d": flux}
+    c_E, c_flux, c_d, den = 1.0 - d * es, 1.0 + d, 1.0 - d, 1.0 + d * es
+
+    def update(E, aux, S, S_old, E_out, aux_out):
+        (dd,), (flux,) = aux, aux_out
+        np.add(dd, S, out=flux)
+        # E_out = ((1 - d es) E + (1 + d) flux - (1 - d) dd) / (1 + d es)
+        np.multiply(c_E, E, out=E_out)
+        E_out += c_flux * flux
+        E_out -= c_d * dd
+        E_out /= den
+    return update
 
 
 _DJ_REGIMES = (
@@ -411,11 +426,23 @@ def _dy_tm_factor(p):
     return (-(1.0 - a) * (1.0 - d * a), (1.0 + a) * (1.0 + d * a))
 
 
-def _dy_material(p, E, aux, S, S_old):
+def _dy_material(p):
     d, a = p.delta, p.alpha
-    pol = ((1.0 - d) * aux["p"] + 2.0 * d * a * E) / (1.0 + d)
-    E_new = ((1.0 - d * a) * E + S + 2.0 * d * pol) / (1.0 + d * a)
-    return E_new, {"p": pol}
+    c_p, c_pE, den_p = 1.0 - d, 2.0 * d * a, 1.0 + d
+    c_E, c_pol, den_E = 1.0 - d * a, 2.0 * d, 1.0 + d * a
+
+    def update(E, aux, S, S_old, E_out, aux_out):
+        (pol,), (pol_out,) = aux, aux_out
+        # pol_out = ((1 - d) pol + 2 d a E) / (1 + d)
+        np.multiply(c_p, pol, out=pol_out)
+        pol_out += c_pE * E
+        pol_out /= den_p
+        # E_out = ((1 - d a) E + S + 2 d pol_out) / (1 + d a)
+        np.multiply(c_E, E, out=E_out)
+        E_out += S
+        E_out += c_pol * pol_out
+        E_out /= den_E
+    return update
 
 
 _DY_REGIMES = (
@@ -467,15 +494,26 @@ def _lj_degenerate_q(w):
     return 2.0 * w / (1.0 + w)
 
 
-def _lj_material(p, E, aux, S, S_old):
+def _lj_material(p):
     d, es, w = p.delta, p.eps_s_prime, p.omega
     A = 1.0 + d + w * es
     C = 1.0 - d + w * es
-    flux = aux["d"] + S
-    flux_prev = aux["d"] - S_old
-    E_new = (2.0 * E - C * aux["E_prev"] + (1.0 + d + w) * flux
-             - 2.0 * aux["d"] + (1.0 - d + w) * flux_prev) / A
-    return E_new, {"E_prev": E, "d": flux}
+    c_flux, c_prev = 1.0 + d + w, 1.0 - d + w
+
+    def update(E, aux, S, S_old, E_out, aux_out):
+        (E_prev, dd), (E_prev_out, flux) = aux, aux_out
+        np.add(dd, S, out=flux)
+        flux_prev = np.subtract(dd, S_old, out=S_old)
+        # E_out = (2 E - C E_prev + (1 + d + w) flux - 2 dd
+        #          + (1 - d + w) flux_prev) / A
+        np.multiply(2.0, E, out=E_out)
+        E_out -= C * E_prev
+        E_out += c_flux * flux
+        E_out -= 2.0 * dd
+        E_out += c_prev * flux_prev
+        E_out /= A
+        np.copyto(E_prev_out, E)
+    return update
 
 
 _LJ_REGIMES = (
@@ -535,15 +573,27 @@ def _lk_tm_factor(p):
     return (1.0 - d + 0.5 * w * es, -(2.0 - w * es), 1.0 + d + 0.5 * w * es)
 
 
-def _lk_material(p, E, aux, S, S_old):
-    w = p.omega
-    a = p.alpha
+def _lk_material(p):
+    w, a = p.omega, p.alpha
     den = _lk_denominator(p)
-    cur = ((2.0 - den) * aux["j"] + 2.0 * w * a * E + w * a * S
-           - 2.0 * w * aux["p"]) / den
-    pol = aux["p"] + 0.5 * (cur + aux["j"])
-    E_new = E + S - (pol - aux["p"])
-    return E_new, {"p": pol, "j": cur}
+    c_j, c_E, c_S, c_p = 2.0 - den, 2.0 * w * a, w * a, 2.0 * w
+
+    def update(E, aux, S, S_old, E_out, aux_out):
+        (pol, cur), (pol_out, cur_out) = aux, aux_out
+        # cur_out = ((2 - den) cur + 2 w a E + w a S - 2 w pol) / den
+        np.multiply(c_j, cur, out=cur_out)
+        cur_out += c_E * E
+        cur_out += c_S * S
+        cur_out -= c_p * pol
+        cur_out /= den
+        # pol_out = pol + 0.5 (cur_out + cur)
+        np.add(cur_out, cur, out=pol_out)
+        pol_out *= 0.5
+        pol_out += pol
+        # E_out = E + S - (pol_out - pol)
+        np.add(E, S, out=E_out)
+        E_out -= pol_out - pol
+    return update
 
 
 _LK_REGIMES = (
@@ -592,12 +642,22 @@ def _ly_tm_factor(p):
     return (1.0 - d, -2.0 * (1.0 - w * es), 1.0 + d)
 
 
-def _ly_material(p, E, aux, S, S_old):
+def _ly_material(p):
     d, w, a = p.delta, p.omega, p.alpha
-    cur = ((1.0 - d) * aux["j"] + 2.0 * w * a * E - 2.0 * w * aux["p"]) / (1.0 + d)
-    pol = aux["p"] + cur
-    E_new = E + S - cur
-    return E_new, {"p": pol, "j": cur}
+    c_j, c_E, c_p, den = 1.0 - d, 2.0 * w * a, 2.0 * w, 1.0 + d
+
+    def update(E, aux, S, S_old, E_out, aux_out):
+        (pol, cur), (pol_out, cur_out) = aux, aux_out
+        # cur_out = ((1 - d) cur + 2 w a E - 2 w pol) / (1 + d)
+        np.multiply(c_j, cur, out=cur_out)
+        cur_out += c_E * E
+        cur_out -= c_p * pol
+        cur_out /= den
+        np.add(pol, cur_out, out=pol_out)
+        # E_out = E + S - cur_out
+        np.add(E, S, out=E_out)
+        E_out -= cur_out
+    return update
 
 
 _LY_REGIMES = (
@@ -648,7 +708,10 @@ SPECS: dict[Scheme, SchemeSpec] = {
     Scheme.LORENTZ_JOSEPH: SchemeSpec(
         "lorentz", ("b", "E", "E_prev", "d"), q_limit=2.0, entries=_lj_entries,
         char_poly=_lj_char_poly, tm_factor=_lj_tm_factor, degenerate_q=_lj_degenerate_q,
-        material=_lj_material, needs_prev_source=True, regimes=_LJ_REGIMES),
+        material=_lj_material, needs_prev_source=True, regimes=_LJ_REGIMES,
+        # Weakly damped media leave only a ~1e-4 per-step growth just past
+        # q = 2; use stronger violations.
+        verify_unstable=(1.25 + 0.35, 1.60 + 0.35)),
     Scheme.LORENTZ_KASHIWA: SchemeSpec(
         "lorentz", ("b", "E", "p", "j"), q_limit=4.0, entries=_lk_entries,
         char_poly=_lk_char_poly, tm_factor=_lk_tm_factor,
@@ -658,5 +721,7 @@ SPECS: dict[Scheme, SchemeSpec] = {
         "lorentz", ("b", "E", "p", "j"), q_limit=2.0, entries=_ly_entries,
         char_poly=_ly_char_poly, tm_factor=_ly_tm_factor, degenerate_q=lambda w: 2.0 * w,
         material=_ly_material, needs_prev_source=False, regimes=_LY_REGIMES,
-        k_limit=lambda m: 2.0 / (m.omega1 * math.sqrt(2.0 * m.eps_s / m.eps_inf - 1.0))),
+        k_limit=lambda m: 2.0 / (m.omega1 * math.sqrt(2.0 * m.eps_s / m.eps_inf - 1.0)),
+        # The damped boundary is soft; drive it clearly past the limit.
+        verify_unstable=(1.0 + 0.9 * (1.25 - 1.0) + 0.8, 1.0 + 0.9 * (1.60 - 1.0) + 0.8)),
 }

@@ -12,18 +12,32 @@ k*J/(eps0 eps_inf)).  Array index j holds the value at the half-shifted
 position for the staggered components, so the Fourier coefficients of the
 arrays are directly the components of the analyzer's state vector.
 
+The state of one time level is one stacked C-order array, one slot per
+component (`FieldState.labels`); in TM the x and y components of a field
+sit next to each other.  A growth run allocates two such buffers and
+alternates them as source and destination.  Each direction is a kernel
+bound once per run: the slot views, the stencil slices, the scratch for
+the curl source and the scalar coefficients of the scheme's
+``SchemeSpec.material(params)`` update.  Every stencil difference and every
+material update writes with ``out=`` into the next buffer, so a step
+allocates no state, and each step ends with one sup-norm over the whole
+stacked buffer.  Public `step` applies the same kernel once into a fresh
+buffer, so there is one stepping code path.
+
 The periodic differences are slicing stencils: ``a[1:] - a[:-1]`` and the
-one wrapped row or column, written into a single result array.  They do
-the arithmetic of ``np.roll(a, -1) - a`` element by element, so norm
-histories are bit for bit those of the roll stencil, with far fewer NumPy
-calls per step on the small grids of the verify sweep.  A non-finite entry
-anywhere in the state, NaN included, is overflow: it ends a growth run.
+one wrapped row or column, written into the result array.  They do the
+arithmetic of ``np.roll(a, -1) - a`` element by element, so norm histories
+are bit for bit those of the roll stencil, with far fewer NumPy calls per
+step on the small grids of the verify sweep.  A non-finite entry anywhere
+in the state, NaN included, is overflow: it ends a growth run.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -40,27 +54,46 @@ GROWTH_RATE_TOL = 1e-4
 
 @dataclass(frozen=True)
 class FieldState:
-    """Field arrays of one scheme at one time level."""
+    """Field arrays of one scheme at one time level, stacked in one array.
+
+    ``data[i]`` holds the component ``labels[i]`` on the whole grid; in TM
+    the x and y components of a field sit next to each other."""
 
     scheme: Scheme
     polarization: str | None  # None in 1D
-    arrays: dict[str, np.ndarray]
+    data: np.ndarray  # (len(labels), *grid_shape)
     h_ratio: float = 1.0  # h_x / h_y
+
+    def __post_init__(self):
+        if self.data.shape[:1] != (len(self.labels),) or \
+                self.data.ndim != (2 if self.polarization is None else 3):
+            raise InvalidInputError(
+                f"state data of shape {self.data.shape} does not hold the "
+                f"{len(self.labels)} components of {self.scheme.value} "
+                f"({self.polarization or '1d'})")
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return _LABELS[self.scheme, self.polarization]
+
+    @property
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Component label -> view of its slot in ``data``."""
+        return dict(zip(self.labels, self.data))
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
-        return next(iter(self.arrays.values())).shape
+        return self.data.shape[1:]
 
     def sup_norm(self) -> float:
-        """Largest absolute entry over all arrays; NaN if any entry is NaN
-        (Python's ``max`` would drop a NaN that follows a finite value)."""
-        norm = 0.0
-        for a in self.arrays.values():
-            peak = float(abs(a).max())
-            if math.isnan(peak):
-                return peak
-            norm = max(norm, peak)
-        return norm
+        return _sup_norm(self.data, np.empty_like(self.data))
+
+
+def _sup_norm(data: np.ndarray, free: np.ndarray) -> float:
+    """Largest absolute entry; NaN if any entry is NaN.  One NaN-propagating
+    ``max`` over the whole stacked state, whose absolute values go into
+    ``free``, a buffer of the same shape that holds nothing still needed."""
+    return float(np.abs(data, out=free).max())
 
 
 @dataclass(frozen=True)
@@ -75,9 +108,21 @@ class GrowthReport:
     overflow_step: int | None = None
 
 
-# Material (auxiliary) labels of each scheme: its state labels but b and E.
-_AUX_LABELS = {s: tuple(l for l in s.spec.state_labels if l not in ("b", "E"))
-               for s in Scheme}
+def _layout(scheme: Scheme, polarization: str | None) -> tuple[tuple[str, tuple], ...]:
+    """(label, staggering shift) of each slot of the stacked state."""
+    aux = [l for l in scheme.spec.state_labels if l not in ("b", "E")]
+    if polarization is None:
+        return (("b", (0.5,)), ("E", (0.0,)), *((l, (0.0,)) for l in aux))
+    if polarization == "te":
+        return (("b_x", (0.0, 0.5)), ("b_y", (0.5, 0.0)), ("E", (0.0, 0.0)),
+                *((l, (0.0, 0.0)) for l in aux))
+    return (("b_z", (0.5, 0.5)),
+            *((f"{l}_{c}", shift) for l in ("E", *aux)
+              for c, shift in (("x", (0.5, 0.0)), ("y", (0.0, 0.5)))))
+
+
+_LAYOUTS = {(s, pol): _layout(s, pol) for s in Scheme for pol in (None, "te", "tm")}
+_LABELS = {key: tuple(label for label, _ in slots) for key, slots in _LAYOUTS.items()}
 
 
 def _check_harmonic(xi: float, n: int) -> None:
@@ -93,7 +138,6 @@ def init_plane_wave(scheme: Scheme, grid: int | tuple[int, int], wn: Wavenumber,
     own staggered grid.  The wavenumber must be an exact grid harmonic."""
     if amplitude == 0 or not math.isfinite(amplitude):
         raise InvalidInputError("amplitude must be nonzero and finite")
-    aux = _AUX_LABELS[scheme]
     if not wn.is_2d:
         if not isinstance(grid, int):
             raise InvalidInputError("1D runs take a single grid size")
@@ -101,111 +145,164 @@ def init_plane_wave(scheme: Scheme, grid: int | tuple[int, int], wn: Wavenumber,
             raise InvalidInputError("grid size must be at least 4")
         _check_harmonic(wn.xi_x, grid)
         j = np.arange(grid, dtype=float)
-        wave = lambda shift: amplitude * np.cos(wn.xi_x * (j + shift))
-        arrays = {"b": wave(0.5), "E": wave(0.0)}
-        for label in aux:
-            arrays[label] = wave(0.0)
-        return FieldState(scheme, None, arrays)
-    if polarization not in ("te", "tm"):
-        raise InvalidInputError("2D runs need polarization 'te' or 'tm'")
-    nx, ny = (grid, grid) if isinstance(grid, int) else grid
-    if nx < 4 or ny < 4:
-        raise InvalidInputError("grid sizes must be at least 4")
-    _check_harmonic(wn.xi_x, nx)
-    _check_harmonic(wn.xi_y, ny)
-    ii = np.arange(nx, dtype=float)[:, None]
-    jj = np.arange(ny, dtype=float)[None, :]
-
-    def wave(sx, sy):
-        return amplitude * np.cos(wn.xi_x * (ii + sx) + wn.xi_y * (jj + sy))
-
-    h_ratio = wn.h_x / wn.h_y
-    if polarization == "te":
-        arrays = {"b_x": wave(0.0, 0.5), "b_y": wave(0.5, 0.0), "E": wave(0.0, 0.0)}
-        for label in aux:
-            arrays[label] = wave(0.0, 0.0)
-        return FieldState(scheme, "te", arrays, h_ratio=h_ratio)
-    arrays = {"b_z": wave(0.5, 0.5), "E_x": wave(0.5, 0.0), "E_y": wave(0.0, 0.5)}
-    for label in aux:
-        arrays[label + "_x"] = wave(0.5, 0.0)
-        arrays[label + "_y"] = wave(0.0, 0.5)
-    return FieldState(scheme, "tm", arrays, h_ratio=h_ratio)
+        wave = lambda sx: amplitude * np.cos(wn.xi_x * (j + sx))
+        polarization, shape, h_ratio = None, (grid,), 1.0
+    else:
+        if polarization not in ("te", "tm"):
+            raise InvalidInputError("2D runs need polarization 'te' or 'tm'")
+        shape = (grid, grid) if isinstance(grid, int) else grid
+        if shape[0] < 4 or shape[1] < 4:
+            raise InvalidInputError("grid sizes must be at least 4")
+        _check_harmonic(wn.xi_x, shape[0])
+        _check_harmonic(wn.xi_y, shape[1])
+        ii = np.arange(shape[0], dtype=float)[:, None]
+        jj = np.arange(shape[1], dtype=float)[None, :]
+        wave = lambda sx, sy: amplitude * np.cos(wn.xi_x * (ii + sx) + wn.xi_y * (jj + sy))
+        h_ratio = wn.h_x / wn.h_y
+    slots = _LAYOUTS[scheme, polarization]
+    data = np.empty((len(slots), *shape))
+    for slot, (_, shift) in zip(data, slots):
+        slot[...] = wave(*shift)
+    return FieldState(scheme, polarization, data, h_ratio=h_ratio)
 
 
-def _dfwd(a: np.ndarray, axis: int = 0) -> np.ndarray:
+# The periodic differences bind their slices once and return a thunk that
+# writes the difference of the current values of ``a`` into ``out``.  They
+# do the arithmetic of ``np.roll`` stencils element by element; ``a`` and
+# ``out`` are C-contiguous and distinct.
+
+def _dfwd(a: np.ndarray, out: np.ndarray, axis: int = 0) -> Callable[[], None]:
     """Periodic forward difference a[j+1] - a[j] along axis 0 or 1."""
-    out = np.empty_like(a, order="C")
     if axis == 0:
-        np.subtract(a[1:], a[:-1], out=out[:-1])
-        np.subtract(a[:1], a[-1:], out=out[-1:])
-    else:
-        # Along rows, difference the flattened array in one contiguous pass
-        # (row-by-row slices are about twice as slow on wide grids), then
-        # let the wrapped last column overwrite the entries that straddle
-        # two rows.
-        src, dst = a.reshape(-1), out.reshape(-1)
-        np.subtract(src[1:], src[:-1], out=dst[:-1])
-        np.subtract(a[:, :1], a[:, -1:], out=out[:, -1:])
-    return out
+        return _subtractions(a[1:], a[:-1], out[:-1], a[:1], a[-1:], out[-1:])
+    # Along rows, difference the flattened array in one contiguous pass
+    # (row-by-row slices are about twice as slow on wide grids), then let
+    # the wrapped last column overwrite the entries that straddle two rows.
+    src, dst = a.reshape(-1), out.reshape(-1)
+    return _subtractions(src[1:], src[:-1], dst[:-1], a[:, :1], a[:, -1:], out[:, -1:])
 
 
-def _dback(a: np.ndarray, axis: int = 0) -> np.ndarray:
+def _dback(a: np.ndarray, out: np.ndarray, axis: int = 0) -> Callable[[], None]:
     """Periodic backward difference a[j] - a[j-1] along axis 0 or 1."""
-    out = np.empty_like(a, order="C")
     if axis == 0:
-        np.subtract(a[1:], a[:-1], out=out[1:])
-        np.subtract(a[:1], a[-1:], out=out[:1])
-    else:
-        src, dst = a.reshape(-1), out.reshape(-1)
-        np.subtract(src[1:], src[:-1], out=dst[1:])
-        np.subtract(a[:, :1], a[:, -1:], out=out[:, :1])
-    return out
+        return _subtractions(a[1:], a[:-1], out[1:], a[:1], a[-1:], out[:1])
+    src, dst = a.reshape(-1), out.reshape(-1)
+    return _subtractions(src[1:], src[:-1], dst[1:], a[:, :1], a[:, -1:], out[:, :1])
+
+
+def _subtractions(x1, y1, o1, x2, y2, o2) -> Callable[[], None]:
+    """Thunk writing x1 - y1 into o1, then x2 - y2 into o2."""
+    sub = np.subtract
+
+    def run():
+        sub(x1, y1, out=o1)
+        sub(x2, y2, out=o2)
+    return run
+
+
+def _bind(scheme: Scheme, polarization: str | None, params: DimensionlessParams,
+          h_ratio: float, src: np.ndarray, dst: np.ndarray,
+          scratch: np.ndarray) -> Callable[[], None]:
+    """One full leapfrog cycle from the stacked state src into dst, with
+    every view, stencil and coefficient bound: a magnetic half-step, then
+    the field/material updates, periodic in every direction.
+
+    src and dst are distinct C-order states; scratch holds the curl source
+    S and, if the scheme reads it, S_old of the previous magnetic field."""
+    spec = scheme.spec
+    update = spec.material(params)
+    prev = spec.needs_prev_source
+    S, S_old = scratch[0], scratch[1] if prev else None
+    mul, add, sub = np.multiply, np.add, np.subtract
+    lam_x = params.lam
+    lam_y = params.lam * h_ratio
+    if polarization is None:
+        (b0, E0, *aux0), (b1, E1, *aux1) = src, dst
+        dE, db = _dfwd(E0, b1), _dback(b1, S)
+        db_old = _dback(b0, S_old) if prev else None
+
+        def advance():
+            dE()
+            mul(lam_x, b1, out=b1)
+            sub(b0, b1, out=b1)
+            db()
+            mul(-lam_x, S, out=S)
+            if prev:
+                db_old()
+                mul(-lam_x, S_old, out=S_old)
+            update(E0, aux0, S, S_old, E1, aux1)
+        return advance
+    if polarization == "te":
+        (bx0, by0, E0, *aux0), (bx1, by1, E1, *aux1) = src, dst
+        dE_y, dE_x = _dfwd(E0, bx1, 1), _dfwd(E0, by1, 0)
+        # E1 is free until the material update: it holds the y term of S.
+        dby, dbx = _dback(by1, S, 0), _dback(bx1, E1, 1)
+        if prev:
+            dby_old, dbx_old = _dback(by0, S_old, 0), _dback(bx0, E1, 1)
+
+        def advance():
+            dE_y()
+            mul(lam_y, bx1, out=bx1)
+            sub(bx0, bx1, out=bx1)
+            dE_x()
+            mul(lam_x, by1, out=by1)
+            add(by0, by1, out=by1)
+            dby()
+            mul(lam_x, S, out=S)
+            dbx()
+            mul(lam_y, E1, out=E1)
+            sub(S, E1, out=S)
+            if prev:
+                dby_old()
+                mul(lam_x, S_old, out=S_old)
+                dbx_old()
+                mul(lam_y, E1, out=E1)
+                sub(S_old, E1, out=S_old)
+            update(E0, aux0, S, S_old, E1, aux1)
+        return advance
+    # TM: one magnetic component, two field components with their own
+    # auxiliary variables; the x source is lam_y d_y b_z, the y source
+    # -lam_x d_x b_z.
+    bz0, bz1 = src[0], dst[0]
+    x0, x1, y0, y1 = src[1::2], dst[1::2], src[2::2], dst[2::2]
+    dEy, dEx = _dfwd(y0[0], bz1, 0), _dfwd(x0[0], S, 1)
+    legs = []
+    for c0, c1, lam_c, axis in ((x0, x1, lam_y, 1), (y0, y1, -lam_x, 0)):
+        legs.append((_dback(bz1, S, axis), _dback(bz0, S_old, axis) if prev else None,
+                     lam_c, c0[0], tuple(c0[1:]), c1[0], tuple(c1[1:])))
+
+    def advance():
+        dEy()
+        mul(lam_x, bz1, out=bz1)
+        sub(bz0, bz1, out=bz1)
+        dEx()
+        mul(lam_y, S, out=S)
+        add(bz1, S, out=bz1)
+        for db, db_old, lam_c, E, aux, E_out, aux_out in legs:
+            db()
+            mul(lam_c, S, out=S)
+            if prev:
+                db_old()
+                mul(lam_c, S_old, out=S_old)
+            update(E, aux, S, S_old, E_out, aux_out)
+    return advance
+
+
+def _scratch(scheme: Scheme, grid_shape: tuple[int, ...]) -> np.ndarray:
+    return np.empty((1 + scheme.spec.needs_prev_source, *grid_shape))
 
 
 def step(scheme: Scheme, state: FieldState, params: DimensionlessParams) -> FieldState:
-    """One full leapfrog cycle: magnetic half-step, then field/material
-    updates, periodic in every direction."""
+    """One full leapfrog cycle, periodic in every direction: the growth
+    run's kernel applied once into a fresh state (a state stored in another
+    memory order is first copied to C order)."""
     if state.scheme is not scheme:
         raise InvalidInputError("state was initialized for a different scheme")
-    lam = params.lam
-    arr = state.arrays
-    spec = scheme.spec
-    aux_labels = _AUX_LABELS[scheme]
-    pol = state.polarization
-    lam_x = lam
-    lam_y = lam * state.h_ratio
-    if pol is None:
-        b_old = arr["b"]
-        b = b_old - lam * _dfwd(arr["E"])
-        S = -lam * _dback(b)
-        S_old = -lam * _dback(b_old) if spec.needs_prev_source else None
-        E_new, aux_new = spec.material(params, arr["E"],
-                                       {l: arr[l] for l in aux_labels}, S, S_old)
-        out = {"b": b, "E": E_new, **aux_new}
-    elif pol == "te":
-        bx = arr["b_x"] - lam_y * _dfwd(arr["E"], 1)
-        by = arr["b_y"] + lam_x * _dfwd(arr["E"], 0)
-        S = lam_x * _dback(by, 0) - lam_y * _dback(bx, 1)
-        S_old = (lam_x * _dback(arr["b_y"], 0) - lam_y * _dback(arr["b_x"], 1)) \
-            if spec.needs_prev_source else None
-        E_new, aux_new = spec.material(params, arr["E"],
-                                       {l: arr[l] for l in aux_labels}, S, S_old)
-        out = {"b_x": bx, "b_y": by, "E": E_new, **aux_new}
-    else:
-        # TM: one magnetic component, two field components with their own
-        # auxiliary variables.
-        bz_old = arr["b_z"]
-        bz = bz_old - lam_x * _dfwd(arr["E_y"], 0) + lam_y * _dfwd(arr["E_x"], 1)
-        out = {"b_z": bz}
-        for comp, sign, axis in (("x", +1.0, 1), ("y", -1.0, 0)):
-            lam_c = lam_y if comp == "x" else lam_x
-            S = sign * lam_c * _dback(bz, axis)
-            S_old = sign * lam_c * _dback(bz_old, axis) if spec.needs_prev_source else None
-            aux = {l: arr[f"{l}_{comp}"] for l in aux_labels}
-            E_new, aux_new = spec.material(params, arr[f"E_{comp}"], aux, S, S_old)
-            out[f"E_{comp}"] = E_new
-            out.update({f"{l}_{comp}": v for l, v in aux_new.items()})
-    return FieldState(scheme, pol, out, state.h_ratio)
+    src = np.ascontiguousarray(state.data)
+    out = np.empty_like(src)
+    _bind(scheme, state.polarization, params, state.h_ratio, src, out,
+          _scratch(scheme, state.grid_shape))()
+    return FieldState(scheme, state.polarization, out, state.h_ratio)
 
 
 def fourier_mode(state: FieldState, m: int) -> np.ndarray:
@@ -213,9 +310,7 @@ def fourier_mode(state: FieldState, m: int) -> np.ndarray:
     like the scheme's update-matrix state vector (1D only)."""
     if state.polarization is not None:
         raise InvalidInputError("fourier_mode is defined for 1D states")
-    n = state.grid_shape[0]
-    return np.array([np.fft.fft(state.arrays[l])[m] / n
-                     for l in state.scheme.spec.state_labels])
+    return np.fft.fft(state.data, axis=1)[:, m] / state.grid_shape[0]
 
 
 def _tail_factor(norms: np.ndarray) -> float:
@@ -262,14 +357,20 @@ def run_growth(scheme: Scheme, medium: MediumModel, k: float, h: float,
         raise InvalidInputError(f"{scheme.value} cannot run in a {medium.kind} medium")
     params = dimensionless_params(medium, k, h)
     state = init_plane_wave(scheme, grid, wn, amplitude, polarization=polarization)
+    # Two stacked buffers alternate as source and destination; one kernel
+    # is bound to each direction, and both share the scratch.
+    a, b = state.data, np.empty_like(state.data)
+    scratch = _scratch(scheme, state.grid_shape)
+    legs = ((_bind(scheme, polarization, params, state.h_ratio, a, b, scratch), b, a),
+            (_bind(scheme, polarization, params, state.h_ratio, b, a, scratch), a, b))
     norms = np.empty(steps + 1)
-    norms[0] = state.sup_norm()
+    norms[0] = _sup_norm(a, b)
     overflow_step = None
     used = steps
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, steps + 1):
-            state = step(scheme, state, params)
-            v = state.sup_norm()
+        for i, (advance, out, src) in zip(range(1, steps + 1), itertools.cycle(legs)):
+            advance()
+            v = _sup_norm(out, src)  # the source is read; it is free now
             if not math.isfinite(v):
                 overflow_step = i
                 used = i - 1

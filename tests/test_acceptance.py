@@ -311,7 +311,7 @@ def test_criterion_8_2d_factorization():
               for key, v in st1.arrays.items() if key != "b"}
     arrays["b_y"] = np.tile(-st1.arrays["b"][:, None], (1, ny))
     arrays["b_x"] = np.zeros((n, ny))
-    st2 = replace(st2, arrays=arrays)
+    st2 = replace(st2, data=np.stack([arrays[l] for l in st2.labels]))
     sim_err = 0.0
     for _ in range(100):
         st1 = step(Scheme.LORENTZ_KASHIWA, st1, params)

@@ -256,20 +256,23 @@ def _sample_value(f):
     return {float: "2.5e-3", int: "7", str: "out.csv"}[_field_type(f)]
 
 
-@pytest.mark.parametrize("f", [f for f in fields(RunConfig) if f.name != "command"],
-                         ids=lambda f: f.name)
+_OPTION_FIELDS = [f for f in fields(RunConfig) if f.name != "command"]
+
+
+def _flag_args(f):
+    return [_flag(f.name)] + ([] if _field_type(f) is bool else [_sample_value(f)])
+
+
+@pytest.mark.parametrize("f", _OPTION_FIELDS, ids=lambda f: f.name)
 def test_config_key_and_flag_parse_alike(f, tmp_path):
     parser = build_arg_parser()
+    command = f.metadata["commands"][0]
     cfg_path = tmp_path / "run.cfg"
-    if _field_type(f) is bool:
-        cfg_path.write_text(f"command = analyze\n{f.name} = true\n")
-        flag_args = [_flag(f.name)]
-    else:
-        value = _sample_value(f)
-        cfg_path.write_text(f"command = analyze\n{f.name} = {value}\n")
-        flag_args = [_flag(f.name), value]
-    from_file = _config_from_args(parser.parse_args(["analyze", "--config", str(cfg_path)]))
-    from_flag = _config_from_args(parser.parse_args(["analyze"] + flag_args))
+    flag_args = _flag_args(f)
+    value = "true" if _field_type(f) is bool else flag_args[1]
+    cfg_path.write_text(f"command = {command}\n{f.name} = {value}\n")
+    from_file = _config_from_args(parser.parse_args([command, "--config", str(cfg_path)]))
+    from_flag = _config_from_args(parser.parse_args([command] + flag_args))
     assert from_file == from_flag
     v = getattr(from_flag, f.name)
     assert v != getattr(RunConfig(command="analyze"), f.name)
@@ -304,7 +307,9 @@ def test_bad_value_exits_2_from_either_source(command, key, value, source,
                                               tmp_path, capsys):
     values = {**_POINT, key: value}
     if source == "flag":
-        argv = [command] + [a for k, v in values.items() for a in (_flag(k), v)]
+        reads = {f.name for f in _OPTION_FIELDS if command in f.metadata["commands"]}
+        argv = [command] + [a for k, v in values.items() if k in reads
+                            for a in (_flag(k), v)]
     else:
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(f"command = {command}\n"
@@ -314,6 +319,24 @@ def test_bad_value_exits_2_from_either_source(command, key, value, source,
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,f", [(c, f) for c in cli._COMMANDS for f in _OPTION_FIELDS
+                                       if c not in f.metadata["commands"]],
+                         ids=lambda v: v if isinstance(v, str) else v.name)
+def test_unread_flag_exits_2(command, f, capsys):
+    """A flag the command would ignore is refused before any work, with the
+    same value that a reading command accepts."""
+    assert main([command] + _flag_args(f)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command} does not take {_flag(f.name)}")
+
+
+def test_unread_config_key_is_accepted(tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("command = tables\nsteps = 100\ngrid = 8\n")
+    args = build_arg_parser().parse_args(["tables", "--config", str(cfg_path)])
+    assert _config_from_args(args).steps == 100
 
 
 def _readme_cli_section():

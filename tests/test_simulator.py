@@ -11,6 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from fdtd_stability import (
     InvalidInputError,
@@ -102,6 +104,17 @@ def test_fourier_slice_follows_update_matrix(scheme):
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
+def test_fourier_mode_equals_per_label_fft(scheme):
+    """One FFT along the grid axis of the stacked state gives, bit for bit,
+    the per-label transforms."""
+    st = init_plane_wave(scheme, 12, Wavenumber(0.0), 1.0)
+    st = replace(st, data=np.random.default_rng(3).normal(size=st.data.shape))
+    for m in range(12):
+        per_label = [np.fft.fft(st.arrays[l])[m] / 12 for l in scheme.spec.state_labels]
+        assert np.array_equal(fourier_mode(st, m), per_label)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
 def test_step_linearity(scheme):
     _, _, _, params = stable_params(scheme)
     rng = np.random.default_rng(hash(scheme.value) % 2**32)
@@ -109,8 +122,7 @@ def test_step_linearity(scheme):
     st1 = init_plane_wave(scheme, n, Wavenumber(2 * math.pi * 3 / n), 1.0)
     st2 = init_plane_wave(scheme, n, Wavenumber(2 * math.pi * 7 / n), 0.7)
     a, b = rng.normal(), rng.normal()
-    combo = replace(st1, arrays={k: a * st1.arrays[k] + b * st2.arrays[k]
-                                 for k in st1.arrays})
+    combo = replace(st1, data=a * st1.data + b * st2.data)
     out_combo = step(scheme, combo, params)
     out1 = step(scheme, st1, params)
     out2 = step(scheme, st2, params)
@@ -126,7 +138,7 @@ def test_step_shift_invariance(scheme):
     _, _, _, params = stable_params(scheme)
     n = 32
     st = init_plane_wave(scheme, n, Wavenumber(2 * math.pi * 5 / n), 1.0)
-    shifted = replace(st, arrays={k: np.roll(v, 1) for k, v in st.arrays.items()})
+    shifted = replace(st, data=np.roll(st.data, 1, axis=1))
     out_shifted = step(scheme, shifted, params)
     out = step(scheme, st, params)
     for key in out.arrays:
@@ -137,12 +149,12 @@ def test_step_shift_invariance(scheme):
 
 # --- slicing stencils against the np.roll referee ---------------------------
 
-def _roll_dfwd(a, axis=0):
-    return np.roll(a, -1, axis=axis) - a
+def _roll_dfwd(a, out, axis=0):
+    return lambda: np.subtract(np.roll(a, -1, axis=axis), a, out=out)
 
 
-def _roll_dback(a, axis=0):
-    return a - np.roll(a, 1, axis=axis)
+def _roll_dback(a, out, axis=0):
+    return lambda: np.subtract(a, np.roll(a, 1, axis=axis), out=out)
 
 
 @pytest.mark.parametrize("polarization", [None, "te", "tm"])
@@ -159,8 +171,7 @@ def test_step_matches_roll_stencils(scheme, polarization, monkeypatch):
                              1.0, polarization=polarization)
     rng = np.random.default_rng(7)
     for order in ("C", "F"):
-        start = replace(st, arrays={key: np.asarray(rng.normal(size=v.shape), order=order)
-                                    for key, v in st.arrays.items()})
+        start = replace(st, data=np.asarray(rng.normal(size=st.data.shape), order=order))
         runs = []
         for dfwd, dback in ((simulator._dfwd, simulator._dback),
                             (_roll_dfwd, _roll_dback)):
@@ -172,8 +183,8 @@ def test_step_matches_roll_stencils(scheme, polarization, monkeypatch):
             runs.append(cur)
         monkeypatch.undo()
         lean, referee = runs
-        assert lean.arrays.keys() == referee.arrays.keys()
-        for key in referee.arrays:
+        assert lean.labels == referee.labels
+        for key in referee.labels:
             assert np.array_equal(lean.arrays[key], referee.arrays[key]), (order, key)
 
 
@@ -181,12 +192,11 @@ def test_step_matches_roll_stencils(scheme, polarization, monkeypatch):
 
 def test_sup_norm_sees_nan_after_finite_array():
     st = init_plane_wave(Scheme.LORENTZ_KASHIWA, 8, Wavenumber(0.0), 1.0)
-    labels = list(st.arrays)
-    arrays = dict(st.arrays)
-    arrays[labels[1]] = np.array([1.0, np.nan, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    assert math.isnan(replace(st, arrays=arrays).sup_norm())
-    arrays[labels[1]] = np.full(8, -3.0)
-    assert replace(st, arrays=arrays).sup_norm() == 3.0
+    data = st.data.copy()
+    data[1] = np.array([1.0, np.nan, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    assert math.isnan(replace(st, data=data).sup_norm())
+    data[1] = np.full(8, -3.0)
+    assert replace(st, data=data).sup_norm() == 3.0
 
 
 # --- vacuum limit ------------------------------------------------------------
@@ -209,7 +219,7 @@ def test_vacuum_limit_conserves_staggered_energy(scheme, aux_setup):
         arrays["d"] = arrays["E"].copy()
     else:
         arrays["p"] = np.zeros(n)
-    st = replace(st, arrays=arrays)
+    st = replace(st, data=np.stack([arrays[l] for l in st.labels]))
     lam = params.lam
 
     def energy(state):
@@ -286,6 +296,67 @@ def test_overflow_reported_not_raised(water):
     assert "overflow" in empirical_verdict(rep).detail
 
 
+def _step_loop_history(scheme, medium, k, h, wn, steps, pol, grid, amplitude):
+    """run_growth's norm history and overflow step, rebuilt from public
+    step() and FieldState.sup_norm."""
+    params = dimensionless_params(medium, k, h)
+    st = init_plane_wave(scheme, grid, wn, amplitude, polarization=pol)
+    norms = [st.sup_norm()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, steps + 1):
+            st = step(scheme, st, params)
+            v = st.sup_norm()
+            if not math.isfinite(v):
+                return np.array(norms), i
+            norms.append(v)
+    return np.array(norms), None
+
+
+def _growth_and_step_loop(scheme, pol, nx, ny, h_y_ratio, modes, frac, amplitude):
+    """A 100-step run_growth, with frac of the scheme's q limit at the
+    grid's largest q, and the same run rebuilt from public step()."""
+    medium, h = medium_for(scheme)
+    if pol is None:
+        wn, grid = Wavenumber(2 * math.pi * (modes[0] % nx) / nx), nx
+        s_max = 4.0
+    else:
+        wn = Wavenumber(2 * math.pi * (modes[0] % nx) / nx,
+                        2 * math.pi * (modes[1] % ny) / ny, h_x=h, h_y=h_y_ratio * h)
+        grid = (nx, ny)
+        s_max = 4.0 * (1.0 + 1.0 / h_y_ratio ** 2)
+    k = math.sqrt(frac * scheme.spec.q_limit / s_max) * h / medium.c_inf
+    rep = run_growth(scheme, medium, k, h, wn, 100, polarization=pol, grid=grid,
+                     amplitude=amplitude)
+    return rep, _step_loop_history(scheme, medium, k, h, wn, 100, pol, grid, amplitude)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(scheme=hst.sampled_from(list(Scheme)),
+       pol=hst.sampled_from([None, "te", "tm"]),
+       nx=hst.integers(4, 11), ny=hst.integers(4, 11),
+       h_y_ratio=hst.sampled_from([1.0, 2.0]),
+       modes=hst.tuples(hst.integers(0, 10), hst.integers(0, 10)),
+       frac=hst.floats(0.2, 2.5),
+       amplitude=hst.sampled_from([1.0, 1e280]))
+def test_run_growth_is_a_loop_of_public_step(scheme, pol, nx, ny, h_y_ratio, modes,
+                                             frac, amplitude):
+    """The bound kernel with alternating buffers is the public step() and
+    sup_norm, bit for bit, including the step at which a run overflows."""
+    rep, (norms, overflow_step) = _growth_and_step_loop(
+        scheme, pol, nx, ny, h_y_ratio, modes, frac, amplitude)
+    assert rep.overflow_step == overflow_step
+    assert rep.norms.tobytes() == norms.tobytes()
+
+
+@pytest.mark.parametrize("pol", [None, "te", "tm"])
+@pytest.mark.parametrize("scheme", [Scheme.DEBYE_JOSEPH, Scheme.LORENTZ_KASHIWA])
+def test_run_overflowing_part_way_is_a_loop_of_public_step(scheme, pol):
+    rep, (norms, overflow_step) = _growth_and_step_loop(
+        scheme, pol, 8, 6, 2.0, (4, 3), 2.5, 1e280)
+    assert 1 < rep.overflow_step == overflow_step < 100
+    assert rep.norms.tobytes() == norms.tobytes()
+
+
 def test_empirical_verdict_trivial_mappings():
     from fdtd_stability.simulator import GrowthReport
     bounded = GrowthReport(100, 1.0, 1.2, "bounded", np.ones(101))
@@ -310,7 +381,7 @@ def test_2d_te_with_zero_xi_y_reproduces_1d(scheme):
               if k_ != "b"}
     arrays["b_y"] = np.tile(-st1.arrays["b"][:, None], (1, ny))
     arrays["b_x"] = np.zeros((n, ny))
-    st2 = replace(st2, arrays=arrays)
+    st2 = replace(st2, data=np.stack([arrays[l] for l in st2.labels]))
     for _ in range(100):
         st1 = step(scheme, st1, params)
         st2 = step(scheme, st2, params)
