@@ -158,21 +158,6 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(**values)  # type: ignore[arg-type]
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    """Inverse of parse_config: emits every non-None field."""
-    lines = []
-    for f in fields(RunConfig):
-        v = getattr(cfg, f.name)
-        if v is None:
-            continue
-        if isinstance(v, bool):
-            v = "true" if v else "false"
-        elif isinstance(v, float):
-            v = format(v, ".17g")
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
-
-
 def _fmt_csv(v) -> str:
     if v is None:
         return ""
@@ -228,10 +213,13 @@ def _require(cfg: RunConfig, *names: str) -> None:
 
 def _point_from_config(cfg: RunConfig) -> tuple[Scheme, MediumModel, Wavenumber]:
     """Scheme, medium and wavenumber of analyze/simulate; 2D points default
-    xi_y to xi and h_y to h."""
+    xi_y to xi and h_y to h, and 1D points refuse the 2D keys."""
     _require(cfg, "k", "h")
     scheme, medium = _scheme_and_medium(cfg)
     if cfg.dim == 1:
+        for name in ("polarization", "xi_y", "h_y"):
+            if getattr(cfg, name) is not None:
+                raise InvalidInputError(f"{name} needs dim = 2")
         return scheme, medium, Wavenumber(cfg.xi)
     _require(cfg, "polarization")
     wn = Wavenumber(cfg.xi, cfg.xi_y if cfg.xi_y is not None else cfg.xi,

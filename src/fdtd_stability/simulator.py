@@ -14,15 +14,18 @@ arrays are directly the components of the analyzer's state vector.
 
 The state of one time level is one stacked C-order array, one slot per
 component (`FieldState.labels`); in TM the x and y components of a field
-sit next to each other.  A growth run allocates two such buffers and
-alternates them as source and destination.  Each direction is a kernel
-bound once per run: the slot views, the stencil slices, the scratch for
-the curl source and the scalar coefficients of the scheme's
-``SchemeSpec.material(params)`` update.  Every stencil difference and every
-material update writes with ``out=`` into the next buffer, so a step
-allocates no state, and each step ends with one sup-norm over the whole
-stacked buffer.  Public `step` applies the same kernel once into a fresh
-buffer, so there is one stepping code path.
+sit next to each other.  The Yee curl of 1D, TE and TM is one table,
+`_CURL`: each magnetic slot's update as signed differences of the old
+field slots, and each field slot's curl source S as signed differences of
+the new magnetic slots.  `_bind` compiles that table, with the scheme's
+``SchemeSpec.material(params)`` update, into one flat list of bound calls
+from a source buffer into a destination buffer: every slot view, stencil
+slice, scratch array and scalar coefficient is bound once, and every
+difference and update writes with ``out=`` into the destination, so a
+step allocates no state.  A growth run alternates two buffers and ends
+each step with one sup-norm over the whole stacked buffer; public `step`
+runs the same list once into a fresh buffer, so there is one stepping
+code path.
 
 The periodic differences are slicing stencils: ``a[1:] - a[:-1]`` and the
 one wrapped row or column, written into the result array.  They do the
@@ -37,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -139,30 +143,26 @@ def init_plane_wave(scheme: Scheme, grid: int | tuple[int, int], wn: Wavenumber,
     if amplitude == 0 or not math.isfinite(amplitude):
         raise InvalidInputError("amplitude must be nonzero and finite")
     if not wn.is_2d:
+        if polarization is not None:
+            raise InvalidInputError("1D runs take no polarization")
         if not isinstance(grid, int):
             raise InvalidInputError("1D runs take a single grid size")
-        if grid < 4:
-            raise InvalidInputError("grid size must be at least 4")
-        _check_harmonic(wn.xi_x, grid)
-        j = np.arange(grid, dtype=float)
-        wave = lambda sx: amplitude * np.cos(wn.xi_x * (j + sx))
-        polarization, shape, h_ratio = None, (grid,), 1.0
+        shape, xis, h_ratio = (grid,), (wn.xi_x,), 1.0
     else:
         if polarization not in ("te", "tm"):
             raise InvalidInputError("2D runs need polarization 'te' or 'tm'")
         shape = (grid, grid) if isinstance(grid, int) else grid
-        if shape[0] < 4 or shape[1] < 4:
-            raise InvalidInputError("grid sizes must be at least 4")
-        _check_harmonic(wn.xi_x, shape[0])
-        _check_harmonic(wn.xi_y, shape[1])
-        ii = np.arange(shape[0], dtype=float)[:, None]
-        jj = np.arange(shape[1], dtype=float)[None, :]
-        wave = lambda sx, sy: amplitude * np.cos(wn.xi_x * (ii + sx) + wn.xi_y * (jj + sy))
-        h_ratio = wn.h_x / wn.h_y
+        xis, h_ratio = (wn.xi_x, wn.xi_y), wn.h_x / wn.h_y
+    if min(shape) < 4:
+        raise InvalidInputError("grid sizes must be at least 4")
+    for xi, n in zip(xis, shape):
+        _check_harmonic(xi, n)
     slots = _LAYOUTS[scheme, polarization]
     data = np.empty((len(slots), *shape))
+    # The phase sum_a xi_a (j_a + shift_a), over broadcast index columns.
+    index = np.indices(shape, dtype=float, sparse=True)
     for slot, (_, shift) in zip(data, slots):
-        slot[...] = wave(*shift)
+        slot[...] = amplitude * np.cos(sum(xi * (j + s) for xi, j, s in zip(xis, index, shift)))
     return FieldState(scheme, polarization, data, h_ratio=h_ratio)
 
 
@@ -200,108 +200,80 @@ def _subtractions(x1, y1, o1, x2, y2, o2) -> Callable[[], None]:
     return run
 
 
+# The Yee curl of each polarization: each magnetic slot's update as terms
+# over the old field slots, and each field slot's curl source S as terms
+# over the new magnetic slots.  A term (sign, direction, label) is sign *
+# lam_dir times the periodic difference of slot `label` along direction x
+# (grid axis 0, lam_x = lam) or y (axis 1, lam_y = lam h_x/h_y): forward for
+# the magnetic update, backward for the source.
+_CURL = {
+    None: ({"b": ((-1, "x", "E"),)},
+           {"E": ((-1, "x", "b"),)}),
+    "te": ({"b_x": ((-1, "y", "E"),), "b_y": ((+1, "x", "E"),)},
+           {"E": ((+1, "x", "b_y"), (-1, "y", "b_x"))}),
+    "tm": ({"b_z": ((-1, "x", "E_y"), (+1, "y", "E_x"))},
+           {"E_x": ((+1, "y", "b_z"),), "E_y": ((-1, "x", "b_z"),)}),
+}
+
+
 def _bind(scheme: Scheme, polarization: str | None, params: DimensionlessParams,
           h_ratio: float, src: np.ndarray, dst: np.ndarray,
-          scratch: np.ndarray) -> Callable[[], None]:
-    """One full leapfrog cycle from the stacked state src into dst, with
-    every view, stencil and coefficient bound: a magnetic half-step, then
-    the field/material updates, periodic in every direction.
-
-    src and dst are distinct C-order states; scratch holds the curl source
-    S and, if the scheme reads it, S_old of the previous magnetic field."""
+          scratch: np.ndarray) -> list[Callable[[], None]]:
+    """One full leapfrog cycle from the stacked state src into dst, periodic
+    in every direction, as a flat list of bound calls compiled from `_CURL`:
+    the magnetic half-step, then per field slot its curl source and material
+    update.  src and dst are distinct C-order states; scratch is `_scratch`.
+    The first difference of a sum goes into its target, later ones into S
+    during the magnetic half-step and into the field slot not yet written
+    during the source."""
     spec = scheme.spec
     update = spec.material(params)
-    prev = spec.needs_prev_source
-    S, S_old = scratch[0], scratch[1] if prev else None
-    mul, add, sub = np.multiply, np.add, np.subtract
-    lam_x = params.lam
-    lam_y = params.lam * h_ratio
-    if polarization is None:
-        (b0, E0, *aux0), (b1, E1, *aux1) = src, dst
-        dE, db = _dfwd(E0, b1), _dback(b1, S)
-        db_old = _dback(b0, S_old) if prev else None
+    labels = _LABELS[scheme, polarization]
+    old, new = dict(zip(labels, src)), dict(zip(labels, dst))
+    aux = [l for l in spec.state_labels if l not in ("b", "E")]
+    lam = (params.lam, params.lam * h_ratio)  # by axis: x, y
+    S, S_old = (*scratch, None)[:2]  # S_old is None unless bound
+    calls = []
 
-        def advance():
-            dE()
-            mul(lam_x, b1, out=b1)
-            sub(b0, b1, out=b1)
-            db()
-            mul(-lam_x, S, out=S)
-            if prev:
-                db_old()
-                mul(-lam_x, S_old, out=S_old)
-            update(E0, aux0, S, S_old, E1, aux1)
-        return advance
-    if polarization == "te":
-        (bx0, by0, E0, *aux0), (bx1, by1, E1, *aux1) = src, dst
-        dE_y, dE_x = _dfwd(E0, bx1, 1), _dfwd(E0, by1, 0)
-        # E1 is free until the material update: it holds the y term of S.
-        dby, dbx = _dback(by1, S, 0), _dback(bx1, E1, 1)
-        if prev:
-            dby_old, dbx_old = _dback(by0, S_old, 0), _dback(bx0, E1, 1)
+    def curl(terms, diff, fields, target, temp, base=None):
+        # target = base + sum of sign * lam * diff(field); the sign rides on
+        # the coefficient, which is exact: (-c)*x == -(c*x), a + (-y) == a - y.
+        for n, (sign, direction, label) in enumerate(terms):
+            out, axis = temp if n else target, "xy".index(direction)
+            calls.append(diff(fields[label], out, axis))
+            calls.append(partial(np.multiply, sign * lam[axis], out, out))
+            if n or base is not None:
+                calls.append(partial(np.add, target if n else base, out, target))
 
-        def advance():
-            dE_y()
-            mul(lam_y, bx1, out=bx1)
-            sub(bx0, bx1, out=bx1)
-            dE_x()
-            mul(lam_x, by1, out=by1)
-            add(by0, by1, out=by1)
-            dby()
-            mul(lam_x, S, out=S)
-            dbx()
-            mul(lam_y, E1, out=E1)
-            sub(S, E1, out=S)
-            if prev:
-                dby_old()
-                mul(lam_x, S_old, out=S_old)
-                dbx_old()
-                mul(lam_y, E1, out=E1)
-                sub(S_old, E1, out=S_old)
-            update(E0, aux0, S, S_old, E1, aux1)
-        return advance
-    # TM: one magnetic component, two field components with their own
-    # auxiliary variables; the x source is lam_y d_y b_z, the y source
-    # -lam_x d_x b_z.
-    bz0, bz1 = src[0], dst[0]
-    x0, x1, y0, y1 = src[1::2], dst[1::2], src[2::2], dst[2::2]
-    dEy, dEx = _dfwd(y0[0], bz1, 0), _dfwd(x0[0], S, 1)
-    legs = []
-    for c0, c1, lam_c, axis in ((x0, x1, lam_y, 1), (y0, y1, -lam_x, 0)):
-        legs.append((_dback(bz1, S, axis), _dback(bz0, S_old, axis) if prev else None,
-                     lam_c, c0[0], tuple(c0[1:]), c1[0], tuple(c1[1:])))
-
-    def advance():
-        dEy()
-        mul(lam_x, bz1, out=bz1)
-        sub(bz0, bz1, out=bz1)
-        dEx()
-        mul(lam_y, S, out=S)
-        add(bz1, S, out=bz1)
-        for db, db_old, lam_c, E, aux, E_out, aux_out in legs:
-            db()
-            mul(lam_c, S, out=S)
-            if prev:
-                db_old()
-                mul(lam_c, S_old, out=S_old)
-            update(E, aux, S, S_old, E_out, aux_out)
-    return advance
+    magnetic, sources = _CURL[polarization]
+    for label, terms in magnetic.items():
+        curl(terms, _dfwd, old, new[label], S, base=old[label])
+    for label, terms in sources.items():
+        # S from the new magnetic field, S_old (if bound) from the old one.
+        for target, fields in zip(scratch, (new, old)):
+            curl(terms, _dback, fields, target, new[label])
+        suffix = label[1:]  # "" or "_x"/"_y": the auxiliaries of this field
+        calls.append(partial(update, old[label], [old[a + suffix] for a in aux], S, S_old,
+                             new[label], [new[a + suffix] for a in aux]))
+    return calls
 
 
 def _scratch(scheme: Scheme, grid_shape: tuple[int, ...]) -> np.ndarray:
+    """Curl source S, then S_old if the scheme's update reads it."""
     return np.empty((1 + scheme.spec.needs_prev_source, *grid_shape))
 
 
 def step(scheme: Scheme, state: FieldState, params: DimensionlessParams) -> FieldState:
     """One full leapfrog cycle, periodic in every direction: the growth
-    run's kernel applied once into a fresh state (a state stored in another
+    run's calls run once into a fresh state (a state stored in another
     memory order is first copied to C order)."""
     if state.scheme is not scheme:
         raise InvalidInputError("state was initialized for a different scheme")
     src = np.ascontiguousarray(state.data)
     out = np.empty_like(src)
-    _bind(scheme, state.polarization, params, state.h_ratio, src, out,
-          _scratch(scheme, state.grid_shape))()
+    for call in _bind(scheme, state.polarization, params, state.h_ratio, src, out,
+                      _scratch(scheme, state.grid_shape)):
+        call()
     return FieldState(scheme, state.polarization, out, state.h_ratio)
 
 
@@ -357,19 +329,20 @@ def run_growth(scheme: Scheme, medium: MediumModel, k: float, h: float,
         raise InvalidInputError(f"{scheme.value} cannot run in a {medium.kind} medium")
     params = dimensionless_params(medium, k, h)
     state = init_plane_wave(scheme, grid, wn, amplitude, polarization=polarization)
-    # Two stacked buffers alternate as source and destination; one kernel
-    # is bound to each direction, and both share the scratch.
+    # Two stacked buffers alternate as source and destination; the calls
+    # of each direction are bound once, and both share the scratch.
     a, b = state.data, np.empty_like(state.data)
     scratch = _scratch(scheme, state.grid_shape)
-    legs = ((_bind(scheme, polarization, params, state.h_ratio, a, b, scratch), b, a),
-            (_bind(scheme, polarization, params, state.h_ratio, b, a, scratch), a, b))
+    legs = [(_bind(scheme, state.polarization, params, state.h_ratio, x, y, scratch), y, x)
+            for x, y in ((a, b), (b, a))]
     norms = np.empty(steps + 1)
     norms[0] = _sup_norm(a, b)
     overflow_step = None
     used = steps
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (advance, out, src) in zip(range(1, steps + 1), itertools.cycle(legs)):
-            advance()
+        for i, (calls, out, src) in zip(range(1, steps + 1), itertools.cycle(legs)):
+            for call in calls:
+                call()
             v = _sup_norm(out, src)  # the source is read; it is free now
             if not math.isfinite(v):
                 overflow_step = i

@@ -21,7 +21,6 @@ from fdtd_stability.cli import (
     main,
     parse_config,
     run_verify,
-    serialize_config,
 )
 from fdtd_stability.errors import InvalidInputError, NumericalFailureError
 
@@ -68,14 +67,6 @@ def test_eps_ordering_constraint_reported(capsys):
                "--h", "1e-6"])
     assert rc == 2
     assert "eps_s" in capsys.readouterr().err
-
-
-def test_config_round_trip():
-    cfg = RunConfig(command="simulate", scheme="lorentz-young", eps_inf=1.5,
-                    eps_s=3.0, omega1=2 * math.pi * 5e10, nu=1e10, k=1e-13,
-                    h=1e-3, dim=2, polarization="tm", xi=1.5, xi_y=0.75,
-                    steps=500, grid=32, output="out.csv", empirical=True)
-    assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_csv_float_round_trip(tmp_path):
@@ -305,19 +296,36 @@ _POINT = {"scheme": "debye-joseph", "eps_inf": "1.8", "eps_s": "81.0",
 @pytest.mark.parametrize("source", ["flag", "file"])
 def test_bad_value_exits_2_from_either_source(command, key, value, source,
                                               tmp_path, capsys):
-    values = {**_POINT, key: value}
-    if source == "flag":
-        reads = {f.name for f in _OPTION_FIELDS if command in f.metadata["commands"]}
-        argv = [command] + [a for k, v in values.items() if k in reads
-                            for a in (_flag(k), v)]
-    else:
-        cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(f"command = {command}\n"
-                            + "".join(f"{k} = {v}\n" for k, v in values.items()))
-        argv = [command, "--config", str(cfg_path)]
-    assert main(argv) == 2
+    assert main(_argv(command, {**_POINT, key: value}, source, tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+
+
+def _argv(command, values, source, tmp_path):
+    """The command with values as flags (those it reads) or as a config file."""
+    if source == "flag":
+        reads = {f.name for f in _OPTION_FIELDS if command in f.metadata["commands"]}
+        return [command] + [a for k, v in values.items() if k in reads
+                            for a in (_flag(k), v)]
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"command = {command}\n"
+                        + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    return [command, "--config", str(cfg_path)]
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("key,value", [("polarization", "tm"), ("xi_y", "0.75"),
+                                       ("h_y", "2e-6")])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_2d_key_at_dim_1_exits_2(command, key, value, source, tmp_path, capsys):
+    """A 1D point refuses each key that only a 2D point reads, naming it,
+    instead of running without it."""
+    values = {k: v for k, v in _POINT.items() if k != "polarization"}
+    argv = _argv(command, {**values, "dim": "1", key: value}, source, tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} needs dim = 2")
     assert "Traceback" not in err
 
 

@@ -61,6 +61,18 @@ def test_init_rejects_non_harmonic():
         init_plane_wave(Scheme.DEBYE_JOSEPH, 64, Wavenumber(1.0), 1.0)
 
 
+@pytest.mark.parametrize("polarization", ["te", "tm"])
+def test_init_rejects_polarization_with_1d_wavenumber(polarization, water):
+    """A 1D wavenumber builds a 1D state, so a polarization given with it
+    is refused, not bound to a 2D kernel that then fails on 1D arrays."""
+    with pytest.raises(InvalidInputError, match="polarization"):
+        init_plane_wave(Scheme.DEBYE_JOSEPH, 64, Wavenumber(math.pi), 1.0,
+                        polarization=polarization)
+    with pytest.raises(InvalidInputError, match="polarization"):
+        run_growth(Scheme.DEBYE_JOSEPH, water, 1e-15, 1e-5, Wavenumber(math.pi), 100,
+                   polarization=polarization)
+
+
 def test_init_rejects_zero_amplitude():
     with pytest.raises(InvalidInputError):
         init_plane_wave(Scheme.DEBYE_JOSEPH, 64, Wavenumber(math.pi), 0.0)
@@ -367,29 +379,38 @@ def test_empirical_verdict_trivial_mappings():
 
 # --- 2D ------------------------------------------------------------------------
 
+@pytest.mark.parametrize("polarization", ["te", "tm"])
 @pytest.mark.parametrize("scheme", list(Scheme))
-def test_2d_te_with_zero_xi_y_reproduces_1d(scheme):
-    """Columns of a TE run with no transverse variation follow the 1D run
-    exactly (the transverse magnetic component maps with opposite sign)."""
+def test_2d_with_zero_xi_y_reproduces_1d(scheme, polarization):
+    """Every column of a 2D run with no transverse variation follows the 1D
+    run: in TE the 1D slots b, E, aux are b_y (with opposite sign), E, aux;
+    in TM they are b_z, E_y, aux_y.  The other slots (b_x in TE, E_x and
+    its auxiliaries in TM) start at 0 and stay exactly 0."""
     medium, k, h, params = stable_params(scheme, lam=0.6)
     n, ny, m = 32, 6, 5
     xi = 2 * math.pi * m / n
     st1 = init_plane_wave(scheme, n, Wavenumber(xi), 1.0)
     st2 = init_plane_wave(scheme, (n, ny), Wavenumber(xi, 0.0, h_x=h, h_y=h),
-                          1.0, polarization="te")
-    arrays = {k_: np.tile(v[:, None], (1, ny)) for k_, v in st1.arrays.items()
-              if k_ != "b"}
-    arrays["b_y"] = np.tile(-st1.arrays["b"][:, None], (1, ny))
-    arrays["b_x"] = np.zeros((n, ny))
+                          1.0, polarization=polarization)
+    if polarization == "te":
+        slot = {l: (l, 1.0) for l in st1.labels} | {"b": ("b_y", -1.0)}
+    else:
+        slot = {l: (l + "_y", 1.0) for l in st1.labels} | {"b": ("b_z", 1.0)}
+    arrays = {l: np.zeros((n, ny)) for l in st2.labels}
+    for label, (label_2d, sign) in slot.items():
+        arrays[label_2d] = np.tile(sign * st1.arrays[label][:, None], (1, ny))
     st2 = replace(st2, data=np.stack([arrays[l] for l in st2.labels]))
     for _ in range(100):
         st1 = step(scheme, st1, params)
         st2 = step(scheme, st2, params)
     for label, arr in st1.arrays.items():
-        col = st2.arrays["b_y"][:, 0] * -1.0 if label == "b" \
-            else st2.arrays[label][:, 0]
-        np.testing.assert_allclose(col, arr, rtol=0, atol=1e-9 * max(1.0, np.max(np.abs(arr))))
-    assert np.max(np.abs(st2.arrays["b_x"])) == 0.0
+        label_2d, sign = slot[label]
+        np.testing.assert_allclose(sign * st2.arrays[label_2d],
+                                   np.broadcast_to(arr[:, None], (n, ny)), rtol=0,
+                                   atol=1e-9 * max(1.0, np.max(np.abs(arr))))
+    mapped = {label_2d for label_2d, _ in slot.values()}
+    for label_2d in set(st2.labels) - mapped:
+        assert np.max(np.abs(st2.arrays[label_2d])) == 0.0, label_2d
 
 
 @pytest.mark.parametrize("polarization", ["te", "tm"])
