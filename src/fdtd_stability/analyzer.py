@@ -53,7 +53,6 @@ from .schemes import (
     char_poly_closed,
     courant_q,
     dimensionless_params,
-    xi_for_q,
 )
 
 # Matrix eigenvalue modulus beyond 1 + OUT_EIG_TOL counts as outside;
@@ -86,7 +85,6 @@ class StabilityVerdict:
     stable: bool
     argument: Argument
     detail: str
-    worst_xi: float | None = None
 
 
 @dataclass(frozen=True)
@@ -237,9 +235,7 @@ def classify_point(scheme: Scheme, params: DimensionlessParams,
     """Stability verdict at one 1D wavenumber."""
     if wn.is_2d:
         raise InvalidInputError("classify_point is 1D; use classify_point_2d")
-    verdict = classify_at_q(scheme, params, courant_q(params, wn))
-    return StabilityVerdict(verdict.stable, verdict.argument, verdict.detail,
-                            worst_xi=wn.xi_x)
+    return classify_at_q(scheme, params, courant_q(params, wn))
 
 
 def classify_point_2d(scheme: Scheme, params: DimensionlessParams, wn: Wavenumber,
@@ -264,23 +260,23 @@ def classify_point_2d(scheme: Scheme, params: DimensionlessParams, wn: Wavenumbe
     base = classify_at_q(scheme, params, q2)
     if not base.stable:
         return StabilityVerdict(False, base.argument,
-                                f"1D factor at q={q2:.12g}: {base.detail}",
-                                worst_xi=wn.xi_x)
-    return StabilityVerdict(True, base.argument,
-                            f"(Z-1) factor benign; {base.detail}",
-                            worst_xi=wn.xi_x)
+                                f"1D factor at q={q2:.12g}: {base.detail}")
+    return StabilityVerdict(True, base.argument, f"(Z-1) factor benign; {base.detail}")
 
 
-def _q_max(params: DimensionlessParams, h: float, dim: int,
-           polarization: str | None, h_y: float | None) -> float:
-    """Largest Courant quantity of the grid: 4 lam^2, plus 4 lam_y^2 in 2D."""
+def _q_max(params: DimensionlessParams, h: float, polarization: str | None,
+           h_y: float | None) -> float:
+    """Largest Courant quantity of the grid: 4 lam^2, plus 4 lam_y^2 in 2D,
+    that is when a polarization is given (h_y defaults to h)."""
     q_max = 4.0 * params.lam * params.lam
-    if dim == 2:
-        if polarization not in ("te", "tm"):
-            raise InvalidInputError("2D verdicts need polarization 'te' or 'tm'")
-        lam_y = params.lam * h / (h_y if h_y is not None else h)
-        q_max += 4.0 * lam_y * lam_y
-    return q_max
+    if polarization is None:
+        if h_y is not None:
+            raise InvalidInputError("h_y needs a polarization ('te' or 'tm')")
+        return q_max
+    if polarization not in ("te", "tm"):
+        raise InvalidInputError("polarization must be 'te' or 'tm'")
+    lam_y = params.lam * h / (h_y if h_y is not None else h)
+    return q_max + 4.0 * lam_y * lam_y
 
 
 def _walk(scheme: Scheme, params: DimensionlessParams, q_lo: float, q_hi: float):
@@ -303,30 +299,27 @@ def _walk(scheme: Scheme, params: DimensionlessParams, q_lo: float, q_hi: float)
 
 
 def worst_case_verdict(scheme: Scheme, medium: MediumModel, k: float, h: float,
-                       dim: int = 1, polarization: str | None = None,
+                       polarization: str | None = None,
                        h_y: float | None = None) -> StabilityVerdict:
     """Verdict over all wavenumbers at fixed physical steps, exact from the
-    breakpoint walk of q over [0, q_max].  Breakpoints decide closed against
-    open conditions and catch defective eigenvalues."""
+    breakpoint walk of q over [0, q_max]; a polarization makes the grid 2D.
+    Breakpoints decide closed against open conditions and catch defective
+    eigenvalues."""
     if medium.kind != scheme.kind:
         raise InvalidInputError(f"{scheme.value} cannot run in a {medium.kind} medium")
-    if dim not in (1, 2):
-        raise InvalidInputError("dim must be 1 or 2")
     params = dimensionless_params(medium, k, h)
     n_breaks, q, _, verdict = _walk(scheme, params, 0.0,
-                                    _q_max(params, h, dim, polarization, h_y))
+                                    _q_max(params, h, polarization, h_y))
     if not verdict.stable:
-        xi = xi_for_q(min(q, 4.0 * params.lam * params.lam), params.lam)
         return StabilityVerdict(False, verdict.argument,
-                                f"unstable at q={q:.12g}: {verdict.detail}",
-                                worst_xi=xi)
+                                f"unstable at q={q:.12g}: {verdict.detail}")
     detail = (f"stable at {n_breaks} breakpoints in [0, q_max] and inside "
               f"the {n_breaks - 1} intervals between them")
-    return StabilityVerdict(True, verdict.argument, detail, worst_xi=math.pi)
+    return StabilityVerdict(True, verdict.argument, detail)
 
 
 def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
-                         dim: int = 1, polarization: str | None = None,
+                         polarization: str | None = None,
                          h_y: float | None = None) -> BoundaryResult:
     """Largest stable time step, found by bisection on the worst-case
     verdict between 0 and 2h/c_inf.
@@ -341,8 +334,7 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
         raise InvalidInputError("h must be positive")
 
     def stable_at(k: float) -> bool:
-        return worst_case_verdict(scheme, medium, k, h, dim=dim,
-                                  polarization=polarization, h_y=h_y).stable
+        return worst_case_verdict(scheme, medium, k, h, polarization, h_y).stable
 
     hi = 2.0 * h / medium.c_inf
     if stable_at(hi):
@@ -361,8 +353,8 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
         else:
             hi = mid
     p_lo, p_hi = dimensionless_params(medium, lo, h), dimensionless_params(medium, hi, h)
-    _, _, at_break, verdict = _walk(scheme, p_lo, _q_max(p_lo, h, dim, polarization, h_y),
-                                    _q_max(p_hi, h, dim, polarization, h_y))
+    _, _, at_break, verdict = _walk(scheme, p_lo, _q_max(p_lo, h, polarization, h_y),
+                                    _q_max(p_hi, h, polarization, h_y))
     if verdict.stable:
         k_lim = scheme.spec.k_limit(medium) if scheme.spec.k_limit else None
         attained = stable_at(k_lim) if k_lim is not None and lo < k_lim <= hi else None

@@ -57,6 +57,9 @@ VERIFY_HEADER = ("scheme", "medium", "dim", "polarization", "k", "h", "xi_x",
 # |q - q_boundary| below this is the declared margin band where finite runs
 # cannot resolve growth; disagreements inside it are reported, not fatal.
 VERIFY_MARGIN_BAND = 1e-3
+# Grid size and time steps of the verify plan's regime points.
+VERIFY_GRID = 24
+VERIFY_STEPS = 700
 
 
 def _option(commands, default=None, help=None, choices=None, minimum=None):
@@ -89,7 +92,6 @@ class RunConfig:
     k: float | None = _option(_POINT, help="time step in seconds")
     h: float | None = _option(_POINT, help="space step in meters")
     h_y: float | None = _option(_GROWTH, help="y space step in meters (2D; default h)")
-    dim: int = _option(_GROWTH, 1, choices=(1, 2))
     polarization: str | None = _option(_GROWTH, choices=("te", "tm"))
     xi: float = _option(_POINT, math.pi, help="wavenumber in radians per cell")
     xi_y: float | None = _option(_GROWTH)
@@ -212,16 +214,16 @@ def _require(cfg: RunConfig, *names: str) -> None:
 
 
 def _point_from_config(cfg: RunConfig) -> tuple[Scheme, MediumModel, Wavenumber]:
-    """Scheme, medium and wavenumber of analyze/simulate; 2D points default
-    xi_y to xi and h_y to h, and 1D points refuse the 2D keys."""
+    """Scheme, medium and wavenumber of analyze/simulate.  A polarization
+    makes the point 2D, with xi_y defaulting to xi and h_y to h; without one
+    the point is 1D and refuses xi_y and h_y."""
     _require(cfg, "k", "h")
     scheme, medium = _scheme_and_medium(cfg)
-    if cfg.dim == 1:
-        for name in ("polarization", "xi_y", "h_y"):
+    if cfg.polarization is None:
+        for name in ("xi_y", "h_y"):
             if getattr(cfg, name) is not None:
-                raise InvalidInputError(f"{name} needs dim = 2")
+                raise InvalidInputError(f"{name} needs a polarization")
         return scheme, medium, Wavenumber(cfg.xi)
-    _require(cfg, "polarization")
     wn = Wavenumber(cfg.xi, cfg.xi_y if cfg.xi_y is not None else cfg.xi,
                     h_x=cfg.h, h_y=cfg.h_y or cfg.h)
     return scheme, medium, wn
@@ -229,9 +231,10 @@ def _point_from_config(cfg: RunConfig) -> tuple[Scheme, MediumModel, Wavenumber]
 
 def _run_growth(cfg: RunConfig, scheme: Scheme, medium: MediumModel, wn: Wavenumber):
     """The growth probe of analyze --empirical and simulate, on the grid
-    harmonic nearest to wn."""
+    harmonic nearest to wn (an xi next to 2 pi wraps to harmonic 0)."""
     def snap(xi):
-        return 2.0 * math.pi * round(xi * cfg.grid / (2.0 * math.pi)) / cfg.grid
+        m = round(xi * cfg.grid / (2.0 * math.pi)) % cfg.grid
+        return 2.0 * math.pi * m / cfg.grid
     harmonic = replace(wn, xi_x=snap(wn.xi_x), xi_y=snap(wn.xi_y) if wn.is_2d else None)
     return run_growth(scheme, medium, cfg.k, cfg.h, harmonic, cfg.steps,
                       polarization=cfg.polarization,
@@ -242,7 +245,7 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     scheme, medium, wn = _point_from_config(cfg)
     params = dimensionless_params(medium, cfg.k, cfg.h)
     q = courant_q(params, wn)
-    if cfg.dim == 1:
+    if cfg.polarization is None:
         verdict = classify_point(scheme, params, wn)
         poly = char_poly_closed(scheme, params, q)
     else:
@@ -341,7 +344,6 @@ class _VerifyPoint:
     medium_name: str
     k: float
     h: float
-    dim: int
     polarization: str | None
     m_x: int
     m_y: int
@@ -349,6 +351,10 @@ class _VerifyPoint:
     steps: int
     q_boundary: float
     regime: str
+
+    @property
+    def dim(self) -> int:
+        return 1 if self.polarization is None else 2
 
 
 def _verify_media(kind: str) -> list[tuple[str, MediumModel]]:
@@ -360,12 +366,11 @@ def _verify_media(kind: str) -> list[tuple[str, MediumModel]]:
             ("harmonic", MediumModel.lorentz(1.0, 2.25, 4e16, 0.0))]
 
 
-def build_verify_plan(grid: int = 24, steps: int = 700) -> list[_VerifyPoint]:
+def build_verify_plan() -> list[_VerifyPoint]:
     """Deterministic stratified sample plan: every scheme, 1D and both 2D
     polarizations, stable / unstable / near-boundary regimes, plus the
     degenerate-resonance instabilities of the harmonic Lorentz schemes."""
     plan: list[_VerifyPoint] = []
-    geometries = [(1, None), (2, "te"), (2, "tm")]
     for scheme in Scheme:
         q_lim = scheme.spec.q_limit
         for name, medium in _verify_media(scheme.kind):
@@ -377,8 +382,8 @@ def build_verify_plan(grid: int = 24, steps: int = 700) -> list[_VerifyPoint]:
                 h_ref = 1e-5
             else:
                 h_ref = medium.c_inf * math.sqrt(0.6) / medium.omega1
-            for dim, pol in geometries:
-                ndir = 1 if dim == 1 else 2
+            for pol in (None, "te", "tm"):
+                ndir = 1 if pol is None else 2
                 for frac, regime in ((0.35, "stable"), (0.70, "stable"),
                                      (1.0 - 2.0e-4, "near-boundary"),
                                      *((f, "unstable")
@@ -387,33 +392,33 @@ def build_verify_plan(grid: int = 24, steps: int = 700) -> list[_VerifyPoint]:
                     lam_dir = math.sqrt(q_tot / (4.0 * ndir))
                     k = lam_dir * h_ref / medium.c_inf
                     plan.append(_VerifyPoint(
-                        scheme, medium, name, k, h_ref, dim, pol,
-                        m_x=grid // 2, m_y=grid // 2 if dim == 2 else 0,
-                        grid=grid, steps=steps, q_boundary=q_lim,
+                        scheme, medium, name, k, h_ref, pol,
+                        m_x=VERIFY_GRID // 2, m_y=0 if pol is None else VERIFY_GRID // 2,
+                        grid=VERIFY_GRID, steps=VERIFY_STEPS, q_boundary=q_lim,
                         regime=regime))
     # Degenerate-resonance points (harmonic media with eps_s = eps_inf).
     resonant = MediumModel.lorentz(1.0, 1.0, 4e16, 0.0)
     w = 0.5
     k = math.sqrt(2.0 * w) / resonant.omega1
-    res_cases = [(Scheme.LORENTZ_JOSEPH, 1, None), (Scheme.LORENTZ_JOSEPH, 2, "tm"),
-                 (Scheme.LORENTZ_YOUNG, 1, None), (Scheme.LORENTZ_KASHIWA, 1, None)]
-    for scheme, dim, pol in res_cases:
+    res_cases = [(Scheme.LORENTZ_JOSEPH, None), (Scheme.LORENTZ_JOSEPH, "tm"),
+                 (Scheme.LORENTZ_YOUNG, None), (Scheme.LORENTZ_KASHIWA, None)]
+    for scheme, pol in res_cases:
         q_res = scheme.spec.degenerate_q(w)
         m, n = 9, 64
         xi = 2.0 * math.pi * m / n
-        ndir = 1 if dim == 1 else 2
+        ndir = 1 if pol is None else 2
         lam = math.sqrt(q_res / (ndir * 4.0 * math.sin(xi / 2.0) ** 2))
         h = resonant.c_inf * k / lam
-        plan.append(_VerifyPoint(scheme, resonant, "resonant", k, h, dim, pol,
-                                 m_x=m, m_y=m if dim == 2 else 0, grid=n,
+        plan.append(_VerifyPoint(scheme, resonant, "resonant", k, h, pol,
+                                 m_x=m, m_y=0 if pol is None else m, grid=n,
                                  steps=4000, q_boundary=q_res,
                                  regime="resonance"))
         # A harmonic point safely below the degenerate value stays bounded.
         lam_s = math.sqrt(0.25 * q_res / (ndir * 4.0 * math.sin(xi / 2.0) ** 2))
         h_s = resonant.c_inf * k / lam_s
-        plan.append(_VerifyPoint(scheme, resonant, "resonant", k, h_s, dim, pol,
-                                 m_x=m, m_y=m if dim == 2 else 0, grid=n,
-                                 steps=steps, q_boundary=q_res,
+        plan.append(_VerifyPoint(scheme, resonant, "resonant", k, h_s, pol,
+                                 m_x=m, m_y=0 if pol is None else m, grid=n,
+                                 steps=VERIFY_STEPS, q_boundary=q_res,
                                  regime="stable"))
     return plan
 
@@ -432,7 +437,7 @@ def run_verify(plan: list[_VerifyPoint]):
     for pt in plan:
         params = dimensionless_params(pt.medium, pt.k, pt.h)
         xi_x = 2.0 * math.pi * pt.m_x / pt.grid
-        if pt.dim == 1:
+        if pt.polarization is None:
             wn = Wavenumber(xi_x)
             verdict = classify_point(pt.scheme, params, wn)
             grid = pt.grid
@@ -454,10 +459,9 @@ def run_verify(plan: list[_VerifyPoint]):
         agree = verdict.stable == emp.stable
         if not agree and not in_band:
             hard_disagreements += 1
-        rows.append((pt.scheme.value, pt.medium_name, pt.dim,
-                     pt.polarization or "", pt.k, pt.h, wn.xi_x,
-                     wn.xi_y if pt.dim == 2 else None, q, pt.q_boundary,
-                     in_band, verdict.stable, emp.stable, agree, pt.regime))
+        rows.append((pt.scheme.value, pt.medium_name, pt.dim, pt.polarization or "",
+                     pt.k, pt.h, wn.xi_x, wn.xi_y, q, pt.q_boundary, in_band,
+                     verdict.stable, emp.stable, agree, pt.regime))
     return rows, hard_disagreements
 
 

@@ -5,8 +5,8 @@ the dimensionless parameters (lam, delta, omega, eps_s_prime), each scheme
 has a dense amplification matrix G advancing its Fourier-transformed state
 one time step, and the characteristic polynomial of G is also available in
 closed form.  Two-dimensional TE/TM polynomials factor as (Z - 1) times the
-one-dimensional polynomial (times an extra polarization factor for TM), so
-no 2D matrices are ever built.
+one-dimensional polynomial (times an extra polarization factor for TM, read
+off the q = 0 polynomial), so no 2D matrices are ever built.
 
 Everything that differs between the schemes lives in one `SchemeSpec`
 record per scheme, collected in `SPECS`; the functions below only look the
@@ -192,8 +192,8 @@ class SchemeSpec:
         of -q gives a diagonally similar matrix, so the analyzer can probe
         q values no wavenumber of the grid attains.
     char_poly           params -> (a, b): the characteristic polynomial has
-        ascending coefficients a_j + q*b_j
-    tm_factor           params -> coefficients of the extra 2D TM factor
+        ascending coefficients a_j + q*b_j; the 2D TM factor is derived from
+        a (`tm_factor_2d`), so it has no field of its own
     degenerate_q        omega -> Courant value where two root couples collide
         on the unit circle (harmonic media, eps_s = eps_inf), or None
     material            params -> update(E, aux, S, S_old, E_out, aux_out):
@@ -220,7 +220,6 @@ class SchemeSpec:
     q_limit: float
     entries: Callable[..., np.ndarray]
     char_poly: Callable[..., tuple[tuple[float, ...], tuple[float, ...]]]
-    tm_factor: Callable[..., tuple[float, ...]]
     degenerate_q: Callable[[float], float] | None
     material: Callable[[DimensionlessParams], Callable[..., None]]
     needs_prev_source: bool
@@ -320,10 +319,21 @@ def char_poly_from_matrix(G: np.ndarray) -> Polynomial:
 
 
 def tm_factor_2d(scheme: Scheme, params: DimensionlessParams) -> Polynomial:
-    """The extra polynomial factor of the 2D transverse-magnetic system
-    (degree 1 for Debye schemes, degree 2 for Lorentz schemes)."""
+    """The extra polynomial factor psi of the 2D transverse-magnetic system
+    (degree 1 for Debye schemes, degree 2 for Lorentz schemes).
+
+    At q = 0 the closed-form polynomial is (Z - 1)^2 psi(Z): the magnetic
+    mode and the static field each give Z = 1, and psi is the rest of the
+    curl-free material block, the block that the TM field's curl-free part
+    evolves by.  So psi shares the end coefficients a_0 and a_top of the
+    q = 0 polynomial, and a middle coefficient follows from the low-end
+    recurrence psi_j = a_j + 2 psi_(j-1) - psi_(j-2)."""
     _check_scheme_params(scheme, params)
-    return Polynomial(scheme.spec.tm_factor(params))
+    a, _ = scheme.spec.char_poly(params)
+    psi = [0.0, 0.0]  # psi_(-2), psi_(-1)
+    for a_j in a[:-3]:
+        psi.append(a_j + 2.0 * psi[-1] - psi[-2])
+    return Polynomial((*psi[2:], a[-1]))
 
 
 def char_poly_2d(scheme: Scheme, params: DimensionlessParams, wn: Wavenumber,
@@ -362,11 +372,6 @@ def _dj_char_poly(p):
     d, es = p.delta, p.eps_s_prime
     return ((-(1.0 - d * es), 3.0 - d * es, -(3.0 + d * es), 1.0 + d * es),
             (0.0, -(1.0 - d), 1.0 + d, 0.0))
-
-
-def _dj_tm_factor(p):
-    d, es = p.delta, p.eps_s_prime
-    return (-(1.0 - d * es), 1.0 + d * es)
 
 
 def _dj_material(p):
@@ -419,11 +424,6 @@ def _dy_char_poly(p):
              -(3.0 + d + d * a + 3.0 * d * d * a),
              (1.0 + d * a) * (1.0 + d)),
             (0.0, -(1.0 - d), 1.0 + d, 0.0))
-
-
-def _dy_tm_factor(p):
-    d, a = p.delta, p.alpha
-    return (-(1.0 - a) * (1.0 - d * a), (1.0 + a) * (1.0 + d * a))
 
 
 def _dy_material(p):
@@ -483,11 +483,6 @@ def _lj_char_poly(p):
              -(4.0 + 2.0 * d + 2.0 * w * es),
              1.0 + d + w * es),
             (0.0, 1.0 - d + w, -2.0, 1.0 + d + w, 0.0))
-
-
-def _lj_tm_factor(p):
-    d, es, w = p.delta, p.eps_s_prime, p.omega
-    return (1.0 - d + w * es, -2.0, 1.0 + d + w * es)
 
 
 def _lj_degenerate_q(w):
@@ -568,11 +563,6 @@ def _lk_char_poly(p):
             (0.0, 1.0 - d + 0.5 * w, w - 2.0, 1.0 + d + 0.5 * w, 0.0))
 
 
-def _lk_tm_factor(p):
-    d, es, w = p.delta, p.eps_s_prime, p.omega
-    return (1.0 - d + 0.5 * w * es, -(2.0 - w * es), 1.0 + d + 0.5 * w * es)
-
-
 def _lk_material(p):
     w, a = p.omega, p.alpha
     den = _lk_denominator(p)
@@ -637,11 +627,6 @@ def _ly_char_poly(p):
             (0.0, 1.0 - d, 2.0 * (w - 1.0), 1.0 + d, 0.0))
 
 
-def _ly_tm_factor(p):
-    d, es, w = p.delta, p.eps_s_prime, p.omega
-    return (1.0 - d, -2.0 * (1.0 - w * es), 1.0 + d)
-
-
 def _ly_material(p):
     d, w, a = p.delta, p.omega, p.alpha
     c_j, c_E, c_p, den = 1.0 - d, 2.0 * w * a, 2.0 * w, 1.0 + d
@@ -698,28 +683,27 @@ _LY_REGIMES = (
 SPECS: dict[Scheme, SchemeSpec] = {
     Scheme.DEBYE_JOSEPH: SchemeSpec(
         "debye", ("b", "E", "d"), q_limit=4.0, entries=_dj_entries,
-        char_poly=_dj_char_poly, tm_factor=_dj_tm_factor, degenerate_q=None,
+        char_poly=_dj_char_poly, degenerate_q=None,
         material=_dj_material, needs_prev_source=False, regimes=_DJ_REGIMES),
     Scheme.DEBYE_YOUNG: SchemeSpec(
         "debye", ("b", "E", "p"), q_limit=4.0, entries=_dy_entries,
-        char_poly=_dy_char_poly, tm_factor=_dy_tm_factor, degenerate_q=None,
+        char_poly=_dy_char_poly, degenerate_q=None,
         material=_dy_material, needs_prev_source=False, regimes=_DY_REGIMES,
         k_limit=lambda m: 2.0 * m.t_r),
     Scheme.LORENTZ_JOSEPH: SchemeSpec(
         "lorentz", ("b", "E", "E_prev", "d"), q_limit=2.0, entries=_lj_entries,
-        char_poly=_lj_char_poly, tm_factor=_lj_tm_factor, degenerate_q=_lj_degenerate_q,
+        char_poly=_lj_char_poly, degenerate_q=_lj_degenerate_q,
         material=_lj_material, needs_prev_source=True, regimes=_LJ_REGIMES,
         # Weakly damped media leave only a ~1e-4 per-step growth just past
         # q = 2; use stronger violations.
         verify_unstable=(1.25 + 0.35, 1.60 + 0.35)),
     Scheme.LORENTZ_KASHIWA: SchemeSpec(
         "lorentz", ("b", "E", "p", "j"), q_limit=4.0, entries=_lk_entries,
-        char_poly=_lk_char_poly, tm_factor=_lk_tm_factor,
-        degenerate_q=lambda w: 2.0 * w / (1.0 + 0.5 * w),
+        char_poly=_lk_char_poly, degenerate_q=lambda w: 2.0 * w / (1.0 + 0.5 * w),
         material=_lk_material, needs_prev_source=False, regimes=_LK_REGIMES),
     Scheme.LORENTZ_YOUNG: SchemeSpec(
         "lorentz", ("b", "E", "p", "j"), q_limit=2.0, entries=_ly_entries,
-        char_poly=_ly_char_poly, tm_factor=_ly_tm_factor, degenerate_q=lambda w: 2.0 * w,
+        char_poly=_ly_char_poly, degenerate_q=lambda w: 2.0 * w,
         material=_ly_material, needs_prev_source=False, regimes=_LY_REGIMES,
         k_limit=lambda m: 2.0 / (m.omega1 * math.sqrt(2.0 * m.eps_s / m.eps_inf - 1.0)),
         # The damped boundary is soft; drive it clearly past the limit.

@@ -194,8 +194,8 @@ def test_analyze_2d_with_empirical(tmp_path, capsys):
     out = tmp_path / "tm.csv"
     rc = main(["analyze", "--scheme", "lorentz-kashiwa", "--eps-inf", "1.0",
                "--eps-s", "2.25", "--omega1", "4e16", "--nu", "0.56e16",
-               "--k", "1.5e-17", "--h", "1e-8", "--dim", "2",
-               "--polarization", "tm", "--xi", "1.5", "--xi-y", "0.75",
+               "--k", "1.5e-17", "--h", "1e-8", "--polarization", "tm",
+               "--xi", "1.5", "--xi-y", "0.75",
                "--empirical", "--steps", "150", "--grid", "16",
                "--output", str(out)])
     assert rc == 0
@@ -207,7 +207,7 @@ def test_analyze_2d_with_empirical(tmp_path, capsys):
 def test_simulate_2d_te(capsys):
     rc = main(["simulate", "--scheme", "debye-young", "--eps-inf", "1.8",
                "--eps-s", "81.0", "--t-r", "9.4e-12", "--k", "1e-15",
-               "--h", "1e-6", "--dim", "2", "--polarization", "te",
+               "--h", "1e-6", "--polarization", "te",
                "--steps", "120", "--grid", "12"])
     assert rc == 0
     assert "bounded" in capsys.readouterr().out
@@ -279,13 +279,12 @@ def test_absent_bool_flag_keeps_file_value(tmp_path):
 
 # A complete point for every command, so that only the bad value can fail.
 _POINT = {"scheme": "debye-joseph", "eps_inf": "1.8", "eps_s": "81.0",
-          "t_r": "9.4e-12", "k": "1e-15", "h": "1e-6", "dim": "2",
-          "polarization": "te", "vary": "q", "start": "0", "stop": "4",
-          "count": "5", "steps": "100", "grid": "8"}
+          "t_r": "9.4e-12", "k": "1e-15", "h": "1e-6", "polarization": "te",
+          "vary": "q", "start": "0", "stop": "4", "count": "5", "steps": "100",
+          "grid": "8"}
 
 
 @pytest.mark.parametrize("command,key,value", [
-    ("analyze", "dim", "3"),
     ("analyze", "polarization", "xy"),
     ("scan", "vary", "z"),
     ("scan", "count", "0"),
@@ -315,18 +314,48 @@ def _argv(command, values, source, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
-@pytest.mark.parametrize("key,value", [("polarization", "tm"), ("xi_y", "0.75"),
-                                       ("h_y", "2e-6")])
+@pytest.mark.parametrize("key,value", [("xi_y", "0.75"), ("h_y", "2e-6")])
 @pytest.mark.parametrize("source", ["flag", "file"])
-def test_2d_key_at_dim_1_exits_2(command, key, value, source, tmp_path, capsys):
-    """A 1D point refuses each key that only a 2D point reads, naming it,
-    instead of running without it."""
+def test_2d_key_without_polarization_exits_2(command, key, value, source, tmp_path,
+                                             capsys):
+    """A point without a polarization is 1D: it refuses each key that only a
+    2D point reads, naming it, instead of running without it."""
     values = {k: v for k, v in _POINT.items() if k != "polarization"}
-    argv = _argv(command, {**values, "dim": "1", key: value}, source, tmp_path)
-    assert main(argv) == 2
+    assert main(_argv(command, {**values, key: value}, source, tmp_path)) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {key} needs dim = 2")
+    assert err.startswith(f"error: {key} needs a polarization")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_dim_is_neither_flag_nor_key(command, tmp_path, capsys):
+    """The polarization is the only 2D marker: --dim is an unread flag and
+    dim an unknown config key."""
+    values = {k: v for k, v in _POINT.items() if k != "polarization"}
+    assert main(_argv(command, values, "flag", tmp_path) + ["--dim", "2"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {command} does not take --dim 2")
+    assert main(_argv(command, {**values, "dim": "2"}, "file", tmp_path)) == 2
+    assert "unknown key 'dim'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["xi", "xi_y"])
+def test_growth_probe_wraps_xi_next_to_2pi(key, monkeypatch, capsys):
+    """An xi within half a harmonic spacing below 2 pi snaps to harmonic 0
+    (the same grid mode as 2 pi), not to the out-of-range 2 pi."""
+    real, probed = cli.run_growth, []
+
+    def spy(*args, **kwargs):
+        probed.append(args[4])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(cli, "run_growth", spy)
+    argv = ["simulate", "--scheme", "debye-joseph", "--eps-inf", "1.8", "--eps-s", "81.0",
+            "--t-r", "9.4e-12", "--k", "1e-15", "--h", "1e-6", "--steps", "100"]
+    if key == "xi":
+        argv += ["--xi", "6.28", "--grid", "64"]
+    else:
+        argv += ["--polarization", "tm", "--xi", "1.5", "--xi-y", "6.28", "--grid", "16"]
+    assert main(argv) == 0
+    assert getattr(probed[0], "xi_x" if key == "xi" else "xi_y") == 0.0
 
 
 @pytest.mark.parametrize("command,f", [(c, f) for c in cli._COMMANDS for f in _OPTION_FIELDS

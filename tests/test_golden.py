@@ -83,7 +83,7 @@ def analyze_2d_text() -> str:
     header = None
     rows = []
     for pt in cli.build_verify_plan():
-        if pt.dim != 2:
+        if pt.polarization is None:
             continue
         m = pt.medium
         medium = (["--t-r", repr(m.t_r)] if m.kind == "debye"
@@ -91,7 +91,7 @@ def analyze_2d_text() -> str:
         text = _csv_output([
             "analyze", "--scheme", pt.scheme.value, "--eps-inf", repr(m.eps_inf),
             "--eps-s", repr(m.eps_s), *medium, "--k", repr(pt.k), "--h", repr(pt.h),
-            "--dim", "2", "--polarization", pt.polarization,
+            "--polarization", pt.polarization,
             "--xi", repr(2.0 * math.pi * pt.m_x / pt.grid),
             "--xi-y", repr(2.0 * math.pi * pt.m_y / pt.grid)])
         header, row = text.splitlines()
@@ -186,7 +186,7 @@ def boundaries_text() -> str:
     lines = []
     for scheme, medium, h, geometry in cases:
         kw = {} if geometry == "1d" else dict(
-            dim=2, polarization=geometry, h_y=h if geometry == "te" else 2.0 * h)
+            polarization=geometry, h_y=h if geometry == "te" else 2.0 * h)
         res = stability_boundary_k(Scheme.from_name(scheme), _BOUNDARY_MEDIA[medium],
                                    h, **kw)
         lines.append("|".join((scheme, medium, geometry, repr(h), repr(res.k_star),

@@ -279,10 +279,12 @@ def test_tm_factor_lorentz_joseph_on_circle_when_undamped():
 
 
 def test_tm_factor_debye_young_no_contrast():
+    """Without contrast (alpha = 0) the polarization relaxes on its own:
+    psi = (1 + delta) Z - (1 - delta)."""
     p = DimensionlessParams(lam=1.0, delta=0.5, eps_s_prime=1.0)
     poly = tm_factor_2d(Scheme.DEBYE_YOUNG, p)
     np.testing.assert_allclose(np.array(poly.coeffs, dtype=complex),
-                               [-1.0, 1.0], atol=0.0)
+                               [-0.5, 1.5], atol=0.0)
 
 
 def test_char_poly_2d_te_structure():
