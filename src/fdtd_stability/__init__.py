@@ -8,22 +8,16 @@ both and writes CSV reports.
 from .errors import InvalidInputError, NumericalFailureError
 from .polyloc import (
     Polynomial,
-    RootProfile,
-    conjugate_poly,
     is_schur,
     is_simple_von_neumann,
     reduce_step,
-    root_profile,
 )
 from .schemes import (
     DimensionlessParams,
     MediumModel,
     Scheme,
     Wavenumber,
-    amplification_matrix,
-    char_poly_2d,
     char_poly_closed,
-    char_poly_from_matrix,
     courant_q,
     dimensionless_params,
     tm_factor_2d,
@@ -61,18 +55,13 @@ __all__ = [
     "MediumModel",
     "NumericalFailureError",
     "Polynomial",
-    "RootProfile",
     "Scheme",
     "StabilityVerdict",
     "Wavenumber",
-    "amplification_matrix",
-    "char_poly_2d",
     "char_poly_closed",
-    "char_poly_from_matrix",
     "classify_at_q",
     "classify_point",
     "classify_point_2d",
-    "conjugate_poly",
     "courant_q",
     "dimensionless_params",
     "empirical_verdict",
@@ -82,7 +71,6 @@ __all__ = [
     "is_simple_von_neumann",
     "reduce_step",
     "reproduce_argument_table",
-    "root_profile",
     "run_growth",
     "stability_boundary_k",
     "step",

@@ -37,10 +37,10 @@ from .schemes import (
     MediumModel,
     Scheme,
     Wavenumber,
-    char_poly_2d,
     char_poly_closed,
     courant_q,
     dimensionless_params,
+    tm_factor_2d,
     xi_for_q,
 )
 from .simulator import empirical_verdict, run_growth
@@ -225,7 +225,7 @@ def _point_from_config(cfg: RunConfig) -> tuple[Scheme, MediumModel, Wavenumber]
                 raise InvalidInputError(f"{name} needs a polarization")
         return scheme, medium, Wavenumber(cfg.xi)
     wn = Wavenumber(cfg.xi, cfg.xi_y if cfg.xi_y is not None else cfg.xi,
-                    h_x=cfg.h, h_y=cfg.h_y or cfg.h)
+                    h_x=cfg.h, h_y=cfg.h if cfg.h_y is None else cfg.h_y)
     return scheme, medium, wn
 
 
@@ -245,13 +245,16 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     scheme, medium, wn = _point_from_config(cfg)
     params = dimensionless_params(medium, cfg.k, cfg.h)
     q = courant_q(params, wn)
+    root_mod = max_root_modulus(char_poly_closed(scheme, params, q))
     if cfg.polarization is None:
         verdict = classify_point(scheme, params, wn)
-        poly = char_poly_closed(scheme, params, q)
     else:
+        # The 2D polynomial (Z - 1) [psi] phi(q), taken factor by factor:
+        # the (Z - 1) root is exactly 1.
         verdict = classify_point_2d(scheme, params, wn, cfg.polarization)
-        poly = char_poly_2d(scheme, params, wn, cfg.polarization)
-    root_mod = max_root_modulus(poly)
+        root_mod = max(1.0, root_mod)
+        if cfg.polarization == "tm":
+            root_mod = max(root_mod, max_root_modulus(tm_factor_2d(scheme, params)))
     print(f"{scheme.value}: {'stable' if verdict.stable else 'unstable'} "
           f"[{verdict.argument.value}] at xi={wn.xi_x:.6g}, q={q:.6g} "
           f"(max root modulus {root_mod:.12g})")

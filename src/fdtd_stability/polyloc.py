@@ -14,11 +14,11 @@ conj(c0) z^d`` and one reduction step maps ``p`` to
     (p*(0) p(z) - p(0) p*(z)) / z.
 
 The constant term of the numerator cancels exactly, so the division is a
-coefficient shift.  A companion-matrix root solver (`root_profile`) provides
-an independent oracle used throughout the tests, and an exact-rational
-variant of the recursion backs up the floating-point path on rational
-inputs.  For a polynomial family affine in a real parameter q,
-`circle_crossings` finds the q at which a root can meet the unit circle.
+coefficient shift.  An exact-rational variant of the recursion decides
+rational inputs without rounding.  For a polynomial family affine in a real
+parameter q, `circle_crossings` finds the q at which a root can meet the
+unit circle, and `max_root_modulus` reads the largest root modulus off the
+companion matrix.
 
 All values are immutable; every function is pure and thread-safe.
 """
@@ -42,10 +42,6 @@ TRIM_REL_TOL = 1e-12
 # normalized by their largest coefficient first, so the test is invariant
 # under rescaling of the polynomial.
 BOUNDARY_REL_TOL = 1e-12
-
-# Two roots closer than this are treated as one root of higher multiplicity
-# (companion eigenvalues of an m-fold root scatter like eps**(1/m)).
-ROOT_CLUSTER_TOL = 1e-7
 
 # Locus roots with | |z| - 1 | <= CROSSING_TOL are crossing candidates, and
 # candidate q values with an imaginary part up to CROSSING_TOL (relative)
@@ -79,14 +75,6 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
-    @classmethod
-    def from_roots(cls, roots: Sequence[complex], leading: complex = 1.0) -> "Polynomial":
-        """Expand ``leading * prod (z - r)`` into coefficients."""
-        coeffs = np.array([leading], dtype=complex)
-        for r in roots:
-            coeffs = np.convolve(coeffs, np.array([-r, 1.0], dtype=complex))
-        return cls(coeffs)
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -107,45 +95,11 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero or other.is_zero:
-            return Polynomial(())
-        return Polynomial(np.convolve(np.array(self.coeffs), np.array(other.coeffs)))
-
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
 
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(j * c for j, c in enumerate(self.coeffs))[1:])
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            raise InvalidInputError("zero polynomial has no monic form")
-        lead = self.coeffs[-1]
-        return Polynomial(tuple(c / lead for c in self.coeffs))
-
-    def scaled(self, factor: complex) -> "Polynomial":
-        return Polynomial(tuple(factor * c for c in self.coeffs))
-
-
-@dataclass(frozen=True)
-class RootProfile:
-    """Counts of roots strictly inside / outside the unit circle, plus the
-    on-circle roots grouped by multiplicity."""
-
-    inside_count: int
-    outside_count: int
-    on_circle: tuple[tuple[complex, int], ...]
-    circle_tolerance: float
-
-    @property
-    def circle_count(self) -> int:
-        return sum(mult for _, mult in self.on_circle)
-
-    @property
-    def circle_simple(self) -> bool:
-        return all(mult == 1 for _, mult in self.on_circle)
-
 
 @dataclass(frozen=True)
 class LevelTest:
@@ -172,13 +126,6 @@ class LocationResult:
 def _require_nonzero(p: Polynomial) -> None:
     if p.is_zero:
         raise InvalidInputError("operation is undefined for the zero polynomial")
-
-
-def conjugate_poly(p: Polynomial) -> Polynomial:
-    """Reversed complex-conjugate polynomial: coefficient j becomes
-    conj(c[d-j])."""
-    _require_nonzero(p)
-    return Polynomial(tuple(c.conjugate() for c in reversed(p.coeffs)))
 
 
 def reduce_step(p: Polynomial) -> Polynomial:
@@ -291,33 +238,6 @@ def is_simple_von_neumann(p: Polynomial) -> LocationResult:
                                   f"|p(0)| = |p*(0)| with nonzero reduction "
                                   f"at degree {d}")
         cur = _normalized(nxt)
-
-
-def root_profile(p: Polynomial, circle_tolerance: float = 1e-9) -> RootProfile:
-    """Classify all roots by companion-matrix eigenvalues.
-
-    Roots with | |r| - 1 | <= circle_tolerance count as on-circle and are
-    clustered into multiplicity groups; the rest are strictly inside or
-    outside.
-    """
-    _require_nonzero(p)
-    if circle_tolerance <= 0:
-        raise InvalidInputError("circle_tolerance must be positive")
-    if p.degree == 0:
-        return RootProfile(0, 0, (), circle_tolerance)
-    roots = poly_roots(p)
-    inside = outside = 0
-    circle: list[complex] = []
-    for r in roots:
-        mod = abs(r)
-        if abs(mod - 1.0) <= circle_tolerance:
-            circle.append(r)
-        elif mod < 1.0:
-            inside += 1
-        else:
-            outside += 1
-    return RootProfile(inside, outside, tuple(greedy_clusters(circle, ROOT_CLUSTER_TOL)),
-                       circle_tolerance)
 
 
 def greedy_clusters(values: Sequence[complex], tol: float) -> list[tuple[complex, int]]:

@@ -3,10 +3,12 @@
 Everything here is per-wavenumber linear algebra: physical constants map to
 the dimensionless parameters (lam, delta, omega, eps_s_prime), each scheme
 has a dense amplification matrix G advancing its Fourier-transformed state
-one time step, and the characteristic polynomial of G is also available in
-closed form.  Two-dimensional TE/TM polynomials factor as (Z - 1) times the
-one-dimensional polynomial (times an extra polarization factor for TM, read
-off the q = 0 polynomial), so no 2D matrices are ever built.
+one time step, built at a Courant quantity q, and the characteristic
+polynomial of G in closed form.  Two-dimensional TE/TM polynomials factor
+as (Z - 1) times the one-dimensional polynomial at q = q_x + q_y (times an
+extra polarization factor psi for TM, read off the q = 0 polynomial).  The
+factors are used one by one, so neither 2D matrices nor the expanded 2D
+polynomial are ever built.
 
 Everything that differs between the schemes lives in one `SchemeSpec`
 record per scheme, collected in `SPECS`; the functions below only look the
@@ -271,25 +273,11 @@ def _check_scheme_params(scheme: Scheme, params: DimensionlessParams) -> None:
         raise InvalidInputError("Debye schemes require delta > 0")
 
 
-def amplification_matrix(scheme: Scheme, params: DimensionlessParams,
-                         wn: Wavenumber) -> np.ndarray:
-    """One-dimensional amplification matrix at discrete wavenumber xi_x."""
-    _check_scheme_params(scheme, params)
-    if wn.is_2d:
-        raise InvalidInputError("amplification matrices are built in 1D only")
-    lam = params.lam
-    xi = wn.xi_x
-    phase = complex(math.cos(xi), math.sin(xi))
-    u = lam * (phase - 1.0)
-    v = lam * (1.0 - 1.0 / phase) if xi != 0.0 else 0.0j
-    return scheme.spec.entries(params, u, v, courant_q(params, wn))
-
-
 def amplification_matrix_at_q(scheme: Scheme, params: DimensionlessParams,
                               q: float) -> np.ndarray:
-    """Matrix diagonally similar to the physical one at Courant quantity q,
-    built from the coupling split u = sqrt(q), v = -sqrt(q) (the physical
-    couplings satisfy u*v = -q).  Valid for any q >= 0, even values no
+    """Matrix diagonally similar to the physical amplification matrix of any
+    wavenumber with Courant quantity q, built from the coupling split
+    u = sqrt(q), v = -sqrt(q) (the physical couplings satisfy u*v = -q).  Valid for any q >= 0, even values no
     wavenumber of the current grid attains."""
     _check_scheme_params(scheme, params)
     if q < 0:
@@ -308,16 +296,6 @@ def char_poly_closed(scheme: Scheme, params: DimensionlessParams, q: float) -> P
     return Polynomial(tuple(x + q * y for x, y in zip(a, b)))
 
 
-def char_poly_from_matrix(G: np.ndarray) -> Polynomial:
-    """Monic characteristic polynomial det(Z I - G), computed from the
-    eigenvalues; the independent cross-check for char_poly_closed."""
-    m = np.asarray(G, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidInputError("characteristic polynomial requires a square matrix")
-    coeffs_desc = np.poly(m)
-    return Polynomial(tuple(coeffs_desc[::-1]))
-
-
 def tm_factor_2d(scheme: Scheme, params: DimensionlessParams) -> Polynomial:
     """The extra polynomial factor psi of the 2D transverse-magnetic system
     (degree 1 for Debye schemes, degree 2 for Lorentz schemes).
@@ -334,22 +312,6 @@ def tm_factor_2d(scheme: Scheme, params: DimensionlessParams) -> Polynomial:
     for a_j in a[:-3]:
         psi.append(a_j + 2.0 * psi[-1] - psi[-2])
     return Polynomial((*psi[2:], a[-1]))
-
-
-def char_poly_2d(scheme: Scheme, params: DimensionlessParams, wn: Wavenumber,
-                 polarization: str) -> Polynomial:
-    """Two-dimensional characteristic polynomial: (Z - 1) times the 1D
-    polynomial at q = q_x + q_y, with the TM polarization factor inserted
-    for "tm"."""
-    if not wn.is_2d:
-        raise InvalidInputError("char_poly_2d requires a 2D wavenumber")
-    if polarization not in ("te", "tm"):
-        raise InvalidInputError("polarization must be 'te' or 'tm'")
-    q = courant_q(params, wn)
-    poly = Polynomial((-1.0, 1.0)) * char_poly_closed(scheme, params, q)
-    if polarization == "tm":
-        poly = poly * tm_factor_2d(scheme, params)
-    return poly
 
 
 # ---------------------------------------------------------------------------

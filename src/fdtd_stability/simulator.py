@@ -277,14 +277,6 @@ def step(scheme: Scheme, state: FieldState, params: DimensionlessParams) -> Fiel
     return FieldState(scheme, state.polarization, out, state.h_ratio)
 
 
-def fourier_mode(state: FieldState, m: int) -> np.ndarray:
-    """Complex amplitude of grid mode m for each state component, ordered
-    like the scheme's update-matrix state vector (1D only)."""
-    if state.polarization is not None:
-        raise InvalidInputError("fourier_mode is defined for 1D states")
-    return np.fft.fft(state.data, axis=1)[:, m] / state.grid_shape[0]
-
-
 def _tail_factor(norms: np.ndarray) -> float:
     """Geometric per-step growth factor over the last half of the run,
     estimated by the least-squares slope of log(norm) (robust against the

@@ -1,0 +1,47 @@
+"""The public contract: the names `fdtd_stability` exports, and the
+test-only referees that live in `tests/referees.py` instead of the package."""
+
+import importlib
+
+import fdtd_stability
+
+PUBLIC = {
+    # errors
+    "InvalidInputError", "NumericalFailureError",
+    # polyloc
+    "Polynomial", "is_schur", "is_simple_von_neumann", "reduce_step",
+    # schemes
+    "DimensionlessParams", "MediumModel", "Scheme", "Wavenumber", "char_poly_closed",
+    "courant_q", "dimensionless_params", "tm_factor_2d",
+    # analyzer
+    "Argument", "BoundednessReport", "StabilityVerdict", "classify_at_q",
+    "classify_point", "classify_point_2d", "gn_bounded", "reproduce_argument_table",
+    "stability_boundary_k", "worst_case_verdict",
+    # simulator
+    "FieldState", "GrowthReport", "empirical_verdict", "init_plane_wave", "run_growth",
+    "step",
+}
+
+REFEREES = ("root_profile", "RootProfile", "ROOT_CLUSTER_TOL", "conjugate_poly",
+            "amplification_matrix", "char_poly_from_matrix", "char_poly_2d",
+            "fourier_mode")
+
+
+def test_all_is_the_public_contract():
+    assert len(fdtd_stability.__all__) == len(PUBLIC)
+    assert set(fdtd_stability.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert getattr(fdtd_stability, name) is not None, name
+
+
+def test_referees_are_not_in_the_package():
+    """Test-only references stay out of src; the exact recursion stays in."""
+    modules = [importlib.import_module(f"fdtd_stability.{m}")
+               for m in ("polyloc", "schemes", "simulator", "analyzer", "cli")]
+    for name in REFEREES:
+        assert not any(hasattr(m, name) for m in modules + [fdtd_stability]), name
+    for name in ("from_roots", "monic", "scaled", "__mul__"):
+        assert not hasattr(fdtd_stability.Polynomial, name), name
+    polyloc = modules[0]
+    for name in ("reduce_step_exact", "is_schur_exact", "is_simple_von_neumann_exact"):
+        assert callable(getattr(polyloc, name)), name

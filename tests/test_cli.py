@@ -328,6 +328,17 @@ def test_2d_key_without_polarization_exits_2(command, key, value, source, tmp_pa
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_zero_h_y_exits_2(command, source, tmp_path, capsys):
+    """h_y = 0 is refused like any nonpositive space step, not replaced by
+    the default h."""
+    assert main(_argv(command, {**_POINT, "h_y": "0"}, source, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: space steps must be positive")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
 def test_dim_is_neither_flag_nor_key(command, tmp_path, capsys):
     """The polarization is the only 2D marker: --dim is an unread flag and
     dim an unknown config key."""

@@ -227,6 +227,17 @@ def test_analyze_2d_golden():
     assert analyze_2d_text() == _golden("analyze_2d.csv")
 
 
+def test_analyze_2d_stable_rows_read_at_most_one():
+    """The 2D max_root_modulus is taken factor by factor, so no stable row
+    reads above 1 by more than rounding."""
+    header, *rows = _golden("analyze_2d.csv").splitlines()
+    cols = header.split(",")
+    stable, modulus = cols.index("stable"), cols.index("max_root_modulus")
+    moduli = [float(r.split(",")[modulus]) for r in rows
+              if r.split(",")[stable] == "true"]
+    assert moduli and max(moduli) <= 1.0 + 1e-12
+
+
 def test_verify_plan_golden():
     assert verify_plan_text() == _golden("verify_plan.txt")
 

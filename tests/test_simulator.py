@@ -20,8 +20,6 @@ from fdtd_stability import (
     MediumModel,
     Scheme,
     Wavenumber,
-    amplification_matrix,
-    char_poly_2d,
     dimensionless_params,
     empirical_verdict,
     init_plane_wave,
@@ -29,8 +27,8 @@ from fdtd_stability import (
     simulator,
     step,
 )
-from fdtd_stability.polyloc import poly_roots
-from fdtd_stability.simulator import FieldState, fourier_mode, linear_fit_residual
+from fdtd_stability.simulator import linear_fit_residual
+from referees import amplification_matrix, factor_roots_2d, fourier_mode, mode_matrix_2d
 
 
 def medium_for(scheme):
@@ -416,41 +414,21 @@ def test_2d_with_zero_xi_y_reproduces_1d(scheme, polarization):
         assert np.max(np.abs(st2.arrays[label_2d])) == 0.0, label_2d
 
 
-def _one_step_mode_matrix(scheme, polarization, params, wn, shape, modes):
-    """The per-mode update matrix of one public `step` on a 2D grid: random
-    complex slot amplitudes of the harmonic `modes`, stepped as a real and
-    an imaginary part, with the FFT of every slot before and after."""
-    rng = np.random.default_rng(7)
-    n = len(init_plane_wave(scheme, shape, wn, 1.0, polarization).labels)
-    jx, jy = np.indices(shape, sparse=True)
-    wave = np.exp(1j * (wn.xi_x * jx + wn.xi_y * jy))
-    def mode(data):
-        return np.fft.fft2(data)[:, modes[0], modes[1]] / wave.size
-
-    before, after = np.empty((n, n), complex), np.empty((n, n), complex)
-    for col, amps in enumerate(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))):
-        data = amps[:, None, None] * wave
-        re, im = (step(scheme, FieldState(scheme, polarization, part, wn.h_x / wn.h_y),
-                       params).data for part in (data.real, data.imag))
-        before[:, col], after[:, col] = mode(data), mode(re + 1j * im)
-    return after @ np.linalg.inv(before)
-
-
 @pytest.mark.parametrize("polarization", ["te", "tm"])
 @pytest.mark.parametrize("scheme", list(Scheme))
-def test_2d_mode_matrix_eigenvalues_are_char_poly_2d_roots(scheme, polarization):
+def test_2d_mode_matrix_eigenvalues_are_factor_roots(scheme, polarization):
     """The 2D referee of the closed-form polynomials: the eigenvalues of the
-    per-mode update matrix measured on the grid are the roots of
-    `char_poly_2d`, (Z - 1) phi(q) in TE and (Z - 1) psi phi(q) in TM, on an
-    8 x 6 grid with h_y = 2 h_x."""
+    per-mode update matrix measured on the grid are the roots of the factors
+    of (Z - 1) phi(q) in TE and (Z - 1) psi phi(q) in TM, taken together, on
+    an 8 x 6 grid with h_y = 2 h_x."""
     params = DimensionlessParams(lam=0.3, delta=0.2, eps_s_prime=3.0,
                                  omega=0.6 if scheme.kind == "lorentz" else None)
     shape, modes = (8, 6), (3, 1)
     wn = Wavenumber(2 * math.pi * modes[0] / shape[0], 2 * math.pi * modes[1] / shape[1],
                     h_x=1.0, h_y=2.0)
-    G = _one_step_mode_matrix(scheme, polarization, params, wn, shape, modes)
+    G = mode_matrix_2d(scheme, polarization, params, wn, shape, modes)
     eigs = list(np.linalg.eigvals(G))
-    roots = poly_roots(char_poly_2d(scheme, params, wn, polarization))
+    roots = factor_roots_2d(scheme, params, wn, polarization)
     assert len(roots) == len(eigs)
     for z in roots:  # nearest unmatched eigenvalue; all roots here are simple
         nearest = eigs.pop(int(np.argmin(np.abs(np.array(eigs) - z))))
