@@ -1,7 +1,8 @@
 """Golden outputs: the ``tables`` report, ``scan --vary q`` CSVs, 2D
 ``analyze`` CSV rows, the verify plan, the SHA-256 of simulator norm
-histories and boundary-search results, compared byte for byte with the
-files under ``tests/golden/``.
+histories, boundary-search results and the analytic verdicts and
+crossings of seeded points, compared byte for byte with the files under
+``tests/golden/``.
 
 The files pin the verdicts and numbers of the whole analytic route and the
 bits of the empirical one, so a refactor that is meant to change no output
@@ -22,16 +23,21 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fdtd_stability import (
+    DimensionlessParams,
     MediumModel,
     Scheme,
     Wavenumber,
+    classify_at_q,
     cli,
     run_growth,
     stability_boundary_k,
+    worst_case_verdict,
 )
+from fdtd_stability.polyloc import circle_crossings
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -194,6 +200,77 @@ def boundaries_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _random_params(rng, scheme: Scheme) -> DimensionlessParams:
+    """Debye delta over ten decades; Lorentz delta = 0 (harmonic) one time
+    in three; eps_s = eps_inf one time in four."""
+    es = 1.0 if rng.random() < 0.25 else 1.0 + 10.0 ** rng.uniform(-3.0, 1.5)
+    if scheme.kind == "debye":
+        return DimensionlessParams(1.0, 10.0 ** rng.uniform(-10.0, 0.5), es)
+    delta = 0.0 if rng.random() < 1.0 / 3.0 else 10.0 ** rng.uniform(-8.0, 0.0)
+    return DimensionlessParams(1.0, delta, es, 10.0 ** rng.uniform(-6.0, 0.5))
+
+
+def _probe_q(rng, scheme: Scheme, params: DimensionlessParams, kind: int) -> float:
+    """q of one of six kinds: 0, 2, 4, the degenerate q (a draw within the
+    snap window of it half the time; uniform on [0, 5] without one), tiny
+    q in [1e-18, 1e-8], uniform on [0, 5]."""
+    q_of_omega = scheme.spec.degenerate_q
+    if kind == 3 and q_of_omega is not None:
+        q_res = q_of_omega(params.omega)
+        return q_res if rng.random() < 0.5 else q_res + rng.uniform(-5e-10, 5e-10)
+    if kind == 4:
+        return 10.0 ** rng.uniform(-18.0, -8.0)
+    return (0.0, 2.0, 4.0)[kind] if kind < 3 else rng.uniform(0.0, 5.0)
+
+
+_GRID_MEDIA = {
+    "debye": (_BOUNDARY_MEDIA["water"], _BOUNDARY_MEDIA["foam"],
+              MediumModel.debye(1.8, 1.8, 9.4e-12)),
+    "lorentz": (_BOUNDARY_MEDIA["optical"], _BOUNDARY_MEDIA["radio"],
+                MediumModel.lorentz(1.0, 1.0, 4e16, 0.0)),
+}
+
+
+def verdicts_text() -> str:
+    """The analytic route on seeded inputs, one line each:
+    - ``crossings``: ``circle_crossings`` of 60 seeded families per scheme,
+      as repr floats;
+    - ``point``: (stable, argument, detail) of ``classify_at_q`` at two q of
+      each of the first 60 families of a scheme (600 points), cycling
+      through the six kinds of ``_probe_q``;
+    - ``grid``: ``worst_case_verdict`` on 20 seeded grids per scheme, 1D, TE
+      and TM, with h around the medium's own length scale, k from 1e-6 to
+      1.5 times the 1D Courant step and h_y in {h/2, h, 2h}."""
+    rng = np.random.default_rng(13)
+    lines = []
+    for scheme in Scheme:
+        for j in range(60):
+            params = _random_params(rng, scheme)
+            p = "|".join(repr(x) for x in (params.delta, params.eps_s_prime, params.omega))
+            crossings = circle_crossings(*scheme.spec.char_poly(params))
+            lines.append("|".join(["crossings", scheme.value, p]
+                                  + [repr(c) for c in crossings]))
+            for kind in (2 * j % 6, (2 * j + 1) % 6):
+                q = _probe_q(rng, scheme, params, kind)
+                v = classify_at_q(scheme, params, q)
+                lines.append("|".join(("point", scheme.value, p, repr(q), str(v.stable),
+                                       v.argument.value, v.detail)))
+        for j in range(20):
+            medium = _GRID_MEDIA[scheme.kind][int(rng.integers(3))]
+            scale = medium.t_r if medium.kind == "debye" else 1.0 / medium.omega1
+            h = medium.c_inf * scale * 10.0 ** rng.uniform(-2.0, 1.0)
+            courant = (1e-6 if rng.random() < 0.1 else rng.uniform(0.05, 1.5))
+            k = courant * h / medium.c_inf
+            geometry = ("1d", "te", "tm")[j % 3]
+            kw = {} if geometry == "1d" else dict(
+                polarization=geometry, h_y=h * (0.5, 1.0, 2.0)[int(rng.integers(3))])
+            v = worst_case_verdict(scheme, medium, k, h, **kw)
+            lines.append("|".join(("grid", scheme.value, repr(medium.eps_s), repr(k),
+                                   repr(h), geometry, repr(kw.get("h_y")), str(v.stable),
+                                   v.argument.value, v.detail)))
+    return "\n".join(lines) + "\n"
+
+
 def _artifacts():
     yield "tables.txt", tables_text
     for stem, scheme, flags in SCAN_CASES:
@@ -202,6 +279,7 @@ def _artifacts():
     yield "verify_plan.txt", verify_plan_text
     yield "norm_histories.txt", norm_history_text
     yield "boundaries.txt", boundaries_text
+    yield "verdicts.txt", verdicts_text
 
 
 def _golden(name: str) -> str:
@@ -248,6 +326,10 @@ def test_norm_histories_golden():
 
 def test_boundaries_golden():
     assert boundaries_text() == _golden("boundaries.txt")
+
+
+def test_verdicts_golden():
+    assert verdicts_text() == _golden("verdicts.txt")
 
 
 if __name__ == "__main__":
