@@ -4,13 +4,14 @@ A point (scheme, parameters, wavenumber) is stable when the update matrix
 has bounded powers.  The decision tree:
 
 1. If the characteristic polynomial is simple von Neumann, powers are
-   bounded.  All roots strictly inside gives the strongest verdict.
-2. Otherwise the roots are located by the companion-matrix oracle.  A root
-   cluster whose center lies outside the unit circle means exponential
-   growth.
+   bounded.  All roots strictly inside gives the strongest verdict; the
+   same recursion pass tells (`LocationResult.schur`).
+2. Otherwise the eigenvalues of the update matrix are computed once.  One
+   outside the unit circle means exponential growth.
 3. Multiple roots on the circle leave the polynomial undecided: the verdict
    then comes from the matrix itself, by comparing geometric and algebraic
-   multiplicities of the unit-modulus eigenvalues.  A defective eigenvalue
+   multiplicities of the unit-modulus eigenvalues (the test of
+   `gn_bounded`, fed the eigenvalues of step 2).  A defective eigenvalue
    produces linear growth of the powers, hence instability.
 
 Near the degenerate Courant values of the Lorentz schemes (where two
@@ -41,7 +42,6 @@ from .polyloc import (
     Polynomial,
     circle_crossings,
     greedy_clusters,
-    is_schur,
     is_simple_von_neumann,
 )
 from .schemes import (
@@ -142,13 +142,23 @@ def gn_bounded(G: np.ndarray) -> BoundednessReport:
     mistaken for a defective pair.
     """
     m = np.asarray(G, dtype=complex)
-    try:
-        eigs = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigenvalue solve failed: {exc}") from exc
+    eigs = _eigvals(m)
     if np.max(np.abs(eigs)) > 1.0 + EIG_CLUSTER_TOL:
         raise InvalidInputError(
             "gn_bounded requires all eigenvalue moduli at most 1 + EIG_CLUSTER_TOL")
+    return _unit_multiplicities(m, eigs)
+
+
+def _eigvals(m: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.eigvals(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigenvalue solve failed: {exc}") from exc
+
+
+def _unit_multiplicities(m: np.ndarray, eigs: np.ndarray) -> BoundednessReport:
+    """The multiplicity test of `gn_bounded` on a complex matrix m whose
+    eigenvalues eigs the caller has already computed."""
     unit = eigs[np.abs(np.abs(eigs) - 1.0) <= EIG_CLUSTER_TOL]
     reports: list[UnitEigenvalue] = []
     bounded = True
@@ -192,8 +202,7 @@ def classify_at_q(scheme: Scheme, params: DimensionlessParams, q: float) -> Stab
     poly = char_poly_closed(scheme, params, q_eff)
     svn = is_simple_von_neumann(poly)
     if svn.ok:
-        schur = is_schur(poly)
-        if schur.ok:
+        if svn.schur:
             return StabilityVerdict(True, Argument.THEOREM_SCHUR,
                                     "all roots strictly inside the unit circle")
         if _special_root_near(poly):
@@ -208,16 +217,13 @@ def classify_at_q(scheme: Scheme, params: DimensionlessParams, q: float) -> Stab
     # matrix are well-conditioned even when repeated, so only defective
     # eigenvalues scatter (~1e-8), safely below OUT_EIG_TOL.
     G = amplification_matrix_at_q(scheme, params, q_eff)
-    try:
-        eigs = np.linalg.eigvals(G)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigenvalue solve failed: {exc}") from exc
+    eigs = _eigvals(G)
     worst = float(np.max(np.abs(eigs)))
     if worst > 1.0 + OUT_EIG_TOL:
         return StabilityVerdict(
             False, Argument.THEOREM_VON_NEUMANN,
             f"eigenvalue of modulus {worst:.12g} outside the unit circle")
-    report = gn_bounded(G)
+    report = _unit_multiplicities(G, eigs)
     mults = ", ".join(f"{u.value:.6g} (alg {u.algebraic}, geom {u.geometric})"
                       for u in report.unit_eigenvalues if u.algebraic > 1)
     if report.gn_bounded:
@@ -275,6 +281,8 @@ def _q_max(params: DimensionlessParams, h: float, polarization: str | None,
         return q_max
     if polarization not in ("te", "tm"):
         raise InvalidInputError("polarization must be 'te' or 'tm'")
+    if h_y is not None and not (h_y > 0 and math.isfinite(h_y)):
+        raise InvalidInputError("space step h_y must be positive and finite")
     lam_y = params.lam * h / (h_y if h_y is not None else h)
     return q_max + 4.0 * lam_y * lam_y
 
@@ -330,8 +338,8 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
     the verdict at the scheme's parameter limit `SchemeSpec.k_limit`
     decides attainability when that limit lies in (lo, hi].
     """
-    if h <= 0:
-        raise InvalidInputError("h must be positive")
+    if not (h > 0 and math.isfinite(h)):
+        raise InvalidInputError("space step h must be positive and finite")
 
     def stable_at(k: float) -> bool:
         return worst_case_verdict(scheme, medium, k, h, polarization, h_y).stable

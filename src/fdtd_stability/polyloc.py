@@ -14,7 +14,10 @@ conj(c0) z^d`` and one reduction step maps ``p`` to
     (p*(0) p(z) - p(0) p*(z)) / z.
 
 The constant term of the numerator cancels exactly, so the division is a
-coefficient shift.  An exact-rational variant of the recursion decides
+coefficient shift.  The recursion runs on plain coefficient tuples, and one
+`is_simple_von_neumann` pass decides both classes: its result's `schur`
+flag records whether every level was a strict |p(0)| < |p*(0)| with a
+degree drop of exactly one.  An exact-rational variant of the recursion decides
 rational inputs without rounding.  For a polynomial family affine in a real
 parameter q, `circle_crossings` finds the q at which a root can meet the
 unit circle, and `max_root_modulus` reads the largest root modulus off the
@@ -62,15 +65,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[complex]):
-        cs = [complex(c) for c in coeffs]
-        top = max((abs(c) for c in cs), default=0.0)
-        if top == 0.0:
-            cs = []
-        else:
-            cut = TRIM_REL_TOL * top
-            while cs and abs(cs[-1]) <= cut:
-                cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", _trimmed([complex(c) for c in coeffs]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -101,6 +96,19 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(j * c for j, c in enumerate(self.coeffs))[1:])
 
+
+def _trimmed(cs: list[complex]) -> tuple[complex, ...]:
+    """cs without its trailing entries of modulus at most TRIM_REL_TOL times
+    the largest one; () when every entry is zero."""
+    top = max((abs(c) for c in cs), default=0.0)
+    if top == 0.0:
+        return ()
+    cut = TRIM_REL_TOL * top
+    while cs and abs(cs[-1]) <= cut:
+        cs.pop()
+    return tuple(cs)
+
+
 @dataclass(frozen=True)
 class LevelTest:
     """One level of the reduction recursion: |p(0)|^2 vs |p*(0)|^2."""
@@ -113,11 +121,18 @@ class LevelTest:
 
 @dataclass(frozen=True)
 class LocationResult:
-    """Boolean verdict plus the recursion trace that produced it."""
+    """Boolean verdict plus the recursion trace that produced it.
+
+    schur: the levels also certify that every root is strictly inside the
+    circle (each level "<" with a degree drop of exactly one, down to a
+    nonzero constant), so one `is_simple_von_neumann` pass decides both
+    classes: its schur equals `is_schur(p).ok`.
+    """
 
     ok: bool
     levels: tuple[LevelTest, ...]
     reason: str
+    schur: bool = False
 
     def __bool__(self) -> bool:
         return self.ok
@@ -135,10 +150,16 @@ def reduce_step(p: Polynomial) -> Polynomial:
     (returned as a value, never an error: the von Neumann test needs it).
     """
     _require_nonzero(p)
-    c = p.coeffs
-    d = p.degree
+    return Polynomial(_reduce(p.coeffs))
+
+
+# The recursion runs on trimmed coefficient tuples: a Polynomial per level
+# would only repeat the trimming.
+
+def _reduce(c: tuple[complex, ...]) -> tuple[complex, ...]:
+    d = len(c) - 1
     if d == 0:
-        return Polynomial(())
+        return ()
     c0 = c[0]
     cd_conj = c[d].conjugate()
     out = [cd_conj * c[j + 1] - c0 * c[d - 1 - j].conjugate() for j in range(d)]
@@ -146,13 +167,13 @@ def reduce_step(p: Polynomial) -> Polynomial:
     # product scale, not relative to the output's own largest entry.
     scale = (abs(c0) + abs(c[d])) * max(abs(x) for x in c)
     if max(abs(x) for x in out) <= TRIM_REL_TOL * scale:
-        return Polynomial(())
-    return Polynomial(out)
+        return ()
+    return _trimmed(out)
 
 
-def _normalized(p: Polynomial) -> Polynomial:
-    top = max(abs(c) for c in p.coeffs)
-    return Polynomial(tuple(c / top for c in p.coeffs))
+def _normalized(c: tuple[complex, ...]) -> tuple[complex, ...]:
+    top = max(abs(x) for x in c)
+    return _trimmed([x / top for x in c])
 
 
 def _compare_moduli(const_mod2: float, lead_mod2: float) -> str:
@@ -174,14 +195,15 @@ def is_schur(p: Polynomial) -> LocationResult:
     drop of one.  A nonzero constant has no roots and passes.
     """
     _require_nonzero(p)
-    cur = _normalized(p)
+    cur = _normalized(p.coeffs)
     levels: list[LevelTest] = []
     while True:
-        d = cur.degree
+        d = len(cur) - 1
         if d == 0:
-            return LocationResult(True, tuple(levels), "reduced to a nonzero constant")
-        const2 = _abs2(cur.coeffs[0])
-        lead2 = _abs2(cur.coeffs[d])
+            return LocationResult(True, tuple(levels), "reduced to a nonzero constant",
+                                  schur=True)
+        const2 = _abs2(cur[0])
+        lead2 = _abs2(cur[d])
         rel = _compare_moduli(const2, lead2)
         levels.append(LevelTest(d, const2, lead2, rel))
         if rel == "=":
@@ -190,10 +212,10 @@ def is_schur(p: Polynomial) -> LocationResult:
         if rel == ">":
             return LocationResult(False, tuple(levels),
                                   f"|p(0)| > |p*(0)| at degree {d}")
-        nxt = reduce_step(cur)
-        if nxt.degree != d - 1:
+        nxt = _reduce(cur)
+        if len(nxt) != d:
             return LocationResult(False, tuple(levels),
-                                  f"degree dropped from {d} to {nxt.degree}")
+                                  f"degree dropped from {d} to {len(nxt) - 1}")
         # Renormalize: the reduction is quadratic in the coefficients, so
         # deep levels would otherwise fall below the tolerance floor.
         cur = _normalized(nxt)
@@ -206,22 +228,25 @@ def is_simple_von_neumann(p: Polynomial) -> LocationResult:
     Recurses while the reduced polynomial is nonzero and |p(0)| < |p*(0)|;
     when the reduction annihilates the polynomial, the verdict is delegated
     to a strict Schur test on the derivative.  Equality with a nonzero
-    reduction certifies a root outside the circle.
+    reduction certifies a root outside the circle.  The same pass decides
+    the Schur class too (`LocationResult.schur`).
     """
     _require_nonzero(p)
-    cur = _normalized(p)
+    cur = _normalized(p.coeffs)
     levels: list[LevelTest] = []
+    schur = True
     while True:
-        d = cur.degree
+        d = len(cur) - 1
         if d == 0:
-            return LocationResult(True, tuple(levels), "reduced to a nonzero constant")
-        const2 = _abs2(cur.coeffs[0])
-        lead2 = _abs2(cur.coeffs[d])
+            return LocationResult(True, tuple(levels), "reduced to a nonzero constant",
+                                  schur)
+        const2 = _abs2(cur[0])
+        lead2 = _abs2(cur[d])
         rel = _compare_moduli(const2, lead2)
-        nxt = reduce_step(cur)
+        nxt = _reduce(cur)
         levels.append(LevelTest(d, const2, lead2, rel))
-        if nxt.is_zero:
-            sub = is_schur(cur.derivative())
+        if not nxt:
+            sub = is_schur(Polynomial(cur).derivative())
             verdict = sub.ok
             reason = ("reduction vanished at degree %d; derivative %s Schur"
                       % (d, "is" if verdict else "is not"))
@@ -237,6 +262,7 @@ def is_simple_von_neumann(p: Polynomial) -> LocationResult:
             return LocationResult(False, tuple(levels),
                                   f"|p(0)| = |p*(0)| with nonzero reduction "
                                   f"at degree {d}")
+        schur = schur and len(nxt) == d
         cur = _normalized(nxt)
 
 
@@ -276,6 +302,14 @@ def max_root_modulus(p: Polynomial) -> float:
 # Boundary locus of an affine polynomial family a(z) + q b(z).
 # ---------------------------------------------------------------------------
 
+def _product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Product of two descending coefficient arrays, each first stripped of
+    its leading zeros as np.polymul does: the convolution's summation order,
+    and so every bit of the result, then does not depend on them."""
+    u, v = (np.trim_zeros(x, "f") if x.any() else np.zeros(1) for x in (u, v))
+    return np.convolve(u, v)
+
+
 def circle_crossings(a: Sequence[float], b: Sequence[float]) -> list[float]:
     """Real values of q at which a root of ``a(z) + q b(z)`` can lie on the
     unit circle, sorted (boundary-locus method).
@@ -312,7 +346,10 @@ def circle_crossings(a: Sequence[float], b: Sequence[float]) -> list[float]:
     locus = np.convolve(a_x, b_s) - np.convolve(a_s, b_x)
     a_desc, b_desc = a[::-1], b[::-1]
     da_desc, db_desc = np.polyder(a_desc), np.polyder(b_desc)
-    wronskian = np.polysub(np.polymul(da_desc, b_desc), np.polymul(a_desc, db_desc))
+    plus, minus = _product(da_desc, b_desc), _product(a_desc, db_desc)
+    n = max(plus.size, minus.size)
+    wronskian = (np.concatenate((np.zeros(n - plus.size), plus))
+                 - np.concatenate((np.zeros(n - minus.size), minus)))
     if not np.any(locus) and not np.any(wronskian):
         raise NumericalFailureError("a and b are proportional: the roots do not move with q")
     scale_a, scale_b = np.sum(np.abs(a)), np.sum(np.abs(b))

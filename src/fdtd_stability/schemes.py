@@ -158,8 +158,8 @@ class Wavenumber:
                 continue
             if not (0.0 <= xi < 2.0 * math.pi):
                 raise InvalidInputError(f"{name} must lie in [0, 2*pi)")
-        if not (self.h_x > 0 and self.h_y > 0):
-            raise InvalidInputError("space steps must be positive")
+        if not all(h > 0 and math.isfinite(h) for h in (self.h_x, self.h_y)):
+            raise InvalidInputError("space steps must be positive and finite")
 
     @property
     def is_2d(self) -> bool:

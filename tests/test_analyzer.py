@@ -30,6 +30,7 @@ from fdtd_stability import (
     stability_boundary_k,
     worst_case_verdict,
 )
+from fdtd_stability import analyzer, polyloc
 from fdtd_stability.polyloc import poly_roots
 from fdtd_stability.schemes import amplification_matrix_at_q
 from referees import factor_roots_2d
@@ -262,6 +263,24 @@ def test_worst_case_and_boundary_reject_2d_keys_without_polarization(water, kw, 
         stability_boundary_k(Scheme.DEBYE_JOSEPH, water, 1e-5, **kw)
 
 
+@pytest.mark.parametrize("h_y", [-1e-5, 0.0, math.inf, math.nan])
+def test_worst_case_and_boundary_reject_bad_h_y(water, h_y):
+    """The y space step of a 2D grid must be positive and finite: a negative
+    one is not read as its modulus, an infinite one does not switch the y
+    direction off, and zero is refused rather than divided by."""
+    kw = dict(polarization="te", h_y=h_y)
+    with pytest.raises(InvalidInputError, match="h_y must be positive and finite"):
+        worst_case_verdict(Scheme.DEBYE_JOSEPH, water, 1e-14, 1e-5, **kw)
+    with pytest.raises(InvalidInputError, match="h_y must be positive and finite"):
+        stability_boundary_k(Scheme.DEBYE_JOSEPH, water, 1e-5, **kw)
+
+
+@pytest.mark.parametrize("h", [-1e-5, 0.0, math.inf, math.nan])
+def test_boundary_rejects_bad_h(water, h):
+    with pytest.raises(InvalidInputError, match="h must be positive and finite"):
+        stability_boundary_k(Scheme.DEBYE_JOSEPH, water, h)
+
+
 @pytest.mark.parametrize("h,kw,courant", [
     (1e-5, dict(polarization="te"), 1.0 / math.sqrt(2.0)),
     (6.954068841685703e-06, {}, 1.0),
@@ -418,3 +437,44 @@ def test_half_band_instability_at_cfl_limit(optical_lorentz):
                                          Wavenumber(xi)).stable
     assert all(stable_flags[m] for m in range(1, 17))          # xi <= pi/2
     assert any(not stable_flags[m] for m in range(17, 33))     # some xi > pi/2
+
+
+# --- one pass per probe -------------------------------------------------------
+
+def _regime_probes():
+    """(scheme, params, q) at every point of the reference regime tables:
+    every branch of classify_at_q is taken at some of them."""
+    return [(scheme, DimensionlessParams(1.0, delta, es, omega), q)
+            for scheme in Scheme for regime in scheme.spec.regimes
+            for delta, es, omega, q in regime.points]
+
+
+def test_classify_at_q_reads_the_schur_class_off_the_von_neumann_pass(monkeypatch):
+    """A Schur point is decided by the one is_simple_von_neumann pass: no
+    second recursion through is_schur, from either module."""
+    schur_points = [probe for probe in _regime_probes()
+                    if classify_at_q(*probe).argument is Argument.THEOREM_SCHUR]
+    assert schur_points
+    calls = []
+    real = polyloc.is_schur
+    counting = lambda p: calls.append(p) or real(p)  # noqa: E731
+    monkeypatch.setattr(polyloc, "is_schur", counting)
+    monkeypatch.setattr(analyzer, "is_schur", counting, raising=False)
+    for probe in schur_points:
+        classify_at_q(*probe)
+    assert calls == []
+
+
+def test_classify_at_q_solves_for_the_eigenvalues_once(monkeypatch):
+    """The matrix route hands its own eigenvalues to the multiplicity test
+    instead of solving for them again."""
+    calls = []
+    real = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or real(m))
+    matrix_route = 0
+    for probe in _regime_probes():
+        calls.clear()
+        verdict = classify_at_q(*probe)
+        assert len(calls) <= 1, (probe, verdict)
+        matrix_route += verdict.argument in (Argument.G_FORM, Argument.EIGENVECTORS)
+    assert matrix_route > 0

@@ -339,6 +339,17 @@ def test_zero_h_y_exits_2(command, source, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_nonfinite_or_negative_h_y_exits_2(command, value, source, tmp_path, capsys):
+    """h_y = inf is refused, not run with the y direction switched off."""
+    assert main(_argv(command, {**_POINT, "h_y": value}, source, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: space steps must be positive and finite")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
 def test_dim_is_neither_flag_nor_key(command, tmp_path, capsys):
     """The polarization is the only 2D marker: --dim is an unread flag and
     dim an unknown config key."""

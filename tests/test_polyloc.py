@@ -468,3 +468,125 @@ def test_circle_crossings_cover_root_sweep_property(a_pairs, a_real, b_pairs, b_
     a = _from_roots(a_roots, n)
     b = b_scale * _from_roots([0.0] + b_roots, n)
     _assert_crossings_cover_exits(a, b, n=401)
+
+
+# --- one pass decides both classes -------------------------------------------
+#
+# is_simple_von_neumann records on its way whether the same levels certify
+# Schur (LocationResult.schur); that flag must equal is_schur exactly, on any
+# input.  Its von Neumann verdict is refereed by companion roots, away from
+# ties: every constructed root is either on the circle or at least 0.4
+# away from it, and distinct unit roots are well separated.  (Inside roots
+# close to unit roots drive the float recursion into near-ties: roots 0.875
+# and 0.5, both double, next to unit roots at 1 and exp(+-i pi/6) read a
+# tie at degree 3 within rounding.)
+
+def _unit(theta):
+    return complex(math.cos(theta), math.sin(theta))
+
+
+_inside = st.tuples(st.floats(0.0, 0.6), st.floats(0.0, 2.0 * math.pi))
+_outside = st.tuples(st.floats(1.4, 2.0), st.floats(0.0, 2.0 * math.pi))
+
+
+@st.composite
+def _constructed(draw):
+    """(polynomial, simple von Neumann truth) from constructed roots: real
+    families use conjugate pairs, complex ones single roots.  Unit roots sit
+    at distinct multiples of pi/6 (and +-1), optionally with a double root
+    at 1 or -1, or with a reciprocal pair r, 1/conj(r) whose reduction
+    vanishes exactly as that of a self-inversive polynomial."""
+    real = draw(st.booleans())
+    n_unit = draw(st.integers(0, 2))
+    slots = draw(st.lists(st.integers(1, 5), min_size=n_unit, max_size=n_unit,
+                          unique=True))
+    inside = draw(st.lists(_inside, max_size=2))
+    outside = draw(st.lists(_outside, max_size=1))
+    extra = draw(st.sampled_from(["none", "double+1", "double-1", "plus1", "minus1",
+                                  "reciprocal"]))
+    roots, truth = [], not outside
+
+    def add(r, theta):
+        z = r * _unit(theta)
+        roots.extend([z, z.conjugate()] if real else [z])
+
+    for slot in slots:
+        add(1.0, slot * math.pi / 6.0)
+    for r, theta in inside + outside:
+        add(r, theta)
+    if extra.startswith("double"):
+        roots += [float(extra[-2:] + "1")] * 2
+        truth = False
+    elif extra in ("plus1", "minus1"):
+        roots.append(1.0 if extra == "plus1" else -1.0)
+    elif extra == "reciprocal":
+        r, theta = draw(_outside)
+        add(r, theta)
+        add(1.0 / r, theta)
+        truth = False
+    if not roots:
+        roots = [0.5]
+    lead = draw(st.sampled_from([1.0, -2.5, 1e-6, 3e5])) * (1.0 if real else _unit(0.7))
+    return from_roots(roots, leading=lead), truth
+
+
+def _referee_simple_von_neumann(p):
+    profile = root_profile(p, circle_tolerance=1e-6)
+    return profile.outside_count == 0 and all(m == 1 for _, m in profile.on_circle)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_constructed())
+def test_one_pass_flag_on_constructed_roots(case):
+    p, truth = case
+    svn = is_simple_von_neumann(p)
+    assert svn.schur == is_schur(p).ok
+    assert svn.ok == truth == _referee_simple_von_neumann(p)
+    if svn.schur:
+        assert svn.ok
+
+
+_coeff = st.one_of(st.just(0.0), st.floats(-4.0, 4.0),
+                   st.integers(-4, 4).map(lambda n: n / 4.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(re=st.lists(_coeff, min_size=1, max_size=7),
+       im=st.lists(_coeff, min_size=7, max_size=7),
+       complex_coeffs=st.booleans())
+def test_one_pass_flag_on_random_coefficients(re, im, complex_coeffs):
+    """Any coefficients, with exact zeros and dyadic values that make ties
+    and vanishing reductions exact: the flag is is_schur, bit for bit."""
+    p = Polynomial([x + (1j * y if complex_coeffs else 0.0) for x, y in zip(re, im)])
+    if p.is_zero:
+        return
+    svn, schur = is_simple_von_neumann(p), is_schur(p)
+    assert svn.schur == schur.ok
+    if schur.ok:
+        assert svn.ok and svn.levels == schur.levels
+
+
+@pytest.mark.parametrize("gap", [1.2e-12, 1.5e-12, 1.9e-12])
+def test_one_pass_flag_after_degree_drop(gap):
+    """|p(0)|^2 = 1 - gap sits just outside the tie tolerance, so the level
+    reads "<", but the reduction's leading coefficient gap is trimmed
+    against its other entry 2i: the degree drops from 2 to 0.  Such a
+    polynomial is simple von Neumann by the recursion and not Schur."""
+    p = Polynomial([math.sqrt(1.0 - gap), 1j, 1.0])
+    assert is_schur(p).reason == "degree dropped from 2 to 0"
+    svn = is_simple_von_neumann(p)
+    assert svn.ok and not svn.schur
+    assert [lv.relation for lv in svn.levels] == ["<"]
+
+
+@pytest.mark.parametrize("name", ["polymul", "polysub"])
+def test_circle_crossings_forms_the_wronskian_without_poly1d(name, monkeypatch):
+    """The Wronskian a' b - a b' comes from two convolutions of
+    leading-zero-trimmed arrays, not from the poly1d round trips of
+    np.polymul / np.polysub."""
+    calls = []
+    real = getattr(np, name)
+    monkeypatch.setattr(np, name, lambda *args: calls.append(args) or real(*args))
+    for scheme, params in _scheme_pairs():
+        circle_crossings(*scheme.spec.char_poly(params))
+    assert calls == []
