@@ -100,7 +100,7 @@ class Polynomial:
 def _trimmed(cs: list[complex]) -> tuple[complex, ...]:
     """cs without its trailing entries of modulus at most TRIM_REL_TOL times
     the largest one; () when every entry is zero."""
-    top = max((abs(c) for c in cs), default=0.0)
+    top = max(map(abs, cs), default=0.0)
     if top == 0.0:
         return ()
     cut = TRIM_REL_TOL * top
@@ -165,14 +165,14 @@ def _reduce(c: tuple[complex, ...]) -> tuple[complex, ...]:
     out = [cd_conj * c[j + 1] - c0 * c[d - 1 - j].conjugate() for j in range(d)]
     # Coefficients are bilinear in p, so "zero" means small relative to the
     # product scale, not relative to the output's own largest entry.
-    scale = (abs(c0) + abs(c[d])) * max(abs(x) for x in c)
-    if max(abs(x) for x in out) <= TRIM_REL_TOL * scale:
+    scale = (abs(c0) + abs(c[d])) * max(map(abs, c))
+    if max(map(abs, out)) <= TRIM_REL_TOL * scale:
         return ()
     return _trimmed(out)
 
 
 def _normalized(c: tuple[complex, ...]) -> tuple[complex, ...]:
-    top = max(abs(x) for x in c)
+    top = max(map(abs, c))
     return _trimmed([x / top for x in c])
 
 
@@ -306,7 +306,8 @@ def _product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Product of two descending coefficient arrays, each first stripped of
     its leading zeros as np.polymul does: the convolution's summation order,
     and so every bit of the result, then does not depend on them."""
-    u, v = (np.trim_zeros(x, "f") if x.any() else np.zeros(1) for x in (u, v))
+    u, v = (x[nz[0]:] if (nz := np.flatnonzero(x)).size else np.zeros(1)
+            for x in (u, v))
     return np.convolve(u, v)
 
 
