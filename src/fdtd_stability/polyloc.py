@@ -14,10 +14,8 @@ conj(c0) z^d`` and one reduction step maps ``p`` to
     (p*(0) p(z) - p(0) p*(z)) / z.
 
 The constant term of the numerator cancels exactly, so the division is a
-coefficient shift.  The recursion runs on plain coefficient tuples, and one
-`is_simple_von_neumann` pass decides both classes: its result's `schur`
-flag records whether every level was a strict |p(0)| < |p*(0)| with a
-degree drop of exactly one.  An exact-rational variant of the recursion decides
+coefficient shift.  One `is_simple_von_neumann` pass decides both classes
+(`LocationResult.schur`).  An exact-rational variant of the recursion decides
 rational inputs without rounding.  For a polynomial family affine in a real
 parameter q, `circle_crossings` finds the q at which a root can meet the
 unit circle, and `max_root_modulus` reads the largest root modulus off the
@@ -121,13 +119,9 @@ class LevelTest:
 
 @dataclass(frozen=True)
 class LocationResult:
-    """Boolean verdict plus the recursion trace that produced it.
-
-    schur: the levels also certify that every root is strictly inside the
-    circle (each level "<" with a degree drop of exactly one, down to a
-    nonzero constant), so one `is_simple_von_neumann` pass decides both
-    classes: its schur equals `is_schur(p).ok`.
-    """
+    """Boolean verdict plus the recursion trace that produced it.  schur:
+    the levels also certify the Schur class (each "<" with a degree drop of
+    exactly one, down to a constant); it equals `is_schur(p).ok`."""
 
     ok: bool
     levels: tuple[LevelTest, ...]
