@@ -8,7 +8,6 @@ both and writes CSV reports.
 from .errors import InvalidInputError, NumericalFailureError
 from .polyloc import (
     Polynomial,
-    is_schur,
     is_simple_von_neumann,
     reduce_step,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "empirical_verdict",
     "gn_bounded",
     "init_plane_wave",
-    "is_schur",
     "is_simple_von_neumann",
     "reduce_step",
     "reproduce_argument_table",

@@ -124,7 +124,6 @@ class TableRow:
     scheme: Scheme
     regime: str
     expected_stable: bool
-    reference_argument: str
     verdict: StabilityVerdict
     point: str
     ok: bool
@@ -387,7 +386,6 @@ def reproduce_argument_table(scheme: Scheme) -> list[TableRow]:
                 scheme=scheme,
                 regime=regime.label,
                 expected_stable=regime.expected_stable,
-                reference_argument=regime.reference_argument,
                 verdict=verdict,
                 point=f"delta={delta:g}, eps'={es:g}"
                       + (f", omega={omega:g}" if omega is not None else "")

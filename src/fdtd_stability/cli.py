@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import get_args, get_type_hints
@@ -547,9 +548,25 @@ _COMMANDS = {
 }
 
 
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    """Join a flag and a negative number after it ("--h-y -1e-6" ->
+    "--h-y=-1e-6"): argparse takes "-1e-6" for an option, so the value would
+    otherwise never reach the range checks."""
+    takes_value = {"--config"} | {"--" + f.name.replace("_", "-") for f in _OPTIONS
+                                  if _KEY_TYPES[f.name] is not bool}
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in takes_value and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_arg_parser()
-    args, unread = parser.parse_known_args(argv)
+    args, unread = parser.parse_known_args(
+        _glue_negative_values(sys.argv[1:] if argv is None else argv))
     if not args.command:
         parser.print_help()
         return 2

@@ -15,11 +15,12 @@ conj(c0) z^d`` and one reduction step maps ``p`` to
 
 The constant term of the numerator cancels exactly, so the division is a
 coefficient shift.  One `is_simple_von_neumann` pass decides both classes
-(`LocationResult.schur`).  An exact-rational variant of the recursion decides
-rational inputs without rounding.  For a polynomial family affine in a real
-parameter q, `circle_crossings` finds the q at which a root can meet the
-unit circle, and `max_root_modulus` reads the largest root modulus off the
-companion matrix.
+(`LocationResult.schur`).  The same loop runs on float coefficients, with
+tolerances for trimming and ties, and on exact rational ones (a `Polynomial`
+of `fractions.Fraction`s), where only exact zeros and exact ties count.  For
+a polynomial family affine in a real parameter q, `circle_crossings` finds
+the q at which a root can meet the unit circle, and `max_root_modulus` reads
+the largest root modulus off the companion matrix.
 
 All values are immutable; every function is pure and thread-safe.
 """
@@ -52,18 +53,26 @@ CROSSING_TOL = 1e-6
 
 
 class Polynomial:
-    """Dense complex polynomial stored by ascending power.
+    """Dense polynomial stored by ascending power.
 
-    Trailing coefficients that are negligible relative to the largest
-    magnitude are trimmed on construction.  The zero polynomial is the empty
+    Coefficients are cast to complex, unless every one is a
+    `fractions.Fraction`: then they are kept exactly.  Trailing coefficients
+    that are negligible relative to the largest magnitude (exact zeros, for
+    Fractions) are trimmed on construction.  The zero polynomial is the empty
     coefficient tuple and is a legitimate value (the reduction recursion
     produces it), with degree -1 by convention.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence[complex]):
-        object.__setattr__(self, "coeffs", _trimmed([complex(c) for c in coeffs]))
+    def __init__(self, coeffs: Sequence[complex | Fraction]):
+        cs = list(coeffs)
+        # Testing the first entry alone settles float input cheaply.
+        if cs and isinstance(cs[0], Fraction) and all(isinstance(c, Fraction) for c in cs):
+            cs = _trimmed(cs, 0)
+        else:
+            cs = _trimmed([complex(c) for c in cs], TRIM_REL_TOL)
+        object.__setattr__(self, "coeffs", cs)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -95,13 +104,13 @@ class Polynomial:
         return Polynomial(tuple(j * c for j, c in enumerate(self.coeffs))[1:])
 
 
-def _trimmed(cs: list[complex]) -> tuple[complex, ...]:
-    """cs without its trailing entries of modulus at most TRIM_REL_TOL times
-    the largest one; () when every entry is zero."""
+def _trimmed(cs: list, trim_tol: float) -> tuple:
+    """cs without its trailing entries of modulus at most trim_tol times the
+    largest one; () when every entry is zero."""
     top = max(map(abs, cs), default=0.0)
     if top == 0.0:
         return ()
-    cut = TRIM_REL_TOL * top
+    cut = trim_tol * top
     while cs and abs(cs[-1]) <= cut:
         cs.pop()
     return tuple(cs)
@@ -120,8 +129,8 @@ class LevelTest:
 @dataclass(frozen=True)
 class LocationResult:
     """Boolean verdict plus the recursion trace that produced it.  schur:
-    the levels also certify the Schur class (each "<" with a degree drop of
-    exactly one, down to a constant); it equals `is_schur(p).ok`."""
+    every root lies strictly inside the circle, as the levels certify (each
+    a "<" with a degree drop of exactly one, down to a constant)."""
 
     ok: bool
     levels: tuple[LevelTest, ...]
@@ -138,19 +147,25 @@ def _require_nonzero(p: Polynomial) -> None:
 
 
 def reduce_step(p: Polynomial) -> Polynomial:
-    """One degree-lowering step of the conjugate-reduction recursion.
+    """One degree-lowering step of the conjugate-reduction recursion, exact
+    for a polynomial of Fractions.
 
     The result has degree strictly below ``p``'s, or is the zero polynomial
     (returned as a value, never an error: the von Neumann test needs it).
     """
     _require_nonzero(p)
-    return Polynomial(_reduce(p.coeffs))
+    return Polynomial(_reduce(p.coeffs, _tolerances(p.coeffs)[0]))
 
 
 # The recursion runs on trimmed coefficient tuples: a Polynomial per level
-# would only repeat the trimming.
+# would only repeat the trimming.  Its tolerances are decided once per pass.
 
-def _reduce(c: tuple[complex, ...]) -> tuple[complex, ...]:
+def _tolerances(c: tuple) -> tuple[float, float]:
+    """(trim, tie) tolerances for coefficients c: zero for Fractions."""
+    return (0, 0) if isinstance(c[0], Fraction) else (TRIM_REL_TOL, BOUNDARY_REL_TOL)
+
+
+def _reduce(c: tuple, trim_tol: float) -> tuple:
     d = len(c) - 1
     if d == 0:
         return ()
@@ -160,18 +175,18 @@ def _reduce(c: tuple[complex, ...]) -> tuple[complex, ...]:
     # Coefficients are bilinear in p, so "zero" means small relative to the
     # product scale, not relative to the output's own largest entry.
     scale = (abs(c0) + abs(c[d])) * max(map(abs, c))
-    if max(map(abs, out)) <= TRIM_REL_TOL * scale:
+    if max(map(abs, out)) <= trim_tol * scale:
         return ()
-    return _trimmed(out)
+    return _trimmed(out, trim_tol)
 
 
-def _normalized(c: tuple[complex, ...]) -> tuple[complex, ...]:
+def _normalized(c: tuple, trim_tol: float) -> tuple:
     top = max(map(abs, c))
-    return _trimmed([x / top for x in c])
+    return _trimmed([x / top for x in c], trim_tol)
 
 
-def _compare_moduli(const_mod2: float, lead_mod2: float) -> str:
-    tol = BOUNDARY_REL_TOL * max(1.0, lead_mod2)
+def _compare_moduli(const_mod2: float, lead_mod2: float, tie_tol: float) -> str:
+    tol = tie_tol * max(1.0, lead_mod2)
     if abs(const_mod2 - lead_mod2) <= tol:
         return "="
     return "<" if const_mod2 < lead_mod2 else ">"
@@ -181,52 +196,20 @@ def _abs2(z: complex) -> float:
     return z.real * z.real + z.imag * z.imag
 
 
-def is_schur(p: Polynomial) -> LocationResult:
-    """Test whether every root of ``p`` has modulus strictly below one.
-
-    Each level requires a strict |p(0)| < |p*(0)| (ties within tolerance are
-    boundary cases and fail the strict test) together with an exact degree
-    drop of one.  A nonzero constant has no roots and passes.
-    """
-    _require_nonzero(p)
-    cur = _normalized(p.coeffs)
-    levels: list[LevelTest] = []
-    while True:
-        d = len(cur) - 1
-        if d == 0:
-            return LocationResult(True, tuple(levels), "reduced to a nonzero constant",
-                                  schur=True)
-        const2 = _abs2(cur[0])
-        lead2 = _abs2(cur[d])
-        rel = _compare_moduli(const2, lead2)
-        levels.append(LevelTest(d, const2, lead2, rel))
-        if rel == "=":
-            return LocationResult(False, tuple(levels),
-                                  f"boundary |p(0)| = |p*(0)| at degree {d}")
-        if rel == ">":
-            return LocationResult(False, tuple(levels),
-                                  f"|p(0)| > |p*(0)| at degree {d}")
-        nxt = _reduce(cur)
-        if len(nxt) != d:
-            return LocationResult(False, tuple(levels),
-                                  f"degree dropped from {d} to {len(nxt) - 1}")
-        # Renormalize: the reduction is quadratic in the coefficients, so
-        # deep levels would otherwise fall below the tolerance floor.
-        cur = _normalized(nxt)
-
-
 def is_simple_von_neumann(p: Polynomial) -> LocationResult:
     """Test whether all roots lie in the closed unit disk with simple roots
-    on the circle.
+    on the circle, and (`LocationResult.schur`) whether all lie inside.
 
     Recurses while the reduced polynomial is nonzero and |p(0)| < |p*(0)|;
-    when the reduction annihilates the polynomial, the verdict is delegated
-    to a strict Schur test on the derivative.  Equality with a nonzero
-    reduction certifies a root outside the circle.  The same pass decides
-    the Schur class too (`LocationResult.schur`).
+    when the reduction annihilates the polynomial, the verdict is the Schur
+    class of the derivative, from a pass on it.  Equality with a nonzero
+    reduction certifies a root outside the circle.  Schur needs each level
+    strict (a tie within tolerance is a boundary case) with a degree drop
+    of exactly one; a nonzero constant has no roots and is Schur.
     """
     _require_nonzero(p)
-    cur = _normalized(p.coeffs)
+    trim_tol, tie_tol = _tolerances(p.coeffs)
+    cur = _normalized(p.coeffs, trim_tol)
     levels: list[LevelTest] = []
     schur = True
     while True:
@@ -236,15 +219,14 @@ def is_simple_von_neumann(p: Polynomial) -> LocationResult:
                                   schur)
         const2 = _abs2(cur[0])
         lead2 = _abs2(cur[d])
-        rel = _compare_moduli(const2, lead2)
-        nxt = _reduce(cur)
+        rel = _compare_moduli(const2, lead2, tie_tol)
+        nxt = _reduce(cur, trim_tol)
         levels.append(LevelTest(d, const2, lead2, rel))
         if not nxt:
-            sub = is_schur(Polynomial(cur).derivative())
-            verdict = sub.ok
+            sub = is_simple_von_neumann(Polynomial(cur).derivative())
             reason = ("reduction vanished at degree %d; derivative %s Schur"
-                      % (d, "is" if verdict else "is not"))
-            return LocationResult(verdict, tuple(levels) + sub.levels, reason)
+                      % (d, "is" if sub.schur else "is not"))
+            return LocationResult(sub.schur, tuple(levels) + sub.levels, reason)
         if rel == ">":
             return LocationResult(False, tuple(levels),
                                   f"|p(0)| > |p*(0)| at degree {d}")
@@ -257,7 +239,9 @@ def is_simple_von_neumann(p: Polynomial) -> LocationResult:
                                   f"|p(0)| = |p*(0)| with nonzero reduction "
                                   f"at degree {d}")
         schur = schur and len(nxt) == d
-        cur = _normalized(nxt)
+        # Renormalize: the reduction is quadratic in the coefficients, so
+        # deep levels would otherwise fall below the tolerance floor.
+        cur = _normalized(nxt, trim_tol)
 
 
 def greedy_clusters(values: Sequence[complex], tol: float) -> list[tuple[complex, int]]:
@@ -363,63 +347,3 @@ def circle_crossings(a: Sequence[float], b: Sequence[float]) -> list[float]:
                 qs.append(-np.polyval(da_desc, z) / dbz)
     return sorted(float(q.real) for q in qs
                   if abs(q.imag) <= CROSSING_TOL * max(1.0, abs(q.real)))
-
-
-# ---------------------------------------------------------------------------
-# Exact-rational path (real coefficients).  Backs up the floating recursion
-# in tests: boundary cases of the scheme polynomials sit exactly on
-# recursion-degeneracy points, where exact arithmetic is the only reliable
-# referee.
-# ---------------------------------------------------------------------------
-
-def _trim_exact(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def reduce_step_exact(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Exact reduction step for real rational coefficients (ascending)."""
-    c = _trim_exact([Fraction(x) for x in coeffs])
-    if not c:
-        raise InvalidInputError("operation is undefined for the zero polynomial")
-    d = len(c) - 1
-    if d == 0:
-        return ()
-    return _trim_exact([c[d] * c[j + 1] - c[0] * c[d - 1 - j] for j in range(d)])
-
-
-def is_schur_exact(coeffs: Sequence[Fraction]) -> bool:
-    c = _trim_exact([Fraction(x) for x in coeffs])
-    if not c:
-        raise InvalidInputError("operation is undefined for the zero polynomial")
-    while True:
-        d = len(c) - 1
-        if d == 0:
-            return True
-        if not c[0] * c[0] < c[d] * c[d]:
-            return False
-        nxt = reduce_step_exact(c)
-        if len(nxt) - 1 != d - 1:
-            return False
-        c = nxt
-
-
-def is_simple_von_neumann_exact(coeffs: Sequence[Fraction]) -> bool:
-    c = _trim_exact([Fraction(x) for x in coeffs])
-    if not c:
-        raise InvalidInputError("operation is undefined for the zero polynomial")
-    while True:
-        d = len(c) - 1
-        if d == 0:
-            return True
-        nxt = reduce_step_exact(c)
-        if not nxt:
-            deriv = _trim_exact([j * c[j] for j in range(1, d + 1)])
-            return is_schur_exact(deriv) if deriv else True
-        if c[0] * c[0] >= c[d] * c[d]:
-            # ">" is a root outside; "=" with a nonzero reduction implies
-            # one as well (see is_simple_von_neumann).
-            return False
-        c = nxt

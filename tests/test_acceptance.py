@@ -23,7 +23,6 @@ from fdtd_stability import (
     dimensionless_params,
     gn_bounded,
     init_plane_wave,
-    is_schur,
     is_simple_von_neumann,
     reproduce_argument_table,
     run_growth,
@@ -79,10 +78,8 @@ def test_criterion_1_polynomial_engine_vs_root_oracle():
         roots = radii * np.exp(2j * np.pi * rng.random(size=deg))
         p = from_roots(roots, leading=rng.uniform(0.5, 2.0))
         truth = bool(np.all(radii < 1.0))
-        if is_schur(p).ok != truth:
-            disagreements += 1
-        if is_simple_von_neumann(p).ok != truth:
-            disagreements += 1
+        svn = is_simple_von_neumann(p)
+        disagreements += (svn.schur != truth) + (svn.ok != truth)
     elapsed = time.monotonic() - t0
     _report("criterion 1 (root-location engine vs constructed-root oracle)",
             disagreements == 0 and elapsed < 10.0,

@@ -450,19 +450,20 @@ def _regime_probes():
 
 
 def test_classify_at_q_reads_the_schur_class_off_the_von_neumann_pass(monkeypatch):
-    """A Schur point is decided by the one is_simple_von_neumann pass: no
-    second recursion through is_schur, from either module."""
+    """A Schur point is decided by one is_simple_von_neumann pass, counted
+    through either module: no second recursion."""
     schur_points = [probe for probe in _regime_probes()
                     if classify_at_q(*probe).argument is Argument.THEOREM_SCHUR]
     assert schur_points
     calls = []
-    real = polyloc.is_schur
+    real = polyloc.is_simple_von_neumann
     counting = lambda p: calls.append(p) or real(p)  # noqa: E731
-    monkeypatch.setattr(polyloc, "is_schur", counting)
-    monkeypatch.setattr(analyzer, "is_schur", counting, raising=False)
+    monkeypatch.setattr(polyloc, "is_simple_von_neumann", counting)
+    monkeypatch.setattr(analyzer, "is_simple_von_neumann", counting)
     for probe in schur_points:
+        calls.clear()
         classify_at_q(*probe)
-    assert calls == []
+        assert len(calls) == 1, probe
 
 
 def test_classify_at_q_solves_for_the_eigenvalues_once(monkeypatch):

@@ -9,7 +9,7 @@ PUBLIC = {
     # errors
     "InvalidInputError", "NumericalFailureError",
     # polyloc
-    "Polynomial", "is_schur", "is_simple_von_neumann", "reduce_step",
+    "Polynomial", "is_simple_von_neumann", "reduce_step",
     # schemes
     "DimensionlessParams", "MediumModel", "Scheme", "Wavenumber", "char_poly_closed",
     "courant_q", "dimensionless_params", "tm_factor_2d",
@@ -35,13 +35,14 @@ def test_all_is_the_public_contract():
 
 
 def test_referees_are_not_in_the_package():
-    """Test-only references stay out of src; the exact recursion stays in."""
+    """Test-only references stay out of src, and so do the retired Schur
+    and exact-rational twins of the one recursion."""
     modules = [importlib.import_module(f"fdtd_stability.{m}")
                for m in ("polyloc", "schemes", "simulator", "analyzer", "cli")]
     for name in REFEREES:
         assert not any(hasattr(m, name) for m in modules + [fdtd_stability]), name
     for name in ("from_roots", "monic", "scaled", "__mul__"):
         assert not hasattr(fdtd_stability.Polynomial, name), name
-    polyloc = modules[0]
-    for name in ("reduce_step_exact", "is_schur_exact", "is_simple_von_neumann_exact"):
-        assert callable(getattr(polyloc, name)), name
+    for name in ("is_schur", "reduce_step_exact", "is_schur_exact",
+                 "is_simple_von_neumann_exact", "_trim_exact"):
+        assert not any(hasattr(m, name) for m in modules + [fdtd_stability]), name

@@ -349,6 +349,25 @@ def test_nonfinite_or_negative_h_y_exits_2(command, value, source, tmp_path, cap
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,key,value,message", [
+    ("analyze", "h_y", "-1e-6", "space steps must be positive and finite"),
+    ("scan", "start", "-1e-3", "q must be nonnegative and finite"),
+])
+def test_negative_flag_value_in_exponent_form_exits_2(command, key, value, message,
+                                                      capsys):
+    """argparse takes "-1e-6" for an option, not for a value: "--h-y -1e-6"
+    still returns 2 with the range message that "--h-y=-1e-6" gets."""
+    spaced = _argv(command, {**_POINT, key: value}, "flag", None)
+    i = spaced.index(_flag(key))
+    glued = spaced[:i] + [f"{_flag(key)}={value}"] + spaced[i + 2:]
+    errs = []
+    for argv in (spaced, glued):
+        assert main(argv) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith(f"error: {message}")
+
+
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
 def test_dim_is_neither_flag_nor_key(command, tmp_path, capsys):
     """The polarization is the only 2D marker: --dim is an unread flag and

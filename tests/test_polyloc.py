@@ -20,17 +20,10 @@ from fdtd_stability import (
     NumericalFailureError,
     Polynomial,
     Scheme,
-    is_schur,
     is_simple_von_neumann,
     reduce_step,
 )
-from fdtd_stability.polyloc import (
-    circle_crossings,
-    is_schur_exact,
-    is_simple_von_neumann_exact,
-    max_root_modulus,
-    reduce_step_exact,
-)
+from fdtd_stability.polyloc import circle_crossings, max_root_modulus
 from referees import conjugate_poly, from_roots, root_profile, scaled
 
 
@@ -38,6 +31,22 @@ def test_trailing_coefficients_trimmed():
     p = Polynomial([1.0, 2.0, 0.0, 1e-30])
     assert p.degree == 1
     assert p.coeffs == (1.0 + 0j, 2.0 + 0j)
+
+
+def test_fraction_coefficients_stay_exact():
+    """A polynomial of Fractions keeps them and is decided without rounding:
+    roots +-sqrt(1 - 1e-14) are inside the circle, where the float image
+    reads a tie.  A Fraction among ints or floats is cast to complex."""
+    p = Polynomial([Fraction(-1) + Fraction(1, 10**14), Fraction(0), Fraction(1), Fraction(0)])
+    assert p.degree == 2 and all(type(c) is Fraction for c in p.coeffs)
+    exact = is_simple_von_neumann(p)
+    assert exact.ok and exact.schur
+    assert [lv.relation for lv in exact.levels] == ["<", "<"]
+    floats = is_simple_von_neumann(Polynomial([float(c) for c in p.coeffs]))
+    assert floats.ok and not floats.schur
+    assert floats.levels[0].relation == "="
+    for mixed in ([Fraction(1, 2), 0, 1], [Fraction(1, 2), 0.0, 1.0]):
+        assert Polynomial(mixed).coeffs == (0.5 + 0j, 0j, 1 + 0j)
 
 
 def test_zero_polynomial_is_a_value():
@@ -92,8 +101,9 @@ def test_reduce_step_scheme_cubic_matches_exact_recursion():
     # Debye-Joseph characteristic cubic at delta=1/2, eps'=2, q=1:
     # 0 + 1.5 z - 2.5 z^2 + 2 z^3 (constant term vanishes exactly).
     exact_in = [Fraction(0), Fraction(3, 2), Fraction(-5, 2), Fraction(2)]
-    exact_out = reduce_step_exact(exact_in)
+    exact_out = reduce_step(Polynomial(exact_in)).coeffs
     assert exact_out == (Fraction(3), Fraction(-5), Fraction(4))
+    assert all(type(c) is Fraction for c in exact_out)
     out = reduce_step(Polynomial([0.0, 1.5, -2.5, 2.0]))
     assert out.coeffs == (3 + 0j, -5 + 0j, 4 + 0j)
 
@@ -107,12 +117,12 @@ def test_reduce_step_strictly_lowers_degree():
         assert out.is_zero or out.degree < p.degree
 
 
-def test_is_schur_simple_cases():
-    assert is_schur(Polynomial([0, 1]))          # z: root at 0
-    assert not is_schur(Polynomial([-1, 1]))     # z - 1: root on circle
+def test_schur_class_simple_cases():
+    assert is_simple_von_neumann(Polynomial([0, 1])).schur           # z: root at 0
+    assert not is_simple_von_neumann(Polynomial([-1, 1])).schur      # z - 1: on circle
     p = from_roots([0.5, 0.3j])
-    res = is_schur(p)
-    assert res.ok
+    res = is_simple_von_neumann(p)
+    assert res.ok and res.schur
     profile = root_profile(p)
     assert profile.inside_count == 2 and profile.outside_count == 0
 
@@ -142,9 +152,8 @@ def test_verdicts_scale_invariant():
             2j * np.pi * rng.random(size=deg))
         p = from_roots(roots)
         for scale in (1e-8, 1e8, 2.5 - 1.7j, -3j):
-            q = scaled(p, scale)
-            assert is_schur(p).ok == is_schur(q).ok
-            assert is_simple_von_neumann(p).ok == is_simple_von_neumann(q).ok
+            svn_p, svn_q = is_simple_von_neumann(p), is_simple_von_neumann(scaled(p, scale))
+            assert (svn_p.ok, svn_p.schur) == (svn_q.ok, svn_q.schur)
 
 
 def test_schur_implies_von_neumann():
@@ -153,9 +162,9 @@ def test_schur_implies_von_neumann():
         deg = rng.integers(1, 9)
         roots = rng.uniform(0.0, 1.6, size=deg) * np.exp(
             2j * np.pi * rng.random(size=deg))
-        p = from_roots(roots)
-        if is_schur(p).ok:
-            assert is_simple_von_neumann(p).ok
+        svn = is_simple_von_neumann(from_roots(roots))
+        if svn.schur:
+            assert svn.ok
 
 
 def _dyadic(rng, bits=6, lo=-1.0, hi=1.0):
@@ -182,7 +191,7 @@ def _mul_exact(a, b):
 @pytest.mark.parametrize("case", ["simple_circle", "double_circle", "mixed_outside"])
 def test_exact_circle_root_cases(case):
     """Unit-circle roots built from exact dyadic quadratic factors: the
-    floating recursion must agree with the exact-rational one."""
+    recursion on the exact Polynomial and on its float image agree."""
     rng = np.random.default_rng(hash(case) % 2**32)
     for _ in range(60):
         c1 = _dyadic(rng, lo=-0.9, hi=0.9)
@@ -201,11 +210,11 @@ def test_exact_circle_root_cases(case):
             outside = [Fraction(3, 2) + _dyadic(rng, lo=0.0, hi=0.4), Fraction(1)]
             poly = _mul_exact(_circle_factor(c1), outside)
             expect_schur, expect_svn = False, False
-        assert is_schur_exact(poly) == expect_schur
-        assert is_simple_von_neumann_exact(poly) == expect_svn
-        floats = Polynomial([float(x) for x in poly])
-        assert is_schur(floats).ok == expect_schur
-        assert is_simple_von_neumann(floats).ok == expect_svn
+        exact = Polynomial(poly)
+        assert all(type(c) is Fraction for c in exact.coeffs)
+        for p in (exact, Polynomial([float(x) for x in poly])):
+            svn = is_simple_von_neumann(p)
+            assert (svn.ok, svn.schur) == (expect_svn, expect_schur)
 
 
 def test_root_profile_inside_monomial():
@@ -262,8 +271,8 @@ def test_random_root_agreement_bulk():
         radii = np.where(np.abs(radii - 1.0) < margin, radii + 2 * margin, radii)
         roots = radii * np.exp(2j * np.pi * rng.random(size=deg))
         p = from_roots(roots, leading=rng.uniform(0.5, 2.0))
-        assert is_schur(p).ok == bool(np.all(radii < 1.0))
-        assert is_simple_von_neumann(p).ok == bool(np.all(radii < 1.0))
+        svn = is_simple_von_neumann(p)
+        assert svn.schur == svn.ok == bool(np.all(radii < 1.0))
 
 
 def test_max_root_modulus():
@@ -273,7 +282,7 @@ def test_max_root_modulus():
 
 def test_operations_reject_zero_polynomial():
     z = Polynomial([])
-    for op in (reduce_step, is_schur, is_simple_von_neumann, root_profile):
+    for op in (reduce_step, is_simple_von_neumann, root_profile):
         with pytest.raises(InvalidInputError):
             op(z)
 
@@ -473,9 +482,8 @@ def test_circle_crossings_cover_root_sweep_property(a_pairs, a_real, b_pairs, b_
 # --- one pass decides both classes -------------------------------------------
 #
 # is_simple_von_neumann records on its way whether the same levels certify
-# Schur (LocationResult.schur); that flag must equal is_schur exactly, on any
-# input.  Its von Neumann verdict is refereed by companion roots, away from
-# ties: every constructed root is either on the circle or at least 0.4
+# Schur (LocationResult.schur).  Both verdicts are refereed by the roots, away
+# from ties: every constructed root is either on the circle or at least 0.4
 # away from it, and distinct unit roots are well separated.  (Inside roots
 # close to unit roots drive the float recursion into near-ties: roots 0.875
 # and 0.5, both double, next to unit roots at 1 and exp(+-i pi/6) read a
@@ -491,7 +499,8 @@ _outside = st.tuples(st.floats(1.4, 2.0), st.floats(0.0, 2.0 * math.pi))
 
 @st.composite
 def _constructed(draw):
-    """(polynomial, simple von Neumann truth) from constructed roots: real
+    """(polynomial, simple von Neumann truth, Schur truth) from constructed
+    roots: real
     families use conjugate pairs, complex ones single roots.  Unit roots sit
     at distinct multiples of pi/6 (and +-1), optionally with a double root
     at 1 or -1, or with a reciprocal pair r, 1/conj(r) whose reduction
@@ -504,11 +513,12 @@ def _constructed(draw):
     outside = draw(st.lists(_outside, max_size=1))
     extra = draw(st.sampled_from(["none", "double+1", "double-1", "plus1", "minus1",
                                   "reciprocal"]))
-    roots, truth = [], not outside
+    roots, radii, truth = [], [], not outside
 
     def add(r, theta):
         z = r * _unit(theta)
         roots.extend([z, z.conjugate()] if real else [z])
+        radii.append(r)
 
     for slot in slots:
         add(1.0, slot * math.pi / 6.0)
@@ -516,9 +526,11 @@ def _constructed(draw):
         add(r, theta)
     if extra.startswith("double"):
         roots += [float(extra[-2:] + "1")] * 2
+        radii.append(1.0)
         truth = False
     elif extra in ("plus1", "minus1"):
         roots.append(1.0 if extra == "plus1" else -1.0)
+        radii.append(1.0)
     elif extra == "reciprocal":
         r, theta = draw(_outside)
         add(r, theta)
@@ -527,7 +539,7 @@ def _constructed(draw):
     if not roots:
         roots = [0.5]
     lead = draw(st.sampled_from([1.0, -2.5, 1e-6, 3e5])) * (1.0 if real else _unit(0.7))
-    return from_roots(roots, leading=lead), truth
+    return from_roots(roots, leading=lead), truth, all(r < 1.0 for r in radii)
 
 
 def _referee_simple_von_neumann(p):
@@ -538,12 +550,10 @@ def _referee_simple_von_neumann(p):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=_constructed())
 def test_one_pass_flag_on_constructed_roots(case):
-    p, truth = case
+    p, truth, schur_truth = case
     svn = is_simple_von_neumann(p)
-    assert svn.schur == is_schur(p).ok
+    assert svn.schur == schur_truth
     assert svn.ok == truth == _referee_simple_von_neumann(p)
-    if svn.schur:
-        assert svn.ok
 
 
 _coeff = st.one_of(st.just(0.0), st.floats(-4.0, 4.0),
@@ -556,14 +566,21 @@ _coeff = st.one_of(st.just(0.0), st.floats(-4.0, 4.0),
        complex_coeffs=st.booleans())
 def test_one_pass_flag_on_random_coefficients(re, im, complex_coeffs):
     """Any coefficients, with exact zeros and dyadic values that make ties
-    and vanishing reductions exact: the flag is is_schur, bit for bit."""
+    and vanishing reductions exact: the flag is set exactly when the levels
+    are strict with degree drops of one down to a constant, and it agrees
+    with the companion roots away from the circle."""
     p = Polynomial([x + (1j * y if complex_coeffs else 0.0) for x, y in zip(re, im)])
     if p.is_zero:
         return
-    svn, schur = is_simple_von_neumann(p), is_schur(p)
-    assert svn.schur == schur.ok
-    if schur.ok:
-        assert svn.ok and svn.levels == schur.levels
+    svn = is_simple_von_neumann(p)
+    strict_chain = ([(lv.degree, lv.relation) for lv in svn.levels]
+                    == [(d, "<") for d in range(p.degree, 0, -1)])
+    assert svn.schur == (strict_chain and svn.reason == "reduced to a nonzero constant")
+    radius = max_root_modulus(p)
+    if svn.schur:
+        assert svn.ok and radius < 1.0 + 1e-6
+    elif radius < 1.0 - 1e-6:
+        pytest.fail(f"roots inside up to {radius} but not Schur: {svn}")
 
 
 @pytest.mark.parametrize("gap", [1.2e-12, 1.5e-12, 1.9e-12])
@@ -573,10 +590,10 @@ def test_one_pass_flag_after_degree_drop(gap):
     against its other entry 2i: the degree drops from 2 to 0.  Such a
     polynomial is simple von Neumann by the recursion and not Schur."""
     p = Polynomial([math.sqrt(1.0 - gap), 1j, 1.0])
-    assert is_schur(p).reason == "degree dropped from 2 to 0"
     svn = is_simple_von_neumann(p)
     assert svn.ok and not svn.schur
-    assert [lv.relation for lv in svn.levels] == ["<"]
+    assert [(lv.degree, lv.relation) for lv in svn.levels] == [(2, "<")]
+    assert svn.reason == "reduced to a nonzero constant"
 
 
 @pytest.mark.parametrize("name", ["polymul", "polysub"])
