@@ -15,12 +15,11 @@ conj(c0) z^d`` and one reduction step maps ``p`` to
 
 The constant term of the numerator cancels exactly, so the division is a
 coefficient shift.  One `is_simple_von_neumann` pass decides both classes
-(`LocationResult.schur`).  The same loop runs on float coefficients, with
-tolerances for trimming and ties, and on exact rational ones (a `Polynomial`
-of `fractions.Fraction`s), where only exact zeros and exact ties count.  For
-a polynomial family affine in a real parameter q, `circle_crossings` finds
-the q at which a root can meet the unit circle, and `max_root_modulus` reads
-the largest root modulus off the companion matrix.
+(`LocationResult.schur`), with tolerances on float coefficients and
+exactly on `fractions.Fraction` ones.  For a polynomial family affine in a
+real parameter q, `circle_crossings` finds the q at which a root can meet
+the unit circle, and `max_root_modulus` reads the largest root modulus off
+the companion matrix.
 
 All values are immutable; every function is pure and thread-safe.
 """
@@ -148,11 +147,8 @@ def _require_nonzero(p: Polynomial) -> None:
 
 def reduce_step(p: Polynomial) -> Polynomial:
     """One degree-lowering step of the conjugate-reduction recursion, exact
-    for a polynomial of Fractions.
-
-    The result has degree strictly below ``p``'s, or is the zero polynomial
-    (returned as a value, never an error: the von Neumann test needs it).
-    """
+    for Fractions.  The result has degree strictly below ``p``'s, or is the
+    zero polynomial (returned as a value: the von Neumann test needs it)."""
     _require_nonzero(p)
     return Polynomial(_reduce(p.coeffs, _tolerances(p.coeffs)[0]))
 
@@ -201,32 +197,32 @@ def is_simple_von_neumann(p: Polynomial) -> LocationResult:
     on the circle, and (`LocationResult.schur`) whether all lie inside.
 
     Recurses while the reduced polynomial is nonzero and |p(0)| < |p*(0)|;
-    when the reduction annihilates the polynomial, the verdict is the Schur
-    class of the derivative, from a pass on it.  Equality with a nonzero
-    reduction certifies a root outside the circle.  Schur needs each level
-    strict (a tie within tolerance is a boundary case) with a degree drop
-    of exactly one; a nonzero constant has no roots and is Schur.
+    equality with a nonzero reduction certifies a root outside the circle.
+    When the reduction vanishes, the same loop goes on to decide the Schur
+    class of the derivative, which is then the verdict.  Schur needs every
+    level strict (ties within tolerance fail) with a degree drop of exactly
+    one; a nonzero constant has no roots and is Schur.
     """
     _require_nonzero(p)
     trim_tol, tie_tol = _tolerances(p.coeffs)
     cur = _normalized(p.coeffs, trim_tol)
     levels: list[LevelTest] = []
     schur = True
-    while True:
+    vanished = 0  # the degree whose reduction vanished; cur is then a derivative
+    while len(cur) > 1:
         d = len(cur) - 1
-        if d == 0:
-            return LocationResult(True, tuple(levels), "reduced to a nonzero constant",
-                                  schur)
-        const2 = _abs2(cur[0])
-        lead2 = _abs2(cur[d])
+        const2, lead2 = _abs2(cur[0]), _abs2(cur[d])
         rel = _compare_moduli(const2, lead2, tie_tol)
-        nxt = _reduce(cur, trim_tol)
         levels.append(LevelTest(d, const2, lead2, rel))
+        # A derivative that fails the strict test needs no reduction.
+        nxt = _reduce(cur, trim_tol) if rel == "<" or not vanished else ()
+        schur = schur and rel == "<" and len(nxt) == d
+        if vanished and not schur:
+            break
         if not nxt:
-            sub = is_simple_von_neumann(Polynomial(cur).derivative())
-            reason = ("reduction vanished at degree %d; derivative %s Schur"
-                      % (d, "is" if sub.schur else "is not"))
-            return LocationResult(sub.schur, tuple(levels) + sub.levels, reason)
+            vanished, schur = d, True
+            cur = _normalized(Polynomial(cur).derivative().coeffs, trim_tol)
+            continue
         if rel == ">":
             return LocationResult(False, tuple(levels),
                                   f"|p(0)| > |p*(0)| at degree {d}")
@@ -238,10 +234,14 @@ def is_simple_von_neumann(p: Polynomial) -> LocationResult:
             return LocationResult(False, tuple(levels),
                                   f"|p(0)| = |p*(0)| with nonzero reduction "
                                   f"at degree {d}")
-        schur = schur and len(nxt) == d
         # Renormalize: the reduction is quadratic in the coefficients, so
         # deep levels would otherwise fall below the tolerance floor.
         cur = _normalized(nxt, trim_tol)
+    if vanished:
+        return LocationResult(schur, tuple(levels),
+                              "reduction vanished at degree %d; derivative %s Schur"
+                              % (vanished, "is" if schur else "is not"))
+    return LocationResult(True, tuple(levels), "reduced to a nonzero constant", schur)
 
 
 def greedy_clusters(values: Sequence[complex], tol: float) -> list[tuple[complex, int]]:
