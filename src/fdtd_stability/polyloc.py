@@ -65,12 +65,12 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[complex | Fraction]):
-        cs = list(coeffs)
         # Testing the first entry alone settles float input cheaply.
-        if cs and isinstance(cs[0], Fraction) and all(isinstance(c, Fraction) for c in cs):
-            cs = _trimmed(cs, 0)
+        if (len(coeffs) and type(coeffs[0]) is Fraction
+                and all(type(c) is Fraction for c in coeffs)):
+            cs = _trimmed(list(coeffs), 0)
         else:
-            cs = _trimmed([complex(c) for c in cs], TRIM_REL_TOL)
+            cs = _trimmed([complex(c) for c in coeffs], TRIM_REL_TOL)
         object.__setattr__(self, "coeffs", cs)
 
     def __setattr__(self, name, value):
@@ -158,7 +158,7 @@ def reduce_step(p: Polynomial) -> Polynomial:
 
 def _tolerances(c: tuple) -> tuple[float, float]:
     """(trim, tie) tolerances for coefficients c: zero for Fractions."""
-    return (0, 0) if isinstance(c[0], Fraction) else (TRIM_REL_TOL, BOUNDARY_REL_TOL)
+    return (0, 0) if type(c[0]) is Fraction else (TRIM_REL_TOL, BOUNDARY_REL_TOL)
 
 
 def _reduce(c: tuple, trim_tol: float) -> tuple:
