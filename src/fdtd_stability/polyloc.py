@@ -85,7 +85,7 @@ class Polynomial:
         return not self.coeffs
 
     def __call__(self, z: complex) -> complex:
-        acc = 0.0 + 0.0j
+        acc = Fraction(0) if self.coeffs and type(self.coeffs[0]) is Fraction else 0j
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc

@@ -10,10 +10,10 @@ extra polarization factor psi for TM, read off the q = 0 polynomial).  The
 factors are used one by one, so neither 2D matrices nor the expanded 2D
 polynomial are ever built.
 
-Everything that differs between the schemes lives in one `SchemeSpec`
-record per scheme, collected in `SPECS`; the functions below only look the
-record up.  State components are normalized as c_inf*B, E, D/(eps0 eps_inf),
-P/(eps0 eps_inf) and k*J/(eps0 eps_inf).
+Everything that differs between the schemes lives in one `SchemeSpec` record
+per scheme, collected in `SPECS`, whose formulas keep `fractions.Fraction`
+parameters exact; the functions below only look the record up.  State
+components are c_inf*B and E, and D, P and k*J over eps0 eps_inf.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from fractions import Fraction
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -132,7 +133,7 @@ class DimensionlessParams:
 
     @property
     def alpha(self) -> float:
-        return self.eps_s_prime - 1.0
+        return self.eps_s_prime - 1
 
     @property
     def kind(self) -> str:
@@ -187,14 +188,13 @@ class SchemeSpec:
 
     kind, state_labels  "debye" or "lorentz"; state components in matrix order
     q_limit             Courant limit on q of the 1D scheme
-    entries             (params, u, v, q) -> complex update matrix.  The
-        curl couplings are abstracted: u multiplies E in the induction row,
-        v multiplies b in the field rows, and u*v = -q.  Any factorization
-        of -q gives a diagonally similar matrix, so the analyzer can probe
-        q values no wavenumber of the grid attains.
-    char_poly           params -> (a, b): the characteristic polynomial has
-        ascending coefficients a_j + q*b_j; the 2D TM factor is derived from
-        a (`tm_factor_2d`), so it has no field of its own
+    entries             (params, u, v, q) -> update matrix rows in the
+        parameters' number type, for curl couplings u (on E in the induction
+        row) and v (on b in the field rows) with u*v = -q: any split gives a
+        similar matrix, cast to complex by `amplification_matrix_at_q`.
+    char_poly           params -> (a, b), same type: the characteristic
+        polynomial has ascending coefficients a_j + q*b_j; the 2D TM factor
+        is derived from a (`tm_factor_2d`), so it has no field of its own
     degenerate_q        omega -> Courant value where two root couples collide
         on the unit circle (harmonic media, eps_s = eps_inf), or None
     material            params -> update(E, aux, S, S_old, E_out, aux_out):
@@ -219,8 +219,8 @@ class SchemeSpec:
     kind: str
     state_labels: tuple[str, ...]
     q_limit: float
-    entries: Callable[..., np.ndarray]
-    char_poly: Callable[..., tuple[tuple[float, ...], tuple[float, ...]]]
+    entries: Callable[..., Sequence]
+    char_poly: Callable[..., Sequence]
     degenerate_q: Callable[[float], float] | None
     material: Callable[[DimensionlessParams], Callable[..., None]]
     needs_prev_source: bool
@@ -264,33 +264,29 @@ def xi_for_q(q: float, lam: float) -> float | None:
     return 2.0 * math.asin(arg) if arg <= 1 else None
 
 
-def _check_scheme_params(scheme: Scheme, params: DimensionlessParams) -> None:
+def _check_scheme_params(scheme: Scheme, params: DimensionlessParams, q: float = 0) -> None:
     if scheme.kind != params.kind:
         raise InvalidInputError(
             f"{scheme.value} requires {scheme.kind} parameters, got {params.kind}")
     if scheme.kind == "debye" and params.delta <= 0:
         raise InvalidInputError("Debye schemes require delta > 0")
+    if q < 0:
+        raise InvalidInputError("q must be nonnegative")
 
 
 def amplification_matrix_at_q(scheme: Scheme, params: DimensionlessParams,
                               q: float) -> np.ndarray:
-    """Matrix diagonally similar to the physical amplification matrix of any
-    wavenumber with Courant quantity q, built from the coupling split
-    u = sqrt(q), v = -sqrt(q) (the physical couplings satisfy u*v = -q).  Valid for any q >= 0, even values no
-    wavenumber of the current grid attains."""
-    _check_scheme_params(scheme, params)
-    if q < 0:
-        raise InvalidInputError("q must be nonnegative")
+    """Complex matrix diagonally similar to the physical amplification matrix
+    of any wavenumber with Courant quantity q >= 0, from u = sqrt(q) = -v."""
+    _check_scheme_params(scheme, params, q)
     s = math.sqrt(q)
-    return scheme.spec.entries(params, s, -s, q)
+    return np.array(scheme.spec.entries(params, s, -s, q), dtype=complex)
 
 
 def char_poly_closed(scheme: Scheme, params: DimensionlessParams, q: float) -> Polynomial:
     """Closed-form characteristic polynomial (ascending coefficients, real,
     positive leading coefficient; cubic for Debye, quartic for Lorentz)."""
-    _check_scheme_params(scheme, params)
-    if q < 0:
-        raise InvalidInputError("q must be nonnegative")
+    _check_scheme_params(scheme, params, q)
     a, b = scheme.spec.char_poly(params)
     return Polynomial(tuple(x + q * y for x, y in zip(a, b)))
 
@@ -307,9 +303,9 @@ def tm_factor_2d(scheme: Scheme, params: DimensionlessParams) -> Polynomial:
     recurrence psi_j = a_j + 2 psi_(j-1) - psi_(j-2)."""
     _check_scheme_params(scheme, params)
     a, _ = scheme.spec.char_poly(params)
-    psi = [0.0, 0.0]  # psi_(-2), psi_(-1)
+    psi = [0, 0]  # psi_(-2), psi_(-1)
     for a_j in a[:-3]:
-        psi.append(a_j + 2.0 * psi[-1] - psi[-2])
+        psi.append(a_j + 2 * psi[-1] - psi[-2])
     return Polynomial((*psi[2:], a[-1]))
 
 
@@ -317,22 +313,29 @@ def tm_factor_2d(scheme: Scheme, params: DimensionlessParams) -> Polynomial:
 # The five scheme records.
 # ---------------------------------------------------------------------------
 
+def _typed(p, rows):
+    """rows, their int literals made Fractions when the parameters are."""
+    if type(p.eps_s_prime) is not Fraction:
+        return rows
+    return [[Fraction(x) if type(x) is int else x for x in r] for r in rows]
+
+
 # debye-joseph: state (b, E, d).
 
 def _dj_entries(p, u, v, q):
     d, es = p.delta, p.eps_s_prime
-    A = 1.0 + d * es
-    return np.array([
-        [1.0, -u, 0.0],
-        [-(1.0 + d) * v / A, ((1.0 - d * es) - (1.0 + d) * q) / A, 2.0 * d / A],
-        [-v, -q, 1.0],
-    ], dtype=complex)
+    A = 1 + d * es
+    return _typed(p, [
+        [1, -u, 0],
+        [-(1 + d) * v / A, ((1 - d * es) - (1 + d) * q) / A, 2 * d / A],
+        [-v, -q, 1],
+    ])
 
 
 def _dj_char_poly(p):
     d, es = p.delta, p.eps_s_prime
-    return ((-(1.0 - d * es), 3.0 - d * es, -(3.0 + d * es), 1.0 + d * es),
-            (0.0, -(1.0 - d), 1.0 + d, 0.0))
+    return _typed(p, ((-(1 - d * es), 3 - d * es, -(3 + d * es), 1 + d * es),
+                      (0, -(1 - d), 1 + d, 0)))
 
 
 def _dj_material(p):
@@ -364,23 +367,22 @@ _DJ_REGIMES = (
 
 def _dy_entries(p, u, v, q):
     d, a = p.delta, p.alpha
-    A = 1.0 + d * a
-    B = 1.0 + d
-    return np.array([
-        [1.0, -u, 0.0],
-        [-v / A, (1.0 + d - d * a + 3.0 * d * d * a - B * q) / (B * A),
-         (1.0 - d) / B * 2.0 * d / A],
-        [0.0, 2.0 * d * a / B, (1.0 - d) / B],
-    ], dtype=complex)
+    A, B = 1 + d * a, 1 + d
+    return _typed(p, [
+        [1, -u, 0],
+        [-v / A, (1 + d - d * a + 3 * d * d * a - B * q) / (B * A),
+         (1 - d) / B * 2 * d / A],
+        [0, 2 * d * a / B, (1 - d) / B],
+    ])
 
 
 def _dy_char_poly(p):
     d, a = p.delta, p.alpha
-    return ((-(1.0 - d * a) * (1.0 - d),
-             3.0 - d - d * a + 3.0 * d * d * a,
-             -(3.0 + d + d * a + 3.0 * d * d * a),
-             (1.0 + d * a) * (1.0 + d)),
-            (0.0, -(1.0 - d), 1.0 + d, 0.0))
+    return _typed(p, ((-(1 - d * a) * (1 - d),
+                       3 - d - d * a + 3 * d * d * a,
+                       -(3 + d + d * a + 3 * d * d * a),
+                       (1 + d * a) * (1 + d)),
+                      (0, -(1 - d), 1 + d, 0)))
 
 
 def _dy_material(p):
@@ -418,30 +420,30 @@ _DY_REGIMES = (
 
 def _lj_entries(p, u, v, q):
     d, es, w = p.delta, p.eps_s_prime, p.omega
-    A = 1.0 + d + w * es
-    C = 1.0 - d + w * es
+    A = 1 + d + w * es
+    C = 1 - d + w * es
     # The E_prev coupling is -C/A, the sign the second-order field
     # recurrence and the characteristic polynomial both require.
-    return np.array([
-        [1.0, -u, 0.0, 0.0],
-        [-2.0 * d * v / A, (2.0 - q * (1.0 + d + w)) / A, -C / A, 2.0 * w / A],
-        [0.0, 1.0, 0.0, 0.0],
-        [-v, -q, 0.0, 1.0],
-    ], dtype=complex)
+    return _typed(p, [
+        [1, -u, 0, 0],
+        [-2 * d * v / A, (2 - q * (1 + d + w)) / A, -C / A, 2 * w / A],
+        [0, 1, 0, 0],
+        [-v, -q, 0, 1],
+    ])
 
 
 def _lj_char_poly(p):
     d, es, w = p.delta, p.eps_s_prime, p.omega
-    return ((1.0 - d + w * es,
-             -(4.0 - 2.0 * d + 2.0 * w * es),
-             6.0 + 2.0 * w * es,
-             -(4.0 + 2.0 * d + 2.0 * w * es),
-             1.0 + d + w * es),
-            (0.0, 1.0 - d + w, -2.0, 1.0 + d + w, 0.0))
+    return _typed(p, ((1 - d + w * es,
+                       -(4 - 2 * d + 2 * w * es),
+                       6 + 2 * w * es,
+                       -(4 + 2 * d + 2 * w * es),
+                       1 + d + w * es),
+                      (0, 1 - d + w, -2, 1 + d + w, 0)))
 
 
 def _lj_degenerate_q(w):
-    return 2.0 * w / (1.0 + w)
+    return 2 * w / (1 + w)
 
 
 def _lj_material(p):
@@ -483,32 +485,30 @@ _LJ_REGIMES = (
 # lorentz-kashiwa: state (b, E, p, j).
 
 def _lk_denominator(p):
-    """Denominator 1 + delta + omega*eps_s_prime/2 of the implicit
-    polarization solve; always above 1."""
-    return 1.0 + p.delta + 0.5 * p.omega * p.eps_s_prime
+    """Denominator of the implicit polarization solve; always above 1."""
+    return 1 + p.delta + p.omega * p.eps_s_prime / 2
 
 
 def _lk_entries(p, u, v, q):
-    w = p.omega
-    a = p.alpha
+    w, a = p.omega, p.alpha
     D = _lk_denominator(p)
-    gwa = 0.5 * w * a
-    return np.array([
-        [1.0, -u, 0.0, 0.0],
-        [-v * (D - gwa) / D, (D - q * D - (2.0 - q) * gwa) / D, w / D, -1.0 / D],
-        [-v * gwa / D, (2.0 - q) * gwa / D, (D - w) / D, 1.0 / D],
-        [-v * w * a / D, (2.0 - q) * w * a / D, -2.0 * w / D, (2.0 - D) / D],
-    ], dtype=complex)
+    gwa = w * a / 2
+    return _typed(p, [
+        [1, -u, 0, 0],
+        [-v * (D - gwa) / D, (D - q * D - (2 - q) * gwa) / D, w / D, -1 / D],
+        [-v * gwa / D, (2 - q) * gwa / D, (D - w) / D, 1 / D],
+        [-v * w * a / D, (2 - q) * w * a / D, -2 * w / D, (2 - D) / D],
+    ])
 
 
 def _lk_char_poly(p):
     d, es, w = p.delta, p.eps_s_prime, p.omega
-    return ((1.0 - d + 0.5 * w * es,
-             -(4.0 - 2.0 * d),
-             6.0 - w * es,
-             -(4.0 + 2.0 * d),
-             1.0 + d + 0.5 * w * es),
-            (0.0, 1.0 - d + 0.5 * w, w - 2.0, 1.0 + d + 0.5 * w, 0.0))
+    return _typed(p, ((1 - d + w * es / 2,
+                       -(4 - 2 * d),
+                       6 - w * es,
+                       -(4 + 2 * d),
+                       1 + d + w * es / 2),
+                      (0, 1 - d + w / 2, w - 2, 1 + d + w / 2, 0)))
 
 
 def _lk_material(p):
@@ -550,23 +550,23 @@ _LK_REGIMES = (
 
 def _ly_entries(p, u, v, q):
     d, w, a = p.delta, p.omega, p.alpha
-    B = 1.0 + d
-    return np.array([
-        [1.0, -u, 0.0, 0.0],
-        [-v, ((1.0 - q) * B - 2.0 * w * a) / B, 2.0 * w / B, -(1.0 - d) / B],
-        [0.0, 2.0 * w * a / B, (B - 2.0 * w) / B, (1.0 - d) / B],
-        [0.0, 2.0 * w * a / B, -2.0 * w / B, (1.0 - d) / B],
-    ], dtype=complex)
+    B = 1 + d
+    return _typed(p, [
+        [1, -u, 0, 0],
+        [-v, ((1 - q) * B - 2 * w * a) / B, 2 * w / B, -(1 - d) / B],
+        [0, 2 * w * a / B, (B - 2 * w) / B, (1 - d) / B],
+        [0, 2 * w * a / B, -2 * w / B, (1 - d) / B],
+    ])
 
 
 def _ly_char_poly(p):
     d, es, w = p.delta, p.eps_s_prime, p.omega
-    return ((1.0 - d,
-             -(4.0 - 2.0 * d - 2.0 * w * es),
-             2.0 * (3.0 - 2.0 * w * es),
-             -(4.0 + 2.0 * d - 2.0 * w * es),
-             1.0 + d),
-            (0.0, 1.0 - d, 2.0 * (w - 1.0), 1.0 + d, 0.0))
+    return _typed(p, ((1 - d,
+                       -(4 - 2 * d - 2 * w * es),
+                       2 * (3 - 2 * w * es),
+                       -(4 + 2 * d - 2 * w * es),
+                       1 + d),
+                      (0, 1 - d, 2 * (w - 1), 1 + d, 0)))
 
 
 def _ly_material(p):
@@ -636,11 +636,11 @@ SPECS: dict[Scheme, SchemeSpec] = {
         verify_unstable=(1.25 + 0.35, 1.60 + 0.35)),
     Scheme.LORENTZ_KASHIWA: SchemeSpec(
         "lorentz", ("b", "E", "p", "j"), q_limit=4.0, entries=_lk_entries,
-        char_poly=_lk_char_poly, degenerate_q=lambda w: 2.0 * w / (1.0 + 0.5 * w),
+        char_poly=_lk_char_poly, degenerate_q=lambda w: 2 * w / (1 + w / 2),
         material=_lk_material, needs_prev_source=False, regimes=_LK_REGIMES),
     Scheme.LORENTZ_YOUNG: SchemeSpec(
         "lorentz", ("b", "E", "p", "j"), q_limit=2.0, entries=_ly_entries,
-        char_poly=_ly_char_poly, degenerate_q=lambda w: 2.0 * w,
+        char_poly=_ly_char_poly, degenerate_q=lambda w: 2 * w,
         material=_ly_material, needs_prev_source=False, regimes=_LY_REGIMES,
         k_limit=lambda m: 2.0 / (m.omega1 * math.sqrt(2.0 * m.eps_s / m.eps_inf - 1.0)),
         # The damped boundary is soft; drive it clearly past the limit.

@@ -3,7 +3,8 @@
 None of these is called by the package itself.  Each gives the tests a
 second opinion built another way: polynomials from known roots, root
 profiles from companion eigenvalues, the physical per-wavenumber update
-matrix and its characteristic polynomial det(Z I - G), and the grid's own
+matrix and its characteristic polynomial det(Z I - G) (from eigenvalues,
+or exactly for a matrix of Fractions), and the grid's own
 Fourier amplitudes and per-mode update matrices measured from `step`.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -109,7 +111,7 @@ def amplification_matrix(scheme: Scheme, params: DimensionlessParams,
     phase = complex(math.cos(wn.xi_x), math.sin(wn.xi_x))
     u = params.lam * (phase - 1.0)
     v = params.lam * (1.0 - 1.0 / phase) if wn.xi_x != 0.0 else 0.0j
-    return scheme.spec.entries(params, u, v, courant_q(params, wn))
+    return np.array(scheme.spec.entries(params, u, v, courant_q(params, wn)), dtype=complex)
 
 
 def char_poly_from_matrix(G: np.ndarray) -> Polynomial:
@@ -119,6 +121,21 @@ def char_poly_from_matrix(G: np.ndarray) -> Polynomial:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError("characteristic polynomial requires a square matrix")
     return Polynomial(tuple(np.poly(m)[::-1]))
+
+
+def char_poly_exact(G: Sequence[Sequence[Fraction]]) -> list[Fraction]:
+    """Ascending coefficients of the monic det(Z I - G) of a square matrix
+    of Fractions, by the Faddeev-LeVerrier recursion M_k = G M_(k-1) +
+    c_(n-k+1) I, c_(n-k) = -tr(G M_k) / k: exact, and built without
+    eigenvalues or the closed forms."""
+    n = len(G)
+    desc = [Fraction(1)]
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        M = [[sum(G[i][l] * M[l][j] for l in range(n)) + (desc[-1] if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        desc.append(-sum(G[i][l] * M[l][i] for i in range(n) for l in range(n)) / k)
+    return desc[::-1]
 
 
 def factor_roots_2d(scheme: Scheme, params: DimensionlessParams, wn: Wavenumber,
