@@ -55,11 +55,11 @@ class Polynomial:
     """Dense polynomial stored by ascending power.
 
     Coefficients are cast to complex, unless every one is a
-    `fractions.Fraction`: then they are kept exactly.  Trailing coefficients
-    that are negligible relative to the largest magnitude (exact zeros, for
-    Fractions) are trimmed on construction.  The zero polynomial is the empty
-    coefficient tuple and is a legitimate value (the reduction recursion
-    produces it), with degree -1 by convention.
+    `fractions.Fraction`: then they are kept and evaluated exactly.
+    Trailing coefficients that are negligible relative to the largest
+    magnitude (exact zeros, for Fractions) are trimmed on construction.  The
+    zero polynomial is the empty coefficient tuple and is a legitimate value
+    (the reduction recursion produces it), with degree -1 by convention.
     """
 
     __slots__ = ("coeffs",)
@@ -84,7 +84,7 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __call__(self, z: complex) -> complex:
+    def __call__(self, z: complex | Fraction) -> complex | Fraction:
         acc = Fraction(0) if self.coeffs and type(self.coeffs[0]) is Fraction else 0j
         for c in reversed(self.coeffs):
             acc = acc * z + c

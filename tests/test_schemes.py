@@ -295,8 +295,8 @@ def test_exact_matrix_polynomial_identity(scheme):
 
 def test_lorentz_kashiwa_q4_double_root_is_exact():
     """At q = 4 the exact Lorentz-Kashiwa polynomial has the double root
-    z = -1 (in floats p(-1) reads 7e-15), and the exact recursion reports the
-    repeated circle root.  Pinned here; the float verdict is left as it is."""
+    z = -1, and the exact recursion reports the repeated circle root.  The
+    float polynomial reads p(-1) as 7e-15, so the float route misses it."""
     p = DimensionlessParams(lam=Fraction(1), delta=Fraction(67, 10000),
                             eps_s_prime=Fraction(53399, 1000), omega=Fraction(19844, 10000))
     poly = char_poly_closed(Scheme.LORENTZ_KASHIWA, p, Fraction(4))
