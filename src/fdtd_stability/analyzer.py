@@ -77,7 +77,6 @@ class Argument(enum.Enum):
     SUB_POLYNOMIAL = "sub-polynomial"
     G_FORM = "g-form"
     EIGENVECTORS = "eigenvectors"
-    EMPIRICAL = "empirical"
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,8 @@ def gn_bounded(G: np.ndarray) -> BoundednessReport:
     """Decide boundedness of the matrix powers from the unit-circle
     eigenvalue multiplicities.
 
-    Requires every eigenvalue modulus at most 1 + EIG_CLUSTER_TOL.  Geometric
+    Requires every eigenvalue modulus at most 1 + OUT_EIG_TOL, the bound
+    beyond which `classify_at_q` calls an eigenvalue outside.  Geometric
     multiplicities come from a singular-value rank test on G - lambda I,
     with the zero threshold widened by the cluster spread so that two
     genuinely distinct eigenvalues grouped into one cluster are not
@@ -142,9 +142,9 @@ def gn_bounded(G: np.ndarray) -> BoundednessReport:
     """
     m = np.asarray(G, dtype=complex)
     eigs = _eigvals(m)
-    if np.max(np.abs(eigs)) > 1.0 + EIG_CLUSTER_TOL:
+    if np.max(np.abs(eigs)) > 1.0 + OUT_EIG_TOL:
         raise InvalidInputError(
-            "gn_bounded requires all eigenvalue moduli at most 1 + EIG_CLUSTER_TOL")
+            "gn_bounded requires all eigenvalue moduli at most 1 + OUT_EIG_TOL")
     return _unit_multiplicities(m, eigs)
 
 

@@ -97,7 +97,7 @@ class RunConfig:
     xi: float = _option(_POINT, math.pi, help="wavenumber in radians per cell")
     xi_y: float | None = _option(_GROWTH)
     steps: int = _option(_GROWTH, 1000, help="time steps of a growth run", minimum=100)
-    grid: int = _option(_GROWTH, 64)
+    grid: int = _option(_GROWTH, 64, minimum=4)
     output: str | None = _option((*_POINT, "verify"), help="CSV output path")
     empirical: bool = _option(("analyze",), False)
     vary: str | None = _option(("scan",), choices=("k", "xi", "q"))
@@ -238,8 +238,7 @@ def _run_growth(cfg: RunConfig, scheme: Scheme, medium: MediumModel, wn: Wavenum
         return 2.0 * math.pi * m / cfg.grid
     harmonic = replace(wn, xi_x=snap(wn.xi_x), xi_y=snap(wn.xi_y) if wn.is_2d else None)
     return run_growth(scheme, medium, cfg.k, cfg.h, harmonic, cfg.steps,
-                      polarization=cfg.polarization,
-                      grid=(cfg.grid, cfg.grid) if wn.is_2d else cfg.grid)
+                      polarization=cfg.polarization, grid=cfg.grid)
 
 
 def _cmd_analyze(cfg: RunConfig) -> int:
@@ -283,14 +282,11 @@ def _cmd_scan(cfg: RunConfig) -> int:
         k = value if cfg.vary == "k" else cfg.k
         params = dimensionless_params(medium, k, cfg.h)
         if cfg.vary == "q":
-            q = value
-            verdict = classify_at_q(scheme, params, q)
-            xi = xi_for_q(q, params.lam)
+            q, xi = value, xi_for_q(value, params.lam)
         else:
             xi = value if cfg.vary == "xi" else cfg.xi
-            wn = Wavenumber(xi)
-            verdict = classify_point(scheme, params, wn)
-            q = courant_q(params, wn)
+            q = courant_q(params, Wavenumber(xi))
+        verdict = classify_at_q(scheme, params, q)
         poly = char_poly_closed(scheme, params, q)
         rows.append(_verdict_row(scheme, medium, k, cfg.h, xi, q,
                                  verdict.stable, verdict.argument.value,
@@ -440,21 +436,14 @@ def run_verify(plan: list[_VerifyPoint]):
     hard_disagreements = 0
     for pt in plan:
         params = dimensionless_params(pt.medium, pt.k, pt.h)
-        xi_x = 2.0 * math.pi * pt.m_x / pt.grid
-        if pt.polarization is None:
-            wn = Wavenumber(xi_x)
-            verdict = classify_point(pt.scheme, params, wn)
-            grid = pt.grid
-        else:
-            xi_y = 2.0 * math.pi * pt.m_y / pt.grid
-            wn = Wavenumber(xi_x, xi_y, h_x=pt.h, h_y=pt.h)
-            verdict = classify_point_2d(pt.scheme, params, wn, pt.polarization)
-            grid = (pt.grid, pt.grid)
+        xi_y = None if pt.polarization is None else 2.0 * math.pi * pt.m_y / pt.grid
+        wn = Wavenumber(2.0 * math.pi * pt.m_x / pt.grid, xi_y, h_x=pt.h, h_y=pt.h)
         q = courant_q(params, wn)
+        verdict = classify_at_q(pt.scheme, params, q)
         steps = pt.steps
         for _ in range(3):
             rep = run_growth(pt.scheme, pt.medium, pt.k, pt.h, wn, steps,
-                             polarization=pt.polarization, grid=grid)
+                             polarization=pt.polarization, grid=pt.grid)
             emp = empirical_verdict(rep)
             if emp.stable == verdict.stable:
                 break
@@ -528,7 +517,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 cfg = parse_config(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InvalidInputError(f"cannot read config: {exc}") from exc
         cfg = replace(cfg, command=args.command)
     else:

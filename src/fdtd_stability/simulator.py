@@ -1,10 +1,11 @@
 """Time-stepping kernels for the five schemes on periodic grids.
 
 The simulator is the empirical referee for the analyzer: it advances real
-field arrays (1D, or 2D in TE/TM polarization) and reports how the sup-norm
-of the state grows.  A single discrete harmonic evolves exactly by the
-per-wavenumber update matrix, which the tests exploit as the central
-cross-module check.
+field arrays (1D, or 2D in TE/TM polarization), reports how the sup-norm
+of the state grows and phrases its own verdict (`empirical_verdict`).  It
+imports nothing of the analytic route.  A single discrete harmonic evolves
+exactly by the per-wavenumber update matrix, which the tests exploit as the
+central cross-module check.
 
 Fields live on the usual staggered grids, stored in the analyzer's
 normalized units (c_inf*B, E, D/(eps0 eps_inf), P/(eps0 eps_inf),
@@ -45,7 +46,6 @@ from typing import Callable
 
 import numpy as np
 
-from .analyzer import Argument, StabilityVerdict
 from .errors import InvalidInputError
 from .schemes import DimensionlessParams, MediumModel, Scheme, Wavenumber, dimensionless_params
 
@@ -110,6 +110,14 @@ class GrowthReport:
     verdict: str  # "bounded" | "growing"
     norms: np.ndarray
     overflow_step: int | None = None
+
+
+@dataclass(frozen=True)
+class EmpiricalVerdict:
+    """The simulator's own reading of a growth report."""
+
+    stable: bool
+    detail: str
 
 
 def _layout(scheme: Scheme, polarization: str | None) -> tuple[tuple[str, tuple], ...]:
@@ -353,19 +361,15 @@ def run_growth(scheme: Scheme, medium: MediumModel, k: float, h: float,
                         norms=norms, overflow_step=overflow_step)
 
 
-def empirical_verdict(report: GrowthReport) -> StabilityVerdict:
-    """Bridge a growth report into the analyzer's verdict vocabulary."""
+def empirical_verdict(report: GrowthReport) -> EmpiricalVerdict:
+    """Stable or not from a growth report, with the evidence in words."""
     if report.verdict == "bounded":
-        return StabilityVerdict(True, Argument.EMPIRICAL,
-                                f"bounded: max norm ratio {report.max_norm_ratio:.4g} "
-                                f"over {report.steps} steps")
+        return EmpiricalVerdict(True, f"bounded: max norm ratio {report.max_norm_ratio:.4g} "
+                                      f"over {report.steps} steps")
     if report.overflow_step is not None:
-        return StabilityVerdict(False, Argument.EMPIRICAL,
-                                f"overflow at step {report.overflow_step} "
-                                "(exponential growth)")
+        return EmpiricalVerdict(False, f"overflow at step {report.overflow_step} "
+                                       "(exponential growth)")
     if report.per_step_factor < 1.001 and linear_fit_residual(report.norms) < 0.05:
-        return StabilityVerdict(False, Argument.EMPIRICAL,
-                                "norm grows linearly: matrix powers unbounded "
-                                "(polynomial growth)")
-    return StabilityVerdict(False, Argument.EMPIRICAL,
-                            f"growing at {report.per_step_factor:.6f} per step")
+        return EmpiricalVerdict(False, "norm grows linearly: matrix powers unbounded "
+                                       "(polynomial growth)")
+    return EmpiricalVerdict(False, f"growing at {report.per_step_factor:.6f} per step")

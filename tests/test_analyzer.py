@@ -59,8 +59,10 @@ def test_gn_bounded_debye_joseph_worst_mode():
 
 
 def test_gn_bounded_rejects_expanding_matrix():
-    with pytest.raises(InvalidInputError):
-        gn_bounded(np.diag([1.5, 0.2]))
+    # 1 + 5e-7 lies beyond classify_at_q's 1 + OUT_EIG_TOL: its powers grow.
+    for G in (np.diag([1.5, 0.2]), np.array([[1.0 + 5e-7]])):
+        with pytest.raises(InvalidInputError):
+            gn_bounded(G)
 
 
 # --- classify_point ----------------------------------------------------------

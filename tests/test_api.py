@@ -1,7 +1,9 @@
 """The public contract: the names `fdtd_stability` exports, and the
 test-only referees that live in `tests/referees.py` instead of the package."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import fdtd_stability
 
@@ -46,3 +48,32 @@ def test_referees_are_not_in_the_package():
     for name in ("is_schur", "reduce_step_exact", "is_schur_exact",
                  "is_simple_von_neumann_exact", "_trim_exact"):
         assert not any(hasattr(m, name) for m in modules + [fdtd_stability]), name
+
+
+def _package_imports(module: str) -> set[str]:
+    """The modules of the package that a module's source imports, at any
+    depth of its syntax tree (``from . import x`` counts as x)."""
+    source = Path(fdtd_stability.__file__).with_name(f"{module}.py").read_text()
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("fdtd_stability" if node.level else None,
+                                          node.module)))
+            paths = [f"{base}.{a.name}" if base == "fdtd_stability" else base
+                     for a in node.names]
+        else:
+            continue
+        found |= {p.split(".")[1] for p in paths if p.startswith("fdtd_stability.")}
+    return found
+
+
+def test_the_referees_do_not_import_each_other():
+    """The empirical referee imports nothing of the analytic route, and the
+    analytic route nothing of the simulator or the front end; nor does the
+    analytic vocabulary name the empirical verdict."""
+    assert _package_imports("simulator") == {"errors", "schemes"}
+    assert not _package_imports("analyzer") & {"simulator", "cli"}
+    assert _package_imports("polyloc") == {"errors"}
+    assert "EMPIRICAL" not in fdtd_stability.Argument.__members__

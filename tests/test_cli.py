@@ -270,6 +270,14 @@ def test_config_key_and_flag_parse_alike(f, tmp_path):
     assert type(getattr(from_file, f.name)) is type(v)
 
 
+def test_config_file_not_utf8_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_bytes("command = tables\n# caf\u00e9\n".encode("latin-1"))
+    assert main(["tables", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config") and "Traceback" not in err
+
+
 def test_absent_bool_flag_keeps_file_value(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("command = analyze\nempirical = true\n")
@@ -291,6 +299,7 @@ _POINT = {"scheme": "debye-joseph", "eps_inf": "1.8", "eps_s": "81.0",
     ("scan", "count", "-1"),
     ("verify", "samples", "-5"),
     ("simulate", "steps", "50"),
+    ("simulate", "grid", "0"),
 ])
 @pytest.mark.parametrize("source", ["flag", "file"])
 def test_bad_value_exits_2_from_either_source(command, key, value, source,

@@ -1,6 +1,6 @@
-"""Golden outputs: the ``tables`` report, ``scan --vary q`` CSVs, 2D
-``analyze`` CSV rows, the verify plan, the SHA-256 of simulator norm
-histories, boundary-search results and the analytic verdicts and
+"""Golden outputs: the ``tables`` report, ``scan`` CSVs varying q, k and
+xi, 2D ``analyze`` CSV rows, the verify plan, the SHA-256 of simulator
+norm histories, boundary-search results and the analytic verdicts and
 crossings of seeded points, compared byte for byte with the files under
 ``tests/golden/``.
 
@@ -79,9 +79,15 @@ def tables_text() -> str:
     return _run_cli(["tables"])
 
 
-def scan_text(scheme: str, flags: tuple[str, ...]) -> str:
-    return _csv_output(["scan", "--scheme", scheme, *flags, "--vary", "q",
-                        "--start", "0", "--stop", "5", "--count", "201"])
+def scan_text(scheme: str, flags: tuple[str, ...], vary: str = "q") -> str:
+    """``scan`` CSV varying q over [0, 5] (201 points), xi over [0, pi] or k
+    over [0.01, 2] times the medium's --k (101 points each)."""
+    k = float(flags[flags.index("--k") + 1])
+    start, stop, count = {"q": ("0", "5", "201"),
+                          "xi": ("0", repr(math.pi), "101"),
+                          "k": (repr(0.01 * k), repr(2.0 * k), "101")}[vary]
+    return _csv_output(["scan", "--scheme", scheme, *flags, "--vary", vary,
+                        "--start", start, "--stop", stop, "--count", count])
 
 
 def analyze_2d_text() -> str:
@@ -273,8 +279,10 @@ def verdicts_text() -> str:
 
 def _artifacts():
     yield "tables.txt", tables_text
-    for stem, scheme, flags in SCAN_CASES:
-        yield f"scan_q_{stem}.csv", lambda s=scheme, f=flags: scan_text(s, f)
+    for vary in ("q", "k", "xi"):
+        for stem, scheme, flags in SCAN_CASES:
+            yield (f"scan_{vary}_{stem}.csv",
+                   lambda s=scheme, f=flags, v=vary: scan_text(s, f, v))
     yield "analyze_2d.csv", analyze_2d_text
     yield "verify_plan.txt", verify_plan_text
     yield "norm_histories.txt", norm_history_text
@@ -299,6 +307,13 @@ def test_tables_stdout_golden():
                          ids=[c[0] for c in SCAN_CASES])
 def test_scan_q_golden(stem, scheme, flags):
     assert scan_text(scheme, flags) == _golden(f"scan_q_{stem}.csv")
+
+
+@pytest.mark.parametrize("stem,scheme,flags", SCAN_CASES,
+                         ids=[c[0] for c in SCAN_CASES])
+@pytest.mark.parametrize("vary", ["k", "xi"])
+def test_scan_k_and_xi_golden(vary, stem, scheme, flags):
+    assert scan_text(scheme, flags, vary) == _golden(f"scan_{vary}_{stem}.csv")
 
 
 def test_analyze_2d_golden():
