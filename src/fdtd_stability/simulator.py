@@ -32,8 +32,12 @@ The periodic differences are slicing stencils: ``a[1:] - a[:-1]`` and the
 one wrapped row or column, written into the result array.  They do the
 arithmetic of ``np.roll(a, -1) - a`` element by element, so norm histories
 are bit for bit those of the roll stencil, with far fewer NumPy calls per
-step on the small grids of the verify sweep.  A non-finite entry anywhere
-in the state, NaN included, is overflow: it ends a growth run.
+step on the small grids of the verify sweep.
+
+The ``steps`` of a growth run are a budget: the run ends at the step that
+decides it, the first whose sup-norm is more than GROWTH_NORM_FACTOR times
+the initial one or is not finite.  A non-finite entry anywhere in the
+state, NaN included, is overflow.
 """
 
 from __future__ import annotations
@@ -288,8 +292,10 @@ def step(scheme: Scheme, state: FieldState, params: DimensionlessParams) -> Fiel
 def _tail_factor(norms: np.ndarray) -> float:
     """Geometric per-step growth factor over the last half of the run,
     estimated by the least-squares slope of log(norm) (robust against the
-    bounded oscillation of on-circle modes)."""
-    tail = norms[len(norms) // 2:]
+    bounded oscillation of on-circle modes).  A run decided at step 1 has
+    one point in its last half, so it is fitted over its whole history; a
+    history of one norm has no rate and reads 1."""
+    tail = norms[len(norms) // 2:] if len(norms) > 2 else norms
     tail = np.maximum(tail, 1e-300)
     if len(tail) < 2:
         return 1.0
@@ -318,10 +324,15 @@ def run_growth(scheme: Scheme, medium: MediumModel, k: float, h: float,
                wn: Wavenumber, steps: int, polarization: str | None = None,
                grid: int | tuple[int, int] = 64,
                amplitude: float = 1.0) -> GrowthReport:
-    """Evolve a plane wave and record the sup-norm per step.
+    """Evolve a plane wave and record the sup-norm per step, for at most
+    ``steps`` steps.
 
-    Overflow (non-finite values) stops the run early and is reported as
-    growth, not as an error.
+    The run ends at the first step whose norm is more than
+    GROWTH_NORM_FACTOR times the initial one or is not finite: from there
+    on its verdict is growing, whatever follows.  A finite norm is
+    recorded and ``steps`` of the report is that step; a non-finite one is
+    overflow (``overflow_step``), reported as growth, not as an error, and
+    not recorded.
     """
     if steps < 100:
         raise InvalidInputError("growth runs need at least 100 steps")
@@ -336,7 +347,7 @@ def run_growth(scheme: Scheme, medium: MediumModel, k: float, h: float,
     legs = [(_bind(scheme, state.polarization, params, state.h_ratio, x, y, scratch), y, x)
             for x, y in ((a, b), (b, a))]
     norms = np.empty(steps + 1)
-    norms[0] = _sup_norm(a, b)
+    norms[0] = n0 = _sup_norm(a, b)
     overflow_step = None
     used = steps
     with np.errstate(over="ignore", invalid="ignore"):
@@ -344,9 +355,15 @@ def run_growth(scheme: Scheme, medium: MediumModel, k: float, h: float,
             for call in calls:
                 call()
             v = _sup_norm(out, src)  # the source is read; it is free now
-            if not math.isfinite(v):
-                overflow_step = i
-                used = i - 1
+            # The ratio the verdict reads, so the run stops exactly where
+            # max_ratio first passes the factor; NaN and inf stop it too.
+            if not v / n0 <= GROWTH_NORM_FACTOR:
+                if math.isfinite(v):
+                    norms[i] = v
+                    used = i
+                else:
+                    overflow_step = i
+                    used = i - 1
                 break
             norms[i] = v
     norms = norms[:used + 1]
@@ -372,4 +389,8 @@ def empirical_verdict(report: GrowthReport) -> EmpiricalVerdict:
     if report.per_step_factor < 1.001 and linear_fit_residual(report.norms) < 0.05:
         return EmpiricalVerdict(False, "norm grows linearly: matrix powers unbounded "
                                        "(polynomial growth)")
-    return EmpiricalVerdict(False, f"growing at {report.per_step_factor:.6f} per step")
+    rate = f"growing at {report.per_step_factor:.6f} per step"
+    if report.max_norm_ratio > GROWTH_NORM_FACTOR:
+        return EmpiricalVerdict(False, f"{rate}: norm above {GROWTH_NORM_FACTOR:g} times "
+                                       f"its initial value at step {report.steps}")
+    return EmpiricalVerdict(False, rate)

@@ -131,12 +131,14 @@ _GROWTH_MEDIA = {
 
 def norm_history_text() -> str:
     """SHA-256 of the ``run_growth`` norm history of every scheme in 1D, TE
-    and TM, at a stable and an unstable time step: 300 steps on a 16-cell
-    grid, or a 16 x 12 grid with h_y = 2 h_x.  The stable step puts every
-    grid mode at half the scheme's q limit, the unstable one the excited
-    mode at 1.3 times it.  The verdict column is the short run's own: the
-    stable Debye-Young TM run still relaxes at step 300 and reads growing
-    (it is bounded over 3000 steps)."""
+    and TM, at a stable and an unstable time step: a budget of 300 steps on
+    a 16-cell grid, or a 16 x 12 grid with h_y = 2 h_x.  The stable step
+    puts every grid mode at half the scheme's q limit, the unstable one the
+    excited mode at 1.3 times it.  The steps column is the run's length: a
+    run ends at the step whose norm passes GROWTH_NORM_FACTOR times the
+    initial one.  The verdict column is the short run's own: the stable
+    Debye-Young TM run still relaxes at step 300 and reads growing (it is
+    bounded over 3000 steps)."""
     lines = []
     for scheme in Scheme:
         medium, h = _GROWTH_MEDIA[scheme.kind]

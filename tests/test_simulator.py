@@ -265,6 +265,12 @@ def test_growth_rate_matches_root_modulus(water):
     k = 1.05 * h / water.c_inf  # q = 4.41 at xi = pi
     rep = run_growth(Scheme.DEBYE_JOSEPH, water, k, h, Wavenumber(math.pi), 2000)
     assert rep.verdict == "growing"
+    # The run ends at the first norm above the factor, and says so.
+    assert rep.overflow_step is None and 1 < rep.steps < 2000
+    assert np.all(rep.norms[:-1] / rep.norms[0] <= simulator.GROWTH_NORM_FACTOR)
+    assert rep.norms[-1] / rep.norms[0] > simulator.GROWTH_NORM_FACTOR
+    assert empirical_verdict(rep).detail.endswith(
+        f"norm above 1000 times its initial value at step {rep.steps}")
     from fdtd_stability import char_poly_closed, courant_q
     from fdtd_stability.polyloc import max_root_modulus
     params = dimensionless_params(water, k, h)
@@ -302,17 +308,40 @@ def test_resonance_linear_growth(resonant_lorentz):
 
 
 def test_overflow_reported_not_raised(water):
+    """At an amplitude of 1e306 no finite norm is 1e3 times the initial
+    one, so only overflow can end the run."""
     h = 1e-5
     k = 1.5 * h / water.c_inf
-    rep = run_growth(Scheme.DEBYE_JOSEPH, water, k, h, Wavenumber(math.pi), 3000)
+    rep = run_growth(Scheme.DEBYE_JOSEPH, water, k, h, Wavenumber(math.pi), 3000,
+                     amplitude=1e306)
     assert rep.verdict == "growing"
     assert rep.overflow_step is not None
     assert "overflow" in empirical_verdict(rep).detail
 
 
-def _step_loop_history(scheme, medium, k, h, wn, steps, pol, grid, amplitude):
+def test_run_decided_at_step_one_reads_its_rate(water):
+    """A run whose first step passes the norm factor stops there, and its
+    rate is fitted over the whole two-norm history: it reads the one-step
+    ratio, not 1."""
+    h = 1e-5
+    k = 20.0 * h / water.c_inf
+    rep = run_growth(Scheme.DEBYE_JOSEPH, water, k, h, Wavenumber(math.pi), 100, grid=16)
+    assert rep.steps == 1 and rep.overflow_step is None and len(rep.norms) == 2
+    assert rep.verdict == "growing"
+    ratio = rep.norms[1] / rep.norms[0]
+    assert ratio > simulator.GROWTH_NORM_FACTOR
+    assert rep.per_step_factor == pytest.approx(ratio, rel=1e-12)
+    detail = empirical_verdict(rep).detail
+    assert f"growing at {ratio:.6f} per step" in detail
+    assert "at step 1" in detail
+
+
+def _step_loop_history(scheme, medium, k, h, wn, steps, pol, grid, amplitude,
+                       stop_factor=simulator.GROWTH_NORM_FACTOR):
     """run_growth's norm history and overflow step, rebuilt from public
-    step() and FieldState.sup_norm."""
+    step() and FieldState.sup_norm: the loop ends at the first norm that
+    is not finite (overflow, not recorded) or, if stop_factor is not
+    None, more than stop_factor times the initial one (recorded)."""
     params = dimensionless_params(medium, k, h)
     st = init_plane_wave(scheme, grid, wn, amplitude, polarization=pol)
     norms = [st.sup_norm()]
@@ -323,10 +352,13 @@ def _step_loop_history(scheme, medium, k, h, wn, steps, pol, grid, amplitude):
             if not math.isfinite(v):
                 return np.array(norms), i
             norms.append(v)
+            if stop_factor is not None and v / norms[0] > stop_factor:
+                break
     return np.array(norms), None
 
 
-def _growth_and_step_loop(scheme, pol, nx, ny, h_y_ratio, modes, frac, amplitude):
+def _growth_and_step_loop(scheme, pol, nx, ny, h_y_ratio, modes, frac, amplitude,
+                          stop_factor=simulator.GROWTH_NORM_FACTOR):
     """A 100-step run_growth, with frac of the scheme's q limit at the
     grid's largest q, and the same run rebuilt from public step()."""
     medium, h = medium_for(scheme)
@@ -341,7 +373,8 @@ def _growth_and_step_loop(scheme, pol, nx, ny, h_y_ratio, modes, frac, amplitude
     k = math.sqrt(frac * scheme.spec.q_limit / s_max) * h / medium.c_inf
     rep = run_growth(scheme, medium, k, h, wn, 100, polarization=pol, grid=grid,
                      amplitude=amplitude)
-    return rep, _step_loop_history(scheme, medium, k, h, wn, 100, pol, grid, amplitude)
+    return rep, _step_loop_history(scheme, medium, k, h, wn, 100, pol, grid, amplitude,
+                                   stop_factor)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -351,11 +384,12 @@ def _growth_and_step_loop(scheme, pol, nx, ny, h_y_ratio, modes, frac, amplitude
        h_y_ratio=hst.sampled_from([1.0, 2.0]),
        modes=hst.tuples(hst.integers(0, 10), hst.integers(0, 10)),
        frac=hst.floats(0.2, 2.5),
-       amplitude=hst.sampled_from([1.0, 1e280]))
+       amplitude=hst.sampled_from([1.0, 1e306]))
 def test_run_growth_is_a_loop_of_public_step(scheme, pol, nx, ny, h_y_ratio, modes,
                                              frac, amplitude):
     """The bound kernel with alternating buffers is the public step() and
-    sup_norm, bit for bit, including the step at which a run overflows."""
+    sup_norm, bit for bit, including the step at which a run stops: by the
+    norm factor at amplitude 1, by overflow at 1e306."""
     rep, (norms, overflow_step) = _growth_and_step_loop(
         scheme, pol, nx, ny, h_y_ratio, modes, frac, amplitude)
     assert rep.overflow_step == overflow_step
@@ -366,9 +400,35 @@ def test_run_growth_is_a_loop_of_public_step(scheme, pol, nx, ny, h_y_ratio, mod
 @pytest.mark.parametrize("scheme", [Scheme.DEBYE_JOSEPH, Scheme.LORENTZ_KASHIWA])
 def test_run_overflowing_part_way_is_a_loop_of_public_step(scheme, pol):
     rep, (norms, overflow_step) = _growth_and_step_loop(
-        scheme, pol, 8, 6, 2.0, (4, 3), 2.5, 1e280)
+        scheme, pol, 8, 6, 2.0, (4, 3), 2.5, 1e306)
     assert 1 < rep.overflow_step == overflow_step < 100
     assert rep.norms.tobytes() == norms.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(scheme=hst.sampled_from(list(Scheme)),
+       pol=hst.sampled_from([None, "te", "tm"]),
+       lam_ratio=hst.floats(0.3, 2.0),
+       modes=hst.tuples(hst.integers(0, 7), hst.integers(0, 5)))
+def test_stopped_run_keeps_the_full_horizon_verdict(scheme, pol, lam_ratio, modes):
+    """Ending a run at the step that decides it changes no verdict.  With
+    lam from 0.3 to 2 times the scheme's limit at the grid's largest q, the
+    verdict of run_growth equals that of the full 100-step public step()
+    loop read by the rule without a stop (growing iff it overflows, its
+    max norm ratio passes GROWTH_NORM_FACTOR or its tail factor passes
+    1 + GROWTH_RATE_TOL), and its norms are a bit-identical prefix of the
+    full history."""
+    rep, (full, overflow_step) = _growth_and_step_loop(
+        scheme, pol, 8, 6, 2.0, modes, lam_ratio ** 2, 1.0, stop_factor=None)
+    growing = (overflow_step is not None
+               or full.max() / full[0] > simulator.GROWTH_NORM_FACTOR
+               or simulator._tail_factor(full) > 1.0 + simulator.GROWTH_RATE_TOL)
+    assert rep.verdict == ("growing" if growing else "bounded")
+    assert empirical_verdict(rep).stable is not growing
+    assert rep.norms.tobytes() == full[:len(rep.norms)].tobytes()
+    if rep.max_norm_ratio <= simulator.GROWTH_NORM_FACTOR:  # not stopped
+        assert rep.overflow_step == overflow_step
+        assert len(rep.norms) == len(full)
 
 
 def test_empirical_verdict_trivial_mappings():
