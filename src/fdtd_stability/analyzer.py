@@ -237,52 +237,43 @@ def classify_at_q(scheme: Scheme, params: DimensionlessParams, q: float) -> Stab
 
 def classify_point(scheme: Scheme, params: DimensionlessParams,
                    wn: Wavenumber) -> StabilityVerdict:
-    """Stability verdict at one 1D wavenumber."""
-    if wn.is_2d:
-        raise InvalidInputError("classify_point is 1D; use classify_point_2d")
+    """Stability verdict at one wavenumber, 1D or 2D: `classify_at_q` at its
+    Courant quantity, which sums the two directions in 2D.
+
+    The 2D polynomial is (Z - 1) [psi] phi(q_x + q_y), with the TM factor psi.
+    The explicit (Z - 1) factor is benign, and phi is the 1D polynomial at
+    the combined q.  psi has its roots on or inside the circle and decides
+    no verdict.  For the Joseph-style Lorentz scheme in a harmonic medium
+    its unit-circle roots could meet those of phi only at the degenerate
+    q_res, and there only when eps_s = eps_inf: the resultant of psi and
+    phi(q_res) is 16 w^4 (eps_s'-1)^2 (1 + w eps_s')^2 / (1 + w)^2.  At that
+    point phi alone is already unstable.  For the other schemes a
+    coincidence pairs decoupled blocks and is harmless.  So no verdict
+    depends on the polarization.
+    """
     return classify_at_q(scheme, params, courant_q(params, wn))
 
 
 def classify_point_2d(scheme: Scheme, params: DimensionlessParams, wn: Wavenumber,
                       polarization: str) -> StabilityVerdict:
-    """Stability verdict at one 2D wavenumber pair.
-
-    The 2D polynomial is (Z - 1) [psi] phi(q_x + q_y).  The explicit (Z - 1)
-    factor is benign, and the phi part is classified like a 1D point at the
-    combined q.  The TM factor psi has its roots on or inside the circle and
-    decides no verdict.  For the Joseph-style Lorentz scheme in a harmonic
-    medium its unit-circle roots could meet those of phi only at the
-    degenerate q_res, and there only when eps_s = eps_inf: the resultant of
-    psi and phi(q_res) is 16 w^4 (eps_s'-1)^2 (1 + w eps_s')^2 / (1 + w)^2.
-    At that point phi alone is already unstable.  For the other schemes a
-    coincidence pairs decoupled blocks and is harmless.
-    """
+    """`classify_point` at a 2D wavenumber, refusing a 1D one and an unknown
+    polarization; the polarization decides nothing."""
     if not wn.is_2d:
         raise InvalidInputError("classify_point_2d requires a 2D wavenumber")
     if polarization not in ("te", "tm"):
         raise InvalidInputError("polarization must be 'te' or 'tm'")
-    q2 = courant_q(params, wn)
-    base = classify_at_q(scheme, params, q2)
-    if not base.stable:
-        return StabilityVerdict(False, base.argument,
-                                f"1D factor at q={q2:.12g}: {base.detail}")
-    return StabilityVerdict(True, base.argument, f"(Z-1) factor benign; {base.detail}")
+    return classify_point(scheme, params, wn)
 
 
-def _q_max(params: DimensionlessParams, h: float, polarization: str | None,
-           h_y: float | None) -> float:
-    """Largest Courant quantity of the grid: 4 lam^2, plus 4 lam_y^2 in 2D,
-    that is when a polarization is given (h_y defaults to h)."""
+def _q_max(params: DimensionlessParams, h: float, h_y: float | None) -> float:
+    """Largest Courant quantity of the grid: 4 lam^2, plus 4 lam_y^2 on a 2D
+    grid, that is when h_y is given."""
     q_max = 4.0 * params.lam * params.lam
-    if polarization is None:
-        if h_y is not None:
-            raise InvalidInputError("h_y needs a polarization ('te' or 'tm')")
+    if h_y is None:
         return q_max
-    if polarization not in ("te", "tm"):
-        raise InvalidInputError("polarization must be 'te' or 'tm'")
-    if h_y is not None and not (h_y > 0 and math.isfinite(h_y)):
+    if not (h_y > 0 and math.isfinite(h_y)):
         raise InvalidInputError("space step h_y must be positive and finite")
-    lam_y = params.lam * h / (h_y if h_y is not None else h)
+    lam_y = params.lam * h / h_y
     return q_max + 4.0 * lam_y * lam_y
 
 
@@ -306,17 +297,15 @@ def _walk(scheme: Scheme, params: DimensionlessParams, q_lo: float, q_hi: float)
 
 
 def worst_case_verdict(scheme: Scheme, medium: MediumModel, k: float, h: float,
-                       polarization: str | None = None,
                        h_y: float | None = None) -> StabilityVerdict:
     """Verdict over all wavenumbers at fixed physical steps, exact from the
-    breakpoint walk of q over [0, q_max]; a polarization makes the grid 2D.
+    breakpoint walk of q over [0, q_max]; a given h_y makes the grid 2D.
     Breakpoints decide closed against open conditions and catch defective
     eigenvalues."""
     if medium.kind != scheme.kind:
         raise InvalidInputError(f"{scheme.value} cannot run in a {medium.kind} medium")
     params = dimensionless_params(medium, k, h)
-    n_breaks, q, _, verdict = _walk(scheme, params, 0.0,
-                                    _q_max(params, h, polarization, h_y))
+    n_breaks, q, _, verdict = _walk(scheme, params, 0.0, _q_max(params, h, h_y))
     if not verdict.stable:
         return StabilityVerdict(False, verdict.argument,
                                 f"unstable at q={q:.12g}: {verdict.detail}")
@@ -326,10 +315,9 @@ def worst_case_verdict(scheme: Scheme, medium: MediumModel, k: float, h: float,
 
 
 def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
-                         polarization: str | None = None,
                          h_y: float | None = None) -> BoundaryResult:
     """Largest stable time step, found by bisection on the worst-case
-    verdict between 0 and 2h/c_inf.
+    verdict between 0 and 2h/c_inf; a given h_y makes the grid 2D.
 
     With the parameters at the final bracket's lo, q is walked on from
     q_max(lo) to q_max(hi): an unstable breakpoint means an open Courant
@@ -341,7 +329,7 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
         raise InvalidInputError("space step h must be positive and finite")
 
     def stable_at(k: float) -> bool:
-        return worst_case_verdict(scheme, medium, k, h, polarization, h_y).stable
+        return worst_case_verdict(scheme, medium, k, h, h_y).stable
 
     hi = 2.0 * h / medium.c_inf
     if stable_at(hi):
@@ -360,8 +348,7 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
         else:
             hi = mid
     p_lo, p_hi = dimensionless_params(medium, lo, h), dimensionless_params(medium, hi, h)
-    _, _, at_break, verdict = _walk(scheme, p_lo, _q_max(p_lo, h, polarization, h_y),
-                                    _q_max(p_hi, h, polarization, h_y))
+    _, _, at_break, verdict = _walk(scheme, p_lo, _q_max(p_lo, h, h_y), _q_max(p_hi, h, h_y))
     if verdict.stable:
         k_lim = scheme.spec.k_limit(medium) if scheme.spec.k_limit else None
         attained = stable_at(k_lim) if k_lim is not None and lo < k_lim <= hi else None
@@ -378,8 +365,8 @@ def reproduce_argument_table(scheme: Scheme) -> list[TableRow]:
     rows: list[TableRow] = []
     for regime in scheme.spec.regimes:
         for (delta, es, omega, q) in regime.points:
-            lam = max(1.0, math.sqrt(q / 4.0) + 0.25)
-            params = DimensionlessParams(lam=lam, delta=delta, eps_s_prime=es,
+            # classify_at_q reads delta, eps_s', omega and q, not lam.
+            params = DimensionlessParams(lam=1.0, delta=delta, eps_s_prime=es,
                                          omega=omega)
             verdict = classify_at_q(scheme, params, q)
             rows.append(TableRow(

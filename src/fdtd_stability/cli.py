@@ -24,12 +24,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import __version__
-from .analyzer import (
-    classify_at_q,
-    classify_point,
-    classify_point_2d,
-    reproduce_argument_table,
-)
+from .analyzer import classify_at_q, classify_point, reproduce_argument_table
 from .errors import InvalidInputError, NumericalFailureError
 from .polyloc import max_root_modulus
 from .schemes import (
@@ -232,36 +227,41 @@ def _point_from_config(cfg: RunConfig) -> tuple[Scheme, MediumModel, Wavenumber]
 
 def _run_growth(cfg: RunConfig, scheme: Scheme, medium: MediumModel, wn: Wavenumber):
     """The growth probe of analyze --empirical and simulate, on the grid
-    harmonic nearest to wn (an xi next to 2 pi wraps to harmonic 0)."""
+    harmonic nearest to wn (an xi next to 2 pi wraps to harmonic 0).
+    Returns that harmonic and the run's report."""
     def snap(xi):
         m = round(xi * cfg.grid / (2.0 * math.pi)) % cfg.grid
         return 2.0 * math.pi * m / cfg.grid
     harmonic = replace(wn, xi_x=snap(wn.xi_x), xi_y=snap(wn.xi_y) if wn.is_2d else None)
-    return run_growth(scheme, medium, cfg.k, cfg.h, harmonic, cfg.steps,
-                      polarization=cfg.polarization, grid=cfg.grid)
+    return harmonic, run_growth(scheme, medium, cfg.k, cfg.h, harmonic, cfg.steps,
+                                polarization=cfg.polarization, grid=cfg.grid)
+
+
+def _at(wn: Wavenumber) -> str:
+    return f"xi={wn.xi_x:.6g}" + (f", xi_y={wn.xi_y:.6g}" if wn.is_2d else "")
 
 
 def _cmd_analyze(cfg: RunConfig) -> int:
     scheme, medium, wn = _point_from_config(cfg)
     params = dimensionless_params(medium, cfg.k, cfg.h)
     q = courant_q(params, wn)
+    verdict = classify_point(scheme, params, wn)
     root_mod = max_root_modulus(char_poly_closed(scheme, params, q))
-    if cfg.polarization is None:
-        verdict = classify_point(scheme, params, wn)
-    else:
+    if wn.is_2d:
         # The 2D polynomial (Z - 1) [psi] phi(q), taken factor by factor:
-        # the (Z - 1) root is exactly 1.
-        verdict = classify_point_2d(scheme, params, wn, cfg.polarization)
+        # the (Z - 1) root is exactly 1, and only TM has psi.
         root_mod = max(1.0, root_mod)
         if cfg.polarization == "tm":
             root_mod = max(root_mod, max_root_modulus(tm_factor_2d(scheme, params)))
     print(f"{scheme.value}: {'stable' if verdict.stable else 'unstable'} "
-          f"[{verdict.argument.value}] at xi={wn.xi_x:.6g}, q={q:.6g} "
+          f"[{verdict.argument.value}] at {_at(wn)}, q={q:.6g} "
           f"(max root modulus {root_mod:.12g})")
     print(f"  {verdict.detail}")
     if cfg.empirical:
-        emp = empirical_verdict(_run_growth(cfg, scheme, medium, wn))
-        print(f"  empirical: {'stable' if emp.stable else 'unstable'} - {emp.detail}")
+        harmonic, rep = _run_growth(cfg, scheme, medium, wn)
+        emp = empirical_verdict(rep)
+        print(f"  empirical at {_at(harmonic)}: "
+              f"{'stable' if emp.stable else 'unstable'} - {emp.detail}")
     if cfg.output:
         row = _verdict_row(scheme, medium, cfg.k, cfg.h, wn.xi_x, q, verdict.stable,
                            verdict.argument.value, root_mod)
@@ -302,7 +302,7 @@ def _cmd_scan(cfg: RunConfig) -> int:
 
 def _cmd_simulate(cfg: RunConfig) -> int:
     scheme, medium, wn = _point_from_config(cfg)
-    rep = _run_growth(cfg, scheme, medium, wn)
+    _, rep = _run_growth(cfg, scheme, medium, wn)
     emp = empirical_verdict(rep)
     print(f"{scheme.value}: {rep.verdict} after {rep.steps} steps "
           f"(per-step factor {rep.per_step_factor:.8f}, "
@@ -407,19 +407,15 @@ def build_verify_plan() -> list[_VerifyPoint]:
         m, n = 9, 64
         xi = 2.0 * math.pi * m / n
         ndir = 1 if pol is None else 2
-        lam = math.sqrt(q_res / (ndir * 4.0 * math.sin(xi / 2.0) ** 2))
-        h = resonant.c_inf * k / lam
-        plan.append(_VerifyPoint(scheme, resonant, "resonant", k, h, pol,
-                                 m_x=m, m_y=0 if pol is None else m, grid=n,
-                                 steps=4000, q_boundary=q_res,
-                                 regime="resonance"))
-        # A harmonic point safely below the degenerate value stays bounded.
-        lam_s = math.sqrt(0.25 * q_res / (ndir * 4.0 * math.sin(xi / 2.0) ** 2))
-        h_s = resonant.c_inf * k / lam_s
-        plan.append(_VerifyPoint(scheme, resonant, "resonant", k, h_s, pol,
-                                 m_x=m, m_y=0 if pol is None else m, grid=n,
-                                 steps=VERIFY_STEPS, q_boundary=q_res,
-                                 regime="stable"))
+        # The resonance, then a harmonic point safely below the degenerate
+        # value, which stays bounded.
+        for frac, regime, steps in ((1.0, "resonance", 4000),
+                                    (0.25, "stable", VERIFY_STEPS)):
+            lam = math.sqrt(frac * q_res / (ndir * 4.0 * math.sin(xi / 2.0) ** 2))
+            h = resonant.c_inf * k / lam
+            plan.append(_VerifyPoint(scheme, resonant, "resonant", k, h, pol,
+                                     m_x=m, m_y=0 if pol is None else m, grid=n,
+                                     steps=steps, q_boundary=q_res, regime=regime))
     return plan
 
 

@@ -17,6 +17,7 @@ from fdtd_stability import (
     DimensionlessParams,
     InvalidInputError,
     MediumModel,
+    NumericalFailureError,
     Scheme,
     Wavenumber,
     char_poly_closed,
@@ -56,6 +57,11 @@ def test_gn_bounded_debye_joseph_worst_mode():
     p = DimensionlessParams(lam=1.0, delta=0.3, eps_s_prime=1.0)
     report = gn_bounded(amplification_matrix_at_q(Scheme.DEBYE_JOSEPH, p, 4.0))
     assert not report.gn_bounded
+
+
+def test_gn_bounded_nan_is_a_numerical_failure():
+    with pytest.raises(NumericalFailureError, match="eigenvalue solve failed"):
+        gn_bounded(np.array([[math.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_gn_bounded_rejects_expanding_matrix():
@@ -165,13 +171,13 @@ def test_stable_q_set_is_a_prefix():
             assert all(not v for v in verdicts[first_bad:]), scheme
 
 
-def test_2d_te_with_zero_second_wavenumber_matches_1d():
+def test_2d_with_zero_second_wavenumber_matches_1d():
     p = DimensionlessParams(lam=0.7, delta=0.2, eps_s_prime=2.0, omega=0.5)
     for xi in (0.5, 1.5, 2.5):
         wn1 = Wavenumber(xi)
         wn2 = Wavenumber(xi, 0.0)
         v1 = classify_point(Scheme.LORENTZ_KASHIWA, p, wn1)
-        v2 = classify_point_2d(Scheme.LORENTZ_KASHIWA, p, wn2, "te")
+        v2 = classify_point(Scheme.LORENTZ_KASHIWA, p, wn2)
         assert v1.stable == v2.stable
 
 
@@ -179,7 +185,7 @@ def test_2d_small_q_stable():
     p = DimensionlessParams(lam=0.2, delta=0.2, eps_s_prime=2.0)
     wn = Wavenumber(0.8, 0.8)
     for scheme in (Scheme.DEBYE_JOSEPH, Scheme.DEBYE_YOUNG):
-        assert classify_point_2d(scheme, p, wn, "te").stable
+        assert classify_point(scheme, p, wn).stable
 
 
 def test_2d_tm_joseph_lorentz_overlap_unstable():
@@ -189,14 +195,14 @@ def test_2d_tm_joseph_lorentz_overlap_unstable():
     lam = math.sqrt(q_res / (8 * math.sin(xi / 2) ** 2))
     p = DimensionlessParams(lam=lam, delta=0.0, eps_s_prime=1.0, omega=w)
     wn = Wavenumber(xi, xi)
-    v = classify_point_2d(Scheme.LORENTZ_JOSEPH, p, wn, "tm")
+    v = classify_point(Scheme.LORENTZ_JOSEPH, p, wn)
     assert not v.stable and v.argument is Argument.EIGENVECTORS
 
 
 def test_2d_tm_debye_young_stable_point():
     p = DimensionlessParams(lam=0.35, delta=0.5, eps_s_prime=2.0)
     wn = Wavenumber(math.pi, math.pi)
-    v = classify_point_2d(Scheme.DEBYE_YOUNG, p, wn, "tm")
+    v = classify_point(Scheme.DEBYE_YOUNG, p, wn)
     assert v.stable
     # independent root check on the factors of the 2D polynomial
     roots = factor_roots_2d(Scheme.DEBYE_YOUNG, p, wn, "tm")
@@ -215,13 +221,78 @@ def test_2d_tm_joseph_lorentz_follows_1d_factor(es):
         p = DimensionlessParams(lam=lam, delta=0.0, eps_s_prime=es, omega=w)
         wn = Wavenumber(xi, xi)
         assert courant_q(p, wn) == pytest.approx(q_res, abs=1e-12)
-        v2 = classify_point_2d(scheme, p, wn, "tm")
+        v2 = classify_point(scheme, p, wn)
         v1 = classify_at_q(scheme, p, q_res)
         assert (v2.stable, v2.argument) == (v1.stable, v1.argument), w
         assert v2.stable == (es != 1.0), w
 
 
+def _premise_points():
+    """Seeded 2D points: every scheme, a third of the Lorentz media harmonic
+    (delta = 0) and a quarter with eps_s = eps_inf, h_y in {h/2, h, 2h}, and
+    for a harmonic medium every other point at its degenerate q."""
+    rng = random.Random(20)
+    for scheme in Scheme:
+        for j in range(40):
+            es = 1.0 if rng.random() < 0.25 else 1.0 + 10.0 ** rng.uniform(-3.0, 1.0)
+            if scheme.kind == "debye":
+                delta, omega = 10.0 ** rng.uniform(-6.0, 0.5), None
+            else:
+                delta = 0.0 if rng.random() < 1.0 / 3.0 else 10.0 ** rng.uniform(-6.0, 0.0)
+                omega = 10.0 ** rng.uniform(-4.0, 0.5)
+            wn = Wavenumber(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi),
+                            h_x=1.0, h_y=rng.choice([0.5, 1.0, 2.0]))
+            s = (4.0 * math.sin(wn.xi_x / 2.0) ** 2
+                 + 4.0 * (wn.h_x / wn.h_y) ** 2 * math.sin(wn.xi_y / 2.0) ** 2)
+            q = rng.uniform(0.0, 5.0)
+            if delta == 0.0 and scheme.spec.degenerate_q and j % 2:
+                q = scheme.spec.degenerate_q(omega)
+            yield scheme, DimensionlessParams(math.sqrt(q / s), delta, es, omega), wn
+
+
+def test_2d_verdict_depends_on_no_polarization():
+    """classify_point on a 2D wavenumber is classify_at_q at its summed
+    Courant quantity, and classify_point_2d returns that verdict whatever
+    the polarization, field for field."""
+    stable, at_degenerate = set(), 0
+    for scheme, p, wn in _premise_points():
+        v = classify_point(scheme, p, wn)
+        q, q_res = courant_q(p, wn), analyzer._degenerate_q(scheme, p)
+        at_degenerate += q_res is not None and abs(q - q_res) <= analyzer.RESONANCE_SNAP_TOL
+        stable.add(v.stable)
+        assert v == classify_at_q(scheme, p, q)
+        for polarization in ("te", "tm"):
+            assert v == classify_point_2d(scheme, p, wn, polarization)
+    assert at_degenerate > 10 and stable == {True, False}
+
+
+@pytest.mark.parametrize("wn,polarization,match", [
+    (Wavenumber(1.0), "te", "requires a 2D wavenumber"),
+    (Wavenumber(1.0, 0.5), "xy", "polarization must be 'te' or 'tm'"),
+    (Wavenumber(1.0, 0.5), None, "polarization must be 'te' or 'tm'"),
+])
+def test_classify_point_2d_refusals(wn, polarization, match):
+    p = DimensionlessParams(lam=0.5, delta=0.2, eps_s_prime=2.0)
+    with pytest.raises(InvalidInputError, match=match):
+        classify_point_2d(Scheme.DEBYE_JOSEPH, p, wn, polarization)
+
+
 # --- worst case and boundaries ------------------------------------------------
+
+def test_worst_case_rejects_medium_of_other_kind(optical_lorentz):
+    with pytest.raises(InvalidInputError,
+                       match="debye-joseph cannot run in a lorentz medium"):
+        worst_case_verdict(Scheme.DEBYE_JOSEPH, optical_lorentz, 1e-17, 1e-8)
+
+
+def test_boundary_without_instability_below_2h_is_a_numerical_failure(water, monkeypatch):
+    """The bracket's top, 2h/c_inf, must be unstable; a search that finds it
+    stable refuses to report a boundary."""
+    stable = analyzer.StabilityVerdict(True, Argument.THEOREM_SCHUR, "stubbed")
+    monkeypatch.setattr(analyzer, "worst_case_verdict", lambda *a, **kw: stable)
+    with pytest.raises(NumericalFailureError, match="no instability found up to 2h/c_inf"):
+        stability_boundary_k(Scheme.DEBYE_JOSEPH, water, 1e-5)
+
 
 def test_worst_case_water(water):
     h = 1e-5
@@ -237,32 +308,19 @@ def test_worst_case_lorentz_joseph_above_limit(optical_lorentz):
     assert not worst_case_verdict(Scheme.LORENTZ_JOSEPH, optical_lorentz, k, h).stable
 
 
-@pytest.mark.parametrize("polarization", ["te", "tm"])
 @pytest.mark.parametrize("scheme,medium,h,h_y", [
-    (Scheme.DEBYE_JOSEPH, "water", 1e-5, None),
+    (Scheme.DEBYE_JOSEPH, "water", 1e-5, 1e-5),
     (Scheme.DEBYE_JOSEPH, "water", 1e-5, 2e-5),
-    (Scheme.LORENTZ_JOSEPH, "optical_lorentz", 1e-8, None),
+    (Scheme.LORENTZ_JOSEPH, "optical_lorentz", 1e-8, 1e-8),
     (Scheme.LORENTZ_KASHIWA, "optical_lorentz", 1e-8, 2e-8),
 ])
-def test_worst_case_2d_courant_limit(scheme, medium, h, h_y, polarization, request):
+def test_worst_case_2d_courant_limit(scheme, medium, h, h_y, request):
     medium = request.getfixturevalue(medium)
-    # In 2D, q reaches 4 lam^2 (1 + (h/h_y)^2).
-    ratio = h / (h_y or h)
+    # On a 2D grid, q reaches 4 lam^2 (1 + (h/h_y)^2).
+    ratio = h / h_y
     k_lim = math.sqrt(scheme.spec.q_limit / (4.0 * (1.0 + ratio ** 2))) * h / medium.c_inf
-    kw = dict(polarization=polarization, h_y=h_y)
-    assert worst_case_verdict(scheme, medium, 0.99 * k_lim, h, **kw).stable
-    assert not worst_case_verdict(scheme, medium, 1.01 * k_lim, h, **kw).stable
-
-
-@pytest.mark.parametrize("kw,match", [(dict(h_y=2e-5), "h_y needs a polarization"),
-                                      (dict(polarization="xy"), "polarization")])
-def test_worst_case_and_boundary_reject_2d_keys_without_polarization(water, kw, match):
-    """A polarization is what makes a grid 2D: an h_y without one, or an
-    unknown polarization, is refused rather than read as a 1D grid."""
-    with pytest.raises(InvalidInputError, match=match):
-        worst_case_verdict(Scheme.DEBYE_JOSEPH, water, 1e-14, 1e-5, **kw)
-    with pytest.raises(InvalidInputError, match=match):
-        stability_boundary_k(Scheme.DEBYE_JOSEPH, water, 1e-5, **kw)
+    assert worst_case_verdict(scheme, medium, 0.99 * k_lim, h, h_y).stable
+    assert not worst_case_verdict(scheme, medium, 1.01 * k_lim, h, h_y).stable
 
 
 @pytest.mark.parametrize("h_y", [-1e-5, 0.0, math.inf, math.nan])
@@ -270,7 +328,7 @@ def test_worst_case_and_boundary_reject_bad_h_y(water, h_y):
     """The y space step of a 2D grid must be positive and finite: a negative
     one is not read as its modulus, an infinite one does not switch the y
     direction off, and zero is refused rather than divided by."""
-    kw = dict(polarization="te", h_y=h_y)
+    kw = dict(h_y=h_y)
     with pytest.raises(InvalidInputError, match="h_y must be positive and finite"):
         worst_case_verdict(Scheme.DEBYE_JOSEPH, water, 1e-14, 1e-5, **kw)
     with pytest.raises(InvalidInputError, match="h_y must be positive and finite"):
@@ -284,9 +342,9 @@ def test_boundary_rejects_bad_h(water, h):
 
 
 @pytest.mark.parametrize("h,kw,courant", [
-    (1e-5, dict(polarization="te"), 1.0 / math.sqrt(2.0)),
+    (1e-5, dict(h_y=1e-5), 1.0 / math.sqrt(2.0)),
     (6.954068841685703e-06, {}, 1.0),
-], ids=["te", "1d"])
+], ids=["2d", "1d"])
 def test_worst_case_no_false_instability_at_tiny_steps(water, h, kw, courant):
     """The Debye-Joseph scheme with eps_s > eps_inf is Schur-stable for
     0 < q < 4, so no time step below the Courant limit is unstable.  A
@@ -311,13 +369,13 @@ def test_near_tie_root_pair_is_not_defective(water):
     assert classify_at_q(Scheme.DEBYE_JOSEPH, params, 1.3551802139387012e-11).stable
 
 
-def _sampled_worst_case(scheme, medium, k, h, polarization=None, h_y=None):
+def _sampled_worst_case(scheme, medium, k, h, h_y=None):
     """Referee: 257 uniformly spaced wavenumbers in [0, pi] plus the exact
     special values 0, q_max, 2, 4 and the degenerate q, each classified by
     classify_at_q; stable iff every sample is."""
     params = dimensionless_params(medium, k, h)
     q_max = 4.0 * params.lam ** 2
-    if polarization is not None:
+    if h_y is not None:
         q_max *= 1.0 + (h / h_y) ** 2
     qs = [q_max * math.sin(x / 2.0) ** 2 for x in np.linspace(0.0, math.pi, 257)]
     spec = scheme.spec
@@ -340,8 +398,9 @@ SWEEP_MEDIA = (
 
 
 def test_worst_case_agrees_with_sampled_scan():
-    """Seeded points over every scheme and matching medium, 1D/TE/TM,
-    h_y in {h, 2h}, space steps around the medium's own length scale and
+    """Seeded points over every scheme and matching medium, 1D one time in
+    three, else 2D with h_y in {h, 2h}, space steps around the medium's own
+    length scale and
     time steps from 0.05 to 2.5 of the Courant-limited step: the exact
     verdict and the dense sampled scan never disagree."""
     rng = random.Random(2026)
@@ -352,19 +411,18 @@ def test_worst_case_agrees_with_sampled_scan():
         medium = rng.choice([m for m in SWEEP_MEDIA if m.kind == scheme.kind])
         scale = medium.t_r if medium.kind == "debye" else 1.0 / medium.omega1
         h = medium.c_inf * scale * 10.0 ** rng.uniform(-1.0, 1.0)
-        geometry = rng.choice(["1d", "te", "tm"])
         kw = {}
         ratio = 1.0
-        if geometry != "1d":
+        if rng.randrange(3):
             h_y = rng.choice([h, 2.0 * h])
-            kw = dict(polarization=geometry, h_y=h_y)
+            kw = dict(h_y=h_y)
             ratio += (h / h_y) ** 2
         k_lim = math.sqrt(scheme.spec.q_limit / (4.0 * ratio)) * h / medium.c_inf
         k = rng.uniform(0.05, 2.5) * k_lim
         exact = worst_case_verdict(scheme, medium, k, h, **kw).stable
         n_stable += exact
         if exact != _sampled_worst_case(scheme, medium, k, h, **kw):
-            disagreements.append((scheme.value, medium, geometry, k, h, exact))
+            disagreements.append((scheme.value, medium, kw, k, h, exact))
     assert disagreements == []
     assert 50 < n_stable < 270  # both verdicts well represented
 
@@ -383,7 +441,7 @@ def test_boundary_kashiwa_open_condition(optical_lorentz):
     assert res.attained is False
 
 
-@pytest.mark.parametrize("geometry", ["1d", "te", "tm"])
+@pytest.mark.parametrize("geometry", ["1d", "h_y=h", "h_y=2h"])
 @pytest.mark.parametrize("scheme,medium,h,attained", [
     (Scheme.DEBYE_JOSEPH, "water", 1e-5, True),               # closed q = 4
     (Scheme.LORENTZ_KASHIWA, "optical_lorentz", 1e-8, False),  # open q = 4
@@ -392,10 +450,9 @@ def test_boundary_kashiwa_open_condition(optical_lorentz):
 ])
 def test_boundary_attainability_referee(scheme, medium, h, attained, geometry, request):
     """Whether k* itself is stable follows from the regime the boundary
-    sits on, closed or open, and not from the geometry: 1D, TE with
-    h_y = h and TM with h_y = 2h give the same answer."""
-    kw = {"1d": {}, "te": dict(polarization="te", h_y=h),
-          "tm": dict(polarization="tm", h_y=2.0 * h)}[geometry]
+    sits on, closed or open, and not from the geometry: 1D, and 2D with
+    h_y = h and with h_y = 2h give the same answer."""
+    kw = {"1d": {}, "h_y=h": dict(h_y=h), "h_y=2h": dict(h_y=2.0 * h)}[geometry]
     res = stability_boundary_k(scheme, request.getfixturevalue(medium), h, **kw)
     assert res.attained is attained
     assert not res.non_monotone

@@ -23,6 +23,7 @@ from fdtd_stability.cli import (
     run_verify,
 )
 from fdtd_stability.errors import InvalidInputError, NumericalFailureError
+from fdtd_stability.simulator import EmpiricalVerdict
 
 WATER_CONFIG = """
 # minimal single-point analysis
@@ -204,6 +205,38 @@ def test_analyze_2d_with_empirical(tmp_path, capsys):
     assert out.exists()
 
 
+_KASHIWA_2D = ["analyze", "--scheme", "lorentz-kashiwa", "--eps-inf", "1.0", "--eps-s", "2.25",
+               "--omega1", "4e16", "--nu", "0.56e16", "--k", "1.5e-17", "--h", "1e-8",
+               "--polarization", "tm", "--xi", "1.5"]
+
+
+def test_analyze_2d_header_names_xi_y(capsys):
+    """Two 2D points that differ only in xi_y print different headers."""
+    headers = []
+    for xi_y in ("0.75", "2.5"):
+        assert main(_KASHIWA_2D + ["--xi-y", xi_y]) == 0
+        headers.append(capsys.readouterr().out.splitlines()[0])
+    assert "at xi=1.5, xi_y=0.75, q=" in headers[0]
+    assert "at xi=1.5, xi_y=2.5, q=" in headers[1]
+
+
+@pytest.mark.parametrize("argv,analytic,ran", [
+    (["analyze", "--scheme", "debye-joseph", "--eps-inf", "1.8", "--eps-s", "81.0",
+      "--t-r", "9.4e-12", "--k", "1e-15", "--h", "1e-6", "--xi", "2.9"],
+     "at xi=2.9, q=", "empirical at xi=2.74889: "),
+    (_KASHIWA_2D + ["--xi-y", "0.75"],
+     "at xi=1.5, xi_y=0.75, q=", "empirical at xi=1.5708, xi_y=0.785398: "),
+], ids=["1d", "2d"])
+def test_analyze_empirical_line_names_the_harmonic_it_ran(argv, analytic, ran, capsys):
+    """The analytic line reports the point as given; the growth run excites
+    the nearest harmonic of the 16-cell grid (xi = 2 pi 7/16 for 2.9, 2 pi
+    4/16 for 1.5 and 2 pi 2/16 for 0.75), and the empirical line says so."""
+    assert main(argv + ["--empirical", "--steps", "100", "--grid", "16"]) == 0
+    header, _, empirical = capsys.readouterr().out.splitlines()
+    assert analytic in header
+    assert empirical.startswith("  " + ran)
+
+
 def test_simulate_2d_te(capsys):
     rc = main(["simulate", "--scheme", "debye-young", "--eps-inf", "1.8",
                "--eps-s", "81.0", "--t-r", "9.4e-12", "--k", "1e-15",
@@ -226,6 +259,57 @@ def test_numerical_failure_maps_to_exit_3(monkeypatch, capsys):
                "--h", "1e-6"])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("command = analyze\nscheme\n", "line 2: expected 'key = value', got 'scheme'"),
+    ("command = analyze\nscheme = debye-joseph\nscheme = debye-young\n",
+     "line 3: duplicate key 'scheme'"),
+    ("command = analyze\nempirical = yes\n", "line 2: bad value for 'empirical': 'yes'"),
+    ("scheme = debye-joseph\n", "missing required key 'command'"),
+], ids=["no-equals", "duplicate", "bool", "no-command"])
+def test_bad_config_file_exits_2(text, message, tmp_path, capsys):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        parse_config(text)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    assert main(["analyze", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_output_in_missing_directory_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "out.csv"
+    assert main(["analyze", "--scheme", "debye-joseph", "--eps-inf", "1.8", "--eps-s", "81.0",
+                 "--t-r", "9.4e-12", "--k", "1e-15", "--h", "1e-6",
+                 "--output", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {str(path)!r}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("drop,scheme,message", [
+    ("--t-r", "debye-joseph", "missing field: t_r (Debye schemes)"),
+    ("--omega1", "lorentz-joseph", "missing field: omega1 (Lorentz schemes)"),
+])
+def test_point_without_medium_scale_exits_2(drop, scheme, message, capsys):
+    argv = ["analyze", "--scheme", scheme, "--eps-inf", "1.0", "--eps-s", "2.25",
+            "--t-r", "9.4e-12", "--omega1", "4e16", "--k", "1e-17", "--h", "1e-8"]
+    i = argv.index(drop)
+    assert main(argv[:i] + argv[i + 2:]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_verify_with_a_hard_disagreement_returns_1(monkeypatch, capsys):
+    """A stable plan point whose empirical run reads growing, outside the
+    margin band, on every retry, is a hard disagreement: verify returns 1."""
+    assert build_verify_plan()[0].regime == "stable"
+    runs = []
+    monkeypatch.setattr(cli, "run_growth", lambda *a, **kw: runs.append(a))
+    monkeypatch.setattr(cli, "empirical_verdict",
+                        lambda rep: EmpiricalVerdict(False, "stubbed growth"))
+    assert main(["verify", "--samples", "1"]) == 1
+    assert len(runs) == 3  # the run and its two retries
+    assert "(0 inside the margin band, 1 hard disagreements)" in capsys.readouterr().out
 
 
 def _flag(name):

@@ -184,8 +184,8 @@ def _young_omega_h(m: MediumModel) -> float:
 def boundaries_text() -> str:
     """repr(k*), attained and non_monotone of ``stability_boundary_k`` for
     the nine criterion-4/5 cases (1D), and for the four Courant-limited
-    cases of the attainability referee in TE with h_y = h and in TM with
-    h_y = 2h."""
+    cases of the attainability referee on 2D grids with h_y = h (the "te"
+    rows) and h_y = 2h (the "tm" rows)."""
     criterion = [
         ("debye-joseph", "water", 1e-5), ("debye-young", "water", 1e-5),
         ("debye-young", "foam", 4.0), ("lorentz-joseph", "optical", 1e-8),
@@ -199,8 +199,7 @@ def boundaries_text() -> str:
              + [c + (geometry,) for c in referee for geometry in ("te", "tm")])
     lines = []
     for scheme, medium, h, geometry in cases:
-        kw = {} if geometry == "1d" else dict(
-            polarization=geometry, h_y=h if geometry == "te" else 2.0 * h)
+        kw = {} if geometry == "1d" else dict(h_y=h if geometry == "te" else 2.0 * h)
         res = stability_boundary_k(Scheme.from_name(scheme), _BOUNDARY_MEDIA[medium],
                                    h, **kw)
         lines.append("|".join((scheme, medium, geometry, repr(h), repr(res.k_star),
@@ -246,9 +245,10 @@ def verdicts_text() -> str:
     - ``point``: (stable, argument, detail) of ``classify_at_q`` at two q of
       each of the first 60 families of a scheme (600 points), cycling
       through the six kinds of ``_probe_q``;
-    - ``grid``: ``worst_case_verdict`` on 20 seeded grids per scheme, 1D, TE
-      and TM, with h around the medium's own length scale, k from 1e-6 to
-      1.5 times the 1D Courant step and h_y in {h/2, h, 2h}."""
+    - ``grid``: ``worst_case_verdict`` on 20 seeded grids per scheme, 1D or
+      2D in turn (the "1d", "te" and "tm" rows; the 2D ones pass only h_y),
+      with h around the medium's own length scale, k from 1e-6 to 1.5 times
+      the 1D Courant step and h_y in {h/2, h, 2h}."""
     rng = np.random.default_rng(13)
     lines = []
     for scheme in Scheme:
@@ -271,7 +271,7 @@ def verdicts_text() -> str:
             k = courant * h / medium.c_inf
             geometry = ("1d", "te", "tm")[j % 3]
             kw = {} if geometry == "1d" else dict(
-                polarization=geometry, h_y=h * (0.5, 1.0, 2.0)[int(rng.integers(3))])
+                h_y=h * (0.5, 1.0, 2.0)[int(rng.integers(3))])
             v = worst_case_verdict(scheme, medium, k, h, **kw)
             lines.append("|".join(("grid", scheme.value, repr(medium.eps_s), repr(k),
                                    repr(h), geometry, repr(kw.get("h_y")), str(v.stable),

@@ -24,7 +24,7 @@ from fdtd_stability import (
     is_simple_von_neumann,
     reduce_step,
 )
-from fdtd_stability.polyloc import circle_crossings, max_root_modulus
+from fdtd_stability.polyloc import circle_crossings, max_root_modulus, poly_roots
 from referees import conjugate_poly, from_roots, root_profile, scaled
 
 
@@ -287,6 +287,23 @@ def test_random_root_agreement_bulk():
 def test_max_root_modulus():
     p = from_roots([0.5, 1.25j])
     assert max_root_modulus(p) == pytest.approx(1.25, rel=1e-12)
+
+
+def test_polynomial_is_an_immutable_hashable_value():
+    p = Polynomial([1.0, 2.0, 0.0])
+    with pytest.raises(AttributeError, match="Polynomial is immutable"):
+        p.coeffs = ()
+    assert repr(p) == "Polynomial([(1+0j), (2+0j)])"
+    assert p == Polynomial([1, 2]) and hash(p) == hash(Polynomial([1, 2]))
+
+
+def test_reduce_step_of_nonzero_constant_is_zero():
+    assert reduce_step(Polynomial([3.0])).is_zero
+
+
+def test_poly_roots_of_nan_is_a_numerical_failure():
+    with pytest.raises(NumericalFailureError, match="companion eigensolve failed"):
+        poly_roots(Polynomial([math.nan, 1.0]))
 
 
 def test_operations_reject_zero_polynomial():

@@ -7,7 +7,9 @@ additionally pinned against hard-coded expressions at spot points.
 """
 
 import math
+import re
 import zlib
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -94,6 +96,64 @@ def test_medium_validation():
         MediumModel.lorentz(1.0, 2.0, 0.0)
     with pytest.raises(InvalidInputError):
         dimensionless_params(MediumModel.debye(1.0, 2.0, 1e-12), -1e-15, 1e-6)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: Scheme.from_name("debye-smith"), "unknown scheme 'debye-smith'; expected one of"),
+    (lambda: MediumModel("drude", 1.0, 2.0), "unknown medium kind 'drude'"),
+    (lambda: MediumModel.debye(0.0, 2.0, 1e-12), "eps_inf must be positive and finite"),
+    (lambda: MediumModel.debye(math.inf, math.inf, 1e-12),
+     "eps_inf must be positive and finite"),
+    (lambda: MediumModel.lorentz(1.0, 2.0, 4e16, -1.0), "Lorentz media require nu >= 0"),
+    (lambda: MediumModel.lorentz(1.0, 2.0, 4e16, math.nan), "Lorentz media require nu >= 0"),
+])
+def test_scheme_and_medium_refusals(make, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        make()
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("lam", 0.0, "lam must be positive and finite"),
+    ("lam", -1.0, "lam must be positive and finite"),
+    ("lam", math.inf, "lam must be positive and finite"),
+    ("lam", math.nan, "lam must be positive and finite"),
+    ("delta", -0.1, "delta must be nonnegative and finite"),
+    ("delta", math.inf, "delta must be nonnegative and finite"),
+    ("delta", math.nan, "delta must be nonnegative and finite"),
+    ("eps_s_prime", 0.5, "eps_s_prime must be >= 1"),
+    ("eps_s_prime", math.nan, "eps_s_prime must be >= 1"),
+    ("omega", 0.0, "omega must be positive when present"),
+    ("omega", -0.5, "omega must be positive when present"),
+    ("omega", math.inf, "omega must be positive when present"),
+])
+def test_dimensionless_params_refusals(field, value, message):
+    good = dict(lam=1.0, delta=0.1, eps_s_prime=2.0, omega=0.5)
+    with pytest.raises(InvalidInputError, match=message):
+        DimensionlessParams(**{**good, field: value})
+
+
+@pytest.mark.parametrize("xi_x,xi_y,name", [
+    (-0.1, None, "xi_x"), (2.0 * math.pi, None, "xi_x"), (math.nan, None, "xi_x"),
+    (1.0, 2.0 * math.pi, "xi_y"), (1.0, -1e-12, "xi_y"),
+])
+def test_wavenumber_outside_one_period_refused(xi_x, xi_y, name):
+    with pytest.raises(InvalidInputError, match=re.escape(f"{name} must lie in [0, 2*pi)")):
+        Wavenumber(xi_x, xi_y)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-6, math.inf, math.nan])
+def test_dimensionless_params_rejects_bad_h(water, h):
+    with pytest.raises(InvalidInputError, match="space step h must be positive and finite"):
+        dimensionless_params(water, 1e-15, h)
+
+
+def test_debye_scheme_refuses_zero_delta_and_negative_q():
+    p = DimensionlessParams(lam=1.0, delta=0.0, eps_s_prime=2.0)
+    for f in (char_poly_closed, amplification_matrix_at_q):
+        with pytest.raises(InvalidInputError, match="Debye schemes require delta > 0"):
+            f(Scheme.DEBYE_JOSEPH, p, 1.0)
+        with pytest.raises(InvalidInputError, match="q must be nonnegative"):
+            f(Scheme.DEBYE_JOSEPH, replace(p, delta=0.1), -1e-12)
 
 
 # --- Courant quantity ------------------------------------------------------

@@ -6,6 +6,7 @@ growth verdicts, 2D reductions) builds on that.
 """
 
 import math
+import re
 import tracemalloc
 import zlib
 from dataclasses import replace
@@ -317,6 +318,45 @@ def test_overflow_reported_not_raised(water):
     assert rep.verdict == "growing"
     assert rep.overflow_step is not None
     assert "overflow" in empirical_verdict(rep).detail
+
+
+def test_run_overflowing_at_step_one(water):
+    """A run whose first step overflows records only its initial norm."""
+    h = 1e-5
+    k = 1.5 * h / water.c_inf
+    rep = run_growth(Scheme.DEBYE_JOSEPH, water, k, h, Wavenumber(math.pi), 100, grid=8,
+                     amplitude=1e308)
+    assert (rep.steps, rep.overflow_step, rep.per_step_factor) == (0, 1, 1.0)
+    assert list(rep.norms) == [1e308] and rep.verdict == "growing"
+    assert empirical_verdict(rep).detail == "overflow at step 1 (exponential growth)"
+
+
+def test_field_state_of_wrong_shape_refused():
+    with pytest.raises(InvalidInputError, match=re.escape(
+            "state data of shape (2, 8) does not hold the 3 components of "
+            "debye-joseph (1d)")):
+        simulator.FieldState(Scheme.DEBYE_JOSEPH, None, np.zeros((2, 8)))
+    with pytest.raises(InvalidInputError, match="debye-joseph \\(te\\)"):
+        simulator.FieldState(Scheme.DEBYE_JOSEPH, "te", np.zeros((4, 8)))
+
+
+@pytest.mark.parametrize("grid,wn,polarization,message", [
+    ((8, 8), Wavenumber(0.0), None, "1D runs take a single grid size"),
+    (8, Wavenumber(0.0, 0.0), None, "2D runs need polarization 'te' or 'tm'"),
+    (8, Wavenumber(0.0, 0.0), "xy", "2D runs need polarization 'te' or 'tm'"),
+    (3, Wavenumber(0.0), None, "grid sizes must be at least 4"),
+    ((8, 3), Wavenumber(0.0, 0.0), "tm", "grid sizes must be at least 4"),
+])
+def test_grid_and_polarization_refusals(water, grid, wn, polarization, message):
+    h = 1e-5
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        run_growth(Scheme.DEBYE_JOSEPH, water, 0.5 * h / water.c_inf, h, wn, 100,
+                   polarization=polarization, grid=grid)
+
+
+def test_run_growth_rejects_medium_of_other_kind(water):
+    with pytest.raises(InvalidInputError, match="lorentz-joseph cannot run in a debye medium"):
+        run_growth(Scheme.LORENTZ_JOSEPH, water, 1e-15, 1e-5, Wavenumber(0.0), 100, grid=8)
 
 
 def test_run_decided_at_step_one_reads_its_rate(water):
