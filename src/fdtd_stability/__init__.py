@@ -6,11 +6,7 @@ both and writes CSV reports.
 """
 
 from .errors import InvalidInputError, NumericalFailureError
-from .polyloc import (
-    Polynomial,
-    is_simple_von_neumann,
-    reduce_step,
-)
+from .polyloc import Polynomial, is_simple_von_neumann
 from .schemes import (
     DimensionlessParams,
     MediumModel,
@@ -67,7 +63,6 @@ __all__ = [
     "gn_bounded",
     "init_plane_wave",
     "is_simple_von_neumann",
-    "reduce_step",
     "reproduce_argument_table",
     "run_growth",
     "stability_boundary_k",

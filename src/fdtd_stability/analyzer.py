@@ -25,8 +25,11 @@ can meet the unit circle only at the boundary-locus crossings of
 `polyloc.circle_crossings`.  Classifying those breakpoints (plus the range
 ends, 2, 4 and the degenerate q) and one point between each two decides a
 whole q range: [0, q_max] for a verdict, and for a stability boundary in
-the time step (found by bisection) the last bracket's range, to tell
-whether the boundary is attained.
+the time step the final bisection interval's range, to tell whether the
+boundary is attained.  The boundary search brackets k* first, then bisects
+inside the bracket: a walk that meets an unstable probe also tells where
+its stable q-range ends, and a few such walks predict where q_max(k)
+meets that end.
 """
 
 from __future__ import annotations
@@ -67,6 +70,14 @@ RANK_REL_TOL = 1e-8
 RESONANCE_SNAP_TOL = 1e-9
 
 BOUNDARY_REL_RESOLUTION = 1e-4
+# Half-width, relative, of the bracket that two worst-case verdicts check
+# around a predicted boundary.  Above the offset of the float verdict at a
+# parameter limit (Debye-Young in foam flips at delta = 1 + 4.7e-5, where
+# OUT_EIG_TOL hides the growth), and small enough that about one bisection
+# midpoint falls inside.
+BRACKET_REL_HALF_WIDTH = 0.5 * BOUNDARY_REL_RESOLUTION
+# Secant steps, one walk each, that the boundary prediction takes at most.
+PREDICT_WALKS = 6
 
 
 class Argument(enum.Enum):
@@ -281,7 +292,10 @@ def _walk(scheme: Scheme, params: DimensionlessParams, q_lo: float, q_hi: float)
     """Classify the breakpoints of [q_lo, q_hi] (the boundary-locus crossings,
     q_lo, q_hi, 2, 4 and the degenerate q) and one midpoint per interval, in
     ascending order, up to the first unstable probe.  Returns the breakpoint
-    count and (q, is-breakpoint, verdict) of that probe, else of the top one."""
+    count, (q, is-breakpoint, verdict) of that probe, else of the top one,
+    and q_c, where the stable q-range found ends: the unstable breakpoint
+    (an open limit), the last breakpoint before an unstable midpoint (a
+    closed one), or q_hi when every probe is stable."""
     specials = [q_lo, q_hi, 2.0, 4.0, _degenerate_q(scheme, params)]
     # Relative whisker: a q_hi a few ulps below a special value still probes it.
     breaks = sorted({s for s in specials + circle_crossings(*scheme.spec.char_poly(params))
@@ -292,8 +306,15 @@ def _walk(scheme: Scheme, params: DimensionlessParams, q_lo: float, q_hi: float)
     for q, at_break in probes:
         verdict = classify_at_q(scheme, params, q)
         if not verdict.stable:
-            break
-    return len(breaks), q, at_break, verdict
+            return len(breaks), q, at_break, verdict, q if at_break else q_c
+        q_c = q  # a midpoint always follows a breakpoint
+    return len(breaks), q, at_break, verdict, q_hi
+
+
+def _params(scheme: Scheme, medium: MediumModel, k: float, h: float) -> DimensionlessParams:
+    if medium.kind != scheme.kind:
+        raise InvalidInputError(f"{scheme.value} cannot run in a {medium.kind} medium")
+    return dimensionless_params(medium, k, h)
 
 
 def worst_case_verdict(scheme: Scheme, medium: MediumModel, k: float, h: float,
@@ -302,10 +323,8 @@ def worst_case_verdict(scheme: Scheme, medium: MediumModel, k: float, h: float,
     breakpoint walk of q over [0, q_max]; a given h_y makes the grid 2D.
     Breakpoints decide closed against open conditions and catch defective
     eigenvalues."""
-    if medium.kind != scheme.kind:
-        raise InvalidInputError(f"{scheme.value} cannot run in a {medium.kind} medium")
-    params = dimensionless_params(medium, k, h)
-    n_breaks, q, _, verdict = _walk(scheme, params, 0.0, _q_max(params, h, h_y))
+    params = _params(scheme, medium, k, h)
+    n_breaks, q, _, verdict, _ = _walk(scheme, params, 0.0, _q_max(params, h, h_y))
     if not verdict.stable:
         return StabilityVerdict(False, verdict.argument,
                                 f"unstable at q={q:.12g}: {verdict.detail}")
@@ -314,15 +333,71 @@ def worst_case_verdict(scheme: Scheme, medium: MediumModel, k: float, h: float,
     return StabilityVerdict(True, verdict.argument, detail)
 
 
+def _predict_k(q_c_at, k_top: float, q_top: float, q_c: float, lo: float,
+               k_lim: float | None) -> float | None:
+    """Predicted k*, the root of g(k) = q_max(k) - q_c(k) in (lo, k_top),
+    where q_max(k) = q_top (k / k_top)^2 and q_c(k) comes from q_c_at, a
+    walk over [0, q_top] (q_c is its value at k_top).  Steps go in s = k^2,
+    in which q_max is linear: first with q_c frozen, then by secant.
+
+    A top whose stable q-range ends below q_max(lo) lies past the scheme's
+    parameter limit k_lim, and the steps start at k_lim (1 -+ e) instead:
+    a q_c that drops across them below q_max, from above it, predicts k_lim
+    itself.  None when a step leaves (lo, k_top) or PREDICT_WALKS walks do
+    not settle it."""
+    q_per_s = q_top / (k_top * k_top)
+
+    def g(s: float) -> float:
+        return q_per_s * s - q_c_at(math.sqrt(s))
+
+    s, g_s, slope = k_top * k_top, q_top - q_c, q_per_s
+    if q_c <= q_per_s * lo * lo:
+        if k_lim is None or not lo < k_lim < k_top:
+            return None
+        s = (k_lim * (1.0 - BRACKET_REL_HALF_WIDTH)) ** 2
+        g_s = g(s)
+        if g_s <= 0.0:
+            s_below, g_below = s, g_s
+            s = (k_lim * (1.0 + BRACKET_REL_HALF_WIDTH)) ** 2
+            g_s = g(s)
+            if g_s > 0.0:
+                return k_lim
+            slope = (g_s - g_below) / (s - s_below) or q_per_s
+    for _ in range(PREDICT_WALKS):
+        s_next = s - g_s / slope
+        if not lo * lo < s_next < k_top * k_top:
+            return None
+        if abs(s_next - s) <= BRACKET_REL_HALF_WIDTH * s:
+            return math.sqrt(s_next)
+        g_next = g(s_next)
+        if g_next != g_s:
+            slope = (g_next - g_s) / (s_next - s)
+        s, g_s = s_next, g_next
+    return None
+
+
 def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
                          h_y: float | None = None) -> BoundaryResult:
-    """Largest stable time step, found by bisection on the worst-case
-    verdict between 0 and 2h/c_inf; a given h_y makes the grid 2D.
+    """Largest stable time step between 0 and 2h/c_inf: bracket the
+    boundary, then bisect inside the bracket; a given h_y makes the grid 2D.
 
-    With the parameters at the final bracket's lo, q is walked on from
-    q_max(lo) to q_max(hi): an unstable breakpoint means an open Courant
-    condition, an unstable midpoint a closed one.  If the walk stays stable,
-    the verdict at the scheme's parameter limit `SchemeSpec.k_limit`
+    Bracket: the walk at the top, 2h/c_inf, reports where its stable q-range
+    ends, and walks over the same q-range at a few time steps predict k*
+    (`_predict_k`).  Two worst-case verdicts check the prediction: stable at
+    k*(1 - e) and unstable at k*(1 + e), with e = BRACKET_REL_HALF_WIDTH.
+    A verdict that contradicts the prediction still narrows the bracket.
+
+    Bisection: the plain bisection on the worst-case verdict, from 1e-6 of
+    the top down to BOUNDARY_REL_RESOLUTION, except that a midpoint at or
+    below the bracket reads stable and one at or above it unstable, with no
+    walk.  So it visits the same midpoints and returns the same result as a
+    plain bisection, on the single switch from stable to unstable in k that
+    the bisection assumes anyway.
+
+    With the parameters at the final bisection interval's lo, q is walked
+    on from q_max(lo) to q_max(hi): an unstable breakpoint means an open
+    Courant condition, an unstable midpoint a closed one.  If the walk stays
+    stable, the verdict at the scheme's parameter limit `SchemeSpec.k_limit`
     decides attainability when that limit lies in (lo, hi].
     """
     if not (h > 0 and math.isfinite(h)):
@@ -331,8 +406,14 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
     def stable_at(k: float) -> bool:
         return worst_case_verdict(scheme, medium, k, h, h_y).stable
 
+    def q_c_at(k: float) -> float:
+        return _walk(scheme, dimensionless_params(medium, k, h), 0.0, q_top)[4]
+
     hi = 2.0 * h / medium.c_inf
-    if stable_at(hi):
+    p_hi = _params(scheme, medium, hi, h)
+    q_top = _q_max(p_hi, h, h_y)
+    *_, top, q_c = _walk(scheme, p_hi, 0.0, q_top)
+    if top.stable:
         raise NumericalFailureError(
             "no instability found up to 2h/c_inf; cannot bracket a boundary")
     lo = 1e-6 * hi
@@ -341,16 +422,31 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
         return BoundaryResult(None, None, True, lowest,
                               "unstable at the bottom of the bracket "
                               "(resonant regime; no upper boundary in k)")
+    k_lim = scheme.spec.k_limit(medium) if scheme.spec.k_limit else None
+    # a reads stable and b unstable; the bisection walks only inside (a, b).
+    a, b = lo, hi
+    k_hat = _predict_k(q_c_at, hi, q_top, q_c, lo, k_lim)
+    if k_hat is not None:
+        # Float verdicts err towards stable, so the top end fails more often,
+        # and a stable top end makes the bottom one stable too.
+        for k in (k_hat * (1.0 + BRACKET_REL_HALF_WIDTH),
+                  k_hat * (1.0 - BRACKET_REL_HALF_WIDTH)):
+            if not a < k < b:
+                continue
+            if stable_at(k):
+                a = k
+            else:
+                b = k
     while hi - lo > BOUNDARY_REL_RESOLUTION * hi:
         mid = 0.5 * (lo + hi)
-        if stable_at(mid):
+        if mid <= a or (mid < b and stable_at(mid)):
             lo = mid
         else:
             hi = mid
     p_lo, p_hi = dimensionless_params(medium, lo, h), dimensionless_params(medium, hi, h)
-    _, _, at_break, verdict = _walk(scheme, p_lo, _q_max(p_lo, h, h_y), _q_max(p_hi, h, h_y))
+    _, _, at_break, verdict, _ = _walk(scheme, p_lo, _q_max(p_lo, h, h_y),
+                                       _q_max(p_hi, h, h_y))
     if verdict.stable:
-        k_lim = scheme.spec.k_limit(medium) if scheme.spec.k_limit else None
         attained = stable_at(k_lim) if k_lim is not None and lo < k_lim <= hi else None
     else:
         attained = not at_break

@@ -302,9 +302,9 @@ def _cmd_scan(cfg: RunConfig) -> int:
 
 def _cmd_simulate(cfg: RunConfig) -> int:
     scheme, medium, wn = _point_from_config(cfg)
-    _, rep = _run_growth(cfg, scheme, medium, wn)
+    harmonic, rep = _run_growth(cfg, scheme, medium, wn)
     emp = empirical_verdict(rep)
-    print(f"{scheme.value}: {rep.verdict} after {rep.steps} steps "
+    print(f"{scheme.value}: {rep.verdict} at {_at(harmonic)} after {rep.steps} steps "
           f"(per-step factor {rep.per_step_factor:.8f}, "
           f"max norm ratio {rep.max_norm_ratio:.6g})")
     print(f"  {emp.detail}")

@@ -145,14 +145,6 @@ def _require_nonzero(p: Polynomial) -> None:
         raise InvalidInputError("operation is undefined for the zero polynomial")
 
 
-def reduce_step(p: Polynomial) -> Polynomial:
-    """One degree-lowering step of the conjugate-reduction recursion, exact
-    for Fractions.  The result has degree strictly below ``p``'s, or is the
-    zero polynomial (returned as a value: the von Neumann test needs it)."""
-    _require_nonzero(p)
-    return Polynomial(_reduce(p.coeffs, _tolerances(p.coeffs)[0]))
-
-
 # The recursion runs on trimmed coefficient tuples: a Polynomial per level
 # would only repeat the trimming.  Its tolerances are decided once per pass.
 

@@ -5,7 +5,9 @@ second opinion built another way: polynomials from known roots, root
 profiles from companion eigenvalues, the physical per-wavenumber update
 matrix and its characteristic polynomial det(Z I - G) (from eigenvalues,
 or exactly for a matrix of Fractions), and the grid's own
-Fourier amplitudes and per-mode update matrices measured from `step`.
+Fourier amplitudes and per-mode update matrices measured from `step`;
+also the plain bisection for the stability boundary, which walks every
+midpoint, and the single reduction step of the root-location recursion.
 """
 
 from __future__ import annotations
@@ -21,16 +23,27 @@ from fdtd_stability import (
     DimensionlessParams,
     FieldState,
     InvalidInputError,
+    MediumModel,
+    NumericalFailureError,
     Polynomial,
     Scheme,
     Wavenumber,
     char_poly_closed,
     courant_q,
+    dimensionless_params,
     init_plane_wave,
     step,
     tm_factor_2d,
+    worst_case_verdict,
 )
-from fdtd_stability.polyloc import _require_nonzero, greedy_clusters, poly_roots
+from fdtd_stability import analyzer
+from fdtd_stability.polyloc import (
+    _reduce,
+    _require_nonzero,
+    _tolerances,
+    greedy_clusters,
+    poly_roots,
+)
 from fdtd_stability.schemes import _check_scheme_params
 
 # Two roots closer than this are treated as one root of higher multiplicity
@@ -46,6 +59,14 @@ def from_roots(roots: Sequence[complex], leading: complex = 1.0) -> Polynomial:
     for r in roots:
         coeffs = np.convolve(coeffs, np.array([-r, 1.0], dtype=complex))
     return Polynomial(coeffs)
+
+
+def reduce_step(p: Polynomial) -> Polynomial:
+    """One degree-lowering step of the conjugate-reduction recursion, exact
+    for Fractions.  The result has degree strictly below ``p``'s, or is the
+    zero polynomial (returned as a value: the von Neumann test needs it)."""
+    _require_nonzero(p)
+    return Polynomial(_reduce(p.coeffs, _tolerances(p.coeffs)[0]))
 
 
 def monic(p: Polynomial) -> Polynomial:
@@ -146,6 +167,48 @@ def factor_roots_2d(scheme: Scheme, params: DimensionlessParams, wn: Wavenumber,
     if polarization == "tm":
         roots.append(poly_roots(tm_factor_2d(scheme, params)))
     return np.concatenate(roots)
+
+
+# --- stability boundary ---------------------------------------------------------
+
+def plain_bisection_boundary(scheme: Scheme, medium: MediumModel, h: float,
+                             h_y: float | None = None) -> analyzer.BoundaryResult:
+    """`stability_boundary_k` by plain bisection on the worst-case verdict,
+    with a walk at every midpoint: the search the bracketed one must
+    reproduce field for field.  Its q-walks go through `analyzer._walk`, so
+    a test can count them."""
+    if not (h > 0 and math.isfinite(h)):
+        raise InvalidInputError("space step h must be positive and finite")
+
+    def stable_at(k: float) -> bool:
+        return worst_case_verdict(scheme, medium, k, h, h_y).stable
+
+    hi = 2.0 * h / medium.c_inf
+    if stable_at(hi):
+        raise NumericalFailureError(
+            "no instability found up to 2h/c_inf; cannot bracket a boundary")
+    lo = 1e-6 * hi
+    if not stable_at(lo):
+        lowest = min([lo] + [p for p in (lo / 10.0, lo / 100.0) if not stable_at(p)])
+        return analyzer.BoundaryResult(None, None, True, lowest,
+                                       "unstable at the bottom of the bracket "
+                                       "(resonant regime; no upper boundary in k)")
+    while hi - lo > analyzer.BOUNDARY_REL_RESOLUTION * hi:
+        mid = 0.5 * (lo + hi)
+        if stable_at(mid):
+            lo = mid
+        else:
+            hi = mid
+    p_lo, p_hi = dimensionless_params(medium, lo, h), dimensionless_params(medium, hi, h)
+    _, _, at_break, verdict, _ = analyzer._walk(
+        scheme, p_lo, analyzer._q_max(p_lo, h, h_y), analyzer._q_max(p_hi, h, h_y))
+    if verdict.stable:
+        k_lim = scheme.spec.k_limit(medium) if scheme.spec.k_limit else None
+        attained = stable_at(k_lim) if k_lim is not None and lo < k_lim <= hi else None
+    else:
+        attained = not at_break
+    return analyzer.BoundaryResult(lo, attained, False, None,
+                                   f"bisection converged to [{lo:.9e}, {hi:.9e}]")
 
 
 # --- grid measurements -----------------------------------------------------------

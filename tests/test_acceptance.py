@@ -41,6 +41,7 @@ from referees import (
     from_roots,
     mode_matrix_2d,
     monic,
+    plain_bisection_boundary,
 )
 
 WATER = MediumModel.debye(1.8, 81.0, 9.4e-12)
@@ -205,24 +206,32 @@ def test_criterion_5_reference_numeric_crossovers():
 
 
 def test_criterion_4_5_verdict_budget(monkeypatch):
-    """A criterion-4/5 search costs two worst-case verdicts at the bracket
-    ends, one per bisection step down to 1e-4 relative width (15 to 18
-    here), and at most one at a parameter limit; no other probes."""
-    inner = analyzer.worst_case_verdict
+    """Every q-walk of a criterion-4/5 search counts: the walks at the
+    bracket top and bottom, the few that predict k* and the two that check
+    the bracket around it, one per bisection midpoint inside that bracket,
+    the walk over the final interval's q-range and at most one at a
+    parameter limit.  That is 7 to 10 walks here, where the plain bisection
+    walks 18 to 22 times (15 to 18 midpoints down to 1e-4 relative width),
+    and no search walks more than the plain bisection does."""
+    inner = analyzer._walk
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(analyzer, "worst_case_verdict", counted)
-    counts = []
+    monkeypatch.setattr(analyzer, "_walk", counted)
+    counts, plain = [], []
     for _, scheme, medium, h, *_ in CRITERION_4_CASES + CRITERION_5_CASES:
-        calls.clear()
-        stability_boundary_k(scheme, medium, h)
-        counts.append(len(calls))
-    _report("criterion 4/5 verdict budget (at most 22 worst-case verdicts per search)",
-            max(counts) <= 22, f"verdicts per search {counts}")
+        for search, tally in ((stability_boundary_k, counts),
+                              (plain_bisection_boundary, plain)):
+            calls.clear()
+            search(scheme, medium, h)
+            tally.append(len(calls))
+    _report("criterion 4/5 verdict budget (at most 10 q-walks per search, "
+            "none more than the plain bisection)",
+            max(counts) <= 10 and all(c <= p for c, p in zip(counts, plain)),
+            f"q-walks per search {counts}, plain bisection {plain}")
 
 
 @pytest.mark.parametrize("scheme,q_res_of", [

@@ -34,7 +34,7 @@ from fdtd_stability import (
 from fdtd_stability import analyzer, polyloc
 from fdtd_stability.polyloc import poly_roots
 from fdtd_stability.schemes import amplification_matrix_at_q
-from referees import factor_roots_2d
+from referees import factor_roots_2d, plain_bisection_boundary
 
 
 # --- gn_bounded --------------------------------------------------------------
@@ -287,9 +287,10 @@ def test_worst_case_rejects_medium_of_other_kind(optical_lorentz):
 
 def test_boundary_without_instability_below_2h_is_a_numerical_failure(water, monkeypatch):
     """The bracket's top, 2h/c_inf, must be unstable; a search that finds it
-    stable refuses to report a boundary."""
+    stable refuses to report a boundary.  Every probe is stubbed stable, so
+    the walk at the top finds no end to its stable q-range either."""
     stable = analyzer.StabilityVerdict(True, Argument.THEOREM_SCHUR, "stubbed")
-    monkeypatch.setattr(analyzer, "worst_case_verdict", lambda *a, **kw: stable)
+    monkeypatch.setattr(analyzer, "classify_at_q", lambda *a, **kw: stable)
     with pytest.raises(NumericalFailureError, match="no instability found up to 2h/c_inf"):
         stability_boundary_k(Scheme.DEBYE_JOSEPH, water, 1e-5)
 
@@ -463,6 +464,101 @@ def test_boundary_resonant_harmonic_medium_has_no_interval(resonant_lorentz):
     assert res.non_monotone
     assert res.k_star is None
     assert res.lowest_unstable_k is not None
+
+
+def _walk_counter(monkeypatch) -> list:
+    """Record every q-walk of the analyzer, the plain bisection's included."""
+    inner = analyzer._walk
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(analyzer, "_walk", counted)
+    return calls
+
+
+def _both_searches(scheme, medium, h, kw, calls):
+    """Outcome (result or error) and q-walk count of the bracketed search,
+    then of the plain bisection."""
+    out = []
+    for search in (stability_boundary_k, plain_bisection_boundary):
+        calls.clear()
+        try:
+            outcome = search(scheme, medium, h, **kw)
+        except NumericalFailureError as exc:
+            outcome = str(exc)
+        out.append((outcome, len(calls)))
+    return out
+
+
+GEOMETRIES = {"1d": lambda h: {}, "h_y=h": lambda h: dict(h_y=h),
+              "h_y=2h": lambda h: dict(h_y=2.0 * h)}
+
+
+@pytest.mark.parametrize("geometry", list(GEOMETRIES))
+@pytest.mark.parametrize("scheme,medium,h", [
+    (Scheme.DEBYE_YOUNG, "foam", 4.0),                 # delta = 1 binds
+    (Scheme.DEBYE_YOUNG, "water", 4.2e-3),             # delta = 1 at the crossover
+    (Scheme.LORENTZ_YOUNG, "optical_lorentz", None),   # omega limit meets q = 2
+    (Scheme.LORENTZ_YOUNG, "radio_lorentz", None),
+    (Scheme.LORENTZ_YOUNG, "optical_lorentz", 1.13e-8),  # q_max meets q_c below it
+    (Scheme.LORENTZ_JOSEPH, "resonant_lorentz", 1e-8),   # non_monotone
+    (Scheme.LORENTZ_KASHIWA, "resonant_lorentz", 1e-8),
+    (Scheme.LORENTZ_YOUNG, "resonant_lorentz", 1e-8),
+])
+def test_boundary_search_matches_plain_bisection(scheme, medium, h, geometry, request,
+                                                 monkeypatch):
+    """Near the parameter limits, where the prediction starts at k_limit,
+    and in resonant media, the bracketed search returns the plain
+    bisection's result field for field, in fewer q-walks or, where the
+    search ends at the bracket bottom, the same ones.  h = None puts
+    the omega limit of Lorentz-Young where q_max = 2 in 1D."""
+    medium = request.getfixturevalue(medium)
+    if h is None:
+        h = math.sqrt(2.0) * medium.c_inf * scheme.spec.k_limit(medium)
+    calls = _walk_counter(monkeypatch)
+    (res, walks), (plain, plain_walks) = _both_searches(
+        scheme, medium, h, GEOMETRIES[geometry](h), calls)
+    assert res == plain
+    # A resonant medium ends the search at the bracket bottom, before any
+    # prediction, in the same walks.
+    assert walks < plain_walks or (res.non_monotone and walks == plain_walks)
+
+
+def test_boundary_search_matches_plain_bisection_on_random_media(monkeypatch):
+    """Seeded random physical media of every scheme: eps_inf in [1, 5],
+    eps_s/eps_inf 1 or up to 80, t_r in 1e-12 to 1e-9 s, omega1 in 1e9 to
+    1e17 rad/s with nu 0 or 1e-4 to 1 times omega1, h from 1e-3 to 10
+    medium lengths, on 1D grids and 2D ones with h_y in {h, 2h}.  Every
+    outcome equals the plain bisection's, a refusal included, and the
+    searches take at most 0.7 of its q-walks in total.  A single search can
+    take more: where the float verdict reads a weak growth as stable (a
+    damped Lorentz-Joseph medium just past q = 2), or where Lorentz-Young's
+    q_c closes to 0 past its omega limit faster than secant steps follow."""
+    rng = random.Random(23)
+    calls = _walk_counter(monkeypatch)
+    walks = plain_walks = 0
+    for _ in range(80):
+        scheme = rng.choice(list(Scheme))
+        eps_inf = rng.uniform(1.0, 5.0)
+        eps_s = eps_inf * (1.0 if rng.random() < 0.25 else 80.0 ** rng.random())
+        if scheme.kind == "debye":
+            medium = MediumModel.debye(eps_inf, eps_s, 10.0 ** rng.uniform(-12.0, -9.0))
+            scale = medium.t_r
+        else:
+            omega1 = 10.0 ** rng.uniform(9.0, 17.0)
+            nu = 0.0 if rng.random() < 0.3 else omega1 * 10.0 ** rng.uniform(-4.0, 0.0)
+            medium = MediumModel.lorentz(eps_inf, eps_s, omega1, nu)
+            scale = 1.0 / omega1
+        h = medium.c_inf * scale * 10.0 ** rng.uniform(-3.0, 1.0)
+        kw = GEOMETRIES[rng.choice(list(GEOMETRIES))](h)
+        (res, n), (plain, n_plain) = _both_searches(scheme, medium, h, kw, calls)
+        assert res == plain, (scheme, medium, h, kw)
+        walks += n
+        plain_walks += n_plain
+    assert walks <= 0.7 * plain_walks
 
 
 # --- tables -------------------------------------------------------------------

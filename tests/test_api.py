@@ -11,7 +11,7 @@ PUBLIC = {
     # errors
     "InvalidInputError", "NumericalFailureError",
     # polyloc
-    "Polynomial", "is_simple_von_neumann", "reduce_step",
+    "Polynomial", "is_simple_von_neumann",
     # schemes
     "DimensionlessParams", "MediumModel", "Scheme", "Wavenumber", "char_poly_closed",
     "courant_q", "dimensionless_params", "tm_factor_2d",
@@ -26,7 +26,7 @@ PUBLIC = {
 
 REFEREES = ("root_profile", "RootProfile", "ROOT_CLUSTER_TOL", "conjugate_poly",
             "amplification_matrix", "char_poly_from_matrix", "char_poly_2d",
-            "fourier_mode")
+            "fourier_mode", "reduce_step", "plain_bisection_boundary")
 
 
 def test_all_is_the_public_contract():

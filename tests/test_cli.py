@@ -237,6 +237,20 @@ def test_analyze_empirical_line_names_the_harmonic_it_ran(argv, analytic, ran, c
     assert empirical.startswith("  " + ran)
 
 
+@pytest.mark.parametrize("argv,ran", [
+    (["simulate", "--scheme", "debye-joseph", "--eps-inf", "1.8", "--eps-s", "81.0",
+      "--t-r", "9.4e-12", "--k", "1e-15", "--h", "1e-6", "--xi", "2.9"],
+     "debye-joseph: bounded at xi=2.74889 after "),
+    (["simulate"] + _KASHIWA_2D[1:] + ["--xi-y", "0.75"],
+     "lorentz-kashiwa: bounded at xi=1.5708, xi_y=0.785398 after "),
+], ids=["1d", "2d"])
+def test_simulate_names_the_harmonic_it_ran(argv, ran, capsys):
+    """Like analyze --empirical, simulate reports the grid harmonic its run
+    excited, not the xi it was given: 2 pi 7/16 for 2.9 on 16 cells."""
+    assert main(argv + ["--steps", "100", "--grid", "16"]) == 0
+    assert capsys.readouterr().out.startswith(ran)
+
+
 def test_simulate_2d_te(capsys):
     rc = main(["simulate", "--scheme", "debye-young", "--eps-inf", "1.8",
                "--eps-s", "81.0", "--t-r", "9.4e-12", "--k", "1e-15",

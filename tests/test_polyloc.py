@@ -22,10 +22,9 @@ from fdtd_stability import (
     Polynomial,
     Scheme,
     is_simple_von_neumann,
-    reduce_step,
 )
 from fdtd_stability.polyloc import circle_crossings, max_root_modulus, poly_roots
-from referees import conjugate_poly, from_roots, root_profile, scaled
+from referees import conjugate_poly, from_roots, reduce_step, root_profile, scaled
 
 
 def test_trailing_coefficients_trimmed():
