@@ -28,8 +28,10 @@ whole q range: [0, q_max] for a verdict, and for a stability boundary in
 the time step the final bisection interval's range, to tell whether the
 boundary is attained.  The boundary search brackets k* first, then bisects
 inside the bracket: a walk that meets an unstable probe also tells where
-its stable q-range ends, and a few such walks predict where q_max(k)
-meets that end.
+its stable q-range ends, q_c.  Where q_c is one of a few candidates (2, 4,
+q_-1 = -a(-1)/b(-1) or the degenerate q), that candidate's formula gives
+q_c at other time steps with no walk, and the prediction solves
+q_max(k) = q_c(k) along it.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ BOUNDARY_REL_RESOLUTION = 1e-4
 # OUT_EIG_TOL hides the growth), and small enough that about one bisection
 # midpoint falls inside.
 BRACKET_REL_HALF_WIDTH = 0.5 * BOUNDARY_REL_RESOLUTION
-# Secant steps, one walk each, that the boundary prediction takes at most.
+# Secant steps that the boundary prediction takes at most, each one walk or
+# one candidate formula.
 PREDICT_WALKS = 6
 
 
@@ -194,6 +197,27 @@ def _degenerate_q(scheme: Scheme, params: DimensionlessParams) -> float | None:
     matrix route gives the same verdict as the polynomial route."""
     q_of_omega = scheme.spec.degenerate_q
     return q_of_omega(params.omega) if q_of_omega and params.omega else None
+
+
+def _candidates(scheme: Scheme, params: DimensionlessParams) -> tuple[float | None, ...]:
+    """The values at which a stable q-range [0, q_c] ends: 2, 4,
+    q_-1 = -a(-1)/b(-1) and the degenerate q (None where a scheme has none).
+    q_-1 is computed as `circle_crossings` computes its z = -1 crossing, so
+    it equals that breakpoint of a walk bit for bit."""
+    a, b = (np.asarray(c, dtype=float)[::-1] for c in scheme.spec.char_poly(params))
+    b_m1 = np.polyval(b, -1.0)
+    q_m1 = float(-np.polyval(a, -1.0) / b_m1) if b_m1 != 0 else None
+    return 2.0, 4.0, q_m1, _degenerate_q(scheme, params)
+
+
+def _arm(scheme: Scheme, params: DimensionlessParams, q_c: float) -> int | None:
+    """Index into `_candidates` of the candidate a walk's q_c ends at, or
+    None.  A relative 1e-9, as the walk's whisker: a closed limit ends at
+    the last breakpoint below an unstable midpoint, which can be a locus
+    crossing a few ulps off the special value (Lorentz-Joseph's q = 2 at
+    2 + 8e-15)."""
+    return next((i for i, c in enumerate(_candidates(scheme, params))
+                 if c is not None and math.isclose(c, q_c, rel_tol=1e-9)), None)
 
 
 def _special_root_near(poly: Polynomial) -> bool:
@@ -336,14 +360,14 @@ def worst_case_verdict(scheme: Scheme, medium: MediumModel, k: float, h: float,
 def _predict_k(q_c_at, k_top: float, q_top: float, q_c: float, lo: float,
                k_lim: float | None) -> float | None:
     """Predicted k*, the root of g(k) = q_max(k) - q_c(k) in (lo, k_top),
-    where q_max(k) = q_top (k / k_top)^2 and q_c(k) comes from q_c_at, a
-    walk over [0, q_top] (q_c is its value at k_top).  Steps go in s = k^2,
-    in which q_max is linear: first with q_c frozen, then by secant.
+    where q_max(k) = q_top (k / k_top)^2 and q_c(k) comes from q_c_at (q_c
+    is its value at k_top).  Steps go in s = k^2, in which q_max is linear:
+    first with q_c frozen, then by secant.
 
     A top whose stable q-range ends below q_max(lo) lies past the scheme's
     parameter limit k_lim, and the steps start at k_lim (1 -+ e) instead:
     a q_c that drops across them below q_max, from above it, predicts k_lim
-    itself.  None when a step leaves (lo, k_top) or PREDICT_WALKS walks do
+    itself.  None when a step leaves (lo, k_top) or PREDICT_WALKS steps do
     not settle it."""
     q_per_s = q_top / (k_top * k_top)
 
@@ -382,10 +406,19 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
     boundary, then bisect inside the bracket; a given h_y makes the grid 2D.
 
     Bracket: the walk at the top, 2h/c_inf, reports where its stable q-range
-    ends, and walks over the same q-range at a few time steps predict k*
-    (`_predict_k`).  Two worst-case verdicts check the prediction: stable at
-    k*(1 - e) and unstable at k*(1 + e), with e = BRACKET_REL_HALF_WIDTH.
-    A verdict that contradicts the prediction still narrows the bracket.
+    ends, q_c, and q_c at a few other time steps predicts k* (`_predict_k`).
+    A q_c at a candidate (`_candidates`: 2, 4, q_-1 or the degenerate q;
+    `_arm` matches it) names the arm the boundary lies on, and that candidate's
+    formula then gives q_c at the next time steps, with no walk, as long as
+    they lie on the same side of the scheme's parameter limit
+    `SchemeSpec.k_limit` as the walk that named it; otherwise a walk over
+    the top's q-range finds q_c and names the arm anew.  Two worst-case
+    verdicts check the prediction: stable at k*(1 - e) and unstable at
+    k*(1 + e), with e = BRACKET_REL_HALF_WIDTH.  A verdict that contradicts
+    the prediction still narrows the bracket.  Above the predicted k*, where
+    the verdict is expected unstable, one probe at q_max comes first: q_max
+    is a breakpoint of every walk, so an unstable probe there is the
+    walk's verdict, and only a stable one needs the walk.
 
     Bisection: the plain bisection on the worst-case verdict, from 1e-6 of
     the top down to BOUNDARY_REL_RESOLUTION, except that a midpoint at or
@@ -404,10 +437,25 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
         raise InvalidInputError("space step h must be positive and finite")
 
     def stable_at(k: float) -> bool:
+        if k_hat is not None and k > k_hat:
+            # Expected unstable.  q_max is one of the walk's breakpoints, so
+            # an unstable probe there is the walk's own verdict.
+            params = dimensionless_params(medium, k, h)
+            if not classify_at_q(scheme, params, _q_max(params, h, h_y)).stable:
+                return False
         return worst_case_verdict(scheme, medium, k, h, h_y).stable
 
     def q_c_at(k: float) -> float:
-        return _walk(scheme, dimensionless_params(medium, k, h), 0.0, q_top)[4]
+        nonlocal arm
+        params = dimensionless_params(medium, k, h)
+        index, k_named = arm
+        if index is not None and (k_lim is None or (k < k_lim) == (k_named < k_lim)):
+            q_c = _candidates(scheme, params)[index]
+            if q_c is not None:
+                return q_c
+        q_c = _walk(scheme, params, 0.0, q_top)[4]
+        arm = _arm(scheme, params, q_c), k
+        return q_c
 
     hi = 2.0 * h / medium.c_inf
     p_hi = _params(scheme, medium, hi, h)
@@ -416,6 +464,7 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
     if top.stable:
         raise NumericalFailureError(
             "no instability found up to 2h/c_inf; cannot bracket a boundary")
+    k_hat = None
     lo = 1e-6 * hi
     if not stable_at(lo):
         lowest = min([lo] + [p for p in (lo / 10.0, lo / 100.0) if not stable_at(p)])
@@ -423,6 +472,9 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
                               "unstable at the bottom of the bracket "
                               "(resonant regime; no upper boundary in k)")
     k_lim = scheme.spec.k_limit(medium) if scheme.spec.k_limit else None
+    # The candidate the latest walk's q_c ended at, and that walk's k.  Its
+    # formula stands in for walks on the same side of k_lim only.
+    arm = _arm(scheme, p_hi, q_c), hi
     # a reads stable and b unstable; the bisection walks only inside (a, b).
     a, b = lo, hi
     k_hat = _predict_k(q_c_at, hi, q_top, q_c, lo, k_lim)

@@ -211,7 +211,11 @@ class SchemeSpec:
     regimes             reference stability regimes of the scheme
     k_limit             medium -> time step where the scheme's own parameter
         condition meets its limit (Debye-Young delta = 1, Lorentz-Young omega
-        = 2/(2 eps' - 1)), or None when only the Courant condition bounds k
+        = 2/(2 eps' - 1)), or None when only the Courant condition bounds k.
+        For Lorentz-Young it marks where the limiting arm of the stable
+        q-set [0, q_c] changes from q_c = 2 to q_-1 = 4(2 - omega eps')/(2 -
+        omega), not where the set empties (that is at omega = 2/eps').  The
+        boundary search reuses a limiting arm only on one side of k_limit
     verify_unstable     fractions of q_limit at which the verify plan probes
         the unstable side
     """

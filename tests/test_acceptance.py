@@ -7,6 +7,7 @@ lines.  Tolerances are fixed here and nowhere else.
 import math
 import time
 import zlib
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -206,32 +207,62 @@ def test_criterion_5_reference_numeric_crossovers():
 
 
 def test_criterion_4_5_verdict_budget(monkeypatch):
-    """Every q-walk of a criterion-4/5 search counts: the walks at the
-    bracket top and bottom, the few that predict k* and the two that check
-    the bracket around it, one per bisection midpoint inside that bracket,
-    the walk over the final interval's q-range and at most one at a
-    parameter limit.  That is 7 to 10 walks here, where the plain bisection
-    walks 18 to 22 times (15 to 18 midpoints down to 1e-4 relative width),
-    and no search walks more than the plain bisection does."""
-    inner = analyzer._walk
-    calls = []
+    """Every q-walk and every `classify_at_q` probe of a criterion-4/5
+    search counts: the walks at the bracket top and bottom, the prediction
+    walks that no candidate's formula stands in for, the two verdicts that
+    check the bracket around k*, one per bisection midpoint inside that
+    bracket, the walk over the final interval's q-range and at most one
+    verdict at a parameter limit.  A verdict above the predicted k* first
+    probes q_max alone, and an unstable probe there makes no walk.  That is
+    4 to 8 walks and 26 to 44 probes here, where the plain bisection walks
+    18 to 22 times (15 to 18 midpoints down to 1e-4 relative width) in 68 to
+    165 probes, and no search walks or probes more than the plain bisection
+    does."""
+    calls = Counter()
+    for name in ("_walk", "classify_at_q"):
+        def counted(*args, _inner=getattr(analyzer, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(analyzer, "_walk", counted)
+        monkeypatch.setattr(analyzer, name, counted)
     counts, plain = [], []
     for _, scheme, medium, h, *_ in CRITERION_4_CASES + CRITERION_5_CASES:
         for search, tally in ((stability_boundary_k, counts),
                               (plain_bisection_boundary, plain)):
             calls.clear()
             search(scheme, medium, h)
-            tally.append(len(calls))
-    _report("criterion 4/5 verdict budget (at most 10 q-walks per search, "
-            "none more than the plain bisection)",
-            max(counts) <= 10 and all(c <= p for c, p in zip(counts, plain)),
-            f"q-walks per search {counts}, plain bisection {plain}")
+            tally.append((calls["_walk"], calls["classify_at_q"]))
+    _report("criterion 4/5 verdict budget (at most 8 q-walks and 44 probes per "
+            "search, none more than the plain bisection)",
+            max(w for w, _ in counts) <= 8 and max(p for _, p in counts) <= 44
+            and all(w <= pw and n <= pn for (w, n), (pw, pn) in zip(counts, plain)),
+            f"(q-walks, probes) per search {counts}, plain bisection {plain}")
+
+
+@pytest.mark.parametrize("case,arm", [
+    ("debye-joseph water", "4"),
+    ("debye-young water", "q_-1"),
+    ("debye-young foam", None),
+    ("lorentz-joseph:", "2"),
+    ("lorentz-kashiwa", "4"),
+    ("lorentz-young:", None),
+    ("water crossover", None),
+    ("foam relaxation", None),
+    ("optical Lorentz", None),
+    ("radio Lorentz", None),
+])
+def test_criterion_4_5_top_arm(case, arm):
+    """The candidate that the top walk's q_c ends at, as the search finds
+    it (`analyzer._arm`).  A top past the scheme's parameter limit ends its
+    stable q-range at or near 0, which names no arm: Debye-Young in foam
+    and at the water crossover, and Lorentz-Young past its omega limit."""
+    (_, scheme, medium, h, *_), = [c for c in CRITERION_4_CASES + CRITERION_5_CASES
+                                   if c[0].startswith(case)]
+    top = 2.0 * h / medium.c_inf
+    params = dimensionless_params(medium, top, h)
+    q_c = analyzer._walk(scheme, params, 0.0, analyzer._q_max(params, h, None))[4]
+    index = analyzer._arm(scheme, params, q_c)
+    assert (None if index is None else ("2", "4", "q_-1", "degenerate")[index]) == arm
 
 
 @pytest.mark.parametrize("scheme,q_res_of", [
