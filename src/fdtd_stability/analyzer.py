@@ -26,12 +26,15 @@ can meet the unit circle only at the boundary-locus crossings of
 ends, 2, 4 and the degenerate q) and one point between each two decides a
 whole q range: [0, q_max] for a verdict, and for a stability boundary in
 the time step the final bisection interval's range, to tell whether the
-boundary is attained.  The boundary search brackets k* first, then bisects
-inside the bracket: a walk that meets an unstable probe also tells where
-its stable q-range ends, q_c.  Where q_c is one of a few candidates (2, 4,
-q_-1 = -a(-1)/b(-1) or the degenerate q), that candidate's formula gives
-q_c at other time steps with no walk, and the prediction solves
-q_max(k) = q_c(k) along it.
+boundary is attained.  The boundary search predicts k* first, then checks
+the bisection's own final interval around the prediction and bisects only
+where the check fails: a walk that meets an unstable probe also tells
+where its stable q-range ends, q_c.  Where q_c is one of a few candidates
+(2, 4, q_-1 = -a(-1)/b(-1) or the degenerate q), that candidate's formula
+gives q_c at other time steps with no walk, and the prediction solves
+q_max(k) = q_c(k) along it.  Walks that only predict take the candidates
+as their breakpoints and solve for no crossing; every verdict the result
+depends on walks them all.
 """
 
 from __future__ import annotations
@@ -72,12 +75,12 @@ RANK_REL_TOL = 1e-8
 RESONANCE_SNAP_TOL = 1e-9
 
 BOUNDARY_REL_RESOLUTION = 1e-4
-# Half-width, relative, of the bracket that two worst-case verdicts check
-# around a predicted boundary.  Above the offset of the float verdict at a
-# parameter limit (Debye-Young in foam flips at delta = 1 + 4.7e-5, where
-# OUT_EIG_TOL hides the growth), and small enough that about one bisection
-# midpoint falls inside.
-BRACKET_REL_HALF_WIDTH = 0.5 * BOUNDARY_REL_RESOLUTION
+# Relative step in k^2 at which the boundary prediction counts as settled,
+# and the relative offset of its two first steps around a parameter limit:
+# above the offset of the float verdict there (Debye-Young in foam flips at
+# delta = 1 + 4.7e-5, where OUT_EIG_TOL hides the growth).  The bracket that
+# checks the prediction is the bisection's own final interval around it.
+PREDICT_REL_TOL = 0.5 * BOUNDARY_REL_RESOLUTION
 # Secant steps that the boundary prediction takes at most, each one walk or
 # one candidate formula.
 PREDICT_WALKS = 6
@@ -210,13 +213,13 @@ def _candidates(scheme: Scheme, params: DimensionlessParams) -> tuple[float | No
     return 2.0, 4.0, q_m1, _degenerate_q(scheme, params)
 
 
-def _arm(scheme: Scheme, params: DimensionlessParams, q_c: float) -> int | None:
-    """Index into `_candidates` of the candidate a walk's q_c ends at, or
-    None.  A relative 1e-9, as the walk's whisker: a closed limit ends at
-    the last breakpoint below an unstable midpoint, which can be a locus
-    crossing a few ulps off the special value (Lorentz-Joseph's q = 2 at
-    2 + 8e-15)."""
-    return next((i for i, c in enumerate(_candidates(scheme, params))
+def _arm(candidates: tuple[float | None, ...], q_c: float) -> int | None:
+    """Index into a walk's `_candidates` of the one its q_c ends at, or
+    None.  A relative 1e-9, as the walk's whisker: a closed limit of a full
+    walk ends at the last breakpoint below an unstable midpoint, which can
+    be a locus crossing a few ulps off the special value (Lorentz-Joseph's
+    q = 2 at 2 + 8e-15)."""
+    return next((i for i, c in enumerate(candidates)
                  if c is not None and math.isclose(c, q_c, rel_tol=1e-9)), None)
 
 
@@ -312,21 +315,29 @@ def _q_max(params: DimensionlessParams, h: float, h_y: float | None) -> float:
     return q_max + 4.0 * lam_y * lam_y
 
 
-def _walk(scheme: Scheme, params: DimensionlessParams, q_lo: float, q_hi: float):
-    """Classify the breakpoints of [q_lo, q_hi] (the boundary-locus crossings,
-    q_lo, q_hi, 2, 4 and the degenerate q) and one midpoint per interval, in
-    ascending order, up to the first unstable probe.  Returns the breakpoint
+def _walk(scheme: Scheme, params: DimensionlessParams, q_lo: float, q_hi: float,
+          crossings=None, lo_stable: bool = False):
+    """Classify the breakpoints of [q_lo, q_hi] (q_lo, q_hi, 2, 4, the
+    degenerate q and the boundary-locus crossings) and one midpoint per
+    interval, in ascending order, up to the first unstable probe.  The
+    crossings are solved here (`circle_crossings`) unless given: the
+    crossing list of an earlier walk with the same parameters, or
+    `_candidates` for a walk that only predicts.  lo_stable: an earlier walk
+    read q_lo stable, and it is not probed again.  Returns the breakpoint
     count, (q, is-breakpoint, verdict) of that probe, else of the top one,
     and q_c, where the stable q-range found ends: the unstable breakpoint
     (an open limit), the last breakpoint before an unstable midpoint (a
     closed one), or q_hi when every probe is stable."""
+    if crossings is None:
+        crossings = circle_crossings(*scheme.spec.char_poly(params))
     specials = [q_lo, q_hi, 2.0, 4.0, _degenerate_q(scheme, params)]
     # Relative whisker: a q_hi a few ulps below a special value still probes it.
-    breaks = sorted({s for s in specials + circle_crossings(*scheme.spec.char_poly(params))
+    breaks = sorted({s for s in specials + list(crossings)
                      if s is not None and q_lo <= s <= q_hi * (1.0 + 1e-9)})
-    probes = [(breaks[0], True)]
+    probes = [] if lo_stable else [(breaks[0], True)]
     for a, b in zip(breaks, breaks[1:]):
         probes += [(0.5 * (a + b), False), (b, True)]
+    q_c = breaks[0]
     for q, at_break in probes:
         verdict = classify_at_q(scheme, params, q)
         if not verdict.stable:
@@ -365,10 +376,11 @@ def _predict_k(q_c_at, k_top: float, q_top: float, q_c: float, lo: float,
     first with q_c frozen, then by secant.
 
     A top whose stable q-range ends below q_max(lo) lies past the scheme's
-    parameter limit k_lim, and the steps start at k_lim (1 -+ e) instead:
-    a q_c that drops across them below q_max, from above it, predicts k_lim
-    itself.  None when a step leaves (lo, k_top) or PREDICT_WALKS steps do
-    not settle it."""
+    parameter limit k_lim, and the steps start at k_lim (1 -+ e) instead,
+    with e = PREDICT_REL_TOL: a q_c that drops across them below q_max,
+    from above it, predicts k_lim itself.  None when a step leaves
+    (lo, k_top) or PREDICT_WALKS steps do not settle it to a relative step
+    of e in k^2."""
     q_per_s = q_top / (k_top * k_top)
 
     def g(s: float) -> float:
@@ -378,11 +390,11 @@ def _predict_k(q_c_at, k_top: float, q_top: float, q_c: float, lo: float,
     if q_c <= q_per_s * lo * lo:
         if k_lim is None or not lo < k_lim < k_top:
             return None
-        s = (k_lim * (1.0 - BRACKET_REL_HALF_WIDTH)) ** 2
+        s = (k_lim * (1.0 - PREDICT_REL_TOL)) ** 2
         g_s = g(s)
         if g_s <= 0.0:
             s_below, g_below = s, g_s
-            s = (k_lim * (1.0 + BRACKET_REL_HALF_WIDTH)) ** 2
+            s = (k_lim * (1.0 + PREDICT_REL_TOL)) ** 2
             g_s = g(s)
             if g_s > 0.0:
                 return k_lim
@@ -391,7 +403,7 @@ def _predict_k(q_c_at, k_top: float, q_top: float, q_c: float, lo: float,
         s_next = s - g_s / slope
         if not lo * lo < s_next < k_top * k_top:
             return None
-        if abs(s_next - s) <= BRACKET_REL_HALF_WIDTH * s:
+        if abs(s_next - s) <= PREDICT_REL_TOL * s:
             return math.sqrt(s_next)
         g_next = g(s_next)
         if g_next != g_s:
@@ -400,38 +412,61 @@ def _predict_k(q_c_at, k_top: float, q_top: float, q_c: float, lo: float,
     return None
 
 
+def _bisect(lo: float, hi: float, stable) -> tuple[float, float]:
+    """Halve [lo, hi] until it is at most BOUNDARY_REL_RESOLUTION of hi
+    wide, keeping each midpoint as lo where stable(midpoint) holds and as hi
+    otherwise; the final interval."""
+    while hi - lo > BOUNDARY_REL_RESOLUTION * hi:
+        mid = 0.5 * (lo + hi)
+        if stable(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
                          h_y: float | None = None) -> BoundaryResult:
-    """Largest stable time step between 0 and 2h/c_inf: bracket the
-    boundary, then bisect inside the bracket; a given h_y makes the grid 2D.
+    """Largest stable time step between 0 and 2h/c_inf: predict the
+    boundary, check the bisection's final interval around the prediction,
+    then bisect where the check fails; a given h_y makes the grid 2D.
 
-    Bracket: the walk at the top, 2h/c_inf, reports where its stable q-range
-    ends, q_c, and q_c at a few other time steps predicts k* (`_predict_k`).
-    A q_c at a candidate (`_candidates`: 2, 4, q_-1 or the degenerate q;
-    `_arm` matches it) names the arm the boundary lies on, and that candidate's
-    formula then gives q_c at the next time steps, with no walk, as long as
-    they lie on the same side of the scheme's parameter limit
-    `SchemeSpec.k_limit` as the walk that named it; otherwise a walk over
-    the top's q-range finds q_c and names the arm anew.  Two worst-case
-    verdicts check the prediction: stable at k*(1 - e) and unstable at
-    k*(1 + e), with e = BRACKET_REL_HALF_WIDTH.  A verdict that contradicts
-    the prediction still narrows the bracket.  Above the predicted k*, where
-    the verdict is expected unstable, one probe at q_max comes first: q_max
-    is a breakpoint of every walk, so an unstable probe there is the
-    walk's verdict, and only a stable one needs the walk.
+    Prediction: a walk at the top, 2h/c_inf, reports where its stable
+    q-range ends, q_c, and q_c at a few other time steps predicts k*
+    (`_predict_k`).  A q_c at a candidate (`_candidates`: 2, 4, q_-1 or the
+    degenerate q; `_arm` matches it) names the arm the boundary lies on, and
+    that candidate's formula then gives q_c at the next time steps, with no
+    walk, as long as they lie on the same side of the scheme's parameter
+    limit `SchemeSpec.k_limit` as the walk that named it; otherwise a walk
+    over the top's q-range finds q_c and names the arm anew.  These walks
+    only predict, so they take the candidates as their breakpoints and
+    solve for no boundary-locus crossing.  The top walk also refuses a top
+    with no instability: an unstable probe at one of its breakpoints is one
+    of the full walk's breakpoints too, and otherwise q_max and then, if
+    that reads stable, the full walk decide.
+
+    Check: the bisection's final interval around the predicted k*, [k_lo,
+    k_hi], must read unstable at k_hi and stable at k_lo.  A verdict that
+    contradicts the prediction still narrows the bracket.  Above the
+    predicted k*, where the verdict is expected unstable, one probe at
+    q_max comes first: q_max is a breakpoint of every walk, so an unstable
+    probe there is the walk's verdict, and only a stable one needs the walk.
 
     Bisection: the plain bisection on the worst-case verdict, from 1e-6 of
     the top down to BOUNDARY_REL_RESOLUTION, except that a midpoint at or
     below the bracket reads stable and one at or above it unstable, with no
     walk.  So it visits the same midpoints and returns the same result as a
     plain bisection, on the single switch from stable to unstable in k that
-    the bisection assumes anyway.
+    the bisection assumes anyway.  Where the check holds, no midpoint falls
+    inside the bracket and the search ends at k_lo.
 
     With the parameters at the final bisection interval's lo, q is walked
     on from q_max(lo) to q_max(hi): an unstable breakpoint means an open
-    Courant condition, an unstable midpoint a closed one.  If the walk stays
-    stable, the verdict at the scheme's parameter limit `SchemeSpec.k_limit`
-    decides attainability when that limit lies in (lo, hi].
+    Courant condition, an unstable midpoint a closed one.  At k_lo this walk
+    continues the bracket check's, with its crossings and its stable
+    q_max(lo).  If the walk stays stable, the verdict at the scheme's
+    parameter limit `SchemeSpec.k_limit` decides attainability when that
+    limit lies in (lo, hi].
     """
     if not (h > 0 and math.isfinite(h)):
         raise InvalidInputError("space step h must be positive and finite")
@@ -448,22 +483,27 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
     def q_c_at(k: float) -> float:
         nonlocal arm
         params = dimensionless_params(medium, k, h)
+        candidates = _candidates(scheme, params)
         index, k_named = arm
-        if index is not None and (k_lim is None or (k < k_lim) == (k_named < k_lim)):
-            q_c = _candidates(scheme, params)[index]
-            if q_c is not None:
-                return q_c
-        q_c = _walk(scheme, params, 0.0, q_top)[4]
-        arm = _arm(scheme, params, q_c), k
+        if (index is not None and candidates[index] is not None
+                and (k_lim is None or (k < k_lim) == (k_named < k_lim))):
+            return candidates[index]
+        q_c = _walk(scheme, params, 0.0, q_top, candidates)[4]
+        arm = _arm(candidates, q_c), k
         return q_c
 
     hi = 2.0 * h / medium.c_inf
     p_hi = _params(scheme, medium, hi, h)
     q_top = _q_max(p_hi, h, h_y)
-    *_, top, q_c = _walk(scheme, p_hi, 0.0, q_top)
-    if top.stable:
-        raise NumericalFailureError(
-            "no instability found up to 2h/c_inf; cannot bracket a boundary")
+    top_candidates = _candidates(scheme, p_hi)
+    _, _, at_break, top, q_c = _walk(scheme, p_hi, 0.0, q_top, top_candidates)
+    if top.stable or not at_break and classify_at_q(scheme, p_hi, q_top).stable:
+        # No unstable breakpoint, which the full walk would share; only the
+        # full walk may refuse.
+        *_, top, q_c = _walk(scheme, p_hi, 0.0, q_top)
+        if top.stable:
+            raise NumericalFailureError(
+                "no instability found up to 2h/c_inf; cannot bracket a boundary")
     k_hat = None
     lo = 1e-6 * hi
     if not stable_at(lo):
@@ -474,30 +514,36 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
     k_lim = scheme.spec.k_limit(medium) if scheme.spec.k_limit else None
     # The candidate the latest walk's q_c ended at, and that walk's k.  Its
     # formula stands in for walks on the same side of k_lim only.
-    arm = _arm(scheme, p_hi, q_c), hi
+    arm = _arm(top_candidates, q_c), hi
     # a reads stable and b unstable; the bisection walks only inside (a, b).
     a, b = lo, hi
+    # The crossings of the walk that read a = k_lo stable.  No midpoint then
+    # falls inside (k_lo, b), and the bisection ends at lo = k_lo.
+    bottom = None
     k_hat = _predict_k(q_c_at, hi, q_top, q_c, lo, k_lim)
     if k_hat is not None:
+        k_lo, k_hi = _bisect(lo, hi, lambda k: k <= k_hat)
         # Float verdicts err towards stable, so the top end fails more often,
         # and a stable top end makes the bottom one stable too.
-        for k in (k_hat * (1.0 + BRACKET_REL_HALF_WIDTH),
-                  k_hat * (1.0 - BRACKET_REL_HALF_WIDTH)):
-            if not a < k < b:
-                continue
-            if stable_at(k):
-                a = k
+        if k_hi < b:
+            if stable_at(k_hi):
+                a = k_hi
             else:
-                b = k
-    while hi - lo > BOUNDARY_REL_RESOLUTION * hi:
-        mid = 0.5 * (lo + hi)
-        if mid <= a or (mid < b and stable_at(mid)):
-            lo = mid
-        else:
-            hi = mid
+                b = k_hi
+        if a < k_lo < b:
+            # The worst-case walk, with its crossings solved here for the
+            # final walk to reuse.
+            p_lo = dimensionless_params(medium, k_lo, h)
+            crossings = circle_crossings(*scheme.spec.char_poly(p_lo))
+            if _walk(scheme, p_lo, 0.0, _q_max(p_lo, h, h_y), crossings)[3].stable:
+                a, bottom = k_lo, crossings
+            else:
+                b = k_lo
+    lo, hi = _bisect(lo, hi, lambda mid: mid <= a or (mid < b and stable_at(mid)))
     p_lo, p_hi = dimensionless_params(medium, lo, h), dimensionless_params(medium, hi, h)
     _, _, at_break, verdict, _ = _walk(scheme, p_lo, _q_max(p_lo, h, h_y),
-                                       _q_max(p_hi, h, h_y))
+                                       _q_max(p_hi, h, h_y), bottom,
+                                       lo_stable=bottom is not None)
     if verdict.stable:
         attained = stable_at(k_lim) if k_lim is not None and lo < k_lim <= hi else None
     else:

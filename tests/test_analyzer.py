@@ -285,14 +285,22 @@ def test_worst_case_rejects_medium_of_other_kind(optical_lorentz):
         worst_case_verdict(Scheme.DEBYE_JOSEPH, optical_lorentz, 1e-17, 1e-8)
 
 
-def test_boundary_without_instability_below_2h_is_a_numerical_failure(water, monkeypatch):
+def test_boundary_without_instability_below_2h_is_a_numerical_failure(
+        water, optical_lorentz, monkeypatch):
     """The bracket's top, 2h/c_inf, must be unstable; a search that finds it
     stable refuses to report a boundary.  Every probe is stubbed stable, so
-    the walk at the top finds no end to its stable q-range either."""
+    the walk at the top finds no end to its stable q-range either, except
+    at q = 3 for Lorentz-Joseph: the midpoint between 2 and 4 of the top's
+    walk over the candidates, which the full walk does not probe (it has a
+    crossing in between), so the full walk still refuses."""
     stable = analyzer.StabilityVerdict(True, Argument.THEOREM_SCHUR, "stubbed")
-    monkeypatch.setattr(analyzer, "classify_at_q", lambda *a, **kw: stable)
-    with pytest.raises(NumericalFailureError, match="no instability found up to 2h/c_inf"):
-        stability_boundary_k(Scheme.DEBYE_JOSEPH, water, 1e-5)
+    unstable = analyzer.StabilityVerdict(False, Argument.THEOREM_VON_NEUMANN, "stubbed")
+    for scheme, medium, h, unstable_qs in ((Scheme.DEBYE_JOSEPH, water, 1e-5, ()),
+                                           (Scheme.LORENTZ_JOSEPH, optical_lorentz, 1e-8, (3.0,))):
+        monkeypatch.setattr(analyzer, "classify_at_q",
+                            lambda s, p, q, bad=unstable_qs: unstable if q in bad else stable)
+        with pytest.raises(NumericalFailureError, match="no instability found up to 2h/c_inf"):
+            stability_boundary_k(scheme, medium, h)
 
 
 def test_worst_case_water(water):
@@ -471,9 +479,9 @@ def _walk_counter(monkeypatch) -> list:
     inner = analyzer._walk
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return inner(*args)
+        return inner(*args, **kwargs)
 
     monkeypatch.setattr(analyzer, "_walk", counted)
     return calls
@@ -550,13 +558,14 @@ def _random_grid(rng: random.Random):
 def test_boundary_search_matches_plain_bisection_on_random_media(monkeypatch):
     """Seeded random physical media and grids of every scheme
     (`_random_grid`).  Every outcome equals the plain bisection's, a refusal included, and the
-    searches take at most 0.42 of its q-walks in total (0.366 measured).  A
+    searches take at most 0.36 of its q-walks in total (0.340 measured).  A
     single search could take more where a missed prediction leaves the
     bisection to walk its midpoints, as where the float verdict reads a
     weak growth as stable (a damped Lorentz-Joseph medium just past q = 2);
-    on this draw none does.  Past Lorentz-Young's omega limit, walks read
-    q_c = 0 where q_-1 has turned negative, and secant steps on them
-    overshot; the formula of the q_-1 arm follows q_max down to k*."""
+    on this draw only a refusal does, by the top's walk over the candidates
+    that comes before the full walk.  Past Lorentz-Young's omega limit,
+    walks read q_c = 0 where q_-1 has turned negative, and secant steps on
+    them overshot; the formula of the q_-1 arm follows q_max down to k*."""
     rng = random.Random(23)
     calls = _walk_counter(monkeypatch)
     walks = plain_walks = 0
@@ -566,7 +575,7 @@ def test_boundary_search_matches_plain_bisection_on_random_media(monkeypatch):
         assert res == plain, (scheme, medium, h, kw)
         walks += n
         plain_walks += n_plain
-    assert walks <= 0.42 * plain_walks
+    assert walks <= 0.36 * plain_walks
 
 
 def test_unstable_q_max_probe_is_the_worst_case_verdict():
@@ -587,6 +596,90 @@ def test_unstable_q_max_probe_is_the_worst_case_verdict():
             assert not worst_case_verdict(scheme, medium, k, h, **kw).stable, (
                 scheme, medium, k, h, kw)
     assert refuted >= 50, refuted
+
+
+def test_unstable_candidate_breakpoint_is_the_worst_case_verdict():
+    """The prediction walks take only the candidates (`_candidates`) as
+    breakpoints and solve for no boundary-locus crossing.  The top's walk
+    still refuses a top with no instability soundly: each of its
+    breakpoints is one of the full walk's too, so wherever it stops at an
+    unstable breakpoint, `worst_case_verdict` reads unstable.  Seeded grids
+    of every scheme, 1D and 2D, at time steps from 0.1 of 2h/c_inf up to
+    it."""
+    rng = random.Random(28)
+    decided = 0
+    for _ in range(150):
+        scheme, medium, h, kw = _random_grid(rng)
+        k = 2.0 * h / medium.c_inf * 10.0 ** rng.uniform(-1.0, 0.0)
+        params = dimensionless_params(medium, k, h)
+        _, _, at_break, verdict, _ = analyzer._walk(
+            scheme, params, 0.0, analyzer._q_max(params, h, kw.get("h_y")),
+            analyzer._candidates(scheme, params))
+        if not verdict.stable and at_break:
+            decided += 1
+            assert not worst_case_verdict(scheme, medium, k, h, **kw).stable, (
+                scheme, medium, k, h, kw)
+    assert decided >= 30, decided
+
+
+def test_checked_bracket_is_the_plain_bisection_final_interval(monkeypatch):
+    """The search checks the bisection's own final interval around its
+    predicted k* (the first `_bisect`).  Where the prediction holds, that
+    is where the worst-case verdict reads stable at its bottom and unstable
+    at its top, it is the plain bisection's final interval, and k* is its
+    bottom.  Two criterion-4 media, one of them on a 2D grid, and seeded
+    random grids."""
+    inner = analyzer._bisect
+    cells = []
+
+    def recorded(*args):
+        cells.append(inner(*args))
+        return cells[-1]
+
+    monkeypatch.setattr(analyzer, "_bisect", recorded)
+    rng = random.Random(29)
+    grids = [(Scheme.DEBYE_JOSEPH, MediumModel.debye(1.8, 81.0, 9.4e-12), 1e-5, {}),
+             (Scheme.LORENTZ_KASHIWA, MediumModel.lorentz(1.0, 2.25, 4e16, 0.56e16),
+              1e-8, dict(h_y=2e-8))]
+    grids += [_random_grid(rng) for _ in range(40)]
+    held = 0
+    for scheme, medium, h, kw in grids:
+        cells.clear()
+        try:
+            res = stability_boundary_k(scheme, medium, h, **kw)
+        except NumericalFailureError:
+            continue
+        if len(cells) < 2:
+            continue  # no prediction, or a resonant bottom
+        k_lo, k_hi = cells[0]
+        if not (worst_case_verdict(scheme, medium, k_lo, h, **kw).stable
+                and not worst_case_verdict(scheme, medium, k_hi, h, **kw).stable):
+            continue
+        held += 1
+        plain = plain_bisection_boundary(scheme, medium, h, **kw)
+        assert plain.detail == f"bisection converged to [{k_lo:.9e}, {k_hi:.9e}]"
+        assert res.k_star == plain.k_star == k_lo
+        assert cells[1] == cells[0]
+    assert held >= 25, held
+
+
+def test_repeated_search_solves_as_often(water, monkeypatch):
+    """Crossings are reused only within one search: two identical searches
+    in a row solve for the boundary-locus crossings equally often."""
+    inner = analyzer.circle_crossings
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(analyzer, "circle_crossings", counted)
+    counts = []
+    for _ in range(2):
+        solves.clear()
+        stability_boundary_k(Scheme.DEBYE_JOSEPH, water, 1e-5)
+        counts.append(len(solves))
+    assert counts[0] == counts[1] > 0
 
 
 def test_candidate_q_minus_one_is_the_z_minus_one_crossing():
