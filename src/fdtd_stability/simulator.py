@@ -18,15 +18,19 @@ component (`FieldState.labels`); in TM the x and y components of a field
 sit next to each other.  The Yee curl of 1D, TE and TM is one table,
 `_CURL`: each magnetic slot's update as signed differences of the old
 field slots, and each field slot's curl source S as signed differences of
-the new magnetic slots.  `_bind` compiles that table, with the scheme's
-``SchemeSpec.material(params)`` update, into one flat list of bound calls
-from a source buffer into a destination buffer: every slot view, stencil
-slice, scratch array and scalar coefficient is bound once, and every
-difference and update writes with ``out=`` into the destination, so a
-step allocates no state.  A growth run alternates two buffers and ends
-each step with one sup-norm over the whole stacked buffer; public `step`
-runs the same list once into a fresh buffer, so there is one stepping
-code path.
+the new magnetic slots.  `_bind` compiles that table, with the calls
+that the scheme's ``SchemeSpec.material(params)`` binder returns, into
+one flat list of bound ufunc calls from a source buffer into a
+destination buffer: every slot view, stencil slice, scratch array and
+scalar coefficient (a 0-d float64 array) is bound once, and every call
+writes its positional output into the destination or the scratch, so a
+step allocates nothing and runs no Python frame of its own.  A growth
+run alternates two buffers and reads the sup-norms in blocks of steps
+(`_norm_blocks`): on a small state each step ends with a bound ``np.abs``
+into one row of a row block, and one reduction per block reads the
+block's norms; a state above the row budget has its norm read in place
+after every step.  Public `step` runs the same list once into a fresh
+buffer, so there is one stepping code path.
 
 The periodic differences are slicing stencils: ``a[1:] - a[:-1]`` and the
 one wrapped row or column, written into the result array.  They do the
@@ -36,8 +40,9 @@ step on the small grids of the verify sweep.
 
 The ``steps`` of a growth run are a budget: the run ends at the step that
 decides it, the first whose sup-norm is more than GROWTH_NORM_FACTOR times
-the initial one or is not finite.  A non-finite entry anywhere in the
-state, NaN included, is overflow.
+the initial one or is not finite; the steps that its block computed past
+it are discarded.  A non-finite entry anywhere in the state, NaN
+included, is overflow.
 """
 
 from __future__ import annotations
@@ -94,14 +99,14 @@ class FieldState:
         return self.data.shape[1:]
 
     def sup_norm(self) -> float:
-        return _sup_norm(self.data, np.empty_like(self.data))
+        return _sup_norm(self.data)
 
 
-def _sup_norm(data: np.ndarray, free: np.ndarray) -> float:
-    """Largest absolute entry; NaN if any entry is NaN.  One NaN-propagating
-    ``max`` over the whole stacked state, whose absolute values go into
-    ``free``, a buffer of the same shape that holds nothing still needed."""
-    return float(np.abs(data, out=free).max())
+def _sup_norm(data: np.ndarray) -> float:
+    """Largest absolute entry; NaN if any entry is NaN.  Two NaN-propagating
+    reductions over the whole stacked state that write nothing; ``abs``
+    reads a zero state's -0.0 as the 0.0 of ``np.abs(data).max()``."""
+    return abs(max(float(data.max()), -float(data.min())))
 
 
 @dataclass(frozen=True)
@@ -178,12 +183,12 @@ def init_plane_wave(scheme: Scheme, grid: int | tuple[int, int], wn: Wavenumber,
     return FieldState(scheme, polarization, data, h_ratio=h_ratio)
 
 
-# The periodic differences bind their slices once and return a thunk that
-# writes the difference of the current values of ``a`` into ``out``.  They
-# do the arithmetic of ``np.roll`` stencils element by element; ``a`` and
-# ``out`` are C-contiguous and distinct.
+# The periodic differences bind their slices once and return the bound
+# calls that write the difference of the current values of ``a`` into
+# ``out``.  They do the arithmetic of ``np.roll`` stencils element by
+# element; ``a`` and ``out`` are C-contiguous and distinct.
 
-def _dfwd(a: np.ndarray, out: np.ndarray, axis: int = 0) -> Callable[[], None]:
+def _dfwd(a: np.ndarray, out: np.ndarray, axis: int = 0) -> list[Callable[[], None]]:
     """Periodic forward difference a[j+1] - a[j] along axis 0 or 1."""
     if axis == 0:
         return _subtractions(a[1:], a[:-1], out[:-1], a[:1], a[-1:], out[-1:])
@@ -194,7 +199,7 @@ def _dfwd(a: np.ndarray, out: np.ndarray, axis: int = 0) -> Callable[[], None]:
     return _subtractions(src[1:], src[:-1], dst[:-1], a[:, :1], a[:, -1:], out[:, -1:])
 
 
-def _dback(a: np.ndarray, out: np.ndarray, axis: int = 0) -> Callable[[], None]:
+def _dback(a: np.ndarray, out: np.ndarray, axis: int = 0) -> list[Callable[[], None]]:
     """Periodic backward difference a[j] - a[j-1] along axis 0 or 1."""
     if axis == 0:
         return _subtractions(a[1:], a[:-1], out[1:], a[:1], a[-1:], out[:1])
@@ -202,14 +207,9 @@ def _dback(a: np.ndarray, out: np.ndarray, axis: int = 0) -> Callable[[], None]:
     return _subtractions(src[1:], src[:-1], dst[1:], a[:, :1], a[:, -1:], out[:, :1])
 
 
-def _subtractions(x1, y1, o1, x2, y2, o2) -> Callable[[], None]:
-    """Thunk writing x1 - y1 into o1, then x2 - y2 into o2."""
-    sub = np.subtract
-
-    def run():
-        sub(x1, y1, out=o1)
-        sub(x2, y2, out=o2)
-    return run
+def _subtractions(x1, y1, o1, x2, y2, o2) -> list[Callable[[], None]]:
+    """Calls writing x1 - y1 into o1, then x2 - y2 into o2."""
+    return [partial(np.subtract, x1, y1, o1), partial(np.subtract, x2, y2, o2)]
 
 
 # The Yee curl of each polarization: each magnetic slot's update as terms
@@ -237,14 +237,16 @@ def _bind(scheme: Scheme, polarization: str | None, params: DimensionlessParams,
     update.  src and dst are distinct C-order states; scratch is `_scratch`.
     The first difference of a sum goes into its target, later ones into S
     during the magnetic half-step and into the field slot not yet written
-    during the source."""
+    during the source.  Every call is a ufunc (or `np.copyto`) with its
+    operands bound and its output positional."""
     spec = scheme.spec
-    update = spec.material(params)
+    material = spec.material(params)
     labels = _LABELS[scheme, polarization]
     old, new = dict(zip(labels, src)), dict(zip(labels, dst))
     aux = [l for l in spec.state_labels if l not in ("b", "E")]
     lam = (params.lam, params.lam * h_ratio)  # by axis: x, y
-    S, S_old = (*scratch, None)[:2]  # S_old is None unless bound
+    *curl_sources, tmp = scratch
+    S, S_old = (*curl_sources, None)[:2]  # S_old is None unless bound
     calls = []
 
     def curl(terms, diff, fields, target, temp, base=None):
@@ -252,8 +254,8 @@ def _bind(scheme: Scheme, polarization: str | None, params: DimensionlessParams,
         # the coefficient, which is exact: (-c)*x == -(c*x), a + (-y) == a - y.
         for n, (sign, direction, label) in enumerate(terms):
             out, axis = temp if n else target, "xy".index(direction)
-            calls.append(diff(fields[label], out, axis))
-            calls.append(partial(np.multiply, sign * lam[axis], out, out))
+            calls.extend(diff(fields[label], out, axis))
+            calls.append(partial(np.multiply, np.array(sign * lam[axis]), out, out))
             if n or base is not None:
                 calls.append(partial(np.add, target if n else base, out, target))
 
@@ -262,17 +264,18 @@ def _bind(scheme: Scheme, polarization: str | None, params: DimensionlessParams,
         curl(terms, _dfwd, old, new[label], S, base=old[label])
     for label, terms in sources.items():
         # S from the new magnetic field, S_old (if bound) from the old one.
-        for target, fields in zip(scratch, (new, old)):
+        for target, fields in zip(curl_sources, (new, old)):
             curl(terms, _dback, fields, target, new[label])
         suffix = label[1:]  # "" or "_x"/"_y": the auxiliaries of this field
-        calls.append(partial(update, old[label], [old[a + suffix] for a in aux], S, S_old,
-                             new[label], [new[a + suffix] for a in aux]))
+        calls += material(old[label], [old[a + suffix] for a in aux], S, S_old,
+                          new[label], [new[a + suffix] for a in aux], tmp)
     return calls
 
 
 def _scratch(scheme: Scheme, grid_shape: tuple[int, ...]) -> np.ndarray:
-    """Curl source S, then S_old if the scheme's update reads it."""
-    return np.empty((1 + scheme.spec.needs_prev_source, *grid_shape))
+    """Curl source S, then S_old if the scheme's update reads it, then the
+    material update's temporary."""
+    return np.empty((2 + scheme.spec.needs_prev_source, *grid_shape))
 
 
 def step(scheme: Scheme, state: FieldState, params: DimensionlessParams) -> FieldState:
@@ -287,6 +290,55 @@ def step(scheme: Scheme, state: FieldState, params: DimensionlessParams) -> Fiel
                       _scratch(scheme, state.grid_shape)):
         call()
     return FieldState(scheme, state.polarization, out, state.h_ratio)
+
+
+# Byte budget of a growth run's row block: the absolute values of the
+# states of up to 64 steps, reduced to their sup-norms by one call.  A
+# state above half the budget has its norm read in place after every step.
+# Per step, best of 15 runs of 700 steps (NumPy 2.4, 2-core Xeon):
+# Lorentz-Kashiwa on 24 cells took 12.1 us with its norm read in place and
+# 8.0-8.2 us with any budget from 64 KiB to 1 MiB; on 24 x 24 in TM 34.0 us
+# in place, 33.7 us at 64 KiB (2 rows), 29.2 us at 256 KiB (8 rows) and
+# 29.6 us at 1 MiB; a 64 x 64 TM state (224 KiB) took 83-86 us at every
+# budget.  So 256 KiB is the smallest budget that gains on verify grids.
+_ROW_BLOCK_BYTES = 256 * 1024
+
+
+def _norm_blocks(legs, steps: int, norms: np.ndarray):
+    """Runs steps 1 to ``steps`` of a growth run block by block, alternating
+    the two legs (bound calls, destination state), and writes the sup-norm
+    of step i into norms[i]; yields each block's slice of norms once it is
+    written.  The caller stops the run by leaving the loop.
+
+    A state that fits the row budget twice runs in blocks of 8 steps,
+    then twice as many up to 64 and the budget, each even so the legs keep
+    alternating; step j of a block ends with a bound ``np.abs`` of its
+    state into row j, and one ``np.maximum.reduce`` per block reads the
+    rows' norms.  A larger state runs one step per block and reads its
+    norm in place (`_sup_norm`)."""
+    state = legs[0][1]
+    cap = min(64, _ROW_BLOCK_BYTES // state.nbytes) // 2 * 2
+    if cap == 0:
+        for i, (calls, out) in zip(range(1, steps + 1), itertools.cycle(legs)):
+            for call in calls:
+                call()
+            norms[i] = _sup_norm(out)
+            yield norms[i:i + 1]
+        return
+    rows = np.empty((cap, state.size))
+    calls = [call for j, (leg, out) in zip(range(cap), itertools.cycle(legs))
+             for call in (*leg, partial(np.abs, out.reshape(-1), rows[j]))]
+    per_step = len(calls) // cap
+    done, n = 0, min(8, cap)
+    while done < steps:
+        n = min(n, steps - done)
+        for call in calls[:n * per_step]:
+            call()
+        block = norms[done + 1:done + 1 + n]
+        np.maximum.reduce(rows[:n], axis=1, out=block)
+        yield block
+        done += n
+        n = min(2 * n, cap)
 
 
 def _tail_factor(norms: np.ndarray) -> float:
@@ -343,28 +395,29 @@ def run_growth(scheme: Scheme, medium: MediumModel, k: float, h: float,
     # of each direction are bound once, and both share the scratch.
     a, b = state.data, np.empty_like(state.data)
     scratch = _scratch(scheme, state.grid_shape)
-    legs = [(_bind(scheme, state.polarization, params, state.h_ratio, x, y, scratch), y, x)
+    legs = [(_bind(scheme, state.polarization, params, state.h_ratio, x, y, scratch), y)
             for x, y in ((a, b), (b, a))]
     norms = np.empty(steps + 1)
-    norms[0] = n0 = _sup_norm(a, b)
+    norms[0] = n0 = _sup_norm(a)
     overflow_step = None
     used = steps
+    first = 1  # the step of the block's first norm
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (calls, out, src) in zip(range(1, steps + 1), itertools.cycle(legs)):
-            for call in calls:
-                call()
-            v = _sup_norm(out, src)  # the source is read; it is free now
+        for block in _norm_blocks(legs, steps, norms):
             # The ratio the verdict reads, so the run stops exactly where
             # max_ratio first passes the factor; NaN and inf stop it too.
-            if not v / n0 <= GROWTH_NORM_FACTOR:
-                if math.isfinite(v):
-                    norms[i] = v
+            # Division by n0 > 0 keeps the order, so the block's largest
+            # norm decides whether any step fails.  The steps of the block
+            # after the first that fails are discarded.
+            if not block.max() / n0 <= GROWTH_NORM_FACTOR:
+                i = first + int(np.argmin(block / n0 <= GROWTH_NORM_FACTOR))
+                if math.isfinite(norms[i]):
                     used = i
                 else:
                     overflow_step = i
                     used = i - 1
                 break
-            norms[i] = v
+            first += len(block)
     norms = norms[:used + 1]
     factor = _tail_factor(norms)
     max_ratio = float(np.max(norms) / norms[0])

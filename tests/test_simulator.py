@@ -164,12 +164,15 @@ def test_step_shift_invariance(scheme):
 
 # --- slicing stencils against the np.roll referee ---------------------------
 
+# Like the slicing stencils, the referees return the list of calls that
+# write the difference of the current values of ``a`` into ``out``.
+
 def _roll_dfwd(a, out, axis=0):
-    return lambda: np.subtract(np.roll(a, -1, axis=axis), a, out=out)
+    return [lambda: np.subtract(np.roll(a, -1, axis=axis), a, out=out)]
 
 
 def _roll_dback(a, out, axis=0):
-    return lambda: np.subtract(a, np.roll(a, 1, axis=axis), out=out)
+    return [lambda: np.subtract(a, np.roll(a, 1, axis=axis), out=out)]
 
 
 @pytest.mark.parametrize("polarization", [None, "te", "tm"])
@@ -212,6 +215,8 @@ def test_sup_norm_sees_nan_after_finite_array():
     assert math.isnan(replace(st, data=data).sup_norm())
     data[1] = np.full(8, -3.0)
     assert replace(st, data=data).sup_norm() == 3.0
+    # A zero state reads +0.0, as np.abs(data).max() does.
+    assert math.copysign(1.0, replace(st, data=-np.zeros_like(data)).sup_norm()) == 1.0
 
 
 # --- vacuum limit ------------------------------------------------------------
@@ -445,6 +450,73 @@ def test_run_overflowing_part_way_is_a_loop_of_public_step(scheme, pol):
     assert rep.norms.tobytes() == norms.tobytes()
 
 
+def _landing(stop, lengths):
+    """(block index, "first" | "mid" | "last") of step ``stop`` of a run
+    whose steps ran in blocks of these lengths."""
+    start = 1
+    for index, n in enumerate(lengths):
+        if stop < start + n:
+            position = stop - start
+            return index, ("first" if position == 0 else
+                           "last" if position == n - 1 else "mid")
+        start += n
+    raise AssertionError(f"step {stop} lies past the blocks {lengths}")
+
+
+@pytest.mark.parametrize("landing", ["first", "last", "mid", "overflow", "budget"])
+def test_run_stopping_on_a_block_boundary_is_a_loop_of_public_step(landing, monkeypatch):
+    """run_growth reads its norms once per block of steps and discards the
+    steps it computed past the one that decides the run.  A seeded scan of
+    lam just above the Courant limit of Debye-Joseph on 8 cells (blocks of
+    8, 16, 32 and 44 steps in a 100-step budget) picks a run for each
+    landing: stopped by the norm factor on the first, the last or a middle
+    step of a later block; overflowing inside a later block (amplitude
+    1e306); or running its whole budget, which ends in a partial block.
+    Each ends where the public step() loop ends, with the same norms bit
+    for bit."""
+    lengths = []
+    blocks = simulator._norm_blocks
+
+    def recorded(*args):
+        for block in blocks(*args):
+            lengths.append(len(block))
+            yield block
+    monkeypatch.setattr(simulator, "_norm_blocks", recorded)
+    scheme, wn, steps = Scheme.DEBYE_JOSEPH, Wavenumber(math.pi), 100
+    medium, h = medium_for(scheme)
+    amplitude = 1e306 if landing == "overflow" else 1.0
+
+    def lands(rep):
+        if landing == "budget":
+            return rep.steps == steps and rep.max_norm_ratio <= simulator.GROWTH_NORM_FACTOR
+        if landing == "overflow":
+            return rep.overflow_step is not None and _landing(rep.overflow_step, lengths)[0] > 0
+        block, position = _landing(rep.steps, lengths)
+        return (rep.max_norm_ratio > simulator.GROWTH_NORM_FACTOR
+                and block > 0 and position == landing)
+
+    for lam in 1.0 + 10.0 ** np.random.default_rng(29).uniform(-4.0, -1.5, 200):
+        k = lam * h / medium.c_inf
+        lengths.clear()
+        rep = run_growth(scheme, medium, k, h, wn, steps, grid=8, amplitude=amplitude)
+        if lands(rep):
+            break
+    else:
+        pytest.fail(f"no scanned run lands {landing}")
+    norms, overflow_step = _step_loop_history(scheme, medium, k, h, wn, steps, None, 8,
+                                              amplitude)
+    stop = overflow_step or len(norms) - 1
+    block, position = _landing(stop, lengths)
+    if landing == "budget":
+        assert stop == steps and lengths == [8, 16, 32, 44]
+    elif landing == "overflow":
+        assert overflow_step is not None and block > 0
+    else:
+        assert overflow_step is None and block > 0 and position == landing
+    assert rep.norms.tobytes() == norms.tobytes()
+    assert (rep.steps, rep.overflow_step) == (len(norms) - 1, overflow_step)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(scheme=hst.sampled_from(list(Scheme)),
        pol=hst.sampled_from([None, "te", "tm"]),
@@ -574,6 +646,34 @@ def test_run_growth_peak_memory(optical_lorentz):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * state_bytes
+
+
+@pytest.mark.parametrize("n,has_rows", [(24, True), (128, False)])
+def test_run_growth_row_block_within_budget(optical_lorentz, n, has_rows):
+    """Beside its two states and three scratch slots, a Lorentz-Kashiwa TM
+    run holds a block of rows of up to _ROW_BLOCK_BYTES on a verify-size
+    24 x 24 grid (8 rows of 31.5 KiB), and none on 128 x 128, whose state
+    is above the budget.  The slack is the bound calls' Python objects,
+    about 40 KiB measured."""
+    h = 1e-8
+    k = 0.5 * h / optical_lorentz.c_inf
+    wn = Wavenumber(2 * math.pi * 5 / n, 2 * math.pi * 3 / n, h_x=h, h_y=h)
+    st = init_plane_wave(Scheme.LORENTZ_KASHIWA, (n, n), wn, 1.0, polarization="tm")
+    state_bytes = st.data.nbytes
+    base = state_bytes * (2 + 2 / len(st.labels))
+    del st
+    tracemalloc.start()
+    try:
+        run_growth(Scheme.LORENTZ_KASHIWA, optical_lorentz, k, h, wn, 100,
+                   polarization="tm", grid=(n, n))
+        extra = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    slack = 64 * 1024
+    if has_rows:
+        assert 2 * state_bytes <= extra <= simulator._ROW_BLOCK_BYTES + slack
+    else:
+        assert extra <= slack
 
 
 def test_step_rejects_mismatched_scheme():
