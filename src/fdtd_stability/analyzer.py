@@ -20,21 +20,21 @@ unreliable, so the classification snaps onto the exact degenerate value and
 takes the matrix route directly.
 
 Worst-case verdicts over all wavenumbers are exact, not sampled: the
-characteristic polynomial is affine in the Courant quantity q, so its roots
-can meet the unit circle only at the boundary-locus crossings of
-`polyloc.circle_crossings`.  Classifying those breakpoints (plus the range
-ends, 2, 4 and the degenerate q) and one point between each two decides a
-whole q range: [0, q_max] for a verdict, and for a stability boundary in
-the time step the final bisection interval's range, to tell whether the
-boundary is attained.  The boundary search predicts k* first, then checks
-the bisection's own final interval around the prediction and bisects only
-where the check fails: a walk that meets an unstable probe also tells
-where its stable q-range ends, q_c.  Where q_c is one of a few candidates
-(2, 4, q_-1 = -a(-1)/b(-1) or the degenerate q), that candidate's formula
+characteristic polynomial p_q = a + q b is affine in the Courant quantity
+q, and the resultant of p_q and its reversal factors in closed form for
+every scheme.  So a root can meet the unit circle, or two roots collide
+on it, only at q in {0, 2, 4, q_-1 = -a(-1)/b(-1), the degenerate q}
+(`_candidates`; the factorizations and the degenerate sets are checked
+exactly in the tests).  Classifying those breakpoints of a q range, its
+ends and one point between each two decides the whole range: [0, q_max]
+for a verdict, and for a stability boundary in the time step the final
+bisection interval's range, to tell whether the boundary is attained.
+The boundary search predicts k* first, then checks the bisection's own
+final interval around the prediction and bisects only where the check
+fails: a walk that meets an unstable probe also tells where its stable
+q-range ends, q_c.  Where q_c is a candidate, that candidate's formula
 gives q_c at other time steps with no walk, and the prediction solves
-q_max(k) = q_c(k) along it.  Walks that only predict take the candidates
-as their breakpoints and solve for no crossing; every verdict the result
-depends on walks them all.
+q_max(k) = q_c(k) along it.
 """
 
 from __future__ import annotations
@@ -46,12 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
-from .polyloc import (
-    Polynomial,
-    circle_crossings,
-    greedy_clusters,
-    is_simple_von_neumann,
-)
+from .polyloc import Polynomial, greedy_clusters, is_simple_von_neumann
 from .schemes import (
     DimensionlessParams,
     MediumModel,
@@ -203,10 +198,14 @@ def _degenerate_q(scheme: Scheme, params: DimensionlessParams) -> float | None:
 
 
 def _candidates(scheme: Scheme, params: DimensionlessParams) -> tuple[float | None, ...]:
-    """The values at which a stable q-range [0, q_c] ends: 2, 4,
-    q_-1 = -a(-1)/b(-1) and the degenerate q (None where a scheme has none).
-    q_-1 is computed as `circle_crossings` computes its z = -1 crossing, so
-    it equals that breakpoint of a walk bit for bit."""
+    """The q besides 0 at which a root of p_q = a + q b can meet the unit
+    circle or two roots collide on it: 2, 4, q_-1 = -a(-1)/b(-1) and the
+    degenerate q (None where a scheme has none).  Up to a q-free factor, the resultant
+    of p_q and its reversal is q^3 times powers of q - 2, q - 4 or the
+    linear factor whose root is q_-1.  Where the q-free factor vanishes
+    (eps_s = eps_inf or delta = 0), roots still collide on the circle only
+    at 0 or these q, the degenerate q only where delta = 0 and eps_s =
+    eps_inf both hold."""
     a, b = (np.asarray(c, dtype=float)[::-1] for c in scheme.spec.char_poly(params))
     b_m1 = np.polyval(b, -1.0)
     q_m1 = float(-np.polyval(a, -1.0) / b_m1) if b_m1 != 0 else None
@@ -215,10 +214,7 @@ def _candidates(scheme: Scheme, params: DimensionlessParams) -> tuple[float | No
 
 def _arm(candidates: tuple[float | None, ...], q_c: float) -> int | None:
     """Index into a walk's `_candidates` of the one its q_c ends at, or
-    None.  A relative 1e-9, as the walk's whisker: a closed limit of a full
-    walk ends at the last breakpoint below an unstable midpoint, which can
-    be a locus crossing a few ulps off the special value (Lorentz-Joseph's
-    q = 2 at 2 + 8e-15)."""
+    None.  A relative 1e-9, as the walk's whisker on q_hi."""
     return next((i for i, c in enumerate(candidates)
                  if c is not None and math.isclose(c, q_c, rel_tol=1e-9)), None)
 
@@ -315,26 +311,20 @@ def _q_max(params: DimensionlessParams, h: float, h_y: float | None) -> float:
     return q_max + 4.0 * lam_y * lam_y
 
 
-def _walk(scheme: Scheme, params: DimensionlessParams, q_lo: float, q_hi: float,
-          crossings=None, lo_stable: bool = False):
-    """Classify the breakpoints of [q_lo, q_hi] (q_lo, q_hi, 2, 4, the
-    degenerate q and the boundary-locus crossings) and one midpoint per
-    interval, in ascending order, up to the first unstable probe.  The
-    crossings are solved here (`circle_crossings`) unless given: the
-    crossing list of an earlier walk with the same parameters, or
-    `_candidates` for a walk that only predicts.  lo_stable: an earlier walk
-    read q_lo stable, and it is not probed again.  Returns the breakpoint
-    count, (q, is-breakpoint, verdict) of that probe, else of the top one,
-    and q_c, where the stable q-range found ends: the unstable breakpoint
-    (an open limit), the last breakpoint before an unstable midpoint (a
-    closed one), or q_hi when every probe is stable."""
-    if crossings is None:
-        crossings = circle_crossings(*scheme.spec.char_poly(params))
-    specials = [q_lo, q_hi, 2.0, 4.0, _degenerate_q(scheme, params)]
-    # Relative whisker: a q_hi a few ulps below a special value still probes it.
-    breaks = sorted({s for s in specials + list(crossings)
+def _walk(scheme: Scheme, params: DimensionlessParams, q_lo: float, q_hi: float):
+    """Classify the breakpoints of [q_lo, q_hi] (q_lo, q_hi and the
+    `_candidates` in range) and one midpoint per interval, in ascending
+    order, up to the first unstable probe.  Between two breakpoints no root
+    meets the unit circle, so the midpoint's verdict holds on the whole
+    open interval.  Returns the breakpoint count, (q, is-breakpoint,
+    verdict) of that probe, else of the top one, and q_c, where the stable
+    q-range found ends: the unstable breakpoint (an open limit), the last
+    breakpoint before an unstable midpoint (a closed one), or q_hi when
+    every probe is stable."""
+    # Relative whisker: a q_hi a few ulps below a candidate still probes it.
+    breaks = sorted({s for s in (q_lo, q_hi) + _candidates(scheme, params)
                      if s is not None and q_lo <= s <= q_hi * (1.0 + 1e-9)})
-    probes = [] if lo_stable else [(breaks[0], True)]
+    probes = [(breaks[0], True)]
     for a, b in zip(breaks, breaks[1:]):
         probes += [(0.5 * (a + b), False), (b, True)]
     q_c = breaks[0]
@@ -438,12 +428,8 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
     that candidate's formula then gives q_c at the next time steps, with no
     walk, as long as they lie on the same side of the scheme's parameter
     limit `SchemeSpec.k_limit` as the walk that named it; otherwise a walk
-    over the top's q-range finds q_c and names the arm anew.  These walks
-    only predict, so they take the candidates as their breakpoints and
-    solve for no boundary-locus crossing.  The top walk also refuses a top
-    with no instability: an unstable probe at one of its breakpoints is one
-    of the full walk's breakpoints too, and otherwise q_max and then, if
-    that reads stable, the full walk decide.
+    over the top's q-range finds q_c and names the arm anew.  The top's
+    walk is its worst-case verdict, and a top that reads stable is refused.
 
     Check: the bisection's final interval around the predicted k*, [k_lo,
     k_hi], must read unstable at k_hi and stable at k_lo.  A verdict that
@@ -462,11 +448,10 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
 
     With the parameters at the final bisection interval's lo, q is walked
     on from q_max(lo) to q_max(hi): an unstable breakpoint means an open
-    Courant condition, an unstable midpoint a closed one.  At k_lo this walk
-    continues the bracket check's, with its crossings and its stable
-    q_max(lo).  If the walk stays stable, the verdict at the scheme's
-    parameter limit `SchemeSpec.k_limit` decides attainability when that
-    limit lies in (lo, hi].
+    Courant condition, an unstable midpoint a closed one.  If the walk
+    stays stable, the verdict at the scheme's parameter limit
+    `SchemeSpec.k_limit` decides attainability when that limit lies in
+    (lo, hi].
     """
     if not (h > 0 and math.isfinite(h)):
         raise InvalidInputError("space step h must be positive and finite")
@@ -488,22 +473,17 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
         if (index is not None and candidates[index] is not None
                 and (k_lim is None or (k < k_lim) == (k_named < k_lim))):
             return candidates[index]
-        q_c = _walk(scheme, params, 0.0, q_top, candidates)[4]
+        q_c = _walk(scheme, params, 0.0, q_top)[4]
         arm = _arm(candidates, q_c), k
         return q_c
 
     hi = 2.0 * h / medium.c_inf
     p_hi = _params(scheme, medium, hi, h)
     q_top = _q_max(p_hi, h, h_y)
-    top_candidates = _candidates(scheme, p_hi)
-    _, _, at_break, top, q_c = _walk(scheme, p_hi, 0.0, q_top, top_candidates)
-    if top.stable or not at_break and classify_at_q(scheme, p_hi, q_top).stable:
-        # No unstable breakpoint, which the full walk would share; only the
-        # full walk may refuse.
-        *_, top, q_c = _walk(scheme, p_hi, 0.0, q_top)
-        if top.stable:
-            raise NumericalFailureError(
-                "no instability found up to 2h/c_inf; cannot bracket a boundary")
+    *_, top, q_c = _walk(scheme, p_hi, 0.0, q_top)
+    if top.stable:
+        raise NumericalFailureError(
+            "no instability found up to 2h/c_inf; cannot bracket a boundary")
     k_hat = None
     lo = 1e-6 * hi
     if not stable_at(lo):
@@ -514,36 +494,21 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
     k_lim = scheme.spec.k_limit(medium) if scheme.spec.k_limit else None
     # The candidate the latest walk's q_c ended at, and that walk's k.  Its
     # formula stands in for walks on the same side of k_lim only.
-    arm = _arm(top_candidates, q_c), hi
+    arm = _arm(_candidates(scheme, p_hi), q_c), hi
     # a reads stable and b unstable; the bisection walks only inside (a, b).
     a, b = lo, hi
-    # The crossings of the walk that read a = k_lo stable.  No midpoint then
-    # falls inside (k_lo, b), and the bisection ends at lo = k_lo.
-    bottom = None
     k_hat = _predict_k(q_c_at, hi, q_top, q_c, lo, k_lim)
     if k_hat is not None:
         k_lo, k_hi = _bisect(lo, hi, lambda k: k <= k_hat)
         # Float verdicts err towards stable, so the top end fails more often,
         # and a stable top end makes the bottom one stable too.
-        if k_hi < b:
-            if stable_at(k_hi):
-                a = k_hi
-            else:
-                b = k_hi
-        if a < k_lo < b:
-            # The worst-case walk, with its crossings solved here for the
-            # final walk to reuse.
-            p_lo = dimensionless_params(medium, k_lo, h)
-            crossings = circle_crossings(*scheme.spec.char_poly(p_lo))
-            if _walk(scheme, p_lo, 0.0, _q_max(p_lo, h, h_y), crossings)[3].stable:
-                a, bottom = k_lo, crossings
-            else:
-                b = k_lo
+        for k in (k_hi, k_lo):
+            if a < k < b:
+                a, b = (k, b) if stable_at(k) else (a, k)
     lo, hi = _bisect(lo, hi, lambda mid: mid <= a or (mid < b and stable_at(mid)))
     p_lo, p_hi = dimensionless_params(medium, lo, h), dimensionless_params(medium, hi, h)
     _, _, at_break, verdict, _ = _walk(scheme, p_lo, _q_max(p_lo, h, h_y),
-                                       _q_max(p_hi, h, h_y), bottom,
-                                       lo_stable=bottom is not None)
+                                       _q_max(p_hi, h, h_y))
     if verdict.stable:
         attained = stable_at(k_lim) if k_lim is not None and lo < k_lim <= hi else None
     else:

@@ -16,10 +16,8 @@ conj(c0) z^d`` and one reduction step maps ``p`` to
 The constant term of the numerator cancels exactly, so the division is a
 coefficient shift.  One `is_simple_von_neumann` pass decides both classes
 (`LocationResult.schur`), with tolerances on float coefficients and
-exactly on `fractions.Fraction` ones.  For a polynomial family affine in a
-real parameter q, `circle_crossings` finds the q at which a root can meet
-the unit circle, and `max_root_modulus` reads the largest root modulus off
-the companion matrix.
+exactly on `fractions.Fraction` ones.  `max_root_modulus` reads the
+largest root modulus off the companion matrix.
 
 All values are immutable; every function is pure and thread-safe.
 """
@@ -43,12 +41,6 @@ TRIM_REL_TOL = 1e-12
 # normalized by their largest coefficient first, so the test is invariant
 # under rescaling of the polynomial.
 BOUNDARY_REL_TOL = 1e-12
-
-# Locus roots with | |z| - 1 | <= CROSSING_TOL are crossing candidates, and
-# candidate q values with an imaginary part up to CROSSING_TOL (relative)
-# count as real.  Loose on purpose: an extra candidate costs the caller one
-# probe, a missed one a wrong verdict.
-CROSSING_TOL = 1e-6
 
 
 class Polynomial:
@@ -267,75 +259,3 @@ def max_root_modulus(p: Polynomial) -> float:
     roots = poly_roots(p)
     return float(np.max(np.abs(roots))) if roots.size else 0.0
 
-
-# ---------------------------------------------------------------------------
-# Boundary locus of an affine polynomial family a(z) + q b(z).
-# ---------------------------------------------------------------------------
-
-def _product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Product of two descending coefficient arrays, each first stripped of
-    its leading zeros as np.polymul does: the convolution's summation order,
-    and so every bit of the result, then does not depend on them."""
-    u, v = (x[nz[0]:] if (nz := np.flatnonzero(x)).size else np.zeros(1)
-            for x in (u, v))
-    return np.convolve(u, v)
-
-
-def circle_crossings(a: Sequence[float], b: Sequence[float]) -> list[float]:
-    """Real values of q at which a root of ``a(z) + q b(z)`` can lie on the
-    unit circle, sorted (boundary-locus method).
-
-    ``a`` and ``b`` are real ascending coefficients of equal length d + 1.
-    A unit root z needs q = -a(z)/b(z) real, so z is a unit-modulus root of
-    the locus polynomial z^d [a(z) b(1/z) - b(z) a(1/z)], of degree at most
-    2d.  Between consecutive returned values no root meets the circle, so
-    the root configuration relative to it is constant, apart from isolated
-    q where the degree drops (a root passes through infinity, never the
-    circle; those q are not returned).  Spurious extra values are possible;
-    every tolerance errs towards keeping a candidate.
-
-    The locus is formed from the palindromic and antipalindromic parts of a
-    and b, where differences of nearly equal coefficients are exact; the
-    direct form cancels most digits when the family is nearly palindromic
-    (small time steps).  z = +-1 are locus roots of every family and are
-    taken exactly.  The locus vanishes identically when a = g u and b = g v
-    with u, v palindromic (undamped Lorentz media, eps_s = eps_inf, the
-    Debye-Young scheme at delta = 1): then q(z) = -a(z)/b(z) is real all
-    round the circle, roots move along it, and they change only where two
-    of them meet, at a unit root of the Wronskian a' b - a b'.  Those roots
-    are always candidates too; where the locus does not vanish they add
-    nothing but double roots on the circle, which it also has.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or a.shape != b.shape or a.size < 2:
-        raise InvalidInputError("a and b must be coefficient sequences of equal length >= 2")
-    # With a = (a_s + a_x)/2, a reversed = (a_s - a_x)/2 and likewise for b,
-    # the locus is (a_x b_s - a_s b_x)/2.
-    a_s, a_x = a + a[::-1], a - a[::-1]
-    b_s, b_x = b + b[::-1], b - b[::-1]
-    locus = np.convolve(a_x, b_s) - np.convolve(a_s, b_x)
-    a_desc, b_desc = a[::-1], b[::-1]
-    da_desc, db_desc = np.polyder(a_desc), np.polyder(b_desc)
-    plus, minus = _product(da_desc, b_desc), _product(a_desc, db_desc)
-    n = max(plus.size, minus.size)
-    wronskian = (np.concatenate((np.zeros(n - plus.size), plus))
-                 - np.concatenate((np.zeros(n - minus.size), minus)))
-    if not np.any(locus) and not np.any(wronskian):
-        raise NumericalFailureError("a and b are proportional: the roots do not move with q")
-    scale_a, scale_b = np.sum(np.abs(a)), np.sum(np.abs(b))
-    qs: list[complex] = []
-    for z in [1.0, -1.0] + [r for r in np.concatenate([np.roots(locus[::-1]),
-                                                       np.roots(wronskian)])
-                            if abs(abs(r) - 1.0) <= CROSSING_TOL]:
-        az, bz = np.polyval(a_desc, z), np.polyval(b_desc, z)
-        if bz != 0:
-            qs.append(-az / bz)
-        if abs(az) <= CROSSING_TOL * scale_a and abs(bz) <= CROSSING_TOL * scale_b:
-            # a and b share the root z, which then stays on the circle for
-            # every q; another root meets it where the derivative vanishes.
-            dbz = np.polyval(db_desc, z)
-            if dbz != 0:
-                qs.append(-np.polyval(da_desc, z) / dbz)
-    return sorted(float(q.real) for q in qs
-                  if abs(q.imag) <= CROSSING_TOL * max(1.0, abs(q.real)))

@@ -7,7 +7,11 @@ matrix and its characteristic polynomial det(Z I - G) (from eigenvalues,
 or exactly for a matrix of Fractions), and the grid's own
 Fourier amplitudes and per-mode update matrices measured from `step`;
 also the plain bisection for the stability boundary, which walks every
-midpoint, and the single reduction step of the root-location recursion.
+midpoint, the single reduction step of the root-location recursion, and
+the theorem behind the walk's breakpoints as data: the factored resultant
+of each scheme's polynomial and its reversal, and the sets where that
+resultant vanishes in q, with exact resultants, gcds and discriminants to
+check them.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -209,6 +213,169 @@ def plain_bisection_boundary(scheme: Scheme, medium: MediumModel, h: float,
         attained = not at_break
     return analyzer.BoundaryResult(lo, attained, False, None,
                                    f"bisection converged to [{lo:.9e}, {hi:.9e}]")
+
+
+# --- the theorem's breakpoints ----------------------------------------------------
+#
+# p_q = a + q b with (a, b) = `SchemeSpec.char_poly` at (delta, eps_s', omega), and
+# p_q*(z) = z^d p_q(1/z) its reversal.  A root of p_q meets the unit circle only
+# where R(q) = res_z(p_q, p_q*) = 0, since a unit root z is also a root of p_q*.
+# Each formula below is R(q) up to sign, factored, with integer coefficients in
+# (d, e, w, q) = (delta, eps_s', omega, q).  Their zeros in q > 0 are 2, 4 and
+# q_-1 = -a(-1)/b(-1): 4 for Debye-Joseph and Lorentz-Kashiwa, the root of the
+# last factor for the others.
+
+RESULTANTS: dict[Scheme, Callable] = {
+    Scheme.DEBYE_JOSEPH:
+        lambda d, e, w, q: 16 * d**3 * (e - 1)**2 * q**3 * (q - 4),
+    Scheme.DEBYE_YOUNG:
+        lambda d, e, w, q: (16 * d**3 * (d - 1)**2 * (d + 1)**2 * (e - 1)**2
+                            * q**3 * (q - 4 * (1 + d**2 * (e - 1)))),
+    Scheme.LORENTZ_JOSEPH:
+        lambda d, e, w, q: (64 * d**4 * w**3 * (e - 1)**2
+                            * q**3 * (q - 2)**2 * ((2 + w) * q - 4 * (2 + w * e))),
+    Scheme.LORENTZ_KASHIWA:
+        lambda d, e, w, q: 32 * d**4 * w**3 * (e - 1)**2 * q**3 * (q - 4)**3,
+    Scheme.LORENTZ_YOUNG:
+        lambda d, e, w, q: (256 * d**4 * w**3 * (e - 1)**2
+                            * q**3 * ((w - 2) * q + 4 * (2 - w * e))),
+}
+
+
+class DegenerateSet(NamedTuple):
+    """A set on which the q-free factor of R vanishes, so that p_q and p_q*
+    share the factor u = gcd(p_q, p_q*) for every q.  The rest r = p_q / u
+    has res_z(r, r*) = rest, nonzero off the set's own zeros, so no root of
+    r lies on the unit circle.  u is self-reciprocal: its roots come in
+    pairs z, 1/z, and one leaves the circle only where two of them collide,
+    at a zero of disc_z(u)."""
+
+    param: str  # "delta" or "eps_s_prime", fixed at value
+    value: int
+    gcd: Callable  # (d, e, w, q) -> u by ascending powers of z
+    disc: Callable  # (d, e, w, q) -> disc_z(u)
+    rest: Callable  # (d, e, w) -> res_z(r, r*), up to sign
+
+
+_EQUAL_EPS = ("eps_s_prime", 1, lambda d, e, w, q: (1, q - 2, 1),
+              lambda d, e, w, q: q * (q - 4))
+_DEBYE_UNDAMPED = DegenerateSet("delta", 0, lambda d, e, w, q: (-1, 3 - q, q - 3, 1),
+                                lambda d, e, w, q: q**3 * (q - 4), lambda d, e, w: 1)
+
+# The zeros of the discriminants in q are 0, 4, q_-1 (4 eps_s' for Debye-Young
+# at delta = 1) and those of a squared quadratic, which has none for eps_s' > 1
+# and at eps_s' = 1 the double zero `SchemeSpec.degenerate_q`: 2w/(1 + w),
+# 2w/(1 + w/2) and 2w.
+DEGENERATE_SETS: dict[Scheme, tuple[DegenerateSet, ...]] = {
+    Scheme.DEBYE_JOSEPH: (DegenerateSet(*_EQUAL_EPS, lambda d, e, w: 4 * d), _DEBYE_UNDAMPED),
+    Scheme.DEBYE_YOUNG: (
+        DegenerateSet(*_EQUAL_EPS, lambda d, e, w: 4 * d), _DEBYE_UNDAMPED,
+        DegenerateSet("delta", 1, lambda d, e, w, q: (2 * e, 2 * q - 4 * e, 2 * e),
+                      lambda d, e, w, q: 4 * q * (q - 4 * e), lambda d, e, w: 1)),
+    Scheme.LORENTZ_JOSEPH: (
+        DegenerateSet(*_EQUAL_EPS, lambda d, e, w: 16 * d**2 * w * (w + 2)),
+        DegenerateSet(
+            "delta", 0,
+            lambda d, e, w, q: (1 + w * e, (1 + w) * q - 4 - 2 * w * e,
+                                6 + 2 * w * e - 2 * q, (1 + w) * q - 4 - 2 * w * e, 1 + w * e),
+            lambda d, e, w, q: (-4 * w * q * ((2 + w) * q - 4 * (2 + w * e))
+                                * (((1 + w) * q - 2 * w * e)**2 + 8 * w * e * q
+                                   - 8 * w * q)**2),
+            lambda d, e, w: 1)),
+    Scheme.LORENTZ_KASHIWA: (
+        DegenerateSet(*_EQUAL_EPS, lambda d, e, w: 32 * d**2 * w),
+        DegenerateSet(
+            "delta", 0,
+            lambda d, e, w, q: (2 + w * e, (2 + w) * q - 8, 12 - 2 * w * e + 2 * (w - 2) * q,
+                                (2 + w) * q - 8, 2 + w * e),
+            lambda d, e, w, q: (-32 * w * q * (q - 4)
+                                * (((2 + w) * q - 4 * w * e)**2 + 32 * w * e * q
+                                   - 32 * w * q)**2),
+            lambda d, e, w: 1)),
+    Scheme.LORENTZ_YOUNG: (
+        DegenerateSet(*_EQUAL_EPS, lambda d, e, w: 16 * d**2 * w * (w - 2)),
+        DegenerateSet(
+            "delta", 0,
+            lambda d, e, w, q: (1, q - 4 + 2 * w * e, 6 - 4 * w * e + 2 * (w - 1) * q,
+                                q - 4 + 2 * w * e, 1),
+            lambda d, e, w, q: (4 * w * q * ((w - 2) * q + 4 * (2 - w * e))
+                                * ((q + 2 * w * e)**2 - 8 * w * q)**2),
+            lambda d, e, w: 1)),
+}
+
+
+def exact_poly_q(scheme: Scheme, params: DimensionlessParams, q: Fraction) -> list[Fraction]:
+    """Ascending coefficients of p_q = a + q b for Fraction parameters."""
+    a, b = scheme.spec.char_poly(params)
+    return [x + q * y for x, y in zip(a, b)]
+
+
+def det_exact(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant of a square matrix of Fractions: each row scaled to
+    integers, then fraction-free (Bareiss) elimination with row swaps."""
+    scale = Fraction(1)
+    m = []
+    for row in rows:
+        lcm = math.lcm(*(Fraction(x).denominator for x in row))
+        scale *= lcm
+        m.append([int(x * lcm) for x in row])
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * Fraction(m[-1][-1] if n else 1) / scale
+
+
+def resultant_exact(f: Sequence[Fraction], g: Sequence[Fraction]) -> Fraction:
+    """res_z(f, g) of ascending coefficient lists, by the Sylvester
+    determinant at their formal degrees len - 1.  For real f, f[::-1] is
+    the reversal f*(z) = z^d f(1/z)."""
+    m, n = len(f) - 1, len(g) - 1
+    size = m + n
+    rows = [[0] * i + list(f[::-1]) + [0] * (size - m - 1 - i) for i in range(n)]
+    rows += [[0] * i + list(g[::-1]) + [0] * (size - n - 1 - i) for i in range(m)]
+    return det_exact(rows)
+
+
+def discriminant_exact(u: Sequence[Fraction]) -> Fraction:
+    """disc_z(u) = (-1)^(n(n-1)/2) res_z(u, u') / lc(u), u of degree n."""
+    n = len(u) - 1
+    du = [j * c for j, c in enumerate(u)][1:]
+    return (-1) ** (n * (n - 1) // 2) * resultant_exact(u, du) / u[-1]
+
+
+def _trim(f: list[Fraction]) -> list[Fraction]:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def divmod_exact(f: Sequence[Fraction], g: Sequence[Fraction]):
+    """(quotient, remainder) of ascending coefficient lists, g nonzero."""
+    rem, g = _trim([Fraction(x) for x in f]), _trim([Fraction(x) for x in g])
+    quot = [Fraction(0)] * max(len(rem) - len(g) + 1, 1)
+    while len(rem) >= len(g):
+        c, shift = rem[-1] / g[-1], len(rem) - len(g)
+        quot[shift] = c
+        for j, x in enumerate(g):
+            rem[shift + j] -= c * x
+        _trim(rem)
+    return _trim(quot), rem
+
+
+def monic_gcd_exact(f: Sequence[Fraction], g: Sequence[Fraction]) -> list[Fraction]:
+    """Monic gcd of two nonzero ascending coefficient lists, by Euclid."""
+    f, g = _trim([Fraction(x) for x in f]), _trim([Fraction(x) for x in g])
+    while g:
+        f, g = g, divmod_exact(f, g)[1]
+    return [c / f[-1] for c in f]
 
 
 # --- grid measurements -----------------------------------------------------------

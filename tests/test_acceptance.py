@@ -207,22 +207,20 @@ def test_criterion_5_reference_numeric_crossovers():
 
 
 def test_criterion_4_5_verdict_budget(monkeypatch):
-    """Every q-walk, every boundary-locus solve (`circle_crossings`) and
-    every `classify_at_q` probe of a criterion-4/5 search counts: the walk
-    at the bracket top and the prediction walks that no candidate's formula
-    stands in for, which take only the candidates as breakpoints and solve
-    nothing; the walk at the bracket bottom; the two verdicts that check
-    the bisection's final interval around k*, and any bisection midpoint
-    where that check fails; the walk over the final interval's q-range,
-    which reuses the crossings of the check's stable end; and at most one
-    verdict at a parameter limit.  A verdict above the predicted k* first
-    probes q_max alone, and an unstable probe there makes no walk.  That is
-    4 to 7 walks, 2 to 3 solves and 22 to 33 probes here, where the plain
-    bisection walks and solves 18 to 22 times (15 to 18 midpoints down to
-    1e-4 relative width) in 68 to 165 probes, and no search walks, solves
-    or probes more than the plain bisection does."""
+    """Every q-walk and every `classify_at_q` probe of a criterion-4/5
+    search counts: the walk at the bracket top and the prediction walks
+    that no candidate's formula stands in for; the walk at the bracket
+    bottom; the two verdicts that check the bisection's final interval
+    around k*, and any bisection midpoint where that check fails; the walk
+    over the final interval's q-range; and at most one verdict at a
+    parameter limit.  A verdict above the predicted k* first probes q_max
+    alone, and an unstable probe there makes no walk.  That is 4 to 7
+    walks and 21 to 32 probes here, where the plain bisection walks 18 to
+    22 times (15 to 18 midpoints down to 1e-4 relative width) in 56 to 133
+    probes, and no search walks or probes more than the plain bisection
+    does."""
     calls = Counter()
-    for name in ("_walk", "circle_crossings", "classify_at_q"):
+    for name in ("_walk", "classify_at_q"):
         def counted(*args, _inner=getattr(analyzer, name), _name=name, **kwargs):
             calls[_name] += 1
             return _inner(*args, **kwargs)
@@ -234,12 +232,12 @@ def test_criterion_4_5_verdict_budget(monkeypatch):
                               (plain_bisection_boundary, plain)):
             calls.clear()
             search(scheme, medium, h)
-            tally.append((calls["_walk"], calls["circle_crossings"], calls["classify_at_q"]))
-    _report("criterion 4/5 verdict budget (at most 7 q-walks, 3 solves and 33 probes "
-            "per search, none more than the plain bisection)",
-            all(w <= 7 and n <= 3 and p <= 33 for w, n, p in counts)
+            tally.append((calls["_walk"], calls["classify_at_q"]))
+    _report("criterion 4/5 verdict budget (at most 7 q-walks and 32 probes per search, "
+            "none more than the plain bisection)",
+            all(w <= 7 and p <= 32 for w, p in counts)
             and all(map(lambda c, pc: all(x <= y for x, y in zip(c, pc)), counts, plain)),
-            f"(q-walks, solves, probes) per search {counts}, plain bisection {plain}")
+            f"(q-walks, probes) per search {counts}, plain bisection {plain}")
 
 
 @pytest.mark.parametrize("case,arm", [
@@ -256,21 +254,16 @@ def test_criterion_4_5_verdict_budget(monkeypatch):
 ])
 def test_criterion_4_5_top_arm(case, arm):
     """The candidate that the top walk's q_c ends at, as the search finds
-    it (`analyzer._arm`), and the same arm from the full walk that also
-    solves for the boundary-locus crossings.  A top past the scheme's
-    parameter limit ends its stable q-range at or near 0, which names no
-    arm: Debye-Young in foam and at the water crossover, and Lorentz-Young
-    past its omega limit."""
+    it (`analyzer._arm`).  A top past the scheme's parameter limit ends its
+    stable q-range at or near 0, which names no arm: Debye-Young in foam
+    and at the water crossover, and Lorentz-Young past its omega limit."""
     (_, scheme, medium, h, *_), = [c for c in CRITERION_4_CASES + CRITERION_5_CASES
                                    if c[0].startswith(case)]
     top = 2.0 * h / medium.c_inf
     params = dimensionless_params(medium, top, h)
-    q_top = analyzer._q_max(params, h, None)
-    candidates = analyzer._candidates(scheme, params)
-    for crossings in (candidates, None):
-        q_c = analyzer._walk(scheme, params, 0.0, q_top, crossings)[4]
-        index = analyzer._arm(candidates, q_c)
-        assert (None if index is None else ("2", "4", "q_-1", "degenerate")[index]) == arm
+    q_c = analyzer._walk(scheme, params, 0.0, analyzer._q_max(params, h, None))[4]
+    index = analyzer._arm(analyzer._candidates(scheme, params), q_c)
+    assert (None if index is None else ("2", "4", "q_-1", "degenerate")[index]) == arm
 
 
 @pytest.mark.parametrize("scheme,q_res_of", [

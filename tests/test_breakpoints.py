@@ -1,0 +1,202 @@
+"""The theorem behind the breakpoints of the q-walks of `worst_case_verdict`
+and `stability_boundary_k`: a root of p_q = a + q b meets the unit circle,
+or two roots collide on it, only at q = 0 or at a candidate of
+`analyzer._candidates` (2, 4, q_-1 and the degenerate q).
+
+Exact referees check the factored resultants and the degenerate sets of
+`referees.RESULTANTS` and `referees.DEGENERATE_SETS` at seeded rational
+points, in `Fraction` arithmetic.  A float root sweep checks that every q
+at which a root leaves or re-enters the closed unit disk lies next to a
+breakpoint.
+"""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from fdtd_stability import DimensionlessParams, Scheme, analyzer
+from referees import (
+    DEGENERATE_SETS,
+    RESULTANTS,
+    discriminant_exact,
+    divmod_exact,
+    exact_poly_q,
+    monic_gcd_exact,
+    resultant_exact,
+)
+
+
+def _rational(rng, lo, hi, den=997):
+    """A seeded rational strictly between lo and hi."""
+    return lo + Fraction(rng.randrange(1, den), den) * (hi - lo)
+
+
+def _exact_params(rng, scheme, **fixed):
+    """Seeded rational delta in (0, 2), eps_s' in (1, 40) and, for Lorentz
+    schemes, omega in (0, 3); the keywords fix some of them."""
+    values = dict(delta=_rational(rng, 0, 2), eps_s_prime=_rational(rng, 1, 40),
+                  omega=_rational(rng, 0, 3) if scheme.kind == "lorentz" else None)
+    values.update((k, Fraction(v)) for k, v in fixed.items())
+    return DimensionlessParams(lam=1.0, **values)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_resultant_factorizations(scheme):
+    """res_z(p_q, p_q*) equals the committed factorization up to sign, and
+    its zero q_-1 = -a(-1)/b(-1) is the candidate `_candidates` computes in
+    floats."""
+    rng = random.Random(f"resultant {scheme.value}")
+    for _ in range(40):
+        params = _exact_params(rng, scheme)
+        d, e, w = params.delta, params.eps_s_prime, params.omega
+        q = _rational(rng, 0, 8)
+        p = exact_poly_q(scheme, params, q)
+        formula = RESULTANTS[scheme](d, e, w, q)
+        assert formula != 0
+        assert resultant_exact(p, p[::-1]) in (formula, -formula), (params, q)
+        a, b = scheme.spec.char_poly(params)
+        q_m1 = -sum(x * (-1) ** j for j, x in enumerate(a)) / sum(
+            y * (-1) ** j for j, y in enumerate(b))
+        assert RESULTANTS[scheme](d, e, w, q_m1) == 0
+        float_params = DimensionlessParams(1.0, float(d), float(e), w and float(w))
+        assert analyzer._candidates(scheme, float_params)[2] == pytest.approx(
+            float(q_m1), rel=1e-13)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_degenerate_sets(scheme):
+    """On each set where the resultant vanishes for every q, the gcd of p_q
+    and p_q*, its discriminant and the resultant of the rest are the
+    committed ones."""
+    rng = random.Random(f"degenerate {scheme.value}")
+    for dset in DEGENERATE_SETS[scheme]:
+        for _ in range(10):
+            params = _exact_params(rng, scheme, **{dset.param: dset.value})
+            d, e, w = params.delta, params.eps_s_prime, params.omega
+            q = _rational(rng, 0, 8)
+            p = exact_poly_q(scheme, params, q)
+            assert RESULTANTS[scheme](d, e, w, q) == 0
+            u = [Fraction(c) for c in dset.gcd(d, e, w, q)]
+            assert monic_gcd_exact(p, p[::-1]) == [c / u[-1] for c in u]
+            assert discriminant_exact(u) == dset.disc(d, e, w, q)
+            rest, remainder = divmod_exact(p, u)
+            assert remainder == []
+            expected = dset.rest(d, e, w)
+            assert expected != 0
+            assert resultant_exact(rest, rest[::-1]) in (expected, -expected)
+
+
+# Float referee: sweep q densely, take the largest root modulus from np.roots,
+# and find where it passes 1 + EXIT_BAND (the band absorbs the rounding of
+# roots that lie on the circle for whole intervals of q).  Every such change
+# must sit next to a breakpoint.
+
+EXIT_BAND = 1e-6
+
+
+def _family_roots_outside(a, b, qs):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return [float(np.max(np.abs(np.roots((a + q * b)[::-1])))) > 1.0 + EXIT_BAND
+            for q in qs]
+
+
+def _assert_breakpoints_cover_exits(a, b, breakpoints, q_hi=5.0, n=801):
+    qs = np.linspace(0.0, q_hi, n)
+    outside = _family_roots_outside(a, b, qs)
+    slack = 2.0 * (qs[1] - qs[0])
+    for q0, q1, o0, o1 in zip(qs, qs[1:], outside, outside[1:]):
+        if o0 != o1:
+            assert any(q0 - slack <= c <= q1 + slack for c in breakpoints), \
+                (q0, q1, breakpoints)
+
+
+def _scheme_pairs():
+    cases = []
+    for scheme in Scheme:
+        if scheme.kind == "debye":
+            for delta, es in ((0.3, 2.0), (0.3, 1.0), (1.0, 2.0), (1e-9, 45.0)):
+                cases.append((scheme, DimensionlessParams(1.0, delta, es)))
+        else:
+            for delta, es, w in ((0.3, 2.0, 0.8), (0.3, 1.0, 0.8), (0.0, 2.0, 0.8),
+                                 (0.0, 1.0, 0.8), (0.0, 2.25, 0.3), (1e-9, 2.0, 1e-6)):
+                cases.append((scheme, DimensionlessParams(1.0, delta, es, w)))
+    return cases
+
+
+@pytest.mark.parametrize("scheme,params", _scheme_pairs(),
+                         ids=lambda v: getattr(v, "value", None) or
+                         f"d{v.delta:g}-es{v.eps_s_prime:g}-w{v.omega}")
+def test_candidates_cover_root_sweep_exits(scheme, params):
+    """Damped and undamped scheme polynomials, eps_s > eps_inf and
+    eps_s = eps_inf, Debye-Young at delta = 1, and nearly palindromic
+    families (tiny delta and omega, as at tiny time steps): the breakpoints
+    {0} and `_candidates` cover every exit of the root sweep."""
+    breakpoints = [0.0] + [c for c in analyzer._candidates(scheme, params) if c is not None]
+    _assert_breakpoints_cover_exits(*scheme.spec.char_poly(params), breakpoints)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.LORENTZ_JOSEPH, Scheme.LORENTZ_KASHIWA,
+                                    Scheme.LORENTZ_YOUNG], ids=lambda s: s.value)
+@pytest.mark.parametrize("es,w", [(2.25, 0.8), (1.0, 0.8), (3.0, 0.05), (1.0, 1.7)])
+def test_candidates_palindromic_quartics_closed_form(scheme, es, w):
+    """Undamped Lorentz quartics c0 z^4 + c1 z^3 + c2 z^2 + c1 z + c0 are
+    f(x) = c0 (x^2 - 2) + c1 x + c2 in x = z + 1/z, with unit roots for
+    real x in [-2, 2].  Their two x roots collide where the discriminant
+    (quadratic in q) vanishes, and reach x = +-2 where p(+-1, q) = 0; each
+    such q in [0, 5] with the collision inside [-2, 2] is a breakpoint."""
+    params = DimensionlessParams(1.0, 0.0, es, w)
+    a, b = (np.array(c) for c in scheme.spec.char_poly(params))
+    P = np.polynomial.polynomial
+    c0, c1, c2 = (np.array([a[j], b[j]]) for j in range(3))
+    disc = P.polysub(P.polymul(c1, c1), 4.0 * P.polymul(c0, c2 - 2.0 * c0))
+    expected = [q.real for q in P.polyroots(disc) if abs(q.imag) < 1e-12
+                and abs(P.polyval(q.real, c1) / (2.0 * P.polyval(q.real, c0))) <= 2.0]
+    expected += [-np.polyval(a[::-1], z) / np.polyval(b[::-1], z) for z in (1.0, -1.0)]
+    breakpoints = [0.0] + [c for c in analyzer._candidates(scheme, params) if c is not None]
+    _assert_breakpoints_cover_exits(a, b, breakpoints)
+    for q in expected:
+        if 0.0 <= q <= 5.0:
+            assert any(c == pytest.approx(q, rel=1e-7, abs=1e-9) for c in breakpoints), \
+                (q, breakpoints)
+
+
+def _exact_q_minus_one(a, b):
+    """q_-1 = -a(-1)/b(-1) of float coefficients, in exact arithmetic."""
+    return -sum(Fraction(x) * (-1) ** j for j, x in enumerate(a)) / sum(
+        Fraction(y) * (-1) ** j for j, y in enumerate(b))
+
+
+@pytest.mark.parametrize("scheme", [Scheme.LORENTZ_JOSEPH, Scheme.LORENTZ_YOUNG],
+                         ids=lambda s: s.value)
+@pytest.mark.parametrize("delta", [1e-6, 1e-8, 1e-10])
+def test_candidates_nearly_palindromic_families_keep_their_digits(scheme, delta):
+    """Lightly damped Lorentz quartics are nearly palindromic, with roots
+    hugging the unit circle.  The breakpoints still cover every exit of the
+    root sweep, and q_-1 is the exactly evaluated -a(-1)/b(-1) of the same
+    float coefficients to a few ulps."""
+    params = DimensionlessParams(1.0, delta, 2.25, 0.8)
+    a, b = scheme.spec.char_poly(params)
+    candidates = analyzer._candidates(scheme, params)
+    _assert_breakpoints_cover_exits(a, b, [0.0] + [c for c in candidates if c is not None])
+    assert candidates[2] == pytest.approx(float(_exact_q_minus_one(a, b)), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_candidate_q_minus_one_keeps_its_digits(scheme):
+    """`_candidates` evaluates q_-1 = -a(-1)/b(-1) in floats to within a few
+    ulps of the exact value on the same coefficients.  Seeded parameters:
+    delta over ten decades (0 for a third of the Lorentz draws), eps_s =
+    eps_inf one time in four."""
+    rng = random.Random(f"q_-1 {scheme.value}")
+    for _ in range(40):
+        es = 1.0 if rng.random() < 0.25 else 1.0 + 10.0 ** rng.uniform(-3.0, 1.5)
+        if scheme.kind == "debye":
+            params = DimensionlessParams(1.0, 10.0 ** rng.uniform(-10.0, 0.5), es)
+        else:
+            delta = 0.0 if rng.random() < 1.0 / 3.0 else 10.0 ** rng.uniform(-8.0, 0.0)
+            params = DimensionlessParams(1.0, delta, es, 10.0 ** rng.uniform(-6.0, 0.5))
+        exact = float(_exact_q_minus_one(*scheme.spec.char_poly(params)))
+        assert analyzer._candidates(scheme, params)[2] == pytest.approx(
+            exact, rel=1e-15, abs=0.0), (scheme, params)

@@ -1,8 +1,8 @@
 """Golden outputs: the ``tables`` report, ``scan`` CSVs varying q, k and
 xi, 2D ``analyze`` CSV rows, the verify plan, the SHA-256 of simulator
 norm histories, boundary-search results and the analytic verdicts and
-crossings of seeded points, compared byte for byte with the files under
-``tests/golden/``.
+breakpoint candidates of seeded points, compared byte for byte with the
+files under ``tests/golden/``.
 
 The files pin the verdicts and numbers of the whole analytic route and the
 bits of the empirical one, so a refactor that is meant to change no output
@@ -37,7 +37,7 @@ from fdtd_stability import (
     stability_boundary_k,
     worst_case_verdict,
 )
-from fdtd_stability.polyloc import circle_crossings
+from fdtd_stability.analyzer import _candidates
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -240,8 +240,8 @@ _GRID_MEDIA = {
 
 def verdicts_text() -> str:
     """The analytic route on seeded inputs, one line each:
-    - ``crossings``: ``circle_crossings`` of 60 seeded families per scheme,
-      as repr floats;
+    - ``candidates``: ``analyzer._candidates`` of 60 seeded families per
+      scheme, as repr floats (None where a scheme has no degenerate q);
     - ``point``: (stable, argument, detail) of ``classify_at_q`` at two q of
       each of the first 60 families of a scheme (600 points), cycling
       through the six kinds of ``_probe_q``;
@@ -255,9 +255,8 @@ def verdicts_text() -> str:
         for j in range(60):
             params = _random_params(rng, scheme)
             p = "|".join(repr(x) for x in (params.delta, params.eps_s_prime, params.omega))
-            crossings = circle_crossings(*scheme.spec.char_poly(params))
-            lines.append("|".join(["crossings", scheme.value, p]
-                                  + [repr(c) for c in crossings]))
+            lines.append("|".join(["candidates", scheme.value, p]
+                                  + [repr(c) for c in _candidates(scheme, params)]))
             for kind in (2 * j % 6, (2 * j + 1) % 6):
                 q = _probe_q(rng, scheme, params, kind)
                 v = classify_at_q(scheme, params, q)

@@ -16,14 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdtd_stability import (
-    DimensionlessParams,
     InvalidInputError,
     NumericalFailureError,
     Polynomial,
-    Scheme,
     is_simple_von_neumann,
 )
-from fdtd_stability.polyloc import circle_crossings, max_root_modulus, poly_roots
+from fdtd_stability.polyloc import max_root_modulus, poly_roots
 from referees import conjugate_poly, from_roots, reduce_step, root_profile, scaled
 
 
@@ -317,193 +315,6 @@ def test_root_profile_rejects_bad_tolerance():
         root_profile(Polynomial([1, 1]), circle_tolerance=0.0)
 
 
-# --- boundary locus -----------------------------------------------------------
-#
-# Referee: sweep q densely, take the largest root modulus from np.roots, and
-# find where it passes 1 + EXIT_BAND (the band absorbs the rounding of roots
-# that lie on the circle for whole intervals of q).  Every such change must
-# sit next to a returned crossing.
-
-EXIT_BAND = 1e-6
-
-
-def _family_roots_outside(a, b, qs):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return [float(np.max(np.abs(np.roots((a + q * b)[::-1])))) > 1.0 + EXIT_BAND
-            for q in qs]
-
-
-def _assert_crossings_cover_exits(a, b, q_hi=5.0, n=801):
-    crossings = circle_crossings(a, b)
-    qs = np.linspace(0.0, q_hi, n)
-    outside = _family_roots_outside(a, b, qs)
-    slack = 2.0 * (qs[1] - qs[0])
-    for q0, q1, o0, o1 in zip(qs, qs[1:], outside, outside[1:]):
-        if o0 != o1:
-            assert any(q0 - slack <= c <= q1 + slack for c in crossings), \
-                (q0, q1, crossings)
-    return crossings
-
-
-def _from_roots(roots, length):
-    """Real ascending coefficients of prod (z - r), zero-padded to length."""
-    coeffs = np.real(from_roots(roots).coeffs)
-    return np.concatenate([coeffs, np.zeros(length - len(coeffs))])
-
-
-def _conjugate_closed(rng, n_pairs, n_real, lo=0.3, hi=1.7):
-    roots = []
-    for _ in range(n_pairs):
-        r = rng.uniform(lo, hi) * np.exp(1j * rng.uniform(0.1, math.pi - 0.1))
-        roots += [r, r.conjugate()]
-    roots += list(rng.uniform(-hi, hi, size=n_real))
-    return roots
-
-
-def test_circle_crossings_random_families_against_root_sweep():
-    rng = np.random.default_rng(31)
-    for _ in range(25):
-        d = int(rng.integers(2, 5))
-        a = _from_roots(_conjugate_closed(rng, d // 2, d % 2), d + 1)
-        # b(z) = s z * prod (z - r), degree d - 1, as in the scheme families
-        b = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]) * _from_roots(
-            [0.0] + _conjugate_closed(rng, (d - 2) // 2, d % 2), d + 1)
-        _assert_crossings_cover_exits(a, b)
-
-
-def test_circle_crossings_known_crossing():
-    # (1 - q) z^2 - 1/4: real roots +-1/(2 sqrt(1 - q)) reach the circle at
-    # q = 3/4, pass through infinity at q = 1 and come back as imaginary
-    # roots +-i/(2 sqrt(q - 1)), which reach it at q = 5/4.
-    crossings = circle_crossings([-0.25, 0.0, 1.0], [0.0, 0.0, -1.0])
-    assert sorted({round(c, 12) for c in crossings}) == [0.75, 1.25]
-
-
-def test_circle_crossings_shared_unit_root():
-    """a and b share the unit pair e^(+-1.1i), which then stays on the
-    circle for every q; the exits of the other roots are still found."""
-    rng = np.random.default_rng(41)
-    shared = [np.exp(1.1j), np.exp(-1.1j)]
-    for _ in range(10):
-        a = _from_roots(shared + _conjugate_closed(rng, 1, 0), 5)
-        b = rng.uniform(0.5, 2.0) * _from_roots(shared + [0.0], 5)
-        _assert_crossings_cover_exits(a, b)
-
-
-def test_circle_crossings_shared_root_at_minus_one_is_exact():
-    """(z + 1) divides a and b, so z = -1 is a root for every q; the moving
-    root z^2 - z + 1/2 + (7/10) q z meets it where a'(-1) + q b'(-1) = 0,
-    q = 25/7.  z = -1 is taken exactly, so that q comes out to rounding."""
-    a = _from_roots([-1.0, 0.5 + 0.5j, 0.5 - 0.5j], 4)
-    b = 0.7 * _from_roots([-1.0, 0.0], 4)
-    crossings = _assert_crossings_cover_exits(a, b)
-    assert any(c == pytest.approx(25.0 / 7.0, rel=1e-14) for c in crossings), crossings
-
-
-def _scheme_pairs():
-    cases = []
-    for scheme in Scheme:
-        if scheme.kind == "debye":
-            for delta, es in ((0.3, 2.0), (0.3, 1.0), (1.0, 2.0), (1e-9, 45.0)):
-                cases.append((scheme, DimensionlessParams(1.0, delta, es)))
-        else:
-            for delta, es, w in ((0.3, 2.0, 0.8), (0.3, 1.0, 0.8), (0.0, 2.0, 0.8),
-                                 (0.0, 1.0, 0.8), (0.0, 2.25, 0.3), (1e-9, 2.0, 1e-6)):
-                cases.append((scheme, DimensionlessParams(1.0, delta, es, w)))
-    return cases
-
-
-@pytest.mark.parametrize("scheme,params", _scheme_pairs(),
-                         ids=lambda v: getattr(v, "value", None) or
-                         f"d{v.delta:g}-es{v.eps_s_prime:g}-w{v.omega}")
-def test_circle_crossings_scheme_families_against_root_sweep(scheme, params):
-    """Damped and undamped scheme polynomials, eps_s > eps_inf and
-    eps_s = eps_inf, Debye-Young at delta = 1, and nearly palindromic
-    families (tiny delta and omega, as at tiny time steps)."""
-    _assert_crossings_cover_exits(*scheme.spec.char_poly(params))
-
-
-@pytest.mark.parametrize("scheme", [Scheme.LORENTZ_JOSEPH, Scheme.LORENTZ_KASHIWA,
-                                    Scheme.LORENTZ_YOUNG])
-@pytest.mark.parametrize("es,w", [(2.25, 0.8), (1.0, 0.8), (3.0, 0.05), (1.0, 1.7)])
-def test_circle_crossings_palindromic_quartics_closed_form(scheme, es, w):
-    """Undamped Lorentz quartics c0 z^4 + c1 z^3 + c2 z^2 + c1 z + c0 are
-    f(x) = c0 (x^2 - 2) + c1 x + c2 in x = z + 1/z, with unit roots for
-    real x in [-2, 2].  Their two x roots collide where the discriminant
-    (quadratic in q) vanishes, and reach x = +-2 where p(+-1, q) = 0; each
-    such q with the collision inside [-2, 2] is a crossing."""
-    a, b = (np.array(c) for c in scheme.spec.char_poly(
-        DimensionlessParams(1.0, 0.0, es, w)))
-    P = np.polynomial.polynomial
-    c0, c1, c2 = (np.array([a[j], b[j]]) for j in range(3))
-    disc = P.polysub(P.polymul(c1, c1), 4.0 * P.polymul(c0, c2 - 2.0 * c0))
-    expected = [q.real for q in P.polyroots(disc) if abs(q.imag) < 1e-12
-                and abs(P.polyval(q.real, c1) / (2.0 * P.polyval(q.real, c0))) <= 2.0]
-    expected += [-np.polyval(a[::-1], z) / np.polyval(b[::-1], z) for z in (1.0, -1.0)]
-    crossings = _assert_crossings_cover_exits(a, b)
-    for q in expected:
-        assert any(c == pytest.approx(q, rel=1e-7, abs=1e-9) for c in crossings), \
-            (q, crossings)
-
-
-def _exact_locus_crossings(a, b, q_lo=0.0, q_hi=5.0):
-    """Crossings from the locus polynomial formed in exact rational
-    arithmetic from the same float coefficients, rounded only at the end."""
-    A, B = [Fraction(x) for x in a], [Fraction(x) for x in b]
-    locus = [x - y for x, y in zip(_mul_exact(A, B[::-1]), _mul_exact(B, A[::-1]))]
-    out = []
-    for z in np.roots([float(c) for c in reversed(locus)]):
-        if abs(abs(z) - 1.0) <= 1e-9:
-            q = -np.polyval(a[::-1], z) / np.polyval(b[::-1], z)
-            if abs(q.imag) <= 1e-9 and q_lo <= q.real <= q_hi:
-                out.append(q.real)
-    return out
-
-
-@pytest.mark.parametrize("scheme", [Scheme.LORENTZ_JOSEPH, Scheme.LORENTZ_YOUNG])
-@pytest.mark.parametrize("delta", [1e-6, 1e-8, 1e-10])
-def test_circle_crossings_nearly_palindromic_families_keep_their_digits(scheme, delta):
-    """Lightly damped Lorentz quartics are nearly palindromic, and forming
-    a(z) b(1/z) - b(z) a(1/z) directly in floating point cancels most of
-    the locus.  The crossings in [0, 5] must match those of the exactly
-    formed locus."""
-    a, b = (np.array(c) for c in scheme.spec.char_poly(
-        DimensionlessParams(1.0, delta, 2.25, 0.8)))
-    exact = _exact_locus_crossings(a, b)
-    assert exact
-    crossings = circle_crossings(a, b)
-    for q in exact:
-        assert any(c == pytest.approx(q, abs=1e-9) for c in crossings), (q, crossings)
-
-
-def test_circle_crossings_rejects_bad_input():
-    with pytest.raises(InvalidInputError):
-        circle_crossings([1.0, 2.0], [1.0, 2.0, 3.0])
-    with pytest.raises(NumericalFailureError):
-        circle_crossings([1.0, -3.0, 2.0], [2.0, -6.0, 4.0])  # b = 2a
-
-
-_pair = st.tuples(st.floats(0.2, 1.8), st.floats(0.05, math.pi - 0.05))
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(a_pairs=st.lists(_pair, min_size=1, max_size=2),
-       a_real=st.lists(st.floats(-1.8, 1.8), max_size=1),
-       b_pairs=st.lists(_pair, max_size=1),
-       b_scale=st.floats(-3.0, 3.0).filter(lambda s: abs(s) > 0.1))
-def test_circle_crossings_cover_root_sweep_property(a_pairs, a_real, b_pairs, b_scale):
-    """Any real family a + q b with deg b < deg a: every q where a root
-    leaves or re-enters the closed unit disk is a returned crossing."""
-    def roots(pairs):
-        return [r * np.exp(s * 1j * t) for r, t in pairs for s in (1, -1)]
-    a_roots = roots(a_pairs) + a_real
-    n = len(a_roots) + 1
-    b_roots = roots(b_pairs) if 2 * len(b_pairs) <= n - 3 else []
-    a = _from_roots(a_roots, n)
-    b = b_scale * _from_roots([0.0] + b_roots, n)
-    _assert_crossings_cover_exits(a, b, n=401)
-
-
 # --- one pass decides both classes -------------------------------------------
 #
 # is_simple_von_neumann records on its way whether the same levels certify
@@ -619,16 +430,3 @@ def test_one_pass_flag_after_degree_drop(gap):
     assert svn.ok and not svn.schur
     assert [(lv.degree, lv.relation) for lv in svn.levels] == [(2, "<")]
     assert svn.reason == "reduced to a nonzero constant"
-
-
-@pytest.mark.parametrize("name", ["polymul", "polysub"])
-def test_circle_crossings_forms_the_wronskian_without_poly1d(name, monkeypatch):
-    """The Wronskian a' b - a b' comes from two convolutions of
-    leading-zero-trimmed arrays, not from the poly1d round trips of
-    np.polymul / np.polysub."""
-    calls = []
-    real = getattr(np, name)
-    monkeypatch.setattr(np, name, lambda *args: calls.append(args) or real(*args))
-    for scheme, params in _scheme_pairs():
-        circle_crossings(*scheme.spec.char_poly(params))
-    assert calls == []
