@@ -29,12 +29,10 @@ exactly in the tests).  Classifying those breakpoints of a q range, its
 ends and one point between each two decides the whole range: [0, q_max]
 for a verdict, and for a stability boundary in the time step the final
 bisection interval's range, to tell whether the boundary is attained.
-The boundary search predicts k* first, then checks the bisection's own
-final interval around the prediction and bisects only where the check
-fails: a walk that meets an unstable probe also tells where its stable
-q-range ends, q_c.  Where q_c is a candidate, that candidate's formula
-gives q_c at other time steps with no walk, and the prediction solves
-q_max(k) = q_c(k) along it.
+The same theorem gives each scheme's stable q-range [0, q_c] in closed form
+(`SchemeSpec.stable_q`).  The boundary search first bisects q_max(k) <=
+q_c(k), with no walk, then checks the final interval it predicts with
+worst-case verdicts and bisects on those only where the check fails.
 """
 
 from __future__ import annotations
@@ -70,15 +68,6 @@ RANK_REL_TOL = 1e-8
 RESONANCE_SNAP_TOL = 1e-9
 
 BOUNDARY_REL_RESOLUTION = 1e-4
-# Relative step in k^2 at which the boundary prediction counts as settled,
-# and the relative offset of its two first steps around a parameter limit:
-# above the offset of the float verdict there (Debye-Young in foam flips at
-# delta = 1 + 4.7e-5, where OUT_EIG_TOL hides the growth).  The bracket that
-# checks the prediction is the bisection's own final interval around it.
-PREDICT_REL_TOL = 0.5 * BOUNDARY_REL_RESOLUTION
-# Secant steps that the boundary prediction takes at most, each one walk or
-# one candidate formula.
-PREDICT_WALKS = 6
 
 
 class Argument(enum.Enum):
@@ -210,13 +199,6 @@ def _candidates(scheme: Scheme, params: DimensionlessParams) -> tuple[float | No
     b_m1 = np.polyval(b, -1.0)
     q_m1 = float(-np.polyval(a, -1.0) / b_m1) if b_m1 != 0 else None
     return 2.0, 4.0, q_m1, _degenerate_q(scheme, params)
-
-
-def _arm(candidates: tuple[float | None, ...], q_c: float) -> int | None:
-    """Index into a walk's `_candidates` of the one its q_c ends at, or
-    None.  A relative 1e-9, as the walk's whisker on q_hi."""
-    return next((i for i, c in enumerate(candidates)
-                 if c is not None and math.isclose(c, q_c, rel_tol=1e-9)), None)
 
 
 def _special_root_near(poly: Polynomial) -> bool:
@@ -358,50 +340,6 @@ def worst_case_verdict(scheme: Scheme, medium: MediumModel, k: float, h: float,
     return StabilityVerdict(True, verdict.argument, detail)
 
 
-def _predict_k(q_c_at, k_top: float, q_top: float, q_c: float, lo: float,
-               k_lim: float | None) -> float | None:
-    """Predicted k*, the root of g(k) = q_max(k) - q_c(k) in (lo, k_top),
-    where q_max(k) = q_top (k / k_top)^2 and q_c(k) comes from q_c_at (q_c
-    is its value at k_top).  Steps go in s = k^2, in which q_max is linear:
-    first with q_c frozen, then by secant.
-
-    A top whose stable q-range ends below q_max(lo) lies past the scheme's
-    parameter limit k_lim, and the steps start at k_lim (1 -+ e) instead,
-    with e = PREDICT_REL_TOL: a q_c that drops across them below q_max,
-    from above it, predicts k_lim itself.  None when a step leaves
-    (lo, k_top) or PREDICT_WALKS steps do not settle it to a relative step
-    of e in k^2."""
-    q_per_s = q_top / (k_top * k_top)
-
-    def g(s: float) -> float:
-        return q_per_s * s - q_c_at(math.sqrt(s))
-
-    s, g_s, slope = k_top * k_top, q_top - q_c, q_per_s
-    if q_c <= q_per_s * lo * lo:
-        if k_lim is None or not lo < k_lim < k_top:
-            return None
-        s = (k_lim * (1.0 - PREDICT_REL_TOL)) ** 2
-        g_s = g(s)
-        if g_s <= 0.0:
-            s_below, g_below = s, g_s
-            s = (k_lim * (1.0 + PREDICT_REL_TOL)) ** 2
-            g_s = g(s)
-            if g_s > 0.0:
-                return k_lim
-            slope = (g_s - g_below) / (s - s_below) or q_per_s
-    for _ in range(PREDICT_WALKS):
-        s_next = s - g_s / slope
-        if not lo * lo < s_next < k_top * k_top:
-            return None
-        if abs(s_next - s) <= PREDICT_REL_TOL * s:
-            return math.sqrt(s_next)
-        g_next = g(s_next)
-        if g_next != g_s:
-            slope = (g_next - g_s) / (s_next - s)
-        s, g_s = s_next, g_next
-    return None
-
-
 def _bisect(lo: float, hi: float, stable) -> tuple[float, float]:
     """Halve [lo, hi] until it is at most BOUNDARY_REL_RESOLUTION of hi
     wide, keeping each midpoint as lo where stable(midpoint) holds and as hi
@@ -421,22 +359,17 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
     boundary, check the bisection's final interval around the prediction,
     then bisect where the check fails; a given h_y makes the grid 2D.
 
-    Prediction: a walk at the top, 2h/c_inf, reports where its stable
-    q-range ends, q_c, and q_c at a few other time steps predicts k*
-    (`_predict_k`).  A q_c at a candidate (`_candidates`: 2, 4, q_-1 or the
-    degenerate q; `_arm` matches it) names the arm the boundary lies on, and
-    that candidate's formula then gives q_c at the next time steps, with no
-    walk, as long as they lie on the same side of the scheme's parameter
-    limit `SchemeSpec.k_limit` as the walk that named it; otherwise a walk
-    over the top's q-range finds q_c and names the arm anew.  The top's
-    walk is its worst-case verdict, and a top that reads stable is refused.
+    Prediction: the bisection's final interval [k_lo, k_hi] on q_max(k) <=
+    q_c(k), where q_c is the end of the scheme's stable q-range in closed
+    form (`SchemeSpec.stable_q`).  It walks and probes nothing.
 
-    Check: the bisection's final interval around the predicted k*, [k_lo,
-    k_hi], must read unstable at k_hi and stable at k_lo.  A verdict that
-    contradicts the prediction still narrows the bracket.  Above the
-    predicted k*, where the verdict is expected unstable, one probe at
-    q_max comes first: q_max is a breakpoint of every walk, so an unstable
-    probe there is the walk's verdict, and only a stable one needs the walk.
+    Check: the top, 2h/c_inf, must read unstable, else the search is
+    refused; the bottom, 1e-6 of the top, must read stable, else the medium
+    is resonant; then k_hi must read unstable and k_lo stable.  A verdict
+    that contradicts the prediction still narrows the bracket.  From k_hi up,
+    where the verdict is expected unstable, one probe at q_max comes first:
+    q_max is a breakpoint of every walk, so an unstable probe there is the
+    walk's verdict, and only a stable one needs the walk.
 
     Bisection: the plain bisection on the worst-case verdict, from 1e-6 of
     the top down to BOUNDARY_REL_RESOLUTION, except that a midpoint at or
@@ -444,7 +377,8 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
     walk.  So it visits the same midpoints and returns the same result as a
     plain bisection, on the single switch from stable to unstable in k that
     the bisection assumes anyway.  Where the check holds, no midpoint falls
-    inside the bracket and the search ends at k_lo.
+    inside the bracket and the search ends at k_lo.  A wrong q_c costs
+    walks, never a different result.
 
     With the parameters at the final bisection interval's lo, q is walked
     on from q_max(lo) to q_max(hi): an unstable breakpoint means an open
@@ -456,8 +390,12 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
     if not (h > 0 and math.isfinite(h)):
         raise InvalidInputError("space step h must be positive and finite")
 
+    def predicted_stable(k: float) -> bool:
+        params = dimensionless_params(medium, k, h)
+        return _q_max(params, h, h_y) <= scheme.spec.stable_q(params)
+
     def stable_at(k: float) -> bool:
-        if k_hat is not None and k > k_hat:
+        if k >= k_hi:
             # Expected unstable.  q_max is one of the walk's breakpoints, so
             # an unstable probe there is the walk's own verdict.
             params = dimensionless_params(medium, k, h)
@@ -465,50 +403,30 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
                 return False
         return worst_case_verdict(scheme, medium, k, h, h_y).stable
 
-    def q_c_at(k: float) -> float:
-        nonlocal arm
-        params = dimensionless_params(medium, k, h)
-        candidates = _candidates(scheme, params)
-        index, k_named = arm
-        if (index is not None and candidates[index] is not None
-                and (k_lim is None or (k < k_lim) == (k_named < k_lim))):
-            return candidates[index]
-        q_c = _walk(scheme, params, 0.0, q_top)[4]
-        arm = _arm(candidates, q_c), k
-        return q_c
-
     hi = 2.0 * h / medium.c_inf
-    p_hi = _params(scheme, medium, hi, h)
-    q_top = _q_max(p_hi, h, h_y)
-    *_, top, q_c = _walk(scheme, p_hi, 0.0, q_top)
-    if top.stable:
+    _params(scheme, medium, hi, h)  # a medium of the other kind is refused here
+    lo = 1e-6 * hi
+    k_lo, k_hi = _bisect(lo, hi, predicted_stable)
+    if stable_at(hi):
         raise NumericalFailureError(
             "no instability found up to 2h/c_inf; cannot bracket a boundary")
-    k_hat = None
-    lo = 1e-6 * hi
     if not stable_at(lo):
         lowest = min([lo] + [p for p in (lo / 10.0, lo / 100.0) if not stable_at(p)])
         return BoundaryResult(None, None, True, lowest,
                               "unstable at the bottom of the bracket "
                               "(resonant regime; no upper boundary in k)")
-    k_lim = scheme.spec.k_limit(medium) if scheme.spec.k_limit else None
-    # The candidate the latest walk's q_c ended at, and that walk's k.  Its
-    # formula stands in for walks on the same side of k_lim only.
-    arm = _arm(_candidates(scheme, p_hi), q_c), hi
     # a reads stable and b unstable; the bisection walks only inside (a, b).
     a, b = lo, hi
-    k_hat = _predict_k(q_c_at, hi, q_top, q_c, lo, k_lim)
-    if k_hat is not None:
-        k_lo, k_hi = _bisect(lo, hi, lambda k: k <= k_hat)
-        # Float verdicts err towards stable, so the top end fails more often,
-        # and a stable top end makes the bottom one stable too.
-        for k in (k_hi, k_lo):
-            if a < k < b:
-                a, b = (k, b) if stable_at(k) else (a, k)
+    # Float verdicts err towards stable, so the top end fails more often, and
+    # a stable top end makes the bottom one stable too.
+    for k in (k_hi, k_lo):
+        if a < k < b:
+            a, b = (k, b) if stable_at(k) else (a, k)
     lo, hi = _bisect(lo, hi, lambda mid: mid <= a or (mid < b and stable_at(mid)))
     p_lo, p_hi = dimensionless_params(medium, lo, h), dimensionless_params(medium, hi, h)
     _, _, at_break, verdict, _ = _walk(scheme, p_lo, _q_max(p_lo, h, h_y),
                                        _q_max(p_hi, h, h_y))
+    k_lim = scheme.spec.k_limit(medium) if scheme.spec.k_limit else None
     if verdict.stable:
         attained = stable_at(k_lim) if k_lim is not None and lo < k_lim <= hi else None
     else:

@@ -213,14 +213,16 @@ class SchemeSpec:
         expression.  The calls may overwrite the scratch arrays S, S_old
         and tmp.  A hand-written grid stencil, never derived from the
         matrix, so that the simulator stays an independent referee.
+    stable_q            params -> q_c, same type: the stable q-set is [0, q_c]
+        or [0, q_c), by the theorem behind `analyzer._candidates`.  q_c is 4,
+        2 or q_-1 = -a(-1)/b(-1) (0 where the set is {0} or empty), capped at
+        the degenerate q where delta = 0 and eps_s = eps_inf
     regimes             reference stability regimes of the scheme
     k_limit             medium -> time step where the scheme's own parameter
         condition meets its limit (Debye-Young delta = 1, Lorentz-Young omega
-        = 2/(2 eps' - 1)), or None when only the Courant condition bounds k.
-        For Lorentz-Young it marks where the limiting arm of the stable
-        q-set [0, q_c] changes from q_c = 2 to q_-1 = 4(2 - omega eps')/(2 -
-        omega), not where the set empties (that is at omega = 2/eps').  The
-        boundary search reuses a limiting arm only on one side of k_limit
+        = 2/(2 eps' - 1), where its q_-1 falls to 2; its stable set empties
+        only at omega = 2/eps'), or None when only the Courant condition
+        bounds k.  The boundary search reads it only to decide attainability
     verify_unstable     fractions of q_limit at which the verify plan probes
         the unstable side
     """
@@ -233,6 +235,7 @@ class SchemeSpec:
     degenerate_q: Callable[[float], float] | None
     material: Callable[[DimensionlessParams], Callable[..., list]]
     needs_prev_source: bool
+    stable_q: Callable[[DimensionlessParams], float]
     regimes: tuple[Regime, ...]
     k_limit: Callable[[MediumModel], float] | None = None
     verify_unstable: tuple[float, ...] = (1.25, 1.60)
@@ -341,6 +344,12 @@ def _coefficients(*values):
 def _accumulate(op, x, c, y, tmp):
     """x = op(x, c * y), as the two calls of its two roundings."""
     return [partial(np.multiply, c, y, tmp), partial(op, x, tmp, x)]
+
+
+def _harmonic_cap(p, q_c, degenerate_q):
+    """A Lorentz scheme's q_c, capped at its degenerate q where delta = 0 and
+    eps_s = eps_inf: two root couples collide on the circle there."""
+    return min(q_c, degenerate_q(p.omega)) if p.delta == 0 and p.alpha == 0 else q_c
 
 
 # debye-joseph: state (b, E, d).
@@ -534,6 +543,10 @@ def _lk_char_poly(p):
                       (0, 1 - d + w / 2, w - 2, 1 + d + w / 2, 0)))
 
 
+def _lk_degenerate_q(w):
+    return 2 * w / (1 + w / 2)
+
+
 def _lk_material(p):
     w, a = p.omega, p.alpha
     den = _lk_denominator(p)
@@ -594,6 +607,10 @@ def _ly_char_poly(p):
                       (0, 1 - d, 2 * (w - 1), 1 + d, 0)))
 
 
+def _ly_degenerate_q(w):
+    return 2 * w
+
+
 def _ly_material(p):
     d, w, a = p.delta, p.omega, p.alpha
     c_j, c_E, c_p, den = _coefficients(1.0 - d, 2.0 * w * a, 2.0 * w, 1.0 + d)
@@ -646,27 +663,39 @@ SPECS: dict[Scheme, SchemeSpec] = {
     Scheme.DEBYE_JOSEPH: SchemeSpec(
         "debye", ("b", "E", "d"), q_limit=4.0, entries=_dj_entries,
         char_poly=_dj_char_poly, degenerate_q=None,
-        material=_dj_material, needs_prev_source=False, regimes=_DJ_REGIMES),
+        material=_dj_material, needs_prev_source=False,
+        stable_q=lambda p: 4, regimes=_DJ_REGIMES),
     Scheme.DEBYE_YOUNG: SchemeSpec(
         "debye", ("b", "E", "p"), q_limit=4.0, entries=_dy_entries,
         char_poly=_dy_char_poly, degenerate_q=None,
-        material=_dy_material, needs_prev_source=False, regimes=_DY_REGIMES,
-        k_limit=lambda m: 2.0 * m.t_r),
+        material=_dy_material, needs_prev_source=False,
+        stable_q=lambda p: (4 * (1 + p.delta ** 2 * p.alpha)
+                            if p.delta <= 1 or p.alpha == 0 else 0),
+        regimes=_DY_REGIMES, k_limit=lambda m: 2.0 * m.t_r),
     Scheme.LORENTZ_JOSEPH: SchemeSpec(
         "lorentz", ("b", "E", "E_prev", "d"), q_limit=2.0, entries=_lj_entries,
         char_poly=_lj_char_poly, degenerate_q=_lj_degenerate_q,
-        material=_lj_material, needs_prev_source=True, regimes=_LJ_REGIMES,
+        material=_lj_material, needs_prev_source=True,
+        stable_q=lambda p: _harmonic_cap(
+            p, 2 if p.delta > 0 and p.alpha > 0
+            else 4 * (2 + p.omega * p.eps_s_prime) / (2 + p.omega), _lj_degenerate_q),
+        regimes=_LJ_REGIMES,
         # Weakly damped media leave only a ~1e-4 per-step growth just past
         # q = 2; use stronger violations.
         verify_unstable=(1.25 + 0.35, 1.60 + 0.35)),
     Scheme.LORENTZ_KASHIWA: SchemeSpec(
         "lorentz", ("b", "E", "p", "j"), q_limit=4.0, entries=_lk_entries,
-        char_poly=_lk_char_poly, degenerate_q=lambda w: 2 * w / (1 + w / 2),
-        material=_lk_material, needs_prev_source=False, regimes=_LK_REGIMES),
+        char_poly=_lk_char_poly, degenerate_q=_lk_degenerate_q,
+        material=_lk_material, needs_prev_source=False,
+        stable_q=lambda p: _harmonic_cap(p, 4, _lk_degenerate_q), regimes=_LK_REGIMES),
     Scheme.LORENTZ_YOUNG: SchemeSpec(
         "lorentz", ("b", "E", "p", "j"), q_limit=2.0, entries=_ly_entries,
-        char_poly=_ly_char_poly, degenerate_q=lambda w: 2 * w,
-        material=_ly_material, needs_prev_source=False, regimes=_LY_REGIMES,
+        char_poly=_ly_char_poly, degenerate_q=_ly_degenerate_q,
+        material=_ly_material, needs_prev_source=False,
+        stable_q=lambda p: _harmonic_cap(
+            p, 4 * (2 - p.omega * p.eps_s_prime) / (2 - p.omega)
+            if p.omega * p.eps_s_prime < 2 else 0, _ly_degenerate_q),
+        regimes=_LY_REGIMES,
         k_limit=lambda m: 2.0 / (m.omega1 * math.sqrt(2.0 * m.eps_s / m.eps_inf - 1.0)),
         # The damped boundary is soft; drive it clearly past the limit.
         verify_unstable=(1.0 + 0.9 * (1.25 - 1.0) + 0.8, 1.0 + 0.9 * (1.60 - 1.0) + 0.8)),

@@ -208,14 +208,14 @@ def test_criterion_5_reference_numeric_crossovers():
 
 def test_criterion_4_5_verdict_budget(monkeypatch):
     """Every q-walk and every `classify_at_q` probe of a criterion-4/5
-    search counts: the walk at the bracket top and the prediction walks
-    that no candidate's formula stands in for; the walk at the bracket
-    bottom; the two verdicts that check the bisection's final interval
-    around k*, and any bisection midpoint where that check fails; the walk
-    over the final interval's q-range; and at most one verdict at a
-    parameter limit.  A verdict above the predicted k* first probes q_max
-    alone, and an unstable probe there makes no walk.  That is 4 to 7
-    walks and 21 to 32 probes here, where the plain bisection walks 18 to
+    search counts: the verdicts at the bracket top and bottom; the two
+    verdicts that check the bisection's final interval around the k* that
+    `SchemeSpec.stable_q` predicts, and any bisection midpoint where that
+    check fails; the walk over the final interval's q-range; and at most
+    one verdict at a parameter limit.  The prediction walks and probes
+    nothing.  A verdict above the predicted interval's bottom first probes
+    q_max alone, and an unstable probe there makes no walk.  That is 3 or 4
+    walks and 14 to 22 probes here, where the plain bisection walks 18 to
     22 times (15 to 18 midpoints down to 1e-4 relative width) in 56 to 133
     probes, and no search walks or probes more than the plain bisection
     does."""
@@ -233,37 +233,37 @@ def test_criterion_4_5_verdict_budget(monkeypatch):
             calls.clear()
             search(scheme, medium, h)
             tally.append((calls["_walk"], calls["classify_at_q"]))
-    _report("criterion 4/5 verdict budget (at most 7 q-walks and 32 probes per search, "
+    _report("criterion 4/5 verdict budget (at most 4 q-walks and 22 probes per search, "
             "none more than the plain bisection)",
-            all(w <= 7 and p <= 32 for w, p in counts)
+            all(w <= 4 and p <= 22 for w, p in counts)
             and all(map(lambda c, pc: all(x <= y for x, y in zip(c, pc)), counts, plain)),
             f"(q-walks, probes) per search {counts}, plain bisection {plain}")
 
 
-@pytest.mark.parametrize("case,arm", [
-    ("debye-joseph water", "4"),
-    ("debye-young water", "q_-1"),
-    ("debye-young foam", None),
-    ("lorentz-joseph:", "2"),
-    ("lorentz-kashiwa", "4"),
-    ("lorentz-young:", None),
-    ("water crossover", None),
-    ("foam relaxation", None),
-    ("optical Lorentz", None),
-    ("radio Lorentz", None),
+@pytest.mark.parametrize("case,q_c", [
+    ("debye-joseph water", 4.0),
+    ("debye-young water", 4.00398922066),
+    ("debye-young foam", 0.0),
+    ("lorentz-joseph:", 2.0),
+    ("lorentz-kashiwa", 4.0),
+    ("lorentz-young:", 0.0),
+    ("water crossover", 0.0),
+    ("foam relaxation", 0.0),
+    ("optical Lorentz", 0.0),
+    ("radio Lorentz", 0.0),
 ])
-def test_criterion_4_5_top_arm(case, arm):
-    """The candidate that the top walk's q_c ends at, as the search finds
-    it (`analyzer._arm`).  A top past the scheme's parameter limit ends its
-    stable q-range at or near 0, which names no arm: Debye-Young in foam
-    and at the water crossover, and Lorentz-Young past its omega limit."""
+def test_criterion_4_5_top_stable_q(case, q_c):
+    """At the bracket top, 2h/c_inf, the closed-form end of the stable
+    q-range (`SchemeSpec.stable_q`) is exactly where the top walk's stable
+    q-range ends: 4 or 2 on the Courant arms, Debye-Young's q_-1 in water,
+    and 0 past a parameter limit (Debye-Young with delta > 1, Lorentz-Young
+    with omega eps' >= 2)."""
     (_, scheme, medium, h, *_), = [c for c in CRITERION_4_CASES + CRITERION_5_CASES
                                    if c[0].startswith(case)]
     top = 2.0 * h / medium.c_inf
     params = dimensionless_params(medium, top, h)
-    q_c = analyzer._walk(scheme, params, 0.0, analyzer._q_max(params, h, None))[4]
-    index = analyzer._arm(analyzer._candidates(scheme, params), q_c)
-    assert (None if index is None else ("2", "4", "q_-1", "degenerate")[index]) == arm
+    walked = analyzer._walk(scheme, params, 0.0, analyzer._q_max(params, h, None))[4]
+    assert scheme.spec.stable_q(params) == walked == pytest.approx(q_c, rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("scheme,q_res_of", [

@@ -520,8 +520,8 @@ GEOMETRIES = {"1d": lambda h: {}, "h_y=h": lambda h: dict(h_y=h),
 ])
 def test_boundary_search_matches_plain_bisection(scheme, medium, h, geometry, request,
                                                  monkeypatch):
-    """Near the parameter limits, where the prediction starts at k_limit,
-    and in resonant media, the bracketed search returns the plain
+    """Near the parameter limits, where `SchemeSpec.stable_q` switches
+    formula, and in resonant media, the bracketed search returns the plain
     bisection's result field for field, in fewer q-walks or, where the
     search ends at the bracket bottom, the same ones.  h = None puts
     the omega limit of Lorentz-Young where q_max = 2 in 1D."""
@@ -532,8 +532,8 @@ def test_boundary_search_matches_plain_bisection(scheme, medium, h, geometry, re
     (res, walks), (plain, plain_walks) = _both_searches(
         scheme, medium, h, GEOMETRIES[geometry](h), calls)
     assert res == plain
-    # A resonant medium ends the search at the bracket bottom, before any
-    # prediction, in the same walks.
+    # A resonant medium ends the search at the bracket bottom, before the
+    # prediction is checked, in at most the same walks.
     assert walks < plain_walks or (res.non_monotone and walks == plain_walks)
 
 
@@ -560,14 +560,13 @@ def _random_grid(rng: random.Random):
 def test_boundary_search_matches_plain_bisection_on_random_media(monkeypatch):
     """Seeded random physical media and grids of every scheme
     (`_random_grid`).  Every outcome equals the plain bisection's, a refusal
-    included, and the searches take at most 0.36 of its q-walks in total
-    (0.339 measured).  A single search could take more where a missed
+    included, and the searches take at most 0.26 of its q-walks in total
+    (0.245 measured).  A single search could take more where a missed
     prediction leaves the bisection to walk its midpoints, as where the
     float verdict reads a weak growth as stable (a damped Lorentz-Joseph
     medium just past q = 2); none does on this draw.  Past Lorentz-Young's
-    omega limit, walks read q_c = 0 where q_-1 has turned negative, and
-    secant steps on them overshot; the formula of the q_-1 arm follows
-    q_max down to k*."""
+    k_limit the stable q-range is still [0, q_-1] until omega eps' = 2, and
+    `SchemeSpec.stable_q` follows it down to k*."""
     rng = random.Random(23)
     calls = _walk_counter(monkeypatch)
     walks = plain_walks = 0
@@ -577,7 +576,7 @@ def test_boundary_search_matches_plain_bisection_on_random_media(monkeypatch):
         assert res == plain, (scheme, medium, h, kw)
         walks += n
         plain_walks += n_plain
-    assert walks <= 0.36 * plain_walks
+    assert walks <= 0.26 * plain_walks
 
 
 def test_unstable_q_max_probe_is_the_worst_case_verdict():
@@ -650,7 +649,7 @@ def test_checked_bracket_is_the_plain_bisection_final_interval(monkeypatch):
         except NumericalFailureError:
             continue
         if len(cells) < 2:
-            continue  # no prediction, or a resonant bottom
+            continue  # a resonant bottom
         k_lo, k_hi = cells[0]
         if not (worst_case_verdict(scheme, medium, k_lo, h, **kw).stable
                 and not worst_case_verdict(scheme, medium, k_hi, h, **kw).stable):

@@ -7,7 +7,9 @@ Exact referees check the factored resultants and the degenerate sets of
 `referees.RESULTANTS` and `referees.DEGENERATE_SETS` at seeded rational
 points, in `Fraction` arithmetic.  A float root sweep checks that every q
 at which a root leaves or re-enters the closed unit disk lies next to a
-breakpoint.
+breakpoint.  The same theorem gives the end q_c of each scheme's stable
+q-range in closed form (`SchemeSpec.stable_q`), checked exactly against
+q_-1 and against the float walks.
 """
 
 import random
@@ -16,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fdtd_stability import DimensionlessParams, Scheme, analyzer
+from fdtd_stability import DimensionlessParams, Scheme, analyzer, dimensionless_params
 from referees import (
     DEGENERATE_SETS,
     RESULTANTS,
@@ -26,6 +28,7 @@ from referees import (
     monic_gcd_exact,
     resultant_exact,
 )
+from test_analyzer import _random_grid
 
 
 def _rational(rng, lo, hi, den=997):
@@ -200,3 +203,103 @@ def test_candidate_q_minus_one_keeps_its_digits(scheme):
         exact = float(_exact_q_minus_one(*scheme.spec.char_poly(params)))
         assert analyzer._candidates(scheme, params)[2] == pytest.approx(
             exact, rel=1e-15, abs=0.0), (scheme, params)
+
+
+# Where each scheme's q_c is q_-1, as a predicate on (delta, eps_s', omega),
+# and q_c elsewhere.  Lorentz media with delta = 0 and eps_s' = 1 cap q_c at
+# the degenerate q.
+Q_MINUS_ONE_BRANCH = {
+    Scheme.DEBYE_JOSEPH: (lambda d, e, w: True, None),
+    Scheme.DEBYE_YOUNG: (lambda d, e, w: d <= 1 or e == 1, 0),
+    Scheme.LORENTZ_JOSEPH: (lambda d, e, w: d == 0 or e == 1, 2),
+    Scheme.LORENTZ_KASHIWA: (lambda d, e, w: True, None),
+    Scheme.LORENTZ_YOUNG: (lambda d, e, w: w * e < 2, 0),
+}
+
+
+def _exact_stable_q(scheme, **fixed):
+    """stable_q and q_-1 = -a(-1)/b(-1) of `spec.char_poly` at the exact
+    parameters the keywords give."""
+    params = DimensionlessParams(lam=1.0, **{k: Fraction(v) for k, v in fixed.items()})
+    return scheme.spec.stable_q(params), _exact_q_minus_one(*scheme.spec.char_poly(params))
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_stable_q_is_q_minus_one_on_its_branch(scheme):
+    """With `Fraction` parameters, stable_q is exactly q_-1 = -a(-1)/b(-1)
+    of the scheme's own polynomial wherever its branch predicate holds, and
+    the committed constant elsewhere; at delta = 0 and eps_s' = 1 a Lorentz
+    scheme reads the smaller of that and its degenerate q.  Seeded rational
+    draws, with delta = 0 and eps_s' = 1 fixed in turn."""
+    on_branch, off_value = Q_MINUS_ONE_BRANCH[scheme]
+    fixes = [{}, dict(eps_s_prime=1)]
+    if scheme.kind == "lorentz":
+        fixes += [dict(delta=0), dict(delta=0, eps_s_prime=1)]
+    rng = random.Random(f"stable_q {scheme.value}")
+    branches = set()
+    for fixed in fixes:
+        for _ in range(40):
+            params = _exact_params(rng, scheme, **fixed)
+            d, e, w = params.delta, params.eps_s_prime, params.omega
+            a, b = scheme.spec.char_poly(params)
+            expected = _exact_q_minus_one(a, b) if on_branch(d, e, w) else off_value
+            if w is not None and d == 0 and e == 1:
+                expected = min(expected, scheme.spec.degenerate_q(w))
+            assert scheme.spec.stable_q(params) == expected, params
+            branches.add(on_branch(d, e, w))
+    assert branches == ({True} if off_value is None else {True, False})
+
+
+def test_stable_q_switches_where_stated():
+    """Debye-Young leaves q_-1 for 0 just past delta = 1 when eps_s' > 1,
+    Lorentz-Young at omega eps_s' = 2, where q_-1 reaches 0, and
+    Lorentz-Joseph leaves q_-1 for 2 as soon as delta > 0 and eps_s' > 1."""
+    tiny = Fraction(1, 10 ** 9)
+    dy, lj, ly = Scheme.DEBYE_YOUNG, Scheme.LORENTZ_JOSEPH, Scheme.LORENTZ_YOUNG
+    q, q_m1 = _exact_stable_q(dy, delta=1, eps_s_prime=3)
+    assert q == q_m1 == 12
+    assert _exact_stable_q(dy, delta=1 + tiny, eps_s_prime=3)[0] == 0
+    assert _exact_stable_q(dy, delta=2, eps_s_prime=1) == (4, 4)
+    e = Fraction(5, 2)
+    q, q_m1 = _exact_stable_q(ly, delta=Fraction(3, 10), eps_s_prime=e, omega=2 / e - tiny)
+    assert q == q_m1 > 0
+    assert _exact_stable_q(ly, delta=Fraction(3, 10), eps_s_prime=e, omega=2 / e) == (0, 0)
+    q, q_m1 = _exact_stable_q(ly, delta=Fraction(3, 10), eps_s_prime=e, omega=2 / e + tiny)
+    assert q == 0 > q_m1
+    for d, e in ((0, 2), (Fraction(3, 10), 1)):
+        q, q_m1 = _exact_stable_q(lj, delta=d, eps_s_prime=e, omega=Fraction(4, 5))
+        assert q == q_m1 > 2
+    assert _exact_stable_q(lj, delta=tiny, eps_s_prime=1 + tiny, omega=Fraction(4, 5))[0] == 2
+
+
+def test_stable_q_past_lorentz_young_k_limit():
+    """Lorentz-Young's stable q-range outlives its k_limit, omega (2 eps_s' - 1)
+    = 2: at eps_s' = 38, delta = 0.0036, omega = 0.0331 (omega (2 eps_s' - 1)
+    = 2.48) it is still [0, q_-1] with q_-1 near 1.51."""
+    q, q_m1 = _exact_stable_q(Scheme.LORENTZ_YOUNG, delta=Fraction("0.0036"),
+                              eps_s_prime=38, omega=Fraction("0.0331"))
+    assert q == q_m1 == pytest.approx(1.51, abs=0.005)
+
+
+def test_stable_q_matches_the_float_walk():
+    """On seeded `_random_grid` media at time steps from 0.1 of 2h/c_inf up
+    to it, the float walk over [0, 2 max(4, q_c) + 1] ends its stable q-range
+    at stable_q's q_c, to a relative 1e-9: every Debye draw, and Lorentz
+    draws with eps_s' > 1 except damped Lorentz-Joseph.  Those left out are
+    float defects of the walk, not of the formula: damped Lorentz-Joseph
+    hides the growth just past q = 2 under `OUT_EIG_TOL`, and eps_s' = 1
+    Lorentz media at small omega stop at a tiny degenerate q or at 0."""
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(300):
+        scheme, medium, h, _ = _random_grid(rng)
+        k = 2.0 * h / medium.c_inf * 10.0 ** rng.uniform(-1.0, 0.0)
+        params = dimensionless_params(medium, k, h)
+        if scheme.kind == "lorentz" and (params.eps_s_prime == 1 or (
+                scheme is Scheme.LORENTZ_JOSEPH and params.delta > 0)):
+            continue
+        q_c = scheme.spec.stable_q(params)
+        walked = analyzer._walk(scheme, params, 0.0, 2.0 * max(4.0, q_c) + 1.0)[4]
+        assert walked == pytest.approx(q_c, rel=1e-9, abs=0.0), (scheme, medium, k, h)
+        checked += 1
+    assert checked >= 150, checked
