@@ -23,16 +23,15 @@ Worst-case verdicts over all wavenumbers are exact, not sampled: the
 characteristic polynomial p_q = a + q b is affine in the Courant quantity
 q, and the resultant of p_q and its reversal factors in closed form for
 every scheme.  So a root can meet the unit circle, or two roots collide
-on it, only at q in {0, 2, 4, q_-1 = -a(-1)/b(-1), the degenerate q}
-(`_candidates`; the factorizations and the degenerate sets are checked
-exactly in the tests).  Classifying those breakpoints of a q range, its
-ends and one point between each two decides the whole range: [0, q_max]
-for a verdict, and for a stability boundary in the time step the final
-bisection interval's range, to tell whether the boundary is attained.
-The same theorem gives each scheme's stable q-range [0, q_c] in closed form
-(`SchemeSpec.stable_q`).  The boundary search first bisects q_max(k) <=
-q_c(k), with no walk, then checks the final interval it predicts with
-worst-case verdicts and bisects on those only where the check fails.
+on it, only at q in {0, 2, 4, q_-1 = -a(-1)/b(-1), the degenerate q}, and
+each scheme's stable q-range [0, q_c) or [0, q_c] follows in closed form
+(`SchemeSpec.stable_q`, and `SchemeSpec.closed` for whether q_c itself is
+stable; both are checked against an exact walk over those breakpoints in
+the tests).  A grid is stable iff q_max < q_c, or q_max = q_c and the
+limit is closed, with near-ties decided in exact rationals.  That decides
+`worst_case_verdict` and every step of the bisection in
+`stability_boundary_k`; one `classify_at_q` probe at the deciding q
+labels each verdict with its argument.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -68,6 +68,8 @@ RANK_REL_TOL = 1e-8
 RESONANCE_SNAP_TOL = 1e-9
 
 BOUNDARY_REL_RESOLUTION = 1e-4
+# q_max this close to q_c, relative, is compared with q_c again exactly.
+TIE_REL_TOL = 1e-12
 
 
 class Argument(enum.Enum):
@@ -107,8 +109,8 @@ class BoundednessReport:
 class BoundaryResult:
     """Outcome of the largest-stable-time-step search.  attained: k* itself
     is stable (True, a closed condition) or not (False, an open one), None
-    when the exact checks cannot tell.  non_monotone and lowest_unstable_k:
-    the bottom of the bracket is already unstable (resonant media)."""
+    where there is no k*.  non_monotone and lowest_unstable_k: the bottom of
+    the bracket is already unstable (resonant media)."""
 
     k_star: float | None
     attained: bool | None
@@ -184,21 +186,6 @@ def _degenerate_q(scheme: Scheme, params: DimensionlessParams) -> float | None:
     matrix route gives the same verdict as the polynomial route."""
     q_of_omega = scheme.spec.degenerate_q
     return q_of_omega(params.omega) if q_of_omega and params.omega else None
-
-
-def _candidates(scheme: Scheme, params: DimensionlessParams) -> tuple[float | None, ...]:
-    """The q besides 0 at which a root of p_q = a + q b can meet the unit
-    circle or two roots collide on it: 2, 4, q_-1 = -a(-1)/b(-1) and the
-    degenerate q (None where a scheme has none).  Up to a q-free factor, the resultant
-    of p_q and its reversal is q^3 times powers of q - 2, q - 4 or the
-    linear factor whose root is q_-1.  Where the q-free factor vanishes
-    (eps_s = eps_inf or delta = 0), roots still collide on the circle only
-    at 0 or these q, the degenerate q only where delta = 0 and eps_s =
-    eps_inf both hold."""
-    a, b = (np.asarray(c, dtype=float)[::-1] for c in scheme.spec.char_poly(params))
-    b_m1 = np.polyval(b, -1.0)
-    q_m1 = float(-np.polyval(a, -1.0) / b_m1) if b_m1 != 0 else None
-    return 2.0, 4.0, q_m1, _degenerate_q(scheme, params)
 
 
 def _special_root_near(poly: Polynomial) -> bool:
@@ -283,39 +270,14 @@ def classify_point_2d(scheme: Scheme, params: DimensionlessParams, wn: Wavenumbe
 
 def _q_max(params: DimensionlessParams, h: float, h_y: float | None) -> float:
     """Largest Courant quantity of the grid: 4 lam^2, plus 4 lam_y^2 on a 2D
-    grid, that is when h_y is given."""
-    q_max = 4.0 * params.lam * params.lam
+    grid, that is when h_y is given; exact for `Fraction` inputs."""
+    q_max = 4 * params.lam * params.lam
     if h_y is None:
         return q_max
     if not (h_y > 0 and math.isfinite(h_y)):
         raise InvalidInputError("space step h_y must be positive and finite")
     lam_y = params.lam * h / h_y
-    return q_max + 4.0 * lam_y * lam_y
-
-
-def _walk(scheme: Scheme, params: DimensionlessParams, q_lo: float, q_hi: float):
-    """Classify the breakpoints of [q_lo, q_hi] (q_lo, q_hi and the
-    `_candidates` in range) and one midpoint per interval, in ascending
-    order, up to the first unstable probe.  Between two breakpoints no root
-    meets the unit circle, so the midpoint's verdict holds on the whole
-    open interval.  Returns the breakpoint count, (q, is-breakpoint,
-    verdict) of that probe, else of the top one, and q_c, where the stable
-    q-range found ends: the unstable breakpoint (an open limit), the last
-    breakpoint before an unstable midpoint (a closed one), or q_hi when
-    every probe is stable."""
-    # Relative whisker: a q_hi a few ulps below a candidate still probes it.
-    breaks = sorted({s for s in (q_lo, q_hi) + _candidates(scheme, params)
-                     if s is not None and q_lo <= s <= q_hi * (1.0 + 1e-9)})
-    probes = [(breaks[0], True)]
-    for a, b in zip(breaks, breaks[1:]):
-        probes += [(0.5 * (a + b), False), (b, True)]
-    q_c = breaks[0]
-    for q, at_break in probes:
-        verdict = classify_at_q(scheme, params, q)
-        if not verdict.stable:
-            return len(breaks), q, at_break, verdict, q if at_break else q_c
-        q_c = q  # a midpoint always follows a breakpoint
-    return len(breaks), q, at_break, verdict, q_hi
+    return q_max + 4 * lam_y * lam_y
 
 
 def _params(scheme: Scheme, medium: MediumModel, k: float, h: float) -> DimensionlessParams:
@@ -324,20 +286,49 @@ def _params(scheme: Scheme, medium: MediumModel, k: float, h: float) -> Dimensio
     return dimensionless_params(medium, k, h)
 
 
+def _theorem(scheme: Scheme, medium: MediumModel, k: float, h: float,
+             h_y: float | None):
+    """(params, q_max, q_c, sign of q_max - q_c, stable) at physical steps:
+    every wavenumber is stable iff q_max < q_c, or q_max = q_c and the limit
+    is `SchemeSpec.closed`.  Where q_max lies within TIE_REL_TOL of q_c, the
+    sign is taken again in exact rationals, from Fraction(k), Fraction(h),
+    Fraction(h_y) and the medium's fields."""
+    spec = scheme.spec
+    params = _params(scheme, medium, k, h)
+    q_max, q_c = _q_max(params, h, h_y), spec.stable_q(params)
+    sign = (q_max > q_c) - (q_max < q_c)
+    if abs(q_max - q_c) <= TIE_REL_TOL * q_c:
+        sign = _exact_sign(scheme, medium, k, h, h_y)[1]
+    return params, q_max, q_c, sign, sign < 0 or (sign == 0 and spec.closed(params))
+
+
+def _exact_sign(scheme: Scheme, medium: MediumModel, k, h: float, h_y: float | None):
+    """(params, sign of q_max - q_c), both exact from Fraction(k),
+    Fraction(h), Fraction(h_y) and the medium's fields."""
+    params = dimensionless_params(medium, Fraction(k), Fraction(h))
+    q_max = _q_max(params, Fraction(h), None if h_y is None else Fraction(h_y))
+    q_c = scheme.spec.stable_q(params)
+    return params, (q_max > q_c) - (q_max < q_c)
+
+
 def worst_case_verdict(scheme: Scheme, medium: MediumModel, k: float, h: float,
                        h_y: float | None = None) -> StabilityVerdict:
-    """Verdict over all wavenumbers at fixed physical steps, exact from the
-    breakpoint walk of q over [0, q_max]; a given h_y makes the grid 2D.
-    Breakpoints decide closed against open conditions and catch defective
-    eigenvalues."""
-    params = _params(scheme, medium, k, h)
-    n_breaks, q, _, verdict, _ = _walk(scheme, params, 0.0, _q_max(params, h, h_y))
-    if not verdict.stable:
-        return StabilityVerdict(False, verdict.argument,
-                                f"unstable at q={q:.12g}: {verdict.detail}")
-    detail = (f"stable at {n_breaks} breakpoints in [0, q_max] and inside "
-              f"the {n_breaks - 1} intervals between them")
-    return StabilityVerdict(True, verdict.argument, detail)
+    """Verdict over all wavenumbers at fixed physical steps, a given h_y
+    making the grid 2D: the theorem's, from q_max, the scheme's stable
+    q-range end q_c (`SchemeSpec.stable_q`) and whether that end is closed.
+    The argument label comes from one `classify_at_q` probe at the q that
+    decides the verdict: q_max, or, where q_max passes an open q_c > 0, q_c
+    itself, the first unstable q.  The detail names q_max, q_c, the clause
+    and the probe, and says so where the probe disagrees with the theorem."""
+    params, q_max, q_c, sign, stable = _theorem(scheme, medium, k, h, h_y)
+    closed = scheme.spec.closed(params)
+    q = q_c if not (stable or closed) and q_c > 0 else q_max
+    probe = classify_at_q(scheme, params, q)
+    detail = (f"q_max={q_max:.12g} {'<=>'[sign + 1]} q_c={q_c:.12g}, "
+              f"{'closed' if closed else 'open'} limit; probe at q={q:.12g}: {probe.detail}")
+    if probe.stable != stable:
+        detail += f"; the probe reads {'stable' if probe.stable else 'unstable'}, against the theorem"
+    return StabilityVerdict(stable, probe.argument, detail)
 
 
 def _bisect(lo: float, hi: float, stable) -> tuple[float, float]:
@@ -355,84 +346,55 @@ def _bisect(lo: float, hi: float, stable) -> tuple[float, float]:
 
 def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
                          h_y: float | None = None) -> BoundaryResult:
-    """Largest stable time step between 0 and 2h/c_inf: predict the
-    boundary, check the bisection's final interval around the prediction,
-    then bisect where the check fails; a given h_y makes the grid 2D.
+    """Largest stable time step between 0 and 2h/c_inf, by bisection on the
+    theorem's verdict (`worst_case_verdict`) without a probe; a given h_y
+    makes the grid 2D.
 
-    Prediction: the bisection's final interval [k_lo, k_hi] on q_max(k) <=
-    q_c(k), where q_c is the end of the scheme's stable q-range in closed
-    form (`SchemeSpec.stable_q`).  It walks and probes nothing.
+    The top, 2h/c_inf, must read unstable, else the search is refused; the
+    bottom, 1e-6 of the top, must read stable, else the medium is resonant
+    (non_monotone, with the lowest unstable k of the bottom and 10 and 100
+    times below it).  The bisection runs from the bottom down to
+    BOUNDARY_REL_RESOLUTION.  k* is the final interval's bottom.
 
-    Check: the top, 2h/c_inf, must read unstable, else the search is
-    refused; the bottom, 1e-6 of the top, must read stable, else the medium
-    is resonant; then k_hi must read unstable and k_lo stable.  A verdict
-    that contradicts the prediction still narrows the bracket.  From k_hi up,
-    where the verdict is expected unstable, one probe at q_max comes first:
-    q_max is a breakpoint of every walk, so an unstable probe there is the
-    walk's verdict, and only a stable one needs the walk.
+    attained: k* is where q_max meets q_c, stable iff the limit is
+    `SchemeSpec.closed` (constant along a branch of `stable_q`, so read at
+    k*), or where an open q_c drops to 0 (`SchemeSpec.switch_k`).  Where a
+    switch lies in the final interval, the theorem's predicate at its exact
+    time step decides instead of an open limit.
 
-    Bisection: the plain bisection on the worst-case verdict, from 1e-6 of
-    the top down to BOUNDARY_REL_RESOLUTION, except that a midpoint at or
-    below the bracket reads stable and one at or above it unstable, with no
-    walk.  So it visits the same midpoints and returns the same result as a
-    plain bisection, on the single switch from stable to unstable in k that
-    the bisection assumes anyway.  Where the check holds, no midpoint falls
-    inside the bracket and the search ends at k_lo.  A wrong q_c costs
-    walks, never a different result.
-
-    With the parameters at the final bisection interval's lo, q is walked
-    on from q_max(lo) to q_max(hi): an unstable breakpoint means an open
-    Courant condition, an unstable midpoint a closed one.  If the walk
-    stays stable, the verdict at the scheme's parameter limit
-    `SchemeSpec.k_limit` decides attainability when that limit lies in
-    (lo, hi].
+    The one `classify_at_q` probe of a search is that of the worst-case
+    verdict at k*, or at the lowest unstable k; its argument and detail end
+    the result's detail.
     """
     if not (h > 0 and math.isfinite(h)):
         raise InvalidInputError("space step h must be positive and finite")
 
-    def predicted_stable(k: float) -> bool:
-        params = dimensionless_params(medium, k, h)
-        return _q_max(params, h, h_y) <= scheme.spec.stable_q(params)
-
-    def stable_at(k: float) -> bool:
-        if k >= k_hi:
-            # Expected unstable.  q_max is one of the walk's breakpoints, so
-            # an unstable probe there is the walk's own verdict.
-            params = dimensionless_params(medium, k, h)
-            if not classify_at_q(scheme, params, _q_max(params, h, h_y)).stable:
-                return False
-        return worst_case_verdict(scheme, medium, k, h, h_y).stable
+    def stable(k: float) -> bool:
+        return _theorem(scheme, medium, k, h, h_y)[4]
 
     hi = 2.0 * h / medium.c_inf
-    _params(scheme, medium, hi, h)  # a medium of the other kind is refused here
-    lo = 1e-6 * hi
-    k_lo, k_hi = _bisect(lo, hi, predicted_stable)
-    if stable_at(hi):
+    if stable(hi):
         raise NumericalFailureError(
             "no instability found up to 2h/c_inf; cannot bracket a boundary")
-    if not stable_at(lo):
-        lowest = min([lo] + [p for p in (lo / 10.0, lo / 100.0) if not stable_at(p)])
+    lo = 1e-6 * hi
+    if not stable(lo):
+        lowest = min([lo] + [p for p in (lo / 10.0, lo / 100.0) if not stable(p)])
+        verdict = worst_case_verdict(scheme, medium, lowest, h, h_y)
         return BoundaryResult(None, None, True, lowest,
                               "unstable at the bottom of the bracket "
-                              "(resonant regime; no upper boundary in k)")
-    # a reads stable and b unstable; the bisection walks only inside (a, b).
-    a, b = lo, hi
-    # Float verdicts err towards stable, so the top end fails more often, and
-    # a stable top end makes the bottom one stable too.
-    for k in (k_hi, k_lo):
-        if a < k < b:
-            a, b = (k, b) if stable_at(k) else (a, k)
-    lo, hi = _bisect(lo, hi, lambda mid: mid <= a or (mid < b and stable_at(mid)))
-    p_lo, p_hi = dimensionless_params(medium, lo, h), dimensionless_params(medium, hi, h)
-    _, _, at_break, verdict, _ = _walk(scheme, p_lo, _q_max(p_lo, h, h_y),
-                                       _q_max(p_hi, h, h_y))
-    k_lim = scheme.spec.k_limit(medium) if scheme.spec.k_limit else None
-    if verdict.stable:
-        attained = stable_at(k_lim) if k_lim is not None and lo < k_lim <= hi else None
-    else:
-        attained = not at_break
+                              "(resonant regime; no upper boundary in k); "
+                              f"at the lowest {verdict.argument.value}: {verdict.detail}")
+    lo, hi = _bisect(lo, hi, stable)
+    spec = scheme.spec
+    attained = spec.closed(_params(scheme, medium, lo, h))
+    k_sw = spec.switch_k(medium) if spec.switch_k else None
+    if not attained and k_sw is not None and lo < k_sw <= hi:
+        params, sign = _exact_sign(scheme, medium, k_sw, h, h_y)
+        attained = sign < 0 or (sign == 0 and spec.closed(params))
+    verdict = worst_case_verdict(scheme, medium, lo, h, h_y)
     return BoundaryResult(lo, attained, False, None,
-                          f"bisection converged to [{lo:.9e}, {hi:.9e}]")
+                          f"bisection converged to [{lo:.9e}, {hi:.9e}]; at its "
+                          f"bottom {verdict.argument.value}: {verdict.detail}")
 
 
 def reproduce_argument_table(scheme: Scheme) -> list[TableRow]:

@@ -213,16 +213,21 @@ class SchemeSpec:
         expression.  The calls may overwrite the scratch arrays S, S_old
         and tmp.  A hand-written grid stencil, never derived from the
         matrix, so that the simulator stays an independent referee.
-    stable_q            params -> q_c, same type: the stable q-set is [0, q_c]
-        or [0, q_c), by the theorem behind `analyzer._candidates`.  q_c is 4,
-        2 or q_-1 = -a(-1)/b(-1) (0 where the set is {0} or empty), capped at
-        the degenerate q where delta = 0 and eps_s = eps_inf
+    stable_q            params -> q_c, same type: every q of [0, q_max] is
+        stable iff q_max < q_c, or q_max = q_c and `closed` holds.  A root of
+        p_q = a + q b meets the unit circle, or two collide on it, only at q
+        in {0, 2, 4, q_-1 = -a(-1)/b(-1), degenerate q} (the resultant of p_q
+        and its reversal factors in closed form), so q_c is 4, 2 or q_-1 (0
+        where the stable set is {0} or empty), capped at the degenerate q
+        where delta = 0 and eps_s = eps_inf
+    closable            False where no q_c is ever attained (Lorentz-Kashiwa,
+        whose q = 4 is defective); see `closed`
+    switch_k            medium -> the time step, an exact `Fraction`, after
+        which an open q_c drops to 0 (Lorentz-Young at omega = 2 where eps_s
+        = eps_inf), or None.  The switch keeps the q_c below it, so the
+        largest stable time step can sit there, attained, short of q_c.
+        (Debye-Young's drop past delta = 1 leaves a closed q_c.)
     regimes             reference stability regimes of the scheme
-    k_limit             medium -> time step where the scheme's own parameter
-        condition meets its limit (Debye-Young delta = 1, Lorentz-Young omega
-        = 2/(2 eps' - 1), where its q_-1 falls to 2; its stable set empties
-        only at omega = 2/eps'), or None when only the Courant condition
-        bounds k.  The boundary search reads it only to decide attainability
     verify_unstable     fractions of q_limit at which the verify plan probes
         the unstable side
     """
@@ -237,23 +242,34 @@ class SchemeSpec:
     needs_prev_source: bool
     stable_q: Callable[[DimensionlessParams], float]
     regimes: tuple[Regime, ...]
-    k_limit: Callable[[MediumModel], float] | None = None
+    closable: bool = True
+    switch_k: Callable[[MediumModel], Fraction | None] | None = None
     verify_unstable: tuple[float, ...] = (1.25, 1.60)
+
+    def closed(self, params: DimensionlessParams) -> bool:
+        """Whether q = q_c itself is stable, for float and `Fraction`
+        parameters alike: where q_c > 0, delta > 0 and eps_s > eps_inf, except
+        in a scheme that is not `closable`.  Elsewhere q_c is defective or has
+        a root outside the circle."""
+        return (self.closable and params.delta > 0 and params.alpha > 0
+                and self.stable_q(params) > 0)
 
 
 def dimensionless_params(medium: MediumModel, k: float, h: float) -> DimensionlessParams:
     """Map physical medium and steps (k seconds, h meters) to the
-    dimensionless parameter set."""
+    dimensionless parameter set; exact when k and h are `Fraction`s, which
+    then take the medium's float fields (c_inf included) as exact values."""
     if not (k > 0 and math.isfinite(k)):
         raise InvalidInputError("time step k must be positive and finite")
     if not (h > 0 and math.isfinite(h)):
         raise InvalidInputError("space step h must be positive and finite")
-    lam = medium.c_inf * k / h
-    es = medium.eps_s / medium.eps_inf
+    num = Fraction if type(k) is Fraction else float
+    lam = num(medium.c_inf) * k / h
+    es = num(medium.eps_s) / num(medium.eps_inf)
     if medium.kind == "debye":
-        return DimensionlessParams(lam=lam, delta=k / (2.0 * medium.t_r), eps_s_prime=es)
-    return DimensionlessParams(lam=lam, delta=medium.nu * k / 2.0, eps_s_prime=es,
-                               omega=medium.omega1 ** 2 * k ** 2 / 2.0)
+        return DimensionlessParams(lam=lam, delta=k / (2 * num(medium.t_r)), eps_s_prime=es)
+    return DimensionlessParams(lam=lam, delta=num(medium.nu) * k / 2, eps_s_prime=es,
+                               omega=num(medium.omega1) ** 2 * k ** 2 / 2)
 
 
 def courant_q(params: DimensionlessParams, wn: Wavenumber) -> float:
@@ -611,6 +627,17 @@ def _ly_degenerate_q(w):
     return 2 * w
 
 
+def _ly_stable_q(p):
+    w, es = p.omega, p.eps_s_prime
+    if w * es < 2:
+        q_c = 4 * (2 - w * es) / (2 - w)
+    else:
+        # At omega = 2 and eps_s = eps_inf, q_-1 is 0/0; a damped medium
+        # keeps the q_c = 4 of smaller omega there, and loses it just past.
+        q_c = 4 if w == 2 and es == 1 and p.delta > 0 else 0
+    return _harmonic_cap(p, q_c, _ly_degenerate_q)
+
+
 def _ly_material(p):
     d, w, a = p.delta, p.omega, p.alpha
     c_j, c_E, c_p, den = _coefficients(1.0 - d, 2.0 * w * a, 2.0 * w, 1.0 + d)
@@ -671,7 +698,7 @@ SPECS: dict[Scheme, SchemeSpec] = {
         material=_dy_material, needs_prev_source=False,
         stable_q=lambda p: (4 * (1 + p.delta ** 2 * p.alpha)
                             if p.delta <= 1 or p.alpha == 0 else 0),
-        regimes=_DY_REGIMES, k_limit=lambda m: 2.0 * m.t_r),
+        regimes=_DY_REGIMES),
     Scheme.LORENTZ_JOSEPH: SchemeSpec(
         "lorentz", ("b", "E", "E_prev", "d"), q_limit=2.0, entries=_lj_entries,
         char_poly=_lj_char_poly, degenerate_q=_lj_degenerate_q,
@@ -687,16 +714,14 @@ SPECS: dict[Scheme, SchemeSpec] = {
         "lorentz", ("b", "E", "p", "j"), q_limit=4.0, entries=_lk_entries,
         char_poly=_lk_char_poly, degenerate_q=_lk_degenerate_q,
         material=_lk_material, needs_prev_source=False,
-        stable_q=lambda p: _harmonic_cap(p, 4, _lk_degenerate_q), regimes=_LK_REGIMES),
+        stable_q=lambda p: _harmonic_cap(p, 4, _lk_degenerate_q), regimes=_LK_REGIMES,
+        closable=False),
     Scheme.LORENTZ_YOUNG: SchemeSpec(
         "lorentz", ("b", "E", "p", "j"), q_limit=2.0, entries=_ly_entries,
         char_poly=_ly_char_poly, degenerate_q=_ly_degenerate_q,
         material=_ly_material, needs_prev_source=False,
-        stable_q=lambda p: _harmonic_cap(
-            p, 4 * (2 - p.omega * p.eps_s_prime) / (2 - p.omega)
-            if p.omega * p.eps_s_prime < 2 else 0, _ly_degenerate_q),
-        regimes=_LY_REGIMES,
-        k_limit=lambda m: 2.0 / (m.omega1 * math.sqrt(2.0 * m.eps_s / m.eps_inf - 1.0)),
+        stable_q=_ly_stable_q, regimes=_LY_REGIMES,
+        switch_k=lambda m: 2 / Fraction(m.omega1) if m.eps_s == m.eps_inf else None,
         # The damped boundary is soft; drive it clearly past the limit.
         verify_unstable=(1.0 + 0.9 * (1.25 - 1.0) + 0.8, 1.0 + 0.9 * (1.60 - 1.0) + 0.8)),
 }

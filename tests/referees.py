@@ -6,8 +6,10 @@ profiles from companion eigenvalues, the physical per-wavenumber update
 matrix and its characteristic polynomial det(Z I - G) (from eigenvalues,
 or exactly for a matrix of Fractions), and the grid's own
 Fourier amplitudes and per-mode update matrices measured from `step`;
-also the plain bisection for the stability boundary, which walks every
-midpoint, the single reduction step of the root-location recursion, and
+also the walks over the theorem's breakpoints, in floats and exact, that
+`SchemeSpec.stable_q` and `SchemeSpec.closed` state in closed form, the
+plain bisection for the stability boundary on their worst-case verdicts,
+the single reduction step of the root-location recursion, and
 the theorem behind the walk's breakpoints as data: the factored resultant
 of each scheme's polynomial and its reversal, and the sets where that
 resultant vanishes in q, with exact resultants, gcds and discriminants to
@@ -16,6 +18,7 @@ check them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +41,6 @@ from fdtd_stability import (
     init_plane_wave,
     step,
     tm_factor_2d,
-    worst_case_verdict,
 )
 from fdtd_stability import analyzer
 from fdtd_stability.polyloc import (
@@ -173,19 +175,222 @@ def factor_roots_2d(scheme: Scheme, params: DimensionlessParams, wn: Wavenumber,
     return np.concatenate(roots)
 
 
-# --- stability boundary ---------------------------------------------------------
+# --- the walks over the theorem's breakpoints -----------------------------------
+#
+# Between two of the breakpoints {0, 2, 4, q_-1, degenerate q} no root of p_q meets
+# the unit circle (see RESULTANTS below), so one midpoint decides each open
+# interval.  A walk classifies the breakpoints of a q range and one midpoint per
+# interval, ascending, up to the first unstable probe: the float referee with
+# `classify_at_q`, the exact one with `exact_stable_at_q`.  `SchemeSpec.stable_q`
+# and `SchemeSpec.closed` state the same result in closed form.
+
+class Walk(NamedTuple):
+    """A walk's outcome: whether every probe was stable, and where the
+    stable q-range found ends, q_c, with closed telling whether q_c itself
+    is stable (an unstable midpoint follows a stable breakpoint) or not (an
+    unstable breakpoint).  q_c is the top, closed, when every probe is
+    stable."""
+
+    stable: bool
+    q_c: object
+    closed: bool
+
+
+def _walk_over(breaks: list, stable_at: Callable) -> Walk:
+    probes = [(breaks[0], True)]
+    for a, b in zip(breaks, breaks[1:]):
+        probes += [((a + b) / 2, False), (b, True)]
+    q_c = breaks[0]
+    for q, at_break in probes:
+        if not stable_at(q):
+            return Walk(False, q if at_break else q_c, not at_break)
+        q_c = q  # a midpoint always follows a breakpoint
+    return Walk(True, q_c, True)
+
+
+def _candidates(scheme: Scheme, params: DimensionlessParams) -> tuple[float | None, ...]:
+    """The q besides 0 at which a root of p_q = a + q b can meet the unit
+    circle or two roots collide on it, in floats: 2, 4, q_-1 = -a(-1)/b(-1)
+    and the degenerate q (None where a scheme has none).  Up to a q-free
+    factor, the resultant of p_q and its reversal is q^3 times powers of
+    q - 2, q - 4 or the linear factor whose root is q_-1.  Where the q-free
+    factor vanishes (eps_s = eps_inf or delta = 0), roots still collide on
+    the circle only at 0 or these q, the degenerate q only where delta = 0
+    and eps_s = eps_inf both hold."""
+    a, b = (np.asarray(c, dtype=float)[::-1] for c in scheme.spec.char_poly(params))
+    b_m1 = np.polyval(b, -1.0)
+    q_m1 = float(-np.polyval(a, -1.0) / b_m1) if b_m1 != 0 else None
+    return 2.0, 4.0, q_m1, analyzer._degenerate_q(scheme, params)
+
+
+def _walk(scheme: Scheme, params: DimensionlessParams, q_lo: float, q_hi: float) -> Walk:
+    """The float walk of [q_lo, q_hi], its probes by `analyzer.classify_at_q`."""
+    # Relative whisker: a q_hi a few ulps below a candidate still probes it.
+    breaks = sorted({s for s in (q_lo, q_hi) + _candidates(scheme, params)
+                     if s is not None and q_lo <= s <= q_hi * (1.0 + 1e-9)})
+    return _walk_over(breaks, lambda q: analyzer.classify_at_q(scheme, params, q).stable)
+
+
+def exact_candidates(scheme: Scheme, params: DimensionlessParams) -> tuple:
+    """`_candidates` for `Fraction` parameters, exact: 2, 4, q_-1 and the
+    degenerate q."""
+    a, b = scheme.spec.char_poly(params)
+    b_m1 = sum(c * (-1) ** j for j, c in enumerate(b))
+    q_m1 = -sum(c * (-1) ** j for j, c in enumerate(a)) / b_m1 if b_m1 else None
+    q_of_omega = scheme.spec.degenerate_q
+    q_deg = q_of_omega(params.omega) if q_of_omega and params.omega else None
+    return Fraction(2), Fraction(4), q_m1, q_deg
+
+
+def _integral(xs: Sequence[Fraction]) -> list[int]:
+    """xs times the lcm of their denominators: integers, in proportion."""
+    lcm = math.lcm(*(Fraction(x).denominator for x in xs))
+    return [int(x * lcm) for x in xs]
+
+
+def _matmul(A: list, B: list) -> list:
+    n = len(A)
+    return [[sum(A[i][l] * B[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _matrix_poly(c: Sequence[int], G: list, scale: int) -> list:
+    """scale^d c(G / scale), c of degree d with integer coefficients and G
+    an integer matrix, by Horner's rule: sum of c_j scale^(d-j) G^j."""
+    n = len(G)
+    M = [[0] * n for _ in range(n)]
+    for t, coef in enumerate(reversed(c)):
+        M = _matmul(M, G)
+        for i in range(n):
+            M[i][i] += coef * scale ** t
+    return M
+
+
+def integer_location(c: Sequence[int]) -> tuple[bool, bool]:
+    """(simple von Neumann, Schur) of the real polynomial with integer
+    ascending coefficients c, by the conjugate-reduction recursion in exact
+    integer arithmetic, independent of `polyloc`: each level reduces c to
+    c_d c_(j+1) - c_0 c_(d-1-j) and divides out its content; |c_0| < |c_d|
+    continues, anything else with a nonzero reduction has a root outside.
+    A vanishing reduction hands over to the derivative, which must then be
+    Schur (every level strict, the degree dropping by one)."""
+    c = list(c)
+    vanished, schur = False, True
+    while len(c) > 1:
+        d = len(c) - 1
+        rel = (abs(c[0]) > abs(c[d])) - (abs(c[0]) < abs(c[d]))
+        nxt = ([c[d] * c[j + 1] - c[0] * c[d - 1 - j] for j in range(d)]
+               if rel < 0 or not vanished else [])
+        while nxt and nxt[-1] == 0:
+            nxt.pop()
+        schur = schur and rel < 0 and len(nxt) == d
+        if vanished and not schur:
+            break
+        if not nxt:
+            vanished, schur = True, True
+            nxt = [j * x for j, x in enumerate(c)][1:]
+        elif rel >= 0:
+            return False, False
+        content = math.gcd(*nxt)
+        c = [x // content for x in nxt]
+    return (schur, False) if vanished else (True, schur)
+
+
+@functools.lru_cache(maxsize=16)
+def _integer_pair(scheme: Scheme, params: DimensionlessParams) -> tuple[list[int], list[int]]:
+    """`spec.char_poly` at `Fraction` parameters, both lists scaled to
+    integers by one common factor: a walk's probes then build p_q from
+    integers only."""
+    a, b = scheme.spec.char_poly(params)
+    ab = _integral([*a, *b])
+    return ab[:len(a)], ab[len(a):]
+
+
+def exact_stable_at_q(scheme: Scheme, params: DimensionlessParams, q: Fraction) -> bool:
+    """Whether the update matrix at Courant quantity q has bounded powers,
+    in exact arithmetic for `Fraction` parameters and q.  The exact
+    recursion (`integer_location`) decides where p_q is simple von Neumann.
+    Elsewhere, with u =
+    gcd(p, p*), w = p/u and r the squarefree part of u: u holds every root
+    on the circle (a real p has them in p* as often as in p) and every pair
+    z, 1/z off it, so the powers are bounded iff w is Schur, r has all its
+    roots on the circle (simple von Neumann), and the unit eigenvalues are
+    semisimple: r(G) w(G)^n = 0 for the n x n matrix G.  G is `spec.entries`
+    at u = q, v = -1, similar to the physical matrix for q > 0 (diagonal
+    scaling of sqrt(q), -sqrt(q)), and at u = v = 0 for q = 0."""
+    q = Fraction(q)
+    a, b = _integer_pair(scheme, params)
+    p = [q.denominator * x + q.numerator * y for x, y in zip(a, b)]  # p_q, scaled
+    if integer_location(p)[0]:
+        return True
+    p = [Fraction(x) for x in p]
+    u = monic_gcd_exact(p, p[::-1])
+    if len(u) == 1:
+        return False  # no root on the circle: one lies outside
+    w = divmod_exact(p, u)[0]
+    r = divmod_exact(u, monic_gcd_exact(u, [j * c for j, c in enumerate(u)][1:]))[0]
+    if not (integer_location(_integral(w))[1] and integer_location(_integral(r))[0]):
+        return False
+    u_c, v_c = (q, Fraction(-1)) if q else (Fraction(0), Fraction(0))
+    rows = scheme.spec.entries(params, u_c, v_c, q)
+    scale = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+    G = [[int(Fraction(x) * scale) for x in row] for row in rows]
+    M = _matrix_poly(_integral(r), G, scale)
+    W = _matrix_poly(_integral(w), G, scale)
+    for _ in G:
+        M = _matmul(M, W)
+    return not any(x for row in M for x in row)
+
+
+def exact_walk(scheme: Scheme, params: DimensionlessParams, q_lo, q_hi) -> Walk:
+    """The exact walk of [q_lo, q_hi] for `Fraction` parameters and ends,
+    its probes by `exact_stable_at_q`."""
+    breaks = sorted({Fraction(s) for s in (q_lo, q_hi) + exact_candidates(scheme, params)
+                     if s is not None and q_lo <= s <= q_hi})
+    return _walk_over(breaks, lambda q: exact_stable_at_q(scheme, params, q))
+
+
+def exact_params(medium: MediumModel, k: float, h: float) -> DimensionlessParams:
+    """The dimensionless parameters of float steps k and h, exact."""
+    return dimensionless_params(medium, Fraction(k), Fraction(h))
+
+
+def exact_q_max(params: DimensionlessParams, h: float, h_y: float | None) -> Fraction:
+    return analyzer._q_max(params, Fraction(h), None if h_y is None else Fraction(h_y))
+
+
+def walk_verdict(scheme: Scheme, medium: MediumModel, k: float, h: float,
+                 h_y: float | None = None) -> bool:
+    """The worst-case verdict by the exact walk of [0, q_max], from
+    Fraction(k) and Fraction(h)."""
+    params = exact_params(medium, k, h)
+    return exact_walk(scheme, params, Fraction(0), exact_q_max(params, h, h_y)).stable
+
+
+def branch_switch_k(scheme: Scheme, medium: MediumModel) -> Fraction | None:
+    """Exact time step where the stable q-range jumps within a medium:
+    Debye-Young at delta = 1 with eps_s > eps_inf, Lorentz-Young at
+    omega = 2 with eps_s = eps_inf."""
+    if scheme is Scheme.DEBYE_YOUNG and medium.eps_s > medium.eps_inf:
+        return 2 * Fraction(medium.t_r)
+    if scheme is Scheme.LORENTZ_YOUNG and medium.eps_s == medium.eps_inf:
+        return 2 / Fraction(medium.omega1)
+    return None
+
 
 def plain_bisection_boundary(scheme: Scheme, medium: MediumModel, h: float,
                              h_y: float | None = None) -> analyzer.BoundaryResult:
-    """`stability_boundary_k` by plain bisection on the worst-case verdict,
-    with a walk at every midpoint: the search the bracketed one must
-    reproduce field for field.  Its q-walks go through `analyzer._walk`, so
-    a test can count them."""
+    """`stability_boundary_k` by plain bisection on the exact `walk_verdict`,
+    with the search's bracket and resolution.  attained: where
+    a jump of the stable q-range (`branch_switch_k`) lies in the final
+    interval (lo, hi] and the exact walk reads it stable, it is k* itself,
+    attained; else the walk at lo's parameters from q_max(lo) upwards tells
+    whether the q-range q_max meets is closed (an unstable midpoint) or open
+    (an unstable breakpoint)."""
     if not (h > 0 and math.isfinite(h)):
         raise InvalidInputError("space step h must be positive and finite")
 
     def stable_at(k: float) -> bool:
-        return worst_case_verdict(scheme, medium, k, h, h_y).stable
+        return walk_verdict(scheme, medium, k, h, h_y)
 
     hi = 2.0 * h / medium.c_inf
     if stable_at(hi):
@@ -203,14 +408,13 @@ def plain_bisection_boundary(scheme: Scheme, medium: MediumModel, h: float,
             lo = mid
         else:
             hi = mid
-    p_lo, p_hi = dimensionless_params(medium, lo, h), dimensionless_params(medium, hi, h)
-    _, _, at_break, verdict, _ = analyzer._walk(
-        scheme, p_lo, analyzer._q_max(p_lo, h, h_y), analyzer._q_max(p_hi, h, h_y))
-    if verdict.stable:
-        k_lim = scheme.spec.k_limit(medium) if scheme.spec.k_limit else None
-        attained = stable_at(k_lim) if k_lim is not None and lo < k_lim <= hi else None
+    k_sw = branch_switch_k(scheme, medium)
+    if k_sw is not None and lo < k_sw <= hi and stable_at(k_sw):
+        attained = True
     else:
-        attained = not at_break
+        p_lo = exact_params(medium, lo, h)
+        top = 2 * max(4, exact_q_max(exact_params(medium, hi, h), h, h_y)) + 1
+        attained = exact_walk(scheme, p_lo, exact_q_max(p_lo, h, h_y), top).closed
     return analyzer.BoundaryResult(lo, attained, False, None,
                                    f"bisection converged to [{lo:.9e}, {hi:.9e}]")
 

@@ -9,6 +9,7 @@ import time
 import zlib
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,8 +42,10 @@ from referees import (
     factor_roots_2d,
     from_roots,
     mode_matrix_2d,
+    exact_params,
+    exact_q_max,
+    exact_walk,
     monic,
-    plain_bisection_boundary,
 )
 
 WATER = MediumModel.debye(1.8, 81.0, 9.4e-12)
@@ -186,7 +189,7 @@ def test_criterion_4_condition_table_boundaries():
               f"({100 * rel:.3f}%){'' if line_ok else '  <-- FAIL'}")
     elapsed = time.monotonic() - t0
     _report("criterion 4 (condition-table boundaries within 1%)",
-            ok and elapsed < 30.0, f"{elapsed:.1f}s")
+            ok and elapsed < 1.0, f"{elapsed:.3f}s")
 
 
 def test_criterion_5_reference_numeric_crossovers():
@@ -203,41 +206,31 @@ def test_criterion_5_reference_numeric_crossovers():
               f"{'' if line_ok else '  <-- FAIL'}")
     elapsed = time.monotonic() - t0
     _report("criterion 5 (reference numeric crossovers)",
-            ok and elapsed < 10.0, f"{elapsed:.1f}s")
+            ok and elapsed < 1.0, f"{elapsed:.3f}s")
 
 
 def test_criterion_4_5_verdict_budget(monkeypatch):
-    """Every q-walk and every `classify_at_q` probe of a criterion-4/5
-    search counts: the verdicts at the bracket top and bottom; the two
-    verdicts that check the bisection's final interval around the k* that
-    `SchemeSpec.stable_q` predicts, and any bisection midpoint where that
-    check fails; the walk over the final interval's q-range; and at most
-    one verdict at a parameter limit.  The prediction walks and probes
-    nothing.  A verdict above the predicted interval's bottom first probes
-    q_max alone, and an unstable probe there makes no walk.  That is 3 or 4
-    walks and 14 to 22 probes here, where the plain bisection walks 18 to
-    22 times (15 to 18 midpoints down to 1e-4 relative width) in 56 to 133
-    probes, and no search walks or probes more than the plain bisection
-    does."""
+    """The theorem decides every step of a criterion-4/5 search: no q-walk
+    is left in the analyzer, and each search makes exactly one
+    `classify_at_q` probe, at q_max of k*, to label the result (the plain
+    bisection's float walks made 56 to 133 probes per search)."""
+    assert not any(hasattr(analyzer, name) for name in ("_walk", "_candidates"))
     calls = Counter()
-    for name in ("_walk", "classify_at_q"):
-        def counted(*args, _inner=getattr(analyzer, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _inner(*args, **kwargs)
 
-        monkeypatch.setattr(analyzer, name, counted)
-    counts, plain = [], []
+    def counted(*args, _inner=analyzer.classify_at_q):
+        calls[args[2]] += 1
+        return _inner(*args)
+
+    monkeypatch.setattr(analyzer, "classify_at_q", counted)
+    probes = []
     for _, scheme, medium, h, *_ in CRITERION_4_CASES + CRITERION_5_CASES:
-        for search, tally in ((stability_boundary_k, counts),
-                              (plain_bisection_boundary, plain)):
-            calls.clear()
-            search(scheme, medium, h)
-            tally.append((calls["_walk"], calls["classify_at_q"]))
-    _report("criterion 4/5 verdict budget (at most 4 q-walks and 22 probes per search, "
-            "none more than the plain bisection)",
-            all(w <= 4 and p <= 22 for w, p in counts)
-            and all(map(lambda c, pc: all(x <= y for x, y in zip(c, pc)), counts, plain)),
-            f"(q-walks, probes) per search {counts}, plain bisection {plain}")
+        calls.clear()
+        res = stability_boundary_k(scheme, medium, h)
+        q_max = analyzer._q_max(dimensionless_params(medium, res.k_star, h), h, None)
+        probes.append(dict(calls))
+        assert dict(calls) == {q_max: 1}
+    _report("criterion 4/5 verdict budget (no q-walk, one probe per search at q_max of k*)",
+            all(sum(c.values()) == 1 for c in probes), f"probes per search {probes}")
 
 
 @pytest.mark.parametrize("case,q_c", [
@@ -254,16 +247,16 @@ def test_criterion_4_5_verdict_budget(monkeypatch):
 ])
 def test_criterion_4_5_top_stable_q(case, q_c):
     """At the bracket top, 2h/c_inf, the closed-form end of the stable
-    q-range (`SchemeSpec.stable_q`) is exactly where the top walk's stable
-    q-range ends: 4 or 2 on the Courant arms, Debye-Young's q_-1 in water,
-    and 0 past a parameter limit (Debye-Young with delta > 1, Lorentz-Young
-    with omega eps' >= 2)."""
+    q-range (`SchemeSpec.stable_q`) is exactly where the exact walk's stable
+    q-range ends, at the exact parameters of the float steps: 4 or 2 on the
+    Courant arms, Debye-Young's q_-1 in water, and 0 past a parameter limit
+    (Debye-Young with delta > 1, Lorentz-Young with omega eps' >= 2)."""
     (_, scheme, medium, h, *_), = [c for c in CRITERION_4_CASES + CRITERION_5_CASES
                                    if c[0].startswith(case)]
-    top = 2.0 * h / medium.c_inf
-    params = dimensionless_params(medium, top, h)
-    walked = analyzer._walk(scheme, params, 0.0, analyzer._q_max(params, h, None))[4]
-    assert scheme.spec.stable_q(params) == walked == pytest.approx(q_c, rel=1e-11, abs=0.0)
+    params = exact_params(medium, 2.0 * h / medium.c_inf, h)
+    walk = exact_walk(scheme, params, Fraction(0), exact_q_max(params, h, None))
+    assert scheme.spec.stable_q(params) == walk.q_c
+    assert float(walk.q_c) == pytest.approx(q_c, rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("scheme,q_res_of", [

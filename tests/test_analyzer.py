@@ -8,6 +8,7 @@ geometric-multiplicity test at repeated unit eigenvalues).
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,7 +35,8 @@ from fdtd_stability import (
 from fdtd_stability import analyzer, polyloc
 from fdtd_stability.polyloc import poly_roots
 from fdtd_stability.schemes import amplification_matrix_at_q
-from referees import factor_roots_2d, plain_bisection_boundary
+from referees import factor_roots_2d, plain_bisection_boundary, walk_verdict
+from test_golden import _young_omega_h
 
 
 # --- gn_bounded --------------------------------------------------------------
@@ -285,24 +287,19 @@ def test_worst_case_rejects_medium_of_other_kind(optical_lorentz):
         worst_case_verdict(Scheme.DEBYE_JOSEPH, optical_lorentz, 1e-17, 1e-8)
 
 
-def test_boundary_without_instability_below_2h_is_a_numerical_failure(
-        water, optical_lorentz, monkeypatch):
+def test_boundary_without_instability_below_2h_is_a_numerical_failure(water):
     """The bracket's top, 2h/c_inf, must be unstable; a search that finds it
-    stable refuses to report a boundary.  With every probe stubbed stable,
-    the top's walk finds no instability and the search refuses.  A
-    Lorentz-Joseph stub unstable only at q = 3, the midpoint between the
-    candidates 2 and 4 of the top's walk, reads an unstable top and brackets
-    a boundary instead."""
-    stable = analyzer.StabilityVerdict(True, Argument.THEOREM_SCHUR, "stubbed")
-    unstable = analyzer.StabilityVerdict(False, Argument.THEOREM_VON_NEUMANN, "stubbed")
-    for scheme, medium, h in ((Scheme.DEBYE_JOSEPH, water, 1e-5),
-                              (Scheme.LORENTZ_JOSEPH, optical_lorentz, 1e-8)):
-        monkeypatch.setattr(analyzer, "classify_at_q", lambda s, p, q: stable)
+    stable refuses to report a boundary.  Debye-Young in water at h = 1.05 mm:
+    at the top, delta = 0.4999 and q_c = 4 (1 + delta^2 (eps_s' - 1)) = 48.0
+    lies above q_max = 16, and every k below it is stable too.  The exact
+    plain bisection refuses the same search."""
+    h = 1.05e-3
+    params = dimensionless_params(water, 2.0 * h / water.c_inf, h)
+    assert params.delta == pytest.approx(0.5, abs=1e-3)
+    assert Scheme.DEBYE_YOUNG.spec.stable_q(params) == pytest.approx(48.0, rel=1e-3)
+    for search in (stability_boundary_k, plain_bisection_boundary):
         with pytest.raises(NumericalFailureError, match="no instability found up to 2h/c_inf"):
-            stability_boundary_k(scheme, medium, h)
-    monkeypatch.setattr(analyzer, "classify_at_q",
-                        lambda s, p, q: unstable if q == 3.0 else stable)
-    assert stability_boundary_k(Scheme.LORENTZ_JOSEPH, optical_lorentz, 1e-8).k_star is not None
+            search(Scheme.DEBYE_YOUNG, water, h)
 
 
 def test_worst_case_water(water):
@@ -311,6 +308,20 @@ def test_worst_case_water(water):
     assert worst_case_verdict(Scheme.DEBYE_JOSEPH, water, 0.99 * k_cfl, h).stable
     v = worst_case_verdict(Scheme.DEBYE_JOSEPH, water, 1.01 * k_cfl, h)
     assert not v.stable
+
+
+def test_worst_case_tie_is_decided_exactly(water):
+    """Debye-Young in water on a square grid (h = h_y = 1e-5): at
+    k = 3.164664124078627e-14, floats read q_max = q_c = 4.00049871475
+    exactly, a tie the closed limit would call stable, but in exact
+    rationals q_max lies above q_c.  The verdict follows the exact
+    comparison, as the exact walk does; one ulp of k below, both read
+    stable."""
+    k = 3.164664124078627e-14
+    for k, stable in ((k, False), (math.nextafter(k, 0.0), True)):
+        v = worst_case_verdict(Scheme.DEBYE_YOUNG, water, k, 1e-5, 1e-5)
+        assert v.stable is stable
+        assert walk_verdict(Scheme.DEBYE_YOUNG, water, k, 1e-5, 1e-5) is stable
 
 
 def test_worst_case_lorentz_joseph_above_limit(optical_lorentz):
@@ -476,31 +487,35 @@ def test_boundary_resonant_harmonic_medium_has_no_interval(resonant_lorentz):
     assert res.lowest_unstable_k is not None
 
 
-def _walk_counter(monkeypatch) -> list:
-    """Record every q-walk of the analyzer, the plain bisection's included."""
-    inner = analyzer._walk
+def _probe_counter(monkeypatch) -> list:
+    """Record every `classify_at_q` probe of the analyzer."""
+    inner = analyzer.classify_at_q
     calls = []
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return inner(*args, **kwargs)
+        return inner(*args)
 
-    monkeypatch.setattr(analyzer, "_walk", counted)
+    monkeypatch.setattr(analyzer, "classify_at_q", counted)
     return calls
 
 
+def _outcome(search, scheme, medium, h, kw):
+    """The result's fields but its detail, or the refusal's message."""
+    try:
+        res = search(scheme, medium, h, **kw)
+    except NumericalFailureError as exc:
+        return str(exc)
+    return res.k_star, res.attained, res.non_monotone, res.lowest_unstable_k
+
+
 def _both_searches(scheme, medium, h, kw, calls):
-    """Outcome (result or error) and q-walk count of the bracketed search,
-    then of the plain bisection."""
-    out = []
-    for search in (stability_boundary_k, plain_bisection_boundary):
-        calls.clear()
-        try:
-            outcome = search(scheme, medium, h, **kw)
-        except NumericalFailureError as exc:
-            outcome = str(exc)
-        out.append((outcome, len(calls)))
-    return out
+    """Outcome and probe count of the search, then the outcome of the exact
+    plain bisection."""
+    calls.clear()
+    outcome = _outcome(stability_boundary_k, scheme, medium, h, kw)
+    probes = len(calls)
+    return outcome, probes, _outcome(plain_bisection_boundary, scheme, medium, h, kw)
 
 
 GEOMETRIES = {"1d": lambda h: {}, "h_y=h": lambda h: dict(h_y=h),
@@ -511,9 +526,9 @@ GEOMETRIES = {"1d": lambda h: {}, "h_y=h": lambda h: dict(h_y=h),
 @pytest.mark.parametrize("scheme,medium,h", [
     (Scheme.DEBYE_YOUNG, "foam", 4.0),                 # delta = 1 binds
     (Scheme.DEBYE_YOUNG, "water", 4.2e-3),             # delta = 1 at the crossover
-    (Scheme.LORENTZ_YOUNG, "optical_lorentz", None),   # omega limit meets q = 2
+    (Scheme.LORENTZ_YOUNG, "optical_lorentz", None),   # q_max meets q_c = 2
     (Scheme.LORENTZ_YOUNG, "radio_lorentz", None),
-    (Scheme.LORENTZ_YOUNG, "optical_lorentz", 1.13e-8),  # q_max meets q_c below it
+    (Scheme.LORENTZ_YOUNG, "optical_lorentz", 1.13e-8),  # q_max meets q_c above 2
     (Scheme.LORENTZ_JOSEPH, "resonant_lorentz", 1e-8),   # non_monotone
     (Scheme.LORENTZ_KASHIWA, "resonant_lorentz", 1e-8),
     (Scheme.LORENTZ_YOUNG, "resonant_lorentz", 1e-8),
@@ -521,20 +536,39 @@ GEOMETRIES = {"1d": lambda h: {}, "h_y=h": lambda h: dict(h_y=h),
 def test_boundary_search_matches_plain_bisection(scheme, medium, h, geometry, request,
                                                  monkeypatch):
     """Near the parameter limits, where `SchemeSpec.stable_q` switches
-    formula, and in resonant media, the bracketed search returns the plain
-    bisection's result field for field, in fewer q-walks or, where the
-    search ends at the bracket bottom, the same ones.  h = None puts
-    the omega limit of Lorentz-Young where q_max = 2 in 1D."""
+    formula or q_max meets q_c = 2 as the omega limit arrives, and in
+    resonant media, the search returns the exact plain bisection's result
+    field for field (`referees.plain_bisection_boundary`, on exact walks),
+    with one `classify_at_q` probe.  h = None puts the omega limit of
+    Lorentz-Young where q_max = 2 in 1D."""
     medium = request.getfixturevalue(medium)
     if h is None:
-        h = math.sqrt(2.0) * medium.c_inf * scheme.spec.k_limit(medium)
-    calls = _walk_counter(monkeypatch)
-    (res, walks), (plain, plain_walks) = _both_searches(
-        scheme, medium, h, GEOMETRIES[geometry](h), calls)
+        h = _young_omega_h(medium)
+    calls = _probe_counter(monkeypatch)
+    res, probes, plain = _both_searches(scheme, medium, h, GEOMETRIES[geometry](h), calls)
     assert res == plain
-    # A resonant medium ends the search at the bracket bottom, before the
-    # prediction is checked, in at most the same walks.
-    assert walks < plain_walks or (res.non_monotone and walks == plain_walks)
+    assert probes == 1
+
+
+@pytest.mark.parametrize("nu,attained", [(1.0895521273648863e11, True), (0.0, False)],
+                         ids=["damped", "harmonic"])
+def test_boundary_at_the_lorentz_young_switch(nu, attained, monkeypatch):
+    """Lorentz-Young with eps_s = eps_inf keeps q_c = 4 (open) with damping,
+    or the degenerate q = 2 omega without, up to omega = 2, and has none
+    just past it (`SchemeSpec.switch_k`, k = 2/omega1).  Where q_max stays
+    below q_c, the boundary is that switch: attained where damping keeps
+    q_c = 4 at omega = 2 itself, although the limit is open, and not where
+    the harmonic medium is defective there.  Both equal the exact plain
+    bisection (a `_random_grid` draw of seed 3, h_y = h)."""
+    medium = MediumModel.lorentz(1.1464239800526417, 1.1464239800526417,
+                                 171590777326386.62, nu)
+    h = 1.2824574500654952e-05
+    calls = _probe_counter(monkeypatch)
+    res, probes, plain = _both_searches(Scheme.LORENTZ_YOUNG, medium, h, dict(h_y=h), calls)
+    assert res == plain and probes == 1
+    k_star, res_attained, *_ = res
+    assert k_star < 2.0 / medium.omega1 <= k_star * (1.0 + 1e-4)
+    assert res_attained is attained
 
 
 def _random_grid(rng: random.Random):
@@ -559,32 +593,29 @@ def _random_grid(rng: random.Random):
 
 def test_boundary_search_matches_plain_bisection_on_random_media(monkeypatch):
     """Seeded random physical media and grids of every scheme
-    (`_random_grid`).  Every outcome equals the plain bisection's, a refusal
-    included, and the searches take at most 0.26 of its q-walks in total
-    (0.245 measured).  A single search could take more where a missed
-    prediction leaves the bisection to walk its midpoints, as where the
-    float verdict reads a weak growth as stable (a damped Lorentz-Joseph
-    medium just past q = 2); none does on this draw.  Past Lorentz-Young's
-    k_limit the stable q-range is still [0, q_-1] until omega eps' = 2, and
-    `SchemeSpec.stable_q` follows it down to k*."""
+    (`_random_grid`).  Every outcome equals the exact plain bisection's, a
+    refusal included, with one `classify_at_q` probe per search that is not
+    refused.  That covers the classes whose float walks read other q-ranges:
+    damped Lorentz-Joseph media, which hide the growth just past q = 2, and
+    eps_s' = 1 Lorentz media at small omega."""
     rng = random.Random(23)
-    calls = _walk_counter(monkeypatch)
-    walks = plain_walks = 0
+    calls = _probe_counter(monkeypatch)
+    outcomes = Counter()
     for _ in range(80):
         scheme, medium, h, kw = _random_grid(rng)
-        (res, n), (plain, n_plain) = _both_searches(scheme, medium, h, kw, calls)
+        res, probes, plain = _both_searches(scheme, medium, h, kw, calls)
         assert res == plain, (scheme, medium, h, kw)
-        walks += n
-        plain_walks += n_plain
-    assert walks <= 0.26 * plain_walks
+        refused = isinstance(res, str)
+        assert probes == (0 if refused else 1)
+        outcomes["refused" if refused else "non_monotone" if res[2] else "k*"] += 1
+    assert outcomes["k*"] >= 60 and outcomes["non_monotone"] >= 1, outcomes
 
 
 def test_unstable_q_max_probe_is_the_worst_case_verdict():
-    """The search decides a verdict it expects unstable by one probe at
-    q_max first.  That is sound because q_max is a breakpoint of the walk:
-    wherever `classify_at_q` reads q_max unstable, `worst_case_verdict`
-    reads unstable too.  Seeded grids of every scheme, 1D and 2D, at time
-    steps from 0.1 of 2h/c_inf up to it."""
+    """q_max lies in the range a worst-case verdict covers: wherever
+    `classify_at_q` reads q_max unstable, `worst_case_verdict` reads
+    unstable too.  Seeded grids of every scheme, 1D and 2D, at time steps
+    from 0.1 of 2h/c_inf up to it."""
     rng = random.Random(26)
     refuted = 0
     for _ in range(150):
@@ -599,12 +630,11 @@ def test_unstable_q_max_probe_is_the_worst_case_verdict():
     assert refuted >= 50, refuted
 
 
-def test_walk_finds_every_sampled_instability():
-    """The walk over the theorem's breakpoints (`_candidates`, the range
-    ends and one midpoint per interval) misses no instability that a
-    65-point sample of q in [0, q_max] finds, and finds some the sample
-    misses (isolated unstable q).  Seeded grids of every scheme, 1D and 2D,
-    at time steps from 0.1 of 2h/c_inf up to it."""
+def test_theorem_finds_every_sampled_instability():
+    """The theorem's worst-case verdict (q_max against the closed-form q_c)
+    misses no instability that a 65-point sample of q in [0, q_max] finds,
+    and finds some the sample misses (isolated unstable q).  Seeded grids of
+    every scheme, 1D and 2D, at time steps from 0.1 of 2h/c_inf up to it."""
     rng = random.Random(28)
     sampled = walked = 0
     for _ in range(150):
@@ -619,47 +649,6 @@ def test_walk_finds_every_sampled_instability():
             assert not stable, (scheme, medium, k, h, kw)
         walked += not stable
     assert 30 <= sampled < walked, (sampled, walked)
-
-
-def test_checked_bracket_is_the_plain_bisection_final_interval(monkeypatch):
-    """The search checks the bisection's own final interval around its
-    predicted k* (the first `_bisect`).  Where the prediction holds, that
-    is where the worst-case verdict reads stable at its bottom and unstable
-    at its top, it is the plain bisection's final interval, and k* is its
-    bottom.  Two criterion-4 media, one of them on a 2D grid, and seeded
-    random grids."""
-    inner = analyzer._bisect
-    cells = []
-
-    def recorded(*args):
-        cells.append(inner(*args))
-        return cells[-1]
-
-    monkeypatch.setattr(analyzer, "_bisect", recorded)
-    rng = random.Random(29)
-    grids = [(Scheme.DEBYE_JOSEPH, MediumModel.debye(1.8, 81.0, 9.4e-12), 1e-5, {}),
-             (Scheme.LORENTZ_KASHIWA, MediumModel.lorentz(1.0, 2.25, 4e16, 0.56e16),
-              1e-8, dict(h_y=2e-8))]
-    grids += [_random_grid(rng) for _ in range(40)]
-    held = 0
-    for scheme, medium, h, kw in grids:
-        cells.clear()
-        try:
-            res = stability_boundary_k(scheme, medium, h, **kw)
-        except NumericalFailureError:
-            continue
-        if len(cells) < 2:
-            continue  # a resonant bottom
-        k_lo, k_hi = cells[0]
-        if not (worst_case_verdict(scheme, medium, k_lo, h, **kw).stable
-                and not worst_case_verdict(scheme, medium, k_hi, h, **kw).stable):
-            continue
-        held += 1
-        plain = plain_bisection_boundary(scheme, medium, h, **kw)
-        assert plain.detail == f"bisection converged to [{k_lo:.9e}, {k_hi:.9e}]"
-        assert res.k_star == plain.k_star == k_lo
-        assert cells[1] == cells[0]
-    assert held >= 25, held
 
 
 # --- tables -------------------------------------------------------------------

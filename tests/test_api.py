@@ -26,7 +26,8 @@ PUBLIC = {
 
 REFEREES = ("root_profile", "RootProfile", "ROOT_CLUSTER_TOL", "conjugate_poly",
             "amplification_matrix", "char_poly_from_matrix", "char_poly_2d",
-            "fourier_mode", "reduce_step", "plain_bisection_boundary")
+            "fourier_mode", "reduce_step", "plain_bisection_boundary", "_walk",
+            "_candidates", "exact_walk", "exact_stable_at_q")
 
 
 def test_all_is_the_public_contract():
@@ -45,6 +46,7 @@ def test_referees_are_not_in_the_package():
         assert not any(hasattr(m, name) for m in modules + [fdtd_stability]), name
     for name in ("from_roots", "monic", "scaled", "__mul__"):
         assert not hasattr(fdtd_stability.Polynomial, name), name
+    assert "k_limit" not in fdtd_stability.schemes.SchemeSpec.__dataclass_fields__
     for name in ("is_schur", "reduce_step_exact", "is_schur_exact",
                  "is_simple_von_neumann_exact", "_trim_exact"):
         assert not any(hasattr(m, name) for m in modules + [fdtd_stability]), name

@@ -1,15 +1,16 @@
-"""The theorem behind the breakpoints of the q-walks of `worst_case_verdict`
-and `stability_boundary_k`: a root of p_q = a + q b meets the unit circle,
-or two roots collide on it, only at q = 0 or at a candidate of
-`analyzer._candidates` (2, 4, q_-1 and the degenerate q).
+"""The theorem behind `worst_case_verdict` and `stability_boundary_k`: a
+root of p_q = a + q b meets the unit circle, or two roots collide on it,
+only at q = 0 or at a candidate of `referees._candidates` (2, 4, q_-1 and
+the degenerate q).
 
 Exact referees check the factored resultants and the degenerate sets of
 `referees.RESULTANTS` and `referees.DEGENERATE_SETS` at seeded rational
 points, in `Fraction` arithmetic.  A float root sweep checks that every q
 at which a root leaves or re-enters the closed unit disk lies next to a
 breakpoint.  The same theorem gives the end q_c of each scheme's stable
-q-range in closed form (`SchemeSpec.stable_q`), checked exactly against
-q_-1 and against the float walks.
+q-range in closed form (`SchemeSpec.stable_q`, with `SchemeSpec.closed`
+for whether its end is stable), checked exactly against q_-1 and against
+the exact walk over the breakpoints.
 """
 
 import random
@@ -18,13 +19,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fdtd_stability import DimensionlessParams, Scheme, analyzer, dimensionless_params
+from fdtd_stability import DimensionlessParams, Scheme, dimensionless_params
 from referees import (
     DEGENERATE_SETS,
     RESULTANTS,
+    _candidates,
+    _walk,
     discriminant_exact,
     divmod_exact,
+    exact_params,
     exact_poly_q,
+    exact_stable_at_q,
+    exact_walk,
     monic_gcd_exact,
     resultant_exact,
 )
@@ -64,7 +70,7 @@ def test_resultant_factorizations(scheme):
             y * (-1) ** j for j, y in enumerate(b))
         assert RESULTANTS[scheme](d, e, w, q_m1) == 0
         float_params = DimensionlessParams(1.0, float(d), float(e), w and float(w))
-        assert analyzer._candidates(scheme, float_params)[2] == pytest.approx(
+        assert _candidates(scheme, float_params)[2] == pytest.approx(
             float(q_m1), rel=1e-13)
 
 
@@ -136,7 +142,7 @@ def test_candidates_cover_root_sweep_exits(scheme, params):
     eps_s = eps_inf, Debye-Young at delta = 1, and nearly palindromic
     families (tiny delta and omega, as at tiny time steps): the breakpoints
     {0} and `_candidates` cover every exit of the root sweep."""
-    breakpoints = [0.0] + [c for c in analyzer._candidates(scheme, params) if c is not None]
+    breakpoints = [0.0] + [c for c in _candidates(scheme, params) if c is not None]
     _assert_breakpoints_cover_exits(*scheme.spec.char_poly(params), breakpoints)
 
 
@@ -157,7 +163,7 @@ def test_candidates_palindromic_quartics_closed_form(scheme, es, w):
     expected = [q.real for q in P.polyroots(disc) if abs(q.imag) < 1e-12
                 and abs(P.polyval(q.real, c1) / (2.0 * P.polyval(q.real, c0))) <= 2.0]
     expected += [-np.polyval(a[::-1], z) / np.polyval(b[::-1], z) for z in (1.0, -1.0)]
-    breakpoints = [0.0] + [c for c in analyzer._candidates(scheme, params) if c is not None]
+    breakpoints = [0.0] + [c for c in _candidates(scheme, params) if c is not None]
     _assert_breakpoints_cover_exits(a, b, breakpoints)
     for q in expected:
         if 0.0 <= q <= 5.0:
@@ -181,7 +187,7 @@ def test_candidates_nearly_palindromic_families_keep_their_digits(scheme, delta)
     float coefficients to a few ulps."""
     params = DimensionlessParams(1.0, delta, 2.25, 0.8)
     a, b = scheme.spec.char_poly(params)
-    candidates = analyzer._candidates(scheme, params)
+    candidates = _candidates(scheme, params)
     _assert_breakpoints_cover_exits(a, b, [0.0] + [c for c in candidates if c is not None])
     assert candidates[2] == pytest.approx(float(_exact_q_minus_one(a, b)), rel=1e-15, abs=0.0)
 
@@ -201,7 +207,7 @@ def test_candidate_q_minus_one_keeps_its_digits(scheme):
             delta = 0.0 if rng.random() < 1.0 / 3.0 else 10.0 ** rng.uniform(-8.0, 0.0)
             params = DimensionlessParams(1.0, delta, es, 10.0 ** rng.uniform(-6.0, 0.5))
         exact = float(_exact_q_minus_one(*scheme.spec.char_poly(params)))
-        assert analyzer._candidates(scheme, params)[2] == pytest.approx(
+        assert _candidates(scheme, params)[2] == pytest.approx(
             exact, rel=1e-15, abs=0.0), (scheme, params)
 
 
@@ -252,7 +258,8 @@ def test_stable_q_is_q_minus_one_on_its_branch(scheme):
 
 def test_stable_q_switches_where_stated():
     """Debye-Young leaves q_-1 for 0 just past delta = 1 when eps_s' > 1,
-    Lorentz-Young at omega eps_s' = 2, where q_-1 reaches 0, and
+    Lorentz-Young at omega eps_s' = 2, where q_-1 reaches 0 (past omega = 2
+    where eps_s' = 1), and
     Lorentz-Joseph leaves q_-1 for 2 as soon as delta > 0 and eps_s' > 1."""
     tiny = Fraction(1, 10 ** 9)
     dy, lj, ly = Scheme.DEBYE_YOUNG, Scheme.LORENTZ_JOSEPH, Scheme.LORENTZ_YOUNG
@@ -266,6 +273,12 @@ def test_stable_q_switches_where_stated():
     assert _exact_stable_q(ly, delta=Fraction(3, 10), eps_s_prime=e, omega=2 / e) == (0, 0)
     q, q_m1 = _exact_stable_q(ly, delta=Fraction(3, 10), eps_s_prime=e, omega=2 / e + tiny)
     assert q == 0 > q_m1
+    # Lorentz-Young at eps_s' = 1: q_-1 is 0/0 at omega = 2, where a damped
+    # medium keeps q_c = 4 and a harmonic one has none; none has past it.
+    for d, w, q_c in ((Fraction(3, 10), 2, 4), (0, 2, 0), (Fraction(3, 10), 2 + tiny, 0)):
+        params = DimensionlessParams(lam=1.0, delta=Fraction(d), eps_s_prime=Fraction(1),
+                                     omega=Fraction(w))
+        assert ly.spec.stable_q(params) == q_c
     for d, e in ((0, 2), (Fraction(3, 10), 1)):
         q, q_m1 = _exact_stable_q(lj, delta=d, eps_s_prime=e, omega=Fraction(4, 5))
         assert q == q_m1 > 2
@@ -281,25 +294,65 @@ def test_stable_q_past_lorentz_young_k_limit():
     assert q == q_m1 == pytest.approx(1.51, abs=0.005)
 
 
-def test_stable_q_matches_the_float_walk():
+def test_stable_q_matches_the_exact_and_the_float_walk():
     """On seeded `_random_grid` media at time steps from 0.1 of 2h/c_inf up
-    to it, the float walk over [0, 2 max(4, q_c) + 1] ends its stable q-range
-    at stable_q's q_c, to a relative 1e-9: every Debye draw, and Lorentz
-    draws with eps_s' > 1 except damped Lorentz-Joseph.  Those left out are
-    float defects of the walk, not of the formula: damped Lorentz-Joseph
-    hides the growth just past q = 2 under `OUT_EIG_TOL`, and eps_s' = 1
-    Lorentz media at small omega stop at a tiny degenerate q or at 0."""
+    to it, the exact walk over [0, 2 max(4, q_c) + 1], at the exact
+    parameters of the float steps, ends its stable q-range at stable_q's
+    q_c, closed where `SchemeSpec.closed` says so, in every class.  The
+    float walk ends it at q_c too, to a relative 1e-9, except on two
+    classes of float defects: damped Lorentz-Joseph hides the growth just
+    past q = 2 under `OUT_EIG_TOL`, and eps_s' = 1 Lorentz media at small
+    omega stop at a tiny degenerate q or at 0."""
     rng = random.Random(7)
-    checked = 0
+    classes, float_checked = set(), 0
     for _ in range(300):
         scheme, medium, h, _ = _random_grid(rng)
         k = 2.0 * h / medium.c_inf * 10.0 ** rng.uniform(-1.0, 0.0)
-        params = dimensionless_params(medium, k, h)
-        if scheme.kind == "lorentz" and (params.eps_s_prime == 1 or (
+        params = exact_params(medium, k, h)
+        q_c = scheme.spec.stable_q(params)
+        walk = exact_walk(scheme, params, Fraction(0), 2 * max(4, q_c) + 1)
+        assert walk.q_c == q_c, (scheme, medium, k, h)
+        if q_c > 0:
+            assert walk.closed == scheme.spec.closed(params), (scheme, medium, k, h)
+        classes.add((scheme, params.delta > 0, params.alpha > 0))
+        if scheme.kind == "lorentz" and (params.alpha == 0 or (
                 scheme is Scheme.LORENTZ_JOSEPH and params.delta > 0)):
             continue
-        q_c = scheme.spec.stable_q(params)
-        walked = analyzer._walk(scheme, params, 0.0, 2.0 * max(4.0, q_c) + 1.0)[4]
+        float_params = dimensionless_params(medium, k, h)
+        q_c = scheme.spec.stable_q(float_params)
+        walked = _walk(scheme, float_params, 0.0, 2.0 * max(4.0, q_c) + 1.0).q_c
         assert walked == pytest.approx(q_c, rel=1e-9, abs=0.0), (scheme, medium, k, h)
-        checked += 1
-    assert checked >= 150, checked
+        float_checked += 1
+    assert len(classes) == 16 and float_checked >= 150, (sorted(classes), float_checked)
+
+
+# Every (scheme, delta = 0 or > 0, eps_s' = 1 or > 1) class; Debye media are
+# always damped.
+CLASSES = [(scheme, damped, dispersive) for scheme in Scheme
+           for damped in (False, True) for dispersive in (False, True)
+           if damped or scheme.kind == "lorentz"]
+
+
+@pytest.mark.parametrize("scheme,damped,dispersive", CLASSES,
+                         ids=lambda v: getattr(v, "value", None) or str(v).lower())
+def test_stable_q_and_closed_match_the_exact_walk(scheme, damped, dispersive):
+    """Seeded rational draws of every class: the exact walk over
+    [0, 2 max(4, q_c) + 1] ends its stable q-range at stable_q's q_c, a
+    breakpoint the walk probes itself, so the tie q_max = q_c is decided
+    exactly: q_c > 0 is stable iff `SchemeSpec.closed`.  Past q_c a draw is
+    unstable where the limit is closed or q_c = 0, so `worst_case_verdict`
+    may probe q_max there; an open q_c > 0 is unstable itself."""
+    rng = random.Random(f"closed {scheme.value} {damped} {dispersive}")
+    fixed = {} if damped else dict(delta=0)
+    if not dispersive:
+        fixed["eps_s_prime"] = 1
+    for _ in range(12):
+        params = _exact_params(rng, scheme, **fixed)
+        q_c, closed = scheme.spec.stable_q(params), scheme.spec.closed(params)
+        top = 2 * max(4, q_c) + 1
+        walk = exact_walk(scheme, params, Fraction(0), top)
+        assert walk.q_c == q_c, params
+        if q_c > 0:
+            assert walk.closed == closed, params
+        if closed or q_c == 0:
+            assert not exact_stable_at_q(scheme, params, _rational(rng, q_c, top)), params

@@ -33,11 +33,12 @@ from fdtd_stability import (
     Wavenumber,
     classify_at_q,
     cli,
+    dimensionless_params,
     run_growth,
     stability_boundary_k,
     worst_case_verdict,
 )
-from fdtd_stability.analyzer import _candidates
+from referees import _candidates, plain_bisection_boundary, walk_verdict
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -181,11 +182,10 @@ def _young_omega_h(m: MediumModel) -> float:
     return math.sqrt(2.0) * m.c_inf * k_omega
 
 
-def boundaries_text() -> str:
-    """repr(k*), attained and non_monotone of ``stability_boundary_k`` for
-    the nine criterion-4/5 cases (1D), and for the four Courant-limited
-    cases of the attainability referee on 2D grids with h_y = h (the "te"
-    rows) and h_y = 2h (the "tm" rows)."""
+def _boundary_cases() -> list[tuple[str, str, float, str]]:
+    """(scheme, medium, h, geometry) of the nine criterion-4/5 cases (1D),
+    and of the four Courant-limited cases of the attainability referee on
+    2D grids with h_y = h (the "te" rows) and h_y = 2h (the "tm" rows)."""
     criterion = [
         ("debye-joseph", "water", 1e-5), ("debye-young", "water", 1e-5),
         ("debye-young", "foam", 4.0), ("lorentz-joseph", "optical", 1e-8),
@@ -195,13 +195,21 @@ def boundaries_text() -> str:
         ("lorentz-young", "radio", _young_omega_h(_BOUNDARY_MEDIA["radio"]))]
     referee = [("debye-joseph", "water", 1e-5), ("lorentz-kashiwa", "optical", 1e-8),
                ("lorentz-joseph", "optical", 1e-8), ("debye-young", "water", 1e-5)]
-    cases = ([c + ("1d",) for c in criterion]
-             + [c + (geometry,) for c in referee for geometry in ("te", "tm")])
+    return ([c + ("1d",) for c in criterion]
+            + [c + (geometry,) for c in referee for geometry in ("te", "tm")])
+
+
+def _boundary_kwargs(h: float, geometry: str) -> dict:
+    return {} if geometry == "1d" else dict(h_y=h if geometry == "te" else 2.0 * h)
+
+
+def boundaries_text() -> str:
+    """repr(k*), attained and non_monotone of ``stability_boundary_k`` for
+    each of `_boundary_cases`."""
     lines = []
-    for scheme, medium, h, geometry in cases:
-        kw = {} if geometry == "1d" else dict(h_y=h if geometry == "te" else 2.0 * h)
+    for scheme, medium, h, geometry in _boundary_cases():
         res = stability_boundary_k(Scheme.from_name(scheme), _BOUNDARY_MEDIA[medium],
-                                   h, **kw)
+                                   h, **_boundary_kwargs(h, geometry))
         lines.append("|".join((scheme, medium, geometry, repr(h), repr(res.k_star),
                                str(res.attained), str(res.non_monotone))))
     return "\n".join(lines) + "\n"
@@ -346,6 +354,59 @@ def test_boundaries_golden():
 
 def test_verdicts_golden():
     assert verdicts_text() == _golden("verdicts.txt")
+
+
+def test_boundaries_golden_is_the_exact_plain_bisection():
+    """Every ``boundaries.txt`` line is the exact plain bisection's result
+    (`referees.plain_bisection_boundary`, on exact walks): k*, attained and
+    non_monotone."""
+    for (scheme, medium, h, geometry), line in zip(
+            _boundary_cases(), _golden("boundaries.txt").splitlines(), strict=True):
+        res = plain_bisection_boundary(Scheme.from_name(scheme), _BOUNDARY_MEDIA[medium],
+                                       h, **_boundary_kwargs(h, geometry))
+        assert line.split("|")[4:] == [repr(res.k_star), str(res.attained),
+                                       str(res.non_monotone)], line
+
+
+def test_boundaries_on_constant_arms_lie_below_the_courant_limit():
+    """Where k* sits on a constant arm of `SchemeSpec.stable_q` (q_c = 2 or
+    4), it lies at or below the exact Courant limit (h/c_inf) sqrt(q_c) /
+    (2 sqrt(1 + r^2)), r = h/h_y (0 in 1D): no search reports an unstable
+    time step as its last stable one.  Nine ``boundaries.txt`` lines; the
+    others sit on q_-1 arms."""
+    checked = 0
+    for line in _golden("boundaries.txt").splitlines():
+        scheme, medium, geometry, h, k_star, *_ = line.split("|")
+        h, k_star, medium = float(h), float(k_star), _BOUNDARY_MEDIA[medium]
+        q_c = Scheme.from_name(scheme).spec.stable_q(dimensionless_params(medium, k_star, h))
+        if q_c not in (2, 4):
+            continue
+        r = {"1d": 0.0, "te": 1.0, "tm": 0.5}[geometry]
+        assert k_star <= h / medium.c_inf * math.sqrt(q_c) / (2.0 * math.sqrt(1.0 + r * r)), line
+        checked += 1
+    assert checked == 9
+
+
+def test_verdicts_grid_lines_match_the_exact_walk():
+    """Every ``grid`` line of ``verdicts.txt`` reads the verdict of the exact
+    walk over [0, q_max] (`referees.walk_verdict`).  Its argument comes from
+    one float `classify_at_q` probe, which disagrees with the theorem on 5
+    lines, each saying so in its detail: damped Lorentz-Joseph past q = 2
+    and a harmonic eps_s = eps_inf one past its tiny degenerate q read
+    stable, Lorentz-Kashiwa at q = 4 reads stable, and Lorentz-Kashiwa and
+    Lorentz-Young at q_max = 5e-12 read a defective eigenvalue."""
+    media = {(kind, m.eps_s): m for kind, ms in _GRID_MEDIA.items() for m in ms}
+    against = 0
+    for line in _golden("verdicts.txt").splitlines():
+        if not line.startswith("grid|"):
+            continue
+        _, name, eps_s, k, h, _, h_y, stable, _, detail = line.split("|")
+        scheme = Scheme.from_name(name)
+        kw = {} if h_y == "None" else dict(h_y=float(h_y))
+        assert walk_verdict(scheme, media[scheme.kind, float(eps_s)], float(k), float(h),
+                            **kw) == (stable == "True"), line
+        against += detail.endswith("against the theorem")
+    assert against == 5
 
 
 if __name__ == "__main__":

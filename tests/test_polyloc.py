@@ -22,7 +22,15 @@ from fdtd_stability import (
     is_simple_von_neumann,
 )
 from fdtd_stability.polyloc import max_root_modulus, poly_roots
-from referees import conjugate_poly, from_roots, reduce_step, root_profile, scaled
+from referees import (
+    _integral,
+    conjugate_poly,
+    from_roots,
+    integer_location,
+    reduce_step,
+    root_profile,
+    scaled,
+)
 
 
 def test_trailing_coefficients_trimmed():
@@ -221,6 +229,27 @@ def test_exact_circle_root_cases(case):
         for p in (exact, Polynomial([float(x) for x in poly])):
             svn = is_simple_von_neumann(p)
             assert (svn.ok, svn.schur) == (expect_svn, expect_schur)
+        assert integer_location(_integral(poly)) == (expect_svn, expect_schur)
+
+
+def test_integer_recursion_matches_the_exact_recursion():
+    """The tests' own integer recursion (`referees.integer_location`, the
+    exact referee's per-q kernel) and the package's recursion on Fraction
+    coefficients agree on seeded integer polynomials of degree 1 to 6, one
+    in three made self-reciprocal so that the reduction vanishes and the
+    derivative decides."""
+    rng = np.random.default_rng(37)
+    classes = set()
+    for _ in range(3000):
+        c = [int(x) for x in rng.integers(-5, 6, size=int(rng.integers(2, 8)))]
+        if rng.random() < 1 / 3:
+            c = [x + y for x, y in zip(c, c[::-1])]
+        if c[-1] == 0:
+            continue
+        svn = is_simple_von_neumann(Polynomial([Fraction(x) for x in c]))
+        assert integer_location(c) == (svn.ok, svn.schur), c
+        classes.add((svn.ok, svn.schur))
+    assert classes == {(False, False), (True, False), (True, True)}
 
 
 def test_root_profile_inside_monomial():
