@@ -19,12 +19,10 @@ from .schemes import (
 )
 from .analyzer import (
     Argument,
-    BoundednessReport,
     StabilityVerdict,
     classify_at_q,
     classify_point,
     classify_point_2d,
-    gn_bounded,
     reproduce_argument_table,
     stability_boundary_k,
     worst_case_verdict,
@@ -42,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Argument",
-    "BoundednessReport",
     "DimensionlessParams",
     "FieldState",
     "GrowthReport",
@@ -60,7 +57,6 @@ __all__ = [
     "courant_q",
     "dimensionless_params",
     "empirical_verdict",
-    "gn_bounded",
     "init_plane_wave",
     "is_simple_von_neumann",
     "reproduce_argument_table",

@@ -6,18 +6,22 @@ has bounded powers.  The decision tree:
 1. If the characteristic polynomial is simple von Neumann, powers are
    bounded.  All roots strictly inside gives the strongest verdict; the
    same recursion pass tells (`LocationResult.schur`).
-2. Otherwise the eigenvalues of the update matrix are computed once.  One
-   outside the unit circle means exponential growth.
-3. Multiple roots on the circle leave the polynomial undecided: the verdict
-   then comes from the matrix itself, by comparing geometric and algebraic
-   multiplicities of the unit-modulus eigenvalues (the test of
-   `gn_bounded`, fed the eigenvalues of step 2).  A defective eigenvalue
-   produces linear growth of the powers, hence instability.
+2. Otherwise the float recursion may have misread a tie, so the same
+   recursion runs again in exact rationals, on `Fraction`s of the
+   parameters and of q; a simple von Neumann verdict there is step 1's.
+   Where the exact reduction does not vanish, a root lies outside the unit
+   circle: exponential growth.
+3. Where it vanishes, p and its reversal p* share a factor u = gcd(p, p*),
+   which holds every root on the circle, and w = p / u is Schur (the levels
+   above the vanishing one are strict).  The powers are bounded iff the
+   squarefree part r of u is simple von Neumann and the unit eigenvalues
+   are semisimple: r(G) w(G)^n = 0 for the update matrix G, decided exactly
+   on G scaled to integers.  A defective eigenvalue produces linear growth
+   of the powers, hence instability.
 
 Near the degenerate Courant values of the Lorentz schemes (where two
-conjugate root couples collide on the circle) floating-point roots are
-unreliable, so the classification snaps onto the exact degenerate value and
-takes the matrix route directly.
+conjugate root couples collide on the circle) q snaps onto the degenerate
+value, and the exact decision takes the exact rational one.
 
 Worst-case verdicts over all wavenumbers are exact, not sampled: the
 characteristic polynomial p_q = a + q b is affine in the Courant quantity
@@ -41,29 +45,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import InvalidInputError, NumericalFailureError
-from .polyloc import Polynomial, greedy_clusters, is_simple_von_neumann
+from .polyloc import LocationResult, Polynomial, _cleared, is_simple_von_neumann
 from .schemes import (
     DimensionlessParams,
     MediumModel,
     Scheme,
     Wavenumber,
-    amplification_matrix_at_q,
     char_poly_closed,
     courant_q,
     dimensionless_params,
 )
 
-# Matrix eigenvalue modulus beyond 1 + OUT_EIG_TOL counts as outside;
-# defective unit eigenvalues scatter ~1e-8, safely below this.
-OUT_EIG_TOL = 1e-7
-# Eigenvalues of the 3x3/4x4 matrices cluster at this scale.
-EIG_CLUSTER_TOL = 1e-6
-# Singular values below RANK_REL_TOL * sigma_max count as zero in the
-# geometric-multiplicity rank test.
-RANK_REL_TOL = 1e-8
 # |q - q_degenerate| below this snaps classification onto the exact value.
 RESONANCE_SNAP_TOL = 1e-9
 
@@ -87,22 +80,6 @@ class StabilityVerdict:
     stable: bool
     argument: Argument
     detail: str
-
-
-@dataclass(frozen=True)
-class UnitEigenvalue:
-    value: complex
-    algebraic: int
-    geometric: int
-
-
-@dataclass(frozen=True)
-class BoundednessReport:
-    """Unit-circle eigenvalues with their multiplicities; powers of the
-    matrix are bounded iff every one has geometric = algebraic."""
-
-    unit_eigenvalues: tuple[UnitEigenvalue, ...]
-    gn_bounded: bool
 
 
 @dataclass(frozen=True)
@@ -132,58 +109,11 @@ class TableRow:
     note: str = ""
 
 
-def gn_bounded(G: np.ndarray) -> BoundednessReport:
-    """Decide boundedness of the matrix powers from the unit-circle
-    eigenvalue multiplicities.
-
-    Requires every eigenvalue modulus at most 1 + OUT_EIG_TOL, the bound
-    beyond which `classify_at_q` calls an eigenvalue outside.  Geometric
-    multiplicities come from a singular-value rank test on G - lambda I,
-    with the zero threshold widened by the cluster spread so that two
-    genuinely distinct eigenvalues grouped into one cluster are not
-    mistaken for a defective pair.
-    """
-    m = np.asarray(G, dtype=complex)
-    eigs = _eigvals(m)
-    if np.max(np.abs(eigs)) > 1.0 + OUT_EIG_TOL:
-        raise InvalidInputError(
-            "gn_bounded requires all eigenvalue moduli at most 1 + OUT_EIG_TOL")
-    return _unit_multiplicities(m, eigs)
-
-
-def _eigvals(m: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigenvalue solve failed: {exc}") from exc
-
-
-def _unit_multiplicities(m: np.ndarray, eigs: np.ndarray) -> BoundednessReport:
-    """The multiplicity test of `gn_bounded` on a complex matrix m whose
-    eigenvalues eigs the caller has already computed."""
-    unit = eigs[np.abs(np.abs(eigs) - 1.0) <= EIG_CLUSTER_TOL]
-    reports: list[UnitEigenvalue] = []
-    bounded = True
-    for center, alg in greedy_clusters(unit, EIG_CLUSTER_TOL):
-        if alg == 1:
-            reports.append(UnitEigenvalue(center, 1, 1))
-            continue
-        near = unit[np.abs(unit - center) <= EIG_CLUSTER_TOL]
-        spread = float(np.max(np.abs(near - center), initial=0.0))
-        sv = np.linalg.svd(m - center * np.eye(m.shape[0]), compute_uv=False)
-        cut = max(RANK_REL_TOL * sv[0], 10.0 * spread)
-        geom = int(np.sum(sv <= cut))
-        reports.append(UnitEigenvalue(center, alg, geom))
-        if geom < alg:
-            bounded = False
-    return BoundednessReport(tuple(reports), bounded)
-
-
 def _degenerate_q(scheme: Scheme, params: DimensionlessParams) -> float | None:
     """Courant value where two root couples of the scheme collide on the
     unit circle (harmonic media with eps_s = eps_inf), if it has one.  The
     snap is applied unconditionally; away from the degenerate regime the
-    matrix route gives the same verdict as the polynomial route."""
+    exact decision at the snapped q gives the same verdict."""
     q_of_omega = scheme.spec.degenerate_q
     return q_of_omega(params.omega) if q_of_omega and params.omega else None
 
@@ -196,46 +126,111 @@ def _special_root_near(poly: Polynomial) -> bool:
 
 
 def classify_at_q(scheme: Scheme, params: DimensionlessParams, q: float) -> StabilityVerdict:
-    """Stability verdict of a scheme at an exact Courant quantity q."""
+    """Stability verdict of a scheme at an exact Courant quantity q: the
+    float recursion decides where it reads simple von Neumann, exact
+    rationals decide elsewhere (steps 1-3 of the module docstring)."""
     if q < 0 or not math.isfinite(q):
         raise InvalidInputError("q must be nonnegative and finite")
     q_res = _degenerate_q(scheme, params)
-    q_eff = q_res if q_res is not None and abs(q - q_res) <= RESONANCE_SNAP_TOL else q
-    poly = char_poly_closed(scheme, params, q_eff)
+    snap = q_res is not None and abs(q - q_res) <= RESONANCE_SNAP_TOL
+    poly = char_poly_closed(scheme, params, q_res if snap else q)
     svn = is_simple_von_neumann(poly)
-    if svn.ok:
-        if svn.schur:
-            return StabilityVerdict(True, Argument.THEOREM_SCHUR,
-                                    "all roots strictly inside the unit circle")
-        if _special_root_near(poly):
-            return StabilityVerdict(
-                True, Argument.SUB_POLYNOMIAL,
-                "simple von Neumann; special unit-circle or zero roots factored out")
-        return StabilityVerdict(True, Argument.THEOREM_VON_NEUMANN,
-                                "simple von Neumann: simple roots on the circle")
-    # The recursion failed: either some root is genuinely outside or there
-    # are multiple roots on the circle.  The matrix separates the two cases
-    # far better than polynomial roots do: eigenvalues of a diagonalizable
-    # matrix are well-conditioned even when repeated, so only defective
-    # eigenvalues scatter (~1e-8), safely below OUT_EIG_TOL.
-    G = amplification_matrix_at_q(scheme, params, q_eff)
-    eigs = _eigvals(G)
-    worst = float(np.max(np.abs(eigs)))
-    if worst > 1.0 + OUT_EIG_TOL:
+    if not svn.ok:
+        # The float recursion failed: a root outside, roots colliding on
+        # the circle, or a tie misread.  Decide again in exact rationals,
+        # at the exact degenerate q where q was snapped.
+        params = DimensionlessParams(*(None if x is None else Fraction(x) for x in (
+            params.lam, params.delta, params.eps_s_prime, params.omega)))
+        q = scheme.spec.degenerate_q(params.omega) if snap else Fraction(q)
+        poly = char_poly_closed(scheme, params, q)
+        svn = is_simple_von_neumann(poly)
+        if not svn.ok:
+            return _non_svn_verdict(scheme, params, q, poly, svn)
+    if svn.schur:
+        return StabilityVerdict(True, Argument.THEOREM_SCHUR,
+                                "all roots strictly inside the unit circle")
+    if _special_root_near(poly):
         return StabilityVerdict(
-            False, Argument.THEOREM_VON_NEUMANN,
-            f"eigenvalue of modulus {worst:.12g} outside the unit circle")
-    report = _unit_multiplicities(G, eigs)
-    mults = ", ".join(f"{u.value:.6g} (alg {u.algebraic}, geom {u.geometric})"
-                      for u in report.unit_eigenvalues if u.algebraic > 1)
-    if report.gn_bounded:
-        return StabilityVerdict(
-            True, Argument.G_FORM,
-            "repeated unit-circle eigenvalues are non-defective: "
-            + (mults or "none repeated"))
-    return StabilityVerdict(
-        False, Argument.EIGENVECTORS,
-        f"defective unit-circle eigenvalue (linear growth): {mults}")
+            True, Argument.SUB_POLYNOMIAL,
+            "simple von Neumann; special unit-circle or zero roots factored out")
+    return StabilityVerdict(True, Argument.THEOREM_VON_NEUMANN,
+                            "simple von Neumann: simple roots on the circle")
+
+
+def _non_svn_verdict(scheme: Scheme, params: DimensionlessParams, q: Fraction,
+                     poly: Polynomial, svn: LocationResult) -> StabilityVerdict:
+    """Verdict where the exact recursion reads p = `poly` not simple von
+    Neumann.  Unless its reduction vanished, that certifies a root outside.
+    Else u = gcd(p, p*) holds every root on the circle and every pair z, 1/z
+    off it, and w = p/u is Schur: each level above the vanishing one is
+    strict, and removes one root of w inside the circle.  So with r the
+    squarefree part of u, the powers are bounded iff r is simple von Neumann
+    and the unit eigenvalues are semisimple: r(G) w(G)^n = 0 for the n x n
+    matrix G, `spec.entries` at u = q, v = -1 (similar to the physical
+    matrix for q > 0), or u = v = 0 at q = 0."""
+    if not svn.vanished:
+        return StabilityVerdict(False, Argument.THEOREM_VON_NEUMANN,
+                                "root outside the unit circle, certified by the exact "
+                                f"recursion at degree {svn.levels[-1].degree}")
+    p = poly.coeffs
+    u = _gcd(p, Polynomial(p[::-1]).coeffs)
+    w = _divmod(p, u)[0]
+    r = _divmod(u, _gcd(u, Polynomial(u).derivative().coeffs))[0]
+    if not is_simple_von_neumann(Polynomial(r)).ok:
+        return StabilityVerdict(False, Argument.THEOREM_VON_NEUMANN,
+                                "root outside the unit circle (exact: gcd(p, p*) has "
+                                "roots off the circle)")
+    rows = scheme.spec.entries(params, *((q, Fraction(-1)) if q else (0, 0)), q)
+    scale = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+    G = [[int(Fraction(x) * scale) for x in row] for row in rows]
+    M = _matrix_poly(_cleared(r), G, scale)
+    W = _matrix_poly(_cleared(w), G, scale)
+    for _ in G:
+        M = _matmul(M, W)
+    unit = "r = rad gcd(p, p*) = [" + ", ".join(f"{float(c / r[-1]):.6g}" for c in r) + "]"
+    if any(any(row) for row in M):
+        return StabilityVerdict(False, Argument.EIGENVECTORS,
+                                f"defective unit-circle eigenvalue (linear growth): "
+                                f"r(G) w(G)^{len(G)} != 0 for {unit}")
+    return StabilityVerdict(True, Argument.G_FORM,
+                            f"repeated unit-circle eigenvalues are non-defective: "
+                            f"r(G) w(G)^{len(G)} = 0 for {unit}")
+
+
+def _divmod(f: tuple, g: tuple) -> tuple[tuple, tuple]:
+    """(quotient, remainder) of ascending Fraction coefficients, g trimmed."""
+    rem, quot = list(f), [Fraction(0)] * max(len(f) - len(g) + 1, 1)
+    while rem and len(rem) >= len(g):
+        c, shift = rem[-1] / g[-1], len(rem) - len(g)
+        quot[shift] = c
+        for j, x in enumerate(g):
+            rem[shift + j] -= c * x
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return tuple(quot), tuple(rem)
+
+
+def _gcd(f: tuple, g: tuple) -> tuple:
+    """A gcd of two nonzero trimmed ascending coefficient tuples, by Euclid."""
+    while g:
+        f, g = g, _divmod(f, g)[1]
+    return f
+
+
+def _matmul(A: list, B: list) -> list:
+    n = len(A)
+    return [[sum(A[i][l] * B[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _matrix_poly(c: tuple, G: list, scale: int) -> list:
+    """scale^d c(G / scale) for integer coefficients c of degree d and an
+    integer matrix G, by Horner's rule."""
+    M = [[0] * len(G) for _ in G]
+    for t, coef in enumerate(reversed(c)):
+        M = _matmul(M, G)
+        for i in range(len(G)):
+            M[i][i] += coef * scale ** t
+    return M
 
 
 def classify_point(scheme: Scheme, params: DimensionlessParams,

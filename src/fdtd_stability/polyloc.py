@@ -16,7 +16,8 @@ conj(c0) z^d`` and one reduction step maps ``p`` to
 The constant term of the numerator cancels exactly, so the division is a
 coefficient shift.  One `is_simple_von_neumann` pass decides both classes
 (`LocationResult.schur`), with tolerances on float coefficients and
-exactly on `fractions.Fraction` ones.  `max_root_modulus` reads the
+exactly on `fractions.Fraction` ones: those are scaled to integers once,
+and each level is divided by its content.  `max_root_modulus` reads the
 largest root modulus off the companion matrix.
 
 All values are immutable; every function is pure and thread-safe.
@@ -24,6 +25,7 @@ All values are immutable; every function is pure and thread-safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -121,12 +123,15 @@ class LevelTest:
 class LocationResult:
     """Boolean verdict plus the recursion trace that produced it.  schur:
     every root lies strictly inside the circle, as the levels certify (each
-    a "<" with a degree drop of exactly one, down to a constant)."""
+    a "<" with a degree drop of exactly one, down to a constant).  vanished:
+    the degree whose reduction vanished, so that the derivative decided; 0
+    where none did, and a failed pass then certifies a root outside."""
 
     ok: bool
     levels: tuple[LevelTest, ...]
     reason: str
     schur: bool = False
+    vanished: int = 0
 
     def __bool__(self) -> bool:
         return self.ok
@@ -161,8 +166,20 @@ def _reduce(c: tuple, trim_tol: float) -> tuple:
 
 
 def _normalized(c: tuple, trim_tol: float) -> tuple:
+    """c scaled to a largest modulus near one; integer c, the exact form,
+    divided by its content instead."""
+    if type(c[0]) is int:
+        g = math.gcd(*c)
+        return tuple(x // g for x in c)
     top = max(map(abs, c))
     return _trimmed([x / top for x in c], trim_tol)
+
+
+def _cleared(c: tuple) -> tuple:
+    """Fractions c times the lcm of their denominators: integers, in
+    proportion, which the exact recursion runs on."""
+    lcm = math.lcm(*(x.denominator for x in c))
+    return tuple(x.numerator * (lcm // x.denominator) for x in c)
 
 
 def _compare_moduli(const_mod2: float, lead_mod2: float, tie_tol: float) -> str:
@@ -189,7 +206,7 @@ def is_simple_von_neumann(p: Polynomial) -> LocationResult:
     """
     _require_nonzero(p)
     trim_tol, tie_tol = _tolerances(p.coeffs)
-    cur = _normalized(p.coeffs, trim_tol)
+    cur = _normalized(p.coeffs if tie_tol else _cleared(p.coeffs), trim_tol)
     levels: list[LevelTest] = []
     schur = True
     vanished = 0  # the degree whose reduction vanished; cur is then a derivative
@@ -205,7 +222,8 @@ def is_simple_von_neumann(p: Polynomial) -> LocationResult:
             break
         if not nxt:
             vanished, schur = d, True
-            cur = _normalized(Polynomial(cur).derivative().coeffs, trim_tol)
+            cur = _normalized(_trimmed([j * c for j, c in enumerate(cur)][1:], trim_tol),
+                              trim_tol)
             continue
         if rel == ">":
             return LocationResult(False, tuple(levels),
@@ -219,28 +237,14 @@ def is_simple_von_neumann(p: Polynomial) -> LocationResult:
                                   f"|p(0)| = |p*(0)| with nonzero reduction "
                                   f"at degree {d}")
         # Renormalize: the reduction is quadratic in the coefficients, so
-        # deep levels would otherwise fall below the tolerance floor.
+        # deep float levels would otherwise fall below the tolerance floor,
+        # and exact ones would grow.
         cur = _normalized(nxt, trim_tol)
     if vanished:
         return LocationResult(schur, tuple(levels),
                               "reduction vanished at degree %d; derivative %s Schur"
-                              % (vanished, "is" if schur else "is not"))
+                              % (vanished, "is" if schur else "is not"), vanished=vanished)
     return LocationResult(True, tuple(levels), "reduced to a nonzero constant", schur)
-
-
-def greedy_clusters(values: Sequence[complex], tol: float) -> list[tuple[complex, int]]:
-    """Group values into (mean, size) clusters: each cluster takes the first
-    value not yet grouped and every later one within tol of it."""
-    remaining = list(values)
-    out: list[tuple[complex, int]] = []
-    while remaining:
-        seed, *rest = remaining
-        members = [seed]
-        remaining = []
-        for v in rest:
-            (members if abs(v - seed) <= tol else remaining).append(v)
-        out.append((sum(members) / len(members), len(members)))
-    return out
 
 
 def poly_roots(p: Polynomial) -> np.ndarray:

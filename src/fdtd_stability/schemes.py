@@ -191,8 +191,9 @@ class SchemeSpec:
     q_limit             Courant limit on q of the 1D scheme
     entries             (params, u, v, q) -> update matrix rows in the
         parameters' number type, for curl couplings u (on E in the induction
-        row) and v (on b in the field rows) with u*v = -q: any split gives a
-        similar matrix, cast to complex by `amplification_matrix_at_q`.
+        row) and v (on b in the field rows) with u*v = -q: any split with
+        q > 0 gives a similar matrix (u = q, v = -1 keeps exact parameters
+        exact), u = v = 0 the matrix at q = 0.
     char_poly           params -> (a, b), same type: the characteristic
         polynomial has ascending coefficients a_j + q*b_j; the 2D TM factor
         is derived from a (`tm_factor_2d`), so it has no field of its own
@@ -300,15 +301,6 @@ def _check_scheme_params(scheme: Scheme, params: DimensionlessParams, q: float =
         raise InvalidInputError("Debye schemes require delta > 0")
     if q < 0:
         raise InvalidInputError("q must be nonnegative")
-
-
-def amplification_matrix_at_q(scheme: Scheme, params: DimensionlessParams,
-                              q: float) -> np.ndarray:
-    """Complex matrix diagonally similar to the physical amplification matrix
-    of any wavenumber with Courant quantity q >= 0, from u = sqrt(q) = -v."""
-    _check_scheme_params(scheme, params, q)
-    s = math.sqrt(q)
-    return np.array(scheme.spec.entries(params, s, -s, q), dtype=complex)
 
 
 def char_poly_closed(scheme: Scheme, params: DimensionlessParams, q: float) -> Polynomial:
@@ -656,16 +648,18 @@ def _ly_material(p):
     return bind
 
 
+# The omega = lim = 2/(2 eps_s' - 1) points take eps_s' = 1.5, omega = 1:
+# both are exact doubles, so the exact decision sees the limit itself (the
+# double nearest 2/3 lies below it).
 _LY_REGIMES = (
     Regime("anharmonic: 0<q<2, eps_s>eps_inf, omega<=lim", True,
-           ((0.3, 2.0, 0.5, 1.0), (0.3, 2.0, 2.0 / 3.0, 1.0))),
+           ((0.3, 2.0, 0.5, 1.0), (0.3, 1.5, 1.0, 1.0))),
     Regime("anharmonic: q=2, eps_s>eps_inf, omega<lim", True, ((0.3, 2.0, 0.5, 2.0),)),
     Regime("anharmonic: 0<q<=2, eps_s=eps_inf, omega<2", True,
            ((0.3, 1.0, 1.0, 1.0), (0.3, 1.0, 1.9, 2.0))),
     Regime("anharmonic: 0<q<=2, eps_s=eps_inf, omega=2", True,
            ((0.3, 1.0, 2.0, 1.0), (0.3, 1.0, 2.0, 2.0))),
-    Regime("anharmonic: q=2, eps_s>eps_inf, omega=lim", True,
-           ((0.3, 2.0, 2.0 / 3.0, 2.0),)),
+    Regime("anharmonic: q=2, eps_s>eps_inf, omega=lim", True, ((0.3, 1.5, 1.0, 2.0),)),
     Regime("anharmonic: q=0, omega<=lim", True,
            ((0.3, 2.0, 0.5, 0.0), (0.3, 1.0, 2.0, 0.0))),
     Regime("harmonic: 0<q<2, eps_s>eps_inf, omega<=lim", True, ((0.0, 2.0, 0.5, 1.0),)),
@@ -678,8 +672,7 @@ _LY_REGIMES = (
                 "update matrix is defective here (exact integer rank test) "
                 "and the powers grow linearly; encoded with the boundedness "
                 "verdict"),
-    Regime("harmonic: q=2, eps_s>eps_inf, omega=lim", False,
-           ((0.0, 2.0, 2.0 / 3.0, 2.0),)),
+    Regime("harmonic: q=2, eps_s>eps_inf, omega=lim", False, ((0.0, 1.5, 1.0, 2.0),)),
     Regime("harmonic: q=0, omega<=lim (stable subcases)", True,
            ((0.0, 2.0, 0.5, 0.0), (0.0, 1.0, 1.0, 0.0))),
     Regime("harmonic: q=0, eps_s=eps_inf, omega=2", False, ((0.0, 1.0, 2.0, 0.0),)),

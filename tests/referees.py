@@ -13,7 +13,8 @@ the single reduction step of the root-location recursion, and
 the theorem behind the walk's breakpoints as data: the factored resultant
 of each scheme's polynomial and its reversal, and the sets where that
 resultant vanishes in q, with exact resultants, gcds and discriminants to
-check them.
+check them; also the exact parameters and q at which `classify_at_q`
+decides where its float recursion fails.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from fdtd_stability.polyloc import (
     _reduce,
     _require_nonzero,
     _tolerances,
-    greedy_clusters,
     poly_roots,
 )
 from fdtd_stability.schemes import _check_scheme_params
@@ -65,6 +65,21 @@ def from_roots(roots: Sequence[complex], leading: complex = 1.0) -> Polynomial:
     for r in roots:
         coeffs = np.convolve(coeffs, np.array([-r, 1.0], dtype=complex))
     return Polynomial(coeffs)
+
+
+def greedy_clusters(values: Sequence[complex], tol: float) -> list[tuple[complex, int]]:
+    """Group values into (mean, size) clusters: each cluster takes the first
+    value not yet grouped and every later one within tol of it."""
+    remaining = list(values)
+    out: list[tuple[complex, int]] = []
+    while remaining:
+        seed, *rest = remaining
+        members = [seed]
+        remaining = []
+        for v in rest:
+            (members if abs(v - seed) <= tol else remaining).append(v)
+        out.append((sum(members) / len(members), len(members)))
+    return out
 
 
 def reduce_step(p: Polynomial) -> Polynomial:
@@ -339,6 +354,22 @@ def exact_stable_at_q(scheme: Scheme, params: DimensionlessParams, q: Fraction) 
     for _ in G:
         M = _matmul(M, W)
     return not any(x for row in M for x in row)
+
+
+def fraction_params(params: DimensionlessParams) -> DimensionlessParams:
+    """The exact values of float parameters, as `Fraction`s."""
+    return DimensionlessParams(*(None if x is None else Fraction(x) for x in (
+        params.lam, params.delta, params.eps_s_prime, params.omega)))
+
+
+def decided_q(scheme: Scheme, params: DimensionlessParams, q: float) -> tuple:
+    """(float q, exact q) as `analyzer.classify_at_q` decides q: the float
+    and the exact degenerate q where q lies within RESONANCE_SNAP_TOL of the
+    float one, else q and Fraction(q)."""
+    q_res = analyzer._degenerate_q(scheme, params)
+    if q_res is not None and abs(q - q_res) <= analyzer.RESONANCE_SNAP_TOL:
+        return q_res, scheme.spec.degenerate_q(Fraction(params.omega))
+    return q, Fraction(q)
 
 
 def exact_walk(scheme: Scheme, params: DimensionlessParams, q_lo, q_hi) -> Walk:

@@ -24,7 +24,6 @@ from fdtd_stability import (
     classify_point,
     courant_q,
     dimensionless_params,
-    gn_bounded,
     init_plane_wave,
     is_simple_von_neumann,
     reproduce_argument_table,
@@ -34,7 +33,6 @@ from fdtd_stability import (
 )
 from fdtd_stability import analyzer
 from fdtd_stability.cli import build_verify_plan, run_verify
-from fdtd_stability.schemes import amplification_matrix_at_q
 from fdtd_stability.simulator import linear_fit_residual
 from referees import (
     amplification_matrix,
@@ -264,16 +262,15 @@ def test_criterion_4_5_top_stable_q(case, q_c):
     (Scheme.LORENTZ_YOUNG, lambda w: 2 * w),
 ])
 def test_criterion_6_resonance_instabilities(scheme, q_res_of):
-    """Degenerate harmonic points: defective double unit-circle eigenvalues
-    and linear (not exponential) norm growth over 5,000 steps."""
+    """Degenerate harmonic points: a defective unit-circle eigenvalue,
+    decided in exact rationals, and linear (not exponential) norm growth
+    over 5,000 steps."""
     t0 = time.monotonic()
     w = 0.5
     q_res = q_res_of(w)
     params = DimensionlessParams(lam=1.0, delta=0.0, eps_s_prime=1.0, omega=w)
-    report = gn_bounded(amplification_matrix_at_q(scheme, params, q_res))
-    defective = [u for u in report.unit_eigenvalues
-                 if u.algebraic >= 2 and u.geometric < u.algebraic]
-    analyzer_ok = (not report.gn_bounded) and len(defective) >= 2
+    verdict = analyzer.classify_at_q(scheme, params, q_res)
+    analyzer_ok = not verdict.stable and verdict.argument is Argument.EIGENVECTORS
 
     k = math.sqrt(2 * w) / RESONANT.omega1
     m, n = (9, 64) if scheme is Scheme.LORENTZ_JOSEPH else (11, 64)
@@ -287,7 +284,7 @@ def test_criterion_6_resonance_instabilities(scheme, q_res_of):
     elapsed = time.monotonic() - t0
     _report(f"criterion 6 ({scheme.value} degenerate resonance)",
             analyzer_ok and sim_ok and elapsed < 30.0,
-            f"defective pairs {len(defective)}, growth ratio "
+            f"{verdict.argument.value}, growth ratio "
             f"{rep.max_norm_ratio:.0f}, linear-fit residual {residual:.3f}, "
             f"{elapsed:.1f}s")
 

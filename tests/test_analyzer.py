@@ -1,9 +1,9 @@
 """Analyzer tests: boundedness of matrix powers, point classification,
 worst-case scans, stability boundaries and the reference tables.
 
-The independent referee throughout is the companion-matrix root oracle
-(all roots in the closed disk with simple circle roots, refined by the
-geometric-multiplicity test at repeated unit eigenvalues).
+The independent referees are the companion-matrix root oracle (all roots
+in the closed disk with simple circle roots) and the exact decision of
+`referees.exact_stable_at_q`.
 """
 
 import math
@@ -27,50 +27,24 @@ from fdtd_stability import (
     classify_point_2d,
     courant_q,
     dimensionless_params,
-    gn_bounded,
     reproduce_argument_table,
     stability_boundary_k,
     worst_case_verdict,
 )
 from fdtd_stability import analyzer, polyloc
 from fdtd_stability.polyloc import poly_roots
-from fdtd_stability.schemes import amplification_matrix_at_q
 from referees import factor_roots_2d, plain_bisection_boundary, walk_verdict
 from test_golden import _young_omega_h
 
 
-# --- gn_bounded --------------------------------------------------------------
+# --- classify_at_q -----------------------------------------------------------
 
-def test_gn_bounded_identity():
-    report = gn_bounded(np.eye(4))
-    assert report.gn_bounded
-    (ev,) = report.unit_eigenvalues
-    assert ev.algebraic == 4 and ev.geometric == 4
-
-
-def test_gn_bounded_jordan_block():
-    report = gn_bounded(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    assert not report.gn_bounded
-    (ev,) = report.unit_eigenvalues
-    assert ev.algebraic == 2 and ev.geometric == 1
-
-
-def test_gn_bounded_debye_joseph_worst_mode():
+def test_debye_joseph_worst_mode_is_defective():
+    """Debye-Joseph with eps_s = eps_inf at q = 4: the double eigenvalue -1
+    is defective, decided exactly where the float recursion fails."""
     p = DimensionlessParams(lam=1.0, delta=0.3, eps_s_prime=1.0)
-    report = gn_bounded(amplification_matrix_at_q(Scheme.DEBYE_JOSEPH, p, 4.0))
-    assert not report.gn_bounded
-
-
-def test_gn_bounded_nan_is_a_numerical_failure():
-    with pytest.raises(NumericalFailureError, match="eigenvalue solve failed"):
-        gn_bounded(np.array([[math.nan, 0.0], [0.0, 1.0]]))
-
-
-def test_gn_bounded_rejects_expanding_matrix():
-    # 1 + 5e-7 lies beyond classify_at_q's 1 + OUT_EIG_TOL: its powers grow.
-    for G in (np.diag([1.5, 0.2]), np.array([[1.0 + 5e-7]])):
-        with pytest.raises(InvalidInputError):
-            gn_bounded(G)
+    v = classify_at_q(Scheme.DEBYE_JOSEPH, p, 4.0)
+    assert not v.stable and v.argument is Argument.EIGENVECTORS
 
 
 # --- classify_point ----------------------------------------------------------
@@ -371,7 +345,7 @@ def test_worst_case_no_false_instability_at_tiny_steps(water, h, kw, courant):
     """The Debye-Joseph scheme with eps_s > eps_inf is Schur-stable for
     0 < q < 4, so no time step below the Courant limit is unstable.  A
     sampled wavenumber scan probes q = 1.36e-11 at k = 3.16e-18, where
-    classify_at_q misreads a near-tie (see the xfail below); at
+    the float recursion misreads a near-tie (see the test below); at
     h = 6.954e-6 the worst-case verdict at k = 3.11e-18 hits the same
     misread.  Neither probe may turn the search non-monotone."""
     res = stability_boundary_k(Scheme.DEBYE_JOSEPH, water, h, **kw)
@@ -381,12 +355,9 @@ def test_worst_case_no_false_instability_at_tiny_steps(water, h, kw, courant):
     assert worst_case_verdict(Scheme.DEBYE_JOSEPH, water, 3.1644077724020904e-18, 1e-5).stable
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "near-tie: the float recursion reads |p(0)| > |p*(0)| at degree 2, and "
-    "the two eigenvalues near z = 1, 6.5e-7 apart and 4.7e-7 inside the "
-    "circle, fall into one EIG_CLUSTER_TOL cluster that the rank test calls "
-    "a defective double eigenvalue"))
 def test_near_tie_root_pair_is_not_defective(water):
+    """The float recursion reads |p(0)| > |p*(0)| at degree 2 by 8e-12; the
+    exact recursion on the same input reads Schur."""
     params = dimensionless_params(water, 3.1644077724020904e-18, 1e-5)
     assert classify_at_q(Scheme.DEBYE_JOSEPH, params, 1.3551802139387012e-11).stable
 
@@ -711,16 +682,18 @@ def test_classify_at_q_reads_the_schur_class_off_the_von_neumann_pass(monkeypatc
         assert len(calls) == 1, probe
 
 
-def test_classify_at_q_solves_for_the_eigenvalues_once(monkeypatch):
-    """The matrix route hands its own eigenvalues to the multiplicity test
-    instead of solving for them again."""
+def test_classify_at_q_solves_for_no_eigenvalues(monkeypatch):
+    """Every regime point, the matrix-route ones included, is decided by
+    the recursion and exact rationals: no eigenvalue is solved for."""
     calls = []
     real = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or real(m))
     matrix_route = 0
     for probe in _regime_probes():
-        calls.clear()
         verdict = classify_at_q(*probe)
-        assert len(calls) <= 1, (probe, verdict)
         matrix_route += verdict.argument in (Argument.G_FORM, Argument.EIGENVECTORS)
-    assert matrix_route > 0
+    assert matrix_route > 0 and not calls
+    w = 0.8
+    p = DimensionlessParams(lam=1.0, delta=0.0, eps_s_prime=1.0, omega=w)
+    v = classify_at_q(Scheme.LORENTZ_KASHIWA, p, 2 * w / (1 + 0.5 * w))
+    assert not v.stable and v.argument is Argument.EIGENVECTORS

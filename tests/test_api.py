@@ -16,9 +16,9 @@ PUBLIC = {
     "DimensionlessParams", "MediumModel", "Scheme", "Wavenumber", "char_poly_closed",
     "courant_q", "dimensionless_params", "tm_factor_2d",
     # analyzer
-    "Argument", "BoundednessReport", "StabilityVerdict", "classify_at_q",
-    "classify_point", "classify_point_2d", "gn_bounded", "reproduce_argument_table",
-    "stability_boundary_k", "worst_case_verdict",
+    "Argument", "StabilityVerdict", "classify_at_q", "classify_point",
+    "classify_point_2d", "reproduce_argument_table", "stability_boundary_k",
+    "worst_case_verdict",
     # simulator
     "FieldState", "GrowthReport", "empirical_verdict", "init_plane_wave", "run_growth",
     "step",
@@ -27,7 +27,12 @@ PUBLIC = {
 REFEREES = ("root_profile", "RootProfile", "ROOT_CLUSTER_TOL", "conjugate_poly",
             "amplification_matrix", "char_poly_from_matrix", "char_poly_2d",
             "fourier_mode", "reduce_step", "plain_bisection_boundary", "_walk",
-            "_candidates", "exact_walk", "exact_stable_at_q")
+            "_candidates", "exact_walk", "exact_stable_at_q", "greedy_clusters")
+
+# The float eigen route that the exact decision of `classify_at_q` retired.
+RETIRED = ("OUT_EIG_TOL", "EIG_CLUSTER_TOL", "RANK_REL_TOL", "gn_bounded",
+           "BoundednessReport", "UnitEigenvalue", "_eigvals", "_unit_multiplicities",
+           "amplification_matrix_at_q")
 
 
 def test_all_is_the_public_contract():
@@ -50,6 +55,30 @@ def test_referees_are_not_in_the_package():
     for name in ("is_schur", "reduce_step_exact", "is_schur_exact",
                  "is_simple_von_neumann_exact", "_trim_exact"):
         assert not any(hasattr(m, name) for m in modules + [fdtd_stability]), name
+
+
+def test_the_float_eigen_route_is_retired():
+    """No module of the package defines the eigen route's names or
+    tolerances, and the analyzer imports no numpy: its verdicts come from
+    the recursion and from exact rationals."""
+    modules = [importlib.import_module(f"fdtd_stability.{m}")
+               for m in ("polyloc", "schemes", "simulator", "analyzer", "cli")]
+    for name in RETIRED:
+        assert not any(hasattr(m, name) for m in modules + [fdtd_stability]), name
+    assert "numpy" not in _imports("analyzer")
+
+
+def _imports(module: str) -> set[str]:
+    """The top-level names of every module a package module's source
+    imports, at any depth of its syntax tree."""
+    source = Path(fdtd_stability.__file__).with_name(f"{module}.py").read_text()
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
 
 
 def _package_imports(module: str) -> set[str]:

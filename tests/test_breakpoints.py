@@ -10,27 +10,42 @@ at which a root leaves or re-enters the closed unit disk lies next to a
 breakpoint.  The same theorem gives the end q_c of each scheme's stable
 q-range in closed form (`SchemeSpec.stable_q`, with `SchemeSpec.closed`
 for whether its end is stable), checked exactly against q_-1 and against
-the exact walk over the breakpoints.
+the exact walk over the breakpoints.  Where the float recursion fails,
+`classify_at_q` decides in exact rationals; its verdicts there are checked
+against the exact referee on every class and on the verify plan.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fdtd_stability import DimensionlessParams, Scheme, dimensionless_params
+from fdtd_stability import (
+    DimensionlessParams,
+    Scheme,
+    Wavenumber,
+    analyzer,
+    char_poly_closed,
+    courant_q,
+    dimensionless_params,
+    is_simple_von_neumann,
+)
+from fdtd_stability.cli import build_verify_plan
 from referees import (
     DEGENERATE_SETS,
     RESULTANTS,
     _candidates,
     _walk,
+    decided_q,
     discriminant_exact,
     divmod_exact,
     exact_params,
     exact_poly_q,
     exact_stable_at_q,
     exact_walk,
+    fraction_params,
     monic_gcd_exact,
     resultant_exact,
 )
@@ -299,10 +314,10 @@ def test_stable_q_matches_the_exact_and_the_float_walk():
     to it, the exact walk over [0, 2 max(4, q_c) + 1], at the exact
     parameters of the float steps, ends its stable q-range at stable_q's
     q_c, closed where `SchemeSpec.closed` says so, in every class.  The
-    float walk ends it at q_c too, to a relative 1e-9, except on two
-    classes of float defects: damped Lorentz-Joseph hides the growth just
-    past q = 2 under `OUT_EIG_TOL`, and eps_s' = 1 Lorentz media at small
-    omega stop at a tiny degenerate q or at 0."""
+    float walk ends it at q_c too, to a relative 1e-9, except on harmonic
+    eps_s' = 1 Lorentz media: at small omega the float recursion reads the
+    colliding root couples at the tiny degenerate q simple von Neumann, so
+    the walk runs past it."""
     rng = random.Random(7)
     classes, float_checked = set(), 0
     for _ in range(300):
@@ -315,15 +330,14 @@ def test_stable_q_matches_the_exact_and_the_float_walk():
         if q_c > 0:
             assert walk.closed == scheme.spec.closed(params), (scheme, medium, k, h)
         classes.add((scheme, params.delta > 0, params.alpha > 0))
-        if scheme.kind == "lorentz" and (params.alpha == 0 or (
-                scheme is Scheme.LORENTZ_JOSEPH and params.delta > 0)):
+        if scheme.kind == "lorentz" and params.alpha == 0 and params.delta == 0:
             continue
         float_params = dimensionless_params(medium, k, h)
         q_c = scheme.spec.stable_q(float_params)
         walked = _walk(scheme, float_params, 0.0, 2.0 * max(4.0, q_c) + 1.0).q_c
         assert walked == pytest.approx(q_c, rel=1e-9, abs=0.0), (scheme, medium, k, h)
         float_checked += 1
-    assert len(classes) == 16 and float_checked >= 150, (sorted(classes), float_checked)
+    assert len(classes) == 16 and float_checked == 279, (sorted(classes), float_checked)
 
 
 # Every (scheme, delta = 0 or > 0, eps_s' = 1 or > 1) class; Debye media are
@@ -356,3 +370,52 @@ def test_stable_q_and_closed_match_the_exact_walk(scheme, damped, dispersive):
             assert walk.closed == closed, params
         if closed or q_c == 0:
             assert not exact_stable_at_q(scheme, params, _rational(rng, q_c, top)), params
+
+
+def _fallback_agrees(scheme, params, q) -> bool | None:
+    """Where the float recursion fails at q, whether `classify_at_q` reads
+    the exact referee's verdict; None where the float recursion decides."""
+    q_float, q_exact = decided_q(scheme, params, q)
+    if is_simple_von_neumann(char_poly_closed(scheme, params, q_float)).ok:
+        return None
+    return (analyzer.classify_at_q(scheme, params, q).stable
+            == exact_stable_at_q(scheme, fraction_params(params), q_exact))
+
+
+@pytest.mark.parametrize("scheme,damped,dispersive", CLASSES,
+                         ids=lambda v: getattr(v, "value", None) or str(v).lower())
+def test_fallback_reads_the_exact_referee(scheme, damped, dispersive):
+    """Seeded float draws of every class, probed at 0, the float candidates
+    (2, 4, q_-1, the degenerate q), a q within the snap window of the
+    degenerate q and two uniform q: wherever the float recursion fails,
+    `classify_at_q` reads the exact referee's verdict at the exact
+    parameters of the floats."""
+    rng = random.Random(f"fallback {scheme.value} {damped} {dispersive}")
+    fallbacks = 0
+    for _ in range(12):
+        params = DimensionlessParams(
+            1.0, rng.uniform(1e-3, 2.0) if damped else 0.0,
+            1.0 + rng.uniform(1e-3, 40.0) if dispersive else 1.0,
+            rng.uniform(1e-3, 3.0) if scheme.kind == "lorentz" else None)
+        cands = [c for c in _candidates(scheme, params) if c is not None and c >= 0]
+        near = [c + rng.uniform(-5e-10, 5e-10) for c in cands[3:]]
+        for q in [0.0, *cands, *near, rng.uniform(0.0, 6.0), rng.uniform(0.0, 6.0)]:
+            agrees = _fallback_agrees(scheme, params, max(q, 0.0))
+            assert agrees in (None, True), (params, q)
+            fallbacks += agrees is not None
+    assert fallbacks >= 12, fallbacks
+
+
+def test_fallback_reads_the_exact_referee_on_the_verify_plan():
+    """Every verify point, at its own Courant quantity: wherever the float
+    recursion fails, `classify_at_q` reads the exact referee's verdict."""
+    fallbacks = 0
+    for pt in build_verify_plan():
+        params = dimensionless_params(pt.medium, pt.k, pt.h)
+        xi_y = None if pt.polarization is None else 2.0 * math.pi * pt.m_y / pt.grid
+        q = courant_q(params, Wavenumber(2.0 * math.pi * pt.m_x / pt.grid, xi_y,
+                                         h_x=pt.h, h_y=pt.h))
+        agrees = _fallback_agrees(pt.scheme, params, q)
+        assert agrees in (None, True), pt
+        fallbacks += agrees is not None
+    assert fallbacks == 76

@@ -38,7 +38,14 @@ from fdtd_stability import (
     stability_boundary_k,
     worst_case_verdict,
 )
-from referees import _candidates, plain_bisection_boundary, walk_verdict
+from referees import (
+    _candidates,
+    decided_q,
+    exact_stable_at_q,
+    fraction_params,
+    plain_bisection_boundary,
+    walk_verdict,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -390,11 +397,11 @@ def test_boundaries_on_constant_arms_lie_below_the_courant_limit():
 def test_verdicts_grid_lines_match_the_exact_walk():
     """Every ``grid`` line of ``verdicts.txt`` reads the verdict of the exact
     walk over [0, q_max] (`referees.walk_verdict`).  Its argument comes from
-    one float `classify_at_q` probe, which disagrees with the theorem on 5
-    lines, each saying so in its detail: damped Lorentz-Joseph past q = 2
-    and a harmonic eps_s = eps_inf one past its tiny degenerate q read
-    stable, Lorentz-Kashiwa at q = 4 reads stable, and Lorentz-Kashiwa and
-    Lorentz-Young at q_max = 5e-12 read a defective eigenvalue."""
+    one `classify_at_q` probe, which disagrees with the theorem on 2 lines,
+    each saying so in its detail.  On both the float recursion reads the
+    probe simple von Neumann, so no exact decision follows: a harmonic
+    eps_s = eps_inf Lorentz-Joseph medium at its tiny degenerate q, and
+    damped Lorentz-Kashiwa at q = 4."""
     media = {(kind, m.eps_s): m for kind, ms in _GRID_MEDIA.items() for m in ms}
     against = 0
     for line in _golden("verdicts.txt").splitlines():
@@ -406,7 +413,30 @@ def test_verdicts_grid_lines_match_the_exact_walk():
         assert walk_verdict(scheme, media[scheme.kind, float(eps_s)], float(k), float(h),
                             **kw) == (stable == "True"), line
         against += detail.endswith("against the theorem")
-    assert against == 5
+    assert against == 2
+
+
+def test_verdicts_point_lines_match_the_exact_referee():
+    """585 of the 600 ``point`` lines of ``verdicts.txt`` read the exact
+    referee's verdict (`referees.exact_stable_at_q` at the exact parameters
+    of the floats, and at the exact degenerate q where `classify_at_q`
+    snaps).  The 15 others are all at q = 4, where the float recursion
+    reads a defective or outside root pair simple von Neumann, so no exact
+    decision follows."""
+    misread = []
+    for line in _golden("verdicts.txt").splitlines():
+        if not line.startswith("point|"):
+            continue
+        _, name, delta, es, omega, q, stable, argument, _ = line.split("|", 8)
+        scheme, q = Scheme.from_name(name), float(q)
+        params = DimensionlessParams(1.0, float(delta), float(es),
+                                     None if omega == "None" else float(omega))
+        exact = exact_stable_at_q(scheme, fraction_params(params),
+                                  decided_q(scheme, params, q)[1])
+        if exact != (stable == "True"):
+            misread.append((q, stable, argument))
+    assert len(misread) == 15
+    assert {m[:2] for m in misread} == {(4.0, "True")}, misread
 
 
 if __name__ == "__main__":

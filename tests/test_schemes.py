@@ -27,7 +27,7 @@ from fdtd_stability import (
     tm_factor_2d,
 )
 from fdtd_stability.polyloc import Polynomial, is_simple_von_neumann, poly_roots
-from fdtd_stability.schemes import EPS0, MU0, amplification_matrix_at_q
+from fdtd_stability.schemes import EPS0, MU0
 from referees import amplification_matrix, char_poly_exact, char_poly_from_matrix, monic
 
 
@@ -149,11 +149,10 @@ def test_dimensionless_params_rejects_bad_h(water, h):
 
 def test_debye_scheme_refuses_zero_delta_and_negative_q():
     p = DimensionlessParams(lam=1.0, delta=0.0, eps_s_prime=2.0)
-    for f in (char_poly_closed, amplification_matrix_at_q):
-        with pytest.raises(InvalidInputError, match="Debye schemes require delta > 0"):
-            f(Scheme.DEBYE_JOSEPH, p, 1.0)
-        with pytest.raises(InvalidInputError, match="q must be nonnegative"):
-            f(Scheme.DEBYE_JOSEPH, replace(p, delta=0.1), -1e-12)
+    with pytest.raises(InvalidInputError, match="Debye schemes require delta > 0"):
+        char_poly_closed(Scheme.DEBYE_JOSEPH, p, 1.0)
+    with pytest.raises(InvalidInputError, match="q must be nonnegative"):
+        char_poly_closed(Scheme.DEBYE_JOSEPH, replace(p, delta=0.1), -1e-12)
 
 
 # --- Courant quantity ------------------------------------------------------
@@ -303,8 +302,9 @@ def test_matrix_polynomial_proportionality(scheme):
         wn = Wavenumber(rng.uniform(0.0, 2 * math.pi * 0.999))
         q = courant_q(p, wn)
         closed = monic_coeffs(char_poly_closed(scheme, p, q))
+        s = math.sqrt(q)
         for G in (amplification_matrix(scheme, p, wn),
-                  amplification_matrix_at_q(scheme, p, q)):
+                  np.array(scheme.spec.entries(p, s, -s, q), dtype=complex)):
             from_matrix = monic_coeffs(char_poly_from_matrix(G))
             np.testing.assert_allclose(from_matrix, closed, rtol=0.0,
                                        atol=1e-10 * np.max(np.abs(closed)))
@@ -448,7 +448,7 @@ def test_scheme_record_consistency(scheme):
     spec = scheme.spec
     p = random_params(np.random.default_rng(3), spec.kind)
     n = len(spec.state_labels)
-    assert amplification_matrix_at_q(scheme, p, 1.0).shape[0] == n
+    assert len(spec.entries(p, 1.0, -1.0, 1.0)) == n
     assert char_poly_closed(scheme, p, 1.0).degree == n
     a, b = spec.char_poly(p)
     assert len(a) == len(b) == n + 1
