@@ -1,27 +1,24 @@
 """Stability classification of the FD-TD schemes.
 
 A point (scheme, parameters, wavenumber) is stable when the update matrix
-has bounded powers.  The decision tree:
+has bounded powers.  Verdicts flip where a root of the characteristic
+polynomial p meets the unit circle, so floats only certify a verdict with
+room to spare, and exact rationals decide and label the rest:
 
-1. If the characteristic polynomial is simple von Neumann, powers are
-   bounded.  All roots strictly inside gives the strongest verdict; the
-   same recursion pass tells (`LocationResult.schur`).
-2. Otherwise the float recursion may have misread a tie, so the same
-   recursion runs again in exact rationals, on `Fraction`s of the
-   parameters and of q; a simple von Neumann verdict there is step 1's.
-   Where the exact reduction does not vanish, a root lies outside the unit
-   circle: exponential growth.
-3. Where it vanishes, p and its reversal p* share a factor u = gcd(p, p*),
-   which holds every root on the circle, and w = p / u is Schur (the levels
-   above the vanishing one are strict).  The powers are bounded iff the
-   squarefree part r of u is simple von Neumann and the unit eigenvalues
-   are semisimple: r(G) w(G)^n = 0 for the update matrix G, decided exactly
-   on G scaled to integers.  A defective eigenvalue produces linear growth
-   of the powers, hence instability.
-
-Near the degenerate Courant values of the Lorentz schemes (where two
-conjugate root couples collide on the circle) q snaps onto the degenerate
-value, and the exact decision takes the exact rational one.
+1. The float recursion reads every root strictly inside the circle
+   (`LocationResult.schur`) at a q farther than RESONANCE_SNAP_TOL from 0,
+   2, 4 and the degenerate q: stable, Schur.
+2. Else the same recursion runs on `Fraction`s of the parameters and of q,
+   where q within RESONANCE_SNAP_TOL of a Lorentz scheme's degenerate q
+   (two conjugate root couples colliding on the circle) snaps onto its
+   exact value.  Simple von Neumann there is stable: Schur, sub-polynomial
+   (a root exactly at 0, 1, -1 or +-i) or von Neumann.  Else, unless the
+   reduction vanished, a root lies outside the circle: exponential growth.
+3. Where it vanishes, p and its reversal p* share u = gcd(p, p*), which
+   holds every root on the circle, and w = p / u is Schur.  The powers are
+   bounded iff the squarefree part r of u is simple von Neumann and the
+   unit eigenvalues are semisimple: r(G) w(G)^n = 0 for the update matrix
+   G, decided on G scaled to integers.  A defective one grows linearly.
 
 Worst-case verdicts over all wavenumbers are exact, not sampled: the
 characteristic polynomial p_q = a + q b is affine in the Courant quantity
@@ -33,9 +30,8 @@ each scheme's stable q-range [0, q_c) or [0, q_c] follows in closed form
 stable; both are checked against an exact walk over those breakpoints in
 the tests).  A grid is stable iff q_max < q_c, or q_max = q_c and the
 limit is closed, with near-ties decided in exact rationals.  That decides
-`worst_case_verdict` and every step of the bisection in
-`stability_boundary_k`; one `classify_at_q` probe at the deciding q
-labels each verdict with its argument.
+`worst_case_verdict` and every bisection step of `stability_boundary_k`;
+one `classify_at_q` probe at the deciding q labels each verdict.
 """
 
 from __future__ import annotations
@@ -57,7 +53,8 @@ from .schemes import (
     dimensionless_params,
 )
 
-# |q - q_degenerate| below this snaps classification onto the exact value.
+# |q - q_degenerate| below this snaps classification onto the exact value;
+# a q this close to 0, 2 or 4 is decided exactly, not snapped.
 RESONANCE_SNAP_TOL = 1e-9
 
 BOUNDARY_REL_RESOLUTION = 1e-4
@@ -80,6 +77,9 @@ class StabilityVerdict:
     stable: bool
     argument: Argument
     detail: str
+
+
+_SCHUR = StabilityVerdict(True, Argument.THEOREM_SCHUR, "all roots strictly inside the unit circle")
 
 
 @dataclass(frozen=True)
@@ -118,38 +118,37 @@ def _degenerate_q(scheme: Scheme, params: DimensionlessParams) -> float | None:
     return q_of_omega(params.omega) if q_of_omega and params.omega else None
 
 
-def _special_root_near(poly: Polynomial) -> bool:
-    """True when the polynomial nearly vanishes at 0, 1, -1, i or -i (the
-    factored-out eigenvalues of the sub-polynomial style of proof)."""
-    scale = sum(abs(c) for c in poly.coeffs)
-    return any(abs(poly(s)) <= 1e-9 * scale for s in (0.0, 1.0, -1.0, 1j, -1j))
+def _special_root(poly: Polynomial) -> bool:
+    """Whether a real `Fraction` polynomial vanishes at 0, 1, -1 or +-i (the
+    factored-out eigenvalues of sub-polynomial proofs), exactly: with s_r
+    the sum of its cleared c_j over j = r mod 4, p(+-1) = s_0 +- s_1 + s_2
+    +- s_3 and p(i) = s_0 - s_2 + i (s_1 - s_3)."""
+    c = _cleared(poly.coeffs)
+    s0, s1, s2, s3 = (sum(c[r::4]) for r in range(4))
+    return 0 in (c[0], s0 + s1 + s2 + s3, s0 - s1 + s2 - s3) or (s0 == s2 and s1 == s3)
 
 
 def classify_at_q(scheme: Scheme, params: DimensionlessParams, q: float) -> StabilityVerdict:
-    """Stability verdict of a scheme at an exact Courant quantity q: the
-    float recursion decides where it reads simple von Neumann, exact
-    rationals decide elsewhere (steps 1-3 of the module docstring)."""
+    """Stability verdict of a scheme at an exact Courant quantity q: a float
+    Schur certificate, else the exact decision (steps 1-3 of the module
+    docstring)."""
     if q < 0 or not math.isfinite(q):
         raise InvalidInputError("q must be nonnegative and finite")
     q_res = _degenerate_q(scheme, params)
     snap = q_res is not None and abs(q - q_res) <= RESONANCE_SNAP_TOL
-    poly = char_poly_closed(scheme, params, q_res if snap else q)
+    near = min(q, abs(q - 2), abs(q - 4)) <= RESONANCE_SNAP_TOL
+    if not (snap or near) and is_simple_von_neumann(char_poly_closed(scheme, params, q)).schur:
+        return _SCHUR
+    params = DimensionlessParams(*(None if x is None else Fraction(x) for x in (
+        params.lam, params.delta, params.eps_s_prime, params.omega)))
+    q = scheme.spec.degenerate_q(params.omega) if snap else Fraction(q)
+    poly = char_poly_closed(scheme, params, q)
     svn = is_simple_von_neumann(poly)
     if not svn.ok:
-        # The float recursion failed: a root outside, roots colliding on
-        # the circle, or a tie misread.  Decide again in exact rationals,
-        # at the exact degenerate q where q was snapped.
-        params = DimensionlessParams(*(None if x is None else Fraction(x) for x in (
-            params.lam, params.delta, params.eps_s_prime, params.omega)))
-        q = scheme.spec.degenerate_q(params.omega) if snap else Fraction(q)
-        poly = char_poly_closed(scheme, params, q)
-        svn = is_simple_von_neumann(poly)
-        if not svn.ok:
-            return _non_svn_verdict(scheme, params, q, poly, svn)
+        return _non_svn_verdict(scheme, params, q, poly, svn)
     if svn.schur:
-        return StabilityVerdict(True, Argument.THEOREM_SCHUR,
-                                "all roots strictly inside the unit circle")
-    if _special_root_near(poly):
+        return _SCHUR
+    if _special_root(poly):
         return StabilityVerdict(
             True, Argument.SUB_POLYNOMIAL,
             "simple von Neumann; special unit-circle or zero roots factored out")
@@ -160,14 +159,12 @@ def classify_at_q(scheme: Scheme, params: DimensionlessParams, q: float) -> Stab
 def _non_svn_verdict(scheme: Scheme, params: DimensionlessParams, q: Fraction,
                      poly: Polynomial, svn: LocationResult) -> StabilityVerdict:
     """Verdict where the exact recursion reads p = `poly` not simple von
-    Neumann.  Unless its reduction vanished, that certifies a root outside.
-    Else u = gcd(p, p*) holds every root on the circle and every pair z, 1/z
-    off it, and w = p/u is Schur: each level above the vanishing one is
-    strict, and removes one root of w inside the circle.  So with r the
-    squarefree part of u, the powers are bounded iff r is simple von Neumann
-    and the unit eigenvalues are semisimple: r(G) w(G)^n = 0 for the n x n
-    matrix G, `spec.entries` at u = q, v = -1 (similar to the physical
-    matrix for q > 0), or u = v = 0 at q = 0."""
+    Neumann: a root outside unless its reduction vanished, else step 3 of
+    the module docstring.  There w = p/u is Schur, since each level above
+    the vanishing one is strict and removes one root of w inside the circle,
+    and u holds every pair z, 1/z off the circle as well as the unit roots.
+    G is `spec.entries` at u = q, v = -1 (similar to the physical matrix for
+    q > 0), or at u = v = 0 for q = 0."""
     if not svn.vanished:
         return StabilityVerdict(False, Argument.THEOREM_VON_NEUMANN,
                                 "root outside the unit circle, certified by the exact "

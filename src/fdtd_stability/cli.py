@@ -45,6 +45,7 @@ OUTPUT_DIR_ENV = "FDTD_STABILITY_OUT"
 
 VERDICT_HEADER = ("scheme", "eps_inf", "eps_s", "t_r_or_omega1", "nu", "k", "h",
                   "xi", "q", "stable", "argument", "max_root_modulus")
+ANALYZE_HEADER = VERDICT_HEADER + ("xi_y", "h_y", "polarization")
 GROWTH_HEADER = ("step", "norm", "ratio")
 VERIFY_HEADER = ("scheme", "medium", "dim", "polarization", "k", "h", "xi_x",
                  "xi_y", "q", "q_boundary", "in_margin_band", "analytic_stable",
@@ -265,7 +266,8 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     if cfg.output:
         row = _verdict_row(scheme, medium, cfg.k, cfg.h, wn.xi_x, q, verdict.stable,
                            verdict.argument.value, root_mod)
-        path = emit_csv([row], cfg.output, VERDICT_HEADER)
+        row += (wn.xi_y, wn.h_y, cfg.polarization) if wn.is_2d else (None,) * 3
+        path = emit_csv([row], cfg.output, ANALYZE_HEADER)
         print(f"  wrote {path}")
     return 0
 

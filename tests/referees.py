@@ -331,26 +331,26 @@ def exact_stable_at_q(scheme: Scheme, params: DimensionlessParams, q: Fraction) 
     roots on the circle (simple von Neumann), and the unit eigenvalues are
     semisimple: r(G) w(G)^n = 0 for the n x n matrix G.  G is `spec.entries`
     at u = q, v = -1, similar to the physical matrix for q > 0 (diagonal
-    scaling of sqrt(q), -sqrt(q)), and at u = v = 0 for q = 0."""
+    scaling of sqrt(q), -sqrt(q)), and at u = v = 0 for q = 0.  The gcds
+    and quotients stay in integers (`_primitive_gcd`, `_exact_quotient`)."""
     q = Fraction(q)
     a, b = _integer_pair(scheme, params)
     p = [q.denominator * x + q.numerator * y for x, y in zip(a, b)]  # p_q, scaled
     if integer_location(p)[0]:
         return True
-    p = [Fraction(x) for x in p]
-    u = monic_gcd_exact(p, p[::-1])
+    u = _primitive_gcd(p, p[::-1])
     if len(u) == 1:
         return False  # no root on the circle: one lies outside
-    w = divmod_exact(p, u)[0]
-    r = divmod_exact(u, monic_gcd_exact(u, [j * c for j, c in enumerate(u)][1:]))[0]
-    if not (integer_location(_integral(w))[1] and integer_location(_integral(r))[0]):
+    w = _exact_quotient(p, u)
+    r = _exact_quotient(u, _primitive_gcd(u, [j * c for j, c in enumerate(u)][1:]))
+    if not (integer_location(w)[1] and integer_location(r)[0]):
         return False
     u_c, v_c = (q, Fraction(-1)) if q else (Fraction(0), Fraction(0))
     rows = scheme.spec.entries(params, u_c, v_c, q)
     scale = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
     G = [[int(Fraction(x) * scale) for x in row] for row in rows]
-    M = _matrix_poly(_integral(r), G, scale)
-    W = _matrix_poly(_integral(w), G, scale)
+    M = _matrix_poly(r, G, scale)
+    W = _matrix_poly(w, G, scale)
     for _ in G:
         M = _matmul(M, W)
     return not any(x for row in M for x in row)
@@ -362,14 +362,14 @@ def fraction_params(params: DimensionlessParams) -> DimensionlessParams:
         params.lam, params.delta, params.eps_s_prime, params.omega)))
 
 
-def decided_q(scheme: Scheme, params: DimensionlessParams, q: float) -> tuple:
-    """(float q, exact q) as `analyzer.classify_at_q` decides q: the float
-    and the exact degenerate q where q lies within RESONANCE_SNAP_TOL of the
-    float one, else q and Fraction(q)."""
+def decided_q(scheme: Scheme, params: DimensionlessParams, q: float) -> Fraction:
+    """The exact q at which `analyzer.classify_at_q` decides a float q that
+    it does not certify Schur in floats: the exact degenerate q where q lies
+    within RESONANCE_SNAP_TOL of the float one, else Fraction(q)."""
     q_res = analyzer._degenerate_q(scheme, params)
     if q_res is not None and abs(q - q_res) <= analyzer.RESONANCE_SNAP_TOL:
-        return q_res, scheme.spec.degenerate_q(Fraction(params.omega))
-    return q, Fraction(q)
+        return scheme.spec.degenerate_q(Fraction(params.omega))
+    return Fraction(q)
 
 
 def exact_walk(scheme: Scheme, params: DimensionlessParams, q_lo, q_hi) -> Walk:
@@ -586,31 +586,67 @@ def discriminant_exact(u: Sequence[Fraction]) -> Fraction:
     return (-1) ** (n * (n - 1) // 2) * resultant_exact(u, du) / u[-1]
 
 
-def _trim(f: list[Fraction]) -> list[Fraction]:
+def _trim(f: list) -> list:
     while f and f[-1] == 0:
         f.pop()
     return f
 
 
-def divmod_exact(f: Sequence[Fraction], g: Sequence[Fraction]):
-    """(quotient, remainder) of ascending coefficient lists, g nonzero."""
-    rem, g = _trim([Fraction(x) for x in f]), _trim([Fraction(x) for x in g])
-    quot = [Fraction(0)] * max(len(rem) - len(g) + 1, 1)
-    while len(rem) >= len(g):
-        c, shift = rem[-1] / g[-1], len(rem) - len(g)
+def _pseudo_divmod(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+    """(Q, R) with lc(g)^e f = Q g + R, e = max(deg f - deg g + 1, 0) and
+    deg R < deg g: pseudo-division of integer ascending lists, g trimmed."""
+    lc, n = g[-1], len(g)
+    rem, quot = list(f), [0] * max(len(f) - n + 1, 0)
+    for shift in range(len(f) - n, -1, -1):
+        c = rem.pop()  # the top coefficient, cancelled by c z^shift g
+        quot = [lc * x for x in quot]
         quot[shift] = c
-        for j, x in enumerate(g):
-            rem[shift + j] -= c * x
-        _trim(rem)
-    return _trim(quot), rem
+        rem = [lc * x for x in rem]
+        for j in range(n - 1):
+            rem[shift + j] -= c * g[j]
+    return quot, _trim(rem)
+
+
+def _primitive(f: list[int]) -> list[int]:
+    """Nonzero integer coefficients divided by their content, leading one
+    positive."""
+    g = math.gcd(*f)
+    return [x // (g if f[-1] > 0 else -g) for x in f]
+
+
+def _primitive_gcd(f: list[int], g: list[int]) -> list[int]:
+    """The primitive gcd, leading coefficient positive, of two nonzero
+    integer ascending lists: the primitive remainder sequence, each pseudo-
+    remainder divided by its content."""
+    f, g = _primitive(_trim(list(f))), _trim(list(g))
+    while g:
+        g = _primitive(g)
+        f, g = g, _pseudo_divmod(f, g)[1]
+    return f
+
+
+def _exact_quotient(f: list[int], g: list[int]) -> list[int]:
+    """f / g for integer lists f and a primitive g that divides f (the
+    quotient is then integral, by Gauss's lemma)."""
+    e = g[-1] ** max(len(f) - len(g) + 1, 0)
+    return [x // e for x in _pseudo_divmod(f, g)[0]]
+
+
+def divmod_exact(f: Sequence[Fraction], g: Sequence[Fraction]):
+    """(quotient, remainder) of ascending coefficient lists, g nonzero, by
+    pseudo-division of their integer multiples."""
+    f, g = _trim([Fraction(x) for x in f]), _trim([Fraction(x) for x in g])
+    sf, sg = (math.lcm(*(x.denominator for x in c)) for c in (f, g))
+    quot, rem = _pseudo_divmod([int(x * sf) for x in f], [int(x * sg) for x in g])
+    den = sf * int(g[-1] * sg) ** max(len(f) - len(g) + 1, 0)
+    return _trim([Fraction(x * sg, den) for x in quot]), [Fraction(x, den) for x in rem]
 
 
 def monic_gcd_exact(f: Sequence[Fraction], g: Sequence[Fraction]) -> list[Fraction]:
-    """Monic gcd of two nonzero ascending coefficient lists, by Euclid."""
-    f, g = _trim([Fraction(x) for x in f]), _trim([Fraction(x) for x in g])
-    while g:
-        f, g = g, divmod_exact(f, g)[1]
-    return [c / f[-1] for c in f]
+    """Monic gcd of two nonzero ascending coefficient lists, from the
+    primitive remainder sequence of their integer multiples."""
+    u = _primitive_gcd(_integral(f), _integral(g))
+    return [Fraction(c, u[-1]) for c in u]
 
 
 # --- grid measurements -----------------------------------------------------------

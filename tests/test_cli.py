@@ -115,11 +115,12 @@ def test_analyze_unstable_point_still_succeeds(tmp_path, capsys, water=None):
                "--h", str(h), "--output", str(out)])
     assert rc == 0
     header, row = out.read_text().splitlines()
-    assert header == ",".join(cli.VERDICT_HEADER)
+    assert header == ",".join(cli.ANALYZE_HEADER)
     fields = row.split(",")
     assert fields[0] == "debye-joseph"
     assert fields[9] == "false"          # stable column
     assert float(fields[11]) > 1.0       # max root modulus
+    assert fields[12:] == ["", "", ""]   # no xi_y, h_y or polarization in 1D
 
 
 def test_analyze_with_config_file(tmp_path, capsys):
@@ -218,6 +219,22 @@ def test_analyze_2d_header_names_xi_y(capsys):
         headers.append(capsys.readouterr().out.splitlines()[0])
     assert "at xi=1.5, xi_y=0.75, q=" in headers[0]
     assert "at xi=1.5, xi_y=2.5, q=" in headers[1]
+
+
+def test_analyze_2d_rows_name_xi_y_h_y_and_polarization(tmp_path, capsys):
+    """Two TM points that differ only in xi_y write CSV rows that differ in
+    q and xi_y, and both name h_y and the polarization; the scan columns
+    come first, unchanged."""
+    rows = []
+    for xi_y in ("0.75", "2.5"):
+        out = tmp_path / f"{xi_y}.csv"
+        assert main(_KASHIWA_2D + ["--h-y", "2e-8", "--xi-y", xi_y, "--output", str(out)]) == 0
+        header, row = out.read_text().splitlines()
+        rows.append(dict(zip(header.split(","), row.split(","))))
+    assert header == ",".join(cli.VERDICT_HEADER + ("xi_y", "h_y", "polarization"))
+    assert [float(r["xi_y"]) for r in rows] == [0.75, 2.5]
+    assert {(float(r["h_y"]), r["polarization"]) for r in rows} == {(2e-8, "tm")}
+    assert [k for k in rows[0] if rows[0][k] != rows[1][k]] == ["q", "xi_y"]
 
 
 @pytest.mark.parametrize("argv,analytic,ran", [

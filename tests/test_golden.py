@@ -397,13 +397,8 @@ def test_boundaries_on_constant_arms_lie_below_the_courant_limit():
 def test_verdicts_grid_lines_match_the_exact_walk():
     """Every ``grid`` line of ``verdicts.txt`` reads the verdict of the exact
     walk over [0, q_max] (`referees.walk_verdict`).  Its argument comes from
-    one `classify_at_q` probe, which disagrees with the theorem on 2 lines,
-    each saying so in its detail.  On both the float recursion reads the
-    probe simple von Neumann, so no exact decision follows: a harmonic
-    eps_s = eps_inf Lorentz-Joseph medium at its tiny degenerate q, and
-    damped Lorentz-Kashiwa at q = 4."""
+    one `classify_at_q` probe, and no probe disagrees with the theorem."""
     media = {(kind, m.eps_s): m for kind, ms in _GRID_MEDIA.items() for m in ms}
-    against = 0
     for line in _golden("verdicts.txt").splitlines():
         if not line.startswith("grid|"):
             continue
@@ -412,31 +407,26 @@ def test_verdicts_grid_lines_match_the_exact_walk():
         kw = {} if h_y == "None" else dict(h_y=float(h_y))
         assert walk_verdict(scheme, media[scheme.kind, float(eps_s)], float(k), float(h),
                             **kw) == (stable == "True"), line
-        against += detail.endswith("against the theorem")
-    assert against == 2
+        assert not detail.endswith("against the theorem"), line
 
 
 def test_verdicts_point_lines_match_the_exact_referee():
-    """585 of the 600 ``point`` lines of ``verdicts.txt`` read the exact
-    referee's verdict (`referees.exact_stable_at_q` at the exact parameters
-    of the floats, and at the exact degenerate q where `classify_at_q`
-    snaps).  The 15 others are all at q = 4, where the float recursion
-    reads a defective or outside root pair simple von Neumann, so no exact
-    decision follows."""
-    misread = []
+    """Every one of the 600 ``point`` lines of ``verdicts.txt`` reads the
+    exact referee's verdict (`referees.exact_stable_at_q` at the exact
+    parameters of the floats, and at the exact degenerate q where
+    `classify_at_q` snaps)."""
+    points = 0
     for line in _golden("verdicts.txt").splitlines():
         if not line.startswith("point|"):
             continue
-        _, name, delta, es, omega, q, stable, argument, _ = line.split("|", 8)
+        _, name, delta, es, omega, q, stable, _ = line.split("|", 7)
         scheme, q = Scheme.from_name(name), float(q)
         params = DimensionlessParams(1.0, float(delta), float(es),
                                      None if omega == "None" else float(omega))
-        exact = exact_stable_at_q(scheme, fraction_params(params),
-                                  decided_q(scheme, params, q)[1])
-        if exact != (stable == "True"):
-            misread.append((q, stable, argument))
-    assert len(misread) == 15
-    assert {m[:2] for m in misread} == {(4.0, "True")}, misread
+        assert exact_stable_at_q(scheme, fraction_params(params),
+                                 decided_q(scheme, params, q)) == (stable == "True"), line
+        points += 1
+    assert points == 600
 
 
 if __name__ == "__main__":
