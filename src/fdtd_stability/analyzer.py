@@ -2,19 +2,18 @@
 
 A point (scheme, parameters, wavenumber) is stable when the update matrix
 has bounded powers.  Verdicts flip where a root of the characteristic
-polynomial p meets the unit circle, so floats only certify a verdict with
-room to spare, and exact rationals decide and label the rest:
+polynomial p meets the unit circle, which floats cannot see, so every
+per-q verdict is decided and labelled in exact arithmetic, with
+RESONANCE_SNAP_TOL as its one tolerance:
 
-1. The float recursion reads every root strictly inside the circle
-   (`LocationResult.schur`) at a q farther than RESONANCE_SNAP_TOL from 0,
-   2, 4 and the degenerate q: stable, Schur.
-2. Else the same recursion runs on `Fraction`s of the parameters and of q,
-   where q within RESONANCE_SNAP_TOL of a Lorentz scheme's degenerate q
-   (two conjugate root couples colliding on the circle) snaps onto its
-   exact value.  Simple von Neumann there is stable: Schur, sub-polynomial
-   (a root exactly at 0, 1, -1 or +-i) or von Neumann.  Else, unless the
-   reduction vanished, a root lies outside the circle: exponential growth.
-3. Where it vanishes, p and its reversal p* share u = gcd(p, p*), which
+1. q is read exactly: the double's own value, or, within RESONANCE_SNAP_TOL
+   of a Lorentz scheme's degenerate q (two conjugate root couples colliding
+   on the circle), that q's exact value.  The recursion runs on the exact
+   p_q of the parameters' doubles (`char_poly_closed` at a `Fraction` q).
+   Simple von Neumann there is stable: Schur, sub-polynomial (a root
+   exactly at 0, 1, -1 or +-i) or von Neumann.  Else, unless the reduction
+   vanished, a root lies outside the circle: exponential growth.
+2. Where it vanishes, p and its reversal p* share u = gcd(p, p*), which
    holds every root on the circle, and w = p / u is Schur.  The powers are
    bounded iff the squarefree part r of u is simple von Neumann and the
    unit eigenvalues are semisimple: r(G) w(G)^n = 0 for the update matrix
@@ -53,8 +52,9 @@ from .schemes import (
     dimensionless_params,
 )
 
-# |q - q_degenerate| below this snaps classification onto the exact value;
-# a q this close to 0, 2 or 4 is decided exactly, not snapped.
+# |q - q_degenerate| below this snaps classification onto the exact value:
+# the float degenerate q is one rounding off it, and a q computed from
+# physical steps several more.
 RESONANCE_SNAP_TOL = 1e-9
 
 BOUNDARY_REL_RESOLUTION = 1e-4
@@ -119,7 +119,7 @@ def _degenerate_q(scheme: Scheme, params: DimensionlessParams) -> float | None:
 
 
 def _special_root(poly: Polynomial) -> bool:
-    """Whether a real `Fraction` polynomial vanishes at 0, 1, -1 or +-i (the
+    """Whether an exact real polynomial vanishes at 0, 1, -1 or +-i (the
     factored-out eigenvalues of sub-polynomial proofs), exactly: with s_r
     the sum of its cleared c_j over j = r mod 4, p(+-1) = s_0 +- s_1 + s_2
     +- s_3 and p(i) = s_0 - s_2 + i (s_1 - s_3)."""
@@ -129,19 +129,14 @@ def _special_root(poly: Polynomial) -> bool:
 
 
 def classify_at_q(scheme: Scheme, params: DimensionlessParams, q: float) -> StabilityVerdict:
-    """Stability verdict of a scheme at an exact Courant quantity q: a float
-    Schur certificate, else the exact decision (steps 1-3 of the module
-    docstring)."""
+    """Stability verdict of a scheme at an exact Courant quantity q, the
+    double's own value or the exact degenerate q it snaps onto (steps 1
+    and 2 of the module docstring)."""
     if q < 0 or not math.isfinite(q):
         raise InvalidInputError("q must be nonnegative and finite")
     q_res = _degenerate_q(scheme, params)
     snap = q_res is not None and abs(q - q_res) <= RESONANCE_SNAP_TOL
-    near = min(q, abs(q - 2), abs(q - 4)) <= RESONANCE_SNAP_TOL
-    if not (snap or near) and is_simple_von_neumann(char_poly_closed(scheme, params, q)).schur:
-        return _SCHUR
-    params = DimensionlessParams(*(None if x is None else Fraction(x) for x in (
-        params.lam, params.delta, params.eps_s_prime, params.omega)))
-    q = scheme.spec.degenerate_q(params.omega) if snap else Fraction(q)
+    q = scheme.spec.degenerate_q(Fraction(params.omega)) if snap else Fraction(q)
     poly = char_poly_closed(scheme, params, q)
     svn = is_simple_von_neumann(poly)
     if not svn.ok:
@@ -159,17 +154,17 @@ def classify_at_q(scheme: Scheme, params: DimensionlessParams, q: float) -> Stab
 def _non_svn_verdict(scheme: Scheme, params: DimensionlessParams, q: Fraction,
                      poly: Polynomial, svn: LocationResult) -> StabilityVerdict:
     """Verdict where the exact recursion reads p = `poly` not simple von
-    Neumann: a root outside unless its reduction vanished, else step 3 of
+    Neumann: a root outside unless its reduction vanished, else step 2 of
     the module docstring.  There w = p/u is Schur, since each level above
     the vanishing one is strict and removes one root of w inside the circle,
     and u holds every pair z, 1/z off the circle as well as the unit roots.
     G is `spec.entries` at u = q, v = -1 (similar to the physical matrix for
-    q > 0), or at u = v = 0 for q = 0."""
+    q > 0), or at u = v = 0 for q = 0, on the exact parameters."""
     if not svn.vanished:
         return StabilityVerdict(False, Argument.THEOREM_VON_NEUMANN,
                                 "root outside the unit circle, certified by the exact "
                                 f"recursion at degree {svn.levels[-1].degree}")
-    p = poly.coeffs
+    p = tuple(map(Fraction, poly.coeffs))
     u = _gcd(p, Polynomial(p[::-1]).coeffs)
     w = _divmod(p, u)[0]
     r = _divmod(u, _gcd(u, Polynomial(u).derivative().coeffs))[0]
@@ -177,6 +172,8 @@ def _non_svn_verdict(scheme: Scheme, params: DimensionlessParams, q: Fraction,
         return StabilityVerdict(False, Argument.THEOREM_VON_NEUMANN,
                                 "root outside the unit circle (exact: gcd(p, p*) has "
                                 "roots off the circle)")
+    params = DimensionlessParams(*(None if x is None else Fraction(x) for x in (
+        params.lam, params.delta, params.eps_s_prime, params.omega)))
     rows = scheme.spec.entries(params, *((q, Fraction(-1)) if q else (0, 0)), q)
     scale = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
     G = [[int(Fraction(x) * scale) for x in row] for row in rows]

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -269,8 +270,11 @@ def dimensionless_params(medium: MediumModel, k: float, h: float) -> Dimensionle
     es = num(medium.eps_s) / num(medium.eps_inf)
     if medium.kind == "debye":
         return DimensionlessParams(lam=lam, delta=k / (2 * num(medium.t_r)), eps_s_prime=es)
-    return DimensionlessParams(lam=lam, delta=num(medium.nu) * k / 2, eps_s_prime=es,
-                               omega=num(medium.omega1) ** 2 * k ** 2 / 2)
+    try:
+        omega = num(medium.omega1) ** 2 * k ** 2 / 2
+    except OverflowError:
+        raise InvalidInputError("omega = omega1^2 k^2 / 2 overflows a double") from None
+    return DimensionlessParams(lam=lam, delta=num(medium.nu) * k / 2, eps_s_prime=es, omega=omega)
 
 
 def courant_q(params: DimensionlessParams, wn: Wavenumber) -> float:
@@ -304,11 +308,72 @@ def _check_scheme_params(scheme: Scheme, params: DimensionlessParams, q: float =
 
 
 def char_poly_closed(scheme: Scheme, params: DimensionlessParams, q: float) -> Polynomial:
-    """Closed-form characteristic polynomial (ascending coefficients, real,
-    positive leading coefficient; cubic for Debye, quartic for Lorentz)."""
+    """Closed-form characteristic polynomial p_q = a + q b (ascending, real,
+    positive leading coefficient; cubic for Debye, quartic for Lorentz) in
+    the number type of the parameters and q; at a `Fraction` q with float
+    parameters, exact: p_q of the doubles' values times a positive integer."""
     _check_scheme_params(scheme, params, q)
+    if type(q) is Fraction and type(params.eps_s_prime) is not Fraction:
+        d, es = map(_dyadic, (params.delta, params.eps_s_prime))
+        w = params.omega and _dyadic(params.omega)  # None for Debye media
+        a, b = scheme.spec.char_poly(SimpleNamespace(delta=d, eps_s_prime=es, alpha=es - 1, omega=w))
+        e = min([0] + [x.e for x in (*a, *b) if type(x) is _Dyadic])
+        ab = [x.m << (x.e - e) if type(x) is _Dyadic else x << -e for x in (*a, *b)]
+        n, m = q.as_integer_ratio()
+        return Polynomial([m * x + n * y for x, y in zip(ab, ab[len(a):])])
     a, b = scheme.spec.char_poly(params)
     return Polynomial(tuple(x + q * y for x, y in zip(a, b)))
+
+
+class _Dyadic:
+    """The exact value m 2^e of a double, closed under +, - and * with its
+    kind and ints, and under halving: the record formulas run on it
+    unchanged, with no gcd per operation.  Each operation fills a bare
+    instance (`_new`), which costs less than an __init__ call."""
+
+    __slots__ = ("m", "e")
+
+    def __add__(self, other):
+        x, m, e = _new(_Dyadic), self.m, self.e
+        n, f = (other, 0) if type(other) is int else (other.m, other.e)
+        x.m, x.e = (m + (n << (f - e)), e) if e <= f else ((m << (e - f)) + n, f)
+        return x
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):  # other - self, for an int other
+        x, m, e = _new(_Dyadic), self.m, self.e
+        x.m, x.e = ((other << -e) - m, e) if e <= 0 else (other - (m << e), 0)
+        return x
+
+    def __neg__(self):
+        x = _new(_Dyadic)
+        x.m, x.e = -self.m, self.e
+        return x
+
+    def __mul__(self, other):
+        x = _new(_Dyadic)
+        n, f = (other, 0) if type(other) is int else (other.m, other.e)
+        x.m, x.e = self.m * n, self.e + f
+        return x
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):  # halving, the one division of the record formulas
+        return self * _HALF if other == 2 else NotImplemented
+
+
+def _dyadic(v: float) -> _Dyadic:
+    x, (m, d) = _new(_Dyadic), v.as_integer_ratio()
+    x.m, x.e = m, 1 - d.bit_length()  # d is a power of two
+    return x
+
+
+_new = object.__new__
+_HALF = _dyadic(0.5)
 
 
 def tm_factor_2d(scheme: Scheme, params: DimensionlessParams) -> Polynomial:
@@ -373,8 +438,8 @@ def _dj_entries(p, u, v, q):
 
 
 def _dj_char_poly(p):
-    d, es = p.delta, p.eps_s_prime
-    return _typed(p, ((-(1 - d * es), 3 - d * es, -(3 + d * es), 1 + d * es),
+    d, de = p.delta, p.delta * p.eps_s_prime
+    return _typed(p, ((-(1 - de), 3 - de, -(3 + de), 1 + de),
                       (0, -(1 - d), 1 + d, 0)))
 
 
@@ -418,11 +483,9 @@ def _dy_entries(p, u, v, q):
 
 def _dy_char_poly(p):
     d, a = p.delta, p.alpha
-    return _typed(p, ((-(1 - d * a) * (1 - d),
-                       3 - d - d * a + 3 * d * d * a,
-                       -(3 + d + d * a + 3 * d * d * a),
-                       (1 + d * a) * (1 + d)),
-                      (0, -(1 - d), 1 + d, 0)))
+    da, dda3, dm, dp = d * a, 3 * d * d * a, 1 - d, 1 + d
+    return _typed(p, ((-(1 - da) * dm, 3 - d - da + dda3, -(3 + d + da + dda3), (1 + da) * dp),
+                      (0, -dm, dp, 0)))
 
 
 def _dy_material(p):
@@ -474,12 +537,9 @@ def _lj_entries(p, u, v, q):
 
 def _lj_char_poly(p):
     d, es, w = p.delta, p.eps_s_prime, p.omega
-    return _typed(p, ((1 - d + w * es,
-                       -(4 - 2 * d + 2 * w * es),
-                       6 + 2 * w * es,
-                       -(4 + 2 * d + 2 * w * es),
-                       1 + d + w * es),
-                      (0, 1 - d + w, -2, 1 + d + w, 0)))
+    dm, dp, d2, we, we2 = 1 - d, 1 + d, 2 * d, w * es, 2 * w * es
+    return _typed(p, ((dm + we, -(4 - d2 + we2), 6 + we2, -(4 + d2 + we2), dp + we),
+                      (0, dm + w, -2, dp + w, 0)))
 
 
 def _lj_degenerate_q(w):
@@ -542,13 +602,10 @@ def _lk_entries(p, u, v, q):
 
 
 def _lk_char_poly(p):
-    d, es, w = p.delta, p.eps_s_prime, p.omega
-    return _typed(p, ((1 - d + w * es / 2,
-                       -(4 - 2 * d),
-                       6 - w * es,
-                       -(4 + 2 * d),
-                       1 + d + w * es / 2),
-                      (0, 1 - d + w / 2, w - 2, 1 + d + w / 2, 0)))
+    d, w = p.delta, p.omega
+    dm, dp, d2, we, wh = 1 - d, 1 + d, 2 * d, w * p.eps_s_prime, w / 2
+    return _typed(p, ((dm + we / 2, -(4 - d2), 6 - we, -(4 + d2), dp + we / 2),
+                      (0, dm + wh, w - 2, dp + wh, 0)))
 
 
 def _lk_degenerate_q(w):
@@ -606,13 +663,10 @@ def _ly_entries(p, u, v, q):
 
 
 def _ly_char_poly(p):
-    d, es, w = p.delta, p.eps_s_prime, p.omega
-    return _typed(p, ((1 - d,
-                       -(4 - 2 * d - 2 * w * es),
-                       2 * (3 - 2 * w * es),
-                       -(4 + 2 * d - 2 * w * es),
-                       1 + d),
-                      (0, 1 - d, 2 * (w - 1), 1 + d, 0)))
+    d, w = p.delta, p.omega
+    dm, dp, d2, we2 = 1 - d, 1 + d, 2 * d, 2 * w * p.eps_s_prime
+    return _typed(p, ((dm, -(4 - d2 - we2), 2 * (3 - we2), -(4 + d2 - we2), dp),
+                      (0, dm, 2 * (w - 1), dp, 0)))
 
 
 def _ly_degenerate_q(w):

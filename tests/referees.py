@@ -14,7 +14,7 @@ the theorem behind the walk's breakpoints as data: the factored resultant
 of each scheme's polynomial and its reversal, and the sets where that
 resultant vanishes in q, with exact resultants, gcds and discriminants to
 check them; also the exact parameters and q at which `classify_at_q`
-decides where its float recursion fails.
+decides, and exact products of float factors with known roots.
 """
 
 from __future__ import annotations
@@ -44,12 +44,7 @@ from fdtd_stability import (
     tm_factor_2d,
 )
 from fdtd_stability import analyzer
-from fdtd_stability.polyloc import (
-    _reduce,
-    _require_nonzero,
-    _tolerances,
-    poly_roots,
-)
+from fdtd_stability.polyloc import _reduce, _require_nonzero, poly_roots
 from fdtd_stability.schemes import _check_scheme_params
 
 # Two roots closer than this are treated as one root of higher multiplicity
@@ -65,6 +60,37 @@ def from_roots(roots: Sequence[complex], leading: complex = 1.0) -> Polynomial:
     for r in roots:
         coeffs = np.convolve(coeffs, np.array([-r, 1.0], dtype=complex))
     return Polynomial(coeffs)
+
+
+def exact_product(factors: Sequence[Sequence[float]], leading: float = 1.0) -> Polynomial:
+    """leading times the product of real factors given by ascending float
+    coefficients, multiplied exactly: a `Fraction` polynomial whose roots
+    are exactly those of its factors.  A real root r is the factor [-r, 1],
+    a conjugate pair r e^(+-i t) the factor [r^2, -2 r cos t, 1]."""
+    out = [Fraction(leading)]
+    for f in factors:
+        f = [Fraction(x) for x in f]
+        prod = [Fraction(0)] * (len(out) + len(f) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                prod[i + j] += x * y
+        out = prod
+    return Polynomial(out)
+
+
+def root_factors(rng: np.random.Generator, radii: Sequence[float],
+                 pairs: int) -> list[list[float]]:
+    """Real factors with roots of the given moduli: the first `pairs` radii
+    as conjugate pairs at seeded angles, the others as real roots of seeded
+    sign."""
+    factors = []
+    for k, r in enumerate(map(float, radii)):
+        if k < pairs:
+            t = 2.0 * math.pi * float(rng.random())
+            factors.append([r * r, -2.0 * r * math.cos(t), 1.0])
+        else:
+            factors.append([r if rng.random() < 0.5 else -r, 1.0])
+    return factors
 
 
 def greedy_clusters(values: Sequence[complex], tol: float) -> list[tuple[complex, int]]:
@@ -83,11 +109,12 @@ def greedy_clusters(values: Sequence[complex], tol: float) -> list[tuple[complex
 
 
 def reduce_step(p: Polynomial) -> Polynomial:
-    """One degree-lowering step of the conjugate-reduction recursion, exact
-    for Fractions.  The result has degree strictly below ``p``'s, or is the
-    zero polynomial (returned as a value: the von Neumann test needs it)."""
+    """One degree-lowering step of the reduction recursion on real
+    coefficients, in their own arithmetic (exact for Fractions and ints).
+    The result has degree strictly below ``p``'s, or is the zero polynomial
+    (returned as a value: the von Neumann test needs it)."""
     _require_nonzero(p)
-    return Polynomial(_reduce(p.coeffs, _tolerances(p.coeffs)[0]))
+    return Polynomial(_reduce(p.coeffs))
 
 
 def monic(p: Polynomial) -> Polynomial:
@@ -320,6 +347,12 @@ def _integer_pair(scheme: Scheme, params: DimensionlessParams) -> tuple[list[int
     return ab[:len(a)], ab[len(a):]
 
 
+def _integer_p(scheme: Scheme, params: DimensionlessParams, q: Fraction) -> list[int]:
+    """p_q from `_integer_pair`, times q's denominator: integers."""
+    a, b = _integer_pair(scheme, params)
+    return [q.denominator * x + q.numerator * y for x, y in zip(a, b)]
+
+
 def exact_stable_at_q(scheme: Scheme, params: DimensionlessParams, q: Fraction) -> bool:
     """Whether the update matrix at Courant quantity q has bounded powers,
     in exact arithmetic for `Fraction` parameters and q.  The exact
@@ -334,8 +367,7 @@ def exact_stable_at_q(scheme: Scheme, params: DimensionlessParams, q: Fraction) 
     scaling of sqrt(q), -sqrt(q)), and at u = v = 0 for q = 0.  The gcds
     and quotients stay in integers (`_primitive_gcd`, `_exact_quotient`)."""
     q = Fraction(q)
-    a, b = _integer_pair(scheme, params)
-    p = [q.denominator * x + q.numerator * y for x, y in zip(a, b)]  # p_q, scaled
+    p = _integer_p(scheme, params, q)
     if integer_location(p)[0]:
         return True
     u = _primitive_gcd(p, p[::-1])
@@ -356,6 +388,12 @@ def exact_stable_at_q(scheme: Scheme, params: DimensionlessParams, q: Fraction) 
     return not any(x for row in M for x in row)
 
 
+def exact_schur_at_q(scheme: Scheme, params: DimensionlessParams, q: Fraction) -> bool:
+    """Whether every root of p_q lies strictly inside the unit circle, for
+    `Fraction` parameters and q, by `integer_location`."""
+    return integer_location(_integer_p(scheme, params, Fraction(q)))[1]
+
+
 def fraction_params(params: DimensionlessParams) -> DimensionlessParams:
     """The exact values of float parameters, as `Fraction`s."""
     return DimensionlessParams(*(None if x is None else Fraction(x) for x in (
@@ -363,9 +401,9 @@ def fraction_params(params: DimensionlessParams) -> DimensionlessParams:
 
 
 def decided_q(scheme: Scheme, params: DimensionlessParams, q: float) -> Fraction:
-    """The exact q at which `analyzer.classify_at_q` decides a float q that
-    it does not certify Schur in floats: the exact degenerate q where q lies
-    within RESONANCE_SNAP_TOL of the float one, else Fraction(q)."""
+    """The exact q at which `analyzer.classify_at_q` decides a float q: the
+    exact degenerate q where q lies within RESONANCE_SNAP_TOL of the float
+    one, else Fraction(q)."""
     q_res = analyzer._degenerate_q(scheme, params)
     if q_res is not None and abs(q - q_res) <= analyzer.RESONANCE_SNAP_TOL:
         return scheme.spec.degenerate_q(Fraction(params.omega))

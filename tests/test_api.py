@@ -27,13 +27,17 @@ PUBLIC = {
 REFEREES = ("root_profile", "RootProfile", "ROOT_CLUSTER_TOL", "conjugate_poly",
             "amplification_matrix", "char_poly_from_matrix", "char_poly_2d",
             "fourier_mode", "reduce_step", "plain_bisection_boundary", "_walk",
-            "_candidates", "exact_walk", "exact_stable_at_q", "greedy_clusters")
+            "_candidates", "exact_walk", "exact_stable_at_q", "exact_schur_at_q",
+            "exact_product", "greedy_clusters")
 
 # The float eigen route that the exact decision of `classify_at_q` retired,
-# and its float special-root test.
+# its float special-root test, and the float recursion's tolerances and
+# helpers.
 RETIRED = ("OUT_EIG_TOL", "EIG_CLUSTER_TOL", "RANK_REL_TOL", "gn_bounded",
            "BoundednessReport", "UnitEigenvalue", "_eigvals", "_unit_multiplicities",
-           "amplification_matrix_at_q", "_special_root_near")
+           "amplification_matrix_at_q", "_special_root_near", "BOUNDARY_REL_TOL",
+           "TRIM_REL_TOL", "_tolerances", "_compare_moduli", "_abs2", "_normalized",
+           "_trimmed")
 
 
 def test_all_is_the_public_contract():
@@ -60,8 +64,9 @@ def test_referees_are_not_in_the_package():
 
 def test_the_float_eigen_route_is_retired():
     """No module of the package defines the eigen route's names or
-    tolerances, or the float special-root test, and the analyzer imports no
-    numpy: its verdicts come from the recursion and from exact rationals."""
+    tolerances, the float special-root test or the float recursion's
+    tolerances, and the analyzer imports no numpy: its verdicts come from
+    the recursion and from exact rationals."""
     modules = [importlib.import_module(f"fdtd_stability.{m}")
                for m in ("polyloc", "schemes", "simulator", "analyzer", "cli")]
     for name in RETIRED:

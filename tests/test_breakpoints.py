@@ -10,10 +10,9 @@ at which a root leaves or re-enters the closed unit disk lies next to a
 breakpoint.  The same theorem gives the end q_c of each scheme's stable
 q-range in closed form (`SchemeSpec.stable_q`, with `SchemeSpec.closed`
 for whether its end is stable), checked exactly against q_-1 and against
-the exact walk over the breakpoints.  `classify_at_q`'s verdicts, float
-Schur certificates and exact decisions alike, are checked against the
-exact referee on every class, next to the breakpoints and on the verify
-plan.
+the exact walk over the breakpoints.  `classify_at_q`'s verdicts and Schur
+labels are checked against the exact referee on every class, next to the
+breakpoints and on the verify plan.
 """
 
 import math
@@ -24,6 +23,7 @@ import numpy as np
 import pytest
 
 from fdtd_stability import (
+    Argument,
     DimensionlessParams,
     Scheme,
     Wavenumber,
@@ -42,6 +42,7 @@ from referees import (
     divmod_exact,
     exact_params,
     exact_poly_q,
+    exact_schur_at_q,
     exact_stable_at_q,
     exact_walk,
     fraction_params,
@@ -368,34 +369,40 @@ def test_stable_q_and_closed_match_the_exact_walk(scheme, damped, dispersive):
 
 
 def _agrees(scheme, params, q) -> bool:
-    """Whether `classify_at_q` reads the exact referee's verdict at q, at
-    the exact parameters of the floats and q snapped as it snaps q."""
-    return (analyzer.classify_at_q(scheme, params, q).stable
-            == exact_stable_at_q(scheme, fraction_params(params), decided_q(scheme, params, q)))
+    """Whether `classify_at_q` reads the exact referee's verdict and Schur
+    class at q, at the exact parameters of the floats and q snapped as it
+    snaps q."""
+    verdict = analyzer.classify_at_q(scheme, params, q)
+    exact, q_exact = fraction_params(params), decided_q(scheme, params, q)
+    return ((verdict.stable, verdict.argument is Argument.THEOREM_SCHUR)
+            == (exact_stable_at_q(scheme, exact, q_exact), exact_schur_at_q(scheme, exact, q_exact)))
 
 
 @pytest.mark.parametrize("scheme,damped,dispersive", CLASSES,
                          ids=lambda v: getattr(v, "value", None) or str(v).lower())
 def test_classify_at_q_reads_the_exact_referee(scheme, damped, dispersive):
-    """Seeded float draws of every class, probed at 0, the float candidates
-    (2, 4, q_-1, the degenerate q) and each of them 1e-13 above and below,
-    the neighbouring doubles of 0, 2 and 4, a q within the snap window of
-    the degenerate q and two uniform q: `classify_at_q` reads the exact
-    referee's verdict at every probe, where a float Schur read decides as
-    well as where exact rationals do."""
+    """Seeded float draws of every class, four of them with delta below
+    1e-4 in damped classes, probed at 0, the float candidates (2, 4, q_-1,
+    the degenerate q) and each of them 1e-13 above and below, the
+    neighbouring doubles of 0, 2 and 4, q 2e-9 and 1e-8 away from 0, 2 and
+    4, a q within the snap window of the degenerate q and four uniform q:
+    `classify_at_q` reads the exact referee's verdict and Schur label at
+    every probe."""
     rng = random.Random(f"fallback {scheme.value} {damped} {dispersive}")
     edges = [math.nextafter(0.0, 1.0)] + [math.nextafter(c, d) for c in (2.0, 4.0)
                                           for d in (0.0, 8.0)]
-    for _ in range(12):
+    edges += [c + s for c in (0.0, 2.0, 4.0) for s in (-2e-9, 2e-9, -1e-8, 1e-8)]
+    for j in range(16):
+        delta = rng.uniform(1e-3, 2.0) if j < 12 else 10.0 ** rng.uniform(-10.0, -4.0)
         params = DimensionlessParams(
-            1.0, rng.uniform(1e-3, 2.0) if damped else 0.0,
+            1.0, delta if damped else 0.0,
             1.0 + rng.uniform(1e-3, 40.0) if dispersive else 1.0,
             rng.uniform(1e-3, 3.0) if scheme.kind == "lorentz" else None)
         cands = [c for c in _candidates(scheme, params) if c is not None and c >= 0]
         near = [c + rng.uniform(-5e-10, 5e-10) for c in cands[3:]]
         nudged = [c + s for c in cands for s in (-1e-13, 1e-13)]
-        for q in [0.0, *cands, *near, *edges, *nudged,
-                  rng.uniform(0.0, 6.0), rng.uniform(0.0, 6.0)]:
+        uniform = [rng.uniform(0.0, 6.0) for _ in range(4)]
+        for q in [0.0, *cands, *near, *edges, *nudged, *uniform]:
             assert _agrees(scheme, params, max(q, 0.0)), (params, q)
 
 

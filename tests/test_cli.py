@@ -2,6 +2,7 @@
 
 import math
 import os
+from fractions import Fraction
 import re
 import shlex
 from dataclasses import fields
@@ -11,7 +12,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 import pytest
 
-from fdtd_stability import cli
+from fdtd_stability import MediumModel, Scheme, classify_at_q, cli, dimensionless_params
 from fdtd_stability.cli import (
     RunConfig,
     _config_from_args,
@@ -24,6 +25,7 @@ from fdtd_stability.cli import (
 )
 from fdtd_stability.errors import InvalidInputError, NumericalFailureError
 from fdtd_stability.simulator import EmpiricalVerdict
+from referees import exact_stable_at_q, fraction_params
 
 WATER_CONFIG = """
 # minimal single-point analysis
@@ -290,6 +292,27 @@ def test_numerical_failure_maps_to_exit_3(monkeypatch, capsys):
                "--h", "1e-6"])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_overflowing_dimensionless_parameter_exits_2(capsys):
+    """omega1 = 1e300 squares past a double: invalid input, not a crash."""
+    assert main(["analyze", "--scheme", "lorentz-young", "--eps-inf", "1", "--eps-s", "2",
+                 "--omega1", "1e300", "--nu", "0", "--k", "1e-14", "--h", "1e-5"]) == 2
+    assert capsys.readouterr().err == "error: omega = omega1^2 k^2 / 2 overflows a double\n"
+
+
+def test_overflowed_root_modulus_exits_3_after_the_exact_verdict(capsys):
+    """delta = 5e285 overflows the float polynomial, which the verdict never
+    builds: analyze reads the exact verdict, then fails on the root modulus
+    column it cannot compute."""
+    params = dimensionless_params(MediumModel.debye(1.8, 81, 1e-300), 1e-14, 1e-5)
+    verdict = classify_at_q(Scheme.DEBYE_YOUNG, params, 0.5)
+    assert not verdict.stable
+    assert not exact_stable_at_q(Scheme.DEBYE_YOUNG, fraction_params(params), Fraction(0.5))
+    assert main(["analyze", "--scheme", "debye-young", "--eps-inf", "1.8", "--eps-s", "81",
+                 "--t-r", "1e-300", "--k", "1e-14", "--h", "1e-5"]) == 3
+    assert capsys.readouterr().err == ("numerical failure: the root modulus overflowed: a "
+                                       "coefficient of the float polynomial is infinite\n")
 
 
 @pytest.mark.parametrize("text,message", [

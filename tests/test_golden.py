@@ -41,6 +41,7 @@ from fdtd_stability import (
 from referees import (
     _candidates,
     decided_q,
+    exact_schur_at_q,
     exact_stable_at_q,
     fraction_params,
     plain_bisection_boundary,
@@ -414,17 +415,20 @@ def test_verdicts_point_lines_match_the_exact_referee():
     """Every one of the 600 ``point`` lines of ``verdicts.txt`` reads the
     exact referee's verdict (`referees.exact_stable_at_q` at the exact
     parameters of the floats, and at the exact degenerate q where
-    `classify_at_q` snaps)."""
+    `classify_at_q` snaps), and is labelled ``schur`` exactly where every
+    root of that p_q lies strictly inside the circle
+    (`referees.exact_schur_at_q`)."""
     points = 0
     for line in _golden("verdicts.txt").splitlines():
         if not line.startswith("point|"):
             continue
-        _, name, delta, es, omega, q, stable, _ = line.split("|", 7)
+        _, name, delta, es, omega, q, stable, argument, _ = line.split("|", 8)
         scheme, q = Scheme.from_name(name), float(q)
         params = DimensionlessParams(1.0, float(delta), float(es),
                                      None if omega == "None" else float(omega))
-        assert exact_stable_at_q(scheme, fraction_params(params),
-                                 decided_q(scheme, params, q)) == (stable == "True"), line
+        exact, q_exact = fraction_params(params), decided_q(scheme, params, q)
+        assert exact_stable_at_q(scheme, exact, q_exact) == (stable == "True"), line
+        assert exact_schur_at_q(scheme, exact, q_exact) == (argument == "schur"), line
         points += 1
     assert points == 600
 

@@ -1,9 +1,10 @@
 """Root-location engine tests.
 
-Random-polynomial truths come from the construction itself (known roots);
-boundary cases use exact dyadic coefficients so that double precision
-represents them without rounding, with the exact-rational recursion as a
-second referee.
+The recursion is exact: it reads floats as the rationals they are.
+Random-polynomial truths come from the construction itself (known roots,
+real factors multiplied exactly); boundary cases use exact dyadic
+coefficients so that double precision represents them without rounding,
+with the tests' own integer recursion as a second referee.
 """
 
 import math
@@ -25,34 +26,54 @@ from fdtd_stability.polyloc import max_root_modulus, poly_roots
 from referees import (
     _integral,
     conjugate_poly,
+    exact_product,
     from_roots,
     integer_location,
     reduce_step,
+    root_factors,
     root_profile,
     scaled,
 )
 
 
 def test_trailing_coefficients_trimmed():
-    p = Polynomial([1.0, 2.0, 0.0, 1e-30])
+    """Construction trims exact zeros only: a tiny leading coefficient keeps
+    its degree, and its large roots, in the companion solve too."""
+    p = Polynomial([1.0, 2.0, 0.0, 0.0])
     assert p.degree == 1
     assert p.coeffs == (1.0 + 0j, 2.0 + 0j)
+    tiny = Polynomial([1.0, 2.0, 0.0, 1e-30])
+    assert tiny.degree == 3
+    assert max_root_modulus(tiny) == pytest.approx(math.sqrt(2e30), rel=1e-9)
 
 
 def test_fraction_coefficients_stay_exact():
-    """A polynomial of Fractions keeps them and is decided without rounding:
-    roots +-sqrt(1 - 1e-14) are inside the circle, where the float image
-    reads a tie.  A Fraction among ints or floats is cast to complex."""
+    """A polynomial of Fractions and ints keeps them and is decided without
+    rounding: roots +-sqrt(1 - 1e-14) are inside the circle.  Its float
+    image is read as the rationals its doubles are: -1 + 1e-14 rounds to a
+    double above -1, so the image is Schur as well, while the double -1
+    itself is a tie whose reduction vanishes (roots +-1).  A Fraction among
+    floats is cast to complex."""
     p = Polynomial([Fraction(-1) + Fraction(1, 10**14), Fraction(0), Fraction(1), Fraction(0)])
     assert p.degree == 2 and all(type(c) is Fraction for c in p.coeffs)
     exact = is_simple_von_neumann(p)
     assert exact.ok and exact.schur
     assert [lv.relation for lv in exact.levels] == ["<", "<"]
     floats = is_simple_von_neumann(Polynomial([float(c) for c in p.coeffs]))
-    assert floats.ok and not floats.schur
-    assert floats.levels[0].relation == "="
-    for mixed in ([Fraction(1, 2), 0, 1], [Fraction(1, 2), 0.0, 1.0]):
-        assert Polynomial(mixed).coeffs == (0.5 + 0j, 0j, 1 + 0j)
+    assert floats == exact._replace(levels=floats.levels) and floats.schur
+    tie = is_simple_von_neumann(Polynomial([-1.0, 0.0, 1.0]))
+    assert tie.ok and not tie.schur and tie.vanished == 2
+    assert tie.levels[0].relation == "="
+    kept = Polynomial([Fraction(1, 2), 0, 1]).coeffs
+    assert kept == (Fraction(1, 2), 0, 1) and [type(c) for c in kept] == [Fraction, int, int]
+    assert Polynomial([Fraction(1, 2), 0.0, 1.0]).coeffs == (0.5 + 0j, 0j, 1 + 0j)
+
+
+def test_complex_and_nonfinite_coefficients_are_refused():
+    """The recursion takes real, finite coefficients only."""
+    for coeffs in ([1j, 1.0], [0.5 + 1e-300j, 1.0], [math.inf, 1.0], [math.nan, 1.0]):
+        with pytest.raises(InvalidInputError, match="real, finite coefficients"):
+            is_simple_von_neumann(Polynomial(coeffs))
 
 
 def test_exact_polynomial_evaluates_exactly():
@@ -126,7 +147,7 @@ def test_reduce_step_strictly_lowers_degree():
     rng = np.random.default_rng(3)
     for _ in range(200):
         deg = rng.integers(1, 9)
-        p = Polynomial(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
+        p = Polynomial([Fraction(x) for x in rng.normal(size=deg + 1)])
         out = reduce_step(p)
         assert out.is_zero or out.degree < p.degree
 
@@ -134,11 +155,11 @@ def test_reduce_step_strictly_lowers_degree():
 def test_schur_class_simple_cases():
     assert is_simple_von_neumann(Polynomial([0, 1])).schur           # z: root at 0
     assert not is_simple_von_neumann(Polynomial([-1, 1])).schur      # z - 1: on circle
-    p = from_roots([0.5, 0.3j])
+    p = exact_product([[-0.5, 1.0], [0.09, 0.0, 1.0]])                # 0.5, +-0.3i
     res = is_simple_von_neumann(p)
     assert res.ok and res.schur
     profile = root_profile(p)
-    assert profile.inside_count == 2 and profile.outside_count == 0
+    assert profile.inside_count == 3 and profile.outside_count == 0
 
 
 def test_is_simple_von_neumann_cases():
@@ -149,8 +170,9 @@ def test_is_simple_von_neumann_cases():
 
 
 def test_debye_joseph_boundary_quartic_is_von_neumann():
-    # q = 4, eps' = 2, delta = 0.1: [1+d es] Z^3 - [3+d es-(1+d)q] Z^2 + ...
-    d, es, q = 0.1, 2.0, 4.0
+    # q = 4, eps' = 2, delta = 1/10: [1+d es] Z^3 - [3+d es-(1+d)q] Z^2 + ...,
+    # with the root -1 exactly on the circle.
+    d, es, q = Fraction(1, 10), 2, 4
     coeffs = (-(1 - d * es),
               3 - d * es - (1 - d) * q,
               -(3 + d * es - (1 + d) * q),
@@ -161,11 +183,10 @@ def test_debye_joseph_boundary_quartic_is_von_neumann():
 def test_verdicts_scale_invariant():
     rng = np.random.default_rng(11)
     for _ in range(60):
-        deg = rng.integers(1, 7)
-        roots = rng.uniform(0.2, 1.8, size=deg) * np.exp(
-            2j * np.pi * rng.random(size=deg))
-        p = from_roots(roots)
-        for scale in (1e-8, 1e8, 2.5 - 1.7j, -3j):
+        deg = int(rng.integers(1, 7))
+        pairs = int(rng.integers(0, deg // 2 + 1))
+        p = exact_product(root_factors(rng, rng.uniform(0.2, 1.8, size=deg - pairs), pairs))
+        for scale in (Fraction(1, 10**8), 10**8, Fraction(-5, 2), -3):
             svn_p, svn_q = is_simple_von_neumann(p), is_simple_von_neumann(scaled(p, scale))
             assert (svn_p.ok, svn_p.schur) == (svn_q.ok, svn_q.schur)
 
@@ -173,10 +194,10 @@ def test_verdicts_scale_invariant():
 def test_schur_implies_von_neumann():
     rng = np.random.default_rng(13)
     for _ in range(500):
-        deg = rng.integers(1, 9)
-        roots = rng.uniform(0.0, 1.6, size=deg) * np.exp(
-            2j * np.pi * rng.random(size=deg))
-        svn = is_simple_von_neumann(from_roots(roots))
+        deg = int(rng.integers(1, 9))
+        pairs = int(rng.integers(0, deg // 2 + 1))
+        svn = is_simple_von_neumann(exact_product(
+            root_factors(rng, rng.uniform(0.0, 1.6, size=deg - pairs), pairs)))
         if svn.schur:
             assert svn.ok
 
@@ -301,11 +322,11 @@ def test_random_root_agreement_bulk():
     rng = np.random.default_rng(99)
     margin = 1e-6
     for _ in range(2000):
-        deg = rng.integers(1, 9)
-        radii = rng.uniform(0.0, 2.0, size=deg)
+        deg = int(rng.integers(1, 9))
+        pairs = int(rng.integers(0, deg // 2 + 1))
+        radii = rng.uniform(0.0, 2.0, size=deg - pairs)
         radii = np.where(np.abs(radii - 1.0) < margin, radii + 2 * margin, radii)
-        roots = radii * np.exp(2j * np.pi * rng.random(size=deg))
-        p = from_roots(roots, leading=rng.uniform(0.5, 2.0))
+        p = exact_product(root_factors(rng, radii, pairs), leading=rng.uniform(0.5, 2.0))
         svn = is_simple_von_neumann(p)
         assert svn.schur == svn.ok == bool(np.all(radii < 1.0))
 
@@ -347,15 +368,13 @@ def test_root_profile_rejects_bad_tolerance():
 # --- one pass decides both classes -------------------------------------------
 #
 # is_simple_von_neumann records on its way whether the same levels certify
-# Schur (LocationResult.schur).  Both verdicts are refereed by the roots, away
-# from ties: every constructed root is either on the circle or at least 0.4
-# away from it, and distinct unit roots are well separated.  (Inside roots
-# close to unit roots drive the float recursion into near-ties: roots 0.875
-# and 0.5, both double, next to unit roots at 1 and exp(+-i pi/6) read a
-# tie at degree 3 within rounding.)
+# Schur (LocationResult.schur).  Both verdicts are refereed by the roots:
+# every constructed root is either exactly on the circle (a factor
+# z^2 - 2 cos(t) z + 1, or z -+ 1) or at least 0.4 away from it, and the
+# float factors are multiplied exactly.
 
-def _unit(theta):
-    return complex(math.cos(theta), math.sin(theta))
+def _pair(r, theta):
+    return [r * r, -2.0 * r * math.cos(theta), 1.0]
 
 
 _inside = st.tuples(st.floats(0.0, 0.6), st.floats(0.0, 2.0 * math.pi))
@@ -364,13 +383,12 @@ _outside = st.tuples(st.floats(1.4, 2.0), st.floats(0.0, 2.0 * math.pi))
 
 @st.composite
 def _constructed(draw):
-    """(polynomial, simple von Neumann truth, Schur truth) from constructed
-    roots: real
-    families use conjugate pairs, complex ones single roots.  Unit roots sit
-    at distinct multiples of pi/6 (and +-1), optionally with a double root
-    at 1 or -1, or with a reciprocal pair r, 1/conj(r) whose reduction
-    vanishes exactly as that of a self-inversive polynomial."""
-    real = draw(st.booleans())
+    """(polynomial, simple von Neumann truth, Schur truth) from real factors
+    of constructed roots, in conjugate pairs.  Unit pairs sit at distinct
+    multiples of pi/6 (and +-1), optionally with a double root at 1 or -1,
+    or with a reciprocal pair r, 1/r whose factors are each other's
+    reversal, so that the reduction vanishes exactly as that of a
+    self-inversive polynomial."""
     n_unit = draw(st.integers(0, 2))
     slots = draw(st.lists(st.integers(1, 5), min_size=n_unit, max_size=n_unit,
                           unique=True))
@@ -378,33 +396,23 @@ def _constructed(draw):
     outside = draw(st.lists(_outside, max_size=1))
     extra = draw(st.sampled_from(["none", "double+1", "double-1", "plus1", "minus1",
                                   "reciprocal"]))
-    roots, radii, truth = [], [], not outside
-
-    def add(r, theta):
-        z = r * _unit(theta)
-        roots.extend([z, z.conjugate()] if real else [z])
-        radii.append(r)
-
-    for slot in slots:
-        add(1.0, slot * math.pi / 6.0)
-    for r, theta in inside + outside:
-        add(r, theta)
+    factors = [_pair(1.0, slot * math.pi / 6.0) for slot in slots]
+    factors += [_pair(r, theta) for r, theta in inside + outside]
+    truth, schur = not outside, not (slots or outside)
     if extra.startswith("double"):
-        roots += [float(extra[-2:] + "1")] * 2
-        radii.append(1.0)
-        truth = False
+        factors += [[-float(extra[-2:] + "1"), 1.0]] * 2
+        truth = schur = False
     elif extra in ("plus1", "minus1"):
-        roots.append(1.0 if extra == "plus1" else -1.0)
-        radii.append(1.0)
+        factors.append([-1.0 if extra == "plus1" else 1.0, 1.0])
+        schur = False
     elif extra == "reciprocal":
-        r, theta = draw(_outside)
-        add(r, theta)
-        add(1.0 / r, theta)
-        truth = False
-    if not roots:
-        roots = [0.5]
-    lead = draw(st.sampled_from([1.0, -2.5, 1e-6, 3e5])) * (1.0 if real else _unit(0.7))
-    return from_roots(roots, leading=lead), truth, all(r < 1.0 for r in radii)
+        f = _pair(*draw(_outside))
+        factors += [f, f[::-1]]
+        truth = schur = False
+    if not factors:
+        factors = [[-0.5, 1.0]]
+    lead = draw(st.sampled_from([1.0, -2.5, 1e-6, 3e5]))
+    return exact_product(factors, leading=lead), truth, schur
 
 
 def _referee_simple_von_neumann(p):
@@ -421,41 +429,31 @@ def test_one_pass_flag_on_constructed_roots(case):
     assert svn.ok == truth == _referee_simple_von_neumann(p)
 
 
-_coeff = st.one_of(st.just(0.0), st.floats(-4.0, 4.0),
+# No subnormals: the float companion referee overflows on such a lead.
+_coeff = st.one_of(st.just(0.0), st.floats(-4.0, 4.0, allow_subnormal=False),
                    st.integers(-4, 4).map(lambda n: n / 4.0))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(re=st.lists(_coeff, min_size=1, max_size=7),
-       im=st.lists(_coeff, min_size=7, max_size=7),
-       complex_coeffs=st.booleans())
-def test_one_pass_flag_on_random_coefficients(re, im, complex_coeffs):
-    """Any coefficients, with exact zeros and dyadic values that make ties
-    and vanishing reductions exact: the flag is set exactly when the levels
-    are strict with degree drops of one down to a constant, and it agrees
-    with the companion roots away from the circle."""
-    p = Polynomial([x + (1j * y if complex_coeffs else 0.0) for x, y in zip(re, im)])
+@given(coeffs=st.lists(_coeff, min_size=1, max_size=7))
+def test_one_pass_flag_on_random_coefficients(coeffs):
+    """Any real coefficients, with exact zeros and dyadic values that make
+    ties and vanishing reductions exact: a strict level lowers the degree by
+    exactly one, the flag is set exactly when the levels are strict down to
+    a constant, and it agrees with the companion roots away from the
+    circle."""
+    p = Polynomial(coeffs)
     if p.is_zero:
         return
     svn = is_simple_von_neumann(p)
+    for above, below in zip(svn.levels, svn.levels[1:]):
+        assert above.relation != "<" or below.degree == above.degree - 1, svn
     strict_chain = ([(lv.degree, lv.relation) for lv in svn.levels]
                     == [(d, "<") for d in range(p.degree, 0, -1)])
     assert svn.schur == (strict_chain and svn.reason == "reduced to a nonzero constant")
-    radius = max_root_modulus(p)
+    roots = np.roots(np.array(p.coeffs[::-1]))  # untrimmed: tiny leads count
+    radius = float(np.max(np.abs(roots))) if roots.size else 0.0
     if svn.schur:
         assert svn.ok and radius < 1.0 + 1e-6
     elif radius < 1.0 - 1e-6:
         pytest.fail(f"roots inside up to {radius} but not Schur: {svn}")
-
-
-@pytest.mark.parametrize("gap", [1.2e-12, 1.5e-12, 1.9e-12])
-def test_one_pass_flag_after_degree_drop(gap):
-    """|p(0)|^2 = 1 - gap sits just outside the tie tolerance, so the level
-    reads "<", but the reduction's leading coefficient gap is trimmed
-    against its other entry 2i: the degree drops from 2 to 0.  Such a
-    polynomial is simple von Neumann by the recursion and not Schur."""
-    p = Polynomial([math.sqrt(1.0 - gap), 1j, 1.0])
-    svn = is_simple_von_neumann(p)
-    assert svn.ok and not svn.schur
-    assert [(lv.degree, lv.relation) for lv in svn.levels] == [(2, "<")]
-    assert svn.reason == "reduced to a nonzero constant"

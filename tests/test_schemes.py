@@ -337,6 +337,28 @@ def test_record_formulas_keep_fractions_exact(scheme):
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
+def test_exact_q_reads_float_parameters_exactly(scheme):
+    """At a `Fraction` q, float parameters are read as the rationals their
+    doubles are: the integer coefficients are a positive multiple of the
+    `Fraction` build at those rationals, at every magnitude a double
+    holds."""
+    rng = np.random.default_rng(zlib.crc32((scheme.value + "dyadic").encode()))
+    for _ in range(40):
+        scale = 10.0 ** rng.choice([-300, -30, -8, 0, 8, 30, 285])
+        delta = float(rng.uniform(0.0, 3.0) * scale) or 0.5
+        omega = float(rng.uniform(0.0, 3.0) * scale) or 0.5 if scheme.kind == "lorentz" else None
+        pf = DimensionlessParams(1.0, delta, 1.0 + float(rng.uniform(0.0, 40.0)), omega)
+        q = Fraction(float(rng.uniform(0.0, 6.0)))
+        got = char_poly_closed(scheme, pf, q).coeffs
+        exact = char_poly_closed(scheme, DimensionlessParams(
+            *(None if x is None else Fraction(x) for x in (pf.lam, pf.delta, pf.eps_s_prime,
+                                                           pf.omega))), q).coeffs
+        assert all(type(c) is int for c in got)
+        ratio = Fraction(got[-1]) / exact[-1]
+        assert ratio > 0 and [ratio * c for c in exact] == list(got)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
 def test_exact_matrix_polynomial_identity(scheme):
     """Over the rationals, det(Z I - G) of the update matrix with couplings
     u = 1, v = -q, times the leading coefficient, is exactly a + q b: 20
@@ -356,15 +378,20 @@ def test_exact_matrix_polynomial_identity(scheme):
 def test_lorentz_kashiwa_q4_double_root_is_exact():
     """At q = 4 the exact Lorentz-Kashiwa polynomial has the double root
     z = -1, and the exact recursion reports the repeated circle root.  The
-    float polynomial reads p(-1) as 7e-15, so the float route misses it."""
+    float polynomial of the same decimals' doubles reads p(-1) as 7e-15,
+    but their exact one, the polynomial `classify_at_q` decides, has the
+    double root too."""
     p = DimensionlessParams(lam=Fraction(1), delta=Fraction(67, 10000),
                             eps_s_prime=Fraction(53399, 1000), omega=Fraction(19844, 10000))
-    poly = char_poly_closed(Scheme.LORENTZ_KASHIWA, p, Fraction(4))
-    assert all(type(c) is Fraction for c in poly.coeffs)
-    assert poly(Fraction(-1)) == 0 and poly.derivative()(Fraction(-1)) == 0
-    svn = is_simple_von_neumann(poly)
-    assert not svn.ok
-    assert svn.reason == "reduction vanished at degree 2; derivative is not Schur"
+    doubles = DimensionlessParams(*(float(x) for x in (p.lam, p.delta, p.eps_s_prime, p.omega)))
+    assert char_poly_closed(Scheme.LORENTZ_KASHIWA, doubles, 4.0)(-1.0) == 7.105427357601002e-15
+    for params in (p, doubles):
+        poly = char_poly_closed(Scheme.LORENTZ_KASHIWA, params, Fraction(4))
+        assert all(type(c) in (int, Fraction) for c in poly.coeffs)
+        assert poly(Fraction(-1)) == 0 and poly.derivative()(Fraction(-1)) == 0
+        svn = is_simple_von_neumann(poly)
+        assert not svn.ok
+        assert svn.reason == "reduction vanished at degree 2; derivative is not Schur"
 
 
 @pytest.mark.parametrize("scheme,setup", [
