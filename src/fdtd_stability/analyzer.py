@@ -6,18 +6,21 @@ polynomial p meets the unit circle, which floats cannot see, so every
 per-q verdict is decided and labelled in exact arithmetic, with
 RESONANCE_SNAP_TOL as its one tolerance:
 
-1. q is read exactly: the double's own value, or, within RESONANCE_SNAP_TOL
-   of a Lorentz scheme's degenerate q (two conjugate root couples colliding
-   on the circle), that q's exact value.  The recursion runs on the exact
-   p_q of the parameters' doubles (`char_poly_closed` at a `Fraction` q).
+1. q is read exactly: a `Fraction` as given, a double as its own value, or,
+   within RESONANCE_SNAP_TOL of a Lorentz scheme's degenerate q (two
+   conjugate root couples colliding on the circle), as that q's exact
+   value.  The recursion runs on the exact p_q of the parameters, doubles
+   read as the rationals they are (`char_poly_closed` at a `Fraction` q).
    Simple von Neumann there is stable: Schur, sub-polynomial (a root
    exactly at 0, 1, -1 or +-i) or von Neumann.  Else, unless the reduction
    vanished, a root lies outside the circle: exponential growth.
-2. Where it vanishes, p and its reversal p* share u = gcd(p, p*), which
-   holds every root on the circle, and w = p / u is Schur.  The powers are
+2. Where it vanishes, the vanishing level is u = gcd(p, p*) in integers:
+   it holds every root on the circle, and p / u is Schur.  The powers are
    bounded iff the squarefree part r of u is simple von Neumann and the
-   unit eigenvalues are semisimple: r(G) w(G)^n = 0 for the update matrix
-   G, decided on G scaled to integers.  A defective one grows linearly.
+   unit eigenvalues are semisimple: rank r(G) = n - deg u for the n x n
+   update matrix G scaled to integers, since dim ker r(G) sums their
+   geometric multiplicities and deg u their algebraic ones.  A defective
+   one grows linearly.
 
 Worst-case verdicts over all wavenumbers are exact, not sampled: the
 characteristic polynomial p_q = a + q b is affine in the Courant quantity
@@ -129,18 +132,18 @@ def _special_root(poly: Polynomial) -> bool:
 
 
 def classify_at_q(scheme: Scheme, params: DimensionlessParams, q: float) -> StabilityVerdict:
-    """Stability verdict of a scheme at an exact Courant quantity q, the
-    double's own value or the exact degenerate q it snaps onto (steps 1
-    and 2 of the module docstring)."""
-    if q < 0 or not math.isfinite(q):
+    """Stability verdict of a scheme at an exact Courant quantity q (steps
+    1 and 2 of the module docstring): a `Fraction` q as given, a float q as
+    the double's own value or the exact degenerate q it snaps onto."""
+    if q < 0 or type(q) is not Fraction and not math.isfinite(q):
         raise InvalidInputError("q must be nonnegative and finite")
-    q_res = _degenerate_q(scheme, params)
+    q_res = None if type(q) is Fraction else _degenerate_q(scheme, params)
     snap = q_res is not None and abs(q - q_res) <= RESONANCE_SNAP_TOL
     q = scheme.spec.degenerate_q(Fraction(params.omega)) if snap else Fraction(q)
     poly = char_poly_closed(scheme, params, q)
     svn = is_simple_von_neumann(poly)
     if not svn.ok:
-        return _non_svn_verdict(scheme, params, q, poly, svn)
+        return _non_svn_verdict(scheme, params, q, svn)
     if svn.schur:
         return _SCHUR
     if _special_root(poly):
@@ -152,22 +155,25 @@ def classify_at_q(scheme: Scheme, params: DimensionlessParams, q: float) -> Stab
 
 
 def _non_svn_verdict(scheme: Scheme, params: DimensionlessParams, q: Fraction,
-                     poly: Polynomial, svn: LocationResult) -> StabilityVerdict:
-    """Verdict where the exact recursion reads p = `poly` not simple von
-    Neumann: a root outside unless its reduction vanished, else step 2 of
-    the module docstring.  There w = p/u is Schur, since each level above
-    the vanishing one is strict and removes one root of w inside the circle,
-    and u holds every pair z, 1/z off the circle as well as the unit roots.
-    G is `spec.entries` at u = q, v = -1 (similar to the physical matrix for
-    q > 0), or at u = v = 0 for q = 0, on the exact parameters."""
+                     svn: LocationResult) -> StabilityVerdict:
+    """Verdict where the exact recursion reads p not simple von Neumann: a
+    root outside unless its reduction vanished, else step 2 of the module
+    docstring.  There p/u is Schur, since each level above the vanishing
+    one is strict and removes one of its roots inside the circle, and u
+    (`svn.vanished`) holds every pair z, 1/z off the circle as well as the
+    unit roots.  r = u / gcd(u, u') comes from the primitive remainder
+    sequence of u and u'.  G is `spec.entries` at u = q, v = -1 (similar to
+    the physical matrix for q > 0), or at u = v = 0 for q = 0, on the exact
+    parameters, and rank r(G) is taken by fraction-free elimination."""
     if not svn.vanished:
         return StabilityVerdict(False, Argument.THEOREM_VON_NEUMANN,
                                 "root outside the unit circle, certified by the exact "
                                 f"recursion at degree {svn.levels[-1].degree}")
-    p = tuple(map(Fraction, poly.coeffs))
-    u = _gcd(p, Polynomial(p[::-1]).coeffs)
-    w = _divmod(p, u)[0]
-    r = _divmod(u, _gcd(u, Polynomial(u).derivative().coeffs))[0]
+    u = list(svn.vanished)
+    f, g = u, [j * c for j, c in enumerate(u)][1:]
+    while g:
+        f, g = g, _pseudo_divmod(f, g)[1]
+    r = _pseudo_divmod(u, f)[0]
     if not is_simple_von_neumann(Polynomial(r)).ok:
         return StabilityVerdict(False, Argument.THEOREM_VON_NEUMANN,
                                 "root outside the unit circle (exact: gcd(p, p*) has "
@@ -177,54 +183,42 @@ def _non_svn_verdict(scheme: Scheme, params: DimensionlessParams, q: Fraction,
     rows = scheme.spec.entries(params, *((q, Fraction(-1)) if q else (0, 0)), q)
     scale = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
     G = [[int(Fraction(x) * scale) for x in row] for row in rows]
-    M = _matrix_poly(_cleared(r), G, scale)
-    W = _matrix_poly(_cleared(w), G, scale)
-    for _ in G:
-        M = _matmul(M, W)
-    unit = "r = rad gcd(p, p*) = [" + ", ".join(f"{float(c / r[-1]):.6g}" for c in r) + "]"
-    if any(any(row) for row in M):
+    n, M = len(G), [[0] * len(G) for _ in G]
+    for t, coef in enumerate(reversed(r)):  # M = scale^deg r r(G / scale), by Horner
+        M = [[sum(x * y for x, y in zip(row, col)) + (coef * scale ** t if i == j else 0)
+              for j, col in enumerate(zip(*G))] for i, row in enumerate(M)]
+    rank, M = 0, [row for row in M if any(row)]
+    while M:
+        pivot, *M = M
+        j = next(j for j, x in enumerate(pivot) if x)
+        M = [v for v in ([pivot[j] * x - row[j] * y for x, y in zip(row, pivot)] for row in M)
+             if any(v)]
+        rank += 1
+    bound = n - len(u) + 1  # the rank where every unit eigenvalue is semisimple
+    detail = (f"rank r(G) = {rank} {'=>'[rank > bound]} {n} - {len(u) - 1} = n - deg gcd(p, p*) "
+              "for r = rad gcd(p, p*) = [" + ", ".join(f"{c / r[-1]:.6g}" for c in r) + "]")
+    if rank > bound:
         return StabilityVerdict(False, Argument.EIGENVECTORS,
-                                f"defective unit-circle eigenvalue (linear growth): "
-                                f"r(G) w(G)^{len(G)} != 0 for {unit}")
+                                f"defective unit-circle eigenvalue (linear growth): {detail}")
     return StabilityVerdict(True, Argument.G_FORM,
-                            f"repeated unit-circle eigenvalues are non-defective: "
-                            f"r(G) w(G)^{len(G)} = 0 for {unit}")
+                            f"repeated unit-circle eigenvalues are non-defective: {detail}")
 
 
-def _divmod(f: tuple, g: tuple) -> tuple[tuple, tuple]:
-    """(quotient, remainder) of ascending Fraction coefficients, g trimmed."""
-    rem, quot = list(f), [Fraction(0)] * max(len(f) - len(g) + 1, 1)
-    while rem and len(rem) >= len(g):
-        c, shift = rem[-1] / g[-1], len(rem) - len(g)
-        quot[shift] = c
-        for j, x in enumerate(g):
-            rem[shift + j] -= c * x
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return tuple(quot), tuple(rem)
-
-
-def _gcd(f: tuple, g: tuple) -> tuple:
-    """A gcd of two nonzero trimmed ascending coefficient tuples, by Euclid."""
-    while g:
-        f, g = g, _divmod(f, g)[1]
-    return f
-
-
-def _matmul(A: list, B: list) -> list:
-    n = len(A)
-    return [[sum(A[i][l] * B[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
-
-
-def _matrix_poly(c: tuple, G: list, scale: int) -> list:
-    """scale^d c(G / scale) for integer coefficients c of degree d and an
-    integer matrix G, by Horner's rule."""
-    M = [[0] * len(G) for _ in G]
-    for t, coef in enumerate(reversed(c)):
-        M = _matmul(M, G)
-        for i in range(len(G)):
-            M[i][i] += coef * scale ** t
-    return M
+def _pseudo_divmod(f: list, g: list) -> tuple[list, list]:
+    """(Q, R) with lc(g)^e f = Q g + c R, e = max(len(f) - len(g) + 1, 0),
+    for integer ascending lists f and g, g trimmed: deg R < deg g, and c is
+    the remainder's content, so that R is primitive ([] where g divides f)."""
+    rem, quot = list(f), []
+    while len(rem) >= len(g):
+        top = rem.pop()
+        rem = [g[-1] * x for x in rem]
+        for j, y in enumerate(g[:-1], len(rem) - len(g) + 1):
+            rem[j] -= top * y
+        quot = [top] + [g[-1] * x for x in quot]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    content = math.gcd(*rem) or 1
+    return quot, [x // content for x in rem]
 
 
 def classify_point(scheme: Scheme, params: DimensionlessParams,
@@ -277,27 +271,27 @@ def _params(scheme: Scheme, medium: MediumModel, k: float, h: float) -> Dimensio
 
 def _theorem(scheme: Scheme, medium: MediumModel, k: float, h: float,
              h_y: float | None):
-    """(params, q_max, q_c, sign of q_max - q_c, stable) at physical steps:
-    every wavenumber is stable iff q_max < q_c, or q_max = q_c and the limit
-    is `SchemeSpec.closed`.  Where q_max lies within TIE_REL_TOL of q_c, the
-    sign is taken again in exact rationals, from Fraction(k), Fraction(h),
-    Fraction(h_y) and the medium's fields."""
+    """(params, q_max, q_c, sign of q_max - q_c, stable, exact) at physical
+    steps: every wavenumber is stable iff q_max < q_c, or q_max = q_c and
+    the limit is `SchemeSpec.closed`.  Where q_max lies within TIE_REL_TOL
+    of q_c, the sign is taken again in exact rationals (`_exact_sign`), and
+    exact holds the exact (params, q_max, q_c) it compared; else None."""
     spec = scheme.spec
     params = _params(scheme, medium, k, h)
     q_max, q_c = _q_max(params, h, h_y), spec.stable_q(params)
-    sign = (q_max > q_c) - (q_max < q_c)
+    sign, exact = (q_max > q_c) - (q_max < q_c), None
     if abs(q_max - q_c) <= TIE_REL_TOL * q_c:
-        sign = _exact_sign(scheme, medium, k, h, h_y)[1]
-    return params, q_max, q_c, sign, sign < 0 or (sign == 0 and spec.closed(params))
+        *exact, sign = _exact_sign(scheme, medium, k, h, h_y)
+    return params, q_max, q_c, sign, sign < 0 or (sign == 0 and spec.closed(params)), exact
 
 
 def _exact_sign(scheme: Scheme, medium: MediumModel, k, h: float, h_y: float | None):
-    """(params, sign of q_max - q_c), both exact from Fraction(k),
-    Fraction(h), Fraction(h_y) and the medium's fields."""
+    """(params, q_max, q_c, sign of q_max - q_c), all exact from
+    Fraction(k), Fraction(h), Fraction(h_y) and the medium's fields."""
     params = dimensionless_params(medium, Fraction(k), Fraction(h))
     q_max = _q_max(params, Fraction(h), None if h_y is None else Fraction(h_y))
     q_c = scheme.spec.stable_q(params)
-    return params, (q_max > q_c) - (q_max < q_c)
+    return params, q_max, q_c, (q_max > q_c) - (q_max < q_c)
 
 
 def worst_case_verdict(scheme: Scheme, medium: MediumModel, k: float, h: float,
@@ -307,16 +301,21 @@ def worst_case_verdict(scheme: Scheme, medium: MediumModel, k: float, h: float,
     q-range end q_c (`SchemeSpec.stable_q`) and whether that end is closed.
     The argument label comes from one `classify_at_q` probe at the q that
     decides the verdict: q_max, or, where q_max passes an open q_c > 0, q_c
-    itself, the first unstable q.  The detail names q_max, q_c, the clause
-    and the probe, and says so where the probe disagrees with the theorem."""
-    params, q_max, q_c, sign, stable = _theorem(scheme, medium, k, h, h_y)
+    itself, the first unstable q.  At a tie, or at that q_c, the probe reads
+    the exact parameters and q that the theorem compares; elsewhere the
+    parameters' doubles at Fraction(q_max), which no snap moves.  The
+    detail names q_max, q_c, the clause and the probe."""
+    params, q_max, q_c, sign, stable, exact = _theorem(scheme, medium, k, h, h_y)
     closed = scheme.spec.closed(params)
-    q = q_c if not (stable or closed) and q_c > 0 else q_max
+    at_q_c = not (stable or closed) and q_c > 0
+    if exact or at_q_c:
+        params, *qs = exact or _exact_sign(scheme, medium, k, h, h_y)[:3]
+        q = qs[at_q_c]
+    else:
+        q = Fraction(q_max)
     probe = classify_at_q(scheme, params, q)
     detail = (f"q_max={q_max:.12g} {'<=>'[sign + 1]} q_c={q_c:.12g}, "
-              f"{'closed' if closed else 'open'} limit; probe at q={q:.12g}: {probe.detail}")
-    if probe.stable != stable:
-        detail += f"; the probe reads {'stable' if probe.stable else 'unstable'}, against the theorem"
+              f"{'closed' if closed else 'open'} limit; probe at q={float(q):.12g}: {probe.detail}")
     return StabilityVerdict(stable, probe.argument, detail)
 
 
@@ -378,7 +377,7 @@ def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
     attained = spec.closed(_params(scheme, medium, lo, h))
     k_sw = spec.switch_k(medium) if spec.switch_k else None
     if not attained and k_sw is not None and lo < k_sw <= hi:
-        params, sign = _exact_sign(scheme, medium, k_sw, h, h_y)
+        params, _, _, sign = _exact_sign(scheme, medium, k_sw, h, h_y)
         attained = sign < 0 or (sign == 0 and spec.closed(params))
     verdict = worst_case_verdict(scheme, medium, lo, h, h_y)
     return BoundaryResult(lo, attained, False, None,

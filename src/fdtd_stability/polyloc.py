@@ -84,9 +84,6 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(j * c for j, c in enumerate(self.coeffs))[1:])
-
 
 class LevelTest(NamedTuple):
     """One level of the reduction recursion: |p(0)|^2 vs |p*(0)|^2."""
@@ -100,15 +97,18 @@ class LevelTest(NamedTuple):
 class LocationResult(NamedTuple):
     """Boolean verdict plus the recursion trace that produced it.  schur:
     every root lies strictly inside the circle, as the levels certify (each
-    a "<", down to a constant).  vanished: the degree whose reduction
-    vanished, so that the derivative decided; 0 where none did, and a
-    failed pass then certifies a root outside."""
+    a "<", down to a constant).  vanished: the integer coefficients of the
+    level whose reduction vanished, so that the derivative decided; () where
+    none did, and a failed pass then certifies a root outside.  That level
+    is a constant multiple of gcd(p, p*): a strict level maps (c, c*) to
+    (z c1, c1*) by a matrix of determinant c_d^2 - c_0^2 != 0, which keeps
+    the gcd, and at the vanishing level c* is proportional to c."""
 
     ok: bool
     levels: tuple[LevelTest, ...]
     reason: str
     schur: bool = False
-    vanished: int = 0
+    vanished: tuple[int, ...] = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -159,7 +159,7 @@ def is_simple_von_neumann(p: Polynomial) -> LocationResult:
     _require_nonzero(p)
     cur = _cleared(p.coeffs)
     levels: list[LevelTest] = []
-    ok, vanished = True, 0  # vanished: the degree whose reduction vanished
+    ok, vanished = True, ()  # vanished: the level whose reduction vanished
     while len(cur) > 1:
         d = len(cur) - 1
         const2, lead2 = cur[0] * cur[0], cur[d] * cur[d]
@@ -185,10 +185,10 @@ def is_simple_von_neumann(p: Polynomial) -> LocationResult:
             return LocationResult(False, tuple(levels),
                                   f"|p(0)| = |p*(0)| with nonzero reduction at degree {d}")
         else:
-            vanished = d
+            vanished = tuple(cur)
             cur = [j * c for j, c in enumerate(cur)][1:]
-    reason = (f"reduction vanished at degree {vanished}; derivative {'is' if ok else 'is not'}"
-              " Schur" if vanished else "reduced to a nonzero constant")
+    reason = (f"reduction vanished at degree {len(vanished) - 1}; derivative "
+              f"{'is' if ok else 'is not'} Schur" if vanished else "reduced to a nonzero constant")
     return LocationResult(ok, tuple(levels), reason, not vanished, vanished)
 
 

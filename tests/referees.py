@@ -66,16 +66,19 @@ def exact_product(factors: Sequence[Sequence[float]], leading: float = 1.0) -> P
     """leading times the product of real factors given by ascending float
     coefficients, multiplied exactly: a `Fraction` polynomial whose roots
     are exactly those of its factors.  A real root r is the factor [-r, 1],
-    a conjugate pair r e^(+-i t) the factor [r^2, -2 r cos t, 1]."""
-    out = [Fraction(leading)]
-    for f in factors:
-        f = [Fraction(x) for x in f]
-        prod = [Fraction(0)] * (len(out) + len(f) - 1)
+    a conjugate pair r e^(+-i t) the factor [r^2, -2 r cos t, 1].  Each
+    factor is read as integers over one power of two, the lcm of its
+    doubles' denominators, and the product runs in integers."""
+    out, den = [1], 1
+    for f in [[leading], *factors]:
+        ratios = [Fraction(x).as_integer_ratio() for x in f]
+        d = math.lcm(*(m for _, m in ratios))
+        prod = [0] * (len(out) + len(f) - 1)
         for i, x in enumerate(out):
-            for j, y in enumerate(f):
-                prod[i + j] += x * y
-        out = prod
-    return Polynomial(out)
+            for j, (n, m) in enumerate(ratios):
+                prod[i + j] += x * n * (d // m)
+        out, den = prod, den * d
+    return Polynomial([Fraction(c, den) for c in out])
 
 
 def root_factors(rng: np.random.Generator, radii: Sequence[float],

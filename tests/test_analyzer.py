@@ -9,6 +9,7 @@ in the closed disk with simple circle roots) and the exact decision of
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,6 +82,19 @@ def test_harmonic_kashiwa_degenerate_point_is_defective():
     p = DimensionlessParams(lam=1.0, delta=0.0, eps_s_prime=1.0, omega=w)
     v = classify_at_q(Scheme.LORENTZ_KASHIWA, p, 2 * w / (1 + 0.5 * w))
     assert not v.stable and v.argument is Argument.EIGENVECTORS
+
+
+def test_classify_at_q_reads_a_fraction_q_as_given():
+    """A float q within RESONANCE_SNAP_TOL of the degenerate q snaps onto it
+    (defective); a `Fraction` q is read as given, and 1e-10 off that q the
+    harmonic Lorentz-Kashiwa point is stable.  A `Fraction` q is never
+    converted to a float, so one beyond the doubles' range is decided."""
+    p = DimensionlessParams(lam=1.0, delta=0.0, eps_s_prime=1.0, omega=0.8)
+    near = Fraction(Scheme.LORENTZ_KASHIWA.spec.degenerate_q(0.8)) - Fraction(1, 10**10)
+    assert classify_at_q(Scheme.LORENTZ_KASHIWA, p, float(near)).argument is Argument.EIGENVECTORS
+    assert classify_at_q(Scheme.LORENTZ_KASHIWA, p, near).stable
+    assert not classify_at_q(Scheme.DEBYE_JOSEPH, DimensionlessParams(1.0, 0.1, 2.0),
+                             Fraction(10**400)).stable
 
 
 def test_uniform_mode_stable_across_schemes():
@@ -620,6 +634,44 @@ def test_theorem_finds_every_sampled_instability():
             assert not stable, (scheme, medium, k, h, kw)
         walked += not stable
     assert 30 <= sampled < walked, (sampled, walked)
+
+
+def test_labels_agree_with_verdicts_at_the_edge(monkeypatch):
+    """At the last stable and the first unstable double of k around the k*
+    of 200 seeded searches (`_random_grid`), the one `classify_at_q` probe
+    of `worst_case_verdict` reads the verdict's own side, so its label
+    never contradicts the verdict.  384 of these 400 verdicts are ties,
+    where the probe reads the exact parameters and q_max that the theorem
+    compares; a probe of the float q_max read the other side on 67."""
+    rng = random.Random(7)
+    inner, probes = analyzer.classify_at_q, []
+
+    def recorded(*args):
+        probes.append(inner(*args))
+        return probes[-1]
+
+    monkeypatch.setattr(analyzer, "classify_at_q", recorded)
+    searches = 0
+    while searches < 200:
+        scheme, medium, h, kw = _random_grid(rng)
+        try:
+            k_star = stability_boundary_k(scheme, medium, h, **kw).k_star
+        except NumericalFailureError:
+            continue
+        if k_star is None:
+            continue
+        searches += 1
+        lo, hi = k_star, k_star * (1.0 + 2.0 * analyzer.BOUNDARY_REL_RESOLUTION)
+        while (mid := lo + (hi - lo) / 2.0) not in (lo, hi):
+            if analyzer._theorem(scheme, medium, mid, h, kw.get("h_y"))[4]:
+                lo = mid
+            else:
+                hi = mid
+        for k, stable in ((lo, True), (hi, False)):
+            probes.clear()
+            v = worst_case_verdict(scheme, medium, k, h, **kw)
+            assert v.stable is stable and [p.stable for p in probes] == [stable], (
+                scheme, medium, k, h, kw, v)
 
 
 # --- tables -------------------------------------------------------------------

@@ -31,13 +31,14 @@ REFEREES = ("root_profile", "RootProfile", "ROOT_CLUSTER_TOL", "conjugate_poly",
             "exact_product", "greedy_clusters")
 
 # The float eigen route that the exact decision of `classify_at_q` retired,
-# its float special-root test, and the float recursion's tolerances and
-# helpers.
+# its float special-root test, the float recursion's tolerances and
+# helpers, and the Fraction Euclid and matrix powers that the integer rank
+# test retired.
 RETIRED = ("OUT_EIG_TOL", "EIG_CLUSTER_TOL", "RANK_REL_TOL", "gn_bounded",
            "BoundednessReport", "UnitEigenvalue", "_eigvals", "_unit_multiplicities",
            "amplification_matrix_at_q", "_special_root_near", "BOUNDARY_REL_TOL",
            "TRIM_REL_TOL", "_tolerances", "_compare_moduli", "_abs2", "_normalized",
-           "_trimmed")
+           "_trimmed", "_divmod", "_gcd", "_matmul", "_matrix_poly")
 
 
 def test_all_is_the_public_contract():
@@ -54,7 +55,7 @@ def test_referees_are_not_in_the_package():
                for m in ("polyloc", "schemes", "simulator", "analyzer", "cli")]
     for name in REFEREES:
         assert not any(hasattr(m, name) for m in modules + [fdtd_stability]), name
-    for name in ("from_roots", "monic", "scaled", "__mul__"):
+    for name in ("from_roots", "monic", "scaled", "__mul__", "derivative"):
         assert not hasattr(fdtd_stability.Polynomial, name), name
     assert "k_limit" not in fdtd_stability.schemes.SchemeSpec.__dataclass_fields__
     for name in ("is_schur", "reduce_step_exact", "is_schur_exact",

@@ -398,17 +398,20 @@ def test_boundaries_on_constant_arms_lie_below_the_courant_limit():
 def test_verdicts_grid_lines_match_the_exact_walk():
     """Every ``grid`` line of ``verdicts.txt`` reads the verdict of the exact
     walk over [0, q_max] (`referees.walk_verdict`).  Its argument comes from
-    one `classify_at_q` probe, and no probe disagrees with the theorem."""
+    one `classify_at_q` probe, and no probe disagrees with the theorem: the
+    probe reads unstable (eigenvectors, or a root outside) iff the line
+    does."""
     media = {(kind, m.eps_s): m for kind, ms in _GRID_MEDIA.items() for m in ms}
     for line in _golden("verdicts.txt").splitlines():
         if not line.startswith("grid|"):
             continue
-        _, name, eps_s, k, h, _, h_y, stable, _, detail = line.split("|")
+        _, name, eps_s, k, h, _, h_y, stable, argument, detail = line.split("|")
         scheme = Scheme.from_name(name)
         kw = {} if h_y == "None" else dict(h_y=float(h_y))
         assert walk_verdict(scheme, media[scheme.kind, float(eps_s)], float(k), float(h),
                             **kw) == (stable == "True"), line
-        assert not detail.endswith("against the theorem"), line
+        probe_stable = argument != "eigenvectors" and "root outside" not in detail
+        assert probe_stable == (stable == "True"), line
 
 
 def test_verdicts_point_lines_match_the_exact_referee():

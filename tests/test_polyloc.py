@@ -10,6 +10,7 @@ with the tests' own integer recursion as a second referee.
 import math
 import zlib
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,15 +18,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdtd_stability import (
+    DimensionlessParams,
     InvalidInputError,
     NumericalFailureError,
     Polynomial,
+    Scheme,
+    char_poly_closed,
     is_simple_von_neumann,
 )
 from fdtd_stability.polyloc import max_root_modulus, poly_roots
 from referees import (
     _integral,
+    _primitive,
+    _primitive_gcd,
     conjugate_poly,
+    decided_q,
     exact_product,
     from_roots,
     integer_location,
@@ -52,8 +59,9 @@ def test_fraction_coefficients_stay_exact():
     rounding: roots +-sqrt(1 - 1e-14) are inside the circle.  Its float
     image is read as the rationals its doubles are: -1 + 1e-14 rounds to a
     double above -1, so the image is Schur as well, while the double -1
-    itself is a tie whose reduction vanishes (roots +-1).  A Fraction among
-    floats is cast to complex."""
+    itself is a tie whose reduction vanishes at once, so that the vanishing
+    level is z^2 - 1 itself (roots +-1).  A Fraction among floats is cast
+    to complex."""
     p = Polynomial([Fraction(-1) + Fraction(1, 10**14), Fraction(0), Fraction(1), Fraction(0)])
     assert p.degree == 2 and all(type(c) is Fraction for c in p.coeffs)
     exact = is_simple_von_neumann(p)
@@ -62,7 +70,7 @@ def test_fraction_coefficients_stay_exact():
     floats = is_simple_von_neumann(Polynomial([float(c) for c in p.coeffs]))
     assert floats == exact._replace(levels=floats.levels) and floats.schur
     tie = is_simple_von_neumann(Polynomial([-1.0, 0.0, 1.0]))
-    assert tie.ok and not tie.schur and tie.vanished == 2
+    assert tie.ok and not tie.schur and tie.vanished == (-1, 0, 1)
     assert tie.levels[0].relation == "="
     kept = Polynomial([Fraction(1, 2), 0, 1]).coeffs
     assert kept == (Fraction(1, 2), 0, 1) and [type(c) for c in kept] == [Fraction, int, int]
@@ -427,6 +435,46 @@ def test_one_pass_flag_on_constructed_roots(case):
     svn = is_simple_von_neumann(p)
     assert svn.schur == schur_truth
     assert svn.ok == truth == _referee_simple_von_neumann(p)
+
+
+def _fallback_polys():
+    """The exact p_q that `classify_at_q` decides on each g-form or
+    eigenvectors point line of the golden ``verdicts.txt``."""
+    golden = Path(__file__).resolve().parent / "golden" / "verdicts.txt"
+    for line in golden.read_text().splitlines():
+        if not line.startswith("point|"):
+            continue
+        _, name, delta, es, omega, q, _, argument, _ = line.split("|", 8)
+        if argument in ("g-form", "eigenvectors"):
+            scheme = Scheme.from_name(name)
+            params = DimensionlessParams(1.0, float(delta), float(es),
+                                         None if omega == "None" else float(omega))
+            yield char_poly_closed(scheme, params, decided_q(scheme, params, float(q)))
+
+
+def test_vanished_level_is_the_gcd_of_p_and_its_reversal():
+    """The level whose reduction vanished is gcd(p, p*) up to content and
+    sign, as the referee's primitive remainder sequence computes it: on the
+    147 exact polynomials behind the g-form and eigenvectors lines of
+    ``verdicts.txt``, and on 300 seeded products u w of a Schur factor w
+    and unit-root factors u (pairs z^2 - 2 cos t z + 1 and z -+ 1, some
+    repeated), where that gcd is u."""
+    lines = 0
+    for poly in _fallback_polys():
+        c = _integral(poly.coeffs)
+        assert _primitive(list(is_simple_von_neumann(poly).vanished)) == _primitive_gcd(c, c[::-1])
+        lines += 1
+    assert lines == 147
+    rng = np.random.default_rng(47)
+    for _ in range(300):
+        unit = [[-1.0, 1.0], [1.0, 1.0]] + [_pair(1.0, t) for t in rng.uniform(0.1, 3.0, 2)]
+        u = [unit[i] for i in rng.choice(4, size=int(rng.integers(1, 4)))]  # with repeats
+        w = root_factors(rng, rng.uniform(0.0, 0.95, int(rng.integers(0, 4))), pairs=1)
+        p = exact_product(u + w, leading=float(rng.choice([1.0, -2.5, 3e5])))
+        vanished = is_simple_von_neumann(p).vanished
+        c = _integral(p.coeffs)
+        assert _primitive(list(vanished)) == _primitive_gcd(c, c[::-1])
+        assert _primitive(list(vanished)) == _primitive(_integral(exact_product(u).coeffs))
 
 
 # No subnormals: the float companion referee overflows on such a lead.

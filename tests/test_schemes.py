@@ -388,10 +388,13 @@ def test_lorentz_kashiwa_q4_double_root_is_exact():
     for params in (p, doubles):
         poly = char_poly_closed(Scheme.LORENTZ_KASHIWA, params, Fraction(4))
         assert all(type(c) in (int, Fraction) for c in poly.coeffs)
-        assert poly(Fraction(-1)) == 0 and poly.derivative()(Fraction(-1)) == 0
+        assert poly(Fraction(-1)) == 0
+        assert Polynomial([j * c for j, c in enumerate(poly.coeffs)][1:])(Fraction(-1)) == 0
         svn = is_simple_von_neumann(poly)
         assert not svn.ok
         assert svn.reason == "reduction vanished at degree 2; derivative is not Schur"
+        c0, c1, c2 = svn.vanished  # gcd(p, p*), proportional to (z + 1)^2
+        assert c1 == 2 * c0 == 2 * c2
 
 
 @pytest.mark.parametrize("scheme,setup", [
