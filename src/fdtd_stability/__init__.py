@@ -33,7 +33,6 @@ from .simulator import (
     empirical_verdict,
     init_plane_wave,
     run_growth,
-    step,
 )
 
 __version__ = "0.1.0"
@@ -62,7 +61,6 @@ __all__ = [
     "reproduce_argument_table",
     "run_growth",
     "stability_boundary_k",
-    "step",
     "tm_factor_2d",
     "worst_case_verdict",
 ]

@@ -112,15 +112,6 @@ class TableRow:
     note: str = ""
 
 
-def _degenerate_q(scheme: Scheme, params: DimensionlessParams) -> float | None:
-    """Courant value where two root couples of the scheme collide on the
-    unit circle (harmonic media with eps_s = eps_inf), if it has one.  The
-    snap is applied unconditionally; away from the degenerate regime the
-    exact decision at the snapped q gives the same verdict."""
-    q_of_omega = scheme.spec.degenerate_q
-    return q_of_omega(params.omega) if q_of_omega and params.omega else None
-
-
 def _special_root(poly: Polynomial) -> bool:
     """Whether an exact real polynomial vanishes at 0, 1, -1 or +-i (the
     factored-out eigenvalues of sub-polynomial proofs), exactly: with s_r
@@ -137,9 +128,12 @@ def classify_at_q(scheme: Scheme, params: DimensionlessParams, q: float) -> Stab
     the double's own value or the exact degenerate q it snaps onto."""
     if q < 0 or type(q) is not Fraction and not math.isfinite(q):
         raise InvalidInputError("q must be nonnegative and finite")
-    q_res = None if type(q) is Fraction else _degenerate_q(scheme, params)
-    snap = q_res is not None and abs(q - q_res) <= RESONANCE_SNAP_TOL
-    q = scheme.spec.degenerate_q(Fraction(params.omega)) if snap else Fraction(q)
+    # A float q snaps wherever the scheme has a degenerate q; away from the
+    # degenerate regime the exact decision at the snapped q is the same.
+    q_of_omega = None if type(q) is Fraction else scheme.spec.degenerate_q
+    snap = (q_of_omega and params.omega
+            and abs(q - q_of_omega(params.omega)) <= RESONANCE_SNAP_TOL)
+    q = q_of_omega(Fraction(params.omega)) if snap else Fraction(q)
     poly = char_poly_closed(scheme, params, q)
     svn = is_simple_von_neumann(poly)
     if not svn.ok:

@@ -7,8 +7,8 @@ of the commands that read it, and command-line flags override file keys.
 A flag that the command does not read is an error.  All reports are CSV
 with full-precision scientific notation so every value round-trips exactly.
 
-Exit codes: 0 success, 1 verification mismatch, 2 invalid input,
-3 numerical failure.
+Exit codes: 0 success, 1 verification mismatch, 2 invalid input or a
+request too large to allocate, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -564,6 +564,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {args.command} asks for more memory than it can allocate: {exc}",
+              file=sys.stderr)
         return 2
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

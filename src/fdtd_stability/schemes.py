@@ -190,11 +190,12 @@ class SchemeSpec:
 
     kind, state_labels  "debye" or "lorentz"; state components in matrix order
     q_limit             Courant limit on q of the 1D scheme
-    entries             (params, u, v, q) -> update matrix rows in the
-        parameters' number type, for curl couplings u (on E in the induction
-        row) and v (on b in the field rows) with u*v = -q: any split with
-        q > 0 gives a similar matrix (u = q, v = -1 keeps exact parameters
-        exact), u = v = 0 the matrix at q = 0.
+    entries             (params, u, v, q) -> update matrix rows in plain
+        arithmetic, so exact (`int` or `Fraction`) at `Fraction` parameters,
+        for curl couplings u (on E in the induction row) and v (on b in the
+        field rows) with u*v = -q: any split with q > 0 gives a similar
+        matrix (u = q, v = -1 keeps exact parameters exact), u = v = 0 the
+        matrix at q = 0.
     char_poly           params -> (a, b), same type: the characteristic
         polynomial has ascending coefficients a_j + q*b_j; the 2D TM factor
         is derived from a (`tm_factor_2d`), so it has no field of its own
@@ -398,13 +399,6 @@ def tm_factor_2d(scheme: Scheme, params: DimensionlessParams) -> Polynomial:
 # The five scheme records.
 # ---------------------------------------------------------------------------
 
-def _typed(p, rows):
-    """rows, their int literals made Fractions when the parameters are."""
-    if type(p.eps_s_prime) is not Fraction:
-        return rows
-    return [[Fraction(x) if type(x) is int else x for x in r] for r in rows]
-
-
 # The material updates are lists of bound ufunc calls with positional
 # outputs.  A coefficient is bound as a 0-d float64 array: a Python float
 # is converted on every call (a bound 24-cell multiply took 0.89 us with
@@ -430,17 +424,17 @@ def _harmonic_cap(p, q_c, degenerate_q):
 def _dj_entries(p, u, v, q):
     d, es = p.delta, p.eps_s_prime
     A = 1 + d * es
-    return _typed(p, [
+    return [
         [1, -u, 0],
         [-(1 + d) * v / A, ((1 - d * es) - (1 + d) * q) / A, 2 * d / A],
         [-v, -q, 1],
-    ])
+    ]
 
 
 def _dj_char_poly(p):
     d, de = p.delta, p.delta * p.eps_s_prime
-    return _typed(p, ((-(1 - de), 3 - de, -(3 + de), 1 + de),
-                      (0, -(1 - d), 1 + d, 0)))
+    return ((-(1 - de), 3 - de, -(3 + de), 1 + de),
+            (0, -(1 - d), 1 + d, 0))
 
 
 def _dj_material(p):
@@ -473,19 +467,19 @@ _DJ_REGIMES = (
 def _dy_entries(p, u, v, q):
     d, a = p.delta, p.alpha
     A, B = 1 + d * a, 1 + d
-    return _typed(p, [
+    return [
         [1, -u, 0],
         [-v / A, (1 + d - d * a + 3 * d * d * a - B * q) / (B * A),
          (1 - d) / B * 2 * d / A],
         [0, 2 * d * a / B, (1 - d) / B],
-    ])
+    ]
 
 
 def _dy_char_poly(p):
     d, a = p.delta, p.alpha
     da, dda3, dm, dp = d * a, 3 * d * d * a, 1 - d, 1 + d
-    return _typed(p, ((-(1 - da) * dm, 3 - d - da + dda3, -(3 + d + da + dda3), (1 + da) * dp),
-                      (0, -dm, dp, 0)))
+    return ((-(1 - da) * dm, 3 - d - da + dda3, -(3 + d + da + dda3), (1 + da) * dp),
+            (0, -dm, dp, 0))
 
 
 def _dy_material(p):
@@ -527,19 +521,19 @@ def _lj_entries(p, u, v, q):
     C = 1 - d + w * es
     # The E_prev coupling is -C/A, the sign the second-order field
     # recurrence and the characteristic polynomial both require.
-    return _typed(p, [
+    return [
         [1, -u, 0, 0],
         [-2 * d * v / A, (2 - q * (1 + d + w)) / A, -C / A, 2 * w / A],
         [0, 1, 0, 0],
         [-v, -q, 0, 1],
-    ])
+    ]
 
 
 def _lj_char_poly(p):
     d, es, w = p.delta, p.eps_s_prime, p.omega
     dm, dp, d2, we, we2 = 1 - d, 1 + d, 2 * d, w * es, 2 * w * es
-    return _typed(p, ((dm + we, -(4 - d2 + we2), 6 + we2, -(4 + d2 + we2), dp + we),
-                      (0, dm + w, -2, dp + w, 0)))
+    return ((dm + we, -(4 - d2 + we2), 6 + we2, -(4 + d2 + we2), dp + we),
+            (0, dm + w, -2, dp + w, 0))
 
 
 def _lj_degenerate_q(w):
@@ -593,19 +587,19 @@ def _lk_entries(p, u, v, q):
     w, a = p.omega, p.alpha
     D = _lk_denominator(p)
     gwa = w * a / 2
-    return _typed(p, [
+    return [
         [1, -u, 0, 0],
         [-v * (D - gwa) / D, (D - q * D - (2 - q) * gwa) / D, w / D, -1 / D],
         [-v * gwa / D, (2 - q) * gwa / D, (D - w) / D, 1 / D],
         [-v * w * a / D, (2 - q) * w * a / D, -2 * w / D, (2 - D) / D],
-    ])
+    ]
 
 
 def _lk_char_poly(p):
     d, w = p.delta, p.omega
     dm, dp, d2, we, wh = 1 - d, 1 + d, 2 * d, w * p.eps_s_prime, w / 2
-    return _typed(p, ((dm + we / 2, -(4 - d2), 6 - we, -(4 + d2), dp + we / 2),
-                      (0, dm + wh, w - 2, dp + wh, 0)))
+    return ((dm + we / 2, -(4 - d2), 6 - we, -(4 + d2), dp + we / 2),
+            (0, dm + wh, w - 2, dp + wh, 0))
 
 
 def _lk_degenerate_q(w):
@@ -654,19 +648,19 @@ _LK_REGIMES = (
 def _ly_entries(p, u, v, q):
     d, w, a = p.delta, p.omega, p.alpha
     B = 1 + d
-    return _typed(p, [
+    return [
         [1, -u, 0, 0],
         [-v, ((1 - q) * B - 2 * w * a) / B, 2 * w / B, -(1 - d) / B],
         [0, 2 * w * a / B, (B - 2 * w) / B, (1 - d) / B],
         [0, 2 * w * a / B, -2 * w / B, (1 - d) / B],
-    ])
+    ]
 
 
 def _ly_char_poly(p):
     d, w = p.delta, p.omega
     dm, dp, d2, we2 = 1 - d, 1 + d, 2 * d, 2 * w * p.eps_s_prime
-    return _typed(p, ((dm, -(4 - d2 - we2), 2 * (3 - we2), -(4 + d2 - we2), dp),
-                      (0, dm, 2 * (w - 1), dp, 0)))
+    return ((dm, -(4 - d2 - we2), 2 * (3 - we2), -(4 + d2 - we2), dp),
+            (0, dm, 2 * (w - 1), dp, 0))
 
 
 def _ly_degenerate_q(w):

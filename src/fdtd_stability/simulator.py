@@ -29,8 +29,9 @@ run alternates two buffers and reads the sup-norms in blocks of steps
 (`_norm_blocks`): on a small state each step ends with a bound ``np.abs``
 into one row of a row block, and one reduction per block reads the
 block's norms; a state above the row budget has its norm read in place
-after every step.  Public `step` runs the same list once into a fresh
-buffer, so there is one stepping code path.
+after every step.  The test referee `step` (`tests/referees.py`) runs
+the same list once into a fresh buffer, so there is one stepping code
+path.
 
 The periodic differences are slicing stencils: ``a[1:] - a[:-1]`` and the
 one wrapped row or column, written into the result array.  They do the
@@ -97,9 +98,6 @@ class FieldState:
     @property
     def grid_shape(self) -> tuple[int, ...]:
         return self.data.shape[1:]
-
-    def sup_norm(self) -> float:
-        return _sup_norm(self.data)
 
 
 def _sup_norm(data: np.ndarray) -> float:
@@ -276,20 +274,6 @@ def _scratch(scheme: Scheme, grid_shape: tuple[int, ...]) -> np.ndarray:
     """Curl source S, then S_old if the scheme's update reads it, then the
     material update's temporary."""
     return np.empty((2 + scheme.spec.needs_prev_source, *grid_shape))
-
-
-def step(scheme: Scheme, state: FieldState, params: DimensionlessParams) -> FieldState:
-    """One full leapfrog cycle, periodic in every direction: the growth
-    run's calls run once into a fresh state (a state stored in another
-    memory order is first copied to C order)."""
-    if state.scheme is not scheme:
-        raise InvalidInputError("state was initialized for a different scheme")
-    src = np.ascontiguousarray(state.data)
-    out = np.empty_like(src)
-    for call in _bind(scheme, state.polarization, params, state.h_ratio, src, out,
-                      _scratch(scheme, state.grid_shape)):
-        call()
-    return FieldState(scheme, state.polarization, out, state.h_ratio)
 
 
 # Byte budget of a growth run's row block: the absolute values of the

@@ -5,7 +5,9 @@ second opinion built another way: polynomials from known roots, root
 profiles from companion eigenvalues, the physical per-wavenumber update
 matrix and its characteristic polynomial det(Z I - G) (from eigenvalues,
 or exactly for a matrix of Fractions), and the grid's own
-Fourier amplitudes and per-mode update matrices measured from `step`;
+Fourier amplitudes and per-mode update matrices measured from `step`,
+the one leapfrog cycle of which a growth run is a loop (the simulator's
+bound calls, run once into a fresh state);
 also the walks over the theorem's breakpoints, in floats and exact, that
 `SchemeSpec.stable_q` and `SchemeSpec.closed` state in closed form, the
 plain bisection for the stability boundary on their worst-case verdicts,
@@ -40,12 +42,12 @@ from fdtd_stability import (
     courant_q,
     dimensionless_params,
     init_plane_wave,
-    step,
     tm_factor_2d,
 )
 from fdtd_stability import analyzer
 from fdtd_stability.polyloc import _reduce, _require_nonzero, poly_roots
 from fdtd_stability.schemes import _check_scheme_params
+from fdtd_stability.simulator import _bind, _scratch
 
 # Two roots closer than this are treated as one root of higher multiplicity
 # (companion eigenvalues of an m-fold root scatter like eps**(1/m)).
@@ -265,7 +267,9 @@ def _candidates(scheme: Scheme, params: DimensionlessParams) -> tuple[float | No
     a, b = (np.asarray(c, dtype=float)[::-1] for c in scheme.spec.char_poly(params))
     b_m1 = np.polyval(b, -1.0)
     q_m1 = float(-np.polyval(a, -1.0) / b_m1) if b_m1 != 0 else None
-    return 2.0, 4.0, q_m1, analyzer._degenerate_q(scheme, params)
+    q_of_omega = scheme.spec.degenerate_q
+    q_deg = q_of_omega(params.omega) if q_of_omega and params.omega else None
+    return 2.0, 4.0, q_m1, q_deg
 
 
 def _walk(scheme: Scheme, params: DimensionlessParams, q_lo: float, q_hi: float) -> Walk:
@@ -407,9 +411,10 @@ def decided_q(scheme: Scheme, params: DimensionlessParams, q: float) -> Fraction
     """The exact q at which `analyzer.classify_at_q` decides a float q: the
     exact degenerate q where q lies within RESONANCE_SNAP_TOL of the float
     one, else Fraction(q)."""
-    q_res = analyzer._degenerate_q(scheme, params)
-    if q_res is not None and abs(q - q_res) <= analyzer.RESONANCE_SNAP_TOL:
-        return scheme.spec.degenerate_q(Fraction(params.omega))
+    q_of_omega = scheme.spec.degenerate_q
+    q_deg = q_of_omega(params.omega) if q_of_omega and params.omega else None
+    if q_deg is not None and abs(q - q_deg) <= analyzer.RESONANCE_SNAP_TOL:
+        return q_of_omega(Fraction(params.omega))
     return Fraction(q)
 
 
@@ -692,6 +697,20 @@ def monic_gcd_exact(f: Sequence[Fraction], g: Sequence[Fraction]) -> list[Fracti
 
 # --- grid measurements -----------------------------------------------------------
 
+def step(scheme: Scheme, state: FieldState, params: DimensionlessParams) -> FieldState:
+    """One full leapfrog cycle, periodic in every direction: the growth
+    run's calls run once into a fresh state (a state stored in another
+    memory order is first copied to C order)."""
+    if state.scheme is not scheme:
+        raise InvalidInputError("state was initialized for a different scheme")
+    src = np.ascontiguousarray(state.data)
+    out = np.empty_like(src)
+    for call in _bind(scheme, state.polarization, params, state.h_ratio, src, out,
+                      _scratch(scheme, state.grid_shape)):
+        call()
+    return FieldState(scheme, state.polarization, out, state.h_ratio)
+
+
 def fourier_mode(state: FieldState, m: int) -> np.ndarray:
     """Complex amplitude of grid mode m for each state component, ordered
     like the scheme's update-matrix state vector (1D only)."""
@@ -703,7 +722,7 @@ def fourier_mode(state: FieldState, m: int) -> np.ndarray:
 def mode_matrix_2d(scheme: Scheme, polarization: str, params: DimensionlessParams,
                    wn: Wavenumber, shape: tuple[int, int],
                    modes: tuple[int, int]) -> np.ndarray:
-    """The per-mode update matrix of one public `step` on a 2D grid: random
+    """The per-mode update matrix of one `step` on a 2D grid: random
     complex slot amplitudes of the harmonic `modes`, stepped as a real and
     an imaginary part, with the FFT of every slot before and after."""
     rng = np.random.default_rng(7)

@@ -29,7 +29,6 @@ from fdtd_stability import (
     reproduce_argument_table,
     run_growth,
     stability_boundary_k,
-    step,
 )
 from fdtd_stability import analyzer
 from fdtd_stability.cli import build_verify_plan, run_verify
@@ -45,6 +44,7 @@ from referees import (
     exact_walk,
     monic,
     root_factors,
+    step,
 )
 
 WATER = MediumModel.debye(1.8, 81.0, 9.4e-12)

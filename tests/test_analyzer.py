@@ -247,8 +247,9 @@ def test_2d_verdict_depends_on_no_polarization():
     stable, at_degenerate = set(), 0
     for scheme, p, wn in _premise_points():
         v = classify_point(scheme, p, wn)
-        q, q_res = courant_q(p, wn), analyzer._degenerate_q(scheme, p)
-        at_degenerate += q_res is not None and abs(q - q_res) <= analyzer.RESONANCE_SNAP_TOL
+        q, q_of_omega = courant_q(p, wn), scheme.spec.degenerate_q
+        at_degenerate += (q_of_omega is not None
+                          and abs(q - q_of_omega(p.omega)) <= analyzer.RESONANCE_SNAP_TOL)
         stable.add(v.stable)
         assert v == classify_at_q(scheme, p, q)
         for polarization in ("te", "tm"):

@@ -21,27 +21,29 @@ PUBLIC = {
     "worst_case_verdict",
     # simulator
     "FieldState", "GrowthReport", "empirical_verdict", "init_plane_wave", "run_growth",
-    "step",
 }
 
 REFEREES = ("root_profile", "RootProfile", "ROOT_CLUSTER_TOL", "conjugate_poly",
             "amplification_matrix", "char_poly_from_matrix", "char_poly_2d",
             "fourier_mode", "reduce_step", "plain_bisection_boundary", "_walk",
             "_candidates", "exact_walk", "exact_stable_at_q", "exact_schur_at_q",
-            "exact_product", "greedy_clusters")
+            "exact_product", "greedy_clusters", "step")
 
 # The float eigen route that the exact decision of `classify_at_q` retired,
 # its float special-root test, the float recursion's tolerances and
-# helpers, and the Fraction Euclid and matrix powers that the integer rank
-# test retired.
+# helpers, the Fraction Euclid and matrix powers that the integer rank
+# test retired, and the records' Fraction retyping and the analyzer's snap
+# helper, which plain arithmetic and `classify_at_q` made redundant.
 RETIRED = ("OUT_EIG_TOL", "EIG_CLUSTER_TOL", "RANK_REL_TOL", "gn_bounded",
            "BoundednessReport", "UnitEigenvalue", "_eigvals", "_unit_multiplicities",
            "amplification_matrix_at_q", "_special_root_near", "BOUNDARY_REL_TOL",
            "TRIM_REL_TOL", "_tolerances", "_compare_moduli", "_abs2", "_normalized",
-           "_trimmed", "_divmod", "_gcd", "_matmul", "_matrix_poly")
+           "_trimmed", "_divmod", "_gcd", "_matmul", "_matrix_poly", "_typed",
+           "_degenerate_q")
 
 
 def test_all_is_the_public_contract():
+    assert len(PUBLIC) == 25
     assert len(fdtd_stability.__all__) == len(PUBLIC)
     assert set(fdtd_stability.__all__) == PUBLIC
     for name in PUBLIC:
@@ -57,6 +59,7 @@ def test_referees_are_not_in_the_package():
         assert not any(hasattr(m, name) for m in modules + [fdtd_stability]), name
     for name in ("from_roots", "monic", "scaled", "__mul__", "derivative"):
         assert not hasattr(fdtd_stability.Polynomial, name), name
+    assert not hasattr(fdtd_stability.FieldState, "sup_norm")
     assert "k_limit" not in fdtd_stability.schemes.SchemeSpec.__dataclass_fields__
     for name in ("is_schur", "reduce_step_exact", "is_schur_exact",
                  "is_simple_von_neumann_exact", "_trim_exact"):

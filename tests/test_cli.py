@@ -294,6 +294,24 @@ def test_numerical_failure_maps_to_exit_3(monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_run_too_large_to_allocate_exits_2(monkeypatch, capsys):
+    """A growth run whose arrays cannot be allocated is a request the
+    machine cannot serve: exit 2 with one error line, not exit 1 with a
+    traceback.  The allocation is simulated; a real one could succeed
+    under memory overcommit and then fill the memory."""
+    def boom(*a, **kw):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                          "(1000000000001,) and data type float64")
+    monkeypatch.setattr(cli, "run_growth", boom)
+    rc = main(["simulate", "--scheme", "debye-joseph", "--eps-inf", "1.8",
+               "--eps-s", "81", "--t-r", "9.4e-12", "--k", "1e-14", "--h", "1e-5",
+               "--xi", "3.14159", "--steps", "1000000000000"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error: simulate ") and err.count("\n") == 1
+    assert "7.28 TiB" in err and "Traceback" not in err
+
+
 def test_overflowing_dimensionless_parameter_exits_2(capsys):
     """omega1 = 1e300 squares past a double: invalid input, not a crash."""
     assert main(["analyze", "--scheme", "lorentz-young", "--eps-inf", "1", "--eps-s", "2",

@@ -344,6 +344,12 @@ def test_max_root_modulus():
     assert max_root_modulus(p) == pytest.approx(1.25, rel=1e-12)
 
 
+def test_constant_has_no_roots():
+    """A nonzero constant has no roots, and its largest root modulus reads 0."""
+    assert poly_roots(Polynomial([3.0])).size == 0
+    assert max_root_modulus(Polynomial([3.0])) == 0.0
+
+
 def test_polynomial_is_an_immutable_hashable_value():
     p = Polynomial([1.0, 2.0, 0.0])
     with pytest.raises(AttributeError, match="Polynomial is immutable"):

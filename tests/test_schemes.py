@@ -312,8 +312,9 @@ def test_matrix_polynomial_proportionality(scheme):
 
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_record_formulas_keep_fractions_exact(scheme):
-    """Each formula, written once, returns only Fractions for Fraction
-    parameters, equal to its float evaluation up to rounding."""
+    """Each formula, written once in plain arithmetic, returns only exact
+    numbers (ints or Fractions) for Fraction parameters, equal to its float
+    evaluation up to rounding."""
     spec = scheme.spec
     rng = np.random.default_rng(zlib.crc32((scheme.value + "exact").encode()))
     for _ in range(20):
@@ -331,7 +332,7 @@ def test_record_formulas_keep_fractions_exact(scheme):
         for exact_rows, float_rows in pairs:
             exact = [x for row in exact_rows for x in row]
             approx = np.array([x for row in float_rows for x in row], dtype=complex)
-            assert all(type(x) is Fraction for x in exact)
+            assert all(type(x) in (int, Fraction) for x in exact)
             np.testing.assert_allclose(np.array(exact, dtype=float), approx, rtol=0,
                                        atol=1e-12 * np.max(np.abs(approx)))
 

@@ -27,10 +27,9 @@ from fdtd_stability import (
     init_plane_wave,
     run_growth,
     simulator,
-    step,
 )
-from fdtd_stability.simulator import linear_fit_residual
-from referees import amplification_matrix, factor_roots_2d, fourier_mode, mode_matrix_2d
+from fdtd_stability.simulator import _sup_norm, linear_fit_residual
+from referees import amplification_matrix, factor_roots_2d, fourier_mode, mode_matrix_2d, step
 
 
 def medium_for(scheme):
@@ -49,7 +48,7 @@ def stable_params(scheme, lam=0.6):
 
 def test_init_worst_mode():
     st = init_plane_wave(Scheme.DEBYE_JOSEPH, 64, Wavenumber(math.pi), 1.0)
-    assert st.sup_norm() > 0
+    assert _sup_norm(st.data) > 0
     np.testing.assert_allclose(st.arrays["E"], np.cos(math.pi * np.arange(64)))
 
 
@@ -212,11 +211,11 @@ def test_sup_norm_sees_nan_after_finite_array():
     st = init_plane_wave(Scheme.LORENTZ_KASHIWA, 8, Wavenumber(0.0), 1.0)
     data = st.data.copy()
     data[1] = np.array([1.0, np.nan, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    assert math.isnan(replace(st, data=data).sup_norm())
+    assert math.isnan(_sup_norm(data))
     data[1] = np.full(8, -3.0)
-    assert replace(st, data=data).sup_norm() == 3.0
+    assert _sup_norm(data) == 3.0
     # A zero state reads +0.0, as np.abs(data).max() does.
-    assert math.copysign(1.0, replace(st, data=-np.zeros_like(data)).sup_norm()) == 1.0
+    assert math.copysign(1.0, _sup_norm(-np.zeros_like(data))) == 1.0
 
 
 # --- vacuum limit ------------------------------------------------------------
@@ -383,17 +382,18 @@ def test_run_decided_at_step_one_reads_its_rate(water):
 
 def _step_loop_history(scheme, medium, k, h, wn, steps, pol, grid, amplitude,
                        stop_factor=simulator.GROWTH_NORM_FACTOR):
-    """run_growth's norm history and overflow step, rebuilt from public
-    step() and FieldState.sup_norm: the loop ends at the first norm that
-    is not finite (overflow, not recorded) or, if stop_factor is not
-    None, more than stop_factor times the initial one (recorded)."""
+    """run_growth's norm history and overflow step, rebuilt from the
+    referee step() and the simulator's _sup_norm: the loop ends at the
+    first norm that is not finite (overflow, not recorded) or, if
+    stop_factor is not None, more than stop_factor times the initial one
+    (recorded)."""
     params = dimensionless_params(medium, k, h)
     st = init_plane_wave(scheme, grid, wn, amplitude, polarization=pol)
-    norms = [st.sup_norm()]
+    norms = [_sup_norm(st.data)]
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, steps + 1):
             st = step(scheme, st, params)
-            v = st.sup_norm()
+            v = _sup_norm(st.data)
             if not math.isfinite(v):
                 return np.array(norms), i
             norms.append(v)
@@ -405,7 +405,7 @@ def _step_loop_history(scheme, medium, k, h, wn, steps, pol, grid, amplitude,
 def _growth_and_step_loop(scheme, pol, nx, ny, h_y_ratio, modes, frac, amplitude,
                           stop_factor=simulator.GROWTH_NORM_FACTOR):
     """A 100-step run_growth, with frac of the scheme's q limit at the
-    grid's largest q, and the same run rebuilt from public step()."""
+    grid's largest q, and the same run rebuilt from the referee step()."""
     medium, h = medium_for(scheme)
     if pol is None:
         wn, grid = Wavenumber(2 * math.pi * (modes[0] % nx) / nx), nx
@@ -432,8 +432,8 @@ def _growth_and_step_loop(scheme, pol, nx, ny, h_y_ratio, modes, frac, amplitude
        amplitude=hst.sampled_from([1.0, 1e306]))
 def test_run_growth_is_a_loop_of_public_step(scheme, pol, nx, ny, h_y_ratio, modes,
                                              frac, amplitude):
-    """The bound kernel with alternating buffers is the public step() and
-    sup_norm, bit for bit, including the step at which a run stops: by the
+    """The bound kernel with alternating buffers is the referee step() and
+    _sup_norm, bit for bit, including the step at which a run stops: by the
     norm factor at amplitude 1, by overflow at 1e306."""
     rep, (norms, overflow_step) = _growth_and_step_loop(
         scheme, pol, nx, ny, h_y_ratio, modes, frac, amplitude)
@@ -472,7 +472,7 @@ def test_run_stopping_on_a_block_boundary_is_a_loop_of_public_step(landing, monk
     landing: stopped by the norm factor on the first, the last or a middle
     step of a later block; overflowing inside a later block (amplitude
     1e306); or running its whole budget, which ends in a partial block.
-    Each ends where the public step() loop ends, with the same norms bit
+    Each ends where the referee step() loop ends, with the same norms bit
     for bit."""
     lengths = []
     blocks = simulator._norm_blocks
@@ -525,7 +525,7 @@ def test_run_stopping_on_a_block_boundary_is_a_loop_of_public_step(landing, monk
 def test_stopped_run_keeps_the_full_horizon_verdict(scheme, pol, lam_ratio, modes):
     """Ending a run at the step that decides it changes no verdict.  With
     lam from 0.3 to 2 times the scheme's limit at the grid's largest q, the
-    verdict of run_growth equals that of the full 100-step public step()
+    verdict of run_growth equals that of the full 100-step referee step()
     loop read by the rule without a stop (growing iff it overflows, its
     max norm ratio passes GROWTH_NORM_FACTOR or its tail factor passes
     1 + GROWTH_RATE_TOL), and its norms are a bit-identical prefix of the
