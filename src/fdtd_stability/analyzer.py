@@ -220,16 +220,17 @@ def classify_point(scheme: Scheme, params: DimensionlessParams,
     """Stability verdict at one wavenumber, 1D or 2D: `classify_at_q` at its
     Courant quantity, which sums the two directions in 2D.
 
-    The 2D polynomial is (Z - 1) [psi] phi(q_x + q_y), with the TM factor psi.
-    The explicit (Z - 1) factor is benign, and phi is the 1D polynomial at
-    the combined q.  psi has its roots on or inside the circle and decides
-    no verdict.  For the Joseph-style Lorentz scheme in a harmonic medium
-    its unit-circle roots could meet those of phi only at the degenerate
+    The 2D polynomial is (Z - 1) [psi] phi(q_x + q_y), with the TM factor psi
+    and phi the 1D polynomial at the combined q; (Z - 1) is benign.  psi
+    decides no verdict.  Where it is not simple von Neumann (Lorentz-Young
+    with omega eps_s' >= 2, a root outside past 2), `SchemeSpec.stable_q` is
+    0 and not closed, so phi, with phi(0) = (Z - 1)^2 psi, reads every grid
+    unstable.  For the Joseph-style Lorentz scheme in a harmonic medium the
+    unit-circle roots of psi could meet those of phi only at the degenerate
     q_res, and there only when eps_s = eps_inf: the resultant of psi and
-    phi(q_res) is 16 w^4 (eps_s'-1)^2 (1 + w eps_s')^2 / (1 + w)^2.  At that
-    point phi alone is already unstable.  For the other schemes a
-    coincidence pairs decoupled blocks and is harmless.  So no verdict
-    depends on the polarization.
+    phi(q_res) is 16 w^4 (eps_s'-1)^2 (1 + w eps_s')^2 / (1 + w)^2, and phi
+    alone is already unstable there.  For the other schemes a coincidence
+    pairs decoupled blocks and is harmless.
     """
     return classify_at_q(scheme, params, courant_q(params, wn))
 
@@ -300,6 +301,8 @@ def worst_case_verdict(scheme: Scheme, medium: MediumModel, k: float, h: float,
     parameters' doubles at Fraction(q_max), which no snap moves.  The
     detail names q_max, q_c, the clause and the probe."""
     params, q_max, q_c, sign, stable, exact = _theorem(scheme, medium, k, h, h_y)
+    if q_max == math.inf:
+        raise InvalidInputError("q_max = 4 lam^2 overflows a double")
     closed = scheme.spec.closed(params)
     at_q_c = not (stable or closed) and q_c > 0
     if exact or at_q_c:

@@ -19,14 +19,16 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field, fields, replace
+from fractions import Fraction
 from typing import get_args, get_type_hints
 
 import numpy as np
 
 from . import __version__
-from .analyzer import classify_at_q, classify_point, reproduce_argument_table
+from .analyzer import (Argument, StabilityVerdict, classify_at_q, classify_point,
+                       reproduce_argument_table)
 from .errors import InvalidInputError, NumericalFailureError
-from .polyloc import max_root_modulus
+from .polyloc import Polynomial, max_root_modulus
 from .schemes import (
     EPS0,
     MU0,
@@ -242,18 +244,32 @@ def _at(wn: Wavenumber) -> str:
     return f"xi={wn.xi_x:.6g}" + (f", xi_y={wn.xi_y:.6g}" if wn.is_2d else "")
 
 
+def _certified_modulus(verdict: StabilityVerdict, poly: Polynomial) -> float:
+    """The largest root modulus of the exact p_q on the side of the circle
+    that the verdict certifies: exactly 1 for a root on it (a stable verdict
+    but schur, and eigenvectors), else the estimate, at most the double
+    below 1 for schur and at least the double above 1 for a root outside."""
+    if verdict.argument is Argument.THEOREM_SCHUR:
+        return min(max_root_modulus(poly), math.nextafter(1, 0))
+    if verdict.stable or verdict.argument is Argument.EIGENVECTORS:
+        return 1.0
+    return max(max_root_modulus(poly), math.nextafter(1, 2))
+
+
 def _cmd_analyze(cfg: RunConfig) -> int:
     scheme, medium, wn = _point_from_config(cfg)
     params = dimensionless_params(medium, cfg.k, cfg.h)
     q = courant_q(params, wn)
     verdict = classify_point(scheme, params, wn)
-    root_mod = max_root_modulus(char_poly_closed(scheme, params, q))
+    root_mod = _certified_modulus(verdict, char_poly_closed(scheme, params, q))
     if wn.is_2d:
-        # The 2D polynomial (Z - 1) [psi] phi(q), taken factor by factor:
-        # the (Z - 1) root is exactly 1, and only TM has psi.
+        # The 2D polynomial (Z - 1) [psi] phi(q), factor by factor: the (Z - 1)
+        # root is exactly 1, and TM's psi has a root outside iff phi(0) =
+        # (Z - 1)^2 psi has one, so the exact verdict at q = 0 certifies it.
         root_mod = max(1.0, root_mod)
         if cfg.polarization == "tm":
-            root_mod = max(root_mod, max_root_modulus(tm_factor_2d(scheme, params)))
+            root_mod = max(root_mod, _certified_modulus(
+                classify_at_q(scheme, params, Fraction(0)), tm_factor_2d(scheme, params)))
     print(f"{scheme.value}: {'stable' if verdict.stable else 'unstable'} "
           f"[{verdict.argument.value}] at {_at(wn)}, q={q:.6g} "
           f"(max root modulus {root_mod:.12g})")
@@ -289,10 +305,9 @@ def _cmd_scan(cfg: RunConfig) -> int:
             xi = value if cfg.vary == "xi" else cfg.xi
             q = courant_q(params, Wavenumber(xi))
         verdict = classify_at_q(scheme, params, q)
-        poly = char_poly_closed(scheme, params, q)
+        root_mod = _certified_modulus(verdict, char_poly_closed(scheme, params, q))
         rows.append(_verdict_row(scheme, medium, k, cfg.h, xi, q,
-                                 verdict.stable, verdict.argument.value,
-                                 max_root_modulus(poly)))
+                                 verdict.stable, verdict.argument.value, root_mod))
     n_stable = sum(1 for r in rows if r[9])
     print(f"scanned {len(rows)} points varying {cfg.vary}: "
           f"{n_stable} stable, {len(rows) - n_stable} unstable")

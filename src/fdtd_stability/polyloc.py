@@ -16,10 +16,10 @@ that lowers the degree one step at a time.  Writing ``p(z) = c0 + c1 z + ...
 The constant term of the numerator cancels exactly, so the division is a
 coefficient shift.  One `is_simple_von_neumann` pass decides both classes
 (`LocationResult.schur`), in exact integer arithmetic and with no
-tolerance: the coefficients, `Fraction`s or ints, or floats read as the
-exact rationals they are, are scaled to integers once, and deeper levels
-are divided by their content.  `max_root_modulus` reads the largest root
-modulus off the companion matrix, in floats.
+tolerance: the coefficients, `Fraction`s or ints, are scaled to integers
+once, and deeper levels are divided by their content.  `max_root_modulus`
+estimates the largest root modulus off the companion matrix, in floats
+read from the exact coefficients.
 
 All values are immutable; every function is pure and thread-safe.
 """
@@ -38,22 +38,20 @@ _EXACT = (int, Fraction)  # the number types a Polynomial keeps
 
 
 class Polynomial:
-    """Dense polynomial stored by ascending power.
+    """Dense polynomial with exact coefficients, stored by ascending power.
 
-    Coefficients are cast to complex, unless every one is an int or a
-    `fractions.Fraction`: then they are kept and evaluated exactly.
-    Trailing zero coefficients are trimmed on construction.  The zero
-    polynomial is the empty coefficient tuple and is a legitimate value,
-    with degree -1 by convention.
+    Every coefficient is an int or a `fractions.Fraction`, kept as given;
+    any other number (a float, a complex, a NaN) is refused.  Trailing zero
+    coefficients are trimmed on construction.  The zero polynomial is the
+    empty coefficient tuple and is a legitimate value, with degree -1.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence[complex | Fraction]):
-        if len(coeffs) and all(type(c) in _EXACT for c in coeffs):
-            cs = list(coeffs)
-        else:
-            cs = [complex(c) for c in coeffs]
+    def __init__(self, coeffs: Sequence[int | Fraction]):
+        cs = list(coeffs)
+        if not all(type(c) in _EXACT for c in cs):
+            raise InvalidInputError("polynomial coefficients must be ints or Fractions")
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -130,13 +128,8 @@ def _reduce(c) -> list:
 
 
 def _cleared(c: tuple) -> list:
-    """Exact real coefficients c times the lcm of their denominators:
-    integers, in proportion.  Floats, stored as complex, are read as the
-    exact rationals they are; a complex or non-finite one is refused."""
-    if type(c[0]) is complex:
-        if any(x.imag for x in c) or not all(math.isfinite(x.real) for x in c):
-            raise InvalidInputError("the recursion takes real, finite coefficients")
-        c = [Fraction(x.real) for x in c]
+    """Exact coefficients c times the lcm of their denominators: integers,
+    in proportion."""
     lcm = math.lcm(*[x.denominator for x in c])
     return [x.numerator * (lcm // x.denominator) for x in c]
 
@@ -193,16 +186,13 @@ def is_simple_von_neumann(p: Polynomial) -> LocationResult:
 
 
 def poly_roots(p: Polynomial) -> np.ndarray:
-    """All roots of ``p`` via the companion matrix (descending-order solve)."""
+    """All roots of ``p`` via the companion matrix (descending-order solve),
+    in floats read from the exact coefficients, each divided by the largest
+    magnitude so that none overflows a double."""
     _require_nonzero(p)
-    if p.degree == 0:
-        return np.array([], dtype=complex)
-    cs = np.array(p.coeffs[::-1], dtype=complex)
-    if np.isinf(cs).any():
-        raise NumericalFailureError("the root modulus overflowed: a coefficient of the "
-                                    "float polynomial is infinite")
+    top = max(map(abs, p.coeffs))
     try:
-        return np.roots(cs)
+        return np.roots([float(c / top) for c in reversed(p.coeffs)])
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"companion eigensolve failed: {exc}") from exc
 

@@ -196,7 +196,7 @@ class SchemeSpec:
         field rows) with u*v = -q: any split with q > 0 gives a similar
         matrix (u = q, v = -1 keeps exact parameters exact), u = v = 0 the
         matrix at q = 0.
-    char_poly           params -> (a, b), same type: the characteristic
+    char_poly           params -> (a, b) in plain arithmetic: the characteristic
         polynomial has ascending coefficients a_j + q*b_j; the 2D TM factor
         is derived from a (`tm_factor_2d`), so it has no field of its own
     degenerate_q        omega -> Courant value where two root couples collide
@@ -282,10 +282,12 @@ def courant_q(params: DimensionlessParams, wn: Wavenumber) -> float:
     """Per-wavenumber Courant quantity 4 lam^2 sin^2(xi/2), summed over
     directions in 2D (with per-direction CFL numbers)."""
     lam_x = params.lam
-    q = 4.0 * lam_x ** 2 * math.sin(wn.xi_x / 2.0) ** 2
+    q = 4.0 * lam_x * lam_x * math.sin(wn.xi_x / 2.0) ** 2
     if wn.is_2d:
         lam_y = lam_x * wn.h_x / wn.h_y
-        q += 4.0 * lam_y ** 2 * math.sin(wn.xi_y / 2.0) ** 2
+        q += 4.0 * lam_y * lam_y * math.sin(wn.xi_y / 2.0) ** 2
+    if not math.isfinite(q):
+        raise InvalidInputError("lam^2 = (c_inf k / h)^2 overflows a double")
     return q
 
 
@@ -304,26 +306,27 @@ def _check_scheme_params(scheme: Scheme, params: DimensionlessParams, q: float =
             f"{scheme.value} requires {scheme.kind} parameters, got {params.kind}")
     if scheme.kind == "debye" and params.delta <= 0:
         raise InvalidInputError("Debye schemes require delta > 0")
-    if q < 0:
-        raise InvalidInputError("q must be nonnegative")
+    if not q >= 0 or type(q) is not Fraction and q == math.inf:
+        raise InvalidInputError("q must be nonnegative and finite")
 
 
 def char_poly_closed(scheme: Scheme, params: DimensionlessParams, q: float) -> Polynomial:
     """Closed-form characteristic polynomial p_q = a + q b (ascending, real,
-    positive leading coefficient; cubic for Debye, quartic for Lorentz) in
-    the number type of the parameters and q; at a `Fraction` q with float
-    parameters, exact: p_q of the doubles' values times a positive integer."""
+    positive leading coefficient; cubic for Debye, quartic for Lorentz),
+    exact, a float q read as the double it is: `Fraction`s at `Fraction`
+    parameters, and at floats p_q of the doubles' values times an integer."""
     _check_scheme_params(scheme, params, q)
-    if type(q) is Fraction and type(params.eps_s_prime) is not Fraction:
-        d, es = map(_dyadic, (params.delta, params.eps_s_prime))
-        w = params.omega and _dyadic(params.omega)  # None for Debye media
-        a, b = scheme.spec.char_poly(SimpleNamespace(delta=d, eps_s_prime=es, alpha=es - 1, omega=w))
-        e = min([0] + [x.e for x in (*a, *b) if type(x) is _Dyadic])
-        ab = [x.m << (x.e - e) if type(x) is _Dyadic else x << -e for x in (*a, *b)]
-        n, m = q.as_integer_ratio()
-        return Polynomial([m * x + n * y for x, y in zip(ab, ab[len(a):])])
-    a, b = scheme.spec.char_poly(params)
-    return Polynomial(tuple(x + q * y for x, y in zip(a, b)))
+    q = q if type(q) is Fraction else Fraction(q)
+    if type(params.eps_s_prime) is Fraction:
+        a, b = scheme.spec.char_poly(params)
+        return Polynomial([x + q * y for x, y in zip(a, b)])
+    d, es = map(_dyadic, (params.delta, params.eps_s_prime))
+    w = params.omega and _dyadic(params.omega)  # None for Debye media
+    a, b = scheme.spec.char_poly(SimpleNamespace(delta=d, eps_s_prime=es, alpha=es - 1, omega=w))
+    e = min([0] + [x.e for x in (*a, *b) if type(x) is _Dyadic])
+    ab = [x.m << (x.e - e) if type(x) is _Dyadic else x << -e for x in (*a, *b)]
+    n, m = q.as_integer_ratio()
+    return Polynomial([m * x + n * y for x, y in zip(ab, ab[len(a):])])
 
 
 class _Dyadic:
@@ -386,9 +389,9 @@ def tm_factor_2d(scheme: Scheme, params: DimensionlessParams) -> Polynomial:
     curl-free material block, the block that the TM field's curl-free part
     evolves by.  So psi shares the end coefficients a_0 and a_top of the
     q = 0 polynomial, and a middle coefficient follows from the low-end
-    recurrence psi_j = a_j + 2 psi_(j-1) - psi_(j-2)."""
-    _check_scheme_params(scheme, params)
-    a, _ = scheme.spec.char_poly(params)
+    recurrence psi_j = a_j + 2 psi_(j-1) - psi_(j-2), exact on the a of
+    `char_poly_closed` at q = 0 and in its positive scale."""
+    a = char_poly_closed(scheme, params, Fraction(0)).coeffs
     psi = [0, 0]  # psi_(-2), psi_(-1)
     for a_j in a[:-3]:
         psi.append(a_j + 2 * psi[-1] - psi[-2])

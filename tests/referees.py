@@ -1,8 +1,10 @@
 """Referees of the tests: independent routes to facts the package computes.
 
 None of these is called by the package itself.  Each gives the tests a
-second opinion built another way: polynomials from known roots, root
-profiles from companion eigenvalues, the physical per-wavenumber update
+second opinion built another way.  A package `Polynomial` holds exact
+coefficients only, so the referees that work in floats or complex numbers
+keep them in their own tuples and arrays: polynomials from known roots,
+root profiles from companion eigenvalues, the physical per-wavenumber update
 matrix and its characteristic polynomial det(Z I - G) (from eigenvalues,
 or exactly for a matrix of Fractions), and the grid's own
 Fourier amplitudes and per-mode update matrices measured from `step`,
@@ -45,7 +47,7 @@ from fdtd_stability import (
     tm_factor_2d,
 )
 from fdtd_stability import analyzer
-from fdtd_stability.polyloc import _reduce, _require_nonzero, poly_roots
+from fdtd_stability.polyloc import _reduce, poly_roots
 from fdtd_stability.schemes import _check_scheme_params
 from fdtd_stability.simulator import _bind, _scratch
 
@@ -56,12 +58,12 @@ ROOT_CLUSTER_TOL = 1e-7
 
 # --- polynomials ---------------------------------------------------------------
 
-def from_roots(roots: Sequence[complex], leading: complex = 1.0) -> Polynomial:
-    """Expand ``leading * prod (z - r)`` into coefficients."""
+def from_roots(roots: Sequence[complex], leading: complex = 1.0) -> np.ndarray:
+    """Ascending complex coefficients of ``leading * prod (z - r)``."""
     coeffs = np.array([leading], dtype=complex)
     for r in roots:
         coeffs = np.convolve(coeffs, np.array([-r, 1.0], dtype=complex))
-    return Polynomial(coeffs)
+    return coeffs
 
 
 def exact_product(factors: Sequence[Sequence[float]], leading: float = 1.0) -> Polynomial:
@@ -113,30 +115,40 @@ def greedy_clusters(values: Sequence[complex], tol: float) -> list[tuple[complex
     return out
 
 
-def reduce_step(p: Polynomial) -> Polynomial:
-    """One degree-lowering step of the reduction recursion on real
+def _nonzero(c: Sequence) -> tuple:
+    """Ascending coefficients without their trailing zeros, refusing the
+    zero polynomial."""
+    c = tuple(c)
+    while c and c[-1] == 0:
+        c = c[:-1]
+    if not c:
+        raise InvalidInputError("operation is undefined for the zero polynomial")
+    return c
+
+
+def reduce_step(c: Sequence) -> tuple:
+    """One degree-lowering step of the reduction recursion on real ascending
     coefficients, in their own arithmetic (exact for Fractions and ints).
-    The result has degree strictly below ``p``'s, or is the zero polynomial
-    (returned as a value: the von Neumann test needs it)."""
-    _require_nonzero(p)
-    return Polynomial(_reduce(p.coeffs))
+    The result has degree strictly below that of ``c``, or is the zero
+    polynomial ``()`` (returned as a value: the von Neumann test needs it)."""
+    return tuple(_reduce(_nonzero(c)))
 
 
-def monic(p: Polynomial) -> Polynomial:
-    _require_nonzero(p)
-    lead = p.coeffs[-1]
-    return Polynomial(tuple(c / lead for c in p.coeffs))
+def monic(c: Sequence) -> np.ndarray:
+    """Ascending coefficients divided by the leading one, as complex floats
+    (an int or `Fraction` quotient rounds once)."""
+    c = _nonzero(c)
+    return np.array([x / c[-1] for x in c], dtype=complex)
 
 
-def scaled(p: Polynomial, factor: complex) -> Polynomial:
+def scaled(p: Polynomial, factor: int | Fraction) -> Polynomial:
     return Polynomial(tuple(factor * c for c in p.coeffs))
 
 
-def conjugate_poly(p: Polynomial) -> Polynomial:
-    """Reversed complex-conjugate polynomial: coefficient j becomes
-    conj(c[d-j])."""
-    _require_nonzero(p)
-    return Polynomial(tuple(c.conjugate() for c in reversed(p.coeffs)))
+def conjugate_poly(c: Sequence[complex]) -> tuple:
+    """Reversed complex-conjugate coefficients: coefficient j becomes
+    conj(c[d-j]), without trailing zeros."""
+    return _nonzero(x.conjugate() for x in reversed(_nonzero(c)))
 
 
 @dataclass(frozen=True)
@@ -154,17 +166,17 @@ class RootProfile:
         return sum(mult for _, mult in self.on_circle)
 
 
-def root_profile(p: Polynomial, circle_tolerance: float = 1e-9) -> RootProfile:
-    """Classify all roots by companion-matrix eigenvalues.
+def root_profile(c: Sequence, circle_tolerance: float = 1e-9) -> RootProfile:
+    """Classify all roots of the ascending coefficients c (any numbers) by
+    companion-matrix eigenvalues, in complex floats.
 
     Roots with | |r| - 1 | <= circle_tolerance count as on-circle and are
     clustered into multiplicity groups; the rest are strictly inside or
     outside.
     """
-    _require_nonzero(p)
     if circle_tolerance <= 0:
         raise InvalidInputError("circle_tolerance must be positive")
-    roots = poly_roots(p)
+    roots = np.roots(np.array(_nonzero(c)[::-1], dtype=complex))
     mods = np.abs(roots)
     on = np.abs(mods - 1.0) <= circle_tolerance
     return RootProfile(int(np.sum(~on & (mods < 1.0))), int(np.sum(~on & (mods > 1.0))),
@@ -188,13 +200,14 @@ def amplification_matrix(scheme: Scheme, params: DimensionlessParams,
     return np.array(scheme.spec.entries(params, u, v, courant_q(params, wn)), dtype=complex)
 
 
-def char_poly_from_matrix(G: np.ndarray) -> Polynomial:
-    """Monic characteristic polynomial det(Z I - G), computed from the
-    eigenvalues; the independent cross-check for char_poly_closed."""
+def char_poly_from_matrix(G: np.ndarray) -> np.ndarray:
+    """Ascending complex coefficients of the monic characteristic polynomial
+    det(Z I - G), computed from the eigenvalues; the independent
+    cross-check for char_poly_closed."""
     m = np.asarray(G, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError("characteristic polynomial requires a square matrix")
-    return Polynomial(tuple(np.poly(m)[::-1]))
+    return np.poly(m)[::-1]
 
 
 def char_poly_exact(G: Sequence[Sequence[Fraction]]) -> list[Fraction]:
@@ -585,8 +598,10 @@ DEGENERATE_SETS: dict[Scheme, tuple[DegenerateSet, ...]] = {
 }
 
 
-def exact_poly_q(scheme: Scheme, params: DimensionlessParams, q: Fraction) -> list[Fraction]:
-    """Ascending coefficients of p_q = a + q b for Fraction parameters."""
+def poly_q(scheme: Scheme, params: DimensionlessParams, q) -> list:
+    """Ascending coefficients of p_q = a + q b in the arithmetic of the
+    parameters and q: exact for Fractions, and for floats the float
+    polynomial of the eigen cross-checks, rounded at every operation."""
     a, b = scheme.spec.char_poly(params)
     return [x + q * y for x, y in zip(a, b)]
 

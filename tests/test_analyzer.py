@@ -28,14 +28,17 @@ from fdtd_stability import (
     classify_point_2d,
     courant_q,
     dimensionless_params,
+    is_simple_von_neumann,
     reproduce_argument_table,
     stability_boundary_k,
+    tm_factor_2d,
     worst_case_verdict,
 )
 from fdtd_stability import analyzer, polyloc
 from fdtd_stability.polyloc import poly_roots
 from referees import factor_roots_2d, plain_bisection_boundary, walk_verdict
 from test_golden import _young_omega_h
+from test_schemes import rational_point
 
 
 # --- classify_at_q -----------------------------------------------------------
@@ -257,6 +260,26 @@ def test_2d_verdict_depends_on_no_polarization():
     assert at_degenerate > 10 and stable == {True, False}
 
 
+def test_psi_decides_no_verdict():
+    """Where the TM factor psi is not simple von Neumann, `stable_q` is 0
+    and the limit is not closed, so the theorem reads every grid unstable
+    whatever psi does (phi(0) is (Z - 1)^2 psi).  6,000 seeded draws of
+    exact parameters over the five schemes (`rational_point`, a quarter of
+    them at delta = 0 or eps_s = eps_inf): psi fails on Lorentz-Young draws
+    with omega eps_s' >= 2 only."""
+    rng = np.random.default_rng(52)
+    failed = Counter()
+    for scheme in Scheme:
+        for _ in range(1200):
+            p, _ = rational_point(rng, scheme.kind)
+            if is_simple_von_neumann(tm_factor_2d(scheme, p)).ok:
+                continue
+            failed[scheme] += 1
+            assert scheme.spec.stable_q(p) == 0 and not scheme.spec.closed(p), p
+            assert scheme is Scheme.LORENTZ_YOUNG and p.omega * p.eps_s_prime >= 2, p
+    assert failed[Scheme.LORENTZ_YOUNG] > 100
+
+
 @pytest.mark.parametrize("wn,polarization,match", [
     (Wavenumber(1.0), "te", "requires a 2D wavenumber"),
     (Wavenumber(1.0, 0.5), "xy", "polarization must be 'te' or 'tm'"),
@@ -344,6 +367,32 @@ def test_worst_case_and_boundary_reject_bad_h_y(water, h_y):
         worst_case_verdict(Scheme.DEBYE_JOSEPH, water, 1e-14, 1e-5, **kw)
     with pytest.raises(InvalidInputError, match="h_y must be positive and finite"):
         stability_boundary_k(Scheme.DEBYE_JOSEPH, water, 1e-5, **kw)
+
+
+@pytest.mark.parametrize("h", [1e-170, 2e-160])
+def test_overflowing_courant_quantity_is_invalid_input(water, h):
+    """At h = 1e-170, lam = c_inf k / h is about 3e164 and its square
+    overflows a double; at h = 2e-160 lam is about 1.1e154, whose square is
+    a double but 4 lam^2 is not.  Both overflow in `courant_q` (so in
+    `classify_point`, also at xi = 0, where inf * 0 would be NaN, and in 2D)
+    and in the grid's q_max (so in `worst_case_verdict`), and both refuse
+    the input."""
+    params = dimensionless_params(water, 1e-14, h)
+    for wn in (Wavenumber(math.pi), Wavenumber(0.0), Wavenumber(math.pi, math.pi, h, h)):
+        with pytest.raises(InvalidInputError, match=r"lam\^2 = \(c_inf k / h\)\^2 overflows a double"):
+            classify_point(Scheme.DEBYE_JOSEPH, params, wn)
+    for kw in ({}, dict(h_y=h)):
+        with pytest.raises(InvalidInputError, match=r"q_max = 4 lam\^2 overflows a double"):
+            worst_case_verdict(Scheme.DEBYE_JOSEPH, water, 1e-14, h, **kw)
+
+
+def test_2d_courant_quantity_overflowing_in_y_is_invalid_input(water):
+    """lam_x = 0.22 with h_x / h_y = 5e154 makes lam_y = lam_x h_x / h_y
+    about 1.1e154, whose square is a double but 4 lam_y^2 is not, and
+    `courant_q` refuses it rather than returning inf."""
+    params = dimensionless_params(water, 1e-14, 1e-5)
+    with pytest.raises(InvalidInputError, match=r"lam\^2 = \(c_inf k / h\)\^2 overflows a double"):
+        classify_point(Scheme.DEBYE_JOSEPH, params, Wavenumber(math.pi, math.pi, 1e-5, 2e-160))
 
 
 @pytest.mark.parametrize("h", [-1e-5, 0.0, math.inf, math.nan])

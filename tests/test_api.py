@@ -24,6 +24,7 @@ PUBLIC = {
 }
 
 REFEREES = ("root_profile", "RootProfile", "ROOT_CLUSTER_TOL", "conjugate_poly",
+            "poly_q",
             "amplification_matrix", "char_poly_from_matrix", "char_poly_2d",
             "fourier_mode", "reduce_step", "plain_bisection_boundary", "_walk",
             "_candidates", "exact_walk", "exact_stable_at_q", "exact_schur_at_q",

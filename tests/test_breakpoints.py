@@ -41,7 +41,7 @@ from referees import (
     discriminant_exact,
     divmod_exact,
     exact_params,
-    exact_poly_q,
+    poly_q,
     exact_schur_at_q,
     exact_stable_at_q,
     exact_walk,
@@ -76,7 +76,7 @@ def test_resultant_factorizations(scheme):
         params = _exact_params(rng, scheme)
         d, e, w = params.delta, params.eps_s_prime, params.omega
         q = _rational(rng, 0, 8)
-        p = exact_poly_q(scheme, params, q)
+        p = poly_q(scheme, params, q)
         formula = RESULTANTS[scheme](d, e, w, q)
         assert formula != 0
         assert resultant_exact(p, p[::-1]) in (formula, -formula), (params, q)
@@ -100,7 +100,7 @@ def test_degenerate_sets(scheme):
             params = _exact_params(rng, scheme, **{dset.param: dset.value})
             d, e, w = params.delta, params.eps_s_prime, params.omega
             q = _rational(rng, 0, 8)
-            p = exact_poly_q(scheme, params, q)
+            p = poly_q(scheme, params, q)
             assert RESULTANTS[scheme](d, e, w, q) == 0
             u = [Fraction(c) for c in dset.gcd(d, e, w, q)]
             assert monic_gcd_exact(p, p[::-1]) == [c / u[-1] for c in u]

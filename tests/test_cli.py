@@ -319,18 +319,37 @@ def test_overflowing_dimensionless_parameter_exits_2(capsys):
     assert capsys.readouterr().err == "error: omega = omega1^2 k^2 / 2 overflows a double\n"
 
 
-def test_overflowed_root_modulus_exits_3_after_the_exact_verdict(capsys):
-    """delta = 5e285 overflows the float polynomial, which the verdict never
-    builds: analyze reads the exact verdict, then fails on the root modulus
-    column it cannot compute."""
+@pytest.mark.parametrize("h", ["1e-170", "2e-160"])
+@pytest.mark.parametrize("command", ["analyze", "scan"])
+def test_overflowing_courant_quantity_exits_2(command, h, capsys):
+    """h = 1e-170 makes lam = c_inf k / h about 3e164, whose square
+    overflows a double; h = 2e-160 makes lam about 1.1e154, whose square is
+    a double but 4 lam^2 is not.  Either is invalid input with one error
+    line, not a traceback or a Courant quantity of inf."""
+    argv = [command, "--scheme", "debye-joseph", "--eps-inf", "1.8", "--eps-s", "81",
+            "--t-r", "9.4e-12", "--k", "1e-14", "--h", h]
+    if command == "scan":
+        argv += ["--vary", "xi", "--start", "0", "--stop", "3"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: lam^2 = (c_inf k / h)^2 overflows a double\n"
+
+
+def test_huge_delta_prints_a_root_modulus_above_one(capsys):
+    """delta = 5e285 puts the exact p_q's integer coefficients far past the
+    double range; the estimate reads them divided by the largest, so analyze
+    prints the exact verdict with a modulus above 1, the side of the circle
+    that verdict certifies."""
     params = dimensionless_params(MediumModel.debye(1.8, 81, 1e-300), 1e-14, 1e-5)
     verdict = classify_at_q(Scheme.DEBYE_YOUNG, params, 0.5)
     assert not verdict.stable
     assert not exact_stable_at_q(Scheme.DEBYE_YOUNG, fraction_params(params), Fraction(0.5))
     assert main(["analyze", "--scheme", "debye-young", "--eps-inf", "1.8", "--eps-s", "81",
-                 "--t-r", "1e-300", "--k", "1e-14", "--h", "1e-5"]) == 3
-    assert capsys.readouterr().err == ("numerical failure: the root modulus overflowed: a "
-                                       "coefficient of the float polynomial is infinite\n")
+                 "--t-r", "1e-300", "--k", "1e-14", "--h", "1e-5"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith(
+        "debye-young: unstable [von-neumann] at xi=3.14159, q=0.199723 "
+        "(max root modulus 1.00000657043)\n")
 
 
 @pytest.mark.parametrize("text,message", [

@@ -36,6 +36,7 @@ from fdtd_stability import (
     dimensionless_params,
     run_growth,
     stability_boundary_k,
+    tm_factor_2d,
     worst_case_verdict,
 )
 from referees import (
@@ -337,15 +338,52 @@ def test_analyze_2d_golden():
     assert analyze_2d_text() == _golden("analyze_2d.csv")
 
 
-def test_analyze_2d_stable_rows_read_at_most_one():
-    """The 2D max_root_modulus is taken factor by factor, so no stable row
-    reads above 1 by more than rounding."""
-    header, *rows = _golden("analyze_2d.csv").splitlines()
+def _psi_root_outside(psi) -> bool:
+    """Whether the TM factor psi, of degree 1 or 2 with a positive leading
+    coefficient, has a root outside the closed unit disk, by the Schur-Cohn
+    conditions: |c_0| > c_top, or, for a quadratic, |c_1| > c_0 + c_2."""
+    c = psi.coeffs
+    return abs(c[0]) > c[-1] or len(c) == 3 and abs(c[1]) > c[0] + c[2]
+
+
+def _modulus_rule_breaks(name: str) -> list[str]:
+    """The rows of a golden CSV whose max_root_modulus lies off the side of
+    the unit circle that its verdict certifies.  1D: below 1 for schur,
+    exactly 1 for another stable verdict and for eigenvectors, above 1 for
+    a root outside.  2D, where the (Z - 1) factor contributes exactly 1: at
+    least 1, and exactly 1 unless phi reads a root outside or, in TM, psi
+    has one."""
+    header, *rows = _golden(name).splitlines()
     cols = header.split(",")
-    stable, modulus = cols.index("stable"), cols.index("max_root_modulus")
-    moduli = [float(r.split(",")[modulus]) for r in rows
-              if r.split(",")[stable] == "true"]
-    assert moduli and max(moduli) <= 1.0 + 1e-12
+    breaks = []
+    for row in rows:
+        f = dict(zip(cols, row.split(",")))
+        modulus, argument = float(f["max_root_modulus"]), f["argument"]
+        outside = f["stable"] == "false" and argument != "eigenvectors"
+        if "polarization" not in f:
+            ok = (modulus < 1 if argument == "schur" else modulus > 1 if outside
+                  else modulus == 1)
+        else:
+            scheme = Scheme.from_name(f["scheme"])
+            if f["polarization"] == "tm":
+                eps_inf, eps_s, scale, nu = (float(f[c]) for c in (
+                    "eps_inf", "eps_s", "t_r_or_omega1", "nu"))
+                medium = (MediumModel.debye(eps_inf, eps_s, scale) if scheme.kind == "debye"
+                          else MediumModel.lorentz(eps_inf, eps_s, scale, nu))
+                params = dimensionless_params(medium, float(f["k"]), float(f["h"]))
+                outside = outside or _psi_root_outside(tm_factor_2d(scheme, params))
+            ok = modulus > 1 if outside else modulus == 1
+        if not ok:
+            breaks.append(row)
+    return breaks
+
+
+@pytest.mark.parametrize("name", [n for n, _ in _artifacts() if n.endswith(".csv")])
+def test_golden_root_moduli_lie_where_the_verdicts_certify(name):
+    """Every ``max_root_modulus`` of the 31 golden CSVs lies on the side of
+    the unit circle that its row's verdict certifies (`_modulus_rule_breaks`):
+    no stable row reads above 1, and no schur row in 1D reads 1."""
+    assert _modulus_rule_breaks(name) == []
 
 
 def test_verify_plan_golden():

@@ -1,7 +1,8 @@
 """Root-location engine tests.
 
-The recursion is exact: it reads floats as the rationals they are.
-Random-polynomial truths come from the construction itself (known roots,
+A `Polynomial` holds exact coefficients only, and the recursion decides on
+them exactly; a test that starts from floats reads them as the rationals
+they are (`Fraction(x)`).  Random-polynomial truths come from the construction itself (known roots,
 real factors multiplied exactly); boundary cases use exact dyadic
 coefficients so that double precision represents them without rounding,
 with the tests' own integer recursion as a second referee.
@@ -46,42 +47,53 @@ from referees import (
 def test_trailing_coefficients_trimmed():
     """Construction trims exact zeros only: a tiny leading coefficient keeps
     its degree, and its large roots, in the companion solve too."""
-    p = Polynomial([1.0, 2.0, 0.0, 0.0])
+    p = Polynomial([1, 2, 0, Fraction(0)])
     assert p.degree == 1
-    assert p.coeffs == (1.0 + 0j, 2.0 + 0j)
-    tiny = Polynomial([1.0, 2.0, 0.0, 1e-30])
+    assert p.coeffs == (1, 2)
+    tiny = Polynomial([1, 2, 0, Fraction(1, 10**30)])
     assert tiny.degree == 3
     assert max_root_modulus(tiny) == pytest.approx(math.sqrt(2e30), rel=1e-9)
 
 
+@pytest.mark.parametrize("coeffs", [
+    [1.0], [1, 0.5], [Fraction(1, 2), 0.0, 1], [1j, 1], [0.5 + 0j], [math.nan, 1],
+    [math.inf, 1], [np.float64(0.5), 1], [np.int64(1)],
+], ids=["float", "float-among-ints", "float-among-fractions", "complex", "real-complex",
+        "nan", "inf", "numpy-float", "numpy-int"])
+def test_polynomial_refuses_inexact_coefficients(coeffs):
+    """Only ints and Fractions make a Polynomial: a float, a complex, a NaN
+    or a numpy scalar is refused at construction, not cast."""
+    with pytest.raises(InvalidInputError, match="coefficients must be ints or Fractions"):
+        Polynomial(coeffs)
+
+
+def test_huge_exact_coefficients_have_a_root_estimate():
+    """The companion solve reads each coefficient divided by the largest
+    one, so integers far past the double range still give their roots:
+    10^399 z - 10^400 has the root 10."""
+    assert max_root_modulus(Polynomial([-10**400, 10**399])) == pytest.approx(10.0, rel=1e-15)
+    assert max_root_modulus(Polynomial([10**400, 0, 10**400])) == pytest.approx(1.0, rel=1e-15)
+
+
 def test_fraction_coefficients_stay_exact():
     """A polynomial of Fractions and ints keeps them and is decided without
-    rounding: roots +-sqrt(1 - 1e-14) are inside the circle.  Its float
-    image is read as the rationals its doubles are: -1 + 1e-14 rounds to a
-    double above -1, so the image is Schur as well, while the double -1
-    itself is a tie whose reduction vanishes at once, so that the vanishing
-    level is z^2 - 1 itself (roots +-1).  A Fraction among floats is cast
-    to complex."""
+    rounding: roots +-sqrt(1 - 1e-14) are inside the circle.  Its image in
+    doubles, read as the rationals they are: -1 + 1e-14 rounds to a double
+    above -1, so the image is Schur as well, while -1 itself is a tie whose
+    reduction vanishes at once, so that the vanishing level is z^2 - 1
+    itself (roots +-1)."""
     p = Polynomial([Fraction(-1) + Fraction(1, 10**14), Fraction(0), Fraction(1), Fraction(0)])
     assert p.degree == 2 and all(type(c) is Fraction for c in p.coeffs)
     exact = is_simple_von_neumann(p)
     assert exact.ok and exact.schur
     assert [lv.relation for lv in exact.levels] == ["<", "<"]
-    floats = is_simple_von_neumann(Polynomial([float(c) for c in p.coeffs]))
+    floats = is_simple_von_neumann(Polynomial([Fraction(float(c)) for c in p.coeffs]))
     assert floats == exact._replace(levels=floats.levels) and floats.schur
-    tie = is_simple_von_neumann(Polynomial([-1.0, 0.0, 1.0]))
+    tie = is_simple_von_neumann(Polynomial([-1, 0, 1]))
     assert tie.ok and not tie.schur and tie.vanished == (-1, 0, 1)
     assert tie.levels[0].relation == "="
     kept = Polynomial([Fraction(1, 2), 0, 1]).coeffs
     assert kept == (Fraction(1, 2), 0, 1) and [type(c) for c in kept] == [Fraction, int, int]
-    assert Polynomial([Fraction(1, 2), 0.0, 1.0]).coeffs == (0.5 + 0j, 0j, 1 + 0j)
-
-
-def test_complex_and_nonfinite_coefficients_are_refused():
-    """The recursion takes real, finite coefficients only."""
-    for coeffs in ([1j, 1.0], [0.5 + 1e-300j, 1.0], [math.inf, 1.0], [math.nan, 1.0]):
-        with pytest.raises(InvalidInputError, match="real, finite coefficients"):
-            is_simple_von_neumann(Polynomial(coeffs))
 
 
 def test_exact_polynomial_evaluates_exactly():
@@ -95,24 +107,21 @@ def test_exact_polynomial_evaluates_exactly():
 def test_zero_polynomial_is_a_value():
     z = Polynomial([])
     assert z.is_zero and z.degree == -1
-    assert Polynomial([0.0, 0.0]).is_zero
+    assert Polynomial([0, Fraction(0)]).is_zero
 
 
 def test_conjugate_monomial():
     # z^2 reverses to the constant 1
-    p = Polynomial([0, 0, 1])
-    assert conjugate_poly(p).coeffs == (1 + 0j,)
+    assert conjugate_poly((0, 0, 1)) == (1,)
 
 
 def test_conjugate_complex_coefficients():
     # 1 + 2i z  ->  -2i + z
-    p = Polynomial([1, 2j])
-    assert conjugate_poly(p).coeffs == (-2j, 1 + 0j)
+    assert conjugate_poly((1, 2j)) == (-2j, 1)
 
 
 def test_conjugate_palindromic_fixed_point():
-    p = Polynomial([1, -2, 1])
-    assert conjugate_poly(p) == p
+    assert conjugate_poly((1, -2, 1)) == (1, -2, 1)
 
 
 def test_conjugate_involution_exact():
@@ -120,35 +129,32 @@ def test_conjugate_involution_exact():
     for _ in range(50):
         coeffs = rng.normal(size=5) + 1j * rng.normal(size=5)
         coeffs[0] += 3.0  # keep c0 nonzero
-        p = Polynomial(coeffs)
-        assert conjugate_poly(conjugate_poly(p)) == p
+        assert conjugate_poly(conjugate_poly(coeffs)) == tuple(coeffs)
 
 
 def test_conjugate_rejects_zero():
     with pytest.raises(InvalidInputError):
-        conjugate_poly(Polynomial([]))
+        conjugate_poly(())
 
 
 def test_reduce_step_monomial():
     # z^2 -> (1*z^2 - 0)/z = z
-    out = reduce_step(Polynomial([0, 0, 1]))
-    assert out.coeffs == (0j, 1 + 0j)
+    assert reduce_step((0, 0, 1)) == (0, 1)
 
 
 def test_reduce_step_self_conjugate_vanishes():
-    out = reduce_step(Polynomial([1, -2, 1]))  # (z-1)^2
-    assert out.is_zero
+    assert reduce_step((1, -2, 1)) == ()  # (z-1)^2
 
 
 def test_reduce_step_scheme_cubic_matches_exact_recursion():
     # Debye-Joseph characteristic cubic at delta=1/2, eps'=2, q=1:
     # 0 + 1.5 z - 2.5 z^2 + 2 z^3 (constant term vanishes exactly).
     exact_in = [Fraction(0), Fraction(3, 2), Fraction(-5, 2), Fraction(2)]
-    exact_out = reduce_step(Polynomial(exact_in)).coeffs
+    exact_out = reduce_step(exact_in)
     assert exact_out == (Fraction(3), Fraction(-5), Fraction(4))
     assert all(type(c) is Fraction for c in exact_out)
-    out = reduce_step(Polynomial([0.0, 1.5, -2.5, 2.0]))
-    assert out.coeffs == (3 + 0j, -5 + 0j, 4 + 0j)
+    out = reduce_step((0.0, 1.5, -2.5, 2.0))
+    assert out == (3.0, -5.0, 4.0) and all(type(c) is float for c in out)
 
 
 def test_reduce_step_strictly_lowers_degree():
@@ -156,8 +162,8 @@ def test_reduce_step_strictly_lowers_degree():
     for _ in range(200):
         deg = rng.integers(1, 9)
         p = Polynomial([Fraction(x) for x in rng.normal(size=deg + 1)])
-        out = reduce_step(p)
-        assert out.is_zero or out.degree < p.degree
+        out = reduce_step(p.coeffs)
+        assert len(out) - 1 < p.degree
 
 
 def test_schur_class_simple_cases():
@@ -166,7 +172,7 @@ def test_schur_class_simple_cases():
     p = exact_product([[-0.5, 1.0], [0.09, 0.0, 1.0]])                # 0.5, +-0.3i
     res = is_simple_von_neumann(p)
     assert res.ok and res.schur
-    profile = root_profile(p)
+    profile = root_profile(p.coeffs)
     assert profile.inside_count == 3 and profile.outside_count == 0
 
 
@@ -234,7 +240,8 @@ def _mul_exact(a, b):
 @pytest.mark.parametrize("case", ["simple_circle", "double_circle", "mixed_outside"])
 def test_exact_circle_root_cases(case):
     """Unit-circle roots built from exact dyadic quadratic factors: the
-    recursion on the exact Polynomial and on its float image agree."""
+    recursion on the exact Polynomial and the tests' integer recursion
+    agree with the construction."""
     rng = np.random.default_rng(zlib.crc32(case.encode()))
     for _ in range(60):
         c1 = _dyadic(rng, lo=-0.9, hi=0.9)
@@ -255,9 +262,8 @@ def test_exact_circle_root_cases(case):
             expect_schur, expect_svn = False, False
         exact = Polynomial(poly)
         assert all(type(c) is Fraction for c in exact.coeffs)
-        for p in (exact, Polynomial([float(x) for x in poly])):
-            svn = is_simple_von_neumann(p)
-            assert (svn.ok, svn.schur) == (expect_svn, expect_schur)
+        svn = is_simple_von_neumann(exact)
+        assert (svn.ok, svn.schur) == (expect_svn, expect_schur)
         assert integer_location(_integral(poly)) == (expect_svn, expect_schur)
 
 
@@ -282,7 +288,7 @@ def test_integer_recursion_matches_the_exact_recursion():
 
 
 def test_root_profile_inside_monomial():
-    profile = root_profile(Polynomial([0, 0, 0, 1]))  # z^3
+    profile = root_profile((0, 0, 0, 1))  # z^3
     assert profile.inside_count == 3
     assert profile.on_circle == ()
 
@@ -306,7 +312,7 @@ def test_root_profile_degenerate_quartic_double_couples():
               6 + 2 * w - 2 * q,
               -(4 + 2 * w - (1 + w) * q),
               1 + w)
-    profile = root_profile(Polynomial(coeffs), circle_tolerance=1e-6)
+    profile = root_profile(coeffs, circle_tolerance=1e-6)
     assert profile.inside_count == 0 and profile.outside_count == 0
     assert sorted(m for _, m in profile.on_circle) == [2, 2]
     for center, _ in profile.on_circle:
@@ -340,43 +346,47 @@ def test_random_root_agreement_bulk():
 
 
 def test_max_root_modulus():
-    p = from_roots([0.5, 1.25j])
+    # (z - 1/2)(z^2 + 25/16): roots 1/2 and +-1.25i
+    p = exact_product([[-0.5, 1.0], [1.5625, 0.0, 1.0]])
     assert max_root_modulus(p) == pytest.approx(1.25, rel=1e-12)
 
 
 def test_constant_has_no_roots():
     """A nonzero constant has no roots, and its largest root modulus reads 0."""
-    assert poly_roots(Polynomial([3.0])).size == 0
-    assert max_root_modulus(Polynomial([3.0])) == 0.0
+    assert max_root_modulus(Polynomial([3])) == 0.0
+    assert max_root_modulus(Polynomial([Fraction(1, 3)])) == 0.0
 
 
 def test_polynomial_is_an_immutable_hashable_value():
-    p = Polynomial([1.0, 2.0, 0.0])
+    p = Polynomial([1, 2, 0])
     with pytest.raises(AttributeError, match="Polynomial is immutable"):
         p.coeffs = ()
-    assert repr(p) == "Polynomial([(1+0j), (2+0j)])"
-    assert p == Polynomial([1, 2]) and hash(p) == hash(Polynomial([1, 2]))
+    assert repr(p) == "Polynomial([1, 2])"
+    assert p == Polynomial([Fraction(1), 2]) and hash(p) == hash(Polynomial([1, 2]))
 
 
 def test_reduce_step_of_nonzero_constant_is_zero():
-    assert reduce_step(Polynomial([3.0])).is_zero
+    assert reduce_step((3,)) == ()
 
 
-def test_poly_roots_of_nan_is_a_numerical_failure():
+def test_failed_companion_eigensolve_is_a_numerical_failure(monkeypatch):
+    def diverge(coeffs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np, "roots", diverge)
     with pytest.raises(NumericalFailureError, match="companion eigensolve failed"):
-        poly_roots(Polynomial([math.nan, 1.0]))
+        poly_roots(Polynomial([1, 1]))
 
 
 def test_operations_reject_zero_polynomial():
-    z = Polynomial([])
-    for op in (reduce_step, is_simple_von_neumann, root_profile):
+    for op, zero in ((reduce_step, ()), (is_simple_von_neumann, Polynomial([])),
+                     (root_profile, ())):
         with pytest.raises(InvalidInputError):
-            op(z)
+            op(zero)
 
 
 def test_root_profile_rejects_bad_tolerance():
     with pytest.raises(InvalidInputError):
-        root_profile(Polynomial([1, 1]), circle_tolerance=0.0)
+        root_profile((1, 1), circle_tolerance=0.0)
 
 
 # --- one pass decides both classes -------------------------------------------
@@ -430,7 +440,7 @@ def _constructed(draw):
 
 
 def _referee_simple_von_neumann(p):
-    profile = root_profile(p, circle_tolerance=1e-6)
+    profile = root_profile(p.coeffs, circle_tolerance=1e-6)
     return profile.outside_count == 0 and all(m == 1 for _, m in profile.on_circle)
 
 
@@ -491,12 +501,12 @@ _coeff = st.one_of(st.just(0.0), st.floats(-4.0, 4.0, allow_subnormal=False),
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(coeffs=st.lists(_coeff, min_size=1, max_size=7))
 def test_one_pass_flag_on_random_coefficients(coeffs):
-    """Any real coefficients, with exact zeros and dyadic values that make
-    ties and vanishing reductions exact: a strict level lowers the degree by
-    exactly one, the flag is set exactly when the levels are strict down to
-    a constant, and it agrees with the companion roots away from the
-    circle."""
-    p = Polynomial(coeffs)
+    """Any real coefficients, read as the rationals their doubles are, with
+    exact zeros and dyadic values that make ties and vanishing reductions
+    exact: a strict level lowers the degree by exactly one, the flag is set
+    exactly when the levels are strict down to a constant, and it agrees
+    with the companion roots away from the circle."""
+    p = Polynomial([Fraction(c) for c in coeffs])
     if p.is_zero:
         return
     svn = is_simple_von_neumann(p)
@@ -505,7 +515,7 @@ def test_one_pass_flag_on_random_coefficients(coeffs):
     strict_chain = ([(lv.degree, lv.relation) for lv in svn.levels]
                     == [(d, "<") for d in range(p.degree, 0, -1)])
     assert svn.schur == (strict_chain and svn.reason == "reduced to a nonzero constant")
-    roots = np.roots(np.array(p.coeffs[::-1]))  # untrimmed: tiny leads count
+    roots = np.roots(np.array(p.coeffs[::-1], dtype=float))  # tiny leads count
     radius = float(np.max(np.abs(roots))) if roots.size else 0.0
     if svn.schur:
         assert svn.ok and radius < 1.0 + 1e-6

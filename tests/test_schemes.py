@@ -28,7 +28,8 @@ from fdtd_stability import (
 )
 from fdtd_stability.polyloc import Polynomial, is_simple_von_neumann, poly_roots
 from fdtd_stability.schemes import EPS0, MU0
-from referees import amplification_matrix, char_poly_exact, char_poly_from_matrix, monic
+from referees import (amplification_matrix, char_poly_exact, char_poly_from_matrix,
+                      monic, poly_q)
 
 
 def random_params(rng, kind):
@@ -51,10 +52,6 @@ def rational_point(rng, kind):
                             eps_s_prime=Fraction(1) if edge == 1 else draw(1000, 80000),
                             omega=draw(1, 3000) if kind == "lorentz" else None)
     return p, draw(0, 5000)
-
-
-def monic_coeffs(p: Polynomial) -> np.ndarray:
-    return np.array(monic(p).coeffs)
 
 
 # --- parameter mapping -----------------------------------------------------
@@ -148,11 +145,14 @@ def test_dimensionless_params_rejects_bad_h(water, h):
 
 
 def test_debye_scheme_refuses_zero_delta_and_negative_q():
+    """A negative or non-finite q has no exact p_q, and is refused as
+    invalid input rather than failing in its conversion to a rational."""
     p = DimensionlessParams(lam=1.0, delta=0.0, eps_s_prime=2.0)
     with pytest.raises(InvalidInputError, match="Debye schemes require delta > 0"):
         char_poly_closed(Scheme.DEBYE_JOSEPH, p, 1.0)
-    with pytest.raises(InvalidInputError, match="q must be nonnegative"):
-        char_poly_closed(Scheme.DEBYE_JOSEPH, replace(p, delta=0.1), -1e-12)
+    for q in (-1e-12, math.inf, math.nan):
+        with pytest.raises(InvalidInputError, match="q must be nonnegative and finite"):
+            char_poly_closed(Scheme.DEBYE_JOSEPH, replace(p, delta=0.1), q)
 
 
 # --- Courant quantity ------------------------------------------------------
@@ -265,16 +265,20 @@ def test_amplification_matrix_rejects_mismatched_kinds():
 # --- characteristic polynomials --------------------------------------------
 
 def test_debye_joseph_closed_form_spot_value():
-    p = DimensionlessParams(lam=1.0, delta=0.5, eps_s_prime=2.0)
-    poly = char_poly_closed(Scheme.DEBYE_JOSEPH, p, 1.0)
-    np.testing.assert_allclose(np.array(poly.coeffs, dtype=complex),
-                               [0.0, 1.5, -2.5, 2.0], atol=0.0)
+    """0 + 1.5 z - 2.5 z^2 + 2 z^3: as given at `Fraction` parameters, and a
+    positive integer multiple of it at the same values as doubles."""
+    exact = DimensionlessParams(lam=Fraction(1), delta=Fraction(1, 2), eps_s_prime=Fraction(2))
+    spot = (0, Fraction(3, 2), Fraction(-5, 2), 2)
+    assert char_poly_closed(Scheme.DEBYE_JOSEPH, exact, 1).coeffs == spot
+    ints = char_poly_closed(Scheme.DEBYE_JOSEPH, DimensionlessParams(1.0, 0.5, 2.0), 1.0).coeffs
+    assert all(type(c) is int for c in ints) and ints[-1] > 0
+    assert [Fraction(c, ints[-1]) for c in ints] == [c / spot[-1] for c in spot]
 
 
 def test_debye_joseph_unit_root_at_uniform_mode():
     p = DimensionlessParams(lam=1.0, delta=0.5, eps_s_prime=1.0)
     poly = char_poly_closed(Scheme.DEBYE_JOSEPH, p, 0.0)
-    assert poly(1.0) == 0.0
+    assert poly(1) == 0
 
 
 def test_lorentz_kashiwa_spot_polynomial_on_circle():
@@ -282,30 +286,29 @@ def test_lorentz_kashiwa_spot_polynomial_on_circle():
     poly = char_poly_closed(Scheme.LORENTZ_KASHIWA,
                             DimensionlessParams(lam=1.0, delta=0.0,
                                                 eps_s_prime=1.0, omega=1.0), 0.0)
-    np.testing.assert_allclose(np.array(poly.coeffs, dtype=complex),
-                               [1.5, -4.0, 5.0, -4.0, 1.5], atol=0.0)
+    np.testing.assert_array_equal(monic(poly.coeffs), np.array([1.5, -4.0, 5.0, -4.0, 1.5]) / 1.5)
     mods = np.abs(poly_roots(poly))
     np.testing.assert_allclose(mods, 1.0, atol=1e-8)
 
 
 def test_char_poly_from_identity():
-    poly = char_poly_from_matrix(np.eye(3))
-    np.testing.assert_allclose(np.array(poly.coeffs, dtype=complex),
-                               [-1, 3, -3, 1], atol=1e-12)
+    np.testing.assert_allclose(char_poly_from_matrix(np.eye(3)), [-1, 3, -3, 1], atol=1e-12)
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_matrix_polynomial_proportionality(scheme):
+    """The monic closed form, exact at the doubles and rounded once, against
+    the eigenvalues of the float matrix."""
     rng = np.random.default_rng(zlib.crc32(scheme.value.encode()))
     for _ in range(200):
         p = random_params(rng, scheme.kind)
         wn = Wavenumber(rng.uniform(0.0, 2 * math.pi * 0.999))
         q = courant_q(p, wn)
-        closed = monic_coeffs(char_poly_closed(scheme, p, q))
+        closed = monic(char_poly_closed(scheme, p, q).coeffs)
         s = math.sqrt(q)
         for G in (amplification_matrix(scheme, p, wn),
                   np.array(scheme.spec.entries(p, s, -s, q), dtype=complex)):
-            from_matrix = monic_coeffs(char_poly_from_matrix(G))
+            from_matrix = monic(char_poly_from_matrix(G))
             np.testing.assert_allclose(from_matrix, closed, rtol=0.0,
                                        atol=1e-10 * np.max(np.abs(closed)))
 
@@ -314,7 +317,8 @@ def test_matrix_polynomial_proportionality(scheme):
 def test_record_formulas_keep_fractions_exact(scheme):
     """Each formula, written once in plain arithmetic, returns only exact
     numbers (ints or Fractions) for Fraction parameters, equal to its float
-    evaluation up to rounding."""
+    evaluation up to rounding; the polynomials, exact at either, agree once
+    made monic."""
     spec = scheme.spec
     rng = np.random.default_rng(zlib.crc32((scheme.value + "exact").encode()))
     for _ in range(20):
@@ -322,10 +326,16 @@ def test_record_formulas_keep_fractions_exact(scheme):
         pf = DimensionlessParams(float(p.lam), float(p.delta), float(p.eps_s_prime),
                                  None if p.omega is None else float(p.omega))
         qf = float(q)
+        for exact, at_doubles in ((char_poly_closed(scheme, p, q),
+                                   char_poly_closed(scheme, pf, qf)),
+                                  (tm_factor_2d(scheme, p), tm_factor_2d(scheme, pf))):
+            assert all(type(x) in (int, Fraction) for x in exact.coeffs + at_doubles.coeffs)
+            ref = monic(exact.coeffs)
+            np.testing.assert_allclose(monic(at_doubles.coeffs), ref, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(ref)))
         pairs = [(spec.char_poly(p), spec.char_poly(pf)),
                  (spec.entries(p, 1, -q, q), spec.entries(pf, 1, -qf, qf)),
-                 ([char_poly_closed(scheme, p, q).coeffs], [char_poly_closed(scheme, pf, qf).coeffs]),
-                 ([tm_factor_2d(scheme, p).coeffs], [tm_factor_2d(scheme, pf).coeffs]),
+                 ([poly_q(scheme, p, q)], [poly_q(scheme, pf, qf)]),
                  ([[p.alpha]], [[pf.alpha]])]
         if spec.degenerate_q is not None:
             pairs.append(([[spec.degenerate_q(p.omega)]], [[spec.degenerate_q(pf.omega)]]))
@@ -379,18 +389,19 @@ def test_exact_matrix_polynomial_identity(scheme):
 def test_lorentz_kashiwa_q4_double_root_is_exact():
     """At q = 4 the exact Lorentz-Kashiwa polynomial has the double root
     z = -1, and the exact recursion reports the repeated circle root.  The
-    float polynomial of the same decimals' doubles reads p(-1) as 7e-15,
-    but their exact one, the polynomial `classify_at_q` decides, has the
-    double root too."""
+    float polynomial of the same decimals' doubles, rounded at every
+    operation, reads p(-1) as 7e-15, but their exact one, the polynomial
+    `classify_at_q` decides, has the double root too."""
     p = DimensionlessParams(lam=Fraction(1), delta=Fraction(67, 10000),
                             eps_s_prime=Fraction(53399, 1000), omega=Fraction(19844, 10000))
     doubles = DimensionlessParams(*(float(x) for x in (p.lam, p.delta, p.eps_s_prime, p.omega)))
-    assert char_poly_closed(Scheme.LORENTZ_KASHIWA, doubles, 4.0)(-1.0) == 7.105427357601002e-15
+    rounded = poly_q(Scheme.LORENTZ_KASHIWA, doubles, 4.0)
+    assert np.polyval(rounded[::-1], -1.0) == 7.105427357601002e-15
     for params in (p, doubles):
-        poly = char_poly_closed(Scheme.LORENTZ_KASHIWA, params, Fraction(4))
+        poly = char_poly_closed(Scheme.LORENTZ_KASHIWA, params, 4.0)
         assert all(type(c) in (int, Fraction) for c in poly.coeffs)
-        assert poly(Fraction(-1)) == 0
-        assert Polynomial([j * c for j, c in enumerate(poly.coeffs)][1:])(Fraction(-1)) == 0
+        assert poly(-1) == 0
+        assert Polynomial([j * c for j, c in enumerate(poly.coeffs)][1:])(-1) == 0
         svn = is_simple_von_neumann(poly)
         assert not svn.ok
         assert svn.reason == "reduction vanished at degree 2; derivative is not Schur"
@@ -416,22 +427,30 @@ def test_vacuum_factor_inside(scheme, setup):
     assert mods.max() > 1.0 + 1e-3
 
 
-def test_all_coefficients_real():
+def test_float_parameters_give_exact_coefficients():
+    """At float parameters and q, `char_poly_closed` and `tm_factor_2d`
+    return ints (the doubles' exact values times one positive scale), and
+    at `Fraction` parameters ints or Fractions: there is no float
+    polynomial."""
     rng = np.random.default_rng(21)
     for scheme in Scheme:
         for _ in range(50):
             p = random_params(rng, scheme.kind)
-            poly = char_poly_closed(scheme, p, rng.uniform(0, 4.5))
-            assert all(c.imag == 0.0 for c in poly.coeffs)
+            for poly in (char_poly_closed(scheme, p, rng.uniform(0, 4.5)), tm_factor_2d(scheme, p)):
+                assert all(type(c) is int for c in poly.coeffs) and poly.coeffs[-1] > 0
+            exact, q = rational_point(rng, scheme.kind)
+            for poly in (char_poly_closed(scheme, exact, q), tm_factor_2d(scheme, exact)):
+                assert all(type(c) in (int, Fraction) for c in poly.coeffs)
 
 
 # --- 2D factors -------------------------------------------------------------
 
 def test_tm_factor_debye_joseph_degenerate():
     p = DimensionlessParams(lam=1.0, delta=0.5, eps_s_prime=2.0)  # d*es = 1
-    poly = tm_factor_2d(Scheme.DEBYE_JOSEPH, p)
-    np.testing.assert_allclose(np.array(poly.coeffs, dtype=complex),
-                               [0.0, 2.0], atol=0.0)
+    exact = DimensionlessParams(lam=Fraction(1), delta=Fraction(1, 2), eps_s_prime=Fraction(2))
+    assert tm_factor_2d(Scheme.DEBYE_JOSEPH, exact).coeffs == (0, 2)
+    poly = tm_factor_2d(Scheme.DEBYE_JOSEPH, p).coeffs
+    assert poly[0] == 0 and poly[1] > 0
 
 
 def test_tm_factor_lorentz_joseph_on_circle_when_undamped():
@@ -444,23 +463,24 @@ def test_tm_factor_debye_young_no_contrast():
     """Without contrast (alpha = 0) the polarization relaxes on its own:
     psi = (1 + delta) Z - (1 - delta)."""
     p = DimensionlessParams(lam=1.0, delta=0.5, eps_s_prime=1.0)
-    poly = tm_factor_2d(Scheme.DEBYE_YOUNG, p)
-    np.testing.assert_allclose(np.array(poly.coeffs, dtype=complex),
-                               [-0.5, 1.5], atol=0.0)
+    exact = DimensionlessParams(lam=Fraction(1), delta=Fraction(1, 2), eps_s_prime=Fraction(1))
+    assert tm_factor_2d(Scheme.DEBYE_YOUNG, exact).coeffs == (Fraction(-1, 2), Fraction(3, 2))
+    np.testing.assert_array_equal(monic(tm_factor_2d(Scheme.DEBYE_YOUNG, p).coeffs),
+                                  [-1 / 3, 1])
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_q0_polynomial_is_double_unit_root_times_tm_factor(scheme):
-    """At q = 0 the closed-form polynomial is (Z - 1)^2 psi: the recurrence
-    that reads psi off its low-end coefficients reproduces every
-    coefficient, the top ones included."""
+    """At q = 0 the closed-form polynomial is exactly (Z - 1)^2 psi: the
+    recurrence that reads psi off its low-end coefficients reproduces every
+    coefficient, the top ones included, at float and `Fraction`
+    parameters."""
     rng = np.random.default_rng(zlib.crc32((scheme.value + "2d").encode()))
     for _ in range(60):
-        p = random_params(rng, scheme.kind)
-        phi0 = np.array(char_poly_closed(scheme, p, 0.0).coeffs)
-        ref = np.convolve([1.0, -2.0, 1.0], np.array(tm_factor_2d(scheme, p).coeffs))
-        np.testing.assert_allclose(ref, phi0, rtol=0,
-                                   atol=1e-12 * np.max(np.abs(phi0)))
+        for p in (random_params(rng, scheme.kind), rational_point(rng, scheme.kind)[0]):
+            phi0 = char_poly_closed(scheme, p, 0.0).coeffs
+            psi = (0, 0, *tm_factor_2d(scheme, p).coeffs, 0, 0)
+            assert phi0 == tuple(psi[j] - 2 * psi[j + 1] + psi[j + 2] for j in range(len(phi0)))
 
 
 def test_q_range_attained_at_pi():
