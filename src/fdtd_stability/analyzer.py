@@ -3,14 +3,15 @@
 A point (scheme, parameters, wavenumber) is stable when the update matrix
 has bounded powers.  Verdicts flip where a root of the characteristic
 polynomial p meets the unit circle, which floats cannot see, so every
-per-q verdict is decided and labelled in exact arithmetic, with
-RESONANCE_SNAP_TOL as its one tolerance:
+per-q verdict is decided and labelled in exact arithmetic, with no
+tolerance:
 
-1. q is read exactly: a `Fraction` as given, a double as its own value, or,
-   within RESONANCE_SNAP_TOL of a Lorentz scheme's degenerate q (two
-   conjugate root couples colliding on the circle), as that q's exact
-   value.  The recursion runs on the exact p_q of the parameters, doubles
-   read as the rationals they are (`char_poly_closed` at a `Fraction` q).
+1. q is read exactly: a `Fraction` as given, a double as its own value.  A
+   caller that means a Lorentz scheme's degenerate q (two conjugate root
+   couples colliding on the circle) passes it as a `Fraction`; a double
+   next to it reads as the doubles' own verdict.  The recursion runs on
+   the exact p_q of the parameters, doubles read as the rationals they
+   are (`char_poly_closed`).
    Simple von Neumann there is stable: Schur, sub-polynomial (a root
    exactly at 0, 1, -1 or +-i) or von Neumann.  Else, unless the reduction
    vanished, a root lies outside the circle: exponential growth.
@@ -54,11 +55,6 @@ from .schemes import (
     courant_q,
     dimensionless_params,
 )
-
-# |q - q_degenerate| below this snaps classification onto the exact value:
-# the float degenerate q is one rounding off it, and a q computed from
-# physical steps several more.
-RESONANCE_SNAP_TOL = 1e-9
 
 BOUNDARY_REL_RESOLUTION = 1e-4
 # q_max this close to q_c, relative, is compared with q_c again exactly.
@@ -125,19 +121,11 @@ def _special_root(poly: Polynomial) -> bool:
 def classify_at_q(scheme: Scheme, params: DimensionlessParams, q: float) -> StabilityVerdict:
     """Stability verdict of a scheme at an exact Courant quantity q (steps
     1 and 2 of the module docstring): a `Fraction` q as given, a float q as
-    the double's own value or the exact degenerate q it snaps onto."""
-    if q < 0 or type(q) is not Fraction and not math.isfinite(q):
-        raise InvalidInputError("q must be nonnegative and finite")
-    # A float q snaps wherever the scheme has a degenerate q; away from the
-    # degenerate regime the exact decision at the snapped q is the same.
-    q_of_omega = None if type(q) is Fraction else scheme.spec.degenerate_q
-    snap = (q_of_omega and params.omega
-            and abs(q - q_of_omega(params.omega)) <= RESONANCE_SNAP_TOL)
-    q = q_of_omega(Fraction(params.omega)) if snap else Fraction(q)
+    the double's own value."""
     poly = char_poly_closed(scheme, params, q)
     svn = is_simple_von_neumann(poly)
     if not svn.ok:
-        return _non_svn_verdict(scheme, params, q, svn)
+        return _non_svn_verdict(scheme, params, Fraction(q), svn)
     if svn.schur:
         return _SCHUR
     if _special_root(poly):
@@ -298,8 +286,8 @@ def worst_case_verdict(scheme: Scheme, medium: MediumModel, k: float, h: float,
     decides the verdict: q_max, or, where q_max passes an open q_c > 0, q_c
     itself, the first unstable q.  At a tie, or at that q_c, the probe reads
     the exact parameters and q that the theorem compares; elsewhere the
-    parameters' doubles at Fraction(q_max), which no snap moves.  The
-    detail names q_max, q_c, the clause and the probe."""
+    parameters' doubles at Fraction(q_max).  The detail names q_max, q_c,
+    the clause and the probe."""
     params, q_max, q_c, sign, stable, exact = _theorem(scheme, medium, k, h, h_y)
     if q_max == math.inf:
         raise InvalidInputError("q_max = 4 lam^2 overflows a double")
@@ -400,7 +388,7 @@ def reproduce_argument_table(scheme: Scheme) -> list[TableRow]:
                 verdict=verdict,
                 point=f"delta={delta:g}, eps'={es:g}"
                       + (f", omega={omega:g}" if omega is not None else "")
-                      + f", q={q:g}",
+                      + f", q={float(q):g}",
                 ok=verdict.stable == regime.expected_stable,
                 note=regime.note,
             ))

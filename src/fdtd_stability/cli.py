@@ -452,7 +452,9 @@ def run_verify(plan: list[_VerifyPoint]):
         xi_y = None if pt.polarization is None else 2.0 * math.pi * pt.m_y / pt.grid
         wn = Wavenumber(2.0 * math.pi * pt.m_x / pt.grid, xi_y, h_x=pt.h, h_y=pt.h)
         q = courant_q(params, wn)
-        verdict = classify_at_q(pt.scheme, params, q)
+        # A resonance point is read at the exact degenerate q it stands for.
+        verdict = classify_at_q(pt.scheme, params, q if pt.regime != "resonance"
+                                else pt.scheme.spec.degenerate_q(Fraction(params.omega)))
         steps = pt.steps
         for _ in range(3):
             rep = run_growth(pt.scheme, pt.medium, pt.k, pt.h, wn, steps,

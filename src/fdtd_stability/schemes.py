@@ -573,7 +573,7 @@ _LJ_REGIMES = (
     Regime("anharmonic: q=2", True, ((0.3, 2.0, 0.8, 2.0),)),
     Regime("harmonic: 0<q<2, eps_s>eps_inf", True, ((0.0, 2.0, 0.8, 1.0),)),
     Regime("harmonic: 0<q<=2, eps_s=eps_inf (degenerate q reached)", False,
-           ((0.0, 1.0, 0.8, _lj_degenerate_q(0.8)),)),
+           ((0.0, 1.0, 0.8, _lj_degenerate_q(Fraction(0.8))),)),
     Regime("harmonic: q=0", True, ((0.0, 2.0, 0.8, 0.0), (0.0, 1.0, 0.8, 0.0))),
     Regime("harmonic: q=2", True, ((0.0, 2.0, 0.8, 2.0), (0.0, 1.0, 0.8, 2.0))),
 )
@@ -740,8 +740,8 @@ SPECS: dict[Scheme, SchemeSpec] = {
         "debye", ("b", "E", "p"), q_limit=4.0, entries=_dy_entries,
         char_poly=_dy_char_poly, degenerate_q=None,
         material=_dy_material, needs_prev_source=False,
-        stable_q=lambda p: (4 * (1 + p.delta ** 2 * p.alpha)
-                            if p.delta <= 1 or p.alpha == 0 else 0),
+        stable_q=lambda p: (4 if p.alpha == 0 else 4 * (1 + p.delta ** 2 * p.alpha)
+                            if p.delta <= 1 else 0),
         regimes=_DY_REGIMES),
     Scheme.LORENTZ_JOSEPH: SchemeSpec(
         "lorentz", ("b", "E", "E_prev", "d"), q_limit=2.0, entries=_lj_entries,

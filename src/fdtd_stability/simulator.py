@@ -367,7 +367,8 @@ def run_growth(scheme: Scheme, medium: MediumModel, k: float, h: float,
     on its verdict is growing, whatever follows.  A finite norm is
     recorded and ``steps`` of the report is that step; a non-finite one is
     overflow (``overflow_step``), reported as growth, not as an error, and
-    not recorded.
+    not recorded.  A CFL number whose 4 lam^2 overflows a double, in either
+    direction, is refused before any step.
     """
     if steps < 100:
         raise InvalidInputError("growth runs need at least 100 steps")
@@ -375,6 +376,8 @@ def run_growth(scheme: Scheme, medium: MediumModel, k: float, h: float,
         raise InvalidInputError(f"{scheme.value} cannot run in a {medium.kind} medium")
     params = dimensionless_params(medium, k, h)
     state = init_plane_wave(scheme, grid, wn, amplitude, polarization=polarization)
+    if not all(math.isfinite(4 * lam * lam) for lam in (params.lam, params.lam * state.h_ratio)):
+        raise InvalidInputError("lam^2 = (c_inf k / h)^2 overflows a double")
     # Two stacked buffers alternate as source and destination; the calls
     # of each direction are bound once, and both share the scratch.
     a, b = state.data, np.empty_like(state.data)

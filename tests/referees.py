@@ -286,9 +286,13 @@ def _candidates(scheme: Scheme, params: DimensionlessParams) -> tuple[float | No
 
 
 def _walk(scheme: Scheme, params: DimensionlessParams, q_lo: float, q_hi: float) -> Walk:
-    """The float walk of [q_lo, q_hi], its probes by `analyzer.classify_at_q`."""
+    """The float walk of [q_lo, q_hi], its probes by `analyzer.classify_at_q`
+    at the float candidates, but at the degenerate q of the parameters'
+    doubles exactly: the double nearest it is a stable q of its own."""
+    q_of_omega = scheme.spec.degenerate_q
+    q_deg = q_of_omega(Fraction(params.omega)) if q_of_omega and params.omega else None
     # Relative whisker: a q_hi a few ulps below a candidate still probes it.
-    breaks = sorted({s for s in (q_lo, q_hi) + _candidates(scheme, params)
+    breaks = sorted({s for s in (q_lo, q_hi) + _candidates(scheme, params)[:3] + (q_deg,)
                      if s is not None and q_lo <= s <= q_hi * (1.0 + 1e-9)})
     return _walk_over(breaks, lambda q: analyzer.classify_at_q(scheme, params, q).stable)
 
@@ -418,17 +422,6 @@ def fraction_params(params: DimensionlessParams) -> DimensionlessParams:
     """The exact values of float parameters, as `Fraction`s."""
     return DimensionlessParams(*(None if x is None else Fraction(x) for x in (
         params.lam, params.delta, params.eps_s_prime, params.omega)))
-
-
-def decided_q(scheme: Scheme, params: DimensionlessParams, q: float) -> Fraction:
-    """The exact q at which `analyzer.classify_at_q` decides a float q: the
-    exact degenerate q where q lies within RESONANCE_SNAP_TOL of the float
-    one, else Fraction(q)."""
-    q_of_omega = scheme.spec.degenerate_q
-    q_deg = q_of_omega(params.omega) if q_of_omega and params.omega else None
-    if q_deg is not None and abs(q - q_deg) <= analyzer.RESONANCE_SNAP_TOL:
-        return q_of_omega(Fraction(params.omega))
-    return Fraction(q)
 
 
 def exact_walk(scheme: Scheme, params: DimensionlessParams, q_lo, q_hi) -> Walk:

@@ -266,10 +266,11 @@ def test_criterion_4_5_top_stable_q(case, q_c):
 def test_criterion_6_resonance_instabilities(scheme, q_res_of):
     """Degenerate harmonic points: a defective unit-circle eigenvalue,
     decided in exact rationals, and linear (not exponential) norm growth
-    over 5,000 steps."""
+    over 5,000 steps.  The analyzer reads the degenerate q exactly, the
+    simulator its nearest double."""
     t0 = time.monotonic()
     w = 0.5
-    q_res = q_res_of(w)
+    q_res = q_res_of(Fraction(w))
     params = DimensionlessParams(lam=1.0, delta=0.0, eps_s_prime=1.0, omega=w)
     verdict = analyzer.classify_at_q(scheme, params, q_res)
     analyzer_ok = not verdict.stable and verdict.argument is Argument.EIGENVECTORS

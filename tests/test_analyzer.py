@@ -36,7 +36,8 @@ from fdtd_stability import (
 )
 from fdtd_stability import analyzer, polyloc
 from fdtd_stability.polyloc import poly_roots
-from referees import factor_roots_2d, plain_bisection_boundary, walk_verdict
+from referees import (exact_stable_at_q, factor_roots_2d, fraction_params,
+                      plain_bisection_boundary, walk_verdict)
 from test_golden import _young_omega_h
 from test_schemes import rational_point
 
@@ -74,28 +75,36 @@ def test_harmonic_young_resonance_is_defective():
 def test_harmonic_joseph_resonance_is_defective():
     w = 0.8
     p = DimensionlessParams(lam=1.0, delta=0.0, eps_s_prime=1.0, omega=w)
-    v = classify_at_q(Scheme.LORENTZ_JOSEPH, p, 2 * w / (1 + w))
+    v = classify_at_q(Scheme.LORENTZ_JOSEPH, p, 2 * Fraction(w) / (1 + Fraction(w)))
     assert not v.stable and v.argument is Argument.EIGENVECTORS
 
 
 def test_harmonic_kashiwa_degenerate_point_is_defective():
     # The Kashiwa scheme has its own couple collision at q = 2w/(1 + w/2)
     # when eps_s = eps_inf and nu = 0.
-    w = 0.8
-    p = DimensionlessParams(lam=1.0, delta=0.0, eps_s_prime=1.0, omega=w)
-    v = classify_at_q(Scheme.LORENTZ_KASHIWA, p, 2 * w / (1 + 0.5 * w))
+    w = Fraction(0.8)
+    p = DimensionlessParams(lam=1.0, delta=0.0, eps_s_prime=1.0, omega=0.8)
+    v = classify_at_q(Scheme.LORENTZ_KASHIWA, p, 2 * w / (1 + w / 2))
     assert not v.stable and v.argument is Argument.EIGENVECTORS
 
 
 def test_classify_at_q_reads_a_fraction_q_as_given():
-    """A float q within RESONANCE_SNAP_TOL of the degenerate q snaps onto it
-    (defective); a `Fraction` q is read as given, and 1e-10 off that q the
-    harmonic Lorentz-Kashiwa point is stable.  A `Fraction` q is never
-    converted to a float, so one beyond the doubles' range is decided."""
+    """A `Fraction` q is read as given and a float q as the double it is,
+    with no window around the degenerate q: at the harmonic eps_s = eps_inf
+    point of each Lorentz scheme the exact degenerate q is defective, the
+    double nearest it and a q 1e-10 below it read the exact referee's
+    verdict, and 1e-10 below it the point is stable.  A `Fraction` q is
+    never converted to a float, so one beyond the doubles' range is
+    decided."""
     p = DimensionlessParams(lam=1.0, delta=0.0, eps_s_prime=1.0, omega=0.8)
-    near = Fraction(Scheme.LORENTZ_KASHIWA.spec.degenerate_q(0.8)) - Fraction(1, 10**10)
-    assert classify_at_q(Scheme.LORENTZ_KASHIWA, p, float(near)).argument is Argument.EIGENVECTORS
-    assert classify_at_q(Scheme.LORENTZ_KASHIWA, p, near).stable
+    for scheme in (s for s in Scheme if s.spec.degenerate_q):
+        q_deg = scheme.spec.degenerate_q(Fraction(p.omega))
+        below = q_deg - Fraction(1, 10**10)
+        assert classify_at_q(scheme, p, q_deg).argument is Argument.EIGENVECTORS
+        for q in (float(q_deg), below):
+            assert (classify_at_q(scheme, p, q).stable
+                    == exact_stable_at_q(scheme, fraction_params(p), Fraction(q))), (scheme, q)
+        assert classify_at_q(scheme, p, below).stable
     assert not classify_at_q(Scheme.DEBYE_JOSEPH, DimensionlessParams(1.0, 0.1, 2.0),
                              Fraction(10**400)).stable
 
@@ -182,13 +191,15 @@ def test_2d_small_q_stable():
 
 
 def test_2d_tm_joseph_lorentz_overlap_unstable():
+    """A 2D wavenumber whose Courant quantity is the degenerate q up to
+    rounding: read at that q exactly, the point is defective."""
     w = 0.5
-    q_res = 2 * w / (1 + w)
+    q_res = Scheme.LORENTZ_JOSEPH.spec.degenerate_q(Fraction(w))
     xi = math.pi / 2
     lam = math.sqrt(q_res / (8 * math.sin(xi / 2) ** 2))
     p = DimensionlessParams(lam=lam, delta=0.0, eps_s_prime=1.0, omega=w)
-    wn = Wavenumber(xi, xi)
-    v = classify_point(Scheme.LORENTZ_JOSEPH, p, wn)
+    assert courant_q(p, Wavenumber(xi, xi)) == pytest.approx(float(q_res), rel=1e-15)
+    v = classify_at_q(Scheme.LORENTZ_JOSEPH, p, q_res)
     assert not v.stable and v.argument is Argument.EIGENVECTORS
 
 
@@ -204,20 +215,23 @@ def test_2d_tm_debye_young_stable_point():
 
 @pytest.mark.parametrize("es", [1.0, 1.0 + 1e-9, 2.25])
 def test_2d_tm_joseph_lorentz_follows_1d_factor(es):
-    """At the degenerate q of a harmonic medium the TM factor leaves the
-    verdict of the 1D factor unchanged; at eps_s = eps_inf it is unstable."""
+    """A 2D wavenumber at the degenerate q of a harmonic medium, up to
+    rounding: read at that q exactly, it is unstable iff eps_s = eps_inf.
+    Where it is stable, no verdict flips next to it, so the 2D point at its
+    float Courant quantity reads the same verdict."""
     scheme = Scheme.LORENTZ_JOSEPH
     xi = 2 * math.pi * 9 / 64
     for w in np.linspace(0.05, 3.0, 12).tolist():
-        q_res = scheme.spec.degenerate_q(w)
+        q_res = scheme.spec.degenerate_q(Fraction(w))
         lam = math.sqrt(q_res / (8 * math.sin(xi / 2) ** 2))
         p = DimensionlessParams(lam=lam, delta=0.0, eps_s_prime=es, omega=w)
         wn = Wavenumber(xi, xi)
-        assert courant_q(p, wn) == pytest.approx(q_res, abs=1e-12)
-        v2 = classify_point(scheme, p, wn)
-        v1 = classify_at_q(scheme, p, q_res)
-        assert (v2.stable, v2.argument) == (v1.stable, v1.argument), w
-        assert v2.stable == (es != 1.0), w
+        assert courant_q(p, wn) == pytest.approx(float(q_res), abs=1e-12)
+        v = classify_at_q(scheme, p, q_res)
+        assert v.stable == (es != 1.0), w
+        if v.stable:
+            v2 = classify_point(scheme, p, wn)
+            assert (v2.stable, v2.argument) == (v.stable, v.argument), w
 
 
 def _premise_points():
@@ -252,7 +266,7 @@ def test_2d_verdict_depends_on_no_polarization():
         v = classify_point(scheme, p, wn)
         q, q_of_omega = courant_q(p, wn), scheme.spec.degenerate_q
         at_degenerate += (q_of_omega is not None
-                          and abs(q - q_of_omega(p.omega)) <= analyzer.RESONANCE_SNAP_TOL)
+                          and q == pytest.approx(q_of_omega(p.omega), rel=1e-12))
         stable.add(v.stable)
         assert v == classify_at_q(scheme, p, q)
         for polarization in ("te", "tm"):
@@ -386,6 +400,21 @@ def test_overflowing_courant_quantity_is_invalid_input(water, h):
             worst_case_verdict(Scheme.DEBYE_JOSEPH, water, 1e-14, h, **kw)
 
 
+def test_debye_young_without_dispersion_squares_no_delta():
+    """eps_s = eps_inf with t_r = 1e-300 makes delta = k / (2 t_r) about
+    5e285 at k = 1e-14, whose square overflows a double.  With alpha = 0 the
+    stable q-range is [0, 4) whatever delta is, so the worst case and the
+    boundary search are decided, as the exact referees decide them."""
+    medium = MediumModel.debye(1.8, 1.8, 1e-300)
+    v = worst_case_verdict(Scheme.DEBYE_YOUNG, medium, 1e-14, 1e-5)
+    assert v.stable and walk_verdict(Scheme.DEBYE_YOUNG, medium, 1e-14, 1e-5)
+    assert "q_c=4, open limit" in v.detail
+    res = stability_boundary_k(Scheme.DEBYE_YOUNG, medium, 1e-5)
+    ref = plain_bisection_boundary(Scheme.DEBYE_YOUNG, medium, 1e-5)
+    assert (res.k_star, res.attained) == (ref.k_star, ref.attained)
+    assert res.attained is False and res.k_star == pytest.approx(1e-5 / medium.c_inf, rel=1e-4)
+
+
 def test_2d_courant_quantity_overflowing_in_y_is_invalid_input(water):
     """lam_x = 0.22 with h_x / h_y = 5e154 makes lam_y = lam_x h_x / h_y
     about 1.1e154, whose square is a double but 4 lam_y^2 is not, and
@@ -428,15 +457,17 @@ def test_near_tie_root_pair_is_not_defective(water):
 
 def _sampled_worst_case(scheme, medium, k, h, h_y=None):
     """Referee: 257 uniformly spaced wavenumbers in [0, pi] plus the exact
-    special values 0, q_max, 2, 4 and the degenerate q, each classified by
-    classify_at_q; stable iff every sample is."""
+    special values 0, q_max, 2, 4 and the degenerate q (of the parameters'
+    doubles, exactly), each classified by classify_at_q; stable iff every
+    sample is."""
     params = dimensionless_params(medium, k, h)
     q_max = 4.0 * params.lam ** 2
     if h_y is not None:
         q_max *= 1.0 + (h / h_y) ** 2
     qs = [q_max * math.sin(x / 2.0) ** 2 for x in np.linspace(0.0, math.pi, 257)]
     spec = scheme.spec
-    q_res = spec.degenerate_q(params.omega) if spec.degenerate_q and params.omega else None
+    q_res = (spec.degenerate_q(Fraction(params.omega))
+             if spec.degenerate_q and params.omega else None)
     qs += [s for s in (0.0, q_max, 2.0, 4.0, q_res)
            if s is not None and 0.0 <= s <= q_max * (1.0 + 1e-9)]
     return all(classify_at_q(scheme, params, q).stable for q in sorted(set(qs)))
@@ -795,7 +826,7 @@ def test_classify_at_q_solves_for_no_eigenvalues(monkeypatch):
         verdict = classify_at_q(*probe)
         matrix_route += verdict.argument in (Argument.G_FORM, Argument.EIGENVECTORS)
     assert matrix_route > 0 and not calls
-    w = 0.8
-    p = DimensionlessParams(lam=1.0, delta=0.0, eps_s_prime=1.0, omega=w)
-    v = classify_at_q(Scheme.LORENTZ_KASHIWA, p, 2 * w / (1 + 0.5 * w))
+    p = DimensionlessParams(lam=1.0, delta=0.0, eps_s_prime=1.0, omega=0.8)
+    v = classify_at_q(Scheme.LORENTZ_KASHIWA, p,
+                      Scheme.LORENTZ_KASHIWA.spec.degenerate_q(Fraction(0.8)))
     assert not v.stable and v.argument is Argument.EIGENVECTORS

@@ -33,14 +33,15 @@ REFEREES = ("root_profile", "RootProfile", "ROOT_CLUSTER_TOL", "conjugate_poly",
 # The float eigen route that the exact decision of `classify_at_q` retired,
 # its float special-root test, the float recursion's tolerances and
 # helpers, the Fraction Euclid and matrix powers that the integer rank
-# test retired, and the records' Fraction retyping and the analyzer's snap
-# helper, which plain arithmetic and `classify_at_q` made redundant.
+# test retired, the records' Fraction retyping and the analyzer's snap
+# helper, which plain arithmetic and `classify_at_q` made redundant, and the
+# resonance snap window, since callers pass the degenerate q exactly.
 RETIRED = ("OUT_EIG_TOL", "EIG_CLUSTER_TOL", "RANK_REL_TOL", "gn_bounded",
            "BoundednessReport", "UnitEigenvalue", "_eigvals", "_unit_multiplicities",
            "amplification_matrix_at_q", "_special_root_near", "BOUNDARY_REL_TOL",
            "TRIM_REL_TOL", "_tolerances", "_compare_moduli", "_abs2", "_normalized",
            "_trimmed", "_divmod", "_gcd", "_matmul", "_matrix_poly", "_typed",
-           "_degenerate_q")
+           "_degenerate_q", "RESONANCE_SNAP_TOL")
 
 
 def test_all_is_the_public_contract():

@@ -37,7 +37,6 @@ from referees import (
     RESULTANTS,
     _candidates,
     _walk,
-    decided_q,
     discriminant_exact,
     divmod_exact,
     exact_params,
@@ -316,7 +315,7 @@ def test_stable_q_matches_the_exact_and_the_float_walk():
     q_c, closed where `SchemeSpec.closed` says so, in every class.  The
     float walk, whose probes are `classify_at_q`'s, ends it at q_c too, to a
     relative 1e-9, harmonic eps_s' = 1 Lorentz media at their tiny
-    degenerate q included."""
+    degenerate q included, which the walk probes exactly."""
     rng = random.Random(7)
     classes = set()
     for _ in range(300):
@@ -370,10 +369,9 @@ def test_stable_q_and_closed_match_the_exact_walk(scheme, damped, dispersive):
 
 def _agrees(scheme, params, q) -> bool:
     """Whether `classify_at_q` reads the exact referee's verdict and Schur
-    class at q, at the exact parameters of the floats and q snapped as it
-    snaps q."""
+    class at q, at the exact values of the float parameters and of q."""
     verdict = analyzer.classify_at_q(scheme, params, q)
-    exact, q_exact = fraction_params(params), decided_q(scheme, params, q)
+    exact, q_exact = fraction_params(params), Fraction(q)
     return ((verdict.stable, verdict.argument is Argument.THEOREM_SCHUR)
             == (exact_stable_at_q(scheme, exact, q_exact), exact_schur_at_q(scheme, exact, q_exact)))
 
@@ -385,7 +383,7 @@ def test_classify_at_q_reads_the_exact_referee(scheme, damped, dispersive):
     1e-4 in damped classes, probed at 0, the float candidates (2, 4, q_-1,
     the degenerate q) and each of them 1e-13 above and below, the
     neighbouring doubles of 0, 2 and 4, q 2e-9 and 1e-8 away from 0, 2 and
-    4, a q within the snap window of the degenerate q and four uniform q:
+    4, the exact degenerate q, a q within 5e-10 of it and four uniform q:
     `classify_at_q` reads the exact referee's verdict and Schur label at
     every probe."""
     rng = random.Random(f"fallback {scheme.value} {damped} {dispersive}")
@@ -399,19 +397,24 @@ def test_classify_at_q_reads_the_exact_referee(scheme, damped, dispersive):
             1.0 + rng.uniform(1e-3, 40.0) if dispersive else 1.0,
             rng.uniform(1e-3, 3.0) if scheme.kind == "lorentz" else None)
         cands = [c for c in _candidates(scheme, params) if c is not None and c >= 0]
+        exact = [scheme.spec.degenerate_q(Fraction(params.omega))] if cands[3:] else []
         near = [c + rng.uniform(-5e-10, 5e-10) for c in cands[3:]]
         nudged = [c + s for c in cands for s in (-1e-13, 1e-13)]
         uniform = [rng.uniform(0.0, 6.0) for _ in range(4)]
-        for q in [0.0, *cands, *near, *edges, *nudged, *uniform]:
+        for q in [0.0, *cands, *exact, *near, *edges, *nudged, *uniform]:
             assert _agrees(scheme, params, max(q, 0.0)), (params, q)
 
 
 def test_classify_at_q_reads_the_exact_referee_on_the_verify_plan():
-    """Every verify point, at its own Courant quantity: `classify_at_q`
-    reads the exact referee's verdict."""
+    """Every verify point, at its own Courant quantity, and each resonance
+    point at the exact degenerate q as well: `classify_at_q` reads the
+    exact referee's verdict."""
     for pt in build_verify_plan():
         params = dimensionless_params(pt.medium, pt.k, pt.h)
         xi_y = None if pt.polarization is None else 2.0 * math.pi * pt.m_y / pt.grid
         q = courant_q(params, Wavenumber(2.0 * math.pi * pt.m_x / pt.grid, xi_y,
                                          h_x=pt.h, h_y=pt.h))
         assert _agrees(pt.scheme, params, q), pt
+        if pt.regime == "resonance":
+            assert _agrees(pt.scheme, params, pt.scheme.spec.degenerate_q(
+                Fraction(params.omega))), pt

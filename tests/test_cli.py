@@ -194,6 +194,17 @@ def test_verify_plan_is_stratified():
     assert {"stable", "unstable", "near-boundary", "resonance"} <= regimes
 
 
+def test_verify_reads_each_resonance_at_the_exact_degenerate_q():
+    """The plan's resonance points lie a few roundings off the degenerate q
+    in floats, where the doubles' own p_q is stable; `run_verify` reads
+    each at the exact degenerate q, analytically unstable, and the growth
+    run agrees."""
+    plan = [pt for pt in build_verify_plan() if pt.regime == "resonance"]
+    rows, hard = run_verify(plan)
+    assert len(rows) == 4 and hard == 0
+    assert [(r[11], r[13]) for r in rows] == [(False, True)] * 4
+
+
 def test_analyze_2d_with_empirical(tmp_path, capsys):
     out = tmp_path / "tm.csv"
     rc = main(["analyze", "--scheme", "lorentz-kashiwa", "--eps-inf", "1.0",
@@ -320,12 +331,13 @@ def test_overflowing_dimensionless_parameter_exits_2(capsys):
 
 
 @pytest.mark.parametrize("h", ["1e-170", "2e-160"])
-@pytest.mark.parametrize("command", ["analyze", "scan"])
+@pytest.mark.parametrize("command", ["analyze", "scan", "simulate"])
 def test_overflowing_courant_quantity_exits_2(command, h, capsys):
     """h = 1e-170 makes lam = c_inf k / h about 3e164, whose square
     overflows a double; h = 2e-160 makes lam about 1.1e154, whose square is
     a double but 4 lam^2 is not.  Either is invalid input with one error
-    line, not a traceback or a Courant quantity of inf."""
+    line, not a traceback, a Courant quantity of inf or a growth run that
+    ends at step 0."""
     argv = [command, "--scheme", "debye-joseph", "--eps-inf", "1.8", "--eps-s", "81",
             "--t-r", "9.4e-12", "--k", "1e-14", "--h", h]
     if command == "scan":

@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,6 @@ from fdtd_stability import (
 )
 from referees import (
     _candidates,
-    decided_q,
     exact_schur_at_q,
     exact_stable_at_q,
     fraction_params,
@@ -235,8 +235,9 @@ def _random_params(rng, scheme: Scheme) -> DimensionlessParams:
 
 
 def _probe_q(rng, scheme: Scheme, params: DimensionlessParams, kind: int) -> float:
-    """q of one of six kinds: 0, 2, 4, the degenerate q (a draw within the
-    snap window of it half the time; uniform on [0, 5] without one), tiny
+    """q of one of six kinds: 0, 2, 4, the double nearest the degenerate q
+    (a draw within 5e-10 of it half the time; uniform on [0, 5] without
+    one), tiny
     q in [1e-18, 1e-8], uniform on [0, 5]."""
     q_of_omega = scheme.spec.degenerate_q
     if kind == 3 and q_of_omega is not None:
@@ -455,9 +456,8 @@ def test_verdicts_grid_lines_match_the_exact_walk():
 def test_verdicts_point_lines_match_the_exact_referee():
     """Every one of the 600 ``point`` lines of ``verdicts.txt`` reads the
     exact referee's verdict (`referees.exact_stable_at_q` at the exact
-    parameters of the floats, and at the exact degenerate q where
-    `classify_at_q` snaps), and is labelled ``schur`` exactly where every
-    root of that p_q lies strictly inside the circle
+    values of the float parameters and q), and is labelled ``schur``
+    exactly where every root of that p_q lies strictly inside the circle
     (`referees.exact_schur_at_q`)."""
     points = 0
     for line in _golden("verdicts.txt").splitlines():
@@ -467,7 +467,7 @@ def test_verdicts_point_lines_match_the_exact_referee():
         scheme, q = Scheme.from_name(name), float(q)
         params = DimensionlessParams(1.0, float(delta), float(es),
                                      None if omega == "None" else float(omega))
-        exact, q_exact = fraction_params(params), decided_q(scheme, params, q)
+        exact, q_exact = fraction_params(params), Fraction(q)
         assert exact_stable_at_q(scheme, exact, q_exact) == (stable == "True"), line
         assert exact_schur_at_q(scheme, exact, q_exact) == (argument == "schur"), line
         points += 1

@@ -33,7 +33,6 @@ from referees import (
     _primitive,
     _primitive_gcd,
     conjugate_poly,
-    decided_q,
     exact_product,
     from_roots,
     integer_location,
@@ -465,13 +464,13 @@ def _fallback_polys():
             scheme = Scheme.from_name(name)
             params = DimensionlessParams(1.0, float(delta), float(es),
                                          None if omega == "None" else float(omega))
-            yield char_poly_closed(scheme, params, decided_q(scheme, params, float(q)))
+            yield char_poly_closed(scheme, params, float(q))
 
 
 def test_vanished_level_is_the_gcd_of_p_and_its_reversal():
     """The level whose reduction vanished is gcd(p, p*) up to content and
     sign, as the referee's primitive remainder sequence computes it: on the
-    147 exact polynomials behind the g-form and eigenvectors lines of
+    145 exact polynomials behind the g-form and eigenvectors lines of
     ``verdicts.txt``, and on 300 seeded products u w of a Schur factor w
     and unit-root factors u (pairs z^2 - 2 cos t z + 1 and z -+ 1, some
     repeated), where that gcd is u."""
@@ -480,7 +479,7 @@ def test_vanished_level_is_the_gcd_of_p_and_its_reversal():
         c = _integral(poly.coeffs)
         assert _primitive(list(is_simple_von_neumann(poly).vanished)) == _primitive_gcd(c, c[::-1])
         lines += 1
-    assert lines == 147
+    assert lines == 145
     rng = np.random.default_rng(47)
     for _ in range(300):
         unit = [[-1.0, 1.0], [1.0, 1.0]] + [_pair(1.0, t) for t in rng.uniform(0.1, 3.0, 2)]
