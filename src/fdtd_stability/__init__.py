@@ -15,7 +15,6 @@ from .schemes import (
     char_poly_closed,
     courant_q,
     dimensionless_params,
-    tm_factor_2d,
 )
 from .analyzer import (
     Argument,
@@ -61,6 +60,5 @@ __all__ = [
     "reproduce_argument_table",
     "run_growth",
     "stability_boundary_k",
-    "tm_factor_2d",
     "worst_case_verdict",
 ]

@@ -32,7 +32,9 @@ each scheme's stable q-range [0, q_c) or [0, q_c] follows in closed form
 (`SchemeSpec.stable_q`, and `SchemeSpec.closed` for whether q_c itself is
 stable; both are checked against an exact walk over those breakpoints in
 the tests).  A grid is stable iff q_max < q_c, or q_max = q_c and the
-limit is closed, with near-ties decided in exact rationals.  That decides
+limit is closed.  `_theorem` evaluates this once per time step as one
+record; a near-tie gives the record of the same steps in exact rationals,
+which the verdict, its detail and its probe then read.  That decides
 `worst_case_verdict` and every bisection step of `stability_boundary_k`;
 one `classify_at_q` probe at the deciding q labels each verdict.
 """
@@ -209,11 +211,11 @@ def classify_point(scheme: Scheme, params: DimensionlessParams,
     Courant quantity, which sums the two directions in 2D.
 
     The 2D polynomial is (Z - 1) [psi] phi(q_x + q_y), with the TM factor psi
-    and phi the 1D polynomial at the combined q; (Z - 1) is benign.  psi
-    decides no verdict.  Where it is not simple von Neumann (Lorentz-Young
-    with omega eps_s' >= 2, a root outside past 2), `SchemeSpec.stable_q` is
-    0 and not closed, so phi, with phi(0) = (Z - 1)^2 psi, reads every grid
-    unstable.  For the Joseph-style Lorentz scheme in a harmonic medium the
+    and phi the 1D polynomial at the combined q; (Z - 1) is benign.  psi is
+    read off phi(0) = (Z - 1)^2 psi, and decides no verdict.  Where it is
+    not simple von Neumann (Lorentz-Young with omega eps_s' >= 2, a root
+    outside past 2), `SchemeSpec.stable_q` is 0 and not closed, so phi reads
+    every grid unstable.  For the Joseph-style Lorentz scheme in a harmonic medium the
     unit-circle roots of psi could meet those of phi only at the degenerate
     q_res, and there only when eps_s = eps_inf: the resultant of psi and
     phi(q_res) is 16 w^4 (eps_s'-1)^2 (1 + w eps_s')^2 / (1 + w)^2, and phi
@@ -246,125 +248,115 @@ def _q_max(params: DimensionlessParams, h: float, h_y: float | None) -> float:
     return q_max + 4 * lam_y * lam_y
 
 
-def _params(scheme: Scheme, medium: MediumModel, k: float, h: float) -> DimensionlessParams:
-    if medium.kind != scheme.kind:
-        raise InvalidInputError(f"{scheme.value} cannot run in a {medium.kind} medium")
-    return dimensionless_params(medium, k, h)
-
-
 def _theorem(scheme: Scheme, medium: MediumModel, k: float, h: float,
              h_y: float | None):
-    """(params, q_max, q_c, sign of q_max - q_c, stable, exact) at physical
-    steps: every wavenumber is stable iff q_max < q_c, or q_max = q_c and
-    the limit is `SchemeSpec.closed`.  Where q_max lies within TIE_REL_TOL
-    of q_c, the sign is taken again in exact rationals (`_exact_sign`), and
-    exact holds the exact (params, q_max, q_c) it compared; else None."""
-    spec = scheme.spec
-    params = _params(scheme, medium, k, h)
+    """The theorem's record at physical steps, (params, q_max, q_c, sign of
+    q_max - q_c, closed, stable): every wavenumber is stable iff q_max <
+    q_c, or q_max = q_c and the limit is `SchemeSpec.closed`.  A `Fraction`
+    k reads finite h and h_y as `Fraction`s too and gives the exact record; a
+    float q_max within TIE_REL_TOL of q_c gives the record of the same
+    steps in `Fraction`s."""
+    spec, exact = scheme.spec, type(k) is Fraction
+    if medium.kind != spec.kind:
+        raise InvalidInputError(f"{scheme.value} cannot run in a {medium.kind} medium")
+    if exact:
+        h, h_y = (x if x is None or not math.isfinite(x) else Fraction(x) for x in (h, h_y))
+    params = dimensionless_params(medium, k, h)
     q_max, q_c = _q_max(params, h, h_y), spec.stable_q(params)
-    sign, exact = (q_max > q_c) - (q_max < q_c), None
-    if abs(q_max - q_c) <= TIE_REL_TOL * q_c:
-        *exact, sign = _exact_sign(scheme, medium, k, h, h_y)
-    return params, q_max, q_c, sign, sign < 0 or (sign == 0 and spec.closed(params)), exact
-
-
-def _exact_sign(scheme: Scheme, medium: MediumModel, k, h: float, h_y: float | None):
-    """(params, q_max, q_c, sign of q_max - q_c), all exact from
-    Fraction(k), Fraction(h), Fraction(h_y) and the medium's fields."""
-    params = dimensionless_params(medium, Fraction(k), Fraction(h))
-    q_max = _q_max(params, Fraction(h), None if h_y is None else Fraction(h_y))
-    q_c = scheme.spec.stable_q(params)
-    return params, q_max, q_c, (q_max > q_c) - (q_max < q_c)
+    if not exact and abs(q_max - q_c) <= TIE_REL_TOL * q_c:
+        return _theorem(scheme, medium, Fraction(k), h, h_y)
+    sign, closed = (q_max > q_c) - (q_max < q_c), spec.closed(params, q_c)
+    return params, q_max, q_c, sign, closed, sign < 0 or (sign == 0 and closed)
 
 
 def worst_case_verdict(scheme: Scheme, medium: MediumModel, k: float, h: float,
                        h_y: float | None = None) -> StabilityVerdict:
     """Verdict over all wavenumbers at fixed physical steps, a given h_y
-    making the grid 2D: the theorem's, from q_max, the scheme's stable
-    q-range end q_c (`SchemeSpec.stable_q`) and whether that end is closed.
-    The argument label comes from one `classify_at_q` probe at the q that
-    decides the verdict: q_max, or, where q_max passes an open q_c > 0, q_c
-    itself, the first unstable q.  At a tie, or at that q_c, the probe reads
-    the exact parameters and q that the theorem compares; elsewhere the
-    parameters' doubles at Fraction(q_max).  The detail names q_max, q_c,
-    the clause and the probe."""
-    params, q_max, q_c, sign, stable, exact = _theorem(scheme, medium, k, h, h_y)
+    making the grid 2D: the theorem's (`_theorem`), from q_max, the scheme's
+    stable q-range end q_c (`SchemeSpec.stable_q`) and whether that end is
+    closed.  The argument label comes from one `classify_at_q` probe at the
+    q that decides the verdict: q_max, or, where q_max passes an open q_c >
+    0, q_c itself, the first unstable q.  At a tie the probe reads the exact
+    parameters and q of the record, and at that q_c those of the exact
+    record; elsewhere the parameters' doubles at Fraction(q_max).  The
+    detail names q_max, q_c, the clause and the probe."""
+    return _labelled(scheme, medium, k, h, h_y, _theorem(scheme, medium, k, h, h_y))
+
+
+def _labelled(scheme: Scheme, medium: MediumModel, k, h: float, h_y: float | None,
+              record) -> StabilityVerdict:
+    """`worst_case_verdict` at steps k, h, h_y whose record is given."""
+    params, q_max, q_c, sign, closed, stable = record
     if q_max == math.inf:
         raise InvalidInputError("q_max = 4 lam^2 overflows a double")
-    closed = scheme.spec.closed(params)
     at_q_c = not (stable or closed) and q_c > 0
-    if exact or at_q_c:
-        params, *qs = exact or _exact_sign(scheme, medium, k, h, h_y)[:3]
-        q = qs[at_q_c]
+    if at_q_c and type(q_max) is not Fraction:
+        params, _, q = _theorem(scheme, medium, Fraction(k), h, h_y)[:3]
     else:
-        q = Fraction(q_max)
+        q = q_c if at_q_c else Fraction(q_max)
     probe = classify_at_q(scheme, params, q)
-    detail = (f"q_max={q_max:.12g} {'<=>'[sign + 1]} q_c={q_c:.12g}, "
+    detail = (f"q_max={float(q_max):.12g} {'<=>'[sign + 1]} q_c={float(q_c):.12g}, "
               f"{'closed' if closed else 'open'} limit; probe at q={float(q):.12g}: {probe.detail}")
     return StabilityVerdict(stable, probe.argument, detail)
-
-
-def _bisect(lo: float, hi: float, stable) -> tuple[float, float]:
-    """Halve [lo, hi] until it is at most BOUNDARY_REL_RESOLUTION of hi
-    wide, keeping each midpoint as lo where stable(midpoint) holds and as hi
-    otherwise; the final interval."""
-    while hi - lo > BOUNDARY_REL_RESOLUTION * hi:
-        mid = 0.5 * (lo + hi)
-        if stable(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
 
 
 def stability_boundary_k(scheme: Scheme, medium: MediumModel, h: float,
                          h_y: float | None = None) -> BoundaryResult:
     """Largest stable time step between 0 and 2h/c_inf, by bisection on the
-    theorem's verdict (`worst_case_verdict`) without a probe; a given h_y
-    makes the grid 2D.
+    theorem's verdict (`_theorem`) without a probe; a given h_y makes the
+    grid 2D.  Each time step the search visits is evaluated once.
 
     The top, 2h/c_inf, must read unstable, else the search is refused; the
     bottom, 1e-6 of the top, must read stable, else the medium is resonant
     (non_monotone, with the lowest unstable k of the bottom and 10 and 100
     times below it).  The bisection runs from the bottom down to
-    BOUNDARY_REL_RESOLUTION.  k* is the final interval's bottom.
+    BOUNDARY_REL_RESOLUTION, keeping the record of its bottom: the start, or
+    the last stable midpoint.  k* is the final interval's bottom.
 
     attained: k* is where q_max meets q_c, stable iff the limit is
-    `SchemeSpec.closed` (constant along a branch of `stable_q`, so read at
-    k*), or where an open q_c drops to 0 (`SchemeSpec.switch_k`).  Where a
-    switch lies in the final interval, the theorem's predicate at its exact
-    time step decides instead of an open limit.
+    `SchemeSpec.closed` (constant along a branch of `stable_q`, so read off
+    the bottom's record), or where an open q_c drops to 0
+    (`SchemeSpec.switch_k`).  Where a switch lies in the final interval, the
+    theorem at its exact time step decides instead of an open limit.
 
-    The one `classify_at_q` probe of a search is that of the worst-case
-    verdict at k*, or at the lowest unstable k; its argument and detail end
-    the result's detail.
+    The one `classify_at_q` probe of a search labels the worst-case verdict
+    of the bottom's record, or of the lowest unstable k; its argument and
+    detail end the result's detail.
     """
     if not (h > 0 and math.isfinite(h)):
         raise InvalidInputError("space step h must be positive and finite")
 
-    def stable(k: float) -> bool:
-        return _theorem(scheme, medium, k, h, h_y)[4]
+    def theorem(k):
+        return _theorem(scheme, medium, k, h, h_y)
 
     hi = 2.0 * h / medium.c_inf
-    if stable(hi):
+    if theorem(hi)[-1]:
         raise NumericalFailureError(
             "no instability found up to 2h/c_inf; cannot bracket a boundary")
     lo = 1e-6 * hi
-    if not stable(lo):
-        lowest = min([lo] + [p for p in (lo / 10.0, lo / 100.0) if not stable(p)])
-        verdict = worst_case_verdict(scheme, medium, lowest, h, h_y)
+    bottom = theorem(lo)
+    if not bottom[-1]:
+        lowest, record = lo, bottom
+        for k in (lo / 10.0, lo / 100.0):
+            if not (r := theorem(k))[-1]:
+                lowest, record = k, r
+        verdict = _labelled(scheme, medium, lowest, h, h_y, record)
         return BoundaryResult(None, None, True, lowest,
                               "unstable at the bottom of the bracket "
                               "(resonant regime; no upper boundary in k); "
                               f"at the lowest {verdict.argument.value}: {verdict.detail}")
-    lo, hi = _bisect(lo, hi, stable)
-    spec = scheme.spec
-    attained = spec.closed(_params(scheme, medium, lo, h))
-    k_sw = spec.switch_k(medium) if spec.switch_k else None
+    while hi - lo > BOUNDARY_REL_RESOLUTION * hi:
+        mid = 0.5 * (lo + hi)
+        record = theorem(mid)
+        if record[-1]:
+            lo, bottom = mid, record
+        else:
+            hi = mid
+    attained = bottom[4]
+    k_sw = scheme.spec.switch_k(medium) if scheme.spec.switch_k else None
     if not attained and k_sw is not None and lo < k_sw <= hi:
-        params, _, _, sign = _exact_sign(scheme, medium, k_sw, h, h_y)
-        attained = sign < 0 or (sign == 0 and spec.closed(params))
-    verdict = worst_case_verdict(scheme, medium, lo, h, h_y)
+        attained = theorem(k_sw)[-1]
+    verdict = _labelled(scheme, medium, lo, h, h_y, bottom)
     return BoundaryResult(lo, attained, False, None,
                           f"bisection converged to [{lo:.9e}, {hi:.9e}]; at its "
                           f"bottom {verdict.argument.value}: {verdict.detail}")

@@ -38,7 +38,6 @@ from .schemes import (
     char_poly_closed,
     courant_q,
     dimensionless_params,
-    tm_factor_2d,
     xi_for_q,
 )
 from .simulator import empirical_verdict, run_growth
@@ -264,12 +263,14 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     root_mod = _certified_modulus(verdict, char_poly_closed(scheme, params, q))
     if wn.is_2d:
         # The 2D polynomial (Z - 1) [psi] phi(q), factor by factor: the (Z - 1)
-        # root is exactly 1, and TM's psi has a root outside iff phi(0) =
-        # (Z - 1)^2 psi has one, so the exact verdict at q = 0 certifies it.
+        # root is exactly 1, and TM's psi is read off phi(0) = (Z - 1)^2 psi,
+        # whose other roots are the double root 1: the exact verdict at q = 0
+        # certifies psi, and phi(0)'s modulus is psi's where it exceeds 1.
         root_mod = max(1.0, root_mod)
         if cfg.polarization == "tm":
             root_mod = max(root_mod, _certified_modulus(
-                classify_at_q(scheme, params, Fraction(0)), tm_factor_2d(scheme, params)))
+                classify_at_q(scheme, params, Fraction(0)),
+                char_poly_closed(scheme, params, Fraction(0))))
     print(f"{scheme.value}: {'stable' if verdict.stable else 'unstable'} "
           f"[{verdict.argument.value}] at {_at(wn)}, q={q:.6g} "
           f"(max root modulus {root_mod:.12g})")

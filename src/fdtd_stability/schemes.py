@@ -198,7 +198,7 @@ class SchemeSpec:
         matrix at q = 0.
     char_poly           params -> (a, b) in plain arithmetic: the characteristic
         polynomial has ascending coefficients a_j + q*b_j; the 2D TM factor
-        is derived from a (`tm_factor_2d`), so it has no field of its own
+        psi is read off a = (Z - 1)^2 psi, so it has no field of its own
     degenerate_q        omega -> Courant value where two root couples collide
         on the unit circle (harmonic media, eps_s = eps_inf), or None
     material            params -> bind(E, aux, S, S_old, E_out, aux_out, tmp):
@@ -249,13 +249,12 @@ class SchemeSpec:
     switch_k: Callable[[MediumModel], Fraction | None] | None = None
     verify_unstable: tuple[float, ...] = (1.25, 1.60)
 
-    def closed(self, params: DimensionlessParams) -> bool:
-        """Whether q = q_c itself is stable, for float and `Fraction`
-        parameters alike: where q_c > 0, delta > 0 and eps_s > eps_inf, except
-        in a scheme that is not `closable`.  Elsewhere q_c is defective or has
-        a root outside the circle."""
-        return (self.closable and params.delta > 0 and params.alpha > 0
-                and self.stable_q(params) > 0)
+    def closed(self, params: DimensionlessParams, q_c: float) -> bool:
+        """Whether q = q_c = `stable_q(params)` itself is stable, for float and
+        `Fraction` parameters alike: where q_c > 0, delta > 0 and eps_s >
+        eps_inf, except in a scheme that is not `closable`.  Elsewhere q_c is
+        defective or has a root outside the circle."""
+        return self.closable and params.delta > 0 and params.alpha > 0 and q_c > 0
 
 
 def dimensionless_params(medium: MediumModel, k: float, h: float) -> DimensionlessParams:
@@ -267,15 +266,26 @@ def dimensionless_params(medium: MediumModel, k: float, h: float) -> Dimensionle
     if not (h > 0 and math.isfinite(h)):
         raise InvalidInputError("space step h must be positive and finite")
     num = Fraction if type(k) is Fraction else float
-    lam = num(medium.c_inf) * k / h
-    es = num(medium.eps_s) / num(medium.eps_inf)
+    lam = _checked("lam = c_inf k / h", num(medium.c_inf) * k / h)
+    es = _checked("eps_s' = eps_s / eps_inf", num(medium.eps_s) / num(medium.eps_inf))
     if medium.kind == "debye":
-        return DimensionlessParams(lam=lam, delta=k / (2 * num(medium.t_r)), eps_s_prime=es)
+        return DimensionlessParams(lam=lam, eps_s_prime=es,
+                                   delta=_checked("delta = k / (2 t_r)", k / (2 * num(medium.t_r))))
     try:
-        omega = num(medium.omega1) ** 2 * k ** 2 / 2
+        omega = _checked("omega = omega1^2 k^2 / 2", num(medium.omega1) ** 2 * k ** 2 / 2)
     except OverflowError:
         raise InvalidInputError("omega = omega1^2 k^2 / 2 overflows a double") from None
-    return DimensionlessParams(lam=lam, delta=num(medium.nu) * k / 2, eps_s_prime=es, omega=omega)
+    delta = num(medium.nu) * k / 2
+    return DimensionlessParams(lam=lam, eps_s_prime=es, omega=omega,
+                               delta=_checked("delta = nu k / 2", delta) if medium.nu else delta)
+
+
+def _checked(name: str, value: float) -> float:
+    """A dimensionless parameter built from positive inputs, refused where a
+    double rounds it to 0 or overflows."""
+    if value == 0 or value == math.inf:
+        raise InvalidInputError(f"{name} {'underflows to 0' if value == 0 else 'overflows a double'}")
+    return value
 
 
 def courant_q(params: DimensionlessParams, wn: Wavenumber) -> float:
@@ -378,24 +388,6 @@ def _dyadic(v: float) -> _Dyadic:
 
 _new = object.__new__
 _HALF = _dyadic(0.5)
-
-
-def tm_factor_2d(scheme: Scheme, params: DimensionlessParams) -> Polynomial:
-    """The extra polynomial factor psi of the 2D transverse-magnetic system
-    (degree 1 for Debye schemes, degree 2 for Lorentz schemes).
-
-    At q = 0 the closed-form polynomial is (Z - 1)^2 psi(Z): the magnetic
-    mode and the static field each give Z = 1, and psi is the rest of the
-    curl-free material block, the block that the TM field's curl-free part
-    evolves by.  So psi shares the end coefficients a_0 and a_top of the
-    q = 0 polynomial, and a middle coefficient follows from the low-end
-    recurrence psi_j = a_j + 2 psi_(j-1) - psi_(j-2), exact on the a of
-    `char_poly_closed` at q = 0 and in its positive scale."""
-    a = char_poly_closed(scheme, params, Fraction(0)).coeffs
-    psi = [0, 0]  # psi_(-2), psi_(-1)
-    for a_j in a[:-3]:
-        psi.append(a_j + 2 * psi[-1] - psi[-2])
-    return Polynomial((*psi[2:], a[-1]))
 
 
 # ---------------------------------------------------------------------------

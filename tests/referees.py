@@ -6,7 +6,8 @@ coefficients only, so the referees that work in floats or complex numbers
 keep them in their own tuples and arrays: polynomials from known roots,
 root profiles from companion eigenvalues, the physical per-wavenumber update
 matrix and its characteristic polynomial det(Z I - G) (from eigenvalues,
-or exactly for a matrix of Fractions), and the grid's own
+or exactly for a matrix of Fractions), the 2D TM factor psi by its own
+recurrence (the package reads psi off phi(0)), and the grid's own
 Fourier amplitudes and per-mode update matrices measured from `step`,
 the one leapfrog cycle of which a growth run is a loop (the simulator's
 bound calls, run once into a fresh state);
@@ -44,7 +45,6 @@ from fdtd_stability import (
     courant_q,
     dimensionless_params,
     init_plane_wave,
-    tm_factor_2d,
 )
 from fdtd_stability import analyzer
 from fdtd_stability.polyloc import _reduce, poly_roots
@@ -223,6 +223,24 @@ def char_poly_exact(G: Sequence[Sequence[Fraction]]) -> list[Fraction]:
               for j in range(n)] for i in range(n)]
         desc.append(-sum(G[i][l] * M[l][i] for i in range(n) for l in range(n)) / k)
     return desc[::-1]
+
+
+def tm_factor_2d(scheme: Scheme, params: DimensionlessParams) -> Polynomial:
+    """The extra polynomial factor psi of the 2D transverse-magnetic system
+    (degree 1 for Debye schemes, degree 2 for Lorentz schemes).
+
+    At q = 0 the closed-form polynomial is (Z - 1)^2 psi(Z): the magnetic
+    mode and the static field each give Z = 1, and psi is the rest of the
+    curl-free material block, the block that the TM field's curl-free part
+    evolves by.  So psi shares the end coefficients a_0 and a_top of the
+    q = 0 polynomial, and a middle coefficient follows from the low-end
+    recurrence psi_j = a_j + 2 psi_(j-1) - psi_(j-2), exact on the a of
+    `char_poly_closed` at q = 0 and in its positive scale."""
+    a = char_poly_closed(scheme, params, Fraction(0)).coeffs
+    psi = [0, 0]  # psi_(-2), psi_(-1)
+    for a_j in a[:-3]:
+        psi.append(a_j + 2 * psi[-1] - psi[-2])
+    return Polynomial((*psi[2:], a[-1]))
 
 
 def factor_roots_2d(scheme: Scheme, params: DimensionlessParams, wn: Wavenumber,

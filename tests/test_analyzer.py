@@ -8,6 +8,7 @@ in the closed disk with simple circle roots) and the exact decision of
 
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -31,13 +32,12 @@ from fdtd_stability import (
     is_simple_von_neumann,
     reproduce_argument_table,
     stability_boundary_k,
-    tm_factor_2d,
     worst_case_verdict,
 )
 from fdtd_stability import analyzer, polyloc
 from fdtd_stability.polyloc import poly_roots
 from referees import (exact_stable_at_q, factor_roots_2d, fraction_params,
-                      plain_bisection_boundary, walk_verdict)
+                      plain_bisection_boundary, tm_factor_2d, walk_verdict)
 from test_golden import _young_omega_h
 from test_schemes import rational_point
 
@@ -289,7 +289,7 @@ def test_psi_decides_no_verdict():
             if is_simple_von_neumann(tm_factor_2d(scheme, p)).ok:
                 continue
             failed[scheme] += 1
-            assert scheme.spec.stable_q(p) == 0 and not scheme.spec.closed(p), p
+            assert scheme.spec.stable_q(p) == 0 and not scheme.spec.closed(p, 0), p
             assert scheme is Scheme.LORENTZ_YOUNG and p.omega * p.eps_s_prime >= 2, p
     assert failed[Scheme.LORENTZ_YOUNG] > 100
 
@@ -375,10 +375,14 @@ def test_worst_case_2d_courant_limit(scheme, medium, h, h_y, request):
 def test_worst_case_and_boundary_reject_bad_h_y(water, h_y):
     """The y space step of a 2D grid must be positive and finite: a negative
     one is not read as its modulus, an infinite one does not switch the y
-    direction off, and zero is refused rather than divided by."""
+    direction off, and zero is refused rather than divided by.  So must h,
+    also next to a `Fraction` k, whose exact record reads h as a `Fraction`."""
     kw = dict(h_y=h_y)
-    with pytest.raises(InvalidInputError, match="h_y must be positive and finite"):
-        worst_case_verdict(Scheme.DEBYE_JOSEPH, water, 1e-14, 1e-5, **kw)
+    for k in (1e-14, Fraction(1e-14)):
+        with pytest.raises(InvalidInputError, match="h_y must be positive and finite"):
+            worst_case_verdict(Scheme.DEBYE_JOSEPH, water, k, 1e-5, **kw)
+        with pytest.raises(InvalidInputError, match="space step h must be positive and finite"):
+            worst_case_verdict(Scheme.DEBYE_JOSEPH, water, k, h_y)
     with pytest.raises(InvalidInputError, match="h_y must be positive and finite"):
         stability_boundary_k(Scheme.DEBYE_JOSEPH, water, 1e-5, **kw)
 
@@ -422,6 +426,67 @@ def test_2d_courant_quantity_overflowing_in_y_is_invalid_input(water):
     params = dimensionless_params(water, 1e-14, 1e-5)
     with pytest.raises(InvalidInputError, match=r"lam\^2 = \(c_inf k / h\)\^2 overflows a double"):
         classify_point(Scheme.DEBYE_JOSEPH, params, Wavenumber(math.pi, math.pi, 1e-5, 2e-160))
+
+
+@pytest.mark.parametrize("scheme,medium,k,message", [
+    (Scheme.DEBYE_JOSEPH, MediumModel.debye(1.8, 81.0, 1e300), 1e-30,
+     "delta = k / (2 t_r) underflows to 0"),
+    (Scheme.LORENTZ_YOUNG, MediumModel.lorentz(1.0, 2.25, 1e-170, 0.0), 1e-17,
+     "omega = omega1^2 k^2 / 2 underflows to 0"),
+    (Scheme.LORENTZ_KASHIWA, MediumModel.lorentz(1.0, 1.0, 4e16, 5e-324), 1e-17,
+     "delta = nu k / 2 underflows to 0"),
+], ids=["debye-delta", "lorentz-omega", "damped-lorentz-delta"])
+def test_underflowing_dimensionless_parameter_is_invalid_input(scheme, medium, k, message):
+    """Positive inputs whose delta or omega rounds to 0 in doubles are
+    refused by name, in `dimensionless_params`: not as a zero delta or
+    omega the caller never typed, and not, for the damped Lorentz-Kashiwa
+    medium, as a harmonic one (it read unstable [eigenvectors] against the
+    harmonic cap q_c = 0.1538, where the exact steps give q_c = 4 and a
+    stable grid)."""
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        worst_case_verdict(scheme, medium, k, 6e-9)
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        dimensionless_params(medium, k, 6e-9)
+    if medium.nu:
+        assert walk_verdict(scheme, medium, k, 6e-9)
+
+
+def test_extreme_inputs_raise_only_the_package_errors():
+    """Every physical input drawn from 10^U(-300, 300), 1,500 seeded draws
+    over the five schemes, half of them 2D, and half the Lorentz media
+    harmonic.  `classify_point` and `worst_case_verdict` on each draw and
+    `stability_boundary_k` on every tenth either return or raise
+    `InvalidInputError` or `NumericalFailureError`, and no refusal blames a
+    delta or omega that a double rounded to 0 on the caller."""
+    rng = random.Random(300)
+
+    def draw():
+        return 10.0 ** rng.uniform(-300.0, 300.0)
+
+    outcomes = Counter()
+    for i in range(1500):
+        scheme = rng.choice(list(Scheme))
+        eps_inf, eps_s = sorted((draw(), draw()))
+        medium = (MediumModel.debye(eps_inf, eps_s, draw()) if scheme.kind == "debye"
+                  else MediumModel.lorentz(eps_inf, eps_s, draw(), rng.choice((0.0, draw()))))
+        k, h, h_y, xi = draw(), draw(), rng.choice((None, draw())), rng.uniform(0.0, 6.28)
+        wn = Wavenumber(xi) if h_y is None else Wavenumber(xi, xi, h_x=h, h_y=h_y)
+        calls = [lambda: classify_point(scheme, dimensionless_params(medium, k, h), wn),
+                 lambda: worst_case_verdict(scheme, medium, k, h, h_y)]
+        if i % 10 == 0:
+            calls.append(lambda: stability_boundary_k(scheme, medium, h, h_y))
+        for call in calls:
+            try:
+                call()
+            except (InvalidInputError, NumericalFailureError) as exc:
+                message = str(exc)
+                assert not any(m in message for m in (
+                    "Debye schemes require delta > 0", "delta must be nonnegative",
+                    "omega must be positive")), (scheme, medium, k, h, h_y, message)
+                outcomes["underflow" if "underflows" in message else "refused"] += 1
+            else:
+                outcomes["answered"] += 1
+    assert min(outcomes.values()) > 100, outcomes
 
 
 @pytest.mark.parametrize("h", [-1e-5, 0.0, math.inf, math.nan])
@@ -744,7 +809,7 @@ def test_labels_agree_with_verdicts_at_the_edge(monkeypatch):
         searches += 1
         lo, hi = k_star, k_star * (1.0 + 2.0 * analyzer.BOUNDARY_REL_RESOLUTION)
         while (mid := lo + (hi - lo) / 2.0) not in (lo, hi):
-            if analyzer._theorem(scheme, medium, mid, h, kw.get("h_y"))[4]:
+            if analyzer._theorem(scheme, medium, mid, h, kw.get("h_y"))[-1]:
                 lo = mid
             else:
                 hi = mid

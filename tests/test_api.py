@@ -14,7 +14,7 @@ PUBLIC = {
     "Polynomial", "is_simple_von_neumann",
     # schemes
     "DimensionlessParams", "MediumModel", "Scheme", "Wavenumber", "char_poly_closed",
-    "courant_q", "dimensionless_params", "tm_factor_2d",
+    "courant_q", "dimensionless_params",
     # analyzer
     "Argument", "StabilityVerdict", "classify_at_q", "classify_point",
     "classify_point_2d", "reproduce_argument_table", "stability_boundary_k",
@@ -28,7 +28,7 @@ REFEREES = ("root_profile", "RootProfile", "ROOT_CLUSTER_TOL", "conjugate_poly",
             "amplification_matrix", "char_poly_from_matrix", "char_poly_2d",
             "fourier_mode", "reduce_step", "plain_bisection_boundary", "_walk",
             "_candidates", "exact_walk", "exact_stable_at_q", "exact_schur_at_q",
-            "exact_product", "greedy_clusters", "step")
+            "exact_product", "greedy_clusters", "step", "tm_factor_2d")
 
 # The float eigen route that the exact decision of `classify_at_q` retired,
 # its float special-root test, the float recursion's tolerances and
@@ -45,7 +45,7 @@ RETIRED = ("OUT_EIG_TOL", "EIG_CLUSTER_TOL", "RANK_REL_TOL", "gn_bounded",
 
 
 def test_all_is_the_public_contract():
-    assert len(PUBLIC) == 25
+    assert len(PUBLIC) == 24
     assert len(fdtd_stability.__all__) == len(PUBLIC)
     assert set(fdtd_stability.__all__) == PUBLIC
     for name in PUBLIC:

@@ -326,7 +326,7 @@ def test_stable_q_matches_the_exact_and_the_float_walk():
         walk = exact_walk(scheme, params, Fraction(0), 2 * max(4, q_c) + 1)
         assert walk.q_c == q_c, (scheme, medium, k, h)
         if q_c > 0:
-            assert walk.closed == scheme.spec.closed(params), (scheme, medium, k, h)
+            assert walk.closed == scheme.spec.closed(params, q_c), (scheme, medium, k, h)
         classes.add((scheme, params.delta > 0, params.alpha > 0))
         float_params = dimensionless_params(medium, k, h)
         q_c = scheme.spec.stable_q(float_params)
@@ -357,7 +357,8 @@ def test_stable_q_and_closed_match_the_exact_walk(scheme, damped, dispersive):
         fixed["eps_s_prime"] = 1
     for _ in range(12):
         params = _exact_params(rng, scheme, **fixed)
-        q_c, closed = scheme.spec.stable_q(params), scheme.spec.closed(params)
+        q_c = scheme.spec.stable_q(params)
+        closed = scheme.spec.closed(params, q_c)
         top = 2 * max(4, q_c) + 1
         walk = exact_walk(scheme, params, Fraction(0), top)
         assert walk.q_c == q_c, params

@@ -24,8 +24,9 @@ from fdtd_stability.cli import (
     run_verify,
 )
 from fdtd_stability.errors import InvalidInputError, NumericalFailureError
+from fdtd_stability.polyloc import max_root_modulus
 from fdtd_stability.simulator import EmpiricalVerdict
-from referees import exact_stable_at_q, fraction_params
+from referees import exact_stable_at_q, fraction_params, tm_factor_2d
 
 WATER_CONFIG = """
 # minimal single-point analysis
@@ -328,6 +329,31 @@ def test_overflowing_dimensionless_parameter_exits_2(capsys):
     assert main(["analyze", "--scheme", "lorentz-young", "--eps-inf", "1", "--eps-s", "2",
                  "--omega1", "1e300", "--nu", "0", "--k", "1e-14", "--h", "1e-5"]) == 2
     assert capsys.readouterr().err == "error: omega = omega1^2 k^2 / 2 overflows a double\n"
+
+
+def test_underflowing_damping_exits_2(capsys):
+    """nu = 5e-324 makes delta = nu k / 2 round to 0 in doubles: invalid
+    input naming delta, not a damped medium analysed as harmonic (which read
+    unstable [eigenvectors] and exited 0)."""
+    assert main(["analyze", "--scheme", "lorentz-kashiwa", "--eps-inf", "1", "--eps-s", "1",
+                 "--omega1", "4e16", "--nu", "5e-324", "--k", "1e-17", "--h", "6e-9"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: delta = nu k / 2 underflows to 0\n"
+
+
+def test_analyze_tm_reads_psi_off_phi_at_zero(tmp_path):
+    """Lorentz-Young with omega eps_s' = 4.5 > 2: the TM factor psi has a
+    root outside the circle, and at xi = 0 it is the largest root of the 2D
+    polynomial.  `analyze` reads it off phi(0) = (Z - 1)^2 psi and writes
+    the recurrence's psi modulus (`referees.tm_factor_2d`) to 1e-12."""
+    out = tmp_path / "tm.csv"
+    assert main(["analyze", "--scheme", "lorentz-young", "--eps-inf", "1", "--eps-s", "2.25",
+                 "--omega1", "4e16", "--nu", "0.56e16", "--k", "5e-17", "--h", "1e-8",
+                 "--polarization", "tm", "--xi", "0", "--output", str(out)]) == 0
+    modulus = float(out.read_text().splitlines()[1].split(",")[11])
+    params = dimensionless_params(MediumModel.lorentz(1.0, 2.25, 4e16, 0.56e16), 5e-17, 1e-8)
+    psi = max_root_modulus(tm_factor_2d(Scheme.LORENTZ_YOUNG, params))
+    assert modulus > 1 and modulus == pytest.approx(psi, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("h", ["1e-170", "2e-160"])

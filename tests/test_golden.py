@@ -37,15 +37,16 @@ from fdtd_stability import (
     dimensionless_params,
     run_growth,
     stability_boundary_k,
-    tm_factor_2d,
     worst_case_verdict,
 )
+from fdtd_stability import analyzer
 from referees import (
     _candidates,
     exact_schur_at_q,
     exact_stable_at_q,
     fraction_params,
     plain_bisection_boundary,
+    tm_factor_2d,
     walk_verdict,
 )
 
@@ -401,6 +402,25 @@ def test_boundaries_golden():
 
 def test_verdicts_golden():
     assert verdicts_text() == _golden("verdicts.txt")
+
+
+def test_boundary_searches_evaluate_each_time_step_once(monkeypatch):
+    """Each search of the ``boundaries.txt`` cases evaluates the theorem
+    (`analyzer._theorem`) once per time step it visits.  A float step and
+    the exact record of its near-tie count apart; the bottom's record
+    labels the result, and is not evaluated again."""
+    inner, steps = analyzer._theorem, []
+
+    def counted(scheme, medium, k, h, h_y):
+        steps.append((type(k), k))
+        return inner(scheme, medium, k, h, h_y)
+
+    monkeypatch.setattr(analyzer, "_theorem", counted)
+    for scheme, medium, h, geometry in _boundary_cases():
+        steps.clear()
+        stability_boundary_k(Scheme.from_name(scheme), _BOUNDARY_MEDIA[medium], h,
+                             **_boundary_kwargs(h, geometry))
+        assert steps and len(set(steps)) == len(steps), (scheme, medium, geometry, steps)
 
 
 def test_boundaries_golden_is_the_exact_plain_bisection():

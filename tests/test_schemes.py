@@ -24,12 +24,11 @@ from fdtd_stability import (
     char_poly_closed,
     courant_q,
     dimensionless_params,
-    tm_factor_2d,
 )
 from fdtd_stability.polyloc import Polynomial, is_simple_von_neumann, poly_roots
 from fdtd_stability.schemes import EPS0, MU0
 from referees import (amplification_matrix, char_poly_exact, char_poly_from_matrix,
-                      monic, poly_q)
+                      monic, poly_q, tm_factor_2d)
 
 
 def random_params(rng, kind):
